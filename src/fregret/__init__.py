@@ -33,7 +33,6 @@ from .games import (
     build_matrix,
     enumerate_infosets,
     expected_value,
-    reach_traverse,
     uniform_profile,
 )
 from .rcfr import RCFRConfig, RCFRState, rcfr_solve
@@ -79,7 +78,6 @@ __all__ = [
     "fit_tree",
     "merge_profiles",
     "rcfr_solve",
-    "reach_traverse",
     "regret_bound",
     "regret_match",
     "rm_update",

@@ -1,31 +1,14 @@
-"""Input-validation helpers and the minimal estimator base class."""
+"""Shared helpers: positive-integer validation and the round-trip float form."""
 
 from __future__ import annotations
-
-import inspect
-
-
-class BaseEstimator:
-    """get_params/set_params over the constructor signature."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
-    def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"unknown parameter '{name}'")
-            setattr(self, name, value)
-        return self
 
 
 def check_positive_int(value, name: str) -> int:
     if int(value) != value or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def format_float(value: float) -> str:
+    """Fixed 17-significant-digit decimal form; round-trips float64 exactly."""
+    return f"{float(value):.17g}"

@@ -20,8 +20,8 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 
+from ._validation import format_float
 from .cfr import CFRConfig, solve
 from .eval import exact_ev, exploitability, sampled_match
 from .games import build_kuhn, build_leduc
@@ -34,37 +34,6 @@ STRATEGY_HEADER_PATTERN = re.compile(
 )
 STRATEGY_FILENAME = "strategy.csv"
 CONVERGENCE_FILENAME = "convergence.csv"
-
-
-@dataclass
-class RunConfig:
-    """Validated settings for one ``solve`` run."""
-
-    game: str
-    algo: str
-    iterations: int
-    estimator: str = "tree"
-    target_mode: str = "exact"
-    min_leaf_weight: float = 1.0
-    max_depth: int | None = None
-    seed: int = 0
-    log_every: int = 1
-    out_dir: str = "."
-
-    def __post_init__(self) -> None:
-        if self.game not in GAME_BUILDERS:
-            raise ValueError(f"unknown game '{self.game}'")
-        if self.algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm '{self.algo}'")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
-
-
-def format_float(value: float) -> str:
-    """Fixed 17-significant-digit decimal form; round-trips float64 exactly."""
-    return f"{float(value):.17g}"
 
 
 def _format_cell(value) -> str:
@@ -198,22 +167,10 @@ def _load_for_game(path: str, game):
 
 
 def cmd_solve(args) -> int:
-    run = RunConfig(
-        game=args.game,
-        algo=args.algo,
-        iterations=args.iters,
-        estimator=args.estimator,
-        target_mode=args.target_mode,
-        min_leaf_weight=args.min_leaf,
-        max_depth=args.max_depth,
-        seed=args.seed,
-        log_every=args.log_every,
-        out_dir=args.out,
-    )
-    game = GAME_BUILDERS[run.game]()
-    if run.algo == "cfr":
+    game = GAME_BUILDERS[args.game]()
+    if args.algo == "cfr":
         profile, log = solve(
-            game, CFRConfig(iterations=run.iterations, log_every=run.log_every)
+            game, CFRConfig(iterations=args.iters, log_every=args.log_every)
         )
         header = ["t", "exploitability", "max_pos_regret_sum", "wall_ms"]
         rows = [
@@ -224,13 +181,13 @@ def cmd_solve(args) -> int:
         profile, convergence, sizes = rcfr_solve(
             game,
             RCFRConfig(
-                iterations=run.iterations,
-                estimator_kind=run.estimator,
-                target_mode=run.target_mode,
-                min_leaf_weight=run.min_leaf_weight,
-                max_depth=run.max_depth,
-                seed=run.seed,
-                log_every=run.log_every,
+                iterations=args.iters,
+                estimator_kind=args.estimator,
+                target_mode=args.target_mode,
+                min_leaf_weight=args.min_leaf,
+                max_depth=args.max_depth,
+                seed=args.seed,
+                log_every=args.log_every,
             ),
         )
         header = [
@@ -254,11 +211,11 @@ def cmd_solve(args) -> int:
             )
             for conv, size in zip(convergence, sizes)
         ]
-    os.makedirs(run.out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     write_strategy_file(
-        os.path.join(run.out_dir, STRATEGY_FILENAME), game, profile
+        os.path.join(args.out, STRATEGY_FILENAME), game, profile
     )
-    with open(os.path.join(run.out_dir, CONVERGENCE_FILENAME), "w") as handle:
+    with open(os.path.join(args.out, CONVERGENCE_FILENAME), "w") as handle:
         handle.write(format_csv(header, rows))
     return 0
 

@@ -1,4 +1,4 @@
-"""Extensive-form game trees: node and game types, reach-weighted traversal.
+"""Extensive-form game trees: node and game types, build checks, evaluation.
 
 Games are two-player zero-sum trees built eagerly and immutably. A behavioral
 strategy profile is a flat dict mapping infoset key -> probability tuple; keys
@@ -70,15 +70,23 @@ class GameSpec:
 
 
 def make_game(game_id: str, root: GameNode) -> GameSpec:
-    """Wrap a built tree in a GameSpec, checking structural invariants."""
+    """Wrap a built tree in a GameSpec, checking structural invariants.
+
+    Raises ValueError on malformed nodes, non-zero-sum payoffs, infosets
+    whose nodes disagree on player or actions, and imperfect recall: every
+    node of an infoset must share the acting seat's own (infoset, action
+    index) history. Comparing only the latest step of that history suffices:
+    the step names an earlier infoset, whose nodes were checked the same way.
+    """
     labels: dict[str, tuple[str, ...]] = {}
     players: dict[str, int] = {}
+    last_step: dict[str, tuple | None] = {}
     # Per-seat payoff bounds; utility_range is the widest single seat's spread.
     lo = [float("inf"), float("inf")]
     hi = [float("-inf"), float("-inf")]
-    stack = [root]
+    stack = [(root, None, None)]
     while stack:
-        node = stack.pop()
+        node, step0, step1 = stack.pop()
         if node.kind == TERMINAL:
             if node.children:
                 raise ValueError("terminal node with children")
@@ -95,20 +103,30 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 raise ValueError("negative chance probability")
             if abs(sum(node.chance_probs) - 1.0) > 1e-12:
                 raise ValueError("chance probabilities do not sum to 1")
+            stack.extend((child, step0, step1) for child in node.children)
         elif node.kind == DECISION:
             if len(node.actions) != len(node.children):
                 raise ValueError("action/child count mismatch")
             if not node.actions:
                 raise ValueError("decision node with no actions")
+            own = step0 if node.player == 0 else step1
             seen = labels.get(node.infoset)
             if seen is None:
                 labels[node.infoset] = node.actions
                 players[node.infoset] = node.player
+                last_step[node.infoset] = own
             elif seen != node.actions or players[node.infoset] != node.player:
                 raise ValueError(f"inconsistent infoset '{node.infoset}'")
+            elif last_step[node.infoset] != own:
+                raise ValueError(f"imperfect recall at infoset '{node.infoset}'")
+            for index, child in enumerate(node.children):
+                step = (node.infoset, index)
+                if node.player == 0:
+                    stack.append((child, step, step1))
+                else:
+                    stack.append((child, step0, step))
         else:
             raise ValueError(f"unknown node kind '{node.kind}'")
-        stack.extend(node.children)
     spread = max(
         (hi[seat] - lo[seat]) for seat in (0, 1) if lo[seat] <= hi[seat]
     ) if lo[0] <= hi[0] else 0.0
@@ -164,63 +182,6 @@ def expected_value(game: GameSpec, profile: dict) -> tuple[float, float]:
         return e0, e1
 
     return walk(game.root)
-
-
-def reach_traverse(game: GameSpec, profile: dict, visit):
-    """Visit every node once with exact reach probabilities.
-
-    visit(node, reach_players, reach_chance) is called preorder, where
-    reach_players is the (seat 0, seat 1) product of each player's own action
-    probabilities along the path and reach_chance the product of chance
-    probabilities. At the root all three factors are 1. Returns visit.
-    """
-
-    def walk(node: GameNode, r0: float, r1: float, rc: float) -> None:
-        visit(node, (r0, r1), rc)
-        if node.kind == TERMINAL:
-            return
-        if node.kind == CHANCE:
-            for p, child in zip(node.chance_probs, node.children):
-                walk(child, r0, r1, rc * p)
-            return
-        try:
-            sigma = profile[node.infoset]
-        except KeyError:
-            raise KeyError(f"profile missing infoset '{node.infoset}'") from None
-        for p, child in zip(sigma, node.children):
-            if node.player == 0:
-                walk(child, r0 * p, r1, rc)
-            else:
-                walk(child, r0, r1 * p, rc)
-
-    walk(game.root, 1.0, 1.0, 1.0)
-    return visit
-
-
-def check_perfect_recall(game: GameSpec) -> None:
-    """Raise ValueError if two nodes of one infoset disagree on the acting
-    player's own (infoset, action) history."""
-    first: dict[str, tuple] = {}
-
-    def walk(node: GameNode, hist0: tuple, hist1: tuple) -> None:
-        if node.kind == TERMINAL:
-            return
-        if node.kind == CHANCE:
-            for child in node.children:
-                walk(child, hist0, hist1)
-            return
-        own = hist0 if node.player == 0 else hist1
-        seen = first.setdefault(node.infoset, own)
-        if seen != own:
-            raise ValueError(f"imperfect recall at infoset '{node.infoset}'")
-        for idx, child in enumerate(node.children):
-            step = own + ((node.infoset, idx),)
-            if node.player == 0:
-                walk(child, step, hist1)
-            else:
-                walk(child, hist0, step)
-
-    walk(game.root, (), ())
 
 
 def uniform_profile(game: GameSpec) -> dict[str, tuple[float, ...]]:

@@ -13,72 +13,21 @@ values, ties break to the lowest feature index then lowest threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import BaseEstimator, check_positive_int
+from ._validation import check_positive_int, format_float
+from .games.poker import ACTION_CHARS, RANK_CHARS, parse_key, rules_for, stakes
 
 FEATURE_DIM = 19
 EXACT_FEATURE_DIM = 20
 TREE_FORMAT_HEADER = "# fregret-tree v1"
 
-_RANKS = "JQK"
-_ACTION_CHARS = "fcr"
-# Per-wager chip amounts by game and round; both games ante 1 chip per seat.
-_BET_SIZES = {"kuhn": (1.0,), "leduc": (2.0, 4.0)}
-
-
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
-
 
 # ---------------------------------------------------------------------------
 # Feature extraction
-
-
-def _parse_key(game_id: str, infoset: str):
-    """Split an infoset key into (seat, rank, board, per-round actions)."""
-    if game_id not in _BET_SIZES:
-        raise ValueError(f"unknown game '{game_id}'")
-    parts = infoset.split(":")
-    if len(parts) != 4:
-        raise ValueError(f"malformed infoset key '{infoset}'")
-    seat_field, rank, board, actions = parts
-    if seat_field not in ("p0", "p1"):
-        raise ValueError(f"malformed infoset key '{infoset}': bad seat")
-    if rank not in _RANKS:
-        raise ValueError(f"malformed infoset key '{infoset}': bad rank")
-    if board not in ("-", "J", "Q", "K"):
-        raise ValueError(f"malformed infoset key '{infoset}': bad board")
-    rounds = actions.split("/")
-    expected_rounds = len(_BET_SIZES[game_id])
-    if len(rounds) != expected_rounds:
-        raise ValueError(
-            f"malformed infoset key '{infoset}': expected "
-            f"{expected_rounds} betting round field(s)"
-        )
-    if game_id == "kuhn" and board != "-":
-        raise ValueError(f"malformed infoset key '{infoset}': kuhn has no board")
-    for seq in rounds:
-        if any(ch not in _ACTION_CHARS for ch in seq):
-            raise ValueError(
-                f"malformed infoset key '{infoset}': bad action character"
-            )
-    return int(seat_field[1]), rank, board, rounds
-
-
-def _round_contributions(seq: str, size: float) -> float:
-    """Both seats' chips wagered during one round's action string."""
-    paid = [0.0, 0.0]
-    actor = 0
-    for ch in seq:
-        if ch == "c":
-            paid[actor] = paid[1 - actor]
-        elif ch == "r":
-            paid[actor] = paid[1 - actor] + size
-        actor = 1 - actor
-    return paid[0] + paid[1]
 
 
 def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
@@ -97,13 +46,12 @@ def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
 
     Suits never appear: infosets that differ only in suit history coincide.
     """
-    seat, rank, board, rounds = _parse_key(game_id, infoset)
-    if action not in _ACTION_CHARS or len(action) != 1:
+    rules = rules_for(game_id)
+    seat, rank, board, rounds = parse_key(rules, infoset)
+    if action not in ACTION_CHARS or len(action) != 1:
         raise ValueError(f"unknown action label {action!r}")
     current = len(rounds) - 1 if board != "-" else 0
-    pot = 2.0
-    for seq, size in zip(rounds, _BET_SIZES[game_id]):
-        pot += _round_contributions(seq, size)
+    pot = sum(stakes(rules, rounds))
     raises = float(rounds[current].count("r"))
     # Seat 0 opens every round and actors alternate, so the opponent's last
     # action is the trailing one at odd-or-even positions matching them.
@@ -113,13 +61,13 @@ def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
             if position % 2 != seat:
                 last_opponent = ch
     features = [float(current), pot, raises]
-    features.extend(1.0 if rank == r else 0.0 for r in _RANKS)
-    features.extend(1.0 if board == r else 0.0 for r in _RANKS)
+    features.extend(1.0 if rank == r else 0.0 for r in RANK_CHARS)
+    features.extend(1.0 if board == r else 0.0 for r in RANK_CHARS)
     features.append(1.0 if board == "-" else 0.0)
     features.append(1.0 if rank == board else 0.0)
     features.append(float(seat))
-    features.extend(1.0 if action == a else 0.0 for a in _ACTION_CHARS)
-    features.extend(1.0 if last_opponent == a else 0.0 for a in _ACTION_CHARS)
+    features.extend(1.0 if action == a else 0.0 for a in ACTION_CHARS)
+    features.extend(1.0 if last_opponent == a else 0.0 for a in ACTION_CHARS)
     features.append(1.0 if last_opponent == "none" else 0.0)
     return tuple(features)
 
@@ -250,6 +198,8 @@ def fit_tree(
         raise ValueError("empty dataset")
     if y.shape != (X.shape[0],):
         raise ValueError("targets do not match features row count")
+    if not np.isfinite(y).all():
+        raise ValueError("targets must be finite")
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != y.shape:
         raise ValueError("weights do not match features row count")
@@ -301,15 +251,15 @@ def serialize_tree(tree: RegressionTree) -> str:
     depth_field = "none" if tree.max_depth is None else str(tree.max_depth)
     lines = [
         f"{TREE_FORMAT_HEADER} n_features={tree.n_features} "
-        f"min_leaf_weight={_format_float(tree.min_leaf_weight)} "
+        f"min_leaf_weight={format_float(tree.min_leaf_weight)} "
         f"max_depth={depth_field}"
     ]
 
     def emit(node: TreeNode) -> None:
         if node.is_leaf:
-            lines.append(f"leaf,{_format_float(node.value)}")
+            lines.append(f"leaf,{format_float(node.value)}")
         else:
-            lines.append(f"node,{node.feature},{_format_float(node.threshold)}")
+            lines.append(f"node,{node.feature},{format_float(node.threshold)}")
             emit(node.left)
             emit(node.right)
 
@@ -370,7 +320,7 @@ def parse_tree(text: str) -> RegressionTree:
 # Estimator API
 
 
-class TabularEstimator(BaseEstimator):
+class TabularEstimator:
     """Exact (feature vector -> target) memorizer; 0 for unseen vectors.
 
     Fitting refuses to store two different targets under one vector: that
@@ -387,6 +337,8 @@ class TabularEstimator(BaseEstimator):
         for row, target in zip(features, targets, strict=True):
             key = tuple(float(v) for v in row)
             value = float(target)
+            if not math.isfinite(value):
+                raise ValueError(f"targets must be finite, got {value!r}")
             previous = table.get(key)
             if previous is not None and previous != value:
                 raise ValueError(
@@ -407,12 +359,7 @@ class TabularEstimator(BaseEstimator):
         return len(self._table)
 
 
-def tabular_estimator() -> TabularEstimator:
-    """Zero-error regret estimator (the oracle that reduces RCFR to CFR)."""
-    return TabularEstimator()
-
-
-class TreeRegressor(BaseEstimator):
+class TreeRegressor:
     """Regression tree(s) behind the estimator API.
 
     ``n_bags`` = 1 fits a single tree on the data as given; larger values fit
@@ -454,6 +401,9 @@ class TreeRegressor(BaseEstimator):
                 )
             ]
         else:
+            # A bootstrap resample may skip a bad row; check the whole set.
+            if not np.isfinite(y).all():
+                raise ValueError("targets must be finite")
             rng = np.random.default_rng(self.seed)
             self._trees = []
             for _ in range(self.n_bags):

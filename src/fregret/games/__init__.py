@@ -7,18 +7,15 @@ from ..efg_core import (
     GameNode,
     GameSpec,
     chance,
-    check_perfect_recall,
     decision,
     enumerate_infosets,
     expected_value,
     make_game,
-    reach_traverse,
     terminal,
     uniform_profile,
 )
-from .kuhn import build_kuhn
-from .leduc import build_leduc
 from .matrix import MatrixGame, build_matrix
+from .poker import build_kuhn, build_leduc
 
 __all__ = [
     "CHANCE",
@@ -31,12 +28,10 @@ __all__ = [
     "build_leduc",
     "build_matrix",
     "chance",
-    "check_perfect_recall",
     "decision",
     "enumerate_infosets",
     "expected_value",
     "make_game",
-    "reach_traverse",
     "terminal",
     "uniform_profile",
 ]

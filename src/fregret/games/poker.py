@@ -1,0 +1,166 @@
+"""Kuhn poker and Leduc Hold'em from one betting model.
+
+Rules shared by both games: each seat antes 1 chip, seat 0 acts first in
+every round, and a round allows at most ``cap`` wagers (a bet and cap - 1
+raises) of that round's fixed size. Kuhn deals J/Q/K of one suit and plays
+one round of 1-chip wagers capped at one. Leduc deals J/Q/K in two suits and
+plays two rounds of 2- and 4-chip wagers capped at two, with one public board
+card dealt before round 2. At showdown a private rank pairing the board wins,
+otherwise the higher private rank wins, and equal ranks split the pot.
+
+Infoset keys follow ``p{seat}:{rank}:{board|-}:{actions}``, where actions
+holds one betting string per round of the game, joined by ``/``, over the
+characters f/c/r (fold, check/call, bet/raise). Suits are dealt (they shape
+the deck) but never appear in keys, since showdown ignores them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from ..efg_core import GameNode, GameSpec, chance, decision, make_game, terminal
+
+RANK_CHARS = "JQK"
+ACTION_CHARS = "fcr"
+ANTE = 1.0
+
+
+@dataclass(frozen=True)
+class PokerRules:
+    """Deck of (rank, suit) cards, wager size per round, wagers per round."""
+
+    game_id: str
+    deck: tuple[tuple[int, int], ...]
+    bet_sizes: tuple[float, ...]
+    cap: int
+
+
+def _deck(suits: int) -> tuple[tuple[int, int], ...]:
+    return tuple((rank, suit) for rank in range(3) for suit in range(suits))
+
+
+KUHN = PokerRules("kuhn", _deck(1), (1.0,), 1)
+LEDUC = PokerRules("leduc", _deck(2), (2.0, 4.0), 2)
+RULES = {rules.game_id: rules for rules in (KUHN, LEDUC)}
+
+
+def rules_for(game_id: str) -> PokerRules:
+    """Rules of a bundled poker game; ValueError for any other id."""
+    try:
+        return RULES[game_id]
+    except KeyError:
+        raise ValueError(f"unknown game '{game_id}'") from None
+
+
+def legal_actions(seq: str, cap: int):
+    """Legal actions at this point of one betting round, or None once the
+    round is over (a fold, a call, or a check-around)."""
+    if seq in ("", "c"):
+        return ("c", "r")
+    if seq.endswith(("f", "c")):
+        return None
+    return ("f", "c") if seq.count("r") >= cap else ("f", "c", "r")
+
+
+def stakes(rules: PokerRules, rounds) -> tuple[float, float]:
+    """Chips each seat has committed, antes included, after these rounds.
+
+    Stakes are equal whenever a round closes, so one running total per seat
+    serves every round: a call matches the opponent, a bet or raise tops it.
+    """
+    paid = [ANTE, ANTE]
+    for seq, size in zip(rounds, rules.bet_sizes):
+        actor = 0
+        for ch in seq:
+            if ch == "c":
+                paid[actor] = paid[1 - actor]
+            elif ch == "r":
+                paid[actor] = paid[1 - actor] + size
+            actor = 1 - actor
+    return paid[0], paid[1]
+
+
+def infoset_key(rules: PokerRules, seat: int, rank: int, board, rounds) -> str:
+    """Key of ``seat`` holding ``rank`` with ``board`` (a rank or None)."""
+    unplayed = "/" * (len(rules.bet_sizes) - len(rounds))
+    board_char = "-" if board is None else RANK_CHARS[board]
+    return f"p{seat}:{RANK_CHARS[rank]}:{board_char}:{'/'.join(rounds)}{unplayed}"
+
+
+def parse_key(rules: PokerRules, key: str):
+    """Split a key into (seat, rank char, board char, per-round actions)."""
+    parts = key.split(":")
+    if len(parts) != 4:
+        raise ValueError(f"malformed infoset key '{key}'")
+    seat, rank, board, actions = parts
+    rounds = actions.split("/")
+    if seat not in ("p0", "p1"):
+        raise ValueError(f"malformed infoset key '{key}': bad seat")
+    if len(rank) != 1 or rank not in RANK_CHARS:
+        raise ValueError(f"malformed infoset key '{key}': bad rank")
+    if board != "-" and (len(board) != 1 or board not in RANK_CHARS):
+        raise ValueError(f"malformed infoset key '{key}': bad board")
+    if len(rounds) != len(rules.bet_sizes):
+        raise ValueError(
+            f"malformed infoset key '{key}': expected "
+            f"{len(rules.bet_sizes)} betting round field(s)"
+        )
+    if board != "-" and len(rounds) == 1:
+        raise ValueError(
+            f"malformed infoset key '{key}': {rules.game_id} has no board"
+        )
+    if any(ch not in ACTION_CHARS for ch in actions.replace("/", "")):
+        raise ValueError(f"malformed infoset key '{key}': bad action character")
+    return int(seat[1]), rank, board, rounds
+
+
+def _showdown_sign(rank0: int, rank1: int, board) -> float:
+    if rank0 == board:
+        return 1.0
+    if rank1 == board:
+        return -1.0
+    if rank0 == rank1:
+        return 0.0
+    return 1.0 if rank0 > rank1 else -1.0
+
+
+def _node(rules: PokerRules, deal, board, rounds: tuple[str, ...]) -> GameNode:
+    """Subtree after ``rounds`` (betting strings so far, last one open)."""
+    seq = rounds[-1]
+    if seq.endswith("f"):
+        folder = (len(seq) - 1) % 2
+        stake = stakes(rules, rounds)
+        return terminal(-stake[0] if folder == 0 else stake[1])
+    actions = legal_actions(seq, rules.cap)
+    if actions is None:
+        if len(rounds) < len(rules.bet_sizes):
+            remaining = [card for card in rules.deck if card not in deal]
+            children = [
+                _node(rules, deal, card[0], rounds + ("",)) for card in remaining
+            ]
+            return chance([1.0 / len(remaining)] * len(remaining), children)
+        # Stakes are equal for both seats at showdown.
+        sign = _showdown_sign(deal[0][0], deal[1][0], board)
+        return terminal(sign * stakes(rules, rounds)[0])
+    seat = len(seq) % 2
+    key = infoset_key(rules, seat, deal[seat][0], board, rounds)
+    children = [_node(rules, deal, board, rounds[:-1] + (seq + a,)) for a in actions]
+    return decision(seat, key, actions, children)
+
+
+def build_poker(rules: PokerRules) -> GameSpec:
+    """Build the full tree: a chance node over ordered private deals."""
+    deals = [(c0, c1) for c0 in rules.deck for c1 in rules.deck if c0 != c1]
+    children = [_node(rules, deal, None, ("",)) for deal in deals]
+    root = chance([1.0 / len(deals)] * len(deals), children)
+    return make_game(rules.game_id, root)
+
+
+def build_kuhn() -> GameSpec:
+    """Build the full Kuhn poker tree (6 deals, 12 infosets)."""
+    return build_poker(KUHN)
+
+
+def build_leduc() -> GameSpec:
+    """Build the full Leduc Hold'em tree (120 deals, 288 infosets)."""
+    return build_poker(LEDUC)

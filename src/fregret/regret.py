@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._validation import check_positive_int
 
@@ -82,25 +82,18 @@ class RegretMatcher:
         return len(self.regrets)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RRMConfig:
     """How ``rrm_step`` forms its policy.
 
     With an estimator set, the policy comes from its predictions over
     per-action features (refit on the true cumulative regrets after every
     step); otherwise from the true regrets. Either source is then perturbed
-    by ``noise_model``. ``seed`` fixes the noise stream.
+    by ``noise_model``.
     """
 
     noise_model: NoiseModel = NO_NOISE
     estimator: object | None = None
-    seed: int = 0
-    _rng: random.Random | None = field(default=None, repr=False, compare=False)
-
-    def rng(self) -> random.Random:
-        if self._rng is None:
-            self._rng = random.Random(self.seed)
-        return self._rng
 
 
 @dataclass(frozen=True)
@@ -115,10 +108,15 @@ class BoundLogRow:
 
 
 def regret_match(regrets) -> tuple[float, ...]:
-    """Policy proportional to positive regrets; uniform when none are positive."""
+    """Policy proportional to positive regrets; uniform when none are positive.
+
+    Raises ValueError on an empty vector or a NaN or infinite entry.
+    """
     n = len(regrets)
     if n == 0:
         raise ValueError("empty regret vector")
+    if not math.isfinite(sum(regrets)):
+        raise ValueError(f"non-finite regrets {tuple(regrets)!r}")
     positive = [r if r > 0.0 else 0.0 for r in regrets]
     total = sum(positive)
     if total <= 0.0:
@@ -160,13 +158,15 @@ def rm_update(state: RegretMatcher, payoff) -> RegretMatcher:
     return _advance(state, regret_match(state.regrets), payoff)
 
 
-def rrm_step(state: RegretMatcher, payoff, config: RRMConfig) -> RegretMatcher:
+def rrm_step(
+    state: RegretMatcher, payoff, config: RRMConfig, rng: random.Random
+) -> RegretMatcher:
     """One step played from estimated regrets.
 
     The policy is regret_match over the estimate source (estimator
-    predictions if configured, else the true regrets) after noise. True
-    regrets are accumulated exactly as in ``rm_update``; a configured
-    estimator is refit on the updated cumulative regrets.
+    predictions if configured, else the true regrets) after noise drawn from
+    ``rng``. True regrets are accumulated exactly as in ``rm_update``; a
+    configured estimator is refit on the updated cumulative regrets.
     """
     _check_payoff(state, payoff)
     n = state.n_actions
@@ -179,7 +179,7 @@ def rrm_step(state: RegretMatcher, payoff, config: RRMConfig) -> RegretMatcher:
             )
     else:
         predicted = state.regrets
-    predicted = config.noise_model.perturb(predicted, config.rng())
+    predicted = config.noise_model.perturb(predicted, rng)
     policy = regret_match(predicted)
     new_state = _advance(state, policy, payoff)
     if config.estimator is not None:

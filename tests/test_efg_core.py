@@ -15,7 +15,6 @@ from fregret.games import (
     enumerate_infosets,
     expected_value,
     make_game,
-    reach_traverse,
     terminal,
     uniform_profile,
 )
@@ -110,76 +109,6 @@ class TestExpectedValue:
         assert abs(ev[0] - (-0.078125)) < 1e-12
 
 
-class TestReachTraverse:
-    def test_kuhn_reach_products(self):
-        """Reach probabilities factor into per-player path products."""
-        game = build_kuhn()
-        profile = uniform_profile(game)
-        seen = []
-
-        def visit(node, player_reach, chance_reach):
-            seen.append((node, player_reach, chance_reach))
-
-        reach_traverse(game, profile, visit)
-        # Root has unit reach for everyone.
-        root_entries = [e for e in seen if e[0] is game.root]
-        assert root_entries[0][1] == (1.0, 1.0)
-        assert root_entries[0][2] == 1.0
-        # Every decision node one level below the root: chance reach 1/6.
-        for child in game.root.children:
-            entry = next(e for e in seen if e[0] is child)
-            assert abs(entry[2] - 1 / 6) < 1e-15
-            assert entry[1] == (1.0, 1.0)
-
-    def test_terminal_reach_sums_to_one(self):
-        for game in (build_kuhn(), build_leduc()):
-            profile = uniform_profile(game)
-            box = [0.0]
-
-            def visit(node, player_reach, chance_reach):
-                if node.kind == TERMINAL:
-                    box[0] += player_reach[0] * player_reach[1] * chance_reach
-
-            reach_traverse(game, profile, visit)
-            assert abs(box[0] - 1.0) < 1e-12
-
-    def test_leduc_single_path_product(self):
-        # Follow deal 0, betting c,r,c, board 0, then c,c and check the
-        # accumulated reach at the terminal equals the hand product of the
-        # uniform action probabilities along it.
-        game = build_leduc()
-        profile = uniform_profile(game)
-        node = game.root.children[0]
-        for step in ("c", "r", "c"):
-            node = node.children[node.actions.index(step)]
-        node = node.children[0]
-        for step in ("c", "c"):
-            node = node.children[node.actions.index(step)]
-        target = node
-        found = []
-
-        def visit(n, player_reach, chance_reach):
-            if n is target:
-                found.append((player_reach, chance_reach))
-
-        reach_traverse(game, profile, visit)
-        (p0, p1), pc = found[0]
-        # Seat 0 acted at "", "cr" (2 actions each), and "/c" wait: seat 0
-        # chose c at "" (of 2), c at "cr" facing a raise (of 3), c at round 2
-        # "" (of 2): product 1/2 * 1/3 * 1/2.
-        assert abs(p0 - (0.5 * (1 / 3) * 0.5)) < 1e-15
-        # Seat 1 chose r at "c" (of 2) and c at round 2 "c" (of 2).
-        assert abs(p1 - 0.25) < 1e-15
-        assert abs(pc - (1 / 30) * (1 / 4)) < 1e-15
-
-    def test_visit_preorder_root_first(self):
-        game = build_kuhn()
-        order = []
-        reach_traverse(game, uniform_profile(game), lambda n, pr, cr: order.append(n))
-        assert order[0] is game.root
-        assert len(order) == 55
-
-
 class TestValidation:
     def test_chance_probs_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -209,6 +138,16 @@ class TestValidation:
         node_b = decision(0, "p0:x", ("a", "z"), [terminal(0.0), terminal(0.0)])
         root = chance([0.5, 0.5], [node_a, node_b])
         with pytest.raises(ValueError):
+            make_game("bad", root)
+
+    def test_imperfect_recall_rejected(self):
+        # Seat 0 reaches "p0:y" after choosing either action at "p0:x", so
+        # one infoset has two different own-histories: it forgot its move.
+        def forgetful():
+            return decision(0, "p0:y", ("a",), [terminal(0.0)])
+
+        root = decision(0, "p0:x", ("a", "b"), [forgetful(), forgetful()])
+        with pytest.raises(ValueError, match="imperfect recall"):
             make_game("bad", root)
 
     def test_utility_range_is_spread(self):

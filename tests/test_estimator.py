@@ -20,7 +20,6 @@ from fregret.estimator import (
     parse_tree,
     predict,
     serialize_tree,
-    tabular_estimator,
 )
 from fregret.games import enumerate_infosets
 
@@ -204,6 +203,14 @@ class TestFitTree:
         with pytest.raises(ValueError):
             fit_tree([[1.0], [2.0]], [1.0, 2.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_tree([[1.0], [2.0]], [1.0, bad])
+        # A bootstrap resample that skips the bad row must still reject it.
+        with pytest.raises(ValueError, match="finite"):
+            TreeRegressor(n_bags=2).fit([[1.0], [2.0]], [1.0, bad])
+
     def test_training_mse_at_most_target_variance(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -358,7 +365,7 @@ class TestSerialization:
 
 class TestTabularEstimator:
     def test_memorizes_and_defaults_to_zero(self):
-        est = tabular_estimator()
+        est = TabularEstimator()
         est.fit([(1.0, 2.0)], [3.0])
         assert est.predict_one((1.0, 2.0)) == 3.0
         assert est.predict_one((9.0, 9.0)) == 0.0
@@ -368,50 +375,42 @@ class TestTabularEstimator:
         assert TabularEstimator().predict_one((1.0,)) == 0.0
 
     def test_refit_replaces_table(self):
-        est = tabular_estimator()
+        est = TabularEstimator()
         est.fit([(1.0,)], [5.0])
         est.fit([(2.0,)], [7.0])
         assert est.predict_one((1.0,)) == 0.0
         assert est.predict_one((2.0,)) == 7.0
 
     def test_collision_rejected(self):
-        est = tabular_estimator()
+        est = TabularEstimator()
         with pytest.raises(ValueError, match="collision"):
             est.fit([(1.0, 2.0), (1.0, 2.0)], [3.0, 4.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TabularEstimator().fit([(1.0,), (2.0,)], [1.0, bad])
+
     def test_duplicate_with_same_target_allowed(self):
-        est = tabular_estimator()
+        est = TabularEstimator()
         est.fit([(1.0,), (1.0,)], [3.0, 3.0])
         assert est.predict_one((1.0,)) == 3.0
 
     def test_leduc_19dim_collision_surfaces_as_error(self):
         keys = ["p1:J:Q:rc/c", "p1:J:Q:crc/c"]
         X = [featurize("leduc", k, "c") for k in keys]
-        est = tabular_estimator()
+        est = TabularEstimator()
         with pytest.raises(ValueError, match="collision"):
             est.fit(X, [1.0, 2.0])
         # The exact schema separates them.
         est.fit([featurize_exact("leduc", k, "c") for k in keys], [1.0, 2.0])
 
     def test_model_complexity_is_table_size(self):
-        est = tabular_estimator().fit([(1.0,), (2.0,)], [0.5, 0.25])
+        est = TabularEstimator().fit([(1.0,), (2.0,)], [0.5, 0.25])
         assert est.model_complexity() == 2
 
 
 class TestTreeRegressor:
-    def test_params_round_trip(self):
-        est = TreeRegressor(min_leaf_weight=4.0, max_depth=3, n_bags=2, seed=7)
-        assert est.get_params() == {
-            "min_leaf_weight": 4.0,
-            "max_depth": 3,
-            "n_bags": 2,
-            "seed": 7,
-        }
-        est.set_params(min_leaf_weight=8.0)
-        assert est.min_leaf_weight == 8.0
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
-
     def test_unfitted_predicts_zero(self):
         est = TreeRegressor()
         assert est.predict_one([1.0, 2.0]) == 0.0

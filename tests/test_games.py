@@ -1,9 +1,13 @@
 """Game construction: structure, payoffs, and rule invariants."""
 
+import hashlib
 import re
 
 import pytest
 
+import fregret
+import fregret.games
+from fregret.estimator import featurize, featurize_exact
 from fregret.games import (
     CHANCE,
     DECISION,
@@ -11,9 +15,16 @@ from fregret.games import (
     build_kuhn,
     build_leduc,
     build_matrix,
-    check_perfect_recall,
     enumerate_infosets,
+    make_game,
 )
+
+# sha256 of ``tree_dump`` and ``feature_dump`` over Kuhn then Leduc, recorded
+# from the separate Kuhn and Leduc builders and the key-string featurizer
+# that the shared betting model replaced. Any change to tree shape, node
+# order, keys, probabilities, payoffs or feature values changes them.
+TREE_DIGEST = "acaa50893e4355ee63db57e9914a0ce6039341375288bbe6520526af9ded637f"
+FEATURE_DIGEST = "2ea68128bf4294330473fd7c1b02a98f8550232fd2debcd388177e34d70e953e"
 
 ROUND_GRAMMAR = re.compile(r"^(c(c|r(f|c|r(f|c)))|r(f|c|r(f|c)))$")
 
@@ -39,6 +50,50 @@ def follow(node, *steps):
         else:
             node = node.children[node.actions.index(step)]
     return node
+
+
+def tree_dump(game) -> str:
+    """Preorder lines: kind, player, infoset, actions, chance probs, payoffs."""
+    lines = []
+    stack = [game.root]
+    while stack:
+        node = stack.pop()
+        lines.append(
+            f"{node.kind}|{node.player}|{node.infoset}|{','.join(node.actions)}|"
+            f"{node.chance_probs!r}|{node.utilities!r}"
+        )
+        stack.extend(reversed(node.children))
+    return "\n".join(lines)
+
+
+def feature_dump(game) -> str:
+    """Both feature schemas of every infoset-action, keys sorted."""
+    lines = []
+    for key in sorted(game.action_labels):
+        for a in game.action_labels[key]:
+            lines.append(
+                f"{key}|{a}|{featurize(game.game_id, key, a)!r}|"
+                f"{featurize_exact(game.game_id, key, a)!r}"
+            )
+    return "\n".join(lines)
+
+
+def digest(dump, games) -> str:
+    return hashlib.sha256("\n".join(dump(g) for g in games).encode()).hexdigest()
+
+
+class TestGolden:
+    def test_trees_match_recorded_digest(self, kuhn_game, leduc_game):
+        assert digest(tree_dump, (kuhn_game, leduc_game)) == TREE_DIGEST
+
+    def test_features_match_recorded_digest(self, kuhn_game, leduc_game):
+        assert digest(feature_dump, (kuhn_game, leduc_game)) == FEATURE_DIGEST
+
+
+def test_exported_names_resolve():
+    for module in (fregret, fregret.games):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__}.__all__ names missing: {missing}"
 
 
 class TestKuhn:
@@ -80,7 +135,9 @@ class TestKuhn:
         assert game.utility_range == 4.0
 
     def test_perfect_recall(self):
-        check_perfect_recall(build_kuhn())
+        # make_game rejects imperfect recall, so a clean build is the check.
+        game = build_kuhn()
+        assert make_game("kuhn", game.root).action_labels == game.action_labels
 
 
 class TestLeduc:
@@ -209,7 +266,7 @@ class TestLeduc:
         )
 
     def test_perfect_recall(self, game):
-        check_perfect_recall(game)
+        assert make_game("leduc", game.root).action_labels == game.action_labels
 
 
 class TestMatrixGames:

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fregret.games import build_matrix
@@ -43,6 +43,12 @@ class TestRegretMatch:
         with pytest.raises(ValueError):
             regret_match(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN would otherwise read as "not positive" and play uniform.
+        with pytest.raises(ValueError, match="non-finite"):
+            regret_match((1.0, bad, -2.0))
+
     @given(finite_regrets)
     def test_valid_distribution(self, regrets):
         policy = regret_match(regrets)
@@ -53,8 +59,11 @@ class TestRegretMatch:
     @given(finite_regrets, st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0]))
     def test_positive_scaling_invariance(self, regrets, c):
         # Power-of-two scales keep every product and partial sum exact, so
-        # the policies must be bit-identical, not merely close.
+        # the policies must be bit-identical, not merely close. The one
+        # exception is a product that falls into the subnormal range and
+        # rounds; such a vector is no longer an exact scaled copy.
         scaled = [c * r for r in regrets]
+        assume(all(s / c == r for s, r in zip(scaled, regrets)))
         assert regret_match(scaled) == regret_match(regrets)
 
     @given(finite_regrets)
@@ -116,42 +125,46 @@ class TestRrmStep:
 
     def test_no_noise_matches_rm_update(self):
         config = RRMConfig()
+        rng = random.Random(0)
         a = b = RegretMatcher.fresh(3)
         for payoff in self.payoff_stream(40):
             a = rm_update(a, payoff)
-            b = rrm_step(b, payoff, config)
+            b = rrm_step(b, payoff, config, rng)
         assert a == b
 
     def test_zero_epsilon_linf_matches_rm_update(self):
-        config = RRMConfig(noise_model=NoiseModel.bounded_linf(0.0), seed=11)
+        config = RRMConfig(noise_model=NoiseModel.bounded_linf(0.0))
+        rng = random.Random(11)
         a = b = RegretMatcher.fresh(3)
         for payoff in self.payoff_stream(40):
             a = rm_update(a, payoff)
-            b = rrm_step(b, payoff, config)
+            b = rrm_step(b, payoff, config, rng)
         assert a.regrets == b.regrets
         assert a.cumulative_strategy == b.cumulative_strategy
 
     def test_noise_perturbs_play_but_not_regret_accounting(self):
         # Noisy play changes which policy is used, never the bookkeeping:
         # regrets still satisfy R_t = sum of (payoff - <policy, payoff>).
-        config = RRMConfig(noise_model=NoiseModel.bounded_linf(1.0), seed=5)
+        config = RRMConfig(noise_model=NoiseModel.bounded_linf(1.0))
+        rng = random.Random(5)
         state = RegretMatcher.fresh(3)
         for payoff in self.payoff_stream(25):
             before = state
-            state = rrm_step(state, payoff, config)
+            state = rrm_step(state, payoff, config, rng)
             delta = [a - b for a, b in zip(state.regrets, before.regrets)]
             # Regret deltas always have the form payoff - constant.
             offsets = [u - d for u, d in zip(payoff, delta)]
             assert max(offsets) - min(offsets) < 1e-12
 
     def test_tabular_estimator_matches_rm_update(self):
-        from fregret.estimator import tabular_estimator
+        from fregret.estimator import TabularEstimator
 
-        config = RRMConfig(estimator=tabular_estimator())
+        config = RRMConfig(estimator=TabularEstimator())
+        rng = random.Random(0)
         a = b = RegretMatcher.fresh(3)
         for payoff in self.payoff_stream(50):
             a = rm_update(a, payoff)
-            b = rrm_step(b, payoff, config)
+            b = rrm_step(b, payoff, config, rng)
             assert a.regrets == b.regrets
             assert a.cumulative_strategy == b.cumulative_strategy
 
@@ -159,16 +172,17 @@ class TestRrmStep:
         stream = self.payoff_stream(30)
         runs = []
         for _ in range(2):
-            config = RRMConfig(noise_model=NoiseModel.bounded_linf(0.7), seed=42)
+            config = RRMConfig(noise_model=NoiseModel.bounded_linf(0.7))
+            rng = random.Random(42)
             state = RegretMatcher.fresh(3)
             for payoff in stream:
-                state = rrm_step(state, payoff, config)
+                state = rrm_step(state, payoff, config, rng)
             runs.append(state)
         assert runs[0] == runs[1]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            rrm_step(RegretMatcher.fresh(2), (1.0,), RRMConfig())
+            rrm_step(RegretMatcher.fresh(2), (1.0,), RRMConfig(), random.Random(0))
 
 
 class TestNoiseModel:
