@@ -109,71 +109,124 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class RegressionTree:
-    """A fitted tree plus the config and dimension it was trained under."""
+    """A fitted tree plus the config and dimension it was trained under.
+
+    ``root`` is the node view callers inspect. Construction also lays the
+    tree out once as flat preorder arrays, which batched prediction,
+    serialization and leaf counting walk without recursion: ``_feature`` is
+    -1 at a leaf, a split's left child is the next node and its right child
+    is ``_right``.
+    """
 
     root: TreeNode
     n_features: int
     min_leaf_weight: float = 1.0
     max_depth: int | None = None
 
+    def __post_init__(self) -> None:
+        feature, threshold, value, right = [], [], [], []
+        stack = [(self.root, -1)]
+        while stack:
+            node, parent = stack.pop()
+            if parent >= 0:
+                right[parent] = len(feature)
+            feature.append(-1 if node.is_leaf else node.feature)
+            threshold.append(node.threshold)
+            value.append(node.value)
+            right.append(-1)
+            if not node.is_leaf:
+                stack.append((node.right, len(feature) - 1))
+                stack.append((node.left, -1))
+        for name, column, dtype in (
+            ("_feature", feature, np.intp),
+            ("_threshold", threshold, np.float64),
+            ("_value", value, np.float64),
+            ("_right", right, np.intp),
+        ):
+            object.__setattr__(self, name, np.array(column, dtype=dtype))
 
-def _best_split(X, y, w, wy, min_leaf_weight):
-    """Best (feature, threshold) by weighted variance reduction, or None."""
-    total_w = w.sum()
-    total_s = wy.sum()
+
+def _link(records) -> TreeNode:
+    """Root of the tree whose preorder (feature, threshold, value) records
+    are given, with feature None at leaves."""
+    stack: list[TreeNode] = []
+    for feature, threshold, value in reversed(records):
+        if feature is None:
+            stack.append(TreeNode(value=value))
+        else:
+            left = stack.pop()
+            stack.append(
+                TreeNode(
+                    feature=feature, threshold=threshold, left=left, right=stack.pop()
+                )
+            )
+    (root,) = stack
+    return root
+
+
+def _best_split(XT, w, wy, order, total_w, total_s, min_leaf_weight):
+    """Best (feature, threshold) by weighted variance reduction, or None.
+
+    ``XT`` is the (features, rows) matrix and ``order`` holds the node's row
+    indices sorted stably by each feature, one feature per row. Every
+    feature is scored at once; each column sees the same float operations
+    as a one-feature scan, and the feature-major argmax breaks ties to the
+    lowest feature, then the lowest threshold.
+    """
     best_score = total_s * total_s / total_w  # constant-predictor baseline
-    best = None
-    for j in range(X.shape[1]):
-        column = X[:, j]
-        order = np.argsort(column, kind="stable")
-        xs = column[order]
-        if xs[0] == xs[-1]:
-            continue
-        cum_w = np.cumsum(w[order])
-        cum_s = np.cumsum(wy[order])
-        cuts = np.nonzero(xs[:-1] < xs[1:])[0]
-        w_left = cum_w[cuts]
-        s_left = cum_s[cuts]
-        w_right = total_w - w_left
-        s_right = total_s - s_left
-        valid = (
-            (w_left >= min_leaf_weight)
-            & (w_right >= min_leaf_weight)
-            & (w_left > 0.0)
-            & (w_right > 0.0)
-        )
-        if not valid.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = s_left * s_left / w_left + s_right * s_right / w_right
-        scores = np.where(valid, scores, -np.inf)
-        k = int(np.argmax(scores))  # first max -> lowest threshold
-        if scores[k] > best_score:
-            best_score = float(scores[k])
-            cut = cuts[k]
-            best = (j, float((xs[cut] + xs[cut + 1]) / 2.0))
-    return best
-
-
-def _grow(X, y, w, depth, min_leaf_weight, max_depth):
-    wy = w * y
-    value = float(wy.sum() / w.sum())
-    depth_reached = max_depth is not None and depth >= max_depth
-    if depth_reached or np.all(y == y[0]):
-        return TreeNode(value=value)
-    split = _best_split(X, y, w, wy, min_leaf_weight)
-    if split is None:
-        return TreeNode(value=value)
-    feature, threshold = split
-    mask = X[:, feature] <= threshold
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow(X[mask], y[mask], w[mask], depth + 1, min_leaf_weight, max_depth),
-        right=_grow(
-            X[~mask], y[~mask], w[~mask], depth + 1, min_leaf_weight, max_depth
-        ),
+    xs = XT[np.arange(len(XT))[:, None], order]
+    w_left = np.cumsum(w[order], axis=1)[:, :-1]
+    s_left = np.cumsum(wy[order], axis=1)[:, :-1]
+    w_right = total_w - w_left
+    s_right = total_s - s_left
+    valid = (
+        (xs[:, :-1] < xs[:, 1:])
+        & (w_left >= min_leaf_weight)
+        & (w_right >= min_leaf_weight)
+        & (w_left > 0.0)
+        & (w_right > 0.0)
     )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = s_left * s_left / w_left + s_right * s_right / w_right
+    scores = np.where(valid, scores, -np.inf)
+    feature, cut = divmod(int(np.argmax(scores)), scores.shape[1])
+    if not scores[feature, cut] > best_score:
+        return None
+    return feature, float((xs[feature, cut] + xs[feature, cut + 1]) / 2.0)
+
+
+def _grow(X, y, w, min_leaf_weight, max_depth):
+    """Preorder node records of the greedy tree, grown from an explicit stack.
+
+    Each feature is sorted once per fit; a split partitions the sorted
+    index arrays, which keeps every node's order stable, as a fresh stable
+    sort of the node's rows would be.
+    """
+    XT = np.ascontiguousarray(X.T)
+    wy = w * y
+    records = []
+    stack = [(np.arange(len(y)), np.argsort(XT, axis=1, kind="stable"), 0)]
+    while stack:
+        rows, order, depth = stack.pop()
+        total_w = w[rows].sum()
+        total_s = wy[rows].sum()
+        node_y = y[rows]
+        depth_reached = max_depth is not None and depth >= max_depth
+        split = None
+        if not (depth_reached or np.all(node_y == node_y[0])):
+            split = _best_split(XT, w, wy, order, total_w, total_s, min_leaf_weight)
+        if split is None:
+            records.append((None, 0.0, float(total_s / total_w)))
+            continue
+        feature, threshold = split
+        records.append((feature, threshold, 0.0))
+        goes_left = XT[feature] <= threshold
+        # Right first, so the left child is popped next and nodes come out
+        # in preorder.
+        for side in (~goes_left, goes_left):
+            side_order = order[side[order]].reshape(len(XT), -1)
+            stack.append((rows[side[rows]], side_order, depth + 1))
+    return records
 
 
 def fit_tree(
@@ -203,6 +256,8 @@ def fit_tree(
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != y.shape:
         raise ValueError("weights do not match features row count")
+    if not np.isfinite(w).all():
+        raise ValueError("sample weights must be finite")
     if np.any(w < 0.0):
         raise ValueError("negative sample weight")
     if w.sum() <= 0.0:
@@ -211,9 +266,9 @@ def fit_tree(
         raise ValueError("min_leaf_weight must be >= 0")
     if max_depth is not None and (int(max_depth) != max_depth or max_depth < 0):
         raise ValueError("max_depth must be None or a nonnegative integer")
-    root = _grow(X, y, w, 0, float(min_leaf_weight), max_depth)
+    records = _grow(X, y, w, float(min_leaf_weight), max_depth)
     return RegressionTree(
-        root=root,
+        root=_link(records),
         n_features=X.shape[1],
         min_leaf_weight=float(min_leaf_weight),
         max_depth=None if max_depth is None else int(max_depth),
@@ -233,17 +288,28 @@ def predict(tree: RegressionTree, features) -> float:
     return node.value
 
 
+def predict_rows(tree: RegressionTree, features) -> np.ndarray:
+    """Leaf predictions for every row of a 2-D feature array, walking all
+    rows down the flat tree together; equals ``predict`` row by row."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != tree.n_features:
+        raise ValueError(
+            f"feature rows have shape {X.shape}, tree expects "
+            f"{tree.n_features} features"
+        )
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    active = np.flatnonzero(tree._feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = X[active, tree._feature[at]] <= tree._threshold[at]
+        node[active] = np.where(go_left, at + 1, tree._right[at])
+        active = active[tree._feature[node[active]] >= 0]
+    return tree._value[node]
+
+
 def model_complexity(tree: RegressionTree) -> int:
     """Leaf count: the number of distinct predictions the tree can make."""
-    count = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            count += 1
-        else:
-            stack.extend((node.left, node.right))
-    return count
+    return int(np.count_nonzero(tree._feature < 0))
 
 
 def serialize_tree(tree: RegressionTree) -> str:
@@ -254,21 +320,30 @@ def serialize_tree(tree: RegressionTree) -> str:
         f"min_leaf_weight={format_float(tree.min_leaf_weight)} "
         f"max_depth={depth_field}"
     ]
-
-    def emit(node: TreeNode) -> None:
-        if node.is_leaf:
-            lines.append(f"leaf,{format_float(node.value)}")
+    for feature, threshold, value in zip(
+        tree._feature.tolist(), tree._threshold.tolist(), tree._value.tolist()
+    ):
+        if feature < 0:
+            lines.append(f"leaf,{format_float(value)}")
         else:
-            lines.append(f"node,{node.feature},{format_float(node.threshold)}")
-            emit(node.left)
-            emit(node.right)
-
-    emit(tree.root)
+            lines.append(f"node,{feature},{format_float(threshold)}")
     return "\n".join(lines) + "\n"
 
 
+def _finite(text: str, what: str, number: int) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"tree line {number}: {what} {text!r} is not finite")
+    return value
+
+
 def parse_tree(text: str) -> RegressionTree:
-    """Inverse of ``serialize_tree``; raises ValueError on malformed input."""
+    """Inverse of ``serialize_tree``; raises ValueError on malformed input.
+
+    Rejects feature indices outside ``[0, n_features)``, non-finite
+    thresholds and leaf values, ``n_features < 1`` and a negative
+    ``max_depth``.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith(TREE_FORMAT_HEADER):
         raise ValueError("not a fregret-tree file (missing header)")
@@ -284,32 +359,34 @@ def parse_tree(text: str) -> RegressionTree:
     except KeyError as missing:
         raise ValueError(f"tree header missing field {missing}") from None
     max_depth = None if raw_depth == "none" else int(raw_depth)
-    position = 1
-
-    def read_node() -> TreeNode:
-        nonlocal position
-        if position >= len(lines):
-            raise ValueError("truncated tree file")
-        parts = lines[position].split(",")
-        position += 1
+    if n_features < 1:
+        raise ValueError(f"n_features must be >= 1, got {n_features}")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be none or >= 0, got {max_depth}")
+    records = []
+    open_slots = 1  # subtrees announced by the lines so far but not yet read
+    for number, line in enumerate(lines[1:], start=2):
+        if open_slots == 0:
+            raise ValueError("trailing content after tree definition")
+        parts = line.split(",")
         if parts[0] == "leaf" and len(parts) == 2:
-            return TreeNode(value=float(parts[1]))
-        if parts[0] == "node" and len(parts) == 3:
+            records.append((None, 0.0, _finite(parts[1], "leaf value", number)))
+            open_slots -= 1
+        elif parts[0] == "node" and len(parts) == 3:
             feature = int(parts[1])
-            threshold = float(parts[2])
-            return TreeNode(
-                feature=feature,
-                threshold=threshold,
-                left=read_node(),
-                right=read_node(),
-            )
-        raise ValueError(f"malformed tree line {position}: {lines[position - 1]!r}")
-
-    root = read_node()
-    if position != len(lines):
-        raise ValueError("trailing content after tree definition")
+            if not 0 <= feature < n_features:
+                raise ValueError(
+                    f"tree line {number}: feature {feature} outside "
+                    f"[0, {n_features})"
+                )
+            records.append((feature, _finite(parts[2], "threshold", number), 0.0))
+            open_slots += 1
+        else:
+            raise ValueError(f"malformed tree line {number}: {line!r}")
+    if open_slots:
+        raise ValueError("truncated tree file")
     return RegressionTree(
-        root=root,
+        root=_link(records),
         n_features=n_features,
         min_leaf_weight=min_leaf_weight,
         max_depth=max_depth,
@@ -318,6 +395,13 @@ def parse_tree(text: str) -> RegressionTree:
 
 # ---------------------------------------------------------------------------
 # Estimator API
+
+
+def _row_keys(features) -> list[tuple[float, ...]]:
+    """One hashable tuple of Python floats per feature row."""
+    if isinstance(features, np.ndarray):
+        return [tuple(row) for row in features.tolist()]
+    return [tuple(float(v) for v in row) for row in features]
 
 
 class TabularEstimator:
@@ -334,8 +418,7 @@ class TabularEstimator:
 
     def fit(self, features, targets, sample_weight=None):
         table: dict[tuple[float, ...], float] = {}
-        for row, target in zip(features, targets, strict=True):
-            key = tuple(float(v) for v in row)
+        for key, target in zip(_row_keys(features), targets, strict=True):
             value = float(target)
             if not math.isfinite(value):
                 raise ValueError(f"targets must be finite, got {value!r}")
@@ -350,7 +433,7 @@ class TabularEstimator:
         return self
 
     def predict(self, features) -> list[float]:
-        return [self.predict_one(row) for row in features]
+        return [self._table.get(key, 0.0) for key in _row_keys(features)]
 
     def predict_one(self, features) -> float:
         return self._table.get(tuple(float(v) for v in features), 0.0)
@@ -420,7 +503,14 @@ class TreeRegressor:
         return self
 
     def predict(self, features) -> list[float]:
-        return [self.predict_one(row) for row in features]
+        """Predictions for all rows at once; equal to ``predict_one`` per row
+        (the bagged mean adds ``0 + p1 + p2 + ...`` and then divides)."""
+        if not self._trees:
+            return [0.0] * len(features)
+        total = 0.0
+        for tree in self._trees:
+            total = total + predict_rows(tree, features)
+        return (total / len(self._trees)).tolist()
 
     def predict_one(self, features) -> float:
         if not self._trees:

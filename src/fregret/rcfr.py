@@ -20,6 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cfr import average_from_sums, cfr_pass
 from .efg_core import GameSpec, enumerate_infosets
 from .estimator import TabularEstimator, TreeRegressor, featurize, featurize_exact
@@ -85,13 +87,21 @@ class ModelSizeRow:
 
 @dataclass
 class RCFRState:
-    """Per-player estimators and regret targets plus exact strategy sums."""
+    """Per-player estimators and regret targets plus exact strategy sums.
+
+    ``matrices`` holds each seat's feature rows as one float64 matrix, in
+    the order of its target store; ``predictions`` maps every infoset to
+    its estimator's predictions as of the last refit (zeros before the
+    first), which the solver reads in place of asking the estimator.
+    """
 
     game: GameSpec = field(repr=False)
     estimators: tuple = field(repr=False)
     targets: tuple = field(repr=False)
     strategy_sums: dict = field(repr=False)
     features: dict = field(repr=False)
+    matrices: tuple = field(repr=False)
+    predictions: dict = field(repr=False)
     iterations: int = 0
 
 
@@ -127,13 +137,23 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
         {key: [0.0] * n for player, key, n in rows if player == 0},
         {key: [0.0] * n for player, key, n in rows if player == 1},
     )
-    return RCFRState(
+    state = RCFRState(
         game=game,
         estimators=estimators,
         targets=targets,
         strategy_sums={key: [0.0] * n for _, key, n in rows},
         features=features,
+        matrices=tuple(
+            np.array(
+                [row for key in seat_targets for row in features[key]],
+                dtype=np.float64,
+            )
+            for seat_targets in targets
+        ),
+        predictions={},
     )
+    _cache_predictions(state)
+    return state
 
 
 def _predict_row(state: RCFRState, player: int, infoset: str) -> list[float]:
@@ -153,22 +173,31 @@ def rcfr_policy(state: RCFRState, player: int, infoset: str):
     return regret_match(_predict_row(state, player, infoset))
 
 
+def _cache_predictions(state: RCFRState) -> None:
+    """One batched predict per seat, split into per-infoset rows."""
+    for player in (0, 1):
+        flat = state.estimators[player].predict(state.matrices[player])
+        start = 0
+        for key, target_row in state.targets[player].items():
+            end = start + len(target_row)
+            state.predictions[key] = flat[start:end]
+            start = end
+
+
 def _refit(state: RCFRState) -> None:
     for player in (0, 1):
-        rows = []
-        values = []
-        for key, target_row in state.targets[player].items():
-            rows.extend(state.features[key])
-            values.extend(target_row)
-        state.estimators[player].fit(rows, values)
+        values = [value for row in state.targets[player].values() for value in row]
+        state.estimators[player].fit(state.matrices[player], values)
+    _cache_predictions(state)
 
 
 def training_mse(state: RCFRState, player: int) -> float:
-    """Mean squared error of the current estimator over the target store."""
+    """Mean squared error over the target store of the predictions cached at
+    the last refit (the solver's current estimator)."""
     total = 0.0
     count = 0
     for key, target_row in state.targets[player].items():
-        predictions = _predict_row(state, player, key)
+        predictions = state.predictions[key]
         for predicted, target in zip(predictions, target_row):
             total += (predicted - target) ** 2
             count += 1
@@ -184,15 +213,13 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
     accumulate exactly either way.
     """
     infoset_player = game.infoset_player
+    predictions = state.predictions
     policy_cache: dict[str, tuple[float, ...]] = {}
-    prediction_cache: dict[str, list[float]] = {}
 
     def policy_fn(infoset: str):
         policy = policy_cache.get(infoset)
         if policy is None:
-            predictions = _predict_row(state, infoset_player[infoset], infoset)
-            prediction_cache[infoset] = predictions
-            policy = regret_match(predictions)
+            policy = regret_match(predictions[infoset])
             policy_cache[infoset] = policy
         return policy
 
@@ -203,9 +230,9 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
             for a, value in enumerate(vec):
                 target_row[a] += value
         else:
-            predictions = prediction_cache[infoset]
+            predicted = predictions[infoset]
             for a, value in enumerate(vec):
-                target_row[a] = predictions[a] + value
+                target_row[a] = predicted[a] + value
     state.iterations += 1
     if state.iterations % config.refit_every == 0:
         _refit(state)

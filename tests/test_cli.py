@@ -1,10 +1,12 @@
 """Command-line interface: formats, round-trips, exit codes, and outputs."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import fregret
 from fregret.cli import (
     format_float,
     main,
@@ -352,6 +354,17 @@ class TestCompeteCommand:
         assert "leduc" in err
 
 
+def child_env():
+    """Environment in which ``python -m fregret`` imports the package these
+    tests import, installed or not."""
+    package_root = os.path.dirname(os.path.dirname(fregret.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (package_root, env.get("PYTHONPATH")))
+    )
+    return env
+
+
 class TestConsoleEntry:
     def test_module_invocation_works(self, tmp_path):
         out = tmp_path / "cli"
@@ -360,6 +373,7 @@ class TestConsoleEntry:
              "--algo", "cfr", "--iters", "2", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0, result.stderr
         assert (out / "strategy.csv").exists()
@@ -370,5 +384,6 @@ class TestConsoleEntry:
             [sys.executable, "-m", "fregret", "compete"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 2

@@ -19,6 +19,7 @@ from fregret.estimator import (
     model_complexity,
     parse_tree,
     predict,
+    predict_rows,
     serialize_tree,
 )
 from fregret.games import enumerate_infosets
@@ -211,6 +212,11 @@ class TestFitTree:
         with pytest.raises(ValueError, match="finite"):
             TreeRegressor(n_bags=2).fit([[1.0], [2.0]], [1.0, bad])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_tree([[1.0], [2.0]], [1.0, 2.0], [1.0, bad])
+
     def test_training_mse_at_most_target_variance(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -293,6 +299,59 @@ class TestPredict:
             assert predict(tree, xi) == node.value
 
 
+class TestPredictRows:
+    """The batched walk over the flat tree equals the row-by-row walk."""
+
+    def assert_rows_match(self, estimator, rows):
+        batched = estimator.predict(rows)
+        one_by_one = [estimator.predict_one(row) for row in rows]
+        assert [v.hex() for v in batched] == [v.hex() for v in one_by_one]
+
+    def test_fitted_trees(self):
+        rng = random.Random(41)
+        for min_leaf in (1.0, 3.0, 8.0):
+            X, y = random_dataset(rng, n_rows=60)
+            est = TreeRegressor(min_leaf_weight=min_leaf).fit(X, y)
+            probes = [[rng.uniform(-0.2, 1.2) for _ in range(4)] for _ in range(200)]
+            self.assert_rows_match(est, X + probes)
+
+    def test_bagged_trees(self):
+        rng = random.Random(42)
+        X, y = random_dataset(rng, n_rows=60)
+        est = TreeRegressor(n_bags=3, seed=5, min_leaf_weight=2.0).fit(X, y)
+        self.assert_rows_match(est, X)
+        self.assert_rows_match(est, np.asarray(X))
+
+    def test_unfitted_is_all_zeros(self):
+        rows = [[1.0, 2.0], [3.0, -4.0]]
+        assert TreeRegressor().predict(rows) == [0.0, 0.0]
+        self.assert_rows_match(TreeRegressor(), rows)
+
+    def test_parsed_tree_and_rows_on_thresholds(self):
+        tree = fit_tree(
+            [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0]],
+            [0.0, 3.0, 10.0, 13.0, 20.0],
+        )
+        clone = parse_tree(serialize_tree(tree))
+        thresholds = [
+            float(line.split(",")[2])
+            for line in serialize_tree(tree).splitlines()
+            if line.startswith("node,")
+        ]
+        assert thresholds
+        rows = [[t, t] for t in thresholds] + [[t, 0.0] for t in thresholds]
+        rows += [[0.5, 0.5], [1.5, 0.5], [np.nextafter(0.5, 1.0), 0.5]]
+        for source in (tree, clone):
+            expected = [predict(source, row) for row in rows]
+            assert predict_rows(source, rows).tolist() == expected
+
+    def test_single_leaf_and_dimension_mismatch(self):
+        tree = fit_tree([[1.0, 2.0]], [3.0])
+        assert predict_rows(tree, [[0.0, 0.0], [5.0, 5.0]]).tolist() == [3.0, 3.0]
+        with pytest.raises(ValueError):
+            predict_rows(tree, [[1.0]])
+
+
 class TestModelComplexity:
     def test_single_leaf(self):
         assert model_complexity(fit_tree([[0.0]], [1.0])) == 1
@@ -361,6 +420,54 @@ class TestSerialization:
         for _ in range(50):
             phi = [rng.random() for _ in range(tree.n_features)]
             assert predict(tree, phi) == predict(clone, phi)
+
+    HEADER = "# fregret-tree v1 n_features=2 min_leaf_weight=1 max_depth=none\n"
+
+    @pytest.mark.parametrize("feature", ["-1", "2", "7"])
+    def test_feature_index_out_of_range_rejected(self, feature):
+        with pytest.raises(ValueError, match="outside"):
+            parse_tree(self.HEADER + f"node,{feature},0.5\nleaf,1\nleaf,2\n")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "leaf,nan\n",
+            "leaf,inf\n",
+            "node,0,inf\nleaf,1\nleaf,2\n",
+            "node,0,nan\nleaf,1\nleaf,2\n",
+            "node,0,0.5\nleaf,1\nleaf,-inf\n",
+        ],
+    )
+    def test_non_finite_values_rejected(self, body):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_tree(self.HEADER + body)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "# fregret-tree v1 n_features=0 min_leaf_weight=1 max_depth=none\n",
+            "# fregret-tree v1 n_features=-3 min_leaf_weight=1 max_depth=none\n",
+            "# fregret-tree v1 n_features=2 min_leaf_weight=1 max_depth=-1\n",
+        ],
+    )
+    def test_bad_header_values_rejected(self, header):
+        with pytest.raises(ValueError):
+            parse_tree(header + "leaf,1\n")
+
+    def test_deep_chain_needs_no_recursion(self):
+        depth = 2000
+        body = "".join(f"node,0,{i}.5\nleaf,{i}\n" for i in range(depth))
+        text = (
+            "# fregret-tree v1 n_features=1 min_leaf_weight=0 max_depth=none\n"
+            + body
+            + "leaf,-1\n"
+        )
+        tree = parse_tree(text)
+        assert serialize_tree(tree) == text
+        assert model_complexity(tree) == depth + 1
+        rows = [[-1.0], [1000.0], [1999.0], [5000.0]]
+        assert predict_rows(tree, rows).tolist() == [0.0, 1000.0, 1999.0, -1.0]
+        assert [predict(tree, row) for row in rows] == [0.0, 1000.0, 1999.0, -1.0]
 
 
 class TestTabularEstimator:

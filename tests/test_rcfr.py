@@ -6,6 +6,7 @@ from fregret.cfr import (
     average_from_sums,
     average_strategy,
     cfr_iteration,
+    cfr_pass,
     current_policy,
     new_tables,
 )
@@ -21,6 +22,7 @@ from fregret.rcfr import (
     rcfr_solve,
     training_mse,
 )
+from fregret.regret import regret_match
 
 
 def assert_tracks_cfr_exactly(game, target_mode, iterations):
@@ -73,6 +75,15 @@ class TestPolicy:
         state.estimators[0].fit(rows, [-1.0, -1.0, -1.0])
         policy = rcfr_policy(state, 0, key)
         assert policy == (1.0 / 3.0,) * 3
+
+    def test_direct_fit_reaches_rcfr_policy(self, leduc_game):
+        # rcfr_policy asks the estimator, not the solver's prediction cache.
+        for kind in ("tabular", "tree"):
+            state = new_state(leduc_game, RCFRConfig(iterations=1, estimator_kind=kind))
+            key = "p0:J:-:cr/"
+            rows = state.features[key]
+            state.estimators[0].fit(rows, [1.0, 3.0, 0.0])
+            assert rcfr_policy(state, 0, key) == (0.25, 0.75, 0.0)
 
     def test_unknown_infoset_rejected(self, kuhn_game):
         state = new_state(kuhn_game, RCFRConfig(iterations=1))
@@ -137,6 +148,104 @@ class TestIteration:
             )
         )
         assert gap > 1e-12
+
+
+def reference_solve(game, config):
+    """RCFR that asks the estimator row by row through ``predict_one`` at
+    every use, with no prediction cache: the loop the solver must match.
+    Only the fresh state's estimators, features and stores are borrowed."""
+    state = new_state(game, config)
+    infoset_player = game.infoset_player
+    strategy_sums, targets = state.strategy_sums, state.targets
+
+    def predicted(infoset):
+        estimator = state.estimators[infoset_player[infoset]]
+        return [estimator.predict_one(row) for row in state.features[infoset]]
+
+    def mse(player):
+        errors = [
+            (p - t) ** 2
+            for key, row in targets[player].items()
+            for p, t in zip(predicted(key), row)
+        ]
+        total = 0.0
+        for error in errors:
+            total += error
+        return total / len(errors)
+
+    log = []
+    for t in range(1, config.iterations + 1):
+        seen = {}
+
+        def policy_fn(infoset):
+            if infoset not in seen:
+                seen[infoset] = predicted(infoset)
+            return regret_match(seen[infoset])
+
+        _, deltas = cfr_pass(game, policy_fn, strategy_sums, (0, 1))
+        for infoset, vec in deltas.items():
+            row = targets[infoset_player[infoset]][infoset]
+            for a, value in enumerate(vec):
+                if config.target_mode == "exact":
+                    row[a] += value
+                else:
+                    row[a] = seen[infoset][a] + value
+        if t % config.refit_every == 0:
+            for player in (0, 1):
+                rows = [r for key in targets[player] for r in state.features[key]]
+                values = [v for row in targets[player].values() for v in row]
+                state.estimators[player].fit(rows, values)
+        if t % config.log_every == 0 or t == config.iterations:
+            average = average_from_sums(strategy_sums)
+            log.append((t, exploitability(game, average), mse(0), mse(1)))
+    return strategy_sums, log
+
+
+class TestPredictionCache:
+    """The solver's cached predictions stay in step with its estimators."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(refit_every=3),
+            dict(target_mode="bootstrap"),
+            dict(n_bags=3, seed=4),
+            dict(n_bags=3, refit_every=3, target_mode="bootstrap", seed=2),
+            dict(estimator_kind="tabular", refit_every=3, target_mode="bootstrap"),
+        ],
+    )
+    def test_matches_row_by_row_reference(self, kuhn_game, options):
+        config = RCFRConfig(
+            iterations=13, log_every=4, min_leaf_weight=2.0, **options
+        )
+        expected_sums, expected_log = reference_solve(kuhn_game, config)
+        state = new_state(kuhn_game, config)
+        for _ in range(config.iterations):
+            rcfr_iteration(kuhn_game, state, config)
+        assert state.strategy_sums == expected_sums
+        _, convergence, _ = rcfr_solve(kuhn_game, config)
+        assert [
+            (row.t, row.exploitability, row.mse_p1, row.mse_p2) for row in convergence
+        ] == expected_log
+
+    def test_leduc_bootstrap_bagged(self, leduc_game):
+        config = RCFRConfig(
+            iterations=4,
+            log_every=2,
+            min_leaf_weight=8.0,
+            n_bags=3,
+            refit_every=3,
+            target_mode="bootstrap",
+        )
+        expected_sums, expected_log = reference_solve(leduc_game, config)
+        state = new_state(leduc_game, config)
+        for _ in range(config.iterations):
+            rcfr_iteration(leduc_game, state, config)
+        assert state.strategy_sums == expected_sums
+        _, convergence, _ = rcfr_solve(leduc_game, config)
+        assert [
+            (row.t, row.exploitability, row.mse_p1, row.mse_p2) for row in convergence
+        ] == expected_log
 
 
 class TestSolve:
