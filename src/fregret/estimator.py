@@ -8,7 +8,10 @@ the regression tree trains on the coarser 19-dim schema.
 
 The tree learner is a greedy CART-style regressor: splits maximize weighted
 variance reduction, thresholds are midpoints between consecutive distinct
-values, ties break to the lowest feature index then lowest threshold.
+values, ties break to the lowest feature index then lowest threshold. A
+fitted tree is nothing but flat preorder arrays (``RegressionTree``), which
+fitting, parsing, serialization and prediction all walk without recursion.
+Both estimators predict through one method, ``predict(rows)``.
 """
 
 from __future__ import annotations
@@ -92,76 +95,60 @@ def featurize_exact(game_id: str, infoset: str, action: str) -> tuple[float, ...
 # Regression tree
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Leaf (feature None, prediction in value) or split (feature/threshold)."""
-
-    value: float = 0.0
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionTree:
-    """A fitted tree plus the config and dimension it was trained under.
+    """A fitted tree as flat preorder arrays, plus the config and dimension
+    it was trained under.
 
-    ``root`` is the node view callers inspect. Construction also lays the
-    tree out once as flat preorder arrays, which batched prediction,
-    serialization and leaf counting walk without recursion: ``_feature`` is
-    -1 at a leaf, a split's left child is the next node and its right child
-    is ``_right``.
+    Node ``i`` is a leaf predicting ``value[i]`` when ``feature[i]`` is -1.
+    Otherwise it sends a row with ``row[feature[i]] <= threshold[i]`` to its
+    left child, the next node ``i + 1``, and any other row to its right
+    child ``right[i]``. Trees are equal when their exact ``serialize_tree``
+    texts are, that is when every array entry and config field is.
     """
 
-    root: TreeNode
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+    right: np.ndarray
     n_features: int
     min_leaf_weight: float = 1.0
     max_depth: int | None = None
 
-    def __post_init__(self) -> None:
-        feature, threshold, value, right = [], [], [], []
-        stack = [(self.root, -1)]
-        while stack:
-            node, parent = stack.pop()
-            if parent >= 0:
-                right[parent] = len(feature)
-            feature.append(-1 if node.is_leaf else node.feature)
-            threshold.append(node.threshold)
-            value.append(node.value)
-            right.append(-1)
-            if not node.is_leaf:
-                stack.append((node.right, len(feature) - 1))
-                stack.append((node.left, -1))
-        for name, column, dtype in (
-            ("_feature", feature, np.intp),
-            ("_threshold", threshold, np.float64),
-            ("_value", value, np.float64),
-            ("_right", right, np.intp),
-        ):
-            object.__setattr__(self, name, np.array(column, dtype=dtype))
+    def __eq__(self, other):
+        if not isinstance(other, RegressionTree):
+            return NotImplemented
+        return serialize_tree(self) == serialize_tree(other)
+
+    def __hash__(self):
+        return hash(serialize_tree(self))
 
 
-def _link(records) -> TreeNode:
-    """Root of the tree whose preorder (feature, threshold, value) records
-    are given, with feature None at leaves."""
-    stack: list[TreeNode] = []
-    for feature, threshold, value in reversed(records):
-        if feature is None:
-            stack.append(TreeNode(value=value))
-        else:
-            left = stack.pop()
-            stack.append(
-                TreeNode(
-                    feature=feature, threshold=threshold, left=left, right=stack.pop()
-                )
-            )
-    (root,) = stack
-    return root
+def _from_preorder(records, n_features, min_leaf_weight, max_depth) -> RegressionTree:
+    """The tree whose preorder ``(feature, threshold, value)`` records are
+    given, with feature -1 at leaves.
+
+    A split's right child is the node that follows the last leaf of its
+    left subtree, so the node after any leaf is the right child of the
+    latest split still waiting for one.
+    """
+    feature, threshold, value = zip(*records)
+    right = [-1] * len(records)
+    waiting = []
+    for i, split_feature in enumerate(feature):
+        if i and feature[i - 1] < 0:
+            right[waiting.pop()] = i
+        if split_feature >= 0:
+            waiting.append(i)
+    return RegressionTree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=np.float64),
+        value=np.array(value, dtype=np.float64),
+        right=np.array(right, dtype=np.intp),
+        n_features=n_features,
+        min_leaf_weight=min_leaf_weight,
+        max_depth=max_depth,
+    )
 
 
 def _best_split(XT, w, wy, order, total_w, total_s, min_leaf_weight):
@@ -216,7 +203,7 @@ def _grow(X, y, w, min_leaf_weight, max_depth):
         if not (depth_reached or np.all(node_y == node_y[0])):
             split = _best_split(XT, w, wy, order, total_w, total_s, min_leaf_weight)
         if split is None:
-            records.append((None, 0.0, float(total_s / total_w)))
+            records.append((-1, 0.0, float(total_s / total_w)))
             continue
         feature, threshold = split
         records.append((feature, threshold, 0.0))
@@ -229,20 +216,10 @@ def _grow(X, y, w, min_leaf_weight, max_depth):
     return records
 
 
-def fit_tree(
-    features,
-    targets,
-    weights=None,
-    *,
-    min_leaf_weight: float = 1.0,
-    max_depth: int | None = None,
-) -> RegressionTree:
-    """Fit one greedy variance-reduction tree.
-
-    Growth stops at a node when no split strictly reduces weighted variance,
-    either side would fall below ``min_leaf_weight``, ``max_depth`` is
-    reached, or the node's targets are all equal.
-    """
+def _training_set(features, targets, weights):
+    """Features, targets and weights as float64 arrays; raises ValueError
+    unless the shapes agree, targets and weights are finite, no weight is
+    negative and the total weight is positive."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2:
@@ -260,19 +237,44 @@ def fit_tree(
         raise ValueError("sample weights must be finite")
     if np.any(w < 0.0):
         raise ValueError("negative sample weight")
-    if w.sum() <= 0.0:
+    if not np.any(w > 0.0):
         raise ValueError("total sample weight is zero")
-    if min_leaf_weight < 0.0:
-        raise ValueError("min_leaf_weight must be >= 0")
+    return X, y, w
+
+
+def _check_min_leaf_weight(value) -> float:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"min_leaf_weight must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
+def fit_tree(
+    features,
+    targets,
+    weights=None,
+    *,
+    min_leaf_weight: float = 1.0,
+    max_depth: int | None = None,
+) -> RegressionTree:
+    """Fit one greedy variance-reduction tree.
+
+    Growth stops at a node when no split strictly reduces weighted variance,
+    either side would fall below ``min_leaf_weight``, ``max_depth`` is
+    reached, or the node's targets are all equal. Data that overflow
+    float64, in a weighted sum or a threshold midpoint, raise ValueError, so
+    every fitted leaf and threshold is finite.
+    """
+    X, y, w = _training_set(features, targets, weights)
+    min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
     if max_depth is not None and (int(max_depth) != max_depth or max_depth < 0):
         raise ValueError("max_depth must be None or a nonnegative integer")
-    records = _grow(X, y, w, float(min_leaf_weight), max_depth)
-    return RegressionTree(
-        root=_link(records),
-        n_features=X.shape[1],
-        min_leaf_weight=float(min_leaf_weight),
-        max_depth=None if max_depth is None else int(max_depth),
-    )
+    max_depth = None if max_depth is None else int(max_depth)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            records = _grow(X, y, w, min_leaf_weight, max_depth)
+    except FloatingPointError as error:
+        raise ValueError(f"tree fit overflows float64: {error}") from None
+    return _from_preorder(records, X.shape[1], min_leaf_weight, max_depth)
 
 
 def predict(tree: RegressionTree, features) -> float:
@@ -282,10 +284,11 @@ def predict(tree: RegressionTree, features) -> float:
         raise ValueError(
             f"feature vector has {len(row)} entries, tree expects {tree.n_features}"
         )
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.value
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = node + 1 if go_left else tree.right[node]
+    return float(tree.value[node])
 
 
 def predict_rows(tree: RegressionTree, features) -> np.ndarray:
@@ -298,18 +301,18 @@ def predict_rows(tree: RegressionTree, features) -> np.ndarray:
             f"{tree.n_features} features"
         )
     node = np.zeros(X.shape[0], dtype=np.intp)
-    active = np.flatnonzero(tree._feature[node] >= 0)
+    active = np.flatnonzero(tree.feature[node] >= 0)
     while active.size:
         at = node[active]
-        go_left = X[active, tree._feature[at]] <= tree._threshold[at]
-        node[active] = np.where(go_left, at + 1, tree._right[at])
-        active = active[tree._feature[node[active]] >= 0]
-    return tree._value[node]
+        go_left = X[active, tree.feature[at]] <= tree.threshold[at]
+        node[active] = np.where(go_left, at + 1, tree.right[at])
+        active = active[tree.feature[node[active]] >= 0]
+    return tree.value[node]
 
 
 def model_complexity(tree: RegressionTree) -> int:
     """Leaf count: the number of distinct predictions the tree can make."""
-    return int(np.count_nonzero(tree._feature < 0))
+    return int(np.count_nonzero(tree.feature < 0))
 
 
 def serialize_tree(tree: RegressionTree) -> str:
@@ -321,7 +324,7 @@ def serialize_tree(tree: RegressionTree) -> str:
         f"max_depth={depth_field}"
     ]
     for feature, threshold, value in zip(
-        tree._feature.tolist(), tree._threshold.tolist(), tree._value.tolist()
+        tree.feature.tolist(), tree.threshold.tolist(), tree.value.tolist()
     ):
         if feature < 0:
             lines.append(f"leaf,{format_float(value)}")
@@ -341,8 +344,8 @@ def parse_tree(text: str) -> RegressionTree:
     """Inverse of ``serialize_tree``; raises ValueError on malformed input.
 
     Rejects feature indices outside ``[0, n_features)``, non-finite
-    thresholds and leaf values, ``n_features < 1`` and a negative
-    ``max_depth``.
+    thresholds and leaf values, ``n_features < 1``, a non-finite or
+    negative ``min_leaf_weight`` and a negative ``max_depth``.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith(TREE_FORMAT_HEADER):
@@ -363,6 +366,7 @@ def parse_tree(text: str) -> RegressionTree:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be none or >= 0, got {max_depth}")
+    min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
     records = []
     open_slots = 1  # subtrees announced by the lines so far but not yet read
     for number, line in enumerate(lines[1:], start=2):
@@ -370,7 +374,7 @@ def parse_tree(text: str) -> RegressionTree:
             raise ValueError("trailing content after tree definition")
         parts = line.split(",")
         if parts[0] == "leaf" and len(parts) == 2:
-            records.append((None, 0.0, _finite(parts[1], "leaf value", number)))
+            records.append((-1, 0.0, _finite(parts[1], "leaf value", number)))
             open_slots -= 1
         elif parts[0] == "node" and len(parts) == 3:
             feature = int(parts[1])
@@ -385,12 +389,7 @@ def parse_tree(text: str) -> RegressionTree:
             raise ValueError(f"malformed tree line {number}: {line!r}")
     if open_slots:
         raise ValueError("truncated tree file")
-    return RegressionTree(
-        root=_link(records),
-        n_features=n_features,
-        min_leaf_weight=min_leaf_weight,
-        max_depth=max_depth,
-    )
+    return _from_preorder(records, n_features, min_leaf_weight, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +434,6 @@ class TabularEstimator:
     def predict(self, features) -> list[float]:
         return [self._table.get(key, 0.0) for key in _row_keys(features)]
 
-    def predict_one(self, features) -> float:
-        return self._table.get(tuple(float(v) for v in features), 0.0)
-
     def model_complexity(self) -> int:
         return len(self._table)
 
@@ -466,58 +462,27 @@ class TreeRegressor:
 
     def fit(self, features, targets, sample_weight=None):
         check_positive_int(self.n_bags, "n_bags")
-        X = np.asarray(features, dtype=np.float64)
-        y = np.asarray(targets, dtype=np.float64)
-        w = (
-            np.ones_like(y)
-            if sample_weight is None
-            else np.asarray(sample_weight, dtype=np.float64)
-        )
+        # Check the whole set: a bootstrap resample may skip a bad row.
+        X, y, w = _training_set(features, targets, sample_weight)
+        n = len(y)
         if self.n_bags == 1:
-            self._trees = [
-                fit_tree(
-                    X,
-                    y,
-                    w,
-                    min_leaf_weight=self.min_leaf_weight,
-                    max_depth=self.max_depth,
-                )
-            ]
+            samples = [np.arange(n)]
         else:
-            # A bootstrap resample may skip a bad row; check the whole set.
-            if not np.isfinite(y).all():
-                raise ValueError("targets must be finite")
             rng = np.random.default_rng(self.seed)
-            self._trees = []
-            for _ in range(self.n_bags):
-                rows = rng.integers(0, X.shape[0], size=X.shape[0])
-                self._trees.append(
-                    fit_tree(
-                        X[rows],
-                        y[rows],
-                        w[rows],
-                        min_leaf_weight=self.min_leaf_weight,
-                        max_depth=self.max_depth,
-                    )
-                )
+            samples = [rng.integers(0, n, size=n) for _ in range(self.n_bags)]
+        config = dict(min_leaf_weight=self.min_leaf_weight, max_depth=self.max_depth)
+        self._trees = [fit_tree(X[r], y[r], w[r], **config) for r in samples]
         return self
 
     def predict(self, features) -> list[float]:
-        """Predictions for all rows at once; equal to ``predict_one`` per row
-        (the bagged mean adds ``0 + p1 + p2 + ...`` and then divides)."""
+        """Predictions for all rows at once; a bagged prediction adds
+        ``0 + p1 + p2 + ...`` over the trees and then divides."""
         if not self._trees:
             return [0.0] * len(features)
         total = 0.0
         for tree in self._trees:
             total = total + predict_rows(tree, features)
         return (total / len(self._trees)).tolist()
-
-    def predict_one(self, features) -> float:
-        if not self._trees:
-            return 0.0
-        return sum(predict(tree, features) for tree in self._trees) / len(
-            self._trees
-        )
 
     def model_complexity(self) -> int:
         return sum(model_complexity(tree) for tree in self._trees)

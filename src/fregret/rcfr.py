@@ -156,11 +156,6 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
     return state
 
 
-def _predict_row(state: RCFRState, player: int, infoset: str) -> list[float]:
-    estimator = state.estimators[player]
-    return [estimator.predict_one(row) for row in state.features[infoset]]
-
-
 def rcfr_policy(state: RCFRState, player: int, infoset: str):
     """Regret matching over the estimator's predicted cumulative regrets."""
     if infoset not in state.features:
@@ -170,7 +165,7 @@ def rcfr_policy(state: RCFRState, player: int, infoset: str):
             f"infoset '{infoset}' belongs to player "
             f"{state.game.infoset_player[infoset]}, not {player}"
         )
-    return regret_match(_predict_row(state, player, infoset))
+    return regret_match(state.estimators[player].predict(state.features[infoset]))
 
 
 def _cache_predictions(state: RCFRState) -> None:

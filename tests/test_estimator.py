@@ -5,13 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from conftest import predict_row
 
 from fregret.estimator import (
     EXACT_FEATURE_DIM,
     FEATURE_DIM,
-    RegressionTree,
     TabularEstimator,
-    TreeNode,
     TreeRegressor,
     featurize,
     featurize_exact,
@@ -50,6 +49,19 @@ def brute_force_best_split(X, y, w=None):
             if best is None or sse < best[0] - 1e-12:
                 best = (sse, j, theta)
     return best[1], best[2]
+
+
+def tree_fields(tree):
+    """Every field of a tree as plain Python values, for exact comparison."""
+    return (
+        tree.feature.tolist(),
+        tree.threshold.tolist(),
+        tree.value.tolist(),
+        tree.right.tolist(),
+        tree.n_features,
+        tree.min_leaf_weight,
+        tree.max_depth,
+    )
 
 
 class TestFeaturize:
@@ -151,22 +163,22 @@ class TestFeaturize:
 class TestFitTree:
     def test_all_targets_equal_single_leaf(self):
         tree = fit_tree([[0.0], [1.0], [2.0]], [4.5, 4.5, 4.5])
-        assert tree.root.is_leaf
-        assert tree.root.value == 4.5
+        assert tree.feature.tolist() == [-1]
+        assert tree.value.tolist() == [4.5]
         assert model_complexity(tree) == 1
 
     def test_single_row(self):
         tree = fit_tree([[1.0, 2.0]], [7.5])
-        assert tree.root.is_leaf and tree.root.value == 7.5
+        assert tree.feature.tolist() == [-1] and tree.value.tolist() == [7.5]
 
     def test_two_clusters_split_on_feature_zero(self):
         X = [[0.0, 5.0], [0.1, -3.0], [1.0, 4.0], [1.1, -2.0]]
         y = [0.0, 0.0, 10.0, 10.0]
         tree = fit_tree(X, y)
-        assert tree.root.feature == 0
-        assert tree.root.threshold == (0.1 + 1.0) / 2.0
-        assert tree.root.left.is_leaf and tree.root.left.value == 0.0
-        assert tree.root.right.is_leaf and tree.root.right.value == 10.0
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.threshold[0] == (0.1 + 1.0) / 2.0
+        assert tree.right[0] == 2
+        assert tree.value[1] == 0.0 and tree.value[2] == 10.0
 
     def test_depth_one_matches_exhaustive_search(self):
         rng = random.Random(123)
@@ -174,15 +186,15 @@ class TestFitTree:
             X, y = random_dataset(rng)
             tree = fit_tree(X, y, max_depth=1)
             oracle_feature, oracle_threshold = brute_force_best_split(X, y)
-            assert tree.root.feature == oracle_feature
-            assert abs(tree.root.threshold - oracle_threshold) < 1e-12
+            assert tree.feature[0] == oracle_feature
+            assert abs(tree.threshold[0] - oracle_threshold) < 1e-12
 
     def test_weighted_depth_one_matches_exhaustive_search(self):
         rng = random.Random(77)
         X, y = random_dataset(rng)
         w = [rng.uniform(0.1, 3.0) for _ in y]
         tree = fit_tree(X, y, w, max_depth=1, min_leaf_weight=0.0)
-        assert (tree.root.feature, tree.root.threshold) == pytest.approx(
+        assert (tree.feature[0], tree.threshold[0]) == pytest.approx(
             brute_force_best_split(X, y, w)
         )
 
@@ -199,6 +211,11 @@ class TestFitTree:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             fit_tree([[1.0]], [1.0], [-1.0])
+        # No resample of this seed draws row 2; the whole set is checked.
+        with pytest.raises(ValueError, match="negative"):
+            TreeRegressor(n_bags=2, seed=43).fit(
+                [[0.0], [1.0], [2.0]], [1.0, 2.0, 3.0], [1.0, 1.0, -1.0]
+            )
 
     def test_zero_total_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -216,6 +233,24 @@ class TestFitTree:
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             fit_tree([[1.0], [2.0]], [1.0, 2.0], [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            TreeRegressor(n_bags=2, seed=43).fit(
+                [[0.0], [1.0], [2.0]], [1.0, 2.0, 3.0], [1.0, 1.0, bad]
+            )
+
+    @pytest.mark.parametrize(
+        "targets, weights",
+        [
+            ([1e308, 1e308], [10.0, 10.0]),  # w * y overflows: leaf inf
+            ([1e308, -1e308], [10.0, 10.0]),  # inf - inf: leaf nan
+            ([1.0, 2.0], [1e308, 1e308]),  # total weight overflows
+        ],
+    )
+    def test_overflowing_fit_rejected(self, targets, weights):
+        with pytest.raises(ValueError, match="overflow"):
+            fit_tree([[0.0], [1.0]], targets, weights)
+        with pytest.raises(ValueError, match="overflow"):
+            TreeRegressor().fit([[0.0], [1.0]], targets, weights)
 
     def test_training_mse_at_most_target_variance(self):
         rng = random.Random(5)
@@ -242,20 +277,21 @@ class TestFitTree:
         tree = fit_tree(X, y, w, min_leaf_weight=4.0)
         groups = {}
         for xi, yi, wi in zip(X, y, w):
-            node = tree.root
+            node = 0
             path = []
-            while not node.is_leaf:
-                go_left = xi[node.feature] <= node.threshold
+            while tree.feature[node] >= 0:
+                go_left = xi[tree.feature[node]] <= tree.threshold[node]
                 path.append("L" if go_left else "R")
-                node = node.left if go_left else node.right
+                node = node + 1 if go_left else tree.right[node]
             groups.setdefault("".join(path), []).append((yi, wi))
         for path, rows in groups.items():
-            node = tree.root
+            node = 0
             for step in path:
-                node = node.left if step == "L" else node.right
+                node = node + 1 if step == "L" else tree.right[node]
+            assert tree.feature[node] == -1
             total = sum(wi for _, wi in rows)
             mean = sum(yi * wi for yi, wi in rows) / total
-            assert abs(node.value - mean) < 1e-9
+            assert abs(tree.value[node] - mean) < 1e-9
 
     def test_deterministic_on_identical_data(self):
         rng = random.Random(31)
@@ -274,7 +310,7 @@ class TestFitTree:
 
     def test_max_depth_zero_is_constant(self):
         tree = fit_tree([[0.0], [1.0]], [0.0, 10.0], max_depth=0)
-        assert tree.root.is_leaf and tree.root.value == 5.0
+        assert tree.feature.tolist() == [-1] and tree.value.tolist() == [5.0]
 
 
 class TestPredict:
@@ -293,10 +329,13 @@ class TestPredict:
         X, y = random_dataset(rng, n_rows=40)
         tree = fit_tree(X, y, min_leaf_weight=2.0)
         for xi in X:
-            node = tree.root
-            while node.feature is not None:
-                node = node.left if xi[node.feature] <= node.threshold else node.right
-            assert predict(tree, xi) == node.value
+            node = 0
+            while tree.feature[node] != -1:
+                if xi[tree.feature[node]] <= tree.threshold[node]:
+                    node += 1
+                else:
+                    node = tree.right[node]
+            assert predict(tree, xi) == tree.value[node]
 
 
 class TestPredictRows:
@@ -304,7 +343,7 @@ class TestPredictRows:
 
     def assert_rows_match(self, estimator, rows):
         batched = estimator.predict(rows)
-        one_by_one = [estimator.predict_one(row) for row in rows]
+        one_by_one = [predict_row(estimator, row) for row in rows]
         assert [v.hex() for v in batched] == [v.hex() for v in one_by_one]
 
     def test_fitted_trees(self):
@@ -357,14 +396,12 @@ class TestModelComplexity:
         assert model_complexity(fit_tree([[0.0]], [1.0])) == 1
 
     def test_perfect_depth_two_tree(self):
-        leaf = lambda v: TreeNode(value=v)
-        root = TreeNode(
-            feature=0,
-            threshold=0.5,
-            left=TreeNode(feature=1, threshold=0.5, left=leaf(0.0), right=leaf(1.0)),
-            right=TreeNode(feature=1, threshold=0.5, left=leaf(2.0), right=leaf(3.0)),
+        tree = parse_tree(
+            "# fregret-tree v1 n_features=2 min_leaf_weight=1 max_depth=none\n"
+            "node,0,0.5\nnode,1,0.5\nleaf,0\nleaf,1\n"
+            "node,1,0.5\nleaf,2\nleaf,3\n"
         )
-        assert model_complexity(RegressionTree(root=root, n_features=2)) == 4
+        assert model_complexity(tree) == 4
 
     def test_four_leaves_from_fit(self):
         X = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
@@ -385,11 +422,15 @@ class TestSerialization:
         tree = self.build_tree(min_leaf_weight=2.0, max_depth=6)
         text = serialize_tree(tree)
         assert parse_tree(text) == tree
+        assert hash(parse_tree(text)) == hash(tree)
+        assert parse_tree(text) != self.build_tree(min_leaf_weight=3.0, max_depth=6)
+        assert tree_fields(parse_tree(text)) == tree_fields(tree)
         assert serialize_tree(parse_tree(text)) == text
 
     def test_round_trip_unlimited_depth(self):
         tree = self.build_tree(seed=3)
         assert parse_tree(serialize_tree(tree)) == tree
+        assert tree_fields(parse_tree(serialize_tree(tree))) == tree_fields(tree)
 
     def test_header_required(self):
         with pytest.raises(ValueError):
@@ -448,6 +489,9 @@ class TestSerialization:
             "# fregret-tree v1 n_features=0 min_leaf_weight=1 max_depth=none\n",
             "# fregret-tree v1 n_features=-3 min_leaf_weight=1 max_depth=none\n",
             "# fregret-tree v1 n_features=2 min_leaf_weight=1 max_depth=-1\n",
+            "# fregret-tree v1 n_features=2 min_leaf_weight=nan max_depth=none\n",
+            "# fregret-tree v1 n_features=2 min_leaf_weight=inf max_depth=none\n",
+            "# fregret-tree v1 n_features=2 min_leaf_weight=-3 max_depth=none\n",
         ],
     )
     def test_bad_header_values_rejected(self, header):
@@ -468,25 +512,25 @@ class TestSerialization:
         rows = [[-1.0], [1000.0], [1999.0], [5000.0]]
         assert predict_rows(tree, rows).tolist() == [0.0, 1000.0, 1999.0, -1.0]
         assert [predict(tree, row) for row in rows] == [0.0, 1000.0, 1999.0, -1.0]
+        assert "RegressionTree(" in repr(tree)
+        assert hash(tree) == hash(tree)
+        assert tree == tree
 
 
 class TestTabularEstimator:
     def test_memorizes_and_defaults_to_zero(self):
         est = TabularEstimator()
         est.fit([(1.0, 2.0)], [3.0])
-        assert est.predict_one((1.0, 2.0)) == 3.0
-        assert est.predict_one((9.0, 9.0)) == 0.0
-        assert est.predict([(1.0, 2.0), (0.0, 0.0)]) == [3.0, 0.0]
+        assert est.predict([(1.0, 2.0), (9.0, 9.0), (0.0, 0.0)]) == [3.0, 0.0, 0.0]
 
     def test_unfitted_predicts_zero(self):
-        assert TabularEstimator().predict_one((1.0,)) == 0.0
+        assert TabularEstimator().predict([(1.0,)]) == [0.0]
 
     def test_refit_replaces_table(self):
         est = TabularEstimator()
         est.fit([(1.0,)], [5.0])
         est.fit([(2.0,)], [7.0])
-        assert est.predict_one((1.0,)) == 0.0
-        assert est.predict_one((2.0,)) == 7.0
+        assert est.predict([(1.0,), (2.0,)]) == [0.0, 7.0]
 
     def test_collision_rejected(self):
         est = TabularEstimator()
@@ -501,7 +545,7 @@ class TestTabularEstimator:
     def test_duplicate_with_same_target_allowed(self):
         est = TabularEstimator()
         est.fit([(1.0,), (1.0,)], [3.0, 3.0])
-        assert est.predict_one((1.0,)) == 3.0
+        assert est.predict([(1.0,)]) == [3.0]
 
     def test_leduc_19dim_collision_surfaces_as_error(self):
         keys = ["p1:J:Q:rc/c", "p1:J:Q:crc/c"]
@@ -520,7 +564,6 @@ class TestTabularEstimator:
 class TestTreeRegressor:
     def test_unfitted_predicts_zero(self):
         est = TreeRegressor()
-        assert est.predict_one([1.0, 2.0]) == 0.0
         assert est.predict([[1.0, 2.0]]) == [0.0]
 
     def test_single_tree_matches_fit_tree(self):
@@ -528,8 +571,7 @@ class TestTreeRegressor:
         X, y = random_dataset(rng)
         est = TreeRegressor(min_leaf_weight=2.0).fit(X, y)
         direct = fit_tree(X, y, min_leaf_weight=2.0)
-        for xi in X:
-            assert est.predict_one(xi) == predict(direct, xi)
+        assert est.predict(X) == [predict(direct, xi) for xi in X]
         assert est.model_complexity() == model_complexity(direct)
 
     def test_bagging_deterministic_and_averaged(self):
@@ -541,7 +583,7 @@ class TestTreeRegressor:
         assert len(a._trees) == 3
         phi = X[0]
         mean = sum(predict(t, phi) for t in a._trees) / 3
-        assert math.isclose(a.predict_one(phi), mean, rel_tol=0, abs_tol=1e-15)
+        assert math.isclose(a.predict([phi])[0], mean, rel_tol=0, abs_tol=1e-15)
 
     def test_bag_count_validated(self):
         with pytest.raises(ValueError):

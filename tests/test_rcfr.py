@@ -1,6 +1,7 @@
 """Regression CFR: oracle equivalence with CFR, floors, and bookkeeping."""
 
 import pytest
+from conftest import predict_row
 
 from fregret.cfr import (
     average_from_sums,
@@ -151,8 +152,8 @@ class TestIteration:
 
 
 def reference_solve(game, config):
-    """RCFR that asks the estimator row by row through ``predict_one`` at
-    every use, with no prediction cache: the loop the solver must match.
+    """RCFR that predicts row by row through ``predict_row`` at every use,
+    with no prediction cache: the loop the solver must match.
     Only the fresh state's estimators, features and stores are borrowed."""
     state = new_state(game, config)
     infoset_player = game.infoset_player
@@ -160,7 +161,7 @@ def reference_solve(game, config):
 
     def predicted(infoset):
         estimator = state.estimators[infoset_player[infoset]]
-        return [estimator.predict_one(row) for row in state.features[infoset]]
+        return [predict_row(estimator, row) for row in state.features[infoset]]
 
     def mse(player):
         errors = [
@@ -293,7 +294,7 @@ class TestSolve:
             count = 0
             for key, target_row in state.targets[player].items():
                 for features, target in zip(state.features[key], target_row):
-                    predicted = state.estimators[player].predict_one(features)
+                    predicted = predict_row(state.estimators[player], features)
                     total += (predicted - target) ** 2
                     count += 1
             assert abs(logged - total / count) < 1e-9
