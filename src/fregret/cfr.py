@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .efg_core import CHANCE, TERMINAL, GameSpec, enumerate_infosets
+from .efg_core import GameSpec, enumerate_infosets, node_values
 from .eval import exploitability
 from .regret import regret_match
 
@@ -101,76 +101,71 @@ def cfr_pass(game: GameSpec, policy_fn, strategy_sums, update_players):
     value) are accumulated into the returned dict. Returns
     ``(seat 0 root value, immediate regrets)``; seat 1's value is the exact
     negation.
+
+    ``policy_fn`` is asked once per infoset, in ``enumerate_infosets`` order.
+    A bottom-up sweep values the nodes, then a top-down one carries reach and
+    adds each decision node's terms. An infoset's nodes are never ancestor and
+    descendant, so preorder adds them in the order their subtrees finish.
     """
+    layout = game.layout
+    policies = [policy_fn(key) for _, key, _ in layout.infosets]
+    values = node_values(layout, policies)
+    rows: dict[int, tuple[list[float], list[float]]] = {}
     deltas: dict[str, list[float]] = {}
-
-    def walk(node, reach0: float, reach1: float, chance_reach: float) -> float:
-        if node.kind == TERMINAL:
-            return node.utilities[0]
-        if node.kind == CHANCE:
-            total = 0.0
-            for prob, child in zip(node.chance_probs, node.children):
-                total += prob * walk(child, reach0, reach1, chance_reach * prob)
-            return total
-        policy = policy_fn(node.infoset)
-        player = node.player
-        child_values = []
-        node_value = 0.0
-        for prob, child in zip(policy, node.children):
-            if player == 0:
-                value = walk(child, reach0 * prob, reach1, chance_reach)
-            else:
-                value = walk(child, reach0, reach1 * prob, chance_reach)
-            child_values.append(value)
-            node_value += prob * value
+    for k, (player, key, _) in enumerate(layout.infosets):
         if player in update_players:
-            my_reach = reach0 if player == 0 else reach1
-            counterfactual = (reach1 if player == 0 else reach0) * chance_reach
-            sums = strategy_sums.setdefault(
-                node.infoset, [0.0] * len(policy)
-            )
-            vec = deltas.setdefault(node.infoset, [0.0] * len(policy))
-            if player == 0:
-                for a, prob in enumerate(policy):
-                    sums[a] += my_reach * prob
-                    vec[a] += counterfactual * (child_values[a] - node_value)
-            else:
-                # Seat 1's value is the negation, so the advantage flips sign.
-                for a, prob in enumerate(policy):
-                    sums[a] += my_reach * prob
-                    vec[a] += counterfactual * (node_value - child_values[a])
-        return node_value
+            n = len(policies[k])
+            deltas[key] = [0.0] * n
+            rows[k] = strategy_sums.setdefault(key, [0.0] * n), deltas[key]
+    children, infoset, probs = layout.children, layout.infoset, layout.probs
+    reach0 = [1.0] * len(children)
+    reach1 = [1.0] * len(children)
+    chance_reach = [1.0] * len(children)
+    for node in layout.inner:
+        r0, r1, rc = reach0[node], reach1[node], chance_reach[node]
+        kids = children[node]
+        k = infoset[node]
+        player = layout.infosets[k][0] if k >= 0 else 2  # 2: chance moves
+        policy = policies[k] if k >= 0 else probs[node]
+        for prob, child in zip(policy, kids):
+            if children[child]:
+                reach0[child] = r0 * prob if player == 0 else r0
+                reach1[child] = r1 * prob if player == 1 else r1
+                chance_reach[child] = rc * prob if player == 2 else rc
+        if k not in rows:
+            continue
+        sums, vec = rows[k]
+        node_value = values[node]
+        if player == 0:
+            counterfactual = r1 * rc
+            for a, prob in enumerate(policy):
+                sums[a] += r0 * prob
+                vec[a] += counterfactual * (values[kids[a]] - node_value)
+        else:
+            # Seat 1's value is the negation, so the advantage flips sign.
+            counterfactual = r0 * rc
+            for a, prob in enumerate(policy):
+                sums[a] += r1 * prob
+                vec[a] += counterfactual * (node_value - values[kids[a]])
+    return values[0], deltas
 
-    root_value = walk(game.root, 1.0, 1.0, 1.0)
-    return root_value, deltas
 
-
-def _table_policy_fn(tables: CFRTables):
-    """Policy callback over the tables, cached for one traversal."""
-    cache: dict[str, tuple[float, ...]] = {}
+def _update(game: GameSpec, tables: CFRTables, players):
+    """One regret-matched pass updating ``players``; returns their regrets."""
     regrets = tables.regrets
-
-    def policy_fn(infoset: str):
-        policy = cache.get(infoset)
-        if policy is None:
-            policy = regret_match(regrets[infoset])
-            cache[infoset] = policy
-        return policy
-
-    return policy_fn
-
-
-def _merge_deltas(regrets, deltas) -> None:
+    _, deltas = cfr_pass(
+        game, lambda key: regret_match(regrets[key]), tables.strategy_sums, players
+    )
     for infoset, vec in deltas.items():
         row = regrets[infoset]
         for a, value in enumerate(vec):
             row[a] += value
+    return deltas
 
 
 def cfr_iteration(game: GameSpec, tables: CFRTables):
     """One simultaneous update of both seats; returns the immediate regrets."""
-    _, deltas = cfr_pass(game, _table_policy_fn(tables), tables.strategy_sums, (0, 1))
-    _merge_deltas(tables.regrets, deltas)
+    deltas = _update(game, tables, (0, 1))
     tables.iterations += 1
     return deltas
 
@@ -181,13 +176,8 @@ def cfr_iteration_alternating(game: GameSpec, tables: CFRTables):
     Seat 1's pass already sees seat 0's refreshed regrets. Returns the
     combined immediate regrets keyed by infoset (the key sets are disjoint).
     """
-    combined: dict[str, list[float]] = {}
-    for player in (0, 1):
-        _, deltas = cfr_pass(
-            game, _table_policy_fn(tables), tables.strategy_sums, (player,)
-        )
-        _merge_deltas(tables.regrets, deltas)
-        combined.update(deltas)
+    combined = _update(game, tables, (0,))
+    combined.update(_update(game, tables, (1,)))
     tables.iterations += 1
     return combined
 

@@ -3,10 +3,18 @@
 Games are two-player zero-sum trees built eagerly and immutably. A behavioral
 strategy profile is a flat dict mapping infoset key -> probability tuple; keys
 embed the acting seat (``p0:``/``p1:``) so one dict covers both players.
+
+``GameNode`` trees are the builders' input format. ``make_game`` checks one
+with an explicit stack and flattens it into a ``GameLayout``: plain lists
+indexed by node id, with nodes numbered in preorder, plus a table of the
+infosets numbered in first-visit preorder. Every traversal (the CFR pass,
+best response, expected value, sampled play) is a loop over that layout, so
+none depends on Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 CHANCE = "chance"
@@ -53,12 +61,33 @@ def terminal(u1: float) -> GameNode:
 
 
 @dataclass(frozen=True)
+class GameLayout:
+    """A game tree flattened in preorder: node 0 is the root, and each node
+    precedes its children, which come in action order.
+
+    Per node id: ``children`` lists child ids (empty exactly at terminals),
+    ``infoset`` is the infoset id of a decision node (-1 elsewhere),
+    ``probs`` a chance node's outcome probabilities and ``utility`` a
+    terminal's seat-0 payoff (0.0 elsewhere). ``inner`` lists non-terminal
+    nodes in preorder; ``infosets`` holds (player, key, action count) by
+    infoset id, in first-visit order.
+    """
+
+    children: list[list[int]]
+    infoset: list[int]
+    probs: list[tuple[float, ...]]
+    utility: list[float]
+    inner: list[int]
+    infosets: list[tuple[int, str, int]]
+
+
+@dataclass(frozen=True)
 class GameSpec:
     """An immutable two-player zero-sum extensive-form game.
 
     utility_range is the max minus min terminal utility over both players.
-    action_labels maps each infoset key to its ordered action labels and
-    infoset_player maps each key to the acting seat (0 or 1).
+    action_labels and infoset_player map each infoset key, in the layout's
+    order, to its ordered action labels and to the acting seat (0 or 1).
     """
 
     game_id: str
@@ -66,127 +95,142 @@ class GameSpec:
     utility_range: float
     action_labels: dict[str, tuple[str, ...]] = field(repr=False)
     infoset_player: dict[str, int] = field(repr=False)
-    players: int = 2
+    layout: GameLayout = field(repr=False, compare=False)
 
 
 def make_game(game_id: str, root: GameNode) -> GameSpec:
-    """Wrap a built tree in a GameSpec, checking structural invariants.
+    """Check a built tree and wrap it, with its layout, in a GameSpec.
 
-    Raises ValueError on malformed nodes, non-zero-sum payoffs, infosets
-    whose nodes disagree on player or actions, and imperfect recall: every
-    node of an infoset must share the acting seat's own (infoset, action
-    index) history. Comparing only the latest step of that history suffices:
-    the step names an earlier infoset, whose nodes were checked the same way.
+    Raises ValueError on malformed nodes, non-finite chance probabilities or
+    utilities, non-zero-sum payoffs, infosets whose nodes disagree on player
+    or actions, and imperfect recall: every node of an infoset must share the
+    acting seat's own (infoset, action index) history. Comparing only the
+    latest step of that history suffices: the step names an earlier infoset,
+    whose nodes were checked the same way.
     """
     labels: dict[str, tuple[str, ...]] = {}
-    players: dict[str, int] = {}
-    last_step: dict[str, tuple | None] = {}
-    # Per-seat payoff bounds; utility_range is the widest single seat's spread.
-    lo = [float("inf"), float("inf")]
-    hi = [float("-inf"), float("-inf")]
-    stack = [(root, None, None)]
+    ids: dict[str, int] = {}
+    last_step: list[tuple | None] = []
+    layout = GameLayout([], [], [], [], [], [])
+    children, infoset, utility = layout.children, layout.infoset, layout.utility
+    # Children are pushed in reverse, so nodes are numbered in preorder.
+    stack = [(root, -1, None, None)]
     while stack:
-        node, step0, step1 = stack.pop()
+        node, parent, step0, step1 = stack.pop()
+        index = len(children)
+        if parent >= 0:
+            children[parent].append(index)
+        children.append([])
+        infoset.append(-1)
+        layout.probs.append(node.chance_probs)
         if node.kind == TERMINAL:
             if node.children:
                 raise ValueError("terminal node with children")
-            if node.utilities[0] + node.utilities[1] != 0.0:
+            u0, u1 = node.utilities
+            # A sum of exactly zero implies both utilities are finite.
+            if u0 + u1 != 0.0:
+                if not (math.isfinite(u0) and math.isfinite(u1)):
+                    raise ValueError("non-finite terminal utility")
                 raise ValueError("terminal utilities are not zero-sum")
-            for seat in (0, 1):
-                lo[seat] = min(lo[seat], node.utilities[seat])
-                hi[seat] = max(hi[seat], node.utilities[seat])
+            utility.append(u0)
             continue
+        layout.inner.append(index)
+        utility.append(0.0)
         if node.kind == CHANCE:
             if len(node.chance_probs) != len(node.children):
                 raise ValueError("chance outcome/child count mismatch")
-            if any(p < 0.0 for p in node.chance_probs):
-                raise ValueError("negative chance probability")
+            if not all(0.0 <= p < math.inf for p in node.chance_probs):
+                raise ValueError("chance probabilities must be finite and >= 0")
             if abs(sum(node.chance_probs) - 1.0) > 1e-12:
                 raise ValueError("chance probabilities do not sum to 1")
-            stack.extend((child, step0, step1) for child in node.children)
+            for child in reversed(node.children):
+                stack.append((child, index, step0, step1))
         elif node.kind == DECISION:
             if len(node.actions) != len(node.children):
                 raise ValueError("action/child count mismatch")
             if not node.actions:
                 raise ValueError("decision node with no actions")
+            if node.player not in (0, 1):
+                raise ValueError(f"decision node player {node.player!r} is not 0 or 1")
             own = step0 if node.player == 0 else step1
-            seen = labels.get(node.infoset)
-            if seen is None:
-                labels[node.infoset] = node.actions
-                players[node.infoset] = node.player
-                last_step[node.infoset] = own
-            elif seen != node.actions or players[node.infoset] != node.player:
-                raise ValueError(f"inconsistent infoset '{node.infoset}'")
-            elif last_step[node.infoset] != own:
-                raise ValueError(f"imperfect recall at infoset '{node.infoset}'")
-            for index, child in enumerate(node.children):
-                step = (node.infoset, index)
-                if node.player == 0:
-                    stack.append((child, step, step1))
-                else:
-                    stack.append((child, step0, step))
+            key = node.infoset
+            k = ids.setdefault(key, len(ids))
+            if k == len(last_step):  # first node of a new infoset
+                layout.infosets.append((node.player, key, len(node.actions)))
+                labels[key] = node.actions
+                last_step.append(own)
+            elif labels[key] != node.actions or layout.infosets[k][0] != node.player:
+                raise ValueError(f"inconsistent infoset '{key}'")
+            elif last_step[k] != own:
+                raise ValueError(f"imperfect recall at infoset '{key}'")
+            infoset[index] = k
+            for a in range(len(node.children) - 1, -1, -1):
+                steps = ((key, a), step1) if node.player == 0 else (step0, (key, a))
+                stack.append((node.children[a], index, *steps))
         else:
             raise ValueError(f"unknown node kind '{node.kind}'")
-    spread = max(
-        (hi[seat] - lo[seat]) for seat in (0, 1) if lo[seat] <= hi[seat]
-    ) if lo[0] <= hi[0] else 0.0
+    # Seat 1's payoffs are the exact negations, so both seats' spreads agree.
+    payoffs = [u for u, kids in zip(utility, children) if not kids]
     return GameSpec(
         game_id=game_id,
         root=root,
-        utility_range=spread,
+        utility_range=max(payoffs) - min(payoffs),
         action_labels=labels,
-        infoset_player=players,
+        infoset_player={key: player for player, key, _ in layout.infosets},
+        layout=layout,
     )
 
 
 def enumerate_infosets(game: GameSpec) -> list[tuple[int, str, int]]:
     """List (player, infoset key, action count), depth-first, first visit."""
-    out: list[tuple[int, str, int]] = []
-    seen: set[str] = set()
+    return list(game.layout.infosets)
 
-    def walk(node: GameNode) -> None:
-        if node.kind == DECISION and node.infoset not in seen:
-            seen.add(node.infoset)
-            out.append((node.player, node.infoset, len(node.actions)))
-        for child in node.children:
-            walk(child)
 
-    walk(game.root)
-    return out
+def profile_rows(game: GameSpec, seat_profiles) -> list:
+    """Each infoset's probabilities from its seat's profile, by infoset id;
+    None for a seat whose profile is None. Raises KeyError on a missing row
+    and ValueError on a row of the wrong length."""
+    rows = []
+    for player, key, n in game.layout.infosets:
+        profile, probs = seat_profiles[player], None
+        if profile is not None:
+            try:
+                probs = profile[key]
+            except KeyError:
+                raise KeyError(f"profile missing infoset '{key}'") from None
+            if len(probs) != n:
+                raise ValueError(
+                    f"profile entry for '{key}' has {len(probs)} "
+                    f"probabilities for {n} actions"
+                )
+        rows.append(probs)
+    return rows
+
+
+def node_values(layout: GameLayout, rows) -> list[float]:
+    """Seat 0's value of every node when infoset ``k`` plays ``rows[k]``, in
+    one bottom-up sweep: each node adds its weighted child values to 0.0."""
+    values = list(layout.utility)
+    children, infoset, probs = layout.children, layout.infoset, layout.probs
+    for node in reversed(layout.inner):
+        k = infoset[node]
+        total = 0.0
+        for p, child in zip(probs[node] if k < 0 else rows[k], children[node]):
+            total += p * values[child]
+        values[node] = total
+    return values
 
 
 def expected_value(game: GameSpec, profile: dict) -> tuple[float, float]:
     """Exact expected utilities (u1, u2) under a behavioral profile."""
-
-    def walk(node: GameNode) -> tuple[float, float]:
-        if node.kind == TERMINAL:
-            return node.utilities
-        if node.kind == CHANCE:
-            e0 = e1 = 0.0
-            for p, child in zip(node.chance_probs, node.children):
-                c0, c1 = walk(child)
-                e0 += p * c0
-                e1 += p * c1
-            return e0, e1
-        try:
-            sigma = profile[node.infoset]
-        except KeyError:
-            raise KeyError(f"profile missing infoset '{node.infoset}'") from None
-        if len(sigma) != len(node.actions):
-            raise ValueError(f"profile length mismatch at infoset '{node.infoset}'")
-        e0 = e1 = 0.0
-        for p, child in zip(sigma, node.children):
-            c0, c1 = walk(child)
-            e0 += p * c0
-            e1 += p * c1
-        return e0, e1
-
-    return walk(game.root)
+    if not game.layout.inner:
+        return game.root.utilities
+    value = node_values(game.layout, profile_rows(game, (profile, profile)))[0]
+    # Summing seat 1's negated payoffs from 0.0 gives exactly -value, except
+    # that a zero total is +0.0; 0.0 - value is that same number.
+    return value, 0.0 - value
 
 
 def uniform_profile(game: GameSpec) -> dict[str, tuple[float, ...]]:
     """The profile playing uniformly at every infoset."""
-    return {
-        key: tuple([1.0 / len(acts)] * len(acts))
-        for key, acts in game.action_labels.items()
-    }
+    return {key: (1.0 / n,) * n for _, key, n in game.layout.infosets}

@@ -469,7 +469,11 @@ class TreeRegressor:
             samples = [np.arange(n)]
         else:
             rng = np.random.default_rng(self.seed)
-            samples = [rng.integers(0, n, size=n) for _ in range(self.n_bags)]
+            samples = []
+            while len(samples) < self.n_bags:
+                rows = rng.integers(0, n, size=n)
+                if np.any(w[rows] > 0.0):  # else unfittable: draw it again
+                    samples.append(rows)
         config = dict(min_leaf_weight=self.min_leaf_weight, max_depth=self.max_depth)
         self._trees = [fit_tree(X[r], y[r], w[r], **config) for r in samples]
         return self

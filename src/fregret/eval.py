@@ -12,7 +12,7 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from .efg_core import CHANCE, TERMINAL, GameSpec, expected_value
+from .efg_core import GameSpec, expected_value, profile_rows
 
 
 @dataclass(frozen=True)
@@ -35,19 +35,6 @@ class MatchResult:
     duplicate: bool
 
 
-def _opponent_policy(profile, node):
-    try:
-        probs = profile[node.infoset]
-    except KeyError:
-        raise KeyError(f"profile missing infoset '{node.infoset}'") from None
-    if len(probs) != len(node.actions):
-        raise ValueError(
-            f"profile entry for '{node.infoset}' has {len(probs)} "
-            f"probabilities for {len(node.actions)} actions"
-        )
-    return probs
-
-
 def best_response(
     game: GameSpec, opponent_profile, responder: int
 ) -> BestResponseResult:
@@ -59,82 +46,64 @@ def best_response(
     are read from the profile. Responder infosets the opponent's play makes
     unreachable get a uniform row in the returned response; any choice there
     is value-neutral.
+
+    Nodes are valued deepest first in responder moves, in reverse preorder
+    within a depth. Under perfect recall an infoset's nodes share that
+    depth, so when the first of them is valued, all their children are.
     """
     if responder not in (0, 1):
         raise ValueError("responder must be 0 or 1")
-    members: dict[str, list[tuple[object, float]]] = {}
-
-    def collect(node, weight):
-        if node.kind == TERMINAL:
-            return
-        if node.kind == CHANCE:
-            for prob, child in zip(node.chance_probs, node.children):
-                collect(child, weight * prob)
-            return
-        if node.player == responder:
-            members.setdefault(node.infoset, []).append((node, weight))
-            for child in node.children:
-                collect(child, weight)
+    seats = (None, opponent_profile) if responder == 0 else (opponent_profile, None)
+    rows = profile_rows(game, seats)
+    layout = game.layout
+    children, infoset, probs = layout.children, layout.infoset, layout.probs
+    # Top-down: each node's opponent-and-chance reach and responder depth.
+    weight = [1.0] * len(children)
+    depth = [0] * len(children)
+    by_depth: list[list[int]] = []
+    members: list[list[int]] = [[] for _ in rows]
+    reach = [0.0] * len(rows)
+    for node in layout.inner:
+        w, d, k = weight[node], depth[node], infoset[node]
+        if d == len(by_depth):
+            by_depth.append([])
+        by_depth[d].append(node)
+        if k >= 0 and rows[k] is None:
+            members[k].append(node)
+            reach[k] += w
+            for child in children[node]:
+                weight[child], depth[child] = w, d + 1
         else:
-            probs = _opponent_policy(opponent_profile, node)
-            for prob, child in zip(probs, node.children):
-                collect(child, weight * prob)
+            for prob, child in zip(probs[node] if k < 0 else rows[k], children[node]):
+                weight[child], depth[child] = w * prob, d
 
-    collect(game.root, 1.0)
+    value = list(layout.utility) if responder == 0 else [-u for u in layout.utility]
+    choice = [-1] * len(rows)
+    for nodes in reversed(by_depth):
+        for node in reversed(nodes):
+            k, kids = infoset[node], children[node]
+            if k >= 0 and rows[k] is None:
+                if choice[k] < 0:
+                    best_score = None
+                    for action in range(len(kids)):
+                        score = 0.0
+                        for member in members[k]:
+                            score += weight[member] * value[children[member][action]]
+                        if best_score is None or score > best_score:
+                            best_score, choice[k] = score, action
+                value[node] = value[kids[choice[k]]]
+            else:
+                total = 0.0
+                for prob, child in zip(probs[node] if k < 0 else rows[k], kids):
+                    total += prob * value[child]
+                value[node] = total
 
-    value_memo: dict[int, float] = {}
-    choice_memo: dict[str, int] = {}
-
-    def value_of(node) -> float:
-        cached = value_memo.get(id(node))
-        if cached is not None:
-            return cached
-        if node.kind == TERMINAL:
-            result = node.utilities[responder]
-        elif node.kind == CHANCE:
-            result = sum(
-                prob * value_of(child)
-                for prob, child in zip(node.chance_probs, node.children)
-            )
-        elif node.player == responder:
-            result = value_of(node.children[choose(node.infoset)])
-        else:
-            probs = _opponent_policy(opponent_profile, node)
-            result = sum(
-                prob * value_of(child)
-                for prob, child in zip(probs, node.children)
-            )
-        value_memo[id(node)] = result
-        return result
-
-    def choose(infoset: str) -> int:
-        cached = choice_memo.get(infoset)
-        if cached is not None:
-            return cached
-        rows = members[infoset]
-        n_actions = len(rows[0][0].actions)
-        best_action = 0
-        best_score = None
-        for action in range(n_actions):
-            score = sum(w * value_of(node.children[action]) for node, w in rows)
-            if best_score is None or score > best_score:
-                best_score = score
-                best_action = action
-        choice_memo[infoset] = best_action
-        return best_action
-
-    total = value_of(game.root)
     response: dict[str, tuple[float, ...]] = {}
-    for infoset, rows in members.items():
-        n_actions = len(rows[0][0].actions)
-        if sum(w for _, w in rows) > 0.0:
-            picked = choose(infoset)
-            response[infoset] = tuple(
-                1.0 if a == picked else 0.0 for a in range(n_actions)
-            )
-        else:
-            response[infoset] = (1.0 / n_actions,) * n_actions
-    return BestResponseResult(value=total, response=response, responder=responder)
+    for k, (player, key, n) in enumerate(layout.infosets):
+        if player == responder:
+            pure = tuple(1.0 if a == choice[k] else 0.0 for a in range(n))
+            response[key] = pure if reach[k] > 0.0 else (1.0 / n,) * n
+    return BestResponseResult(value=value[0], response=response, responder=responder)
 
 
 def exploitability(game: GameSpec, profile) -> float:
@@ -147,14 +116,8 @@ def exploitability(game: GameSpec, profile) -> float:
 
 def merge_profiles(game: GameSpec, seat0_profile, seat1_profile):
     """Full profile taking seat-0 rows from one source, seat-1 from another."""
-    merged = {}
-    for infoset, player in game.infoset_player.items():
-        source = seat0_profile if player == 0 else seat1_profile
-        try:
-            merged[infoset] = source[infoset]
-        except KeyError:
-            raise KeyError(f"profile missing infoset '{infoset}'") from None
-    return merged
+    rows = profile_rows(game, (seat0_profile, seat1_profile))
+    return {key: row for (_, key, _), row in zip(game.layout.infosets, rows)}
 
 
 def exact_ev(game: GameSpec, profile_a, profile_b) -> float:
@@ -178,27 +141,28 @@ def _draw(rng: random.Random, probs) -> int:
     return len(probs) - 1
 
 
-def _play_hand(game, seat_profiles, rng, script, replay: bool) -> float:
-    """One sampled hand; returns seat 0's payoff.
+def _play_hand(layout, rows, rng, script, replay: bool) -> float:
+    """One sampled hand, infoset ``k`` playing ``rows[k]``; returns seat 0's
+    payoff.
 
     Chance outcomes come from ``script`` by event order when replaying,
     falling back to fresh draws (appended to the script) past its end.
     """
-    node = game.root
-    event = 0
-    while node.kind != TERMINAL:
-        if node.kind == CHANCE:
+    children, infoset = layout.children, layout.infoset
+    node = event = 0
+    while children[node]:
+        k = infoset[node]
+        if k < 0:
             if replay and event < len(script):
                 index = script[event]
             else:
-                index = _draw(rng, node.chance_probs)
+                index = _draw(rng, layout.probs[node])
                 script.append(index)
             event += 1
         else:
-            probs = _opponent_policy(seat_profiles[node.player], node)
-            index = _draw(rng, probs)
-        node = node.children[index]
-    return node.utilities[0]
+            index = _draw(rng, rows[k])
+        node = children[node][index]
+    return layout.utility[node]
 
 
 def sampled_match(
@@ -214,27 +178,30 @@ def sampled_match(
     Plain mode alternates profile_a's seat each hand. Duplicate mode plays
     hands in pairs on one recorded chance script with the seats swapped for
     the second hand (actions are resampled); scoring averages each pair,
-    which cancels most deal luck. Odd hand counts round down to full pairs.
+    which cancels most deal luck. Odd hand counts round down to full pairs,
+    and at least one pair is played: ``hands=1`` plays two hands.
     """
     if hands < 1:
         raise ValueError("hands must be >= 1")
+    a_first = profile_rows(game, (profile_a, profile_b))
+    b_first = profile_rows(game, (profile_b, profile_a))
     rng = random.Random(seed)
     values: list[float] = []
     if duplicate:
         pairs = max(1, hands // 2)
         for _ in range(pairs):
             script: list[int] = []
-            first = _play_hand(game, (profile_a, profile_b), rng, script, False)
-            second = _play_hand(game, (profile_b, profile_a), rng, script, True)
+            first = _play_hand(game.layout, a_first, rng, script, False)
+            second = _play_hand(game.layout, b_first, rng, script, True)
             values.append(0.5 * (first - second))
         played = 2 * pairs
     else:
         for hand in range(hands):
             script = []
             if hand % 2 == 0:
-                values.append(_play_hand(game, (profile_a, profile_b), rng, script, False))
+                values.append(_play_hand(game.layout, a_first, rng, script, False))
             else:
-                values.append(-_play_hand(game, (profile_b, profile_a), rng, script, False))
+                values.append(-_play_hand(game.layout, b_first, rng, script, False))
         played = hands
     mean = sum(values) / len(values)
     if len(values) >= 2:

@@ -209,16 +209,9 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
     """
     infoset_player = game.infoset_player
     predictions = state.predictions
-    policy_cache: dict[str, tuple[float, ...]] = {}
-
-    def policy_fn(infoset: str):
-        policy = policy_cache.get(infoset)
-        if policy is None:
-            policy = regret_match(predictions[infoset])
-            policy_cache[infoset] = policy
-        return policy
-
-    _, deltas = cfr_pass(game, policy_fn, state.strategy_sums, (0, 1))
+    _, deltas = cfr_pass(
+        game, lambda key: regret_match(predictions[key]), state.strategy_sums, (0, 1)
+    )
     for infoset, vec in deltas.items():
         target_row = state.targets[infoset_player[infoset]][infoset]
         if config.target_mode == "exact":

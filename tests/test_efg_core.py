@@ -1,6 +1,7 @@
 """Tree walking core: expected value, reach probabilities, validation."""
 
 import itertools
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from fregret.games import (
     CHANCE,
     DECISION,
     TERMINAL,
+    GameNode,
     build_kuhn,
     build_leduc,
     chance,
@@ -118,9 +120,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_game("bad", chance([-0.5, 1.5], [terminal(0.0), terminal(0.0)]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_chance_probability_rejected(self, bad):
+        # NaN passes both the sign and the sum test, so it needs its own check.
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            make_game("bad", chance([bad, 1.0], [terminal(0.0), terminal(0.0)]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_utility_named_as_such(self, bad):
+        root = chance([0.5, 0.5], [terminal(1.0), terminal(bad)])
+        with pytest.raises(ValueError, match="non-finite terminal utility"):
+            make_game("bad", root)
+        one_sided = GameNode(kind=TERMINAL, utilities=(bad, 0.0))
+        with pytest.raises(ValueError, match="non-finite terminal utility"):
+            make_game("bad", one_sided)
+
+    def test_finite_non_zero_sum_utilities_rejected(self):
+        node = GameNode(kind=TERMINAL, utilities=(1.0, 1.0))
+        with pytest.raises(ValueError, match="not zero-sum"):
+            make_game("bad", node)
+
     def test_decision_needs_actions(self):
         with pytest.raises(ValueError):
             make_game("bad", decision(0, "p0:x", (), []))
+
+    @pytest.mark.parametrize("player", [2, -1, None])
+    def test_decision_player_must_be_a_seat(self, player):
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            make_game("bad", decision(player, "p0:x", ("a",), [terminal(0.0)]))
 
     def test_action_child_count_mismatch(self):
         with pytest.raises(ValueError):

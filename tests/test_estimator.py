@@ -588,3 +588,33 @@ class TestTreeRegressor:
     def test_bag_count_validated(self):
         with pytest.raises(ValueError):
             TreeRegressor(n_bags=0).fit([[1.0]], [1.0])
+
+    def test_bag_without_positive_weight_is_redrawn(self):
+        # Seed 0 draws a resample of row 0 alone, whose weight is zero.
+        X = np.array([[0.0], [1.0]])
+        y = np.array([1.0, 2.0])
+        w = np.array([0.0, 1.0])
+        est = TreeRegressor(n_bags=3, seed=0).fit(X, y, w)
+        assert est.predict(X) == [2.0, 2.0]
+        rng = np.random.default_rng(0)
+        draws = [rng.integers(0, 2, size=2) for _ in range(12)]
+        assert not all(np.any(w[rows] > 0.0) for rows in draws[:3])
+        kept = [rows for rows in draws if np.any(w[rows] > 0.0)][:3]
+        assert [serialize_tree(t) for t in est._trees] == [
+            serialize_tree(fit_tree(X[rows], y[rows], w[rows])) for rows in kept
+        ]
+
+    @pytest.mark.parametrize("data_seed, n_rows, seed", [(42, 60, 5), (25, 40, 11)])
+    def test_bags_with_positive_weight_keep_their_draws(self, data_seed, n_rows, seed):
+        # Each of the first n_bags draws is fit as drawn, nothing redrawn.
+        X, y = random_dataset(random.Random(data_seed), n_rows=n_rows)
+        X, y = np.asarray(X), np.asarray(y)
+        est = TreeRegressor(n_bags=3, seed=seed, min_leaf_weight=2.0).fit(X, y)
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(3):
+            rows = rng.integers(0, n_rows, size=n_rows)
+            expected.append(
+                serialize_tree(fit_tree(X[rows], y[rows], min_leaf_weight=2.0))
+            )
+        assert [serialize_tree(t) for t in est._trees] == expected

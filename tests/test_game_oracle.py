@@ -1,0 +1,667 @@
+"""The flat-layout traversals against the recursive walks they replaced.
+
+``reference_cfr_pass``, ``reference_best_response``,
+``reference_expected_value`` and ``reference_enumerate_infosets`` are the
+recursive walks over ``GameNode`` trees that the loops over
+``GameSpec.layout`` replaced, kept here unchanged as the oracle. On a few
+hundred seeded random zero-sum perfect-recall games the layout code must
+reproduce them bit for bit: root values, regret and strategy-sum vectors,
+best-response values and response rows, dict order included. Best-response
+values are also checked against a brute-force maximum over the responder's
+pure strategies, and a 3000-deep chain game checks that no traversal needs
+Python's recursion limit.
+"""
+
+import ast
+import itertools
+import math
+import pathlib
+import random
+
+import pytest
+
+import fregret
+from fregret.cfr import CFRConfig, cfr_pass, solve
+from fregret.efg_core import (
+    CHANCE,
+    DECISION,
+    TERMINAL,
+    chance,
+    decision,
+    enumerate_infosets,
+    expected_value,
+    make_game,
+    terminal,
+    uniform_profile,
+)
+from fregret.eval import (
+    BestResponseResult,
+    best_response,
+    exact_ev,
+    exploitability,
+    merge_profiles,
+    sampled_match,
+)
+from fregret.rcfr import RCFRConfig, rcfr_solve
+from fregret.regret import regret_match
+
+# ---------------------------------------------------------------------------
+# The recursive walks, unchanged but for their names.
+
+
+def reference_enumerate_infosets(game):
+    """List (player, infoset key, action count), depth-first, first visit."""
+    out = []
+    seen = set()
+
+    def walk(node):
+        if node.kind == DECISION and node.infoset not in seen:
+            seen.add(node.infoset)
+            out.append((node.player, node.infoset, len(node.actions)))
+        for child in node.children:
+            walk(child)
+
+    walk(game.root)
+    return out
+
+
+def reference_expected_value(game, profile):
+    """Exact expected utilities (u1, u2) under a behavioral profile."""
+
+    def walk(node):
+        if node.kind == TERMINAL:
+            return node.utilities
+        if node.kind == CHANCE:
+            e0 = e1 = 0.0
+            for p, child in zip(node.chance_probs, node.children):
+                c0, c1 = walk(child)
+                e0 += p * c0
+                e1 += p * c1
+            return e0, e1
+        try:
+            sigma = profile[node.infoset]
+        except KeyError:
+            raise KeyError(f"profile missing infoset '{node.infoset}'") from None
+        if len(sigma) != len(node.actions):
+            raise ValueError(f"profile length mismatch at infoset '{node.infoset}'")
+        e0 = e1 = 0.0
+        for p, child in zip(sigma, node.children):
+            c0, c1 = walk(child)
+            e0 += p * c0
+            e1 += p * c1
+        return e0, e1
+
+    return walk(game.root)
+
+
+def reference_cfr_pass(game, policy_fn, strategy_sums, update_players):
+    """One full-width traversal under the policies given by ``policy_fn``."""
+    deltas = {}
+
+    def walk(node, reach0, reach1, chance_reach):
+        if node.kind == TERMINAL:
+            return node.utilities[0]
+        if node.kind == CHANCE:
+            total = 0.0
+            for prob, child in zip(node.chance_probs, node.children):
+                total += prob * walk(child, reach0, reach1, chance_reach * prob)
+            return total
+        policy = policy_fn(node.infoset)
+        player = node.player
+        child_values = []
+        node_value = 0.0
+        for prob, child in zip(policy, node.children):
+            if player == 0:
+                value = walk(child, reach0 * prob, reach1, chance_reach)
+            else:
+                value = walk(child, reach0, reach1 * prob, chance_reach)
+            child_values.append(value)
+            node_value += prob * value
+        if player in update_players:
+            my_reach = reach0 if player == 0 else reach1
+            counterfactual = (reach1 if player == 0 else reach0) * chance_reach
+            sums = strategy_sums.setdefault(
+                node.infoset, [0.0] * len(policy)
+            )
+            vec = deltas.setdefault(node.infoset, [0.0] * len(policy))
+            if player == 0:
+                for a, prob in enumerate(policy):
+                    sums[a] += my_reach * prob
+                    vec[a] += counterfactual * (child_values[a] - node_value)
+            else:
+                # Seat 1's value is the negation, so the advantage flips sign.
+                for a, prob in enumerate(policy):
+                    sums[a] += my_reach * prob
+                    vec[a] += counterfactual * (node_value - child_values[a])
+        return node_value
+
+    root_value = walk(game.root, 1.0, 1.0, 1.0)
+    return root_value, deltas
+
+
+def _reference_opponent_policy(profile, node):
+    try:
+        probs = profile[node.infoset]
+    except KeyError:
+        raise KeyError(f"profile missing infoset '{node.infoset}'") from None
+    if len(probs) != len(node.actions):
+        raise ValueError(
+            f"profile entry for '{node.infoset}' has {len(probs)} "
+            f"probabilities for {len(node.actions)} actions"
+        )
+    return probs
+
+
+def reference_best_response(game, opponent_profile, responder):
+    """Exact best response for ``responder`` against ``opponent_profile``."""
+    if responder not in (0, 1):
+        raise ValueError("responder must be 0 or 1")
+    members = {}
+
+    def collect(node, weight):
+        if node.kind == TERMINAL:
+            return
+        if node.kind == CHANCE:
+            for prob, child in zip(node.chance_probs, node.children):
+                collect(child, weight * prob)
+            return
+        if node.player == responder:
+            members.setdefault(node.infoset, []).append((node, weight))
+            for child in node.children:
+                collect(child, weight)
+        else:
+            probs = _reference_opponent_policy(opponent_profile, node)
+            for prob, child in zip(probs, node.children):
+                collect(child, weight * prob)
+
+    collect(game.root, 1.0)
+
+    value_memo = {}
+    choice_memo = {}
+
+    def value_of(node):
+        cached = value_memo.get(id(node))
+        if cached is not None:
+            return cached
+        if node.kind == TERMINAL:
+            result = node.utilities[responder]
+        elif node.kind == CHANCE:
+            result = sum(
+                prob * value_of(child)
+                for prob, child in zip(node.chance_probs, node.children)
+            )
+        elif node.player == responder:
+            result = value_of(node.children[choose(node.infoset)])
+        else:
+            probs = _reference_opponent_policy(opponent_profile, node)
+            result = sum(
+                prob * value_of(child)
+                for prob, child in zip(probs, node.children)
+            )
+        value_memo[id(node)] = result
+        return result
+
+    def choose(infoset):
+        cached = choice_memo.get(infoset)
+        if cached is not None:
+            return cached
+        rows = members[infoset]
+        n_actions = len(rows[0][0].actions)
+        best_action = 0
+        best_score = None
+        for action in range(n_actions):
+            score = sum(w * value_of(node.children[action]) for node, w in rows)
+            if best_score is None or score > best_score:
+                best_score = score
+                best_action = action
+        choice_memo[infoset] = best_action
+        return best_action
+
+    total = value_of(game.root)
+    response = {}
+    for infoset, rows in members.items():
+        n_actions = len(rows[0][0].actions)
+        if sum(w for _, w in rows) > 0.0:
+            picked = choose(infoset)
+            response[infoset] = tuple(
+                1.0 if a == picked else 0.0 for a in range(n_actions)
+            )
+        else:
+            response[infoset] = (1.0 / n_actions,) * n_actions
+    return BestResponseResult(value=total, response=response, responder=responder)
+
+
+# ---------------------------------------------------------------------------
+# Random games and profiles
+
+SEEDS = range(200)
+MAX_DEPTH = 6
+DYADIC_CHANCE = {
+    2: ((0.5, 0.5), (0.25, 0.75), (0.75, 0.25)),
+    3: ((0.5, 0.25, 0.25), (0.25, 0.25, 0.5), (0.125, 0.375, 0.5)),
+}
+DYADIC_ROWS = {
+    1: ((1.0,),),
+    2: ((0.5, 0.5), (0.25, 0.75), (1.0, 0.0), (0.0, 1.0)),
+    3: ((0.5, 0.25, 0.25), (0.0, 0.5, 0.5), (1.0, 0.0, 0.0), (0.25, 0.0, 0.75)),
+}
+
+
+def is_dyadic(seed):
+    """Odd seeds use only dyadic probabilities and integer payoffs, so every
+    value is computed exactly; even seeds use arbitrary floats."""
+    return seed % 2 == 1
+
+
+def random_distribution(rng, n, zero_share):
+    weights = [
+        0.0 if rng.random() < zero_share else rng.random() + 0.05 for _ in range(n)
+    ]
+    if not any(weights):
+        weights[rng.randrange(n)] = 1.0
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+def random_game(seed):
+    """A random two-player zero-sum perfect-recall game.
+
+    Each seat's infoset key is everything it has seen: its own moves, plus
+    the chance outcomes and opponent moves it happens to observe. Unobserved
+    chance nodes and opponent moves sit on some paths and not on others, so
+    the nodes of one infoset lie at different tree depths. Payoffs come from
+    a few integers, so actions often tie.
+    """
+    rng = random.Random(seed)
+    dyadic = is_dyadic(seed)
+    n_actions = {}
+
+    def payoff():
+        if not dyadic and rng.random() < 0.3:
+            return rng.uniform(-3.0, 3.0)
+        return float(rng.choice((-2, -1, 0, 1, 2)))
+
+    def grow(depth, views):
+        if depth >= MAX_DEPTH or (depth >= 2 and rng.random() < 0.3):
+            return terminal(payoff())
+        if rng.random() < 0.25:
+            outcomes = rng.choice((2, 3))
+            if dyadic:
+                probs = rng.choice(DYADIC_CHANCE[outcomes])
+            else:
+                probs = random_distribution(rng, outcomes, 0.0)
+            watcher = rng.choice((None, None, 0, 1))
+            children = []
+            for outcome in range(outcomes):
+                seen = list(views)
+                if watcher is not None:
+                    seen[watcher] += (f"o{outcome}",)
+                children.append(grow(depth + 1, tuple(seen)))
+            return chance(probs, children)
+        seat = rng.choice((0, 1))
+        key = f"p{seat}:" + ".".join(views[seat])
+        count = n_actions.setdefault(key, rng.choice((1, 2, 2, 3, 3)))
+        watched = rng.random() < 0.5
+        children = []
+        for action in range(count):
+            seen = list(views)
+            seen[seat] += (f"a{action}",)
+            if watched:
+                seen[1 - seat] += (f"x{action}",)
+            children.append(grow(depth + 1, tuple(seen)))
+        return decision(seat, key, [f"a{a}" for a in range(count)], children)
+
+    return make_game(f"random{seed}", grow(0, ((), ())))
+
+
+def random_profile(game, rng, dyadic):
+    """A profile with zero-probability actions at many infosets."""
+    profile = {}
+    for _, key, n in enumerate_infosets(game):
+        if dyadic:
+            profile[key] = rng.choice(DYADIC_ROWS[n])
+        else:
+            profile[key] = random_distribution(rng, n, 0.3)
+    return profile
+
+
+def tree_nodes(game):
+    """(node, tree depth) pairs of the whole tree in preorder."""
+    out = []
+    stack = [(game.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        out.append((node, depth))
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+    return out
+
+
+def sorted_repr(table):
+    return repr(sorted(table.items()))
+
+
+@pytest.fixture(scope="module")
+def games():
+    return {seed: random_game(seed) for seed in SEEDS}
+
+
+# ---------------------------------------------------------------------------
+# Layout and traversals against the references
+
+
+def test_layout_is_the_tree_in_preorder(games):
+    for game in games.values():
+        nodes = tree_nodes(game)
+        index = {id(node): i for i, (node, _) in enumerate(nodes)}
+        layout = game.layout
+        infosets = enumerate_infosets(game)
+        assert infosets == reference_enumerate_infosets(game)
+        assert len(layout.children) == len(nodes)
+        assert layout.inner == [
+            i for i, (node, _) in enumerate(nodes) if node.kind != TERMINAL
+        ]
+        for i, (node, _) in enumerate(nodes):
+            assert layout.children[i] == [index[id(c)] for c in node.children]
+            k = layout.infoset[i]
+            if node.kind == DECISION:
+                assert infosets[k] == (node.player, node.infoset, len(node.actions))
+            else:
+                assert k == -1
+            assert layout.probs[i] == node.chance_probs
+            if node.kind == TERMINAL:
+                assert repr(layout.utility[i]) == repr(node.utilities[0])
+
+
+def test_generator_covers_the_hard_cases(games):
+    depths, counts = {}, set()
+    for game in games.values():
+        for node, depth in tree_nodes(game):
+            if node.kind == DECISION:
+                depths.setdefault((game.game_id, node.infoset), set()).add(depth)
+                counts.add(len(node.actions))
+    assert counts == {1, 2, 3}
+    assert sum(len(d) > 1 for d in depths.values()) >= 100
+    sizes = [len(game.layout.children) for game in games.values()]
+    assert max(sizes) < 2000
+
+
+@pytest.mark.parametrize("update_players", [(0, 1), (0,), (1,), "alternating"])
+def test_cfr_pass_matches_reference(games, update_players):
+    for game in games.values():
+        seats = [(0,), (1,)] if update_players == "alternating" else [update_players]
+        states = []
+        for _ in range(2):
+            regrets = {key: [0.0] * n for _, key, n in enumerate_infosets(game)}
+            states.append((regrets, {}))
+        for _ in range(4):
+            for players in seats:
+                results = []
+                for run, (regrets, sums) in zip((cfr_pass, reference_cfr_pass), states):
+                    asked = []
+
+                    def policy_fn(key, regrets=regrets, asked=asked):
+                        asked.append(key)
+                        return regret_match(regrets[key])
+
+                    value, deltas = run(game, policy_fn, sums, players)
+                    for key, vec in deltas.items():
+                        for a, delta in enumerate(vec):
+                            regrets[key][a] += delta
+                    results.append((value, deltas, asked))
+                (new_value, new_deltas, asked), (old_value, old_deltas, _) = results
+                assert repr(new_value) == repr(old_value)
+                assert sorted_repr(new_deltas) == sorted_repr(old_deltas)
+                assert asked == [key for _, key, _ in enumerate_infosets(game)]
+        (new_regrets, new_sums), (old_regrets, old_sums) = states
+        assert sorted_repr(new_regrets) == sorted_repr(old_regrets)
+        assert sorted_repr(new_sums) == sorted_repr(old_sums)
+
+
+def test_expected_value_matches_reference(games):
+    for seed, game in games.items():
+        rng = random.Random(seed)
+        for profile in (
+            uniform_profile(game),
+            random_profile(game, rng, is_dyadic(seed)),
+        ):
+            assert repr(expected_value(game, profile)) == repr(
+                reference_expected_value(game, profile)
+            )
+
+
+def test_best_response_matches_reference(games):
+    for seed, game in games.items():
+        rng = random.Random(seed)
+        for profile in (
+            uniform_profile(game),
+            random_profile(game, rng, is_dyadic(seed)),
+        ):
+            for responder in (0, 1):
+                new = best_response(game, profile, responder)
+                old = reference_best_response(game, profile, responder)
+                assert repr(new.value) == repr(old.value)
+                assert repr(list(new.response.items())) == repr(
+                    list(old.response.items())
+                )
+                assert new.responder == responder
+
+
+def outcome(run, *args):
+    """("ok", repr of the value) or (error type, message) of one call."""
+    try:
+        result = run(*args)
+    except (KeyError, ValueError) as error:
+        return type(error), str(error)
+    return "ok", repr(getattr(result, "value", result))
+
+
+def test_profile_errors_match_reference(games):
+    """A damaged profile fails on the same infoset as in the walks: the
+    first one in preorder. Best response keeps its messages word for word;
+    expected value now words a wrong-length row the same way."""
+    checked = 0
+    for seed, game in games.items():
+        rng = random.Random(seed)
+        infosets = enumerate_infosets(game)
+        if not infosets:
+            continue
+        for damage in ("drop", "truncate", "extend"):
+            profile = random_profile(game, rng, False)
+            _, victim, _ = rng.choice(infosets)
+            if damage == "drop":
+                del profile[victim]
+            elif damage == "truncate":
+                profile[victim] = profile[victim][:-1]
+            else:
+                profile[victim] = profile[victim] + (0.0,)
+            new = outcome(expected_value, game, profile)
+            old = outcome(reference_expected_value, game, profile)
+            assert new[0] == old[0] == (KeyError if damage == "drop" else ValueError)
+            assert new[1].split("'")[1] == old[1].split("'")[1]
+            checked += 1
+            for seat in (0, 1):
+                new = outcome(best_response, game, profile, seat)
+                assert new == outcome(reference_best_response, game, profile, seat)
+                checked += new[0] != "ok"
+    assert checked >= 900
+
+
+def responder_infosets(game, responder):
+    return [(key, n) for p, key, n in enumerate_infosets(game) if p == responder]
+
+
+def test_best_response_value_is_a_brute_force_maximum(games):
+    brute_forced = 0
+    for seed, game in games.items():
+        rng = random.Random(seed)
+        profile = random_profile(game, rng, is_dyadic(seed))
+        for responder in (0, 1):
+            own = responder_infosets(game, responder)
+            if math.prod(n for _, n in own) > 2000:
+                continue
+            brute_forced += 1
+            result = best_response(game, profile, responder)
+            best = -math.inf
+            for picks in itertools.product(*(range(n) for _, n in own)):
+                pure = {
+                    key: tuple(1.0 if a == pick else 0.0 for a in range(n))
+                    for (key, n), pick in zip(own, picks)
+                }
+                merged = {**profile, **pure}
+                best = max(best, expected_value(game, merged)[responder])
+            assert result.value == pytest.approx(best, rel=1e-12, abs=1e-12)
+            played = expected_value(game, {**profile, **result.response})
+            assert played[responder] == pytest.approx(best, rel=1e-12, abs=1e-12)
+    assert brute_forced >= 200
+
+
+def played_infosets(game, response, responder):
+    """Keys of the responder infosets its own ``response`` reaches."""
+    reached = set()
+    stack = [game.root]
+    while stack:
+        node = stack.pop()
+        if node.kind == DECISION and node.player == responder:
+            reached.add(node.infoset)
+            row = response[node.infoset]
+            stack.extend(c for c, p in zip(node.children, row) if p > 0.0)
+        else:
+            stack.extend(node.children)
+    return reached
+
+
+def test_ties_go_to_the_lowest_action(games):
+    """On the exact (dyadic) games, switching a responder infoset that the
+    response plays into, and the opponent and chance can reach, to another
+    action keeps the value exactly when the two actions tie; every such
+    action must come after the chosen one. Unreachable responder infosets
+    get uniform rows."""
+    ties = uniform_rows = 0
+    for seed, game in games.items():
+        if not is_dyadic(seed):
+            continue
+        profile = random_profile(game, random.Random(seed), True)
+        for responder in (0, 1):
+            result = best_response(game, profile, responder)
+            played = played_infosets(game, result.response, responder)
+            for key, row in result.response.items():
+                n = len(row)
+                if 1.0 not in row:
+                    assert row == (1.0 / n,) * n
+                    uniform_rows += n > 1
+                    continue
+                if key not in played:
+                    continue
+                picked = row.index(1.0)
+                for other in range(n):
+                    if other == picked:
+                        continue
+                    switched = dict(result.response)
+                    switched[key] = tuple(1.0 if a == other else 0.0 for a in range(n))
+                    value = expected_value(game, {**profile, **switched})[responder]
+                    assert value <= result.value
+                    if value == result.value:
+                        assert other > picked
+                        ties += 1
+    assert ties >= 50
+    assert uniform_rows >= 20
+
+
+# ---------------------------------------------------------------------------
+# A chain deeper than Python's default recursion limit
+
+CHAIN_DEPTH = 3000
+
+
+def chain_key(seat, depth):
+    """A Kuhn-shaped key, so the features of both estimators apply: ``depth``
+    in base 3 over the action characters, eight digits."""
+    digits = ""
+    for _ in range(8):
+        depth, digit = divmod(depth, 3)
+        digits = "fcr"[digit] + digits
+    return f"p{seat}:J:-:{digits}"
+
+
+def chain_game():
+    """Seats alternate along a 3000-deep chain; at each node the mover folds
+    ("f") for a fixed payoff or continues ("c"). Built bottom-up, no
+    recursion."""
+    node = terminal(0.5)
+    for depth in reversed(range(CHAIN_DEPTH)):
+        stop = terminal(float(depth % 5 - 2))
+        seat = depth % 2
+        node = decision(seat, chain_key(seat, depth), ("f", "c"), (stop, node))
+    return make_game("kuhn", chance((0.25, 0.75), (terminal(1.0), node)))
+
+
+def test_deep_chain_needs_no_recursion():
+    game = chain_game()
+    assert len(enumerate_infosets(game)) == CHAIN_DEPTH
+    profile, log = solve(game, CFRConfig(iterations=3))
+    assert [row.t for row in log] == [1, 2, 3]
+    assert all(math.isfinite(row.exploitability) for row in log)
+    tabular, _, _ = rcfr_solve(
+        game, RCFRConfig(iterations=3, estimator_kind="tabular")
+    )
+    assert tabular == profile
+    tree, convergence, sizes = rcfr_solve(
+        game, RCFRConfig(iterations=2, min_leaf_weight=64.0)
+    )
+    assert len(convergence) == len(sizes) == 2
+    assert exploitability(game, tree) >= -1e-12
+    uniform = uniform_profile(game)
+    u0, u1 = expected_value(game, merge_profiles(game, profile, uniform))
+    assert u0 == -u1
+    assert exact_ev(game, profile, profile) == 0.0
+    assert math.isfinite(exact_ev(game, profile, uniform))
+    for duplicate in (False, True):
+        match = sampled_match(
+            game, profile, uniform, hands=4, seed=1, duplicate=duplicate
+        )
+        assert match.hands == 4 and math.isfinite(match.mean)
+
+
+# ---------------------------------------------------------------------------
+# No recursion in the core modules
+
+
+def calls_itself(tree):
+    """Names of functions in ``tree`` that reach themselves through calls to
+    functions defined in the same module, directly or via nested ones."""
+    defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    names = {node.name for node in defs}
+    calls = {name: set() for name in names}
+    for node in defs:
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name):
+                if inner.func.id in names:
+                    calls[node.name].add(inner.func.id)
+    looping = set()
+    for start in names:
+        seen, todo = set(), list(calls[start])
+        while todo:
+            name = todo.pop()
+            if name == start:
+                looping.add(start)
+                break
+            if name not in seen:
+                seen.add(name)
+                todo.extend(calls[name])
+    return looping
+
+
+@pytest.mark.parametrize("module", ["efg_core", "cfr", "rcfr", "eval"])
+def test_core_modules_do_not_recurse(module):
+    path = pathlib.Path(fregret.__file__).parent / f"{module}.py"
+    assert calls_itself(ast.parse(path.read_text())) == set()
+
+
+def test_recursion_detector_sees_nested_walks():
+    source = (
+        "def outer(x):\n"
+        "    def walk(n):\n"
+        "        return [walk(c) for c in n]\n"
+        "    return walk(x)\n"
+    )
+    assert calls_itself(ast.parse(source)) == {"walk"}
