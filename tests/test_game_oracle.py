@@ -417,6 +417,82 @@ def test_cfr_pass_matches_reference(games, update_players):
         assert sorted_repr(new_sums) == sorted_repr(old_sums)
 
 
+def reference_average(strategy_sums):
+    """Normalized strategy sums; infosets with zero mass fall back to uniform."""
+    profile = {}
+    for key, sums in strategy_sums.items():
+        total = sum(sums)
+        if total > 0.0:
+            profile[key] = tuple(s / total for s in sums)
+        else:
+            profile[key] = (1.0 / len(sums),) * len(sums)
+    return profile
+
+
+def reference_exploitability(game, profile):
+    return (
+        reference_best_response(game, profile, 0).value
+        + reference_best_response(game, profile, 1).value
+    )
+
+
+def reference_cfr_solve(game, config):
+    """CFR over tables keyed by infoset, driving ``reference_cfr_pass``:
+    the loop ``solve`` must match. Returns the average profile and the
+    (t, exploitability, max positive regret sum) log."""
+    infosets = reference_enumerate_infosets(game)
+    regrets = {key: [0.0] * n for _, key, n in infosets}
+    strategy_sums = {key: [0.0] * n for _, key, n in infosets}
+    if config.update_mode == "simultaneous":
+        passes = [(0, 1)]
+    else:
+        passes = [(0,), (1,)]
+    log = []
+    for t in range(1, config.iterations + 1):
+        for players in passes:
+            _, deltas = reference_cfr_pass(
+                game, lambda key: regret_match(regrets[key]), strategy_sums, players
+            )
+            for key, vec in deltas.items():
+                for a, delta in enumerate(vec):
+                    regrets[key][a] += delta
+        if t % config.log_every == 0 or t == config.iterations:
+            bound = sum(max(0.0, max(row)) for row in regrets.values())
+            average = reference_average(strategy_sums)
+            log.append((t, reference_exploitability(game, average), bound))
+    return reference_average(strategy_sums), log
+
+
+def assert_solve_matches_reference(game, config):
+    profile, log = solve(game, config)
+    expected_profile, expected_log = reference_cfr_solve(game, config)
+    assert repr(profile) == repr(expected_profile)
+    assert repr(
+        [(row.t, row.exploitability, row.max_pos_regret_sum) for row in log]
+    ) == repr(expected_log)
+
+
+@pytest.mark.parametrize("update_mode", ["simultaneous", "alternating"])
+@pytest.mark.parametrize(
+    "game_fixture, iterations, log_every",
+    [("kuhn_game", 50, 10), ("leduc_game", 4, 2)],
+)
+def test_solve_matches_reference_on_poker(
+    request, game_fixture, iterations, log_every, update_mode
+):
+    config = CFRConfig(
+        iterations=iterations, update_mode=update_mode, log_every=log_every
+    )
+    assert_solve_matches_reference(request.getfixturevalue(game_fixture), config)
+
+
+@pytest.mark.parametrize("update_mode", ["simultaneous", "alternating"])
+def test_solve_matches_reference_on_random_games(games, update_mode):
+    config = CFRConfig(iterations=6, update_mode=update_mode, log_every=2)
+    for seed in SEEDS[::8]:
+        assert_solve_matches_reference(games[seed], config)
+
+
 def test_expected_value_matches_reference(games):
     for seed, game in games.items():
         rng = random.Random(seed)

@@ -2,16 +2,27 @@
 
 import pytest
 from conftest import predict_row
+from test_game_oracle import (
+    reference_average,
+    reference_cfr_pass,
+    reference_enumerate_infosets,
+    reference_exploitability,
+)
 
 from fregret.cfr import (
     average_from_sums,
     average_strategy,
     cfr_iteration,
-    cfr_pass,
     current_policy,
     new_tables,
 )
 from fregret.efg_core import enumerate_infosets, uniform_profile
+from fregret.estimator import (
+    TabularEstimator,
+    TreeRegressor,
+    featurize,
+    featurize_exact,
+)
 from fregret.eval import exploitability
 from fregret.rcfr import (
     ModelSizeRow,
@@ -152,16 +163,40 @@ class TestIteration:
 
 
 def reference_solve(game, config):
-    """RCFR that predicts row by row through ``predict_row`` at every use,
-    with no prediction cache: the loop the solver must match.
-    Only the fresh state's estimators, features and stores are borrowed."""
-    state = new_state(game, config)
-    infoset_player = game.infoset_player
-    strategy_sums, targets = state.strategy_sums, state.targets
+    """RCFR as a loop over stores keyed by infoset, driving
+    ``reference_cfr_pass``, with its own features and estimators. Every use
+    predicts row by row through ``predict_row``, with no prediction cache:
+    the loop the solver must match. Returns the average profile and the
+    (t, exploitability, mse_p1, mse_p2) log."""
+    infosets = reference_enumerate_infosets(game)
+    if config.estimator_kind == "tabular":
+        featurize_fn = featurize_exact
+        estimators = (TabularEstimator(), TabularEstimator())
+    else:
+        featurize_fn = featurize
+        estimators = tuple(
+            TreeRegressor(
+                min_leaf_weight=config.min_leaf_weight,
+                max_depth=config.max_depth,
+                n_bags=config.n_bags,
+                seed=config.seed + player,
+            )
+            for player in (0, 1)
+        )
+    features = {
+        key: [featurize_fn(game.game_id, key, a) for a in game.action_labels[key]]
+        for _, key, _ in infosets
+    }
+    owner = {key: player for player, key, _ in infosets}
+    targets = tuple(
+        {key: [0.0] * n for player, key, n in infosets if player == seat}
+        for seat in (0, 1)
+    )
+    strategy_sums = {key: [0.0] * n for _, key, n in infosets}
 
     def predicted(infoset):
-        estimator = state.estimators[infoset_player[infoset]]
-        return [predict_row(estimator, row) for row in state.features[infoset]]
+        estimator = estimators[owner[infoset]]
+        return [predict_row(estimator, row) for row in features[infoset]]
 
     def mse(player):
         errors = [
@@ -183,9 +218,9 @@ def reference_solve(game, config):
                 seen[infoset] = predicted(infoset)
             return regret_match(seen[infoset])
 
-        _, deltas = cfr_pass(game, policy_fn, strategy_sums, (0, 1))
+        _, deltas = reference_cfr_pass(game, policy_fn, strategy_sums, (0, 1))
         for infoset, vec in deltas.items():
-            row = targets[infoset_player[infoset]][infoset]
+            row = targets[owner[infoset]][infoset]
             for a, value in enumerate(vec):
                 if config.target_mode == "exact":
                     row[a] += value
@@ -193,13 +228,24 @@ def reference_solve(game, config):
                     row[a] = seen[infoset][a] + value
         if t % config.refit_every == 0:
             for player in (0, 1):
-                rows = [r for key in targets[player] for r in state.features[key]]
+                rows = [r for key in targets[player] for r in features[key]]
                 values = [v for row in targets[player].values() for v in row]
-                state.estimators[player].fit(rows, values)
+                estimators[player].fit(rows, values)
         if t % config.log_every == 0 or t == config.iterations:
-            average = average_from_sums(strategy_sums)
-            log.append((t, exploitability(game, average), mse(0), mse(1)))
-    return strategy_sums, log
+            average = reference_average(strategy_sums)
+            log.append(
+                (t, reference_exploitability(game, average), mse(0), mse(1))
+            )
+    return reference_average(strategy_sums), log
+
+
+def assert_solve_matches_reference(game, config):
+    profile, convergence, _ = rcfr_solve(game, config)
+    expected_profile, expected_log = reference_solve(game, config)
+    assert repr(profile) == repr(expected_profile)
+    assert repr(
+        [(row.t, row.exploitability, row.mse_p1, row.mse_p2) for row in convergence]
+    ) == repr(expected_log)
 
 
 class TestPredictionCache:
@@ -219,15 +265,7 @@ class TestPredictionCache:
         config = RCFRConfig(
             iterations=13, log_every=4, min_leaf_weight=2.0, **options
         )
-        expected_sums, expected_log = reference_solve(kuhn_game, config)
-        state = new_state(kuhn_game, config)
-        for _ in range(config.iterations):
-            rcfr_iteration(kuhn_game, state, config)
-        assert state.strategy_sums == expected_sums
-        _, convergence, _ = rcfr_solve(kuhn_game, config)
-        assert [
-            (row.t, row.exploitability, row.mse_p1, row.mse_p2) for row in convergence
-        ] == expected_log
+        assert_solve_matches_reference(kuhn_game, config)
 
     def test_leduc_bootstrap_bagged(self, leduc_game):
         config = RCFRConfig(
@@ -238,15 +276,7 @@ class TestPredictionCache:
             refit_every=3,
             target_mode="bootstrap",
         )
-        expected_sums, expected_log = reference_solve(leduc_game, config)
-        state = new_state(leduc_game, config)
-        for _ in range(config.iterations):
-            rcfr_iteration(leduc_game, state, config)
-        assert state.strategy_sums == expected_sums
-        _, convergence, _ = rcfr_solve(leduc_game, config)
-        assert [
-            (row.t, row.exploitability, row.mse_p1, row.mse_p2) for row in convergence
-        ] == expected_log
+        assert_solve_matches_reference(leduc_game, config)
 
 
 class TestSolve:
