@@ -5,10 +5,12 @@ opponent-and-chance weighted regret of each action against the current
 policy, accumulates those into cumulative regret and strategy-sum tables,
 and the normalized strategy sums converge to an approximate equilibrium.
 
-The pass itself (``cfr_pass``) is policy-agnostic: it takes a callback
-mapping infoset keys to action distributions, so the same traversal serves
-both the tabular solver here and solvers that predict regrets with a fitted
-model. All arithmetic is pure-Python floats in a fixed traversal order, so
+Tables are flat lists over the game's slots, one per infoset-action (see
+``GameLayout``). The pass itself (``cfr_pass``) is policy-agnostic: it takes
+one action distribution per infoset id, so the same traversal serves both
+the tabular solver here and solvers that predict regrets with a fitted
+model; ``policy_rows`` regret-matches either kind of slot vector into those
+rows. All arithmetic is pure-Python floats in a fixed traversal order, so
 repeated runs are bit-for-bit identical.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .efg_core import GameSpec, enumerate_infosets, node_values
+from .efg_core import GameSpec, node_values
 from .eval import exploitability
 from .regret import regret_match
 
@@ -56,67 +58,58 @@ class ConvergenceRow:
 
 @dataclass
 class CFRTables:
-    """Cumulative regrets and strategy sums, one vector per infoset key.
-
-    The acting seat is implied by the key (it is recorded in the game), so
-    both maps are keyed by infoset alone. Regrets are stored unclipped;
+    """Cumulative regrets and strategy sums, one flat list each, indexed by
+    the game's slots (see ``GameLayout``). Regrets are stored unclipped;
     negative totals only flatten the matched policy to uniform.
     """
 
     game: GameSpec = field(repr=False)
-    regrets: dict[str, list[float]] = field(repr=False)
-    strategy_sums: dict[str, list[float]] = field(repr=False)
+    regrets: list[float] = field(repr=False)
+    strategy_sums: list[float] = field(repr=False)
     iterations: int = 0
 
 
 def new_tables(game: GameSpec) -> CFRTables:
-    """Zero-initialized tables covering every infoset of ``game``."""
-    rows = enumerate_infosets(game)
-    return CFRTables(
-        game=game,
-        regrets={key: [0.0] * n for _, key, n in rows},
-        strategy_sums={key: [0.0] * n for _, key, n in rows},
-    )
+    """Zero-initialized tables covering every slot of ``game``."""
+    slots = game.layout.offset[-1]
+    return CFRTables(game=game, regrets=[0.0] * slots, strategy_sums=[0.0] * slots)
 
 
-def current_policy(tables: CFRTables, player: int, infoset: str):
-    """Regret matching on the stored cumulative regrets of one infoset."""
-    if infoset not in tables.regrets:
-        raise KeyError(f"unknown infoset '{infoset}'")
-    if tables.game.infoset_player[infoset] != player:
-        raise ValueError(
-            f"infoset '{infoset}' belongs to player "
-            f"{tables.game.infoset_player[infoset]}, not {player}"
-        )
-    return regret_match(tables.regrets[infoset])
+def policy_rows(game: GameSpec, regrets) -> list[tuple[float, ...]]:
+    """Regret matching on each infoset's slots of ``regrets``, by infoset id.
+
+    Raises ValueError naming the first infoset, in table order, whose slots
+    hold a NaN or infinite value.
+    """
+    offset = game.layout.offset
+    rows = []
+    for k, (_, key, _) in enumerate(game.layout.infosets):
+        try:
+            rows.append(regret_match(regrets[offset[k] : offset[k + 1]]))
+        except ValueError as error:
+            raise ValueError(f"infoset '{key}': {error}") from error
+    return rows
 
 
-def cfr_pass(game: GameSpec, policy_fn, strategy_sums, update_players):
-    """One full-width traversal under the policies given by ``policy_fn``.
+def cfr_pass(game: GameSpec, rows, strategy_sums, update_players):
+    """One full-width traversal, infoset ``k`` playing ``rows[k]``.
 
     Every action branch is evaluated regardless of its probability. For each
-    seat in ``update_players``, reach-weighted policies are added into
-    ``strategy_sums`` in place and the per-infoset immediate regrets
+    seat in ``update_players``, reach-weighted policies are added into the
+    slot list ``strategy_sums`` in place, and the immediate regrets
     (opponent-and-chance weighted advantage of each action over the policy
-    value) are accumulated into the returned dict. Returns
-    ``(seat 0 root value, immediate regrets)``; seat 1's value is the exact
-    negation.
+    value) are accumulated into a new slot list, 0.0 at the other seat's
+    slots. Returns ``(seat 0 root value, immediate regrets)``; seat 1's
+    value is the exact negation.
 
-    ``policy_fn`` is asked once per infoset, in ``enumerate_infosets`` order.
     A bottom-up sweep values the nodes, then a top-down one carries reach and
     adds each decision node's terms. An infoset's nodes are never ancestor and
     descendant, so preorder adds them in the order their subtrees finish.
     """
     layout = game.layout
-    policies = [policy_fn(key) for _, key, _ in layout.infosets]
-    values = node_values(layout, policies)
-    rows: dict[int, tuple[list[float], list[float]]] = {}
-    deltas: dict[str, list[float]] = {}
-    for k, (player, key, _) in enumerate(layout.infosets):
-        if player in update_players:
-            n = len(policies[k])
-            deltas[key] = [0.0] * n
-            rows[k] = strategy_sums.setdefault(key, [0.0] * n), deltas[key]
+    values = node_values(layout, rows)
+    offset = layout.offset
+    deltas = [0.0] * offset[-1]
     children, infoset, probs = layout.children, layout.infoset, layout.probs
     reach0 = [1.0] * len(children)
     reach1 = [1.0] * len(children)
@@ -126,40 +119,41 @@ def cfr_pass(game: GameSpec, policy_fn, strategy_sums, update_players):
         kids = children[node]
         k = infoset[node]
         player = layout.infosets[k][0] if k >= 0 else 2  # 2: chance moves
-        policy = policies[k] if k >= 0 else probs[node]
+        policy = rows[k] if k >= 0 else probs[node]
         for prob, child in zip(policy, kids):
             if children[child]:
                 reach0[child] = r0 * prob if player == 0 else r0
                 reach1[child] = r1 * prob if player == 1 else r1
                 chance_reach[child] = rc * prob if player == 2 else rc
-        if k not in rows:
+        if player not in update_players:
             continue
-        sums, vec = rows[k]
         node_value = values[node]
+        slot = offset[k]
         if player == 0:
             counterfactual = r1 * rc
-            for a, prob in enumerate(policy):
-                sums[a] += r0 * prob
-                vec[a] += counterfactual * (values[kids[a]] - node_value)
+            for prob, child in zip(policy, kids):
+                strategy_sums[slot] += r0 * prob
+                deltas[slot] += counterfactual * (values[child] - node_value)
+                slot += 1
         else:
             # Seat 1's value is the negation, so the advantage flips sign.
             counterfactual = r0 * rc
-            for a, prob in enumerate(policy):
-                sums[a] += r1 * prob
-                vec[a] += counterfactual * (node_value - values[kids[a]])
+            for prob, child in zip(policy, kids):
+                strategy_sums[slot] += r1 * prob
+                deltas[slot] += counterfactual * (node_value - values[child])
+                slot += 1
     return values[0], deltas
 
 
 def _update(game: GameSpec, tables: CFRTables, players):
-    """One regret-matched pass updating ``players``; returns their regrets."""
-    regrets = tables.regrets
-    _, deltas = cfr_pass(
-        game, lambda key: regret_match(regrets[key]), tables.strategy_sums, players
-    )
-    for infoset, vec in deltas.items():
-        row = regrets[infoset]
-        for a, value in enumerate(vec):
-            row[a] += value
+    """One regret-matched pass updating ``players``; returns its regrets.
+
+    Regrets and deltas are sums that start from +0.0, so neither is ever
+    -0.0, and adding the other seat's 0.0 deltas changes no regret.
+    """
+    rows = policy_rows(game, tables.regrets)
+    _, deltas = cfr_pass(game, rows, tables.strategy_sums, players)
+    tables.regrets = [r + d for r, d in zip(tables.regrets, deltas)]
     return deltas
 
 
@@ -173,30 +167,29 @@ def cfr_iteration(game: GameSpec, tables: CFRTables):
 def cfr_iteration_alternating(game: GameSpec, tables: CFRTables):
     """One alternating update (seat 0's pass, then seat 1's against it).
 
-    Seat 1's pass already sees seat 0's refreshed regrets. Returns the
-    combined immediate regrets keyed by infoset (the key sets are disjoint).
+    Seat 1's pass already sees seat 0's refreshed regrets. Returns both
+    passes' immediate regrets in one slot list: each pass is 0.0 at the
+    other's slots.
     """
-    combined = _update(game, tables, (0,))
-    combined.update(_update(game, tables, (1,)))
+    first = _update(game, tables, (0,))
+    second = _update(game, tables, (1,))
     tables.iterations += 1
-    return combined
+    return [a + b for a, b in zip(first, second)]
 
 
-def average_from_sums(strategy_sums) -> dict[str, tuple[float, ...]]:
-    """Normalized strategy sums; infosets with zero mass fall back to uniform."""
+def average_strategy(game: GameSpec, strategy_sums) -> dict[str, tuple[float, ...]]:
+    """Normalized strategy sums by infoset key, in table order; infosets
+    with zero mass fall back to uniform."""
+    offset = game.layout.offset
     profile: dict[str, tuple[float, ...]] = {}
-    for key, sums in strategy_sums.items():
+    for k, (_, key, n) in enumerate(game.layout.infosets):
+        sums = strategy_sums[offset[k] : offset[k + 1]]
         total = sum(sums)
         if total > 0.0:
             profile[key] = tuple(s / total for s in sums)
         else:
-            profile[key] = (1.0 / len(sums),) * len(sums)
+            profile[key] = (1.0 / n,) * n
     return profile
-
-
-def average_strategy(tables: CFRTables) -> dict[str, tuple[float, ...]]:
-    """Average strategy profile of the tables (normalized strategy sums)."""
-    return average_from_sums(tables.strategy_sums)
 
 
 def max_positive_regret_sum(tables: CFRTables) -> float:
@@ -205,7 +198,10 @@ def max_positive_regret_sum(tables: CFRTables) -> float:
     Divided by the iteration count this upper-bounds the exploitability of
     the average strategy.
     """
-    return sum(max(0.0, max(row)) for row in tables.regrets.values())
+    regrets, offset = tables.regrets, tables.game.layout.offset
+    return sum(
+        max(0.0, max(regrets[start:end])) for start, end in zip(offset, offset[1:])
+    )
 
 
 def solve(game: GameSpec, config: CFRConfig):
@@ -230,9 +226,11 @@ def solve(game: GameSpec, config: CFRConfig):
             log.append(
                 ConvergenceRow(
                     t=t,
-                    exploitability=exploitability(game, average_strategy(tables)),
+                    exploitability=exploitability(
+                        game, average_strategy(game, tables.strategy_sums)
+                    ),
                     max_pos_regret_sum=max_positive_regret_sum(tables),
                     wall_ms=(time.perf_counter() - start) * 1000.0,
                 )
             )
-    return average_strategy(tables), log
+    return average_strategy(game, tables.strategy_sums), log

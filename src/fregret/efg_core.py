@@ -22,7 +22,7 @@ DECISION = "decision"
 TERMINAL = "terminal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameNode:
     """One node of a game tree.
 
@@ -30,6 +30,9 @@ class GameNode:
     player, their infoset key, and the ordered action labels. Chance nodes
     carry outcome probabilities. Terminal nodes carry per-player utilities in
     chips. children is ordered to match actions/outcomes.
+
+    Nodes compare and hash by identity, and their repr leaves out the
+    children, so none of the three walks a subtree.
     """
 
     kind: str
@@ -38,7 +41,7 @@ class GameNode:
     actions: tuple[str, ...] = ()
     chance_probs: tuple[float, ...] = ()
     utilities: tuple[float, float] | None = None
-    children: tuple["GameNode", ...] = ()
+    children: tuple["GameNode", ...] = field(default=(), repr=False)
 
 
 def decision(player: int, infoset: str, actions, children) -> GameNode:
@@ -71,6 +74,11 @@ class GameLayout:
     terminal's seat-0 payoff (0.0 elsewhere). ``inner`` lists non-terminal
     nodes in preorder; ``infosets`` holds (player, key, action count) by
     infoset id, in first-visit order.
+
+    Every infoset-action has a *slot*: slots run over the infoset table in
+    order, then over each infoset's actions. Infoset ``k`` owns slots
+    ``offset[k]`` to ``offset[k + 1] - 1``, and ``offset[-1]`` is the slot
+    count. Solver tables are flat vectors indexed by slot.
     """
 
     children: list[list[int]]
@@ -79,6 +87,7 @@ class GameLayout:
     utility: list[float]
     inner: list[int]
     infosets: list[tuple[int, str, int]]
+    offset: list[int]
 
 
 @dataclass(frozen=True)
@@ -86,15 +95,14 @@ class GameSpec:
     """An immutable two-player zero-sum extensive-form game.
 
     utility_range is the max minus min terminal utility over both players.
-    action_labels and infoset_player map each infoset key, in the layout's
-    order, to its ordered action labels and to the acting seat (0 or 1).
+    action_labels maps each infoset key, in the layout's order, to its
+    ordered action labels.
     """
 
     game_id: str
     root: GameNode = field(repr=False)
     utility_range: float
     action_labels: dict[str, tuple[str, ...]] = field(repr=False)
-    infoset_player: dict[str, int] = field(repr=False)
     layout: GameLayout = field(repr=False, compare=False)
 
 
@@ -111,7 +119,7 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
     labels: dict[str, tuple[str, ...]] = {}
     ids: dict[str, int] = {}
     last_step: list[tuple | None] = []
-    layout = GameLayout([], [], [], [], [], [])
+    layout = GameLayout([], [], [], [], [], [], [0])
     children, infoset, utility = layout.children, layout.infoset, layout.utility
     # Children are pushed in reverse, so nodes are numbered in preorder.
     stack = [(root, -1, None, None)]
@@ -157,6 +165,7 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
             k = ids.setdefault(key, len(ids))
             if k == len(last_step):  # first node of a new infoset
                 layout.infosets.append((node.player, key, len(node.actions)))
+                layout.offset.append(layout.offset[-1] + len(node.actions))
                 labels[key] = node.actions
                 last_step.append(own)
             elif labels[key] != node.actions or layout.infosets[k][0] != node.player:
@@ -176,7 +185,6 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
         root=root,
         utility_range=max(payoffs) - min(payoffs),
         action_labels=labels,
-        infoset_player={key: player for player, key, _ in layout.infosets},
         layout=layout,
     )
 

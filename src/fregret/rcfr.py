@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfr import average_from_sums, cfr_pass
-from .efg_core import GameSpec, enumerate_infosets
+from .cfr import average_strategy, cfr_pass, policy_rows
+from .efg_core import GameSpec
 from .estimator import TabularEstimator, TreeRegressor, featurize, featurize_exact
 from .eval import exploitability
-from .regret import regret_match
 
 ESTIMATOR_KINDS = ("tabular", "tree")
 TARGET_MODES = ("exact", "bootstrap")
@@ -87,26 +86,29 @@ class ModelSizeRow:
 
 @dataclass
 class RCFRState:
-    """Per-player estimators and regret targets plus exact strategy sums.
+    """Per-player estimators and regret targets plus exact strategy sums,
+    all indexed by the game's slots (see ``GameLayout``).
 
-    ``matrices`` holds each seat's feature rows as one float64 matrix, in
-    the order of its target store; ``predictions`` maps every infoset to
-    its estimator's predictions as of the last refit (zeros before the
-    first), which the solver reads in place of asking the estimator.
+    ``features`` holds one float64 feature row per slot, and ``seat_slots``
+    each seat's slots in table order: the rows its estimator trains on.
+    ``targets`` and ``predictions`` are float64 slot vectors; a slot's
+    prediction comes from its seat's estimator as of the last refit (zeros
+    before the first), and the solver reads it in place of asking the
+    estimator.
     """
 
     game: GameSpec = field(repr=False)
     estimators: tuple = field(repr=False)
-    targets: tuple = field(repr=False)
-    strategy_sums: dict = field(repr=False)
-    features: dict = field(repr=False)
-    matrices: tuple = field(repr=False)
-    predictions: dict = field(repr=False)
+    features: np.ndarray = field(repr=False)
+    seat_slots: tuple = field(repr=False)
+    targets: np.ndarray = field(repr=False)
+    predictions: np.ndarray = field(repr=False)
+    strategy_sums: list = field(repr=False)
     iterations: int = 0
 
 
 def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
-    """Fresh solver state with per-action feature rows precomputed.
+    """Fresh solver state with per-slot feature rows precomputed.
 
     The tabular estimator keys on the collision-free extended features; the
     tree uses the compact numeric features it is meant to generalize over.
@@ -125,78 +127,57 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
             )
             for player in (0, 1)
         )
-    rows = enumerate_infosets(game)
-    features = {
-        key: [
+    infosets, offset = game.layout.infosets, game.layout.offset
+    features = np.array(
+        [
             featurize_fn(game.game_id, key, action)
+            for _, key, _ in infosets
             for action in game.action_labels[key]
-        ]
-        for _, key, _ in rows
-    }
-    targets = (
-        {key: [0.0] * n for player, key, n in rows if player == 0},
-        {key: [0.0] * n for player, key, n in rows if player == 1},
+        ],
+        dtype=np.float64,
     )
+    owner = np.repeat([p for p, _, _ in infosets], [n for _, _, n in infosets])
+    seat_slots = (np.flatnonzero(owner == 0), np.flatnonzero(owner == 1))
     state = RCFRState(
         game=game,
         estimators=estimators,
-        targets=targets,
-        strategy_sums={key: [0.0] * n for _, key, n in rows},
         features=features,
-        matrices=tuple(
-            np.array(
-                [row for key in seat_targets for row in features[key]],
-                dtype=np.float64,
-            )
-            for seat_targets in targets
-        ),
-        predictions={},
+        seat_slots=seat_slots,
+        targets=np.zeros(offset[-1]),
+        predictions=np.zeros(offset[-1]),
+        strategy_sums=[0.0] * offset[-1],
     )
     _cache_predictions(state)
     return state
 
 
-def rcfr_policy(state: RCFRState, player: int, infoset: str):
-    """Regret matching over the estimator's predicted cumulative regrets."""
-    if infoset not in state.features:
-        raise KeyError(f"unknown infoset '{infoset}'")
-    if state.game.infoset_player[infoset] != player:
-        raise ValueError(
-            f"infoset '{infoset}' belongs to player "
-            f"{state.game.infoset_player[infoset]}, not {player}"
-        )
-    return regret_match(state.estimators[player].predict(state.features[infoset]))
-
-
 def _cache_predictions(state: RCFRState) -> None:
-    """One batched predict per seat, split into per-infoset rows."""
-    for player in (0, 1):
-        flat = state.estimators[player].predict(state.matrices[player])
-        start = 0
-        for key, target_row in state.targets[player].items():
-            end = start + len(target_row)
-            state.predictions[key] = flat[start:end]
-            start = end
+    """One batched predict per seat, written into that seat's slots."""
+    for player, slots in enumerate(state.seat_slots):
+        estimator = state.estimators[player]
+        state.predictions[slots] = estimator.predict(state.features[slots])
 
 
 def _refit(state: RCFRState) -> None:
-    for player in (0, 1):
-        values = [value for row in state.targets[player].values() for value in row]
-        state.estimators[player].fit(state.matrices[player], values)
+    for player, slots in enumerate(state.seat_slots):
+        state.estimators[player].fit(state.features[slots], state.targets[slots])
     _cache_predictions(state)
 
 
 def training_mse(state: RCFRState, player: int) -> float:
-    """Mean squared error over the target store of the predictions cached at
-    the last refit (the solver's current estimator)."""
+    """Mean squared error over the seat's targets of the predictions cached
+    at the last refit (the solver's current estimator).
+
+    The errors are added one at a time in slot order: ``np.mean`` sums
+    pairwise and the builtin ``sum`` is compensated on Python 3.12+, and
+    either would change the logged bits.
+    """
+    slots = state.seat_slots[player]
     total = 0.0
-    count = 0
-    for key, target_row in state.targets[player].items():
-        predictions = state.predictions[key]
-        for predicted, target in zip(predictions, target_row):
-            total += (predicted - target) ** 2
-            count += 1
-    return total / count if count else 0.0
+    predictions = state.predictions[slots].tolist()
+    for predicted, target in zip(predictions, state.targets[slots].tolist()):
+        total += (predicted - target) ** 2
+    return total / len(slots) if len(slots) else 0.0
 
 
 def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFRState:
@@ -207,20 +188,12 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
     as the pre-refit model's prediction plus the new regret. Strategy sums
     accumulate exactly either way.
     """
-    infoset_player = game.infoset_player
-    predictions = state.predictions
-    _, deltas = cfr_pass(
-        game, lambda key: regret_match(predictions[key]), state.strategy_sums, (0, 1)
-    )
-    for infoset, vec in deltas.items():
-        target_row = state.targets[infoset_player[infoset]][infoset]
-        if config.target_mode == "exact":
-            for a, value in enumerate(vec):
-                target_row[a] += value
-        else:
-            predicted = predictions[infoset]
-            for a, value in enumerate(vec):
-                target_row[a] = predicted[a] + value
+    rows = policy_rows(game, state.predictions.tolist())
+    _, deltas = cfr_pass(game, rows, state.strategy_sums, (0, 1))
+    if config.target_mode == "exact":
+        state.targets += deltas
+    else:
+        state.targets = state.predictions + deltas
     state.iterations += 1
     if state.iterations % config.refit_every == 0:
         _refit(state)
@@ -244,7 +217,7 @@ def rcfr_solve(game: GameSpec, config: RCFRConfig):
                 RcfrConvergenceRow(
                     t=t,
                     exploitability=exploitability(
-                        game, average_from_sums(state.strategy_sums)
+                        game, average_strategy(game, state.strategy_sums)
                     ),
                     mse_p1=training_mse(state, 0),
                     mse_p2=training_mse(state, 1),
@@ -258,4 +231,4 @@ def rcfr_solve(game: GameSpec, config: RCFRConfig):
                     leaves_p2=state.estimators[1].model_complexity(),
                 )
             )
-    return average_from_sums(state.strategy_sums), convergence, model_sizes
+    return average_strategy(game, state.strategy_sums), convergence, model_sizes

@@ -1,5 +1,5 @@
 """Shared fixtures (game trees are immutable, so each is built once per
-session) and the row-by-row prediction reference."""
+session), the row-by-row prediction reference and views of slot vectors."""
 
 import pytest
 
@@ -29,3 +29,18 @@ def predict_row(estimator, row):
     for tree in estimator._trees:
         total = total + predict(tree, row)
     return total / len(estimator._trees)
+
+
+def infoset_slots(game, key):
+    """The infoset id of ``key`` and the slice of its slots."""
+    k = [key for _, key, _ in game.layout.infosets].index(key)
+    return k, slice(game.layout.offset[k], game.layout.offset[k + 1])
+
+
+def by_key(game, flat):
+    """A slot vector as lists keyed by infoset, in table order."""
+    offset = game.layout.offset
+    return {
+        key: list(flat[offset[k] : offset[k + 1]])
+        for k, (_, key, _) in enumerate(game.layout.infosets)
+    }

@@ -11,11 +11,10 @@ import pytest
 
 from fregret.cfr import (
     CFRConfig,
-    average_from_sums,
     average_strategy,
     cfr_iteration,
-    current_policy,
     new_tables,
+    policy_rows,
     solve,
 )
 from fregret.efg_core import enumerate_infosets, expected_value, uniform_profile
@@ -37,7 +36,6 @@ from fregret.rcfr import (
     RCFRConfig,
     new_state,
     rcfr_iteration,
-    rcfr_policy,
     rcfr_solve,
 )
 from fregret.regret import (
@@ -118,26 +116,18 @@ def test_criterion_1_tabular_rcfr_reproduces_cfr(game_fixture, request):
         for mode in ("exact", "bootstrap")
     }
     states = {mode: new_state(game, cfg) for mode, cfg in configs.items()}
-    infosets = enumerate_infosets(game)
     worst = 0.0
     for _ in range(200):
         cfr_iteration(game, tables)
-        reference_policies = {
-            key: current_policy(tables, player, key)
-            for player, key, _ in infosets
-        }
-        reference_average = average_strategy(tables)
+        reference_policies = policy_rows(game, tables.regrets)
+        reference_average = average_strategy(game, tables.strategy_sums)
         for mode, state in states.items():
             rcfr_iteration(game, state, configs[mode])
-            for player, key, _ in infosets:
-                gap = max(
-                    abs(a - b)
-                    for a, b in zip(
-                        rcfr_policy(state, player, key), reference_policies[key]
-                    )
-                )
+            policies = policy_rows(game, state.predictions.tolist())
+            for policy, reference in zip(policies, reference_policies, strict=True):
+                gap = max(abs(a - b) for a, b in zip(policy, reference))
                 worst = max(worst, gap)
-            mirrored = average_from_sums(state.strategy_sums)
+            mirrored = average_strategy(game, state.strategy_sums)
             for key, row in reference_average.items():
                 gap = max(abs(a - b) for a, b in zip(mirrored[key], row))
                 worst = max(worst, gap)

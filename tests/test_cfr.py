@@ -1,8 +1,10 @@
 """Tabular CFR: iteration arithmetic, tables, averaging, and convergence."""
 
 import math
+import re
 
 import pytest
+from conftest import by_key, infoset_slots
 
 from fregret.cfr import (
     CFRConfig,
@@ -11,9 +13,9 @@ from fregret.cfr import (
     cfr_iteration,
     cfr_iteration_alternating,
     cfr_pass,
-    current_policy,
     max_positive_regret_sum,
     new_tables,
+    policy_rows,
     solve,
 )
 from fregret.efg_core import (
@@ -84,40 +86,34 @@ def kuhn_first_iteration_regrets():
 class TestTables:
     def test_fresh_tables_cover_every_infoset(self, kuhn_game):
         tables = new_tables(kuhn_game)
-        assert len(tables.regrets) == 12
-        assert len(tables.strategy_sums) == 12
-        assert all(row == [0.0, 0.0] for row in tables.regrets.values())
+        assert kuhn_game.layout.offset == list(range(0, 26, 2))
+        assert tables.regrets == [0.0] * 24
+        assert tables.strategy_sums == [0.0] * 24
         assert tables.iterations == 0
 
     def test_current_policy_is_uniform_when_fresh(self, kuhn_game):
         tables = new_tables(kuhn_game)
-        assert current_policy(tables, 0, "p0:J:-:") == (0.5, 0.5)
+        k, _ = infoset_slots(kuhn_game, "p0:J:-:")
+        assert policy_rows(kuhn_game, tables.regrets)[k] == (0.5, 0.5)
 
     def test_current_policy_drops_nonpositive_regret_actions(self, kuhn_game):
         tables = new_tables(kuhn_game)
-        tables.regrets["p1:K:-:r"] = [2.0, 0.0]
-        assert current_policy(tables, 1, "p1:K:-:r") == (1.0, 0.0)
+        k, slots = infoset_slots(kuhn_game, "p1:K:-:r")
+        tables.regrets[slots] = [2.0, 0.0]
+        assert policy_rows(kuhn_game, tables.regrets)[k] == (1.0, 0.0)
 
     def test_current_policy_matches_regret_match_bitwise(self, kuhn_game):
         tables = new_tables(kuhn_game)
-        tables.regrets["p0:Q:-:"] = [0.3, -1.2]
-        assert current_policy(tables, 0, "p0:Q:-:") == regret_match([0.3, -1.2])
-
-    def test_unknown_infoset_rejected(self, kuhn_game):
-        tables = new_tables(kuhn_game)
-        with pytest.raises(KeyError):
-            current_policy(tables, 0, "p0:A:-:")
-
-    def test_wrong_player_rejected(self, kuhn_game):
-        tables = new_tables(kuhn_game)
-        with pytest.raises(ValueError):
-            current_policy(tables, 1, "p0:J:-:")
+        k, slots = infoset_slots(kuhn_game, "p0:Q:-:")
+        tables.regrets[slots] = [0.3, -1.2]
+        rows = policy_rows(kuhn_game, tables.regrets)
+        assert rows[k] == regret_match([0.3, -1.2])
 
 
 class TestIteration:
     def test_first_iteration_matches_flat_enumeration(self, kuhn_game):
         tables = new_tables(kuhn_game)
-        deltas = cfr_iteration(kuhn_game, tables)
+        deltas = by_key(kuhn_game, cfr_iteration(kuhn_game, tables))
         oracle = kuhn_first_iteration_regrets()
         assert sorted(deltas) == sorted(oracle)
         for key, expect in oracle.items():
@@ -127,30 +123,27 @@ class TestIteration:
     def test_tables_accumulate_the_returned_deltas(self, kuhn_game):
         tables = new_tables(kuhn_game)
         first = cfr_iteration(kuhn_game, tables)
-        assert tables.regrets == {k: list(v) for k, v in first.items()}
+        assert tables.regrets == first
         assert tables.iterations == 1
-        before = {k: list(v) for k, v in tables.regrets.items()}
+        before = list(tables.regrets)
         second = cfr_iteration(kuhn_game, tables)
-        for key, row in tables.regrets.items():
-            for a, value in enumerate(row):
-                assert value == before[key][a] + second[key][a]
+        for slot, value in enumerate(tables.regrets):
+            assert value == before[slot] + second[slot]
 
     def test_policy_weighted_regret_is_zero(self, kuhn_game):
         tables = new_tables(kuhn_game)
         for _ in range(5):
-            policies = {
-                key: regret_match(row) for key, row in tables.regrets.items()
-            }
-            deltas = cfr_iteration(kuhn_game, tables)
-            for key, vec in deltas.items():
-                mix = sum(p * d for p, d in zip(policies[key], vec))
+            policies = policy_rows(kuhn_game, tables.regrets)
+            deltas = by_key(kuhn_game, cfr_iteration(kuhn_game, tables))
+            for policy, vec in zip(policies, deltas.values()):
+                mix = sum(p * d for p, d in zip(policy, vec))
                 assert abs(mix) < 1e-9
 
     def test_root_value_matches_expected_value(self, kuhn_game):
         tables = new_tables(kuhn_game)
         value, _ = cfr_pass(
             kuhn_game,
-            lambda key: regret_match(tables.regrets[key]),
+            policy_rows(kuhn_game, tables.regrets),
             tables.strategy_sums,
             (0, 1),
         )
@@ -163,33 +156,48 @@ class TestIteration:
             decision(0, "p0:x", ("a", "b"), (terminal(1.0), terminal(1.0))),
         )
         deltas = cfr_iteration(game, new_tables(game))
-        assert deltas["p0:x"] == [0.0, 0.0]
+        assert deltas == [0.0, 0.0]
 
     def test_single_action_infoset_gets_zero_regret(self):
         game = make_game(
             "toy1", decision(0, "p0:only", ("a",), (terminal(2.0),))
         )
         deltas = cfr_iteration(game, new_tables(game))
-        assert deltas["p0:only"] == [0.0]
+        assert deltas == [0.0]
 
     def test_leduc_first_iteration_covers_every_infoset(self, leduc_game):
         tables = new_tables(leduc_game)
-        deltas = cfr_iteration(leduc_game, tables)
+        deltas = by_key(leduc_game, cfr_iteration(leduc_game, tables))
         assert len(deltas) == 288
+        assert all(any(row) for row in deltas.values())
+
+    def test_nan_regret_names_its_infoset(self, leduc_game):
+        tables = new_tables(leduc_game)
+        cfr_iteration(leduc_game, tables)
+        offset = leduc_game.layout.offset
+        _, key, _ = leduc_game.layout.infosets[100]
+        tables.regrets[offset[100] + 1] = math.nan
+        tables.regrets[offset[200]] = math.inf
+        with pytest.raises(ValueError, match=re.escape(f"infoset '{key}'")):
+            cfr_iteration(leduc_game, tables)
 
 
 class TestAlternating:
     def test_counts_one_iteration_and_covers_both_seats(self, kuhn_game):
         tables = new_tables(kuhn_game)
-        deltas = cfr_iteration_alternating(kuhn_game, tables)
+        deltas = by_key(kuhn_game, cfr_iteration_alternating(kuhn_game, tables))
         assert tables.iterations == 1
         assert len(deltas) == 12
+        for seat in ("p0:", "p1:"):
+            assert any(any(row) for key, row in deltas.items() if key.startswith(seat))
 
     def test_seat_zero_pass_matches_simultaneous_but_seat_one_reacts(
         self, kuhn_game
     ):
-        simultaneous = cfr_iteration(kuhn_game, new_tables(kuhn_game))
-        alternating = cfr_iteration_alternating(kuhn_game, new_tables(kuhn_game))
+        simultaneous = by_key(kuhn_game, cfr_iteration(kuhn_game, new_tables(kuhn_game)))
+        alternating = by_key(
+            kuhn_game, cfr_iteration_alternating(kuhn_game, new_tables(kuhn_game))
+        )
         p0_keys = [k for k in simultaneous if k.startswith("p0:")]
         for key in p0_keys:
             assert alternating[key] == simultaneous[key]
@@ -210,20 +218,20 @@ class TestAlternating:
 
 class TestAveraging:
     def test_zero_mass_falls_back_to_uniform(self, kuhn_game):
-        profile = average_strategy(new_tables(kuhn_game))
+        profile = average_strategy(kuhn_game, new_tables(kuhn_game).strategy_sums)
         assert all(row == (0.5, 0.5) for row in profile.values())
 
     def test_average_after_one_iteration_is_uniform(self, kuhn_game):
         tables = new_tables(kuhn_game)
         cfr_iteration(kuhn_game, tables)
-        profile = average_strategy(tables)
+        profile = average_strategy(kuhn_game, tables.strategy_sums)
         assert all(row == (0.5, 0.5) for row in profile.values())
 
     def test_rows_are_distributions(self, kuhn_game):
         tables = new_tables(kuhn_game)
         for _ in range(20):
             cfr_iteration(kuhn_game, tables)
-        for row in average_strategy(tables).values():
+        for row in average_strategy(kuhn_game, tables.strategy_sums).values():
             assert all(p >= 0.0 for p in row)
             assert abs(sum(row) - 1.0) < 1e-9
 
@@ -282,8 +290,8 @@ class TestRegretBookkeeping:
     def test_max_positive_regret_sum_clips_at_zero(self, kuhn_game):
         tables = new_tables(kuhn_game)
         assert max_positive_regret_sum(tables) == 0.0
-        tables.regrets["p0:J:-:"] = [-3.0, -1.0]
-        tables.regrets["p0:Q:-:"] = [2.0, -5.0]
+        tables.regrets[infoset_slots(kuhn_game, "p0:J:-:")[1]] = [-3.0, -1.0]
+        tables.regrets[infoset_slots(kuhn_game, "p0:Q:-:")[1]] = [2.0, -5.0]
         assert max_positive_regret_sum(tables) == 2.0
 
     def test_tables_repr_stays_compact(self, kuhn_game):

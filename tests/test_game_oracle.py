@@ -6,10 +6,12 @@ recursive walks over ``GameNode`` trees that the loops over
 ``GameSpec.layout`` replaced, kept here unchanged as the oracle. On a few
 hundred seeded random zero-sum perfect-recall games the layout code must
 reproduce them bit for bit: root values, regret and strategy-sum vectors,
-best-response values and response rows, dict order included. Best-response
-values are also checked against a brute-force maximum over the responder's
-pure strategies, and a 3000-deep chain game checks that no traversal needs
-Python's recursion limit.
+best-response values and response rows, dict order included.
+``reference_cfr_solve`` runs CFR on tables keyed by infoset over those
+walks, and ``solve`` must match its profiles and logs repr for repr.
+Best-response values are also checked against a brute-force maximum over
+the responder's pure strategies, and a 3000-deep chain game checks that no
+traversal needs Python's recursion limit.
 """
 
 import ast
@@ -19,9 +21,10 @@ import pathlib
 import random
 
 import pytest
+from conftest import by_key
 
 import fregret
-from fregret.cfr import CFRConfig, cfr_pass, solve
+from fregret.cfr import CFRConfig, cfr_pass, new_tables, policy_rows, solve
 from fregret.efg_core import (
     CHANCE,
     DECISION,
@@ -336,10 +339,6 @@ def tree_nodes(game):
     return out
 
 
-def sorted_repr(table):
-    return repr(sorted(table.items()))
-
-
 @pytest.fixture(scope="module")
 def games():
     return {seed: random_game(seed) for seed in SEEDS}
@@ -356,6 +355,11 @@ def test_layout_is_the_tree_in_preorder(games):
         layout = game.layout
         infosets = enumerate_infosets(game)
         assert infosets == reference_enumerate_infosets(game)
+        offset = [0]
+        for _, _, n in infosets:
+            offset.append(offset[-1] + n)
+        assert layout.offset == offset
+        assert layout.offset[-1] == len(new_tables(game).regrets)
         assert len(layout.children) == len(nodes)
         assert layout.inner == [
             i for i, (node, _) in enumerate(nodes) if node.kind != TERMINAL
@@ -385,36 +389,34 @@ def test_generator_covers_the_hard_cases(games):
     assert max(sizes) < 2000
 
 
+def filled(game, table):
+    """A table keyed by infoset, in table order, with zeros where the
+    reference pass left an infoset out."""
+    return {key: table.get(key, [0.0] * n) for _, key, n in enumerate_infosets(game)}
+
+
 @pytest.mark.parametrize("update_players", [(0, 1), (0,), (1,), "alternating"])
 def test_cfr_pass_matches_reference(games, update_players):
     for game in games.values():
         seats = [(0,), (1,)] if update_players == "alternating" else [update_players]
-        states = []
-        for _ in range(2):
-            regrets = {key: [0.0] * n for _, key, n in enumerate_infosets(game)}
-            states.append((regrets, {}))
+        slots = game.layout.offset[-1]
+        regrets, sums = [0.0] * slots, [0.0] * slots
+        old_regrets = {key: [0.0] * n for _, key, n in enumerate_infosets(game)}
+        old_sums = {}
         for _ in range(4):
             for players in seats:
-                results = []
-                for run, (regrets, sums) in zip((cfr_pass, reference_cfr_pass), states):
-                    asked = []
-
-                    def policy_fn(key, regrets=regrets, asked=asked):
-                        asked.append(key)
-                        return regret_match(regrets[key])
-
-                    value, deltas = run(game, policy_fn, sums, players)
-                    for key, vec in deltas.items():
-                        for a, delta in enumerate(vec):
-                            regrets[key][a] += delta
-                    results.append((value, deltas, asked))
-                (new_value, new_deltas, asked), (old_value, old_deltas, _) = results
-                assert repr(new_value) == repr(old_value)
-                assert sorted_repr(new_deltas) == sorted_repr(old_deltas)
-                assert asked == [key for _, key, _ in enumerate_infosets(game)]
-        (new_regrets, new_sums), (old_regrets, old_sums) = states
-        assert sorted_repr(new_regrets) == sorted_repr(old_regrets)
-        assert sorted_repr(new_sums) == sorted_repr(old_sums)
+                value, deltas = cfr_pass(game, policy_rows(game, regrets), sums, players)
+                regrets = [r + d for r, d in zip(regrets, deltas)]
+                old_value, old_deltas = reference_cfr_pass(
+                    game, lambda key: regret_match(old_regrets[key]), old_sums, players
+                )
+                for key, vec in old_deltas.items():
+                    for a, delta in enumerate(vec):
+                        old_regrets[key][a] += delta
+                assert repr(value) == repr(old_value)
+                assert repr(by_key(game, deltas)) == repr(filled(game, old_deltas))
+        assert repr(by_key(game, regrets)) == repr(old_regrets)
+        assert repr(by_key(game, sums)) == repr(filled(game, old_sums))
 
 
 def reference_average(strategy_sums):
@@ -674,6 +676,13 @@ def chain_game():
 def test_deep_chain_needs_no_recursion():
     game = chain_game()
     assert len(enumerate_infosets(game)) == CHAIN_DEPTH
+    assert repr(game.root) == (
+        "GameNode(kind='chance', player=None, infoset=None, actions=(), "
+        "chance_probs=(0.25, 0.75), utilities=None)"
+    )
+    assert hash(game.root) == hash(game.root)
+    assert game == game and game != chain_game()
+    assert repr(game) == "GameSpec(game_id='kuhn', utility_range=4.0)"
     profile, log = solve(game, CFRConfig(iterations=3))
     assert [row.t for row in log] == [1, 2, 3]
     assert all(math.isfinite(row.exploitability) for row in log)

@@ -1,7 +1,11 @@
 """Regression CFR: oracle equivalence with CFR, floors, and bookkeeping."""
 
+import math
+import re
+
+import numpy as np
 import pytest
-from conftest import predict_row
+from conftest import infoset_slots, predict_row
 from test_game_oracle import (
     reference_average,
     reference_cfr_pass,
@@ -10,11 +14,10 @@ from test_game_oracle import (
 )
 
 from fregret.cfr import (
-    average_from_sums,
     average_strategy,
     cfr_iteration,
-    current_policy,
     new_tables,
+    policy_rows,
 )
 from fregret.efg_core import enumerate_infosets, uniform_profile
 from fregret.estimator import (
@@ -28,9 +31,9 @@ from fregret.rcfr import (
     ModelSizeRow,
     RCFRConfig,
     RCFRState,
+    _cache_predictions,
     new_state,
     rcfr_iteration,
-    rcfr_policy,
     rcfr_solve,
     training_mse,
 )
@@ -44,18 +47,17 @@ def assert_tracks_cfr_exactly(game, target_mode, iterations):
         iterations=iterations, estimator_kind="tabular", target_mode=target_mode
     )
     state = new_state(game, config)
-    infosets = enumerate_infosets(game)
     for _ in range(iterations):
         cfr_iteration(game, tables)
         rcfr_iteration(game, state, config)
-        for player, key, _ in infosets:
-            assert rcfr_policy(state, player, key) == current_policy(
-                tables, player, key
-            )
-    for player in (0, 1):
-        for key, row in state.targets[player].items():
-            assert row == tables.regrets[key]
-    assert average_from_sums(state.strategy_sums) == average_strategy(tables)
+        assert policy_rows(game, state.predictions.tolist()) == policy_rows(
+            game, tables.regrets
+        )
+    assert state.targets.tolist() == tables.regrets
+    assert state.strategy_sums == tables.strategy_sums
+    assert average_strategy(game, state.strategy_sums) == average_strategy(
+        game, tables.strategy_sums
+    )
 
 
 class TestOracleEquivalence:
@@ -75,37 +77,41 @@ class TestOracleEquivalence:
 class TestPolicy:
     def test_unfitted_estimator_gives_uniform_everywhere(self, kuhn_game):
         state = new_state(kuhn_game, RCFRConfig(iterations=1))
-        for player, key, n in enumerate_infosets(kuhn_game):
-            assert rcfr_policy(state, player, key) == (1.0 / n,) * n
+        rows = policy_rows(kuhn_game, state.predictions.tolist())
+        for row, (_, _, n) in zip(rows, enumerate_infosets(kuhn_game)):
+            assert row == (1.0 / n,) * n
 
     def test_all_negative_predictions_give_uniform(self, leduc_game):
         config = RCFRConfig(iterations=1, estimator_kind="tabular")
         state = new_state(leduc_game, config)
-        key = "p0:J:-:cr/"
-        rows = state.features[key]
+        k, slots = infoset_slots(leduc_game, "p0:J:-:cr/")
+        rows = state.features[slots]
         assert len(rows) == 3
         state.estimators[0].fit(rows, [-1.0, -1.0, -1.0])
-        policy = rcfr_policy(state, 0, key)
+        _cache_predictions(state)
+        policy = policy_rows(leduc_game, state.predictions.tolist())[k]
         assert policy == (1.0 / 3.0,) * 3
 
     def test_direct_fit_reaches_rcfr_policy(self, leduc_game):
-        # rcfr_policy asks the estimator, not the solver's prediction cache.
+        # The fitted estimator reaches the policy through the prediction cache.
         for kind in ("tabular", "tree"):
             state = new_state(leduc_game, RCFRConfig(iterations=1, estimator_kind=kind))
-            key = "p0:J:-:cr/"
-            rows = state.features[key]
-            state.estimators[0].fit(rows, [1.0, 3.0, 0.0])
-            assert rcfr_policy(state, 0, key) == (0.25, 0.75, 0.0)
+            k, slots = infoset_slots(leduc_game, "p0:J:-:cr/")
+            state.estimators[0].fit(state.features[slots], [1.0, 3.0, 0.0])
+            _cache_predictions(state)
+            rows = policy_rows(leduc_game, state.predictions.tolist())
+            assert rows[k] == (0.25, 0.75, 0.0)
 
-    def test_unknown_infoset_rejected(self, kuhn_game):
-        state = new_state(kuhn_game, RCFRConfig(iterations=1))
-        with pytest.raises(KeyError):
-            rcfr_policy(state, 0, "p0:A:-:")
-
-    def test_wrong_player_rejected(self, kuhn_game):
-        state = new_state(kuhn_game, RCFRConfig(iterations=1))
-        with pytest.raises(ValueError):
-            rcfr_policy(state, 1, "p0:J:-:")
+    def test_nan_prediction_names_its_infoset(self, leduc_game):
+        config = RCFRConfig(iterations=2, estimator_kind="tree")
+        state = new_state(leduc_game, config)
+        rcfr_iteration(leduc_game, state, config)
+        offset = leduc_game.layout.offset
+        _, key, _ = leduc_game.layout.infosets[150]
+        state.predictions[offset[150] + 1] = math.nan
+        state.predictions[offset[250]] = -math.inf
+        with pytest.raises(ValueError, match=re.escape(f"infoset '{key}'")):
+            rcfr_iteration(leduc_game, state, config)
 
 
 class TestIteration:
@@ -114,17 +120,25 @@ class TestIteration:
         state = new_state(kuhn_game, config)
         for _ in range(30):
             rcfr_iteration(kuhn_game, state, config)
-        for row in state.strategy_sums.values():
-            assert all(value >= 0.0 for value in row)
+        assert all(value >= 0.0 for value in state.strategy_sums)
 
     def test_target_store_keys_partition_the_infosets(self, kuhn_game):
         config = RCFRConfig(iterations=2, estimator_kind="tree")
         state = new_state(kuhn_game, config)
         rcfr_iteration(kuhn_game, state, config)
-        all_keys = {key for _, key, _ in enumerate_infosets(kuhn_game)}
-        stored = set(state.targets[0]) | set(state.targets[1])
-        assert stored == all_keys
-        assert not (set(state.targets[0]) & set(state.targets[1]))
+        offset = kuhn_game.layout.offset
+        for seat, slots in enumerate(state.seat_slots):
+            expected = [
+                slot
+                for k, (player, _, _) in enumerate(enumerate_infosets(kuhn_game))
+                if player == seat
+                for slot in range(offset[k], offset[k + 1])
+            ]
+            assert slots.tolist() == expected
+        both = np.concatenate(state.seat_slots)
+        assert sorted(both.tolist()) == list(range(offset[-1]))
+        assert state.features.shape == (offset[-1], 19)
+        assert len(state.targets) == len(state.predictions) == offset[-1]
 
     def test_refit_every_delays_training(self, kuhn_game):
         config = RCFRConfig(iterations=4, estimator_kind="tree", refit_every=3)
@@ -151,14 +165,7 @@ class TestIteration:
         for _ in range(60):
             rcfr_iteration(kuhn_game, exact_state, exact_cfg)
             rcfr_iteration(kuhn_game, boot_state, boot_cfg)
-        gap = max(
-            abs(a - b)
-            for player in (0, 1)
-            for key in exact_state.targets[player]
-            for a, b in zip(
-                exact_state.targets[player][key], boot_state.targets[player][key]
-            )
-        )
+        gap = np.abs(exact_state.targets - boot_state.targets).max()
         assert gap > 1e-12
 
 
@@ -320,14 +327,12 @@ class TestSolve:
         for _ in range(20):
             rcfr_iteration(kuhn_game, state, config)
         for player, logged in ((0, convergence[-1].mse_p1), (1, convergence[-1].mse_p2)):
+            slots = state.seat_slots[player]
             total = 0.0
-            count = 0
-            for key, target_row in state.targets[player].items():
-                for features, target in zip(state.features[key], target_row):
-                    predicted = predict_row(state.estimators[player], features)
-                    total += (predicted - target) ** 2
-                    count += 1
-            assert abs(logged - total / count) < 1e-9
+            for features, target in zip(state.features[slots], state.targets[slots]):
+                predicted = predict_row(state.estimators[player], features)
+                total += (predicted - float(target)) ** 2
+            assert abs(logged - total / len(slots)) < 1e-9
 
     def test_tabular_exact_mse_is_zero(self, kuhn_game):
         config = RCFRConfig(iterations=10, estimator_kind="tabular", log_every=10)

@@ -120,9 +120,8 @@ def leduc_corpora(min_leaf_weight, iterations):
     corpora = []
     for _ in range(iterations):
         rcfr_iteration(game, state, config)
-        for player in (0, 1):
-            y = [v for row in state.targets[player].values() for v in row]
-            corpora.append((state.matrices[player].copy(), np.array(y)))
+        for slots in state.seat_slots:
+            corpora.append((state.features[slots], state.targets[slots]))
     return corpora
 
 
