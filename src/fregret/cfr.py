@@ -5,13 +5,15 @@ opponent-and-chance weighted regret of each action against the current
 policy, accumulates those into cumulative regret and strategy-sum tables,
 and the normalized strategy sums converge to an approximate equilibrium.
 
-Tables are flat lists over the game's slots, one per infoset-action (see
-``GameLayout``). The pass itself (``cfr_pass``) is policy-agnostic: it takes
-one action distribution per infoset id, so the same traversal serves both
-the tabular solver here and solvers that predict regrets with a fitted
-model; ``policy_rows`` regret-matches either kind of slot vector into those
-rows. All arithmetic is pure-Python floats in a fixed traversal order, so
-repeated runs are bit-for-bit identical.
+Tables are float64 vectors over the game's slots, one per infoset-action
+(see ``GameLayout``). The pass itself (``cfr_pass``) is policy-agnostic: it
+takes the policy as a slot vector, so the same traversal serves both the
+tabular solver here and solvers that predict regrets with a fitted model;
+``regret_policy`` regret-matches either kind of regret vector. Both are
+numpy sweeps over the layout's ``Sweep`` arrays whose every sum runs from
+0.0 in a fixed order (``np.add.at`` or a loop), never pairwise or
+compensated, so runs are bit-for-bit identical across repeats and across
+Python versions.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .efg_core import GameSpec, node_values
 from .eval import exploitability
-from .regret import regret_match
 
 UPDATE_MODES = ("simultaneous", "alternating")
 
@@ -58,91 +61,99 @@ class ConvergenceRow:
 
 @dataclass
 class CFRTables:
-    """Cumulative regrets and strategy sums, one flat list each, indexed by
-    the game's slots (see ``GameLayout``). Regrets are stored unclipped;
+    """Cumulative regrets and strategy sums, one float64 vector each, indexed
+    by the game's slots (see ``GameLayout``). Regrets are stored unclipped;
     negative totals only flatten the matched policy to uniform.
     """
 
     game: GameSpec = field(repr=False)
-    regrets: list[float] = field(repr=False)
-    strategy_sums: list[float] = field(repr=False)
+    regrets: np.ndarray = field(repr=False)
+    strategy_sums: np.ndarray = field(repr=False)
     iterations: int = 0
 
 
 def new_tables(game: GameSpec) -> CFRTables:
     """Zero-initialized tables covering every slot of ``game``."""
     slots = game.layout.offset[-1]
-    return CFRTables(game=game, regrets=[0.0] * slots, strategy_sums=[0.0] * slots)
+    return CFRTables(game=game, regrets=np.zeros(slots), strategy_sums=np.zeros(slots))
 
 
-def policy_rows(game: GameSpec, regrets) -> list[tuple[float, ...]]:
-    """Regret matching on each infoset's slots of ``regrets``, by infoset id.
+def _normalize(game: GameSpec, weights: np.ndarray) -> np.ndarray:
+    """Each infoset's slots of ``weights`` divided by their total, summed from
+    0.0 in slot order; uniform where the total is not positive."""
+    sweep = game.layout.sweep
+    totals = np.zeros(len(game.layout.infosets))
+    np.add.at(totals, sweep.owner, weights)
+    totals = totals[sweep.owner]
+    policy = sweep.uniform.copy()
+    np.divide(weights, totals, out=policy, where=totals > 0.0)
+    return policy
 
-    Raises ValueError naming the first infoset, in table order, whose slots
-    hold a NaN or infinite value.
+
+def regret_policy(game: GameSpec, regrets) -> np.ndarray:
+    """Regret matching at every infoset at once: the policy as a slot vector.
+
+    Each infoset's slots equal ``regret_match`` of its slots of ``regrets``,
+    bit for bit. Raises ValueError naming the first infoset, in table order,
+    whose regrets sum to a NaN or infinite value.
     """
-    offset = game.layout.offset
-    rows = []
-    for k, (_, key, _) in enumerate(game.layout.infosets):
-        try:
-            rows.append(regret_match(regrets[offset[k] : offset[k + 1]]))
-        except ValueError as error:
-            raise ValueError(f"infoset '{key}': {error}") from error
-    return rows
+    regrets = np.asarray(regrets, dtype=np.float64)
+    layout = game.layout
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.zeros(len(layout.infosets))
+        np.add.at(totals, layout.sweep.owner, regrets)
+        bad = np.flatnonzero(~np.isfinite(totals))
+        if len(bad):
+            k = int(bad[0])
+            row = tuple(regrets[layout.offset[k] : layout.offset[k + 1]].tolist())
+            raise ValueError(
+                f"infoset '{layout.infosets[k][1]}': non-finite regrets {row!r}"
+            )
+        return _normalize(game, np.where(regrets > 0.0, regrets, 0.0))
 
 
-def cfr_pass(game: GameSpec, rows, strategy_sums, update_players):
-    """One full-width traversal, infoset ``k`` playing ``rows[k]``.
+def cfr_pass(game: GameSpec, policy, strategy_sums, update_players):
+    """One full-width traversal, slot ``s`` played with ``policy[s]``.
 
     Every action branch is evaluated regardless of its probability. For each
     seat in ``update_players``, reach-weighted policies are added into the
-    slot list ``strategy_sums`` in place, and the immediate regrets
+    slot vector ``strategy_sums`` in place, and the immediate regrets
     (opponent-and-chance weighted advantage of each action over the policy
-    value) are accumulated into a new slot list, 0.0 at the other seat's
+    value) are accumulated into a new slot vector, 0.0 at the other seat's
     slots. Returns ``(seat 0 root value, immediate regrets)``; seat 1's
     value is the exact negation.
 
-    A bottom-up sweep values the nodes, then a top-down one carries reach and
-    adds each decision node's terms. An infoset's nodes are never ancestor and
-    descendant, so preorder adds them in the order their subtrees finish.
+    A bottom-up sweep values the nodes; a top-down one carries seat 0's,
+    seat 1's and chance's reach into the non-terminal nodes, multiplying by
+    1.0 where another mover moves; then each updated seat's decision edges
+    add their terms, each slot's in preorder (see ``efg_core.Plan``). An
+    infoset's nodes are never ancestor and descendant, so preorder adds them
+    in the order their subtrees finish.
     """
     layout = game.layout
-    values = node_values(layout, rows)
-    offset = layout.offset
-    deltas = [0.0] * offset[-1]
-    children, infoset, probs = layout.children, layout.infoset, layout.probs
-    reach0 = [1.0] * len(children)
-    reach1 = [1.0] * len(children)
-    chance_reach = [1.0] * len(children)
-    for node in layout.inner:
-        r0, r1, rc = reach0[node], reach1[node], chance_reach[node]
-        kids = children[node]
-        k = infoset[node]
-        player = layout.infosets[k][0] if k >= 0 else 2  # 2: chance moves
-        policy = rows[k] if k >= 0 else probs[node]
-        for prob, child in zip(policy, kids):
-            if children[child]:
-                reach0[child] = r0 * prob if player == 0 else r0
-                reach1[child] = r1 * prob if player == 1 else r1
-                chance_reach[child] = rc * prob if player == 2 else rc
-        if player not in update_players:
-            continue
-        node_value = values[node]
-        slot = offset[k]
-        if player == 0:
-            counterfactual = r1 * rc
-            for prob, child in zip(policy, kids):
-                strategy_sums[slot] += r0 * prob
-                deltas[slot] += counterfactual * (values[child] - node_value)
-                slot += 1
-        else:
-            # Seat 1's value is the negation, so the advantage flips sign.
-            counterfactual = r0 * rc
-            for prob, child in zip(policy, kids):
-                strategy_sums[slot] += r1 * prob
-                deltas[slot] += counterfactual * (node_value - values[child])
-                slot += 1
-    return values[0], deltas
+    sweep = layout.sweep
+    policy = np.asarray(policy, dtype=np.float64)
+    values = node_values(layout, policy)
+    deltas = np.zeros(layout.offset[-1])
+    seats = [seat for seat in (0, 1) if seat in update_players]
+    if seats:
+        table = np.concatenate((policy, sweep.tail))
+        factor = np.where(sweep.down_mover, table[sweep.down_src], 1.0)
+        reach = np.ones((3, len(values)))
+        for parent, child, lo, hi in sweep.down:
+            reach[:, child] = reach.take(parent, axis=1) * factor[:, lo:hi]
+    for seat in seats:
+        plan = sweep.plans[seat]
+        slot, parent, child = plan.slot, plan.parent, plan.child
+        at = reach.take(parent, axis=1)
+        np.add.at(strategy_sums, slot, at[seat] * policy[slot])
+        counterfactual = at[1 - seat] * at[2]
+        if seat == 0:
+            advantage = values[child] - values[parent]
+        else:  # seat 1's value is the negation, so the advantage flips sign
+            advantage = values[parent] - values[child]
+        np.add.at(deltas, slot, counterfactual * advantage)
+    return float(values[0]), deltas
 
 
 def _update(game: GameSpec, tables: CFRTables, players):
@@ -151,9 +162,9 @@ def _update(game: GameSpec, tables: CFRTables, players):
     Regrets and deltas are sums that start from +0.0, so neither is ever
     -0.0, and adding the other seat's 0.0 deltas changes no regret.
     """
-    rows = policy_rows(game, tables.regrets)
-    _, deltas = cfr_pass(game, rows, tables.strategy_sums, players)
-    tables.regrets = [r + d for r, d in zip(tables.regrets, deltas)]
+    policy = regret_policy(game, tables.regrets)
+    _, deltas = cfr_pass(game, policy, tables.strategy_sums, players)
+    tables.regrets += deltas
     return deltas
 
 
@@ -168,40 +179,37 @@ def cfr_iteration_alternating(game: GameSpec, tables: CFRTables):
     """One alternating update (seat 0's pass, then seat 1's against it).
 
     Seat 1's pass already sees seat 0's refreshed regrets. Returns both
-    passes' immediate regrets in one slot list: each pass is 0.0 at the
+    passes' immediate regrets in one slot vector: each pass is 0.0 at the
     other's slots.
     """
     first = _update(game, tables, (0,))
     second = _update(game, tables, (1,))
     tables.iterations += 1
-    return [a + b for a, b in zip(first, second)]
+    return first + second
 
 
 def average_strategy(game: GameSpec, strategy_sums) -> dict[str, tuple[float, ...]]:
     """Normalized strategy sums by infoset key, in table order; infosets
     with zero mass fall back to uniform."""
     offset = game.layout.offset
-    profile: dict[str, tuple[float, ...]] = {}
-    for k, (_, key, n) in enumerate(game.layout.infosets):
-        sums = strategy_sums[offset[k] : offset[k + 1]]
-        total = sum(sums)
-        if total > 0.0:
-            profile[key] = tuple(s / total for s in sums)
-        else:
-            profile[key] = (1.0 / n,) * n
-    return profile
+    probs = _normalize(game, np.asarray(strategy_sums, dtype=np.float64)).tolist()
+    return {
+        key: tuple(probs[offset[k] : offset[k + 1]])
+        for k, (_, key, _) in enumerate(game.layout.infosets)
+    }
 
 
 def max_positive_regret_sum(tables: CFRTables) -> float:
     """Sum over all infosets of the clipped-at-zero maximum cumulative regret.
 
     Divided by the iteration count this upper-bounds the exploitability of
-    the average strategy.
+    the average strategy. The sum runs from 0.0 in table order.
     """
-    regrets, offset = tables.regrets, tables.game.layout.offset
-    return sum(
-        max(0.0, max(regrets[start:end])) for start, end in zip(offset, offset[1:])
-    )
+    regrets, offset = tables.regrets.tolist(), tables.game.layout.offset
+    total = 0.0
+    for start, end in zip(offset, offset[1:]):
+        total += max(0.0, max(regrets[start:end]))
+    return total
 
 
 def solve(game: GameSpec, config: CFRConfig):

@@ -7,15 +7,25 @@ embed the acting seat (``p0:``/``p1:``) so one dict covers both players.
 ``GameNode`` trees are the builders' input format. ``make_game`` checks one
 with an explicit stack and flattens it into a ``GameLayout``: plain lists
 indexed by node id, with nodes numbered in preorder, plus a table of the
-infosets numbered in first-visit preorder. Every traversal (the CFR pass,
-best response, expected value, sampled play) is a loop over that layout, so
-none depends on Python's recursion limit.
+infosets numbered in first-visit preorder. It also builds a ``Sweep``:
+numpy index arrays over the tree's edges, grouped by depth. The CFR pass,
+best response and expected value are numpy sweeps over them, one level at a
+time, and sampled play is a loop over the lists, so no traversal depends on
+Python's recursion limit.
+
+The sweeps add with ``np.add.at``, which is unbuffered and adds in index
+order. So each node, slot and score sees the same float additions, in the
+same order, as a loop over the tree in preorder that sums from 0.0.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+
+import numpy as np
 
 CHANCE = "chance"
 DECISION = "decision"
@@ -78,7 +88,8 @@ class GameLayout:
     Every infoset-action has a *slot*: slots run over the infoset table in
     order, then over each infoset's actions. Infoset ``k`` owns slots
     ``offset[k]`` to ``offset[k + 1] - 1``, and ``offset[-1]`` is the slot
-    count. Solver tables are flat vectors indexed by slot.
+    count. Solver tables are flat vectors indexed by slot. ``sweep`` holds
+    the index arrays of the numpy sweeps.
     """
 
     children: list[list[int]]
@@ -88,6 +99,194 @@ class GameLayout:
     inner: list[int]
     infosets: list[tuple[int, str, int]]
     offset: list[int]
+    sweep: "Sweep" = field(repr=False, compare=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """The game's edges in the order of one seat's best response.
+
+    ``buckets`` holds one entry per move depth of the seat, deepest first:
+    its *choices* at that depth (None if it has no decision nodes there)
+    and its *levels*. The choices are the seat's decision edges out of
+    nodes at that depth, as (parents, children, slots, pad, ids, heads,
+    first, head infosets): ``pad`` gives each infoset ``ids[i]`` its slots
+    by row, padded with the slot past the end, ``heads`` are the decision
+    nodes, and ``first`` their first edge. The levels are the opponent and
+    chance edges out of nodes at that depth, grouped by the parent's tree
+    depth, deepest first, in preorder within a group, each group as
+    (parents, children, lo, hi) with ``lo:hi`` its span in ``sum_src``,
+    which gives their weight-table indices.
+
+    ``parent``, ``child`` and ``slot`` are all the choices in bucket order,
+    so each slot's edges come in preorder; ``heads`` and ``head_infoset``
+    are all the decision nodes. ``rows`` lists the seat's infosets in table
+    order as (key, id, action count).
+    """
+
+    parent: np.ndarray
+    child: np.ndarray
+    slot: np.ndarray
+    heads: np.ndarray
+    head_infoset: np.ndarray
+    sum_src: np.ndarray
+    buckets: tuple
+    rows: list
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Index arrays for the numpy sweeps over a ``GameLayout``.
+
+    Each edge is named by its child. Its weight is read from a *weight
+    table*: the policy slot vector followed by ``tail``, which holds 1.0 and
+    then every chance probability. ``plans`` orders the edges for each
+    seat's best response (see ``Plan``); seat 0's order also serves the
+    bottom-up node values. ``down`` lists the edges into non-terminal nodes
+    grouped by the parent's tree depth, root first, in preorder within a
+    depth, as (parents, children, lo, hi) with ``lo:hi`` the group's span
+    in ``down_src``, their weight-table indices; ``down_mover`` marks
+    whether seat 0, seat 1 or chance moves on each. ``owner`` and
+    ``uniform`` give each slot's infoset id and 1 / its action count;
+    ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal nodes,
+    which ``terminal`` marks False.
+    """
+
+    tail: np.ndarray
+    down: tuple
+    down_src: np.ndarray
+    down_mover: np.ndarray
+    owner: np.ndarray
+    uniform: np.ndarray
+    utility: np.ndarray
+    terminal: np.ndarray
+    plans: tuple[Plan, Plan]
+
+
+def _spans(key) -> list[tuple[int, int]]:
+    """The spans ``lo:hi`` of the runs of equal values in ``key``."""
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
+def _plan(seat, parent, src, moved, depth, moves, owner, offset, infosets) -> Plan:
+    """Seat ``seat``'s plan (see ``Plan``). Edge ``e`` leads from
+    ``parent[e]`` into node ``e + 1``. Each array is sorted by move depth,
+    deepest first, and cut into buckets by slicing."""
+    own = np.flatnonzero(moved == seat)
+    own = own[np.argsort(-moves[parent[own]], kind="stable")]
+    nodes, kids, slot = parent[own], own + 1, src[own]
+    # A node's edges are consecutive, in action order.
+    first = np.flatnonzero(np.diff(nodes, prepend=-1))
+    heads = nodes[first]
+    head_infoset = owner[slot[first]]
+    rows = [
+        (key, k, n) for k, (player, key, n) in enumerate(infosets) if player == seat
+    ]
+    # The seat's infosets by move depth, which all their nodes share.
+    ids = np.array([k for _, k, _ in rows], dtype=np.intp)
+    id_depth = np.zeros(len(infosets), dtype=np.intp)
+    id_depth[head_infoset] = moves[heads]
+    ids = ids[np.argsort(-id_depth[ids], kind="stable")]
+    count = offset[ids + 1] - offset[ids]
+    width = max(count.tolist(), default=1)
+    pad = offset[ids][:, None] + np.arange(width)
+    pad[np.arange(width) >= count[:, None]] = len(owner)
+    # Opponent and chance edges by move depth, then tree depth, deepest first.
+    other = np.flatnonzero(moved != seat)
+    key = moves[parent[other]] * (int(depth.max()) + 1) + depth[parent[other]]
+    order = np.argsort(-key, kind="stable")
+    other, key = other[order], key[order]
+    parents, children = parent[other], other + 1
+    levels: dict[int, list] = {}
+    for lo, hi in _spans(key):
+        group = (parents[lo:hi], children[lo:hi], lo, hi)
+        levels.setdefault(int(moves[parents[lo]]), []).append(group)
+    spans = [
+        {int(by[lo]): (lo, hi) for lo, hi in _spans(by)}
+        for by in (moves[nodes], moves[heads], id_depth[ids])
+    ]
+    buckets = []
+    for d in sorted(spans[0].keys() | levels.keys(), reverse=True):
+        choices = None
+        if d in spans[0]:
+            (e0, e1), (h0, h1), (i0, i1) = (span[d] for span in spans)
+            choices = (
+                nodes[e0:e1], kids[e0:e1], slot[e0:e1], pad[i0:i1], ids[i0:i1],
+                heads[h0:h1], first[h0:h1] - e0, head_infoset[h0:h1],
+            )
+        buckets.append((choices, tuple(levels.get(d, ()))))
+    return Plan(
+        parent=nodes,
+        child=kids,
+        slot=slot,
+        heads=heads,
+        head_infoset=head_infoset,
+        sum_src=src[other],
+        buckets=tuple(buckets),
+        rows=rows,
+    )
+
+
+def _sweep(parents, actions, infoset, probs, utility, infosets, offset) -> Sweep:
+    """Build the sweep arrays from the layout lists and each node's parent and
+    index among its siblings, with numpy: no Python loop runs over all nodes.
+
+    Edge ``e`` leads from ``parent[e]`` into node ``e + 1``: every node but
+    the root has one edge into it, and preorder numbers the root 0.
+    """
+    nodes = len(parents)
+    slots = offset[-1]
+    parent = np.frombuffer(parents, dtype=np.int64)[1:].astype(np.intp, copy=False)
+    node_infoset = np.fromiter(infoset, dtype=np.intp, count=nodes)
+    terminal = np.ones(nodes, dtype=bool)
+    terminal[parent] = False
+    # Each chance node's probabilities, in preorder, follow 1.0 in the tail.
+    chance = np.flatnonzero(~terminal & (node_infoset < 0)).tolist()
+    tail = [1.0, *chain.from_iterable(probs[node] for node in chance)]
+    first_prob = np.zeros(nodes, dtype=np.intp)
+    starts = accumulate((len(probs[node]) for node in chance), initial=1)
+    first_prob[chance] = list(starts)[:-1]
+    edge_infoset = node_infoset[parent]
+    # Each edge's mover: seat 0 or 1, or 2 for chance, whose infoset is -1.
+    seats = np.array([player for player, _, _ in infosets] + [2], dtype=np.intp)
+    moved = seats[edge_infoset]
+    offset = np.array(offset, dtype=np.intp)
+    src = np.where(moved == 2, slots + first_prob[parent], offset[edge_infoset])
+    src += np.frombuffer(actions, dtype=np.int64)[1:]
+    del node_infoset, edge_infoset, first_prob  # memory use peaks in the plans
+    # Tree depth and each seat's move depth, by pointer jumping: each round
+    # adds the counts of the path above the node's current ancestor.
+    steps = np.zeros((3, nodes), dtype=np.intp)
+    steps[0, 1:] = 1
+    steps[1, 1:] = moved == 0
+    steps[2, 1:] = moved == 1
+    ancestor = np.concatenate(([0], parent))
+    while ancestor.any():
+        steps += steps.take(ancestor, axis=1)
+        ancestor = ancestor.take(ancestor)
+    owner = np.repeat(np.arange(len(infosets)), np.diff(offset))
+    down = np.flatnonzero(~terminal[1:])
+    down = down[np.argsort(steps[0][parent[down]], kind="stable")]
+    down_parents, down_children = parent[down], down + 1
+    return Sweep(
+        tail=np.array(tail, dtype=np.float64),
+        down=tuple(
+            (down_parents[lo:hi], down_children[lo:hi], lo, hi)
+            for lo, hi in _spans(steps[0][down_parents])
+        ),
+        down_src=src[down],
+        down_mover=moved[down] == np.arange(3)[:, None],
+        owner=owner,
+        uniform=1.0 / np.diff(offset)[owner],
+        utility=np.fromiter(utility, dtype=np.float64, count=nodes),
+        terminal=terminal,
+        plans=tuple(
+            _plan(seat, parent, src, moved, steps[0], steps[1 + seat], owner, offset,
+                  infosets)
+            for seat in (0, 1)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -119,18 +318,27 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
     labels: dict[str, tuple[str, ...]] = {}
     ids: dict[str, int] = {}
     last_step: list[tuple | None] = []
-    layout = GameLayout([], [], [], [], [], [], [0])
-    children, infoset, utility = layout.children, layout.infoset, layout.utility
+    children: list[list[int]] = []
+    infoset: list[int] = []
+    probs: list[tuple[float, ...]] = []
+    utility: list[float] = []
+    inner: list[int] = []
+    infosets: list[tuple[int, str, int]] = []
+    offset = [0]
+    # Each node's parent and index among its siblings, as machine integers.
+    parents, actions = array("q"), array("q")
     # Children are pushed in reverse, so nodes are numbered in preorder.
-    stack = [(root, -1, None, None)]
+    stack = [(root, -1, 0, None, None)]
     while stack:
-        node, parent, step0, step1 = stack.pop()
+        node, parent, action, step0, step1 = stack.pop()
         index = len(children)
         if parent >= 0:
             children[parent].append(index)
         children.append([])
         infoset.append(-1)
-        layout.probs.append(node.chance_probs)
+        probs.append(node.chance_probs)
+        parents.append(parent)
+        actions.append(action)
         if node.kind == TERMINAL:
             if node.children:
                 raise ValueError("terminal node with children")
@@ -142,7 +350,7 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 raise ValueError("terminal utilities are not zero-sum")
             utility.append(u0)
             continue
-        layout.inner.append(index)
+        inner.append(index)
         utility.append(0.0)
         if node.kind == CHANCE:
             if len(node.chance_probs) != len(node.children):
@@ -151,8 +359,8 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 raise ValueError("chance probabilities must be finite and >= 0")
             if abs(sum(node.chance_probs) - 1.0) > 1e-12:
                 raise ValueError("chance probabilities do not sum to 1")
-            for child in reversed(node.children):
-                stack.append((child, index, step0, step1))
+            for a in range(len(node.children) - 1, -1, -1):
+                stack.append((node.children[a], index, a, step0, step1))
         elif node.kind == DECISION:
             if len(node.actions) != len(node.children):
                 raise ValueError("action/child count mismatch")
@@ -164,18 +372,18 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
             key = node.infoset
             k = ids.setdefault(key, len(ids))
             if k == len(last_step):  # first node of a new infoset
-                layout.infosets.append((node.player, key, len(node.actions)))
-                layout.offset.append(layout.offset[-1] + len(node.actions))
+                infosets.append((node.player, key, len(node.actions)))
+                offset.append(offset[-1] + len(node.actions))
                 labels[key] = node.actions
                 last_step.append(own)
-            elif labels[key] != node.actions or layout.infosets[k][0] != node.player:
+            elif labels[key] != node.actions or infosets[k][0] != node.player:
                 raise ValueError(f"inconsistent infoset '{key}'")
             elif last_step[k] != own:
                 raise ValueError(f"imperfect recall at infoset '{key}'")
             infoset[index] = k
             for a in range(len(node.children) - 1, -1, -1):
                 steps = ((key, a), step1) if node.player == 0 else (step0, (key, a))
-                stack.append((node.children[a], index, *steps))
+                stack.append((node.children[a], index, a, *steps))
         else:
             raise ValueError(f"unknown node kind '{node.kind}'")
     # Seat 1's payoffs are the exact negations, so both seats' spreads agree.
@@ -185,7 +393,10 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
         root=root,
         utility_range=max(payoffs) - min(payoffs),
         action_labels=labels,
-        layout=layout,
+        layout=GameLayout(
+            children, infoset, probs, utility, inner, infosets, offset,
+            _sweep(parents, actions, infoset, probs, utility, infosets, offset),
+        ),
     )
 
 
@@ -215,17 +426,32 @@ def profile_rows(game: GameSpec, seat_profiles) -> list:
     return rows
 
 
-def node_values(layout: GameLayout, rows) -> list[float]:
-    """Seat 0's value of every node when infoset ``k`` plays ``rows[k]``, in
-    one bottom-up sweep: each node adds its weighted child values to 0.0."""
-    values = list(layout.utility)
-    children, infoset, probs = layout.children, layout.infoset, layout.probs
-    for node in reversed(layout.inner):
-        k = infoset[node]
-        total = 0.0
-        for p, child in zip(probs[node] if k < 0 else rows[k], children[node]):
-            total += p * values[child]
-        values[node] = total
+def policy_vector(layout: GameLayout, rows) -> np.ndarray:
+    """The slot vector of one row per infoset id; zeros where a row is None."""
+    return np.fromiter(
+        chain.from_iterable(
+            (0.0,) * n if row is None else row
+            for row, (_, _, n) in zip(rows, layout.infosets)
+        ),
+        dtype=np.float64,
+        count=layout.offset[-1],
+    )
+
+
+def node_values(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
+    """Seat 0's value of every node when slot ``s`` plays with probability
+    ``policy[s]``: one bottom-up sweep in seat 0's plan order, each group
+    adding every node's weighted child values, in action order, to 0.0."""
+    sweep = layout.sweep
+    plan = sweep.plans[0]
+    weight = np.concatenate((policy, sweep.tail))[plan.sum_src]
+    values = sweep.utility.copy()
+    for choices, levels in plan.buckets:
+        if choices is not None:
+            parent, child, slot = choices[:3]
+            np.add.at(values, parent, policy[slot] * values[child])
+        for parent, child, lo, hi in levels:
+            np.add.at(values, parent, weight[lo:hi] * values[child])
     return values
 
 
@@ -233,7 +459,8 @@ def expected_value(game: GameSpec, profile: dict) -> tuple[float, float]:
     """Exact expected utilities (u1, u2) under a behavioral profile."""
     if not game.layout.inner:
         return game.root.utilities
-    value = node_values(game.layout, profile_rows(game, (profile, profile)))[0]
+    rows = profile_rows(game, (profile, profile))
+    value = float(node_values(game.layout, policy_vector(game.layout, rows))[0])
     # Summing seat 1's negated payoffs from 0.0 gives exactly -value, except
     # that a zero total is +0.0; 0.0 - value is that same number.
     return value, 0.0 - value

@@ -12,7 +12,9 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from .efg_core import GameSpec, expected_value, profile_rows
+import numpy as np
+
+from .efg_core import GameSpec, expected_value, policy_vector, profile_rows
 
 
 @dataclass(frozen=True)
@@ -47,63 +49,59 @@ def best_response(
     unreachable get a uniform row in the returned response; any choice there
     is value-neutral.
 
-    Nodes are valued deepest first in responder moves, in reverse preorder
-    within a depth. Under perfect recall an infoset's nodes share that
-    depth, so when the first of them is valued, all their children are.
+    A top-down sweep carries each node's opponent-and-chance reach. Nodes
+    are then valued in buckets by the responder's move depth, deepest first
+    (see ``efg_core.Plan``). Under perfect recall an infoset's nodes
+    share that depth, so when a bucket starts, all their children are
+    valued: each infoset's action scores are summed over its nodes in
+    preorder, ``argmax`` picks the first best action, and the nodes take
+    that child's value. The bucket's opponent and chance nodes follow,
+    deepest first, each adding its weighted child values to 0.0.
     """
     if responder not in (0, 1):
         raise ValueError("responder must be 0 or 1")
     seats = (None, opponent_profile) if responder == 0 else (opponent_profile, None)
-    rows = profile_rows(game, seats)
     layout = game.layout
-    children, infoset, probs = layout.children, layout.infoset, layout.probs
-    # Top-down: each node's opponent-and-chance reach and responder depth.
-    weight = [1.0] * len(children)
-    depth = [0] * len(children)
-    by_depth: list[list[int]] = []
-    members: list[list[int]] = [[] for _ in rows]
-    reach = [0.0] * len(rows)
-    for node in layout.inner:
-        w, d, k = weight[node], depth[node], infoset[node]
-        if d == len(by_depth):
-            by_depth.append([])
-        by_depth[d].append(node)
-        if k >= 0 and rows[k] is None:
-            members[k].append(node)
-            reach[k] += w
-            for child in children[node]:
-                weight[child], depth[child] = w, d + 1
-        else:
-            for prob, child in zip(probs[node] if k < 0 else rows[k], children[node]):
-                weight[child], depth[child] = w * prob, d
+    sweep, plan = layout.sweep, layout.sweep.plans[responder]
+    policy = policy_vector(layout, profile_rows(game, seats))
+    table = np.concatenate((policy, sweep.tail))
+    factor = np.where(sweep.down_mover[responder], 1.0, table[sweep.down_src])
+    weight = np.ones(len(layout.children))
+    for parent, child, lo, hi in sweep.down:
+        weight[child] = weight[parent] * factor[lo:hi]
+    reach = np.zeros(len(layout.infosets))
+    np.add.at(reach, plan.head_infoset, weight[plan.heads])
 
-    value = list(layout.utility) if responder == 0 else [-u for u in layout.utility]
-    choice = [-1] * len(rows)
-    for nodes in reversed(by_depth):
-        for node in reversed(nodes):
-            k, kids = infoset[node], children[node]
-            if k >= 0 and rows[k] is None:
-                if choice[k] < 0:
-                    best_score = None
-                    for action in range(len(kids)):
-                        score = 0.0
-                        for member in members[k]:
-                            score += weight[member] * value[children[member][action]]
-                        if best_score is None or score > best_score:
-                            best_score, choice[k] = score, action
-                value[node] = value[kids[choice[k]]]
-            else:
-                total = 0.0
-                for prob, child in zip(probs[node] if k < 0 else rows[k], kids):
-                    total += prob * value[child]
-                value[node] = total
+    if responder == 0:
+        value = sweep.utility.copy()
+    else:  # +0.0, not -0.0, at the nodes whose values are sums
+        value = np.zeros(len(layout.children))
+        np.negative(sweep.utility, out=value, where=sweep.terminal)
+    probs = table[plan.sum_src]
+    score = np.zeros(layout.offset[-1] + 1)
+    score[-1] = -np.inf  # the padding slot of a shorter infoset's row
+    choice = np.zeros(len(layout.infosets), dtype=np.intp)
+    for choices, levels in plan.buckets:
+        if choices is not None:
+            parent, child, slot, pad, ids, heads, first, head_infoset = choices
+            np.add.at(score, slot, weight[parent] * value[child])
+            choice[ids] = score[pad].argmax(axis=1)
+            value[heads] = value[child[first + choice[head_infoset]]]
+        for parent, child, lo, hi in levels:
+            np.add.at(value, parent, probs[lo:hi] * value[child])
 
+    picks, reached = choice.tolist(), (reach > 0.0).tolist()
+    # Rows by action count: the pure row of each action, then uniform.
+    rows: dict[int, list[tuple[float, ...]]] = {}
     response: dict[str, tuple[float, ...]] = {}
-    for k, (player, key, n) in enumerate(layout.infosets):
-        if player == responder:
-            pure = tuple(1.0 if a == choice[k] else 0.0 for a in range(n))
-            response[key] = pure if reach[k] > 0.0 else (1.0 / n,) * n
-    return BestResponseResult(value=value[0], response=response, responder=responder)
+    for key, k, n in plan.rows:
+        if n not in rows:
+            rows[n] = [tuple(float(a == b) for a in range(n)) for b in range(n)]
+            rows[n].append((1.0 / n,) * n)
+        response[key] = rows[n][picks[k] if reached[k] else n]
+    return BestResponseResult(
+        value=float(value[0]), response=response, responder=responder
+    )
 
 
 def exploitability(game: GameSpec, profile) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfr import average_strategy, cfr_pass, policy_rows
+from .cfr import average_strategy, cfr_pass, regret_policy
 from .efg_core import GameSpec
 from .estimator import TabularEstimator, TreeRegressor, featurize, featurize_exact
 from .eval import exploitability
@@ -91,10 +91,10 @@ class RCFRState:
 
     ``features`` holds one float64 feature row per slot, and ``seat_slots``
     each seat's slots in table order: the rows its estimator trains on.
-    ``targets`` and ``predictions`` are float64 slot vectors; a slot's
-    prediction comes from its seat's estimator as of the last refit (zeros
-    before the first), and the solver reads it in place of asking the
-    estimator.
+    ``targets``, ``predictions`` and ``strategy_sums`` are float64 slot
+    vectors; a slot's prediction comes from its seat's estimator as of the
+    last refit (zeros before the first), and the solver reads it in place of
+    asking the estimator. A seat with no slots has no estimator fit.
     """
 
     game: GameSpec = field(repr=False)
@@ -103,7 +103,7 @@ class RCFRState:
     seat_slots: tuple = field(repr=False)
     targets: np.ndarray = field(repr=False)
     predictions: np.ndarray = field(repr=False)
-    strategy_sums: list = field(repr=False)
+    strategy_sums: np.ndarray = field(repr=False)
     iterations: int = 0
 
 
@@ -145,22 +145,24 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
         seat_slots=seat_slots,
         targets=np.zeros(offset[-1]),
         predictions=np.zeros(offset[-1]),
-        strategy_sums=[0.0] * offset[-1],
+        strategy_sums=np.zeros(offset[-1]),
     )
     _cache_predictions(state)
     return state
 
 
 def _cache_predictions(state: RCFRState) -> None:
-    """One batched predict per seat, written into that seat's slots."""
+    """One batched predict per seat that acts, written into its slots."""
     for player, slots in enumerate(state.seat_slots):
-        estimator = state.estimators[player]
-        state.predictions[slots] = estimator.predict(state.features[slots])
+        if len(slots):
+            estimator = state.estimators[player]
+            state.predictions[slots] = estimator.predict(state.features[slots])
 
 
 def _refit(state: RCFRState) -> None:
     for player, slots in enumerate(state.seat_slots):
-        state.estimators[player].fit(state.features[slots], state.targets[slots])
+        if len(slots):
+            state.estimators[player].fit(state.features[slots], state.targets[slots])
     _cache_predictions(state)
 
 
@@ -188,8 +190,8 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
     as the pre-refit model's prediction plus the new regret. Strategy sums
     accumulate exactly either way.
     """
-    rows = policy_rows(game, state.predictions.tolist())
-    _, deltas = cfr_pass(game, rows, state.strategy_sums, (0, 1))
+    policy = regret_policy(game, state.predictions)
+    _, deltas = cfr_pass(game, policy, state.strategy_sums, (0, 1))
     if config.target_mode == "exact":
         state.targets += deltas
     else:

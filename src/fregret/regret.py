@@ -110,15 +110,22 @@ class BoundLogRow:
 def regret_match(regrets) -> tuple[float, ...]:
     """Policy proportional to positive regrets; uniform when none are positive.
 
-    Raises ValueError on an empty vector or a NaN or infinite entry.
+    Raises ValueError on an empty vector or one whose sum is NaN or infinite.
+    Both sums run from 0.0 in order: the builtin ``sum`` is compensated on
+    Python 3.12+, which would make the policy depend on the Python version.
     """
     n = len(regrets)
     if n == 0:
         raise ValueError("empty regret vector")
-    if not math.isfinite(sum(regrets)):
+    total = 0.0
+    for r in regrets:
+        total += r
+    if not math.isfinite(total):
         raise ValueError(f"non-finite regrets {tuple(regrets)!r}")
     positive = [r if r > 0.0 else 0.0 for r in regrets]
-    total = sum(positive)
+    total = 0.0
+    for p in positive:
+        total += p
     if total <= 0.0:
         return (1.0 / n,) * n
     return tuple(p / total for p in positive)

@@ -1,6 +1,7 @@
 """Shared fixtures (game trees are immutable, so each is built once per
 session), the row-by-row prediction reference and views of slot vectors."""
 
+import numpy as np
 import pytest
 
 from fregret.estimator import TabularEstimator, predict
@@ -38,9 +39,10 @@ def infoset_slots(game, key):
 
 
 def by_key(game, flat):
-    """A slot vector as lists keyed by infoset, in table order."""
-    offset = game.layout.offset
+    """A slot vector as lists of Python floats keyed by infoset, in table
+    order."""
+    offset, flat = game.layout.offset, np.asarray(flat, dtype=np.float64).tolist()
     return {
-        key: list(flat[offset[k] : offset[k + 1]])
+        key: flat[offset[k] : offset[k + 1]]
         for k, (_, key, _) in enumerate(game.layout.infosets)
     }

@@ -1,10 +1,15 @@
 """Tabular CFR: iteration arithmetic, tables, averaging, and convergence."""
 
+import functools
 import math
 import re
 
+import numpy as np
 import pytest
 from conftest import by_key, infoset_slots
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_game_oracle import random_game
 
 from fregret.cfr import (
     CFRConfig,
@@ -15,7 +20,7 @@ from fregret.cfr import (
     cfr_pass,
     max_positive_regret_sum,
     new_tables,
-    policy_rows,
+    regret_policy,
     solve,
 )
 from fregret.efg_core import (
@@ -25,6 +30,7 @@ from fregret.efg_core import (
     terminal,
     uniform_profile,
 )
+from fregret.games import build_leduc
 from fregret.regret import regret_match
 
 RANKS = "JQK"
@@ -87,27 +93,99 @@ class TestTables:
     def test_fresh_tables_cover_every_infoset(self, kuhn_game):
         tables = new_tables(kuhn_game)
         assert kuhn_game.layout.offset == list(range(0, 26, 2))
-        assert tables.regrets == [0.0] * 24
-        assert tables.strategy_sums == [0.0] * 24
+        assert tables.regrets.tolist() == [0.0] * 24
+        assert tables.strategy_sums.tolist() == [0.0] * 24
         assert tables.iterations == 0
 
     def test_current_policy_is_uniform_when_fresh(self, kuhn_game):
         tables = new_tables(kuhn_game)
-        k, _ = infoset_slots(kuhn_game, "p0:J:-:")
-        assert policy_rows(kuhn_game, tables.regrets)[k] == (0.5, 0.5)
+        _, slots = infoset_slots(kuhn_game, "p0:J:-:")
+        assert regret_policy(kuhn_game, tables.regrets)[slots].tolist() == [0.5, 0.5]
 
     def test_current_policy_drops_nonpositive_regret_actions(self, kuhn_game):
         tables = new_tables(kuhn_game)
-        k, slots = infoset_slots(kuhn_game, "p1:K:-:r")
+        _, slots = infoset_slots(kuhn_game, "p1:K:-:r")
         tables.regrets[slots] = [2.0, 0.0]
-        assert policy_rows(kuhn_game, tables.regrets)[k] == (1.0, 0.0)
+        assert regret_policy(kuhn_game, tables.regrets)[slots].tolist() == [1.0, 0.0]
 
     def test_current_policy_matches_regret_match_bitwise(self, kuhn_game):
         tables = new_tables(kuhn_game)
-        k, slots = infoset_slots(kuhn_game, "p0:Q:-:")
+        _, slots = infoset_slots(kuhn_game, "p0:Q:-:")
         tables.regrets[slots] = [0.3, -1.2]
-        rows = policy_rows(kuhn_game, tables.regrets)
-        assert rows[k] == regret_match([0.3, -1.2])
+        policy = regret_policy(kuhn_game, tables.regrets)
+        assert tuple(policy[slots].tolist()) == regret_match([0.3, -1.2])
+
+
+@functools.cache
+def matching_game(name):
+    return build_leduc() if name == "leduc" else random_game(int(name))
+
+
+# Entries past 1e307 overflow a sum when two of them meet in one infoset.
+SPECIALS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 9e307)
+
+
+@st.composite
+def regret_vectors(draw, slots):
+    """Zeros of both signs, subnormals and values over ten decades, both
+    signs, drawn from a seeded generator; then a few slots, alone or with
+    their neighbour, overwritten with NaN, an infinity or an entry big
+    enough to overflow a sum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shares = draw(st.lists(st.integers(0, 4), min_size=4, max_size=4))
+    kind = rng.choice(4, size=slots, p=np.add(shares, 1) / sum(np.add(shares, 1)))
+    sign = rng.choice((-1.0, 1.0), size=slots)
+    scaled = rng.uniform(1.0, 10.0, slots) * 10.0 ** rng.integers(-5, 5, slots)
+    tiny = rng.integers(1, 2**52, slots) * 5e-324
+    vector = sign * np.choose(kind, (np.zeros(slots), tiny, scaled, scaled))
+    injections = st.tuples(
+        st.integers(0, slots - 1), st.sampled_from(SPECIALS), st.integers(1, 2)
+    )
+    for slot, value, width in draw(st.lists(injections, max_size=3)):
+        vector[slot : slot + width] = value
+    return vector
+
+
+class TestVectorisedRegretMatching:
+    """``regret_policy`` equals ``regret_match`` at every infoset, bit for
+    bit, and raises for the same vectors with the same message."""
+
+    @pytest.mark.parametrize("name", ["leduc", "0", "7", "42", "131"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_regret_match(self, name, data):
+        game = matching_game(name)
+        layout = game.layout
+        regrets = data.draw(regret_vectors(layout.offset[-1]))
+        expected, error = [], None
+        for k, (_, key, _) in enumerate(layout.infosets):
+            row = regrets[layout.offset[k] : layout.offset[k + 1]].tolist()
+            try:
+                expected.append(regret_match(row))
+            except ValueError as failure:
+                error = f"infoset '{key}': {failure}"
+                break
+        if error is not None:
+            with pytest.raises(ValueError) as raised:
+                regret_policy(game, regrets)
+            assert str(raised.value) == error
+        else:
+            policy = by_key(game, regret_policy(game, regrets))
+            assert repr([tuple(row) for row in policy.values()]) == repr(expected)
+
+    def test_totals_run_in_order(self, kuhn_game):
+        # Sequential totals of 1.0, 1e-16, 1e-16 are exactly 1.0; the
+        # compensated builtin ``sum`` of Python 3.12+ is 1.0000000000000002.
+        tables = new_tables(kuhn_game)
+        for key, regret in (("p0:J:-:", 1.0), ("p0:Q:-:", 1e-16), ("p0:K:-:", 1e-16)):
+            tables.regrets[infoset_slots(kuhn_game, key)[1]] = [regret, 0.0]
+        assert max_positive_regret_sum(tables) == 1.0
+        game = make_game(
+            "toy3",
+            decision(0, "p0:x", ("a", "b", "c"), [terminal(0.0)] * 3),
+        )
+        sums = np.array([1.0, 1e-16, 1e-16])
+        assert average_strategy(game, sums) == {"p0:x": (1.0, 1e-16, 1e-16)}
 
 
 class TestIteration:
@@ -123,7 +201,7 @@ class TestIteration:
     def test_tables_accumulate_the_returned_deltas(self, kuhn_game):
         tables = new_tables(kuhn_game)
         first = cfr_iteration(kuhn_game, tables)
-        assert tables.regrets == first
+        assert tables.regrets.tolist() == first.tolist()
         assert tables.iterations == 1
         before = list(tables.regrets)
         second = cfr_iteration(kuhn_game, tables)
@@ -133,9 +211,9 @@ class TestIteration:
     def test_policy_weighted_regret_is_zero(self, kuhn_game):
         tables = new_tables(kuhn_game)
         for _ in range(5):
-            policies = policy_rows(kuhn_game, tables.regrets)
+            policies = by_key(kuhn_game, regret_policy(kuhn_game, tables.regrets))
             deltas = by_key(kuhn_game, cfr_iteration(kuhn_game, tables))
-            for policy, vec in zip(policies, deltas.values()):
+            for policy, vec in zip(policies.values(), deltas.values()):
                 mix = sum(p * d for p, d in zip(policy, vec))
                 assert abs(mix) < 1e-9
 
@@ -143,7 +221,7 @@ class TestIteration:
         tables = new_tables(kuhn_game)
         value, _ = cfr_pass(
             kuhn_game,
-            policy_rows(kuhn_game, tables.regrets),
+            regret_policy(kuhn_game, tables.regrets),
             tables.strategy_sums,
             (0, 1),
         )
@@ -156,14 +234,14 @@ class TestIteration:
             decision(0, "p0:x", ("a", "b"), (terminal(1.0), terminal(1.0))),
         )
         deltas = cfr_iteration(game, new_tables(game))
-        assert deltas == [0.0, 0.0]
+        assert deltas.tolist() == [0.0, 0.0]
 
     def test_single_action_infoset_gets_zero_regret(self):
         game = make_game(
             "toy1", decision(0, "p0:only", ("a",), (terminal(2.0),))
         )
         deltas = cfr_iteration(game, new_tables(game))
-        assert deltas == [0.0]
+        assert deltas.tolist() == [0.0]
 
     def test_leduc_first_iteration_covers_every_infoset(self, leduc_game):
         tables = new_tables(leduc_game)

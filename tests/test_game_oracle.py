@@ -20,11 +20,12 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 from conftest import by_key
 
 import fregret
-from fregret.cfr import CFRConfig, cfr_pass, new_tables, policy_rows, solve
+from fregret.cfr import CFRConfig, cfr_pass, new_tables, regret_policy, solve
 from fregret.efg_core import (
     CHANCE,
     DECISION,
@@ -47,6 +48,18 @@ from fregret.eval import (
 )
 from fregret.rcfr import RCFRConfig, rcfr_solve
 from fregret.regret import regret_match
+
+
+def sum(values, start=0):  # noqa: A001
+    """The builtin ``sum`` as it is up to Python 3.11: plain additions in
+    order from ``start``. From 3.12 the builtin compensates float sums; the
+    walks below were recorded under the plain one and use this copy, so
+    they compute the same bits on every Python version."""
+    total = start
+    for value in values:
+        total = total + value
+    return total
+
 
 # ---------------------------------------------------------------------------
 # The recursive walks, unchanged but for their names.
@@ -400,13 +413,14 @@ def test_cfr_pass_matches_reference(games, update_players):
     for game in games.values():
         seats = [(0,), (1,)] if update_players == "alternating" else [update_players]
         slots = game.layout.offset[-1]
-        regrets, sums = [0.0] * slots, [0.0] * slots
+        regrets, sums = np.zeros(slots), np.zeros(slots)
         old_regrets = {key: [0.0] * n for _, key, n in enumerate_infosets(game)}
         old_sums = {}
         for _ in range(4):
             for players in seats:
-                value, deltas = cfr_pass(game, policy_rows(game, regrets), sums, players)
-                regrets = [r + d for r, d in zip(regrets, deltas)]
+                policy = regret_policy(game, regrets)
+                value, deltas = cfr_pass(game, policy, sums, players)
+                regrets = regrets + deltas
                 old_value, old_deltas = reference_cfr_pass(
                     game, lambda key: regret_match(old_regrets[key]), old_sums, players
                 )

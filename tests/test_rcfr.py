@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import infoset_slots, predict_row
+from conftest import by_key, infoset_slots, predict_row
 from test_game_oracle import (
     reference_average,
     reference_cfr_pass,
@@ -17,9 +17,15 @@ from fregret.cfr import (
     average_strategy,
     cfr_iteration,
     new_tables,
-    policy_rows,
+    regret_policy,
 )
-from fregret.efg_core import enumerate_infosets, uniform_profile
+from fregret.efg_core import (
+    decision,
+    enumerate_infosets,
+    make_game,
+    terminal,
+    uniform_profile,
+)
 from fregret.estimator import (
     TabularEstimator,
     TreeRegressor,
@@ -50,11 +56,12 @@ def assert_tracks_cfr_exactly(game, target_mode, iterations):
     for _ in range(iterations):
         cfr_iteration(game, tables)
         rcfr_iteration(game, state, config)
-        assert policy_rows(game, state.predictions.tolist()) == policy_rows(
-            game, tables.regrets
+        assert (
+            regret_policy(game, state.predictions).tolist()
+            == regret_policy(game, tables.regrets).tolist()
         )
-    assert state.targets.tolist() == tables.regrets
-    assert state.strategy_sums == tables.strategy_sums
+    assert state.targets.tolist() == tables.regrets.tolist()
+    assert state.strategy_sums.tolist() == tables.strategy_sums.tolist()
     assert average_strategy(game, state.strategy_sums) == average_strategy(
         game, tables.strategy_sums
     )
@@ -77,30 +84,30 @@ class TestOracleEquivalence:
 class TestPolicy:
     def test_unfitted_estimator_gives_uniform_everywhere(self, kuhn_game):
         state = new_state(kuhn_game, RCFRConfig(iterations=1))
-        rows = policy_rows(kuhn_game, state.predictions.tolist())
-        for row, (_, _, n) in zip(rows, enumerate_infosets(kuhn_game)):
-            assert row == (1.0 / n,) * n
+        rows = by_key(kuhn_game, regret_policy(kuhn_game, state.predictions))
+        for row, (_, _, n) in zip(rows.values(), enumerate_infosets(kuhn_game)):
+            assert row == [1.0 / n] * n
 
     def test_all_negative_predictions_give_uniform(self, leduc_game):
         config = RCFRConfig(iterations=1, estimator_kind="tabular")
         state = new_state(leduc_game, config)
-        k, slots = infoset_slots(leduc_game, "p0:J:-:cr/")
+        _, slots = infoset_slots(leduc_game, "p0:J:-:cr/")
         rows = state.features[slots]
         assert len(rows) == 3
         state.estimators[0].fit(rows, [-1.0, -1.0, -1.0])
         _cache_predictions(state)
-        policy = policy_rows(leduc_game, state.predictions.tolist())[k]
-        assert policy == (1.0 / 3.0,) * 3
+        policy = regret_policy(leduc_game, state.predictions)[slots].tolist()
+        assert policy == [1.0 / 3.0] * 3
 
     def test_direct_fit_reaches_rcfr_policy(self, leduc_game):
         # The fitted estimator reaches the policy through the prediction cache.
         for kind in ("tabular", "tree"):
             state = new_state(leduc_game, RCFRConfig(iterations=1, estimator_kind=kind))
-            k, slots = infoset_slots(leduc_game, "p0:J:-:cr/")
+            _, slots = infoset_slots(leduc_game, "p0:J:-:cr/")
             state.estimators[0].fit(state.features[slots], [1.0, 3.0, 0.0])
             _cache_predictions(state)
-            rows = policy_rows(leduc_game, state.predictions.tolist())
-            assert rows[k] == (0.25, 0.75, 0.0)
+            policy = regret_policy(leduc_game, state.predictions)
+            assert policy[slots].tolist() == [0.25, 0.75, 0.0]
 
     def test_nan_prediction_names_its_infoset(self, leduc_game):
         config = RCFRConfig(iterations=2, estimator_kind="tree")
@@ -351,6 +358,20 @@ class TestSolve:
         config = RCFRConfig(iterations=50, log_every=50, max_depth=1)
         _, convergence, _ = rcfr_solve(kuhn_game, config)
         assert convergence[-1].mse_p1 > 0.0
+
+
+class TestOneSeatGame:
+    def test_tree_rcfr_skips_a_seat_that_never_acts(self):
+        game = make_game(
+            "kuhn",
+            decision(0, "p0:J:-:", ("c", "r"), (terminal(1.0), terminal(-1.0))),
+        )
+        tree, _, sizes = rcfr_solve(game, RCFRConfig(iterations=5))
+        tabular, _, _ = rcfr_solve(
+            game, RCFRConfig(iterations=5, estimator_kind="tabular")
+        )
+        assert tree == tabular == {"p0:J:-:": (0.9, 0.1)}
+        assert sizes[-1].leaves_p1 > 0 and sizes[-1].leaves_p2 == 0
 
 
 class TestConfig:

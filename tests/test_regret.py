@@ -43,6 +43,12 @@ class TestRegretMatch:
         with pytest.raises(ValueError):
             regret_match(())
 
+    def test_sums_run_in_order_on_every_python(self):
+        # From 0.0 in order, 1.0 + 1e-16 rounds back to 1.0 twice, so the
+        # total is exactly 1.0. A compensated sum, as the builtin ``sum`` is
+        # on Python 3.12+, gives 1.0000000000000002 and moves every entry.
+        assert regret_match((1.0, 1e-16, 1e-16)) == (1.0, 1e-16, 1e-16)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         # NaN would otherwise read as "not positive" and play uniform.
