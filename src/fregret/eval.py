@@ -144,14 +144,15 @@ def _play_hand(layout, rows, rng, script, replay: bool) -> float:
     payoff.
 
     Chance outcomes come from ``script`` by event order when replaying,
-    falling back to fresh draws (appended to the script) past its end.
+    falling back to fresh draws (appended to the script) past its end and
+    where the scripted outcome is not one of this chance node's.
     """
     children, infoset = layout.children, layout.infoset
     node = event = 0
     while children[node]:
         k = infoset[node]
         if k < 0:
-            if replay and event < len(script):
+            if replay and event < len(script) and script[event] < len(children[node]):
                 index = script[event]
             else:
                 index = _draw(rng, layout.probs[node])

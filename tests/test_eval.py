@@ -1,12 +1,17 @@
 """Best response, exploitability, exact EV, and sampled matches."""
 
+import dataclasses
 import itertools
+import math
 import random
+import sys
 
 import pytest
+from test_game_oracle import random_game
 
 from fregret.efg_core import enumerate_infosets, expected_value, uniform_profile
 from fregret.eval import (
+    MatchResult,
     best_response,
     exact_ev,
     exploitability,
@@ -256,3 +261,114 @@ class TestSampledMatch:
         )
         assert result.seed == 21
         assert result.duplicate is True
+
+
+# ---------------------------------------------------------------------------
+# Sampled play, pinned bit for bit
+
+# (game, duplicate, hands asked, seed, hands played, mean, stderr) of
+# uniform play against ``random_profile(game, 7)``. The random games have
+# integer payoffs, so every mean is an exact sum on any Python version.
+GOLDEN_MATCHES = [
+    ('kuhn', False, 1, 0, 1, 2.0, 0.0),
+    ('kuhn', False, 1, 3, 1, 1.0, 0.0),
+    ('kuhn', False, 5, 0, 5, 1.0, 0.5477225575051661),
+    ('kuhn', False, 5, 3, 5, -0.4, 0.6),
+    ('kuhn', False, 2001, 0, 2001, -0.005997001499250375, 0.03283204284653582),
+    ('kuhn', False, 2001, 3, 2001, 0.07796101949025487, 0.032022598221278974),
+    ('kuhn', True, 1, 0, 2, 1.5, 0.0),
+    ('kuhn', True, 1, 3, 2, 1.0, 0.0),
+    ('kuhn', True, 5, 0, 4, 1.5, 0.0),
+    ('kuhn', True, 5, 3, 4, 0.25, 0.7499999999999999),
+    ('kuhn', True, 2001, 0, 2000, 0.0505, 0.025195923967669547),
+    ('kuhn', True, 2001, 3, 2000, 0.041, 0.023576998852162565),
+    ('leduc', False, 1, 0, 1, 1.0, 0.0),
+    ('leduc', False, 1, 3, 1, 3.0, 0.0),
+    ('leduc', False, 5, 0, 5, 4.6, 1.833030277982336),
+    ('leduc', False, 5, 3, 5, -0.2, 1.3564659966250534),
+    ('leduc', False, 2001, 0, 2001, -0.026486756621689155, 0.09637818567050428),
+    ('leduc', False, 2001, 3, 2001, -0.015992003998001, 0.09275812648471045),
+    ('leduc', True, 1, 0, 2, -1.0, 0.0),
+    ('leduc', True, 1, 3, 2, 2.0, 0.0),
+    ('leduc', True, 5, 0, 4, 0.25, 1.25),
+    ('leduc', True, 5, 3, 4, 0.5, 1.4999999999999998),
+    ('leduc', True, 2001, 0, 2000, -0.0755, 0.08352859855628356),
+    ('leduc', True, 2001, 3, 2000, -0.1975, 0.08538169466451098),
+    ('random1', False, 1, 0, 1, -1.0, 0.0),
+    ('random1', False, 1, 3, 1, 2.0, 0.0),
+    ('random1', False, 5, 0, 5, 0.0, 0.8366600265340755),
+    ('random1', False, 5, 3, 5, 1.2, 0.58309518948453),
+    ('random1', False, 2001, 0, 2001, -0.053973013493253376, 0.03335395756717613),
+    ('random1', False, 2001, 3, 2001, -0.046476761619190406, 0.03294884826502071),
+    ('random1', True, 1, 0, 2, 0.0, 0.0),
+    ('random1', True, 1, 3, 2, 1.0, 0.0),
+    ('random1', True, 5, 0, 4, 0.0, 0.0),
+    ('random1', True, 5, 3, 4, 0.5, 0.5),
+    ('random1', True, 2001, 0, 2000, -0.0145, 0.023023245206091603),
+    ('random1', True, 2001, 3, 2000, -0.025, 0.021722035973795063),
+    ('random3', False, 1, 0, 1, 0.0, 0.0),
+    ('random3', False, 1, 3, 1, 2.0, 0.0),
+    ('random3', False, 5, 0, 5, -0.2, 0.19999999999999998),
+    ('random3', False, 5, 3, 5, 0.4, 0.8124038404635959),
+    ('random3', False, 2001, 0, 2001, 0.026986506746626688, 0.034648743331493204),
+    ('random3', False, 2001, 3, 2001, 0.06146926536731634, 0.034659186235321625),
+    ('random3', True, 1, 0, 2, 0.5, 0.0),
+    ('random3', True, 1, 3, 2, 0.0, 0.0),
+    ('random3', True, 5, 0, 4, 0.25, 0.25),
+    ('random3', True, 5, 3, 4, -1.0, 1.0),
+    ('random3', True, 2001, 0, 2000, 0.037, 0.029925349229817298),
+    ('random3', True, 2001, 3, 2000, -0.0145, 0.030057331771020414),
+    ('random21', False, 1, 0, 1, 2.0, 0.0),
+    ('random21', False, 1, 3, 1, 2.0, 0.0),
+    ('random21', False, 5, 0, 5, 0.4, 0.9797958971132711),
+    ('random21', False, 5, 3, 5, 0.4, 0.7483314773547882),
+    ('random21', False, 2001, 0, 2001, 0.0944527736131934, 0.038833401729720066),
+    ('random21', False, 2001, 3, 2001, 0.1359320339830085, 0.03822337123586613),
+    ('random21', True, 1, 0, 2, 2.0, 0.0),
+    ('random21', True, 1, 3, 2, 0.0, 0.0),
+    ('random21', True, 5, 0, 4, 1.0, 1.0),
+    ('random21', True, 5, 3, 4, 0.25, 0.25),
+    ('random21', True, 2001, 0, 2000, 0.128, 0.0195319609229974),
+    ('random21', True, 2001, 3, 2000, 0.1345, 0.019507441920720674),
+    ('random29', False, 1, 0, 1, 2.0, 0.0),
+    ('random29', False, 1, 3, 1, -2.0, 0.0),
+    ('random29', False, 5, 0, 5, 0.6, 0.7483314773547882),
+    ('random29', False, 5, 3, 5, 0.0, 0.8944271909999159),
+    ('random29', False, 2001, 0, 2001, 0.23388305847076463, 0.03252855097978541),
+    ('random29', False, 2001, 3, 2001, 0.18840579710144928, 0.03213994812519839),
+    ('random29', True, 1, 0, 2, 1.0, 0.0),
+    ('random29', True, 1, 3, 2, 0.0, 0.0),
+    ('random29', True, 5, 0, 4, 1.25, 0.25),
+    ('random29', True, 5, 3, 4, 0.5, 0.5),
+    ('random29', True, 2001, 0, 2000, 0.1855, 0.030128848260388207),
+    ('random29', True, 2001, 3, 2000, 0.1455, 0.030033010700423156),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_games(kuhn_game, leduc_game):
+    games = {"kuhn": kuhn_game, "leduc": leduc_game}
+    for seed in (1, 3, 21, 29):
+        games[f"random{seed}"] = random_game(seed)
+    return games
+
+
+@pytest.mark.parametrize(
+    "name", ["kuhn", "leduc", "random1", "random3", "random21", "random29"]
+)
+def test_sampled_match_is_pinned(golden_games, name):
+    """Every draw and every hand's payoff as recorded: a change to how play
+    walks the game shows here. Python 3.10's ``statistics.stdev`` rounds
+    the square root of an already rounded variance, 3.11+ rounds once, so
+    there the stderr may differ by an ulp."""
+    game = golden_games[name]
+    a, b = uniform_profile(game), random_profile(game, 7)
+    for _, duplicate, hands, seed, played, mean, stderr in (
+        row for row in GOLDEN_MATCHES if row[0] == name
+    ):
+        result = sampled_match(game, a, b, hands, seed=seed, duplicate=duplicate)
+        expected = MatchResult(played, mean, stderr, seed, duplicate)
+        if sys.version_info < (3, 11):
+            assert abs(result.stderr - stderr) <= math.ulp(stderr)
+            result = dataclasses.replace(result, stderr=stderr)
+        assert repr(result) == repr(expected)
