@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 usage error, 3 I/O error, 4 validation error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -53,13 +54,39 @@ def format_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_row(key: str, probs) -> None:
+    """Reject a strategy row with an entry that is negative or not finite,
+    or whose entries do not sum to 1 within 1e-6."""
+    if not all(0.0 <= prob < math.inf for prob in probs):
+        raise ValueError(
+            f"probabilities for infoset '{key}' must be finite and >= 0, "
+            f"got {tuple(probs)!r}"
+        )
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(
+            f"probabilities for infoset '{key}' sum to "
+            f"{format_float(total)}, expected 1"
+        )
+
+
 def write_strategy_file(path: str, game, profile) -> None:
-    """Validate the profile against the game and store it sorted."""
+    """Validate the profile against the game and store it sorted.
+
+    Raises ValueError, before the file is opened, on anything the reader
+    would reject: a game id that is empty or has whitespace, a key with a
+    comma or a line break, or a row that fails ``check_row``.
+    """
     validate_profile(game, profile)
-    lines = [
-        f"# fregret-strategy v1 game={game.game_id} exploit_convention=sum"
-    ]
+    header = f"# fregret-strategy v1 game={game.game_id} exploit_convention=sum"
+    if STRATEGY_HEADER_PATTERN.fullmatch(header) is None:
+        raise ValueError(f"game id {game.game_id!r} is empty or has whitespace")
+    lines = [header]
     for key in sorted(profile):
+        # Every character that str.splitlines splits at is a line break.
+        if "," in key or "".join(key.splitlines()) != key:
+            raise ValueError(f"infoset key {key!r} has a comma or a line break")
+        check_row(key, profile[key])
         for index, prob in enumerate(profile[key]):
             lines.append(f"{key},{index},{format_float(prob)}")
     with open(path, "w") as handle:
@@ -70,8 +97,8 @@ def read_strategy_file(path: str):
     """Parse a strategy file; returns (game id, profile).
 
     Every malformed line is reported with its line number; per-infoset
-    probabilities must be nonnegative, contiguous from action index 0, and
-    sum to 1 within 1e-6.
+    probabilities must be contiguous from action index 0 and pass
+    ``check_row``.
     """
     with open(path) as handle:
         lines = handle.read().splitlines()
@@ -124,12 +151,10 @@ def read_strategy_file(path: str):
                 f"{path}: infoset '{key}' is missing some action indices"
             )
         probs = tuple(row[i] for i in range(count))
-        total = sum(probs)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(
-                f"{path}: probabilities for infoset '{key}' sum to "
-                f"{format_float(total)}, expected 1"
-            )
+        try:
+            check_row(key, probs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         profile[key] = probs
     return game_id, profile
 

@@ -308,9 +308,10 @@ class GameSpec:
 def make_game(game_id: str, root: GameNode) -> GameSpec:
     """Check a built tree and wrap it, with its layout, in a GameSpec.
 
-    Raises ValueError on malformed nodes, non-finite chance probabilities or
-    utilities, non-zero-sum payoffs, infosets whose nodes disagree on player
-    or actions, and imperfect recall: every node of an infoset must share the
+    Raises ValueError on malformed nodes (a decision node's infoset key
+    must be a ``str``), non-finite chance probabilities or utilities,
+    non-zero-sum payoffs, infosets whose nodes disagree on player or
+    actions, and imperfect recall: every node of an infoset must share the
     acting seat's own (infoset, action index) history. Comparing only the
     latest step of that history suffices: the step names an earlier infoset,
     whose nodes were checked the same way.
@@ -370,6 +371,8 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 raise ValueError(f"decision node player {node.player!r} is not 0 or 1")
             own = step0 if node.player == 0 else step1
             key = node.infoset
+            if not isinstance(key, str):
+                raise ValueError(f"decision node infoset {key!r} is not a str")
             k = ids.setdefault(key, len(ids))
             if k == len(last_step):  # first node of a new infoset
                 infosets.append((node.player, key, len(node.actions)))

@@ -1,5 +1,6 @@
 """Command-line interface: formats, round-trips, exit codes, and outputs."""
 
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from fregret.cli import (
     validate_profile,
     write_strategy_file,
 )
-from fregret.efg_core import uniform_profile
+from fregret.efg_core import decision, make_game, terminal, uniform_profile
 from fregret.eval import exploitability
 
 
@@ -76,6 +77,48 @@ class TestStrategyFiles:
         with pytest.raises(ValueError, match="missing infoset"):
             validate_profile(kuhn_game, profile)
             write_strategy_file(str(tmp_path / "bad.csv"), kuhn_game, profile)
+
+
+def one_infoset_game(game_id, key):
+    return make_game(
+        game_id, decision(0, key, ("a", "b"), (terminal(1.0), terminal(-1.0)))
+    )
+
+
+class TestStrategyWriterMatchesReader:
+    """The writer raises, before it opens the file, on whatever the reader
+    would reject."""
+
+    @pytest.mark.parametrize(
+        "game_id, key, row",
+        [
+            ("my game", "p0:x", (0.5, 0.5)),
+            ("", "p0:x", (0.5, 0.5)),
+            ("toy", "a,b", (0.5, 0.5)),
+            ("toy", "k\nx", (0.5, 0.5)),
+            ("toy", "a\rb", (0.5, 0.5)),
+            ("toy", "a\u2028b", (0.5, 0.5)),
+            ("toy", "p0:x", (math.nan, 1.0)),
+            ("toy", "p0:x", (math.inf, 0.0)),
+            ("toy", "p0:x", (0.2, 0.2)),
+        ],
+    )
+    def test_unreadable_input_raises_and_writes_nothing(
+        self, tmp_path, game_id, key, row
+    ):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            write_strategy_file(str(path), one_infoset_game(game_id, key), {key: row})
+        assert not path.exists()
+
+    def test_valid_profile_round_trips_byte_for_byte(self, tmp_path):
+        game = one_infoset_game("toy-1", "p0: x;y")
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_strategy_file(str(first), game, {"p0: x;y": (0.25, 0.75)})
+        game_id, profile = read_strategy_file(str(first))
+        assert (game_id, profile) == ("toy-1", {"p0: x;y": (0.25, 0.75)})
+        write_strategy_file(str(second), game, profile)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestStrategyParsing:

@@ -149,6 +149,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="is not 0 or 1"):
             make_game("bad", decision(player, "p0:x", ("a",), [terminal(0.0)]))
 
+    @pytest.mark.parametrize("key", [None, 7, ("p0", "x")])
+    def test_decision_infoset_must_be_a_str(self, key):
+        with pytest.raises(ValueError, match="is not a str"):
+            make_game("bad", decision(0, key, ("a",), [terminal(0.0)]))
+
     def test_action_child_count_mismatch(self):
         with pytest.raises(ValueError):
             make_game("bad", decision(0, "p0:x", ("a", "b"), [terminal(0.0)]))
