@@ -10,7 +10,7 @@ Tables are float64 vectors over the game's slots, one per infoset-action
 takes the policy as a slot vector, so the same traversal serves both the
 tabular solver here and solvers that predict regrets with a fitted model;
 ``regret_policy`` regret-matches either kind of regret vector. Both are
-numpy sweeps over the layout's ``Sweep`` arrays whose every sum runs from
+numpy sweeps over the layout's index arrays whose every sum runs from
 0.0 in a fixed order (``np.add.at`` or a loop), never pairwise or
 compensated, so runs are bit-for-bit identical across repeats and across
 Python versions.
@@ -81,11 +81,11 @@ def new_tables(game: GameSpec) -> CFRTables:
 def _normalize(game: GameSpec, weights: np.ndarray) -> np.ndarray:
     """Each infoset's slots of ``weights`` divided by their total, summed from
     0.0 in slot order; uniform where the total is not positive."""
-    sweep = game.layout.sweep
-    totals = np.zeros(len(game.layout.infosets))
-    np.add.at(totals, sweep.owner, weights)
-    totals = totals[sweep.owner]
-    policy = sweep.uniform.copy()
+    layout = game.layout
+    totals = np.zeros(len(layout.infosets))
+    np.add.at(totals, layout.owner, weights)
+    totals = totals[layout.owner]
+    policy = layout.uniform.copy()
     np.divide(weights, totals, out=policy, where=totals > 0.0)
     return policy
 
@@ -101,7 +101,7 @@ def regret_policy(game: GameSpec, regrets) -> np.ndarray:
     layout = game.layout
     with np.errstate(over="ignore", invalid="ignore"):
         totals = np.zeros(len(layout.infosets))
-        np.add.at(totals, layout.sweep.owner, regrets)
+        np.add.at(totals, layout.owner, regrets)
         bad = np.flatnonzero(~np.isfinite(totals))
         if len(bad):
             k = int(bad[0])
@@ -131,19 +131,18 @@ def cfr_pass(game: GameSpec, policy, strategy_sums, update_players):
     in the order their subtrees finish.
     """
     layout = game.layout
-    sweep = layout.sweep
     policy = np.asarray(policy, dtype=np.float64)
     values = node_values(layout, policy)
     deltas = np.zeros(layout.offset[-1])
     seats = [seat for seat in (0, 1) if seat in update_players]
     if seats:
-        table = np.concatenate((policy, sweep.tail))
-        factor = np.where(sweep.down_mover, table[sweep.down_src], 1.0)
+        table = np.concatenate((policy, layout.tail))
+        factor = np.where(layout.down_mover, table[layout.down_src], 1.0)
         reach = np.ones((3, len(values)))
-        for parent, child, lo, hi in sweep.down:
+        for parent, child, lo, hi in layout.down:
             reach[:, child] = reach.take(parent, axis=1) * factor[:, lo:hi]
     for seat in seats:
-        plan = sweep.plans[seat]
+        plan = layout.plans[seat]
         slot, parent, child = plan.slot, plan.parent, plan.child
         at = reach.take(parent, axis=1)
         np.add.at(strategy_sums, slot, at[seat] * policy[slot])

@@ -4,14 +4,13 @@ Games are two-player zero-sum trees built eagerly and immutably. A behavioral
 strategy profile is a flat dict mapping infoset key -> probability tuple; keys
 embed the acting seat (``p0:``/``p1:``) so one dict covers both players.
 
-``GameNode`` trees are the builders' input format. ``make_game`` checks one
-with an explicit stack and flattens it into a ``GameLayout``: plain lists
-indexed by node id, with nodes numbered in preorder, plus a table of the
-infosets numbered in first-visit preorder. It also builds a ``Sweep``:
-numpy index arrays over the tree's edges, grouped by depth. The CFR pass,
-best response and expected value are numpy sweeps over them, one level at a
-time, and sampled play is a loop over the lists, so no traversal depends on
-Python's recursion limit.
+``GameNode`` trees are the builders' input format, and sampled play walks
+them. ``make_game`` checks one with an explicit stack and flattens it into a
+``GameLayout``: numpy index arrays over the tree's edges, with nodes
+numbered in preorder and grouped by depth, plus a table of the infosets
+numbered in first-visit preorder. The CFR pass, best response and expected
+value are numpy sweeps over them, one level at a time, so no traversal
+depends on Python's recursion limit.
 
 The sweeps add with ``np.add.at``, which is unbuffered and adds in index
 order. So each node, slot and score sees the same float additions, in the
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +31,7 @@ DECISION = "decision"
 TERMINAL = "terminal"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GameNode:
     """One node of a game tree.
 
@@ -73,35 +72,6 @@ def terminal(u1: float) -> GameNode:
     return GameNode(kind=TERMINAL, utilities=(u1, -u1))
 
 
-@dataclass(frozen=True)
-class GameLayout:
-    """A game tree flattened in preorder: node 0 is the root, and each node
-    precedes its children, which come in action order.
-
-    Per node id: ``children`` lists child ids (empty exactly at terminals),
-    ``infoset`` is the infoset id of a decision node (-1 elsewhere),
-    ``probs`` a chance node's outcome probabilities and ``utility`` a
-    terminal's seat-0 payoff (0.0 elsewhere). ``inner`` lists non-terminal
-    nodes in preorder; ``infosets`` holds (player, key, action count) by
-    infoset id, in first-visit order.
-
-    Every infoset-action has a *slot*: slots run over the infoset table in
-    order, then over each infoset's actions. Infoset ``k`` owns slots
-    ``offset[k]`` to ``offset[k + 1] - 1``, and ``offset[-1]`` is the slot
-    count. Solver tables are flat vectors indexed by slot. ``sweep`` holds
-    the index arrays of the numpy sweeps.
-    """
-
-    children: list[list[int]]
-    infoset: list[int]
-    probs: list[tuple[float, ...]]
-    utility: list[float]
-    inner: list[int]
-    infosets: list[tuple[int, str, int]]
-    offset: list[int]
-    sweep: "Sweep" = field(repr=False, compare=False)
-
-
 @dataclass(frozen=True, eq=False)
 class Plan:
     """The game's edges in the order of one seat's best response.
@@ -135,23 +105,33 @@ class Plan:
 
 
 @dataclass(frozen=True, eq=False)
-class Sweep:
-    """Index arrays for the numpy sweeps over a ``GameLayout``.
+class GameLayout:
+    """A game tree flattened in preorder: node 0 is the root, and each node
+    precedes its children, which come in action order. Each edge is named by
+    its child. ``infosets`` holds (player, key, action count) by infoset id,
+    in first-visit order.
 
-    Each edge is named by its child. Its weight is read from a *weight
-    table*: the policy slot vector followed by ``tail``, which holds 1.0 and
-    then every chance probability. ``plans`` orders the edges for each
-    seat's best response (see ``Plan``); seat 0's order also serves the
-    bottom-up node values. ``down`` lists the edges into non-terminal nodes
-    grouped by the parent's tree depth, root first, in preorder within a
-    depth, as (parents, children, lo, hi) with ``lo:hi`` the group's span
-    in ``down_src``, their weight-table indices; ``down_mover`` marks
-    whether seat 0, seat 1 or chance moves on each. ``owner`` and
-    ``uniform`` give each slot's infoset id and 1 / its action count;
-    ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal nodes,
-    which ``terminal`` marks False.
+    Every infoset-action has a *slot*: slots run over the infoset table in
+    order, then over each infoset's actions. Infoset ``k`` owns slots
+    ``offset[k]`` to ``offset[k + 1] - 1``, and ``offset[-1]`` is the slot
+    count. Solver tables are flat vectors indexed by slot.
+
+    The rest are the index arrays of the numpy sweeps. An edge's weight is
+    read from a *weight table*: the policy slot vector followed by ``tail``,
+    which holds every chance probability. ``plans`` orders the
+    edges for each seat's best response (see ``Plan``); seat 0's order also
+    serves the bottom-up node values. ``down`` lists the edges into
+    non-terminal nodes grouped by the parent's tree depth, root first, in
+    preorder within a depth, as (parents, children, lo, hi) with ``lo:hi``
+    the group's span in ``down_src``, their weight-table indices;
+    ``down_mover`` marks whether seat 0, seat 1 or chance moves on each.
+    ``owner`` and ``uniform`` give each slot's infoset id and 1 / its action
+    count; ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal
+    nodes, which ``terminal`` marks False.
     """
 
+    infosets: list[tuple[int, str, int]]
+    offset: list[int]
     tail: np.ndarray
     down: tuple
     down_src: np.ndarray
@@ -228,9 +208,9 @@ def _plan(seat, parent, src, moved, depth, moves, owner, offset, infosets) -> Pl
     )
 
 
-def _sweep(parents, actions, infoset, probs, utility, infosets, offset) -> Sweep:
-    """Build the sweep arrays from the layout lists and each node's parent and
-    index among its siblings, with numpy: no Python loop runs over all nodes.
+def _layout(parents, actions, infoset, utility, tail, first, infosets, offset):
+    """Build the ``GameLayout`` from ``make_game``'s columns, with numpy: no
+    Python loop runs over all nodes.
 
     Edge ``e`` leads from ``parent[e]`` into node ``e + 1``: every node but
     the root has one edge into it, and preorder numbers the root 0.
@@ -238,23 +218,18 @@ def _sweep(parents, actions, infoset, probs, utility, infosets, offset) -> Sweep
     nodes = len(parents)
     slots = offset[-1]
     parent = np.frombuffer(parents, dtype=np.int64)[1:].astype(np.intp, copy=False)
-    node_infoset = np.fromiter(infoset, dtype=np.intp, count=nodes)
     terminal = np.ones(nodes, dtype=bool)
     terminal[parent] = False
-    # Each chance node's probabilities, in preorder, follow 1.0 in the tail.
-    chance = np.flatnonzero(~terminal & (node_infoset < 0)).tolist()
-    tail = [1.0, *chain.from_iterable(probs[node] for node in chance)]
     first_prob = np.zeros(nodes, dtype=np.intp)
-    starts = accumulate((len(probs[node]) for node in chance), initial=1)
-    first_prob[chance] = list(starts)[:-1]
-    edge_infoset = node_infoset[parent]
+    first_prob[list(first)] = list(first.values())
+    edge_infoset = np.frombuffer(infoset, dtype=np.int64)[parent]
     # Each edge's mover: seat 0 or 1, or 2 for chance, whose infoset is -1.
     seats = np.array([player for player, _, _ in infosets] + [2], dtype=np.intp)
     moved = seats[edge_infoset]
     offset = np.array(offset, dtype=np.intp)
     src = np.where(moved == 2, slots + first_prob[parent], offset[edge_infoset])
     src += np.frombuffer(actions, dtype=np.int64)[1:]
-    del node_infoset, edge_infoset, first_prob  # memory use peaks in the plans
+    del edge_infoset, first_prob  # memory use peaks in the plans
     # Tree depth and each seat's move depth, by pointer jumping: each round
     # adds the counts of the path above the node's current ancestor.
     steps = np.zeros((3, nodes), dtype=np.intp)
@@ -269,7 +244,9 @@ def _sweep(parents, actions, infoset, probs, utility, infosets, offset) -> Sweep
     down = np.flatnonzero(~terminal[1:])
     down = down[np.argsort(steps[0][parent[down]], kind="stable")]
     down_parents, down_children = parent[down], down + 1
-    return Sweep(
+    return GameLayout(
+        infosets=infosets,
+        offset=offset.tolist(),
         tail=np.array(tail, dtype=np.float64),
         down=tuple(
             (down_parents[lo:hi], down_children[lo:hi], lo, hi)
@@ -279,7 +256,7 @@ def _sweep(parents, actions, infoset, probs, utility, infosets, offset) -> Sweep
         down_mover=moved[down] == np.arange(3)[:, None],
         owner=owner,
         uniform=1.0 / np.diff(offset)[owner],
-        utility=np.fromiter(utility, dtype=np.float64, count=nodes),
+        utility=np.frombuffer(utility, dtype=np.float64),
         terminal=terminal,
         plans=tuple(
             _plan(seat, parent, src, moved, steps[0], steps[1 + seat], owner, offset,
@@ -319,27 +296,24 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
     labels: dict[str, tuple[str, ...]] = {}
     ids: dict[str, int] = {}
     last_step: list[tuple | None] = []
-    children: list[list[int]] = []
-    infoset: list[int] = []
-    probs: list[tuple[float, ...]] = []
-    utility: list[float] = []
-    inner: list[int] = []
     infosets: list[tuple[int, str, int]] = []
     offset = [0]
-    # Each node's parent and index among its siblings, as machine integers.
-    parents, actions = array("q"), array("q")
+    # By node, as machine numbers: the parent, the index among siblings, the
+    # infoset id (-1 off decision nodes) and seat 0's payoff (0.0 off
+    # terminals). Chance probabilities go to the weight-table tail, and
+    # ``first`` maps each chance node to the tail index of its first one.
+    parents, actions, infoset = array("q"), array("q"), array("q")
+    utility = array("d")
+    tail, first = [], {}
     # Children are pushed in reverse, so nodes are numbered in preorder.
     stack = [(root, -1, 0, None, None)]
     while stack:
         node, parent, action, step0, step1 = stack.pop()
-        index = len(children)
-        if parent >= 0:
-            children[parent].append(index)
-        children.append([])
-        infoset.append(-1)
-        probs.append(node.chance_probs)
+        index = len(parents)
         parents.append(parent)
         actions.append(action)
+        infoset.append(-1)
+        utility.append(0.0)
         if node.kind == TERMINAL:
             if node.children:
                 raise ValueError("terminal node with children")
@@ -349,10 +323,8 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 if not (math.isfinite(u0) and math.isfinite(u1)):
                     raise ValueError("non-finite terminal utility")
                 raise ValueError("terminal utilities are not zero-sum")
-            utility.append(u0)
+            utility[index] = u0
             continue
-        inner.append(index)
-        utility.append(0.0)
         if node.kind == CHANCE:
             if len(node.chance_probs) != len(node.children):
                 raise ValueError("chance outcome/child count mismatch")
@@ -360,6 +332,8 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 raise ValueError("chance probabilities must be finite and >= 0")
             if abs(sum(node.chance_probs) - 1.0) > 1e-12:
                 raise ValueError("chance probabilities do not sum to 1")
+            first[index] = len(tail)
+            tail.extend(node.chance_probs)
             for a in range(len(node.children) - 1, -1, -1):
                 stack.append((node.children[a], index, a, step0, step1))
         elif node.kind == DECISION:
@@ -389,17 +363,15 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 stack.append((node.children[a], index, a, *steps))
         else:
             raise ValueError(f"unknown node kind '{node.kind}'")
+    layout = _layout(parents, actions, infoset, utility, tail, first, infosets, offset)
     # Seat 1's payoffs are the exact negations, so both seats' spreads agree.
-    payoffs = [u for u, kids in zip(utility, children) if not kids]
+    payoffs = layout.utility[layout.terminal].tolist()
     return GameSpec(
         game_id=game_id,
         root=root,
         utility_range=max(payoffs) - min(payoffs),
         action_labels=labels,
-        layout=GameLayout(
-            children, infoset, probs, utility, inner, infosets, offset,
-            _sweep(parents, actions, infoset, probs, utility, infosets, offset),
-        ),
+        layout=layout,
     )
 
 
@@ -445,10 +417,9 @@ def node_values(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
     """Seat 0's value of every node when slot ``s`` plays with probability
     ``policy[s]``: one bottom-up sweep in seat 0's plan order, each group
     adding every node's weighted child values, in action order, to 0.0."""
-    sweep = layout.sweep
-    plan = sweep.plans[0]
-    weight = np.concatenate((policy, sweep.tail))[plan.sum_src]
-    values = sweep.utility.copy()
+    plan = layout.plans[0]
+    weight = np.concatenate((policy, layout.tail))[plan.sum_src]
+    values = layout.utility.copy()
     for choices, levels in plan.buckets:
         if choices is not None:
             parent, child, slot = choices[:3]
@@ -460,7 +431,7 @@ def node_values(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
 
 def expected_value(game: GameSpec, profile: dict) -> tuple[float, float]:
     """Exact expected utilities (u1, u2) under a behavioral profile."""
-    if not game.layout.inner:
+    if not game.root.children:
         return game.root.utilities
     rows = profile_rows(game, (profile, profile))
     value = float(node_values(game.layout, policy_vector(game.layout, rows))[0])

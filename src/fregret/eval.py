@@ -62,21 +62,21 @@ def best_response(
         raise ValueError("responder must be 0 or 1")
     seats = (None, opponent_profile) if responder == 0 else (opponent_profile, None)
     layout = game.layout
-    sweep, plan = layout.sweep, layout.sweep.plans[responder]
+    plan = layout.plans[responder]
     policy = policy_vector(layout, profile_rows(game, seats))
-    table = np.concatenate((policy, sweep.tail))
-    factor = np.where(sweep.down_mover[responder], 1.0, table[sweep.down_src])
-    weight = np.ones(len(layout.children))
-    for parent, child, lo, hi in sweep.down:
+    table = np.concatenate((policy, layout.tail))
+    factor = np.where(layout.down_mover[responder], 1.0, table[layout.down_src])
+    weight = np.ones(len(layout.utility))
+    for parent, child, lo, hi in layout.down:
         weight[child] = weight[parent] * factor[lo:hi]
     reach = np.zeros(len(layout.infosets))
     np.add.at(reach, plan.head_infoset, weight[plan.heads])
 
     if responder == 0:
-        value = sweep.utility.copy()
+        value = layout.utility.copy()
     else:  # +0.0, not -0.0, at the nodes whose values are sums
-        value = np.zeros(len(layout.children))
-        np.negative(sweep.utility, out=value, where=sweep.terminal)
+        value = np.zeros(len(layout.utility))
+        np.negative(layout.utility, out=value, where=layout.terminal)
     probs = table[plan.sum_src]
     score = np.zeros(layout.offset[-1] + 1)
     score[-1] = -np.inf  # the padding slot of a shorter infoset's row
@@ -139,29 +139,28 @@ def _draw(rng: random.Random, probs) -> int:
     return len(probs) - 1
 
 
-def _play_hand(layout, rows, rng, script, replay: bool) -> float:
-    """One sampled hand, infoset ``k`` playing ``rows[k]``; returns seat 0's
-    payoff.
+def _play_hand(root, rows, rng, script, replay: bool) -> float:
+    """One sampled hand down the tree from ``root``, infoset ``key`` playing
+    ``rows[key]``; returns seat 0's payoff.
 
     Chance outcomes come from ``script`` by event order when replaying,
     falling back to fresh draws (appended to the script) past its end and
     where the scripted outcome is not one of this chance node's.
     """
-    children, infoset = layout.children, layout.infoset
-    node = event = 0
-    while children[node]:
-        k = infoset[node]
-        if k < 0:
-            if replay and event < len(script) and script[event] < len(children[node]):
+    node, event = root, 0
+    while node.children:
+        # make_game gives every decision node a str key, so None is chance.
+        if node.infoset is None:
+            if replay and event < len(script) and script[event] < len(node.children):
                 index = script[event]
             else:
-                index = _draw(rng, layout.probs[node])
+                index = _draw(rng, node.chance_probs)
                 script.append(index)
             event += 1
         else:
-            index = _draw(rng, rows[k])
-        node = children[node][index]
-    return layout.utility[node]
+            index = _draw(rng, rows[node.infoset])
+        node = node.children[index]
+    return node.utilities[0]
 
 
 def sampled_match(
@@ -182,25 +181,25 @@ def sampled_match(
     """
     if hands < 1:
         raise ValueError("hands must be >= 1")
-    a_first = profile_rows(game, (profile_a, profile_b))
-    b_first = profile_rows(game, (profile_b, profile_a))
+    a_first = merge_profiles(game, profile_a, profile_b)
+    b_first = merge_profiles(game, profile_b, profile_a)
     rng = random.Random(seed)
     values: list[float] = []
     if duplicate:
         pairs = max(1, hands // 2)
         for _ in range(pairs):
             script: list[int] = []
-            first = _play_hand(game.layout, a_first, rng, script, False)
-            second = _play_hand(game.layout, b_first, rng, script, True)
+            first = _play_hand(game.root, a_first, rng, script, False)
+            second = _play_hand(game.root, b_first, rng, script, True)
             values.append(0.5 * (first - second))
         played = 2 * pairs
     else:
         for hand in range(hands):
             script = []
             if hand % 2 == 0:
-                values.append(_play_hand(game.layout, a_first, rng, script, False))
+                values.append(_play_hand(game.root, a_first, rng, script, False))
             else:
-                values.append(-_play_hand(game.layout, b_first, rng, script, False))
+                values.append(-_play_hand(game.root, b_first, rng, script, False))
         played = hands
     mean = sum(values) / len(values)
     if len(values) >= 2:

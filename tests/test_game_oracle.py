@@ -361,10 +361,22 @@ def games():
 # Layout and traversals against the references
 
 
+def plan_edges(layout, seat):
+    """Seat ``seat``'s plan as (parent, child, weight-table index) triples:
+    its decision edges, then the other edges of every bucket's levels."""
+    plan = layout.plans[seat]
+    edges = list(zip(plan.parent.tolist(), plan.child.tolist(), plan.slot.tolist()))
+    for _, levels in plan.buckets:
+        for parent, child, lo, hi in levels:
+            sources = plan.sum_src[lo:hi].tolist()
+            edges.extend(zip(parent.tolist(), child.tolist(), sources))
+    return edges
+
+
 def test_layout_is_the_tree_in_preorder(games):
     for game in games.values():
-        nodes = tree_nodes(game)
-        index = {id(node): i for i, (node, _) in enumerate(nodes)}
+        nodes = [node for node, _ in tree_nodes(game)]
+        index = {id(node): i for i, node in enumerate(nodes)}
         layout = game.layout
         infosets = enumerate_infosets(game)
         assert infosets == reference_enumerate_infosets(game)
@@ -373,20 +385,31 @@ def test_layout_is_the_tree_in_preorder(games):
             offset.append(offset[-1] + n)
         assert layout.offset == offset
         assert layout.offset[-1] == len(new_tables(game).regrets)
-        assert len(layout.children) == len(nodes)
-        assert layout.inner == [
-            i for i, (node, _) in enumerate(nodes) if node.kind != TERMINAL
-        ]
-        for i, (node, _) in enumerate(nodes):
-            assert layout.children[i] == [index[id(c)] for c in node.children]
-            k = layout.infoset[i]
-            if node.kind == DECISION:
-                assert infosets[k] == (node.player, node.infoset, len(node.actions))
-            else:
-                assert k == -1
-            assert layout.probs[i] == node.chance_probs
-            if node.kind == TERMINAL:
-                assert repr(layout.utility[i]) == repr(node.utilities[0])
+        ids = {key: k for k, (_, key, _) in enumerate(infosets)}
+        assert layout.terminal.tolist() == [node.kind == TERMINAL for node in nodes]
+        payoffs = [node.utilities[0] if node.utilities else 0.0 for node in nodes]
+        assert repr(layout.utility.tolist()) == repr(payoffs)
+        # Each edge's weight: its slot, or where its chance probability is.
+        weights = {}
+        for i, node in enumerate(nodes):
+            for a, child in enumerate(node.children):
+                edge = i, index[id(child)]
+                if node.kind == DECISION:
+                    weights[edge] = ("slot", offset[ids[node.infoset]] + a)
+                else:
+                    weights[edge] = ("chance", repr(node.chance_probs[a]))
+        for seat in (0, 1):
+            edges = plan_edges(layout, seat)
+            assert len(edges) == len(weights)
+            found = {}
+            for parent, child, source in edges:
+                if source < offset[-1]:
+                    found[parent, child] = ("slot", source)
+                else:
+                    found[parent, child] = (
+                        "chance", repr(float(layout.tail[source - offset[-1]]))
+                    )
+            assert found == weights
 
 
 def test_generator_covers_the_hard_cases(games):
@@ -398,7 +421,7 @@ def test_generator_covers_the_hard_cases(games):
                 counts.add(len(node.actions))
     assert counts == {1, 2, 3}
     assert sum(len(d) > 1 for d in depths.values()) >= 100
-    sizes = [len(game.layout.children) for game in games.values()]
+    sizes = [len(game.layout.utility) for game in games.values()]
     assert max(sizes) < 2000
 
 
