@@ -54,18 +54,16 @@ def format_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_row(key: str, probs) -> None:
+def check_row(key: str, probs, where: str = "") -> None:
     """Reject a strategy row with an entry that is negative or not finite,
-    or whose entries do not sum to 1 within 1e-6."""
+    or whose entries do not sum to 1 within 1e-6; ``where`` starts the
+    message."""
     if not all(0.0 <= prob < math.inf for prob in probs):
-        raise ValueError(
-            f"probabilities for infoset '{key}' must be finite and >= 0, "
-            f"got {tuple(probs)!r}"
-        )
+        raise ValueError(f"{where}infoset '{key}' has a negative or non-finite entry")
     total = sum(probs)
     if abs(total - 1.0) > 1e-6:
         raise ValueError(
-            f"probabilities for infoset '{key}' sum to "
+            f"{where}probabilities for infoset '{key}' sum to "
             f"{format_float(total)}, expected 1"
         )
 
@@ -151,10 +149,7 @@ def read_strategy_file(path: str):
                 f"{path}: infoset '{key}' is missing some action indices"
             )
         probs = tuple(row[i] for i in range(count))
-        try:
-            check_row(key, probs)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        check_row(key, probs, f"{path}: ")
         profile[key] = probs
     return game_id, profile
 
