@@ -12,7 +12,6 @@ from .estimator import (
     TabularEstimator,
     TreeRegressor,
     featurize,
-    featurize_exact,
     fit_tree,
 )
 from .eval import (
@@ -74,7 +73,6 @@ __all__ = [
     "expected_value",
     "exploitability",
     "featurize",
-    "featurize_exact",
     "fit_tree",
     "merge_profiles",
     "rcfr_solve",

@@ -1,10 +1,9 @@
 """Features for (infoset, action) pairs and the regret estimators.
 
 ``featurize`` maps an infoset key plus a candidate action to a fixed 19-dim
-vector of betting/card/action state. ``featurize_exact`` appends one
-key-disambiguating coordinate so that distinct infoset-actions can never
-share a vector; it is the schema for tabular (exact-memorizer) mode, while
-the regression tree trains on the coarser 19-dim schema.
+vector of betting/card/action state, which the regression tree trains on.
+Distinct infoset-actions may share a vector there; the tabular
+(exact-memorizer) mode keys on slot numbers instead (see ``rcfr``).
 
 The tree learner is a greedy CART-style regressor: splits maximize weighted
 variance reduction, thresholds are midpoints between consecutive distinct
@@ -25,7 +24,6 @@ from ._validation import check_positive_int, format_float
 from .games.poker import ACTION_CHARS, RANK_CHARS, parse_key, rules_for, stakes
 
 FEATURE_DIM = 19
-EXACT_FEATURE_DIM = 20
 TREE_FORMAT_HEADER = "# fregret-tree v1"
 
 
@@ -73,22 +71,6 @@ def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
     features.extend(1.0 if last_opponent == a else 0.0 for a in ACTION_CHARS)
     features.append(1.0 if last_opponent == "none" else 0.0)
     return tuple(features)
-
-
-def featurize_exact(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
-    """``featurize`` plus a code that makes distinct infoset-actions distinct.
-
-    The extra coordinate encodes the key's action field in base 5
-    (f=1, c=2, r=3, /=4), separating keys the 19-dim schema deliberately
-    conflates (e.g. different routes to the same pot). Tabular mode needs
-    this injectivity; the tree estimator should stay on ``featurize``.
-    """
-    base = featurize(game_id, infoset, action)
-    digits = {"f": 1, "c": 2, "r": 3, "/": 4}
-    code = 0
-    for ch in infoset.rsplit(":", 1)[1]:
-        code = code * 5 + digits[ch]
-    return base + (float(code),)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cfr import average_strategy, cfr_pass, regret_policy
 from .efg_core import GameSpec
-from .estimator import TabularEstimator, TreeRegressor, featurize, featurize_exact
+from .estimator import TabularEstimator, TreeRegressor, featurize
 from .eval import exploitability
 
 ESTIMATOR_KINDS = ("tabular", "tree")
@@ -110,14 +110,23 @@ class RCFRState:
 def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
     """Fresh solver state with per-slot feature rows precomputed.
 
-    The tabular estimator keys on the collision-free extended features; the
-    tree uses the compact numeric features it is meant to generalize over.
+    The tabular estimator's one feature is the slot number: one indicator per
+    infoset-action, the paper's tabular case, on any game. The tree uses the
+    compact numeric features it is meant to generalize over.
     """
+    infosets, offset = game.layout.infosets, game.layout.offset
     if config.estimator_kind == "tabular":
-        featurize_fn = featurize_exact
+        features = np.arange(offset[-1], dtype=np.float64)[:, None]
         estimators = (TabularEstimator(), TabularEstimator())
     else:
-        featurize_fn = featurize
+        features = np.array(
+            [
+                featurize(game.game_id, key, action)
+                for _, key, _ in infosets
+                for action in game.action_labels[key]
+            ],
+            dtype=np.float64,
+        )
         estimators = tuple(
             TreeRegressor(
                 min_leaf_weight=config.min_leaf_weight,
@@ -127,15 +136,6 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
             )
             for player in (0, 1)
         )
-    infosets, offset = game.layout.infosets, game.layout.offset
-    features = np.array(
-        [
-            featurize_fn(game.game_id, key, action)
-            for _, key, _ in infosets
-            for action in game.action_labels[key]
-        ],
-        dtype=np.float64,
-    )
     owner = np.repeat([p for p, _, _ in infosets], [n for _, _, n in infosets])
     seat_slots = (np.flatnonzero(owner == 0), np.flatnonzero(owner == 1))
     state = RCFRState(

@@ -8,12 +8,10 @@ import pytest
 from conftest import predict_row
 
 from fregret.estimator import (
-    EXACT_FEATURE_DIM,
     FEATURE_DIM,
     TabularEstimator,
     TreeRegressor,
     featurize,
-    featurize_exact,
     fit_tree,
     model_complexity,
     parse_tree,
@@ -21,7 +19,6 @@ from fregret.estimator import (
     predict_rows,
     serialize_tree,
 )
-from fregret.games import enumerate_infosets
 
 
 def random_dataset(rng, n_rows=30, n_features=4):
@@ -139,25 +136,10 @@ class TestFeaturize:
         with pytest.raises(ValueError):
             featurize("leduc", "p0:J:-:/", "x")
 
-    def test_known_collision_and_exact_disambiguation(self):
-        # Different raise routes to the same 6-chip pot meet in feature
-        # space; the exact schema's key code keeps them apart.
+    def test_known_collision(self):
+        # Different raise routes to the same 6-chip pot meet in feature space.
         a_key, b_key = "p1:J:Q:rc/c", "p1:J:Q:crc/c"
         assert featurize("leduc", a_key, "c") == featurize("leduc", b_key, "c")
-        exact_a = featurize_exact("leduc", a_key, "c")
-        exact_b = featurize_exact("leduc", b_key, "c")
-        assert len(exact_a) == EXACT_FEATURE_DIM
-        assert exact_a != exact_b
-        assert exact_a[:FEATURE_DIM] == featurize("leduc", a_key, "c")
-
-    def test_exact_schema_injective_on_both_games(self, kuhn_game, leduc_game):
-        for game, game_id in ((kuhn_game, "kuhn"), (leduc_game, "leduc")):
-            seen = {}
-            for _, key, _ in enumerate_infosets(game):
-                for action in game.action_labels[key]:
-                    phi = featurize_exact(game_id, key, action)
-                    assert phi not in seen, (key, action, seen[phi])
-                    seen[phi] = (key, action)
 
 
 class TestFitTree:
@@ -553,8 +535,6 @@ class TestTabularEstimator:
         est = TabularEstimator()
         with pytest.raises(ValueError, match="collision"):
             est.fit(X, [1.0, 2.0])
-        # The exact schema separates them.
-        est.fit([featurize_exact("leduc", k, "c") for k in keys], [1.0, 2.0])
 
     def test_model_complexity_is_table_size(self):
         est = TabularEstimator().fit([(1.0,), (2.0,)], [0.5, 0.25])

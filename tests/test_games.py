@@ -7,7 +7,7 @@ import pytest
 
 import fregret
 import fregret.games
-from fregret.estimator import featurize, featurize_exact
+from fregret.estimator import featurize
 from fregret.games import (
     CHANCE,
     DECISION,
@@ -19,12 +19,13 @@ from fregret.games import (
     make_game,
 )
 
-# sha256 of ``tree_dump`` and ``feature_dump`` over Kuhn then Leduc, recorded
-# from the separate Kuhn and Leduc builders and the key-string featurizer
-# that the shared betting model replaced. Any change to tree shape, node
-# order, keys, probabilities, payoffs or feature values changes them.
+# sha256 of ``tree_dump`` and ``feature_dump`` over Kuhn then Leduc. The
+# tree digest was recorded from the separate Kuhn and Leduc builders that the
+# shared betting model replaced; the feature digest from the same featurizer
+# once the extended tabular schema was dropped. Any change to tree shape,
+# node order, keys, probabilities, payoffs or feature values changes them.
 TREE_DIGEST = "acaa50893e4355ee63db57e9914a0ce6039341375288bbe6520526af9ded637f"
-FEATURE_DIGEST = "2ea68128bf4294330473fd7c1b02a98f8550232fd2debcd388177e34d70e953e"
+FEATURE_DIGEST = "19cd6df38753f871437ef60c0603e63dcfb38f7167010c9ec435c5dc18e4c5f3"
 
 ROUND_GRAMMAR = re.compile(r"^(c(c|r(f|c|r(f|c)))|r(f|c|r(f|c)))$")
 
@@ -67,14 +68,11 @@ def tree_dump(game) -> str:
 
 
 def feature_dump(game) -> str:
-    """Both feature schemas of every infoset-action, keys sorted."""
+    """The features of every infoset-action, keys sorted."""
     lines = []
     for key in sorted(game.action_labels):
         for a in game.action_labels[key]:
-            lines.append(
-                f"{key}|{a}|{featurize(game.game_id, key, a)!r}|"
-                f"{featurize_exact(game.game_id, key, a)!r}"
-            )
+            lines.append(f"{key}|{a}|{featurize(game.game_id, key, a)!r}")
     return "\n".join(lines)
 
 

@@ -1,5 +1,6 @@
 """Regression CFR: oracle equivalence with CFR, floors, and bookkeeping."""
 
+import itertools
 import math
 import re
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from conftest import by_key, infoset_slots, predict_row
 from test_game_oracle import (
+    SEEDS,
+    random_game,
     reference_average,
     reference_cfr_pass,
     reference_enumerate_infosets,
@@ -14,10 +17,12 @@ from test_game_oracle import (
 )
 
 from fregret.cfr import (
+    CFRConfig,
     average_strategy,
     cfr_iteration,
     new_tables,
     regret_policy,
+    solve,
 )
 from fregret.efg_core import (
     decision,
@@ -26,12 +31,7 @@ from fregret.efg_core import (
     terminal,
     uniform_profile,
 )
-from fregret.estimator import (
-    TabularEstimator,
-    TreeRegressor,
-    featurize,
-    featurize_exact,
-)
+from fregret.estimator import TabularEstimator, TreeRegressor, featurize
 from fregret.eval import exploitability
 from fregret.rcfr import (
     ModelSizeRow,
@@ -79,6 +79,19 @@ class TestOracleEquivalence:
 
     def test_bootstrap_mode_matches_cfr_on_leduc(self, leduc_game):
         assert_tracks_cfr_exactly(leduc_game, "bootstrap", 25)
+
+    def test_tabular_mode_matches_cfr_on_random_games(self):
+        # Tabular features are slot numbers, so no poker key is needed.
+        for seed in SEEDS[::8]:
+            game = random_game(seed)
+            profile, log = solve(game, CFRConfig(iterations=20))
+            tabular, convergence, _ = rcfr_solve(
+                game, RCFRConfig(iterations=20, estimator_kind="tabular")
+            )
+            assert repr(tabular) == repr(profile)
+            assert [repr(row.exploitability) for row in convergence] == [
+                repr(row.exploitability) for row in log
+            ]
 
 
 class TestPolicy:
@@ -184,7 +197,12 @@ def reference_solve(game, config):
     (t, exploitability, mse_p1, mse_p2) log."""
     infosets = reference_enumerate_infosets(game)
     if config.estimator_kind == "tabular":
-        featurize_fn = featurize_exact
+        numbers = itertools.count()
+
+        def featurize_fn(game_id, key, action):
+            """Injective: a running number per infoset-action."""
+            return (float(next(numbers)),)
+
         estimators = (TabularEstimator(), TabularEstimator())
     else:
         featurize_fn = featurize
