@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 usage error, 3 I/O error, 4 validation error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -55,16 +54,14 @@ def format_csv(header, rows) -> str:
 
 
 def check_row(key: str, probs, where: str = "") -> None:
-    """Reject a strategy row with an entry that is negative or not finite,
-    or whose entries do not sum to 1 within 1e-6; ``where`` starts the
-    message."""
-    if not all(0.0 <= prob < math.inf for prob in probs):
-        raise ValueError(f"{where}infoset '{key}' has a negative or non-finite entry")
+    """Reject a strategy row unless every entry is finite and >= 0 and the
+    entries sum to 1 within 1e-6; ``where`` starts the message."""
     total = sum(probs)
-    if abs(total - 1.0) > 1e-6:
+    # A NaN or infinite entry makes the sum NaN or infinite, never near 1.
+    if not (abs(total - 1.0) <= 1e-6 and min(probs) >= 0.0):
         raise ValueError(
-            f"{where}probabilities for infoset '{key}' sum to "
-            f"{format_float(total)}, expected 1"
+            f"{where}probabilities {tuple(probs)!r} for infoset '{key}' sum to "
+            f"{format_float(total)}; each must be finite and >= 0, summing to 1"
         )
 
 
