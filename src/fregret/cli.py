@@ -139,6 +139,7 @@ def read_strategy_file(path: str):
             )
         row[index] = prob
     profile: dict[str, tuple[float, ...]] = {}
+    where = f"{path}: "
     for key, row in by_infoset.items():
         count = len(row)
         if sorted(row) != list(range(count)):
@@ -146,7 +147,7 @@ def read_strategy_file(path: str):
                 f"{path}: infoset '{key}' is missing some action indices"
             )
         probs = tuple(row[i] for i in range(count))
-        check_row(key, probs, f"{path}: ")
+        check_row(key, probs, where)
         profile[key] = probs
     return game_id, profile
 

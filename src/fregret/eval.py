@@ -148,10 +148,10 @@ def _play_hand(root, rows, rng, script, replay: bool) -> float:
     where the scripted outcome is not one of this chance node's.
     """
     node, event = root, 0
-    while node.children:
+    while children := node.children:
         # make_game gives every decision node a str key, so None is chance.
         if node.infoset is None:
-            if replay and event < len(script) and script[event] < len(node.children):
+            if replay and event < len(script) and script[event] < len(children):
                 index = script[event]
             else:
                 index = _draw(rng, node.chance_probs)
@@ -159,7 +159,7 @@ def _play_hand(root, rows, rng, script, replay: bool) -> float:
             event += 1
         else:
             index = _draw(rng, rows[node.infoset])
-        node = node.children[index]
+        node = children[index]
     return node.utilities[0]
 
 
