@@ -118,16 +118,16 @@ class GameLayout:
 
     The rest are the index arrays of the numpy sweeps. An edge's weight is
     read from a *weight table*: the policy slot vector followed by ``tail``,
-    which holds every chance probability. ``plans`` orders the
-    edges for each seat's best response (see ``Plan``); seat 0's order also
-    serves the bottom-up node values. ``down`` lists the edges into
-    non-terminal nodes grouped by the parent's tree depth, root first, in
-    preorder within a depth, as (parents, children, lo, hi) with ``lo:hi``
-    the group's span in ``down_src``, their weight-table indices;
-    ``down_mover`` marks whether seat 0, seat 1 or chance moves on each.
-    ``owner`` and ``uniform`` give each slot's infoset id and 1 / its action
-    count; ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal
-    nodes, which ``terminal`` marks False.
+    which holds every chance probability. ``plans`` orders the edges for
+    each seat's best response (see ``Plan``); seat 0's order also serves the
+    bottom-up node values. ``down`` lists the edges into non-terminal nodes
+    grouped by the parent's tree depth, root first, in preorder within a
+    depth, as (parents, children, lo, hi) with ``lo:hi`` the group's span
+    in ``down_src``, their weight-table indices; ``down_mover`` marks
+    whether seat 0, seat 1 or chance moves on each. ``owner`` and
+    ``uniform`` give each slot's infoset id and 1 / its action count;
+    ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal nodes,
+    which ``terminal`` marks False.
     """
 
     infosets: list[tuple[int, str, int]]
