@@ -78,7 +78,7 @@ def write_strategy_file(path: str, game, profile) -> None:
         raise ValueError(f"game id {game.game_id!r} is empty or has whitespace")
     lines = [header]
     for key in sorted(profile):
-        # Every character that str.splitlines splits at is a line break.
+        # The reader splits the file with str.splitlines, at more than "\n".
         if "," in key or "".join(key.splitlines()) != key:
             raise ValueError(f"infoset key {key!r} has a comma or a line break")
         check_row(key, profile[key])
