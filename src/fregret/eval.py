@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -129,36 +131,47 @@ def exact_ev(game: GameSpec, profile_a, profile_b) -> float:
     return 0.5 * (a_seated_first[0] - b_seated_first[0])
 
 
-def _draw(rng: random.Random, probs) -> int:
-    mark = rng.random()
-    cumulative = 0.0
-    for index, prob in enumerate(probs):
-        cumulative += prob
-        if mark < cumulative:
-            return index
-    return len(probs) - 1
+def cut_table(row) -> tuple[float, ...]:
+    """The running totals of ``row``, added one at a time from 0.0, without
+    the last. ``bisect_right(cut_table(row), mark)`` is the first index
+    whose running total exceeds ``mark``, or the last index if none does,
+    as when the row sums to less than 1 and the mark lies past its total."""
+    return tuple(accumulate(row, initial=0.0))[1:-1]
 
 
-def _play_hand(root, rows, rng, script, replay: bool) -> float:
-    """One sampled hand down the tree from ``root``, infoset ``key`` playing
-    ``rows[key]``; returns seat 0's payoff.
+def _play_hand(root, cuts, chance_cuts, next_mark, script, replay: bool) -> float:
+    """One sampled hand down the tree from ``root``; returns seat 0's payoff.
 
-    Chance outcomes come from ``script`` by event order when replaying,
-    falling back to fresh draws (appended to the script) past its end and
-    where the scripted outcome is not one of this chance node's.
+    Each draw bisects a cut table with a mark from ``next_mark()``: at a
+    decision node the table ``cuts[key]`` of its infoset ``key``, at a
+    chance node the table of its probabilities from ``chance_cuts``. That
+    cache, filled on first use, maps each chance node to its table and each
+    probability tuple to the one table that all nodes with it share.
+
+    Chance outcomes are recorded in ``script``, by event order, with the
+    table that drew them. A replaying hand takes a recorded outcome only at
+    a node whose table is that same object, so whose distribution is the
+    one the outcome was drawn from; elsewhere, and past the script's end,
+    it draws afresh and records nothing.
     """
     node, event = root, 0
     while children := node.children:
         # make_game gives every decision node a str key, so None is chance.
         if node.infoset is None:
-            if replay and event < len(script) and script[event] < len(children):
-                index = script[event]
+            table = chance_cuts.get(node)
+            if table is None:
+                probs = node.chance_probs
+                table = chance_cuts.setdefault(probs, cut_table(probs))
+                chance_cuts[node] = table
+            if replay and event < len(script) and script[event][0] is table:
+                index = script[event][1]
             else:
-                index = _draw(rng, node.chance_probs)
-                script.append(index)
+                index = bisect_right(table, next_mark())
+                if not replay:
+                    script.append((table, index))
             event += 1
         else:
-            index = _draw(rng, rows[node.infoset])
+            index = bisect_right(cuts[node.infoset], next_mark())
         node = children[index]
     return node.utilities[0]
 
@@ -174,32 +187,45 @@ def sampled_match(
     """Seeded head-to-head match; mean is profile_a's chips per hand.
 
     Plain mode alternates profile_a's seat each hand. Duplicate mode plays
-    hands in pairs on one recorded chance script with the seats swapped for
-    the second hand (actions are resampled); scoring averages each pair,
-    which cancels most deal luck. Odd hand counts round down to full pairs,
-    and at least one pair is played: ``hands=1`` plays two hands.
+    hands in pairs with the seats swapped for the second hand; scoring
+    averages each pair, which cancels most deal luck. Odd hand counts round
+    down to full pairs, and at least one pair is played: ``hands=1`` plays
+    two hands.
+
+    Every draw takes a mark from ``random.Random(seed)`` and picks the first
+    index whose running total of the row exceeds it, or the last index if
+    none does; it bisects the row's ``cut_table``. Both seatings' tables
+    are built once per call, and each chance node's on first use.
+
+    The second hand of a pair resamples every action and replays the first
+    hand's chance outcomes by event order, but only at a chance node with
+    the same probabilities as the one that drew the outcome. Elsewhere it
+    draws afresh, so each outcome follows its node's distribution and the
+    pair's score is an unbiased estimate.
     """
     if hands < 1:
         raise ValueError("hands must be >= 1")
-    a_first = merge_profiles(game, profile_a, profile_b)
-    b_first = merge_profiles(game, profile_b, profile_a)
-    rng = random.Random(seed)
+    rows = merge_profiles(game, profile_a, profile_b)
+    a_first = {key: cut_table(row) for key, row in rows.items()}
+    rows = merge_profiles(game, profile_b, profile_a)
+    b_first = {key: cut_table(row) for key, row in rows.items()}
+    root, chance_cuts, next_mark = game.root, {}, random.Random(seed).random
     values: list[float] = []
     if duplicate:
         pairs = max(1, hands // 2)
         for _ in range(pairs):
-            script: list[int] = []
-            first = _play_hand(game.root, a_first, rng, script, False)
-            second = _play_hand(game.root, b_first, rng, script, True)
+            script: list = []
+            first = _play_hand(root, a_first, chance_cuts, next_mark, script, False)
+            second = _play_hand(root, b_first, chance_cuts, next_mark, script, True)
             values.append(0.5 * (first - second))
         played = 2 * pairs
     else:
         for hand in range(hands):
-            script = []
             if hand % 2 == 0:
-                values.append(_play_hand(game.root, a_first, rng, script, False))
+                value = _play_hand(root, a_first, chance_cuts, next_mark, [], False)
             else:
-                values.append(-_play_hand(game.root, b_first, rng, script, False))
+                value = -_play_hand(root, b_first, chance_cuts, next_mark, [], False)
+            values.append(value)
         played = hands
     mean = sum(values) / len(values)
     if len(values) >= 2:

@@ -254,6 +254,16 @@ class TestSampledMatch:
             wins += paired.stderr <= plain.stderr
         assert wins >= 5
 
+    @pytest.mark.parametrize("seed", [0, 10])
+    def test_duplicate_is_unbiased_where_chance_differs_by_path(self, seed):
+        # These games have chance nodes with different distributions at one
+        # event order, so replaying an outcome drawn at one of them at
+        # another would bias the mean by many stderr at this hand count.
+        game = random_game(seed)
+        a, b = uniform_profile(game), random_profile(game, 7)
+        result = sampled_match(game, a, b, hands=100_000, seed=0, duplicate=True)
+        assert abs(result.mean - exact_ev(game, a, b)) < 4.0 * result.stderr
+
     def test_result_records_settings(self, kuhn_game):
         profile = uniform_profile(kuhn_game)
         result = sampled_match(
@@ -269,6 +279,9 @@ class TestSampledMatch:
 # (game, duplicate, hands asked, seed, hands played, mean, stderr) of
 # uniform play against ``random_profile(game, 7)``. The random games have
 # integer payoffs, so every mean is an exact sum on any Python version.
+# The random games' duplicate rows were re-recorded when a replayed chance
+# outcome became limited to nodes with the distribution that drew it; the
+# other rows are as first recorded.
 GOLDEN_MATCHES = [
     ('kuhn', False, 1, 0, 1, 2.0, 0.0),
     ('kuhn', False, 1, 3, 1, 1.0, 0.0),
@@ -301,11 +314,11 @@ GOLDEN_MATCHES = [
     ('random1', False, 2001, 0, 2001, -0.053973013493253376, 0.03335395756717613),
     ('random1', False, 2001, 3, 2001, -0.046476761619190406, 0.03294884826502071),
     ('random1', True, 1, 0, 2, 0.0, 0.0),
-    ('random1', True, 1, 3, 2, 1.0, 0.0),
+    ('random1', True, 1, 3, 2, 2.0, 0.0),
     ('random1', True, 5, 0, 4, 0.0, 0.0),
-    ('random1', True, 5, 3, 4, 0.5, 0.5),
-    ('random1', True, 2001, 0, 2000, -0.0145, 0.023023245206091603),
-    ('random1', True, 2001, 3, 2000, -0.025, 0.021722035973795063),
+    ('random1', True, 5, 3, 4, 1.0, 1.0),
+    ('random1', True, 2001, 0, 2000, -0.013, 0.022323291184978288),
+    ('random1', True, 2001, 3, 2000, -0.0475, 0.02214687865669188),
     ('random3', False, 1, 0, 1, 0.0, 0.0),
     ('random3', False, 1, 3, 1, 2.0, 0.0),
     ('random3', False, 5, 0, 5, -0.2, 0.19999999999999998),
@@ -314,10 +327,10 @@ GOLDEN_MATCHES = [
     ('random3', False, 2001, 3, 2001, 0.06146926536731634, 0.034659186235321625),
     ('random3', True, 1, 0, 2, 0.5, 0.0),
     ('random3', True, 1, 3, 2, 0.0, 0.0),
-    ('random3', True, 5, 0, 4, 0.25, 0.25),
-    ('random3', True, 5, 3, 4, -1.0, 1.0),
-    ('random3', True, 2001, 0, 2000, 0.037, 0.029925349229817298),
-    ('random3', True, 2001, 3, 2000, -0.0145, 0.030057331771020414),
+    ('random3', True, 5, 0, 4, 0.5, 0.0),
+    ('random3', True, 5, 3, 4, -0.25, 0.25),
+    ('random3', True, 2001, 0, 2000, 0.077, 0.02913623036564476),
+    ('random3', True, 2001, 3, 2000, 0.0805, 0.029548991402294816),
     ('random21', False, 1, 0, 1, 2.0, 0.0),
     ('random21', False, 1, 3, 1, 2.0, 0.0),
     ('random21', False, 5, 0, 5, 0.4, 0.9797958971132711),
@@ -328,8 +341,8 @@ GOLDEN_MATCHES = [
     ('random21', True, 1, 3, 2, 0.0, 0.0),
     ('random21', True, 5, 0, 4, 1.0, 1.0),
     ('random21', True, 5, 3, 4, 0.25, 0.25),
-    ('random21', True, 2001, 0, 2000, 0.128, 0.0195319609229974),
-    ('random21', True, 2001, 3, 2000, 0.1345, 0.019507441920720674),
+    ('random21', True, 2001, 0, 2000, 0.1425, 0.019334362352236175),
+    ('random21', True, 2001, 3, 2000, 0.1275, 0.019997340914322675),
     ('random29', False, 1, 0, 1, 2.0, 0.0),
     ('random29', False, 1, 3, 1, -2.0, 0.0),
     ('random29', False, 5, 0, 5, 0.6, 0.7483314773547882),
@@ -340,8 +353,8 @@ GOLDEN_MATCHES = [
     ('random29', True, 1, 3, 2, 0.0, 0.0),
     ('random29', True, 5, 0, 4, 1.25, 0.25),
     ('random29', True, 5, 3, 4, 0.5, 0.5),
-    ('random29', True, 2001, 0, 2000, 0.1855, 0.030128848260388207),
-    ('random29', True, 2001, 3, 2000, 0.1455, 0.030033010700423156),
+    ('random29', True, 2001, 0, 2000, 0.1955, 0.029739101603178334),
+    ('random29', True, 2001, 3, 2000, 0.1805, 0.02922368515046954),
 ]
 
 
