@@ -7,7 +7,11 @@ Distinct infoset-actions may share a vector there; the tabular
 
 The tree learner is a greedy CART-style regressor: splits maximize weighted
 variance reduction, thresholds are midpoints between consecutive distinct
-values, ties break to the lowest feature index then lowest threshold. A
+values, ties break to the lowest feature index then lowest threshold. It
+grows a level at a time: the bins of a feature are its distinct values, as
+in histogram split search, and three ``bincount`` calls per level give every
+open node's prefix sums at every cut, each added in presorted order, so the
+trees are those of a per-node ``cumsum`` scan bit for bit. A
 fitted tree is nothing but flat preorder arrays (``RegressionTree``), which
 fitting, parsing, serialization and prediction all walk without recursion.
 Both estimators predict through one method, ``predict(rows)``.
@@ -133,75 +137,166 @@ def _from_preorder(records, n_features, min_leaf_weight, max_depth) -> Regressio
     )
 
 
-def _best_split(XT, w, wy, order, total_w, total_s, min_leaf_weight):
-    """Best (feature, threshold) by weighted variance reduction, or None.
-
-    ``XT`` is the (features, rows) matrix and ``order`` holds the node's row
-    indices sorted stably by each feature, one feature per row. Every
-    feature is scored at once; each column sees the same float operations
-    as a one-feature scan, and the feature-major argmax breaks ties to the
-    lowest feature, then the lowest threshold.
-    """
-    best_score = total_s * total_s / total_w  # constant-predictor baseline
-    xs = XT[np.arange(len(XT))[:, None], order]
-    w_left = np.cumsum(w[order], axis=1)[:, :-1]
-    s_left = np.cumsum(wy[order], axis=1)[:, :-1]
-    w_right = total_w - w_left
-    s_right = total_s - s_left
-    valid = (
-        (xs[:, :-1] < xs[:, 1:])
-        & (w_left >= min_leaf_weight)
-        & (w_right >= min_leaf_weight)
-        & (w_left > 0.0)
-        & (w_right > 0.0)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = s_left * s_left / w_left + s_right * s_right / w_right
-    scores = np.where(valid, scores, -np.inf)
-    feature, cut = divmod(int(np.argmax(scores)), scores.shape[1])
-    if not scores[feature, cut] > best_score:
-        return None
-    return feature, float((xs[feature, cut] + xs[feature, cut + 1]) / 2.0)
-
-
 def _grow(X, y, w, min_leaf_weight, max_depth):
-    """Preorder node records of the greedy tree, grown from an explicit stack.
+    """Preorder node records of the greedy tree, grown a level at a time.
 
-    Each feature is sorted once per fit; a split partitions the sorted
-    index arrays, which keeps every node's order stable, as a fresh stable
-    sort of the node's rows would be.
+    Once per fit, each feature's rows are sorted stably, and the distinct
+    values of all features are numbered feature by feature, ascending. A
+    value's number is the slot of the cut that sends that value and all
+    lower ones left. The cut expansion lists, feature by feature and in
+    sorted order, one entry per row and cut the row falls left of: a row
+    whose value ranks ``b`` among its feature's ``nb`` distinct values
+    feeds the cuts at ranks ``b .. nb - 2``, so the expansion has
+    ``sum_f sum_rows (nb_f - 1 - b)`` entries.
+
+    Once per level, ``bincount`` keyed by (searched node, slot) adds every
+    node's weight, weighted-target and row-count prefix at every cut. It
+    adds in input order from 0.0, so each prefix is the sequential sum that
+    a ``cumsum`` over the node's presorted rows gives. Slots run feature by
+    feature, so the row-wise argmax of the (node, slot) scores breaks ties
+    to the lowest feature, then the lowest threshold.
     """
+    n_rows, n_features = X.shape
     XT = np.ascontiguousarray(X.T)
     wy = w * y
-    records = []
-    stack = [(np.arange(len(y)), np.argsort(XT, axis=1, kind="stable"), 0)]
+    order = np.argsort(XT, axis=1, kind="stable")
+    xs = np.sort(XT, axis=1)  # read only for where runs start and their values
+    run_starts = np.ones(xs.shape, dtype=bool)
+    run_starts[:, 1:] = xs[:, 1:] > xs[:, :-1]
+    value_id = (run_starts.cumsum() - 1).reshape(xs.shape)
+    values = xs[run_starts]
+    last_value = value_id[:, -1]  # no cut there: its slot stays empty
+    n_slots = len(values)
+    slot_feature = np.repeat(np.arange(n_features), run_starts.sum(axis=1))
+    fan = (last_value[:, None] - value_id).ravel()
+    entry_row = np.repeat(order.ravel(), fan)
+    group_start = fan.cumsum() - fan
+    entry_slot = np.arange(entry_row.size) + np.repeat(
+        value_id.ravel() - group_start, fan
+    )
+    entry_w = w[entry_row]
+    entry_wy = wy[entry_row]
+
+    # A level's nodes have consecutive ids, in the order of ``counts``.
+    records = []  # (feature, threshold, value) by node id
+    children = {}  # split node id -> (left id, right id)
+    rows = np.arange(n_rows)  # the level's rows, grouped by node, in index order
+    counts = np.array([n_rows])
+    depth = 0
+    while True:
+        starts = counts.cumsum() - counts
+        # One reduce per node, which adds pairwise; reduceat would add the
+        # same rows in another order and round differently.
+        node_w, node_wy = w[rows], wy[rows]
+        spans = list(zip(starts.tolist(), (starts + counts).tolist()))
+        total_w = np.array([np.add.reduce(node_w[a:b]) for a, b in spans])
+        total_s = np.array([np.add.reduce(node_wy[a:b]) for a, b in spans])
+        if max_depth is not None and depth >= max_depth:
+            nodes = np.array([], dtype=np.intp)
+        else:  # the nodes to search: those whose targets differ
+            node_y = y[rows]
+            low_y = np.minimum.reduceat(node_y, starts)
+            nodes = (low_y < np.maximum.reduceat(node_y, starts)).nonzero()[0]
+        splits = np.zeros(len(nodes), dtype=bool)
+        if len(nodes):
+            tw, ts = total_w[nodes], total_s[nodes]
+            baseline = ts * ts / tw
+            search_of_node = np.full(len(counts), -1)
+            search_of_node[nodes] = np.arange(len(nodes))
+            row_search = np.full(n_rows, -1)
+            row_search[rows] = np.repeat(search_of_node, counts)
+            entry_search = row_search[entry_row]
+            keep = entry_search >= 0
+            if not keep.all():  # rows of closed nodes never come back
+                entry_row, entry_slot = entry_row[keep], entry_slot[keep]
+                entry_w, entry_wy = entry_w[keep], entry_wy[keep]
+                entry_search = entry_search[keep]
+            key = entry_search * n_slots + entry_slot
+            size = len(nodes) * n_slots
+            shape = (len(nodes), n_slots)
+            w_left = np.bincount(key, entry_w, size).reshape(shape)
+            s_left = np.bincount(key, entry_wy, size).reshape(shape)
+            c_left = np.bincount(key, minlength=size).reshape(shape)
+            if not (np.isfinite(w_left).all() and np.isfinite(s_left).all()):
+                raise FloatingPointError("overflow in a prefix sum at a cut")
+            w_right = tw[:, None] - w_left
+            s_right = ts[:, None] - s_left
+            # A feature's first slot follows the empty slot of the previous
+            # feature's last value, so a count rises at a slot exactly when
+            # the node holds that slot's value.
+            c_before = np.zeros_like(c_left)
+            c_before[:, 1:] = c_left[:, :-1]
+            lighter = np.minimum(w_left, w_right)
+            valid = (
+                (c_left > c_before)
+                & (c_left < counts[nodes, None])
+                & (lighter >= min_leaf_weight)
+                & (lighter > 0.0)
+            )
+            # Scored only where admissible, so only a score that could be
+            # chosen may overflow.
+            lw, rw = w_left[valid], w_right[valid]
+            ls, rs = s_left[valid], s_right[valid]
+            scores = np.full(shape, -np.inf)
+            scores[valid] = ls * ls / lw + rs * rs / rw
+            best_slot = scores.argmax(axis=1)
+            splits = scores.max(axis=1) > baseline
+        split_nodes = nodes[splits]
+        is_leaf = np.ones(len(counts), dtype=bool)
+        is_leaf[split_nodes] = False
+        leaves = is_leaf.nonzero()[0]
+        level = [None] * len(counts)
+        means = total_s[leaves] / total_w[leaves]
+        for i, mean in zip(leaves.tolist(), means.tolist()):
+            level[i] = (-1, 0.0, mean)
+        if not len(split_nodes):
+            records += level
+            break
+        slot = best_slot[splits]
+        feature = slot_feature[slot]
+        c_split = c_left[splits]
+        c_cut = c_split[np.arange(len(slot)), slot]
+        beyond = (c_split > c_cut[:, None]) & (slot_feature == feature[:, None])
+        next_slot = np.where(
+            beyond.any(axis=1), beyond.argmax(axis=1), last_value[feature]
+        )
+        low, high = values[slot], values[next_slot]
+        middle = (low + high) / 2.0
+        # Between adjacent doubles the midpoint may round up to ``high``,
+        # which would send every row left; the lower value cuts the same.
+        threshold = np.where(middle < high, middle, low)
+        first_id = len(records)
+        first_child = first_id + len(counts)
+        for j, (i, f, t) in enumerate(
+            zip(split_nodes.tolist(), feature.tolist(), threshold.tolist())
+        ):
+            level[i] = (f, t, 0.0)
+            children[first_id + i] = (first_child + 2 * j, first_child + 2 * j + 1)
+        records += level
+        split_of_node = np.full(len(counts), -1)
+        split_of_node[split_nodes] = np.arange(len(split_nodes))
+        row_split = np.repeat(split_of_node, counts)
+        moving = row_split >= 0
+        rows, row_split = rows[moving], row_split[moving]
+        child = 2 * row_split + (XT[feature[row_split], rows] > threshold[row_split])
+        rows = rows[child.argsort(kind="stable")]
+        counts = np.bincount(child, minlength=2 * len(split_nodes))
+        depth += 1
+
+    preorder = []
+    stack = [0]
     while stack:
-        rows, order, depth = stack.pop()
-        total_w = w[rows].sum()
-        total_s = wy[rows].sum()
-        node_y = y[rows]
-        depth_reached = max_depth is not None and depth >= max_depth
-        split = None
-        if not (depth_reached or np.all(node_y == node_y[0])):
-            split = _best_split(XT, w, wy, order, total_w, total_s, min_leaf_weight)
-        if split is None:
-            records.append((-1, 0.0, float(total_s / total_w)))
-            continue
-        feature, threshold = split
-        records.append((feature, threshold, 0.0))
-        goes_left = XT[feature] <= threshold
-        # Right first, so the left child is popped next and nodes come out
-        # in preorder.
-        for side in (~goes_left, goes_left):
-            side_order = order[side[order]].reshape(len(XT), -1)
-            stack.append((rows[side[rows]], side_order, depth + 1))
-    return records
+        node = stack.pop()
+        preorder.append(records[node])
+        if node in children:
+            stack += reversed(children[node])
+    return preorder
 
 
 def _training_set(features, targets, weights):
     """Features, targets and weights as float64 arrays; raises ValueError
-    unless the shapes agree, targets and weights are finite, no weight is
-    negative and the total weight is positive."""
+    unless the shapes agree, features, targets and weights are finite, no
+    weight is negative and the total weight is positive."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2:
@@ -210,6 +305,8 @@ def _training_set(features, targets, weights):
         raise ValueError("empty dataset")
     if y.shape != (X.shape[0],):
         raise ValueError("targets do not match features row count")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
     if not np.isfinite(y).all():
         raise ValueError("targets must be finite")
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=np.float64)
@@ -242,9 +339,23 @@ def fit_tree(
 
     Growth stops at a node when no split strictly reduces weighted variance,
     either side would fall below ``min_leaf_weight``, ``max_depth`` is
-    reached, or the node's targets are all equal. Data that overflow
-    float64, in a weighted sum or a threshold midpoint, raise ValueError, so
-    every fitted leaf and threshold is finite.
+    reached, or the node's targets are all equal. A threshold is the
+    midpoint of two consecutive distinct values, or the lower value where
+    the midpoint of two adjacent doubles rounds up to the higher one.
+
+    The tree grows a level at a time, with one split search over every open
+    node of the level (see ``_grow``). A level's work is one entry per row
+    and per cut between distinct values that the row falls left of: at most
+    rows times distinct values per feature. That is small for few-valued
+    columns such as ``featurize`` gives, and quadratic in the row count for
+    a continuous column.
+
+    Data that overflow float64 raise ValueError: a node's weight or
+    weighted-target total, the score of leaving a searched node whole, a
+    prefix of either total in sorted order at a cut between distinct
+    values, the score of a cut that ``min_leaf_weight`` allows, or a
+    threshold midpoint. A sum inside a run of equal values is never a cut
+    and is not checked. So every fitted leaf and threshold is finite.
     """
     X, y, w = _training_set(features, targets, weights)
     min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)

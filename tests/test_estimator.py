@@ -221,6 +221,22 @@ class TestFitTree:
             )
 
     @pytest.mark.parametrize(
+        "features",
+        [
+            [[1.0], [math.inf]],  # midpoint inf: every row goes left
+            [[-math.inf], [1.0]],  # threshold -inf, which parse_tree rejects
+            [[1.0], [math.nan]],
+        ],
+    )
+    def test_non_finite_feature_rejected(self, features):
+        with pytest.raises(ValueError, match="features must be finite"):
+            fit_tree(features, [0.0, 1.0], min_leaf_weight=0.0)
+        with pytest.raises(ValueError, match="features must be finite"):
+            TreeRegressor(min_leaf_weight=0.0).fit(features, [0.0, 1.0])
+        with pytest.raises(ValueError, match="features must be finite"):
+            TreeRegressor(min_leaf_weight=0.0, n_bags=2).fit(features, [0.0, 1.0])
+
+    @pytest.mark.parametrize(
         "targets, weights",
         [
             ([1e308, 1e308], [10.0, 10.0]),  # w * y overflows: leaf inf
@@ -233,6 +249,36 @@ class TestFitTree:
             fit_tree([[0.0], [1.0]], targets, weights)
         with pytest.raises(ValueError, match="overflow"):
             TreeRegressor().fit([[0.0], [1.0]], targets, weights)
+
+    def test_prefix_overflowing_in_sorted_order_rejected(self):
+        # In row order the targets cancel to 0; sorted by the feature, the
+        # prefix up to the cut between 1 and 2 is 2e308.
+        X = [[0.0], [2.0], [1.0], [3.0]]
+        y = [1e308, -1e308, 1e308, -1e308]
+        with pytest.raises(ValueError, match="overflow"):
+            fit_tree(X, y)
+        with pytest.raises(ValueError, match="overflow"):
+            TreeRegressor().fit(X, y)
+
+    def test_sum_inside_a_run_of_equal_values_is_not_checked(self):
+        # Squaring the prefix 1e200 between the two rows at 0 overflows,
+        # but no cut can sit inside a run of equal values.
+        tree = fit_tree([[0.0], [0.0], [1.0]], [1e200, -1e200, 0.0])
+        assert serialize_tree(tree).splitlines()[1:] == ["leaf,0"]
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0)),
+            (-5e-324, 0.0),  # the midpoint is -0.0, which equals 0.0
+        ],
+    )
+    def test_midpoint_rounding_up_still_splits(self, low, high):
+        assert (low + high) / 2.0 == high  # so x <= midpoint holds for both
+        tree = fit_tree([[low], [high]], [0.0, 1.0], min_leaf_weight=0.0)
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.threshold.tolist()[0] == low
+        assert predict_rows(tree, [[low], [high]]).tolist() == [0.0, 1.0]
 
     def test_training_mse_at_most_target_variance(self):
         rng = random.Random(5)

@@ -1,5 +1,6 @@
 """Regression CFR: oracle equivalence with CFR, floors, and bookkeeping."""
 
+import hashlib
 import itertools
 import math
 import re
@@ -24,6 +25,7 @@ from fregret.cfr import (
     regret_policy,
     solve,
 )
+from fregret.cli import write_strategy_file
 from fregret.efg_core import (
     decision,
     enumerate_infosets,
@@ -324,6 +326,40 @@ class TestSolve:
         )
         uniform_expl = exploitability(kuhn_game, uniform_profile(kuhn_game))
         assert convergence[-1].exploitability < uniform_expl
+
+    @pytest.mark.parametrize(
+        "min_leaf_weight, digest, sizes",
+        [
+            (
+                64.0,
+                "ff1df2a1a6368a1c0c5eec9a61a6eabe9d4604f52befdf3df01de0e1affb64e9",
+                [(10, 3, 3), (20, 3, 3)],
+            ),
+            (
+                16.0,
+                "1029a26db1aee9c7dda3c6d7f2fc71c4656be618a1a78c2266b20c3f05efef6d",
+                [(10, 14, 16), (20, 16, 14)],
+            ),
+            (
+                4.0,
+                "80fb435a85cf25c90581d5487dd61279d7b1f50644f11742d17821d5d54d8bc2",
+                [(10, 69, 65), (20, 67, 63)],
+            ),
+        ],
+    )
+    def test_leduc_tree_rcfr_is_pinned(
+        self, leduc_game, tmp_path, min_leaf_weight, digest, sizes
+    ):
+        # Recorded with the per-node tree learner; the level-wise one must
+        # give the same strategy file and leaf counts.
+        config = RCFRConfig(
+            iterations=20, min_leaf_weight=min_leaf_weight, log_every=10
+        )
+        profile, _, model_sizes = rcfr_solve(leduc_game, config)
+        path = tmp_path / "strategy.csv"
+        write_strategy_file(str(path), leduc_game, profile)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert [(r.t, r.leaves_p1, r.leaves_p2) for r in model_sizes] == sizes
 
     def test_profile_rows_are_distributions(self, kuhn_game):
         profile, _, _ = rcfr_solve(kuhn_game, RCFRConfig(iterations=40, log_every=40))

@@ -3,7 +3,7 @@
 ``reference_fit`` is the recursive per-feature learner that ``fit_tree``
 replaced, kept here unchanged as the oracle: one stable argsort per node and
 feature, a Python loop over features with a strict ``>`` against the best
-score so far, and a recursive serializer. The one-pass split search must
+score so far, and a recursive serializer. The level-wise split search must
 reproduce its trees bit for bit, ties and float summation order included.
 """
 
@@ -133,6 +133,24 @@ def test_leduc_rcfr_corpora(min_leaf_weight):
         assert_same_tree(X, y, min_leaf_weight=min_leaf_weight)
 
 
+def tree_levels(tree):
+    """Node count on each level of a fitted tree, root first."""
+    depth = [0] * len(tree.feature)
+    for node, feature in enumerate(tree.feature.tolist()):
+        if feature >= 0:
+            depth[node + 1] = depth[tree.right[node]] = depth[node] + 1
+    return np.bincount(depth).tolist()
+
+
+def test_leduc_min_leaf_4_corpora_grow_deep_levels():
+    corpora = leduc_corpora(4.0, iterations=20)
+    for t in (5, 10, 15, 20):
+        for X, y in corpora[2 * t - 2 : 2 * t]:
+            levels = tree_levels(fit_tree(X, y, min_leaf_weight=4.0))
+            assert sum(levels) > 100 and len(levels) >= 10 and max(levels) >= 20
+            assert_same_tree(X, y, min_leaf_weight=4.0)
+
+
 def random_corpus(rng, n_rows, n_features, levels):
     """Rows drawn from a few levels per feature, so values and whole rows
     repeat, plus a one-hot block whose columns complement each other and
@@ -156,6 +174,42 @@ def test_random_corpora(seed):
             for max_depth in (None, 0, 1, 3):
                 assert_same_tree(
                     X, y, w, min_leaf_weight=min_leaf_weight, max_depth=max_depth
+                )
+
+
+def mixed_corpus(rng):
+    """A one-valued column, few-valued and continuous columns side by side,
+    one row repeated with differing targets, so the node that ends up
+    holding those copies is searched and has no cut, and zero weights on
+    the first and last row of every run of equal values in column 1."""
+    n_rows = 40
+    X = np.column_stack(
+        [
+            np.full(n_rows, 2.0),
+            rng.integers(0, 3, size=n_rows),
+            rng.random(n_rows),
+            rng.integers(0, 4, size=n_rows),
+        ]
+    ).astype(np.float64)
+    X = np.vstack([X, np.repeat(X[:1], 5, axis=0)])
+    y = np.round(rng.normal(size=len(X)), 1)
+    y[-5:] = np.arange(5.0) + 0.5
+    w = rng.choice([0.5, 1.0, 2.5], size=len(X))
+    order = np.argsort(X[:, 1], kind="stable")
+    edges = np.flatnonzero(np.diff(X[order, 1]))
+    run_edges = np.concatenate([[0], edges, edges + 1, [len(X) - 1]])
+    w[order[run_edges]] = 0.0
+    return X, y, w
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mixed_random_corpora(seed):
+    X, y, w = mixed_corpus(np.random.default_rng(200 + seed))
+    for weights in (None, w):
+        for min_leaf_weight in (0.0, 1.0, 3.0):
+            for max_depth in (None, 2):
+                assert_same_tree(
+                    X, y, weights, min_leaf_weight=min_leaf_weight, max_depth=max_depth
                 )
 
 
