@@ -38,12 +38,10 @@ from .rcfr import RCFRConfig, RCFRState, rcfr_solve
 from .regret import (
     NoiseModel,
     RegretMatcher,
-    RRMConfig,
     regret_bound,
     regret_match,
     rm_update,
     rrm_selfplay,
-    rrm_step,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +57,6 @@ __all__ = [
     "NoiseModel",
     "RCFRConfig",
     "RCFRState",
-    "RRMConfig",
     "RegressionTree",
     "RegretMatcher",
     "TabularEstimator",
@@ -80,7 +77,6 @@ __all__ = [
     "regret_match",
     "rm_update",
     "rrm_selfplay",
-    "rrm_step",
     "sampled_match",
     "solve",
     "uniform_profile",

@@ -23,6 +23,7 @@ import sys
 
 from ._validation import format_float
 from .cfr import CFRConfig, solve
+from .efg_core import check_row, checked_policy
 from .eval import exact_ev, exploitability, sampled_match
 from .games import build_kuhn, build_leduc
 from .rcfr import RCFRConfig, rcfr_solve
@@ -53,26 +54,18 @@ def format_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_row(key: str, probs, where: str = "") -> None:
-    """Reject a strategy row unless every entry is finite and >= 0 and the
-    entries sum to 1 within 1e-6; ``where`` starts the message."""
-    total = sum(probs)
-    # A NaN or infinite entry makes the sum NaN or infinite, never near 1.
-    if not (abs(total - 1.0) <= 1e-6 and min(probs) >= 0.0):
-        raise ValueError(
-            f"{where}probabilities {tuple(probs)!r} for infoset '{key}' sum to "
-            f"{format_float(total)}; each must be finite and >= 0, summing to 1"
-        )
-
-
 def write_strategy_file(path: str, game, profile) -> None:
-    """Validate the profile against the game and store it sorted.
+    """Check the profile against the game and store it sorted.
 
-    Raises ValueError, before the file is opened, on anything the reader
-    would reject: a game id that is empty or has whitespace, a key with a
-    comma or a line break, or a row that fails ``check_row``.
+    Raises ValueError, before the file is opened, on anything the reader or
+    ``efg_core.checked_policy`` would reject: a game id that is empty or has
+    whitespace, a key with a comma or a line break, or a profile that fails
+    the check.
     """
-    validate_profile(game, profile)
+    try:
+        checked_policy(game, (profile, profile))
+    except KeyError as error:
+        raise ValueError(error.args[0]) from None
     header = f"# fregret-strategy v1 game={game.game_id} exploit_convention=sum"
     if STRATEGY_HEADER_PATTERN.fullmatch(header) is None:
         raise ValueError(f"game id {game.game_id!r} is empty or has whitespace")
@@ -81,7 +74,6 @@ def write_strategy_file(path: str, game, profile) -> None:
         # The reader splits the file with str.splitlines, at more than "\n".
         if "," in key or "".join(key.splitlines()) != key:
             raise ValueError(f"infoset key {key!r} has a comma or a line break")
-        check_row(key, profile[key])
         for index, prob in enumerate(profile[key]):
             lines.append(f"{key},{index},{format_float(prob)}")
     with open(path, "w") as handle:
@@ -93,7 +85,7 @@ def read_strategy_file(path: str):
 
     Every malformed line is reported with its line number; per-infoset
     probabilities must be contiguous from action index 0 and pass
-    ``check_row``.
+    ``efg_core.check_row``.
     """
     with open(path) as handle:
         lines = handle.read().splitlines()
@@ -152,27 +144,6 @@ def read_strategy_file(path: str):
     return game_id, profile
 
 
-def validate_profile(game, profile) -> None:
-    """Reject unknown, missing, or wrong-arity infosets for this game."""
-    for key, probs in profile.items():
-        labels = game.action_labels.get(key)
-        if labels is None:
-            raise ValueError(
-                f"infoset '{key}' does not exist in game '{game.game_id}'"
-            )
-        if len(probs) != len(labels):
-            raise ValueError(
-                f"infoset '{key}' has {len(probs)} probabilities "
-                f"for {len(labels)} actions"
-            )
-    for key in game.action_labels:
-        if key not in profile:
-            raise ValueError(
-                f"strategy is missing infoset '{key}' "
-                f"of game '{game.game_id}'"
-            )
-
-
 def _load_for_game(path: str, game):
     file_game, profile = read_strategy_file(path)
     if file_game != game.game_id:
@@ -180,7 +151,7 @@ def _load_for_game(path: str, game):
             f"{path}: strategy is for game '{file_game}', expected "
             f"'{game.game_id}'"
         )
-    validate_profile(game, profile)
+    checked_policy(game, (profile, profile))
     return profile
 
 

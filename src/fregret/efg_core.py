@@ -3,6 +3,8 @@
 Games are two-player zero-sum trees built eagerly and immutably. A behavioral
 strategy profile is a flat dict mapping infoset key -> probability tuple; keys
 embed the acting seat (``p0:``/``p1:``) so one dict covers both players.
+``checked_policy`` is the one check of a profile, which every evaluator
+runs: it turns profiles into a slot vector whose rows are distributions.
 
 ``GameNode`` trees are the builders' input format, and sampled play walks
 them. ``make_game`` checks one with an explicit stack and flattens it into a
@@ -25,6 +27,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+
+from ._validation import format_float
 
 CHANCE = "chance"
 DECISION = "decision"
@@ -124,8 +128,9 @@ class GameLayout:
     grouped by the parent's tree depth, root first, in preorder within a
     depth, as (parents, children, lo, hi) with ``lo:hi`` the group's span
     in ``down_src``, their weight-table indices; ``down_mover`` marks
-    whether seat 0, seat 1 or chance moves on each. ``owner`` and
-    ``uniform`` give each slot's infoset id and 1 / its action count;
+    whether seat 0, seat 1 or chance moves on each. ``seat`` gives each
+    infoset's acting seat, and ``owner`` and ``uniform`` give each slot's
+    infoset id and 1 / its action count;
     ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal nodes,
     which ``terminal`` marks False.
     """
@@ -136,6 +141,7 @@ class GameLayout:
     down: tuple
     down_src: np.ndarray
     down_mover: np.ndarray
+    seat: np.ndarray
     owner: np.ndarray
     uniform: np.ndarray
     utility: np.ndarray
@@ -254,6 +260,7 @@ def _layout(parents, actions, infoset, utility, tail, first, infosets, offset):
         ),
         down_src=src[down],
         down_mover=moved[down] == np.arange(3)[:, None],
+        seat=seats[:-1],
         owner=owner,
         uniform=1.0 / np.diff(offset)[owner],
         utility=np.frombuffer(utility, dtype=np.float64),
@@ -380,37 +387,62 @@ def enumerate_infosets(game: GameSpec) -> list[tuple[int, str, int]]:
     return list(game.layout.infosets)
 
 
-def profile_rows(game: GameSpec, seat_profiles) -> list:
-    """Each infoset's probabilities from its seat's profile, by infoset id;
-    None for a seat whose profile is None. Raises KeyError on a missing row
-    and ValueError on a row of the wrong length."""
+def check_row(key: str, probs, where: str = "") -> None:
+    """Reject a strategy row unless every entry is finite and >= 0 and the
+    entries sum to 1 within 1e-6; ``where`` starts the message. The sum
+    runs from 0.0 in order, as in ``checked_policy``: the builtin ``sum`` is
+    compensated on Python 3.12+."""
+    total = 0.0
+    for p in probs:
+        total += float(p)
+    # A NaN or infinite entry makes the sum NaN or infinite, never near 1.
+    if not (abs(total - 1.0) <= 1e-6 and min(probs) >= 0.0):
+        raise ValueError(
+            f"{where}probabilities {tuple(probs)!r} for infoset '{key}' sum to "
+            f"{format_float(total)}; each must be finite and >= 0, summing to 1"
+        )
+
+
+def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
+    """The slot vector of each seat's rows from its profile in
+    ``seat_profiles``, zeros for a seat whose profile is None.
+
+    Raises on the first fault, in this order: ValueError on a key the game
+    lacks; KeyError on a missing row or ValueError on one of the wrong
+    length, the first in table order; ``check_row``'s ValueError on the first
+    row in table order that is not a distribution, found in one pass over
+    the vector (``bincount`` adds each infoset's sum in slot order from 0.0).
+    """
+    layout, labels = game.layout, game.action_labels
+    for profile in seat_profiles:
+        if profile is not None and not profile.keys() <= labels.keys():
+            key = next(key for key in profile if key not in labels)
+            raise ValueError(
+                f"infoset '{key}' does not exist in game '{game.game_id}'"
+            )
     rows = []
-    for player, key, n in game.layout.infosets:
-        profile, probs = seat_profiles[player], None
-        if profile is not None:
-            try:
-                probs = profile[key]
-            except KeyError:
-                raise KeyError(f"profile missing infoset '{key}'") from None
-            if len(probs) != n:
-                raise ValueError(
-                    f"profile entry for '{key}' has {len(probs)} "
-                    f"probabilities for {n} actions"
-                )
+    for player, key, n in layout.infosets:
+        profile = seat_profiles[player]
+        if profile is not None and key not in profile:
+            raise KeyError(f"profile missing infoset '{key}'")
+        probs = (0.0,) * n if profile is None else profile[key]
+        if len(probs) != n:
+            raise ValueError(
+                f"profile entry for '{key}' has {len(probs)} "
+                f"probabilities for {n} actions"
+            )
         rows.append(probs)
-    return rows
-
-
-def policy_vector(layout: GameLayout, rows) -> np.ndarray:
-    """The slot vector of one row per infoset id; zeros where a row is None."""
-    return np.fromiter(
-        chain.from_iterable(
-            (0.0,) * n if row is None else row
-            for row, (_, _, n) in zip(rows, layout.infosets)
-        ),
-        dtype=np.float64,
-        count=layout.offset[-1],
+    policy = np.fromiter(
+        chain.from_iterable(rows), dtype=np.float64, count=layout.offset[-1]
     )
+    sums = np.bincount(layout.owner, weights=policy, minlength=len(rows))
+    bad = ~(np.abs(sums - 1.0) <= 1e-6)
+    bad[layout.owner[policy < 0.0]] = True
+    bad &= np.array([profile is not None for profile in seat_profiles])[layout.seat]
+    if bad.any():
+        k = int(bad.argmax())
+        check_row(layout.infosets[k][1], rows[k])
+    return policy
 
 
 def node_values(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
@@ -431,10 +463,10 @@ def node_values(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
 
 def expected_value(game: GameSpec, profile: dict) -> tuple[float, float]:
     """Exact expected utilities (u1, u2) under a behavioral profile."""
+    policy = checked_policy(game, (profile, profile))
     if not game.root.children:
         return game.root.utilities
-    rows = profile_rows(game, (profile, profile))
-    value = float(node_values(game.layout, policy_vector(game.layout, rows))[0])
+    value = float(node_values(game.layout, policy)[0])
     # Summing seat 1's negated payoffs from 0.0 gives exactly -value, except
     # that a zero total is +0.0; 0.0 - value is that same number.
     return value, 0.0 - value

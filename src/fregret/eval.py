@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .efg_core import GameSpec, expected_value, policy_vector, profile_rows
+from .efg_core import GameSpec, checked_policy, node_values
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,35 @@ class MatchResult:
     stderr: float
     seed: int
     duplicate: bool
+
+
+def _respond(layout, policy, responder: int):
+    """``best_response``'s sweeps against slot vector ``policy``: the root
+    value, each infoset's pick, and each node's opponent-and-chance reach."""
+    plan = layout.plans[responder]
+    table = np.concatenate((policy, layout.tail))
+    factor = np.where(layout.down_mover[responder], 1.0, table[layout.down_src])
+    weight = np.ones(len(layout.utility))
+    for parent, child, lo, hi in layout.down:
+        weight[child] = weight[parent] * factor[lo:hi]
+    if responder == 0:
+        value = layout.utility.copy()
+    else:  # +0.0, not -0.0, at the nodes whose values are sums
+        value = np.zeros(len(layout.utility))
+        np.negative(layout.utility, out=value, where=layout.terminal)
+    probs = table[plan.sum_src]
+    score = np.zeros(layout.offset[-1] + 1)
+    score[-1] = -np.inf  # the padding slot of a shorter infoset's row
+    choice = np.zeros(len(layout.infosets), dtype=np.intp)
+    for choices, levels in plan.buckets:
+        if choices is not None:
+            parent, child, slot, pad, ids, heads, first, head_infoset = choices
+            np.add.at(score, slot, weight[parent] * value[child])
+            choice[ids] = score[pad].argmax(axis=1)
+            value[heads] = value[child[first + choice[head_infoset]]]
+        for parent, child, lo, hi in levels:
+            np.add.at(value, parent, probs[lo:hi] * value[child])
+    return float(value[0]), choice, weight
 
 
 def best_response(
@@ -65,33 +94,9 @@ def best_response(
     seats = (None, opponent_profile) if responder == 0 else (opponent_profile, None)
     layout = game.layout
     plan = layout.plans[responder]
-    policy = policy_vector(layout, profile_rows(game, seats))
-    table = np.concatenate((policy, layout.tail))
-    factor = np.where(layout.down_mover[responder], 1.0, table[layout.down_src])
-    weight = np.ones(len(layout.utility))
-    for parent, child, lo, hi in layout.down:
-        weight[child] = weight[parent] * factor[lo:hi]
+    value, choice, weight = _respond(layout, checked_policy(game, seats), responder)
     reach = np.zeros(len(layout.infosets))
     np.add.at(reach, plan.head_infoset, weight[plan.heads])
-
-    if responder == 0:
-        value = layout.utility.copy()
-    else:  # +0.0, not -0.0, at the nodes whose values are sums
-        value = np.zeros(len(layout.utility))
-        np.negative(layout.utility, out=value, where=layout.terminal)
-    probs = table[plan.sum_src]
-    score = np.zeros(layout.offset[-1] + 1)
-    score[-1] = -np.inf  # the padding slot of a shorter infoset's row
-    choice = np.zeros(len(layout.infosets), dtype=np.intp)
-    for choices, levels in plan.buckets:
-        if choices is not None:
-            parent, child, slot, pad, ids, heads, first, head_infoset = choices
-            np.add.at(score, slot, weight[parent] * value[child])
-            choice[ids] = score[pad].argmax(axis=1)
-            value[heads] = value[child[first + choice[head_infoset]]]
-        for parent, child, lo, hi in levels:
-            np.add.at(value, parent, probs[lo:hi] * value[child])
-
     picks, reached = choice.tolist(), (reach > 0.0).tolist()
     # Rows by action count: the pure row of each action, then uniform.
     rows: dict[int, list[tuple[float, ...]]] = {}
@@ -101,34 +106,38 @@ def best_response(
             rows[n] = [tuple(float(a == b) for a in range(n)) for b in range(n)]
             rows[n].append((1.0 / n,) * n)
         response[key] = rows[n][picks[k] if reached[k] else n]
-    return BestResponseResult(
-        value=float(value[0]), response=response, responder=responder
-    )
+    return BestResponseResult(value=value, response=response, responder=responder)
 
 
 def exploitability(game: GameSpec, profile) -> float:
-    """Sum of both seats' best-response values; 0 exactly at an equilibrium."""
-    return (
-        best_response(game, profile, 0).value
-        + best_response(game, profile, 1).value
-    )
+    """Sum of both seats' best-response values, read off one checked slot
+    vector; 0 exactly at an equilibrium."""
+    policy = checked_policy(game, (profile, profile))
+    return _respond(game.layout, policy, 0)[0] + _respond(game.layout, policy, 1)[0]
 
 
 def merge_profiles(game: GameSpec, seat0_profile, seat1_profile):
-    """Full profile taking seat-0 rows from one source, seat-1 from another."""
-    rows = profile_rows(game, (seat0_profile, seat1_profile))
-    return {key: row for (_, key, _), row in zip(game.layout.infosets, rows)}
+    """Full profile taking seat-0 rows from one source, seat-1 from another;
+    each source is checked on the rows it gives."""
+    seats = (seat0_profile, seat1_profile)
+    checked_policy(game, seats)
+    return {key: seats[player][key] for player, key, _ in game.layout.infosets}
 
 
 def exact_ev(game: GameSpec, profile_a, profile_b) -> float:
     """Chips per hand for profile_a, averaged over seat assignments.
 
     Exactly antisymmetric (exact_ev(a, b) == -exact_ev(b, a)) and exactly
-    zero when both arguments are the same profile.
+    zero when both arguments are the same profile. Each profile is checked
+    once, and a slot mask seats their rows both ways round.
     """
-    a_seated_first = expected_value(game, merge_profiles(game, profile_a, profile_b))
-    b_seated_first = expected_value(game, merge_profiles(game, profile_b, profile_a))
-    return 0.5 * (a_seated_first[0] - b_seated_first[0])
+    layout = game.layout
+    policy_a = checked_policy(game, (profile_a, profile_a))
+    policy_b = checked_policy(game, (profile_b, profile_b))
+    seat0 = layout.seat[layout.owner] == 0
+    a_seated_first = node_values(layout, np.where(seat0, policy_a, policy_b))[0]
+    b_seated_first = node_values(layout, np.where(seat0, policy_b, policy_a))[0]
+    return 0.5 * (float(a_seated_first) - float(b_seated_first))
 
 
 def cut_table(row) -> tuple[float, ...]:
@@ -205,10 +214,12 @@ def sampled_match(
     """
     if hands < 1:
         raise ValueError("hands must be >= 1")
-    rows = merge_profiles(game, profile_a, profile_b)
-    a_first = {key: cut_table(row) for key, row in rows.items()}
-    rows = merge_profiles(game, profile_b, profile_a)
-    b_first = {key: cut_table(row) for key, row in rows.items()}
+    for profile in (profile_a, profile_b):
+        checked_policy(game, (profile, profile))
+    a_first, b_first = (
+        {key: cut_table(seats[player][key]) for player, key, _ in game.layout.infosets}
+        for seats in ((profile_a, profile_b), (profile_b, profile_a))
+    )
     root, chance_cuts, next_mark = game.root, {}, random.Random(seed).random
     values: list[float] = []
     if duplicate:

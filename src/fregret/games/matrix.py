@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Row player's payoffs; the column player receives the negation.
@@ -58,4 +59,6 @@ def build_matrix(name: str | None = None, payoffs=None) -> MatrixGame:
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("ragged payoff matrix")
     flat = [x for row in rows for x in row]
+    if not all(map(math.isfinite, flat)):
+        raise ValueError("non-finite payoff")
     return MatrixGame(name=name, payoffs=rows, utility_range=max(flat) - min(flat))

@@ -1,12 +1,11 @@
 """Normal-form regret matching and its estimate-driven variant.
 
 ``regret_match`` maps cumulative regrets to a policy (positive parts
-normalized, uniform fallback). ``rm_update`` advances a matcher one step from
-exact regrets; ``rrm_step`` plays from *estimated* regrets instead, either a
-fitted regret estimator's predictions or a noise-perturbed view of the truth.
-``regret_bound`` is the ceiling on average regret when the estimates stay
-within epsilon of the true cumulative regrets, and ``rrm_selfplay`` is the
-matrix-game harness that checks the bound empirically.
+normalized, uniform fallback), and ``rm_update`` advances a matcher one step
+from exact regrets. ``regret_bound`` is the ceiling on average regret when
+play comes from estimates within epsilon of the true cumulative regrets, and
+``rrm_selfplay`` is the matrix-game harness that checks the bound
+empirically, playing from a noise-perturbed view of the regrets.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from dataclasses import dataclass
 
 from ._validation import check_positive_int
 
-NOISE_KINDS = ("none", "bounded_linf", "gaussian")
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -26,33 +23,27 @@ class NoiseModel:
 
     Kind "none" plays from the values as given; "bounded_linf" adds an
     independent uniform draw from [-scale, scale] to each action (worst-case
-    error scale in the max norm); "gaussian" adds N(0, scale^2) per action.
+    error scale in the max norm). The scale must be finite and >= 0.
     """
 
     kind: str = "none"
     scale: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
+        if self.kind not in ("none", "bounded_linf"):
             raise ValueError(f"unknown noise kind '{self.kind}'")
-        if self.scale < 0.0:
-            raise ValueError("noise scale must be >= 0")
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError("noise scale must be finite and >= 0")
 
     @classmethod
     def bounded_linf(cls, epsilon: float) -> "NoiseModel":
         return cls("bounded_linf", epsilon)
 
-    @classmethod
-    def gaussian(cls, sd: float) -> "NoiseModel":
-        return cls("gaussian", sd)
-
     def perturb(self, values, rng: random.Random):
         """Return values plus one fresh noise draw per entry."""
         if self.kind == "none":
             return tuple(values)
-        if self.kind == "bounded_linf":
-            return tuple(v + rng.uniform(-self.scale, self.scale) for v in values)
-        return tuple(v + rng.gauss(0.0, self.scale) for v in values)
+        return tuple(v + rng.uniform(-self.scale, self.scale) for v in values)
 
 
 NO_NOISE = NoiseModel()
@@ -80,20 +71,6 @@ class RegretMatcher:
     @property
     def n_actions(self) -> int:
         return len(self.regrets)
-
-
-@dataclass(frozen=True)
-class RRMConfig:
-    """How ``rrm_step`` forms its policy.
-
-    With an estimator set, the policy comes from its predictions over
-    per-action features (refit on the true cumulative regrets after every
-    step); otherwise from the true regrets. Either source is then perturbed
-    by ``noise_model``.
-    """
-
-    noise_model: NoiseModel = NO_NOISE
-    estimator: object | None = None
 
 
 @dataclass(frozen=True)
@@ -131,22 +108,6 @@ def regret_match(regrets) -> tuple[float, ...]:
     return tuple(p / total for p in positive)
 
 
-def action_features(n_actions: int) -> list[tuple[float, ...]]:
-    """One-hot feature rows for a normal-form game's actions."""
-    check_positive_int(n_actions, "n_actions")
-    return [
-        tuple(1.0 if j == i else 0.0 for j in range(n_actions))
-        for i in range(n_actions)
-    ]
-
-
-def _check_payoff(state: RegretMatcher, payoff) -> None:
-    if len(payoff) != state.n_actions:
-        raise ValueError(
-            f"payoff length {len(payoff)} != action count {state.n_actions}"
-        )
-
-
 def _advance(state: RegretMatcher, policy, payoff) -> RegretMatcher:
     """Accumulate one step played with ``policy`` against ``payoff``."""
     expected = sum(p * u for p, u in zip(policy, payoff))
@@ -161,37 +122,11 @@ def _advance(state: RegretMatcher, policy, payoff) -> RegretMatcher:
 
 def rm_update(state: RegretMatcher, payoff) -> RegretMatcher:
     """One exact step: play regret_match(regrets), accumulate regret/strategy."""
-    _check_payoff(state, payoff)
+    if len(payoff) != state.n_actions:
+        raise ValueError(
+            f"payoff length {len(payoff)} != action count {state.n_actions}"
+        )
     return _advance(state, regret_match(state.regrets), payoff)
-
-
-def rrm_step(
-    state: RegretMatcher, payoff, config: RRMConfig, rng: random.Random
-) -> RegretMatcher:
-    """One step played from estimated regrets.
-
-    The policy is regret_match over the estimate source (estimator
-    predictions if configured, else the true regrets) after noise drawn from
-    ``rng``. True regrets are accumulated exactly as in ``rm_update``; a
-    configured estimator is refit on the updated cumulative regrets.
-    """
-    _check_payoff(state, payoff)
-    n = state.n_actions
-    if config.estimator is not None:
-        features = action_features(n)
-        predicted = tuple(float(v) for v in config.estimator.predict(features))
-        if len(predicted) != n:
-            raise ValueError(
-                f"estimator returned {len(predicted)} predictions for {n} actions"
-            )
-    else:
-        predicted = state.regrets
-    predicted = config.noise_model.perturb(predicted, rng)
-    policy = regret_match(predicted)
-    new_state = _advance(state, policy, payoff)
-    if config.estimator is not None:
-        config.estimator.fit(action_features(n), list(new_state.regrets))
-    return new_state
 
 
 def regret_bound(
@@ -214,21 +149,13 @@ def regret_bound(
     """
     check_positive_int(iterations, "iterations")
     check_positive_int(n_actions, "n_actions")
-    if utility_range < 0.0:
-        raise ValueError("utility_range must be >= 0")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0.0 <= utility_range < math.inf:
+        raise ValueError("utility_range must be finite and >= 0")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     return utility_range * math.sqrt(n_actions / iterations) + 2.0 * epsilon * math.sqrt(
         n_actions
     )
-
-
-def average_strategy(state: RegretMatcher) -> tuple[float, ...]:
-    """Time-averaged policy over the steps taken so far."""
-    if state.t < 1:
-        raise ValueError("average_strategy requires at least one step")
-    total = sum(state.cumulative_strategy)
-    return tuple(w / total for w in state.cumulative_strategy)
 
 
 def rrm_selfplay(
@@ -243,8 +170,8 @@ def rrm_selfplay(
     Each round both seats form policies from their perturbed cumulative
     regrets and receive exact expected payoffs against the opponent's mixed
     policy. Logged rows report the worse seat's average regret
-    (max_a R(a) / t) next to ``regret_bound`` at the noise scale; the bound
-    column is a guaranteed ceiling for the "none" and "bounded_linf" kinds.
+    (max_a R(a) / t) next to ``regret_bound`` at the noise scale, a
+    guaranteed ceiling for both noise kinds.
     """
     check_positive_int(steps, "steps")
     check_positive_int(log_every, "log_every")

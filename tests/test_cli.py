@@ -12,7 +12,6 @@ from fregret.cli import (
     format_float,
     main,
     read_strategy_file,
-    validate_profile,
     write_strategy_file,
 )
 from fregret.efg_core import decision, make_game, terminal, uniform_profile
@@ -74,9 +73,10 @@ class TestStrategyFiles:
     def test_rejects_incomplete_profile(self, kuhn_game, tmp_path):
         profile = dict(uniform_profile(kuhn_game))
         del profile["p0:J:-:"]
-        with pytest.raises(ValueError, match="missing infoset"):
-            validate_profile(kuhn_game, profile)
-            write_strategy_file(str(tmp_path / "bad.csv"), kuhn_game, profile)
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="missing infoset 'p0:J:-:'"):
+            write_strategy_file(str(path), kuhn_game, profile)
+        assert not path.exists()
 
 
 def one_infoset_game(game_id, key):

@@ -4,7 +4,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from fregret.efg_core import check_row, checked_policy
 from fregret.games import (
     CHANCE,
     DECISION,
@@ -200,3 +203,64 @@ class TestValidation:
         for key, probs in profile.items():
             assert len(probs) == len(game.action_labels[key])
             assert all(p == probs[0] for p in probs)
+
+
+# ---------------------------------------------------------------------------
+# The profile check: one row at a time and over the whole slot vector
+
+ROW_GAMES = {
+    n: make_game(
+        "row", decision(0, "p0:x", "abcd"[:n], [terminal(float(a)) for a in range(n)])
+    )
+    for n in range(1, 5)
+}
+EDGES = (1.0 - 1e-6, 1.0, 1.0 + 1e-6)
+
+
+@st.composite
+def rows_near_the_edges(draw):
+    """Rows scaled to within a few ulps of a tolerance edge, some with one
+    entry replaced by a negative, signed zero, NaN or infinity."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    edge = draw(st.sampled_from(EDGES))
+    target = edge + draw(st.integers(-4, 4)) * math.ulp(edge)
+    total = math.fsum(weights)
+    row = [w / total * target for w in weights] if total > 0.0 else weights
+    spoil = draw(st.sampled_from([None, -1e-300, -0.0, math.nan, math.inf]))
+    if spoil is not None:
+        row[draw(st.integers(0, len(row) - 1))] = spoil
+    return tuple(row)
+
+
+def rejection(check, *args):
+    try:
+        check(*args)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@given(rows_near_the_edges())
+# From 0.0 in order this sums to 1 + 1e-6, which passes; its exact sum, which
+# the builtin ``sum`` gives on Python 3.12+, is one ulp above and fails.
+@example((1.0 + 1e-6, 1.1e-16, 1.1e-16))
+@example((0.5, 0.5 - 1e-6))
+@example((0.5, 0.5 - 1.1e-6))
+def test_row_check_agrees_with_the_vector_check(row):
+    game = ROW_GAMES[len(row)]
+    by_row = rejection(check_row, "p0:x", row)
+    assert rejection(checked_policy, game, ({"p0:x": row}, None)) == by_row
+
+
+def test_in_order_sum_decides_at_the_edge():
+    check_row("p0:x", (1.0 + 1e-6, 1.1e-16, 1.1e-16))
+    with pytest.raises(ValueError, match="'p0:x' sum to 1.0000010000000001"):
+        check_row("p0:x", (1.0 + 1e-6, 2.3e-16))
+
+
+def test_checked_policy_skips_a_seat_without_a_profile(kuhn_game):
+    seat1 = {key: (0.3, 0.7) for p, key, _ in enumerate_infosets(kuhn_game) if p == 1}
+    policy = checked_policy(kuhn_game, (None, seat1))
+    seats = kuhn_game.layout.seat[kuhn_game.layout.owner]
+    assert policy[seats == 0].tolist() == [0.0] * 12
+    assert policy[seats == 1].tolist() == [0.3, 0.7] * 6

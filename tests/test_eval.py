@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -271,6 +272,60 @@ class TestSampledMatch:
         )
         assert result.seed == 21
         assert result.duplicate is True
+
+
+class TestProfileCheck:
+    """Every evaluator rejects a profile with a row that is not a
+    distribution, or with a key the game lacks, and names the infoset."""
+
+    EVALUATORS = {
+        "expected_value": expected_value,
+        # Seat 1's best response reads seat 0's rows only.
+        "best_response": lambda game, p: best_response(game, p, 1),
+        "exploitability": exploitability,
+        "exact_ev": lambda game, p: exact_ev(game, uniform_profile(game), p),
+        "sampled_match": lambda game, p: sampled_match(
+            game, uniform_profile(game), p, hands=10
+        ),
+    }
+
+    @staticmethod
+    def damaged(game, damage):
+        """(profile, infoset the error must name)."""
+        profile = uniform_profile(game)
+        if damage == "scaled":
+            # Every row sums to 3/4: the first infoset in table order is named.
+            scaled = {key: tuple(0.75 * p for p in row) for key, row in profile.items()}
+            return scaled, enumerate_infosets(game)[0][1]
+        if damage == "unknown":
+            profile["p0:A:-:"] = (0.5, 0.5)
+            return profile, "p0:A:-:"
+        victim = "p0:K:-:cr"
+        profile[victim] = (math.nan, 0.5) if damage == "nan" else (-0.25, 1.25)
+        return profile, victim
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    @pytest.mark.parametrize("damage", ["scaled", "nan", "negative", "unknown"])
+    def test_rejects_and_names_the_infoset(self, kuhn_game, evaluator, damage):
+        profile, victim = self.damaged(kuhn_game, damage)
+        with pytest.raises(ValueError, match=re.escape(f"infoset '{victim}'")):
+            self.EVALUATORS[evaluator](kuhn_game, profile)
+
+    def test_rows_within_tolerance_are_accepted(self, kuhn_game):
+        profile = {
+            key: (0.5 + 4e-7, 0.5 + 4e-7) for key in uniform_profile(kuhn_game)
+        }
+        for evaluator in self.EVALUATORS.values():
+            evaluator(kuhn_game, profile)
+
+    def test_merge_profiles_checks_the_rows_it_takes(self, kuhn_game):
+        seat0 = {key: (1.0, 0.0) for key, _ in seat_keys(kuhn_game, 0)}
+        seat1 = {key: (0.0, 1.0) for key, _ in seat_keys(kuhn_game, 1)}
+        merged = merge_profiles(kuhn_game, seat0, seat1)
+        assert list(merged) == [key for _, key, _ in enumerate_infosets(kuhn_game)]
+        seat1["p1:K:-:r"] = (0.5, 0.4)
+        with pytest.raises(ValueError, match="'p1:K:-:r' sum to 0.9"):
+            merge_profiles(kuhn_game, seat0, seat1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Game construction: structure, payoffs, and rule invariants."""
 
 import hashlib
+import math
 import re
 
 import pytest
@@ -292,6 +293,12 @@ class TestMatrixGames:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             build_matrix("nope")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_payoff_rejected(self, bad):
+        # Rejected at build time, not later as non-finite regrets in play.
+        with pytest.raises(ValueError, match="non-finite payoff"):
+            build_matrix(payoffs=[[bad, 1.0], [0.0, 1.0]])
 
     def test_payoff_helpers(self):
         game = build_matrix("rps")

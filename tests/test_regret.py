@@ -13,13 +13,10 @@ from fregret.regret import (
     BoundLogRow,
     NoiseModel,
     RegretMatcher,
-    RRMConfig,
-    average_strategy,
     regret_bound,
     regret_match,
     rm_update,
     rrm_selfplay,
-    rrm_step,
 )
 
 finite_regrets = st.lists(
@@ -122,83 +119,21 @@ class TestRmUpdate:
         assert start.t == 0
 
 
-class TestRrmStep:
-    def payoff_stream(self, n_steps, seed=7):
-        rng = random.Random(seed)
-        return [
-            tuple(rng.uniform(-2.0, 2.0) for _ in range(3)) for _ in range(n_steps)
-        ]
-
-    def test_no_noise_matches_rm_update(self):
-        config = RRMConfig()
-        rng = random.Random(0)
-        a = b = RegretMatcher.fresh(3)
-        for payoff in self.payoff_stream(40):
-            a = rm_update(a, payoff)
-            b = rrm_step(b, payoff, config, rng)
-        assert a == b
-
-    def test_zero_epsilon_linf_matches_rm_update(self):
-        config = RRMConfig(noise_model=NoiseModel.bounded_linf(0.0))
-        rng = random.Random(11)
-        a = b = RegretMatcher.fresh(3)
-        for payoff in self.payoff_stream(40):
-            a = rm_update(a, payoff)
-            b = rrm_step(b, payoff, config, rng)
-        assert a.regrets == b.regrets
-        assert a.cumulative_strategy == b.cumulative_strategy
-
-    def test_noise_perturbs_play_but_not_regret_accounting(self):
-        # Noisy play changes which policy is used, never the bookkeeping:
-        # regrets still satisfy R_t = sum of (payoff - <policy, payoff>).
-        config = RRMConfig(noise_model=NoiseModel.bounded_linf(1.0))
-        rng = random.Random(5)
-        state = RegretMatcher.fresh(3)
-        for payoff in self.payoff_stream(25):
-            before = state
-            state = rrm_step(state, payoff, config, rng)
-            delta = [a - b for a, b in zip(state.regrets, before.regrets)]
-            # Regret deltas always have the form payoff - constant.
-            offsets = [u - d for u, d in zip(payoff, delta)]
-            assert max(offsets) - min(offsets) < 1e-12
-
-    def test_tabular_estimator_matches_rm_update(self):
-        from fregret.estimator import TabularEstimator
-
-        config = RRMConfig(estimator=TabularEstimator())
-        rng = random.Random(0)
-        a = b = RegretMatcher.fresh(3)
-        for payoff in self.payoff_stream(50):
-            a = rm_update(a, payoff)
-            b = rrm_step(b, payoff, config, rng)
-            assert a.regrets == b.regrets
-            assert a.cumulative_strategy == b.cumulative_strategy
-
-    def test_same_seed_same_trajectory(self):
-        stream = self.payoff_stream(30)
-        runs = []
-        for _ in range(2):
-            config = RRMConfig(noise_model=NoiseModel.bounded_linf(0.7))
-            rng = random.Random(42)
-            state = RegretMatcher.fresh(3)
-            for payoff in stream:
-                state = rrm_step(state, payoff, config, rng)
-            runs.append(state)
-        assert runs[0] == runs[1]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rrm_step(RegretMatcher.fresh(2), (1.0,), RRMConfig(), random.Random(0))
-
-
 class TestNoiseModel:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseModel("l2_ball", 1.0)
+        # No "gaussian" kind: regret_bound covers no unbounded noise.
+        for kind in ("l2_ball", "gaussian"):
+            with pytest.raises(ValueError, match="unknown noise kind"):
+                NoiseModel(kind, 1.0)
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel.bounded_linf(-0.1)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel.bounded_linf(scale)
 
     def test_linf_perturbation_stays_in_box(self):
         model = NoiseModel.bounded_linf(0.3)
@@ -235,6 +170,14 @@ class TestRegretBound:
         with pytest.raises(ValueError):
             regret_bound(-5, 1.0, 2, 0.0)
 
+    @pytest.mark.parametrize(
+        "args", [(10, math.nan, 2), (10, math.inf, 2), (10, 1.0, 2, math.nan),
+                 (10, 1.0, 2, math.inf)]
+    )
+    def test_non_finite_inputs_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            regret_bound(*args)
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             regret_bound(10, -1.0, 2, 0.0)
@@ -243,20 +186,6 @@ class TestRegretBound:
 
 
 class TestAverageStrategy:
-    def test_after_one_step_equals_first_policy(self):
-        state = rm_update(RegretMatcher.fresh(3), (1.0, 0.0, 0.0))
-        assert average_strategy(state) == (1 / 3, 1 / 3, 1 / 3)
-
-    def test_two_step_arithmetic(self):
-        state = RegretMatcher.fresh(2)
-        state = rm_update(state, (1.0, 0.0))  # plays (0.5, 0.5)
-        state = rm_update(state, (1.0, 0.0))  # regrets (0.5,-0.5): plays (1, 0)
-        assert average_strategy(state) == (0.75, 0.25)
-
-    def test_fresh_state_rejected(self):
-        with pytest.raises(ValueError):
-            average_strategy(RegretMatcher.fresh(2))
-
     def test_rps_selfplay_average_near_uniform(self):
         game = build_matrix("rps")
         row = RegretMatcher.fresh(3)
@@ -267,8 +196,9 @@ class TestAverageStrategy:
             row = rm_update(row, game.row_payoffs(col_policy))
             col = rm_update(col, game.col_payoffs(row_policy))
         for seat in (row, col):
-            for p in average_strategy(seat):
-                assert abs(p - 1 / 3) < 0.02
+            total = sum(seat.cumulative_strategy)
+            for weight in seat.cumulative_strategy:
+                assert abs(weight / total - 1 / 3) < 0.02
 
 
 class TestSelfplayHarness:
@@ -301,7 +231,7 @@ class TestSelfplayHarness:
 
     def test_same_seed_identical_log(self):
         game = build_matrix("biased_mp")
-        noise = NoiseModel.gaussian(0.4)
+        noise = NoiseModel.bounded_linf(0.4)
         a = rrm_selfplay(game, 300, noise_model=noise, seed=17, log_every=30)
         b = rrm_selfplay(game, 300, noise_model=noise, seed=17, log_every=30)
         assert a == b
