@@ -23,30 +23,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._validation import check_positive_int
 from .efg_core import GameSpec, node_values
 from .eval import exploitability
-
-UPDATE_MODES = ("simultaneous", "alternating")
 
 
 @dataclass
 class CFRConfig:
-    """Solver settings: iteration count, update scheme, and log cadence."""
+    """Solver settings: iteration count and log cadence."""
 
     iterations: int
-    update_mode: str = "simultaneous"
     log_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.update_mode not in UPDATE_MODES:
-            raise ValueError(
-                f"update_mode must be one of {UPDATE_MODES}, "
-                f"got '{self.update_mode}'"
-            )
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+        self.iterations = check_positive_int(self.iterations, "iterations")
+        self.log_every = check_positive_int(self.log_every, "log_every")
 
 
 @dataclass(frozen=True)
@@ -112,36 +103,33 @@ def regret_policy(game: GameSpec, regrets) -> np.ndarray:
         return _normalize(game, np.where(regrets > 0.0, regrets, 0.0))
 
 
-def cfr_pass(game: GameSpec, policy, strategy_sums, update_players):
+def cfr_pass(game: GameSpec, policy, strategy_sums):
     """One full-width traversal, slot ``s`` played with ``policy[s]``.
 
-    Every action branch is evaluated regardless of its probability. For each
-    seat in ``update_players``, reach-weighted policies are added into the
-    slot vector ``strategy_sums`` in place, and the immediate regrets
-    (opponent-and-chance weighted advantage of each action over the policy
-    value) are accumulated into a new slot vector, 0.0 at the other seat's
-    slots. Returns ``(seat 0 root value, immediate regrets)``; seat 1's
-    value is the exact negation.
+    Every action branch is evaluated regardless of its probability. For both
+    seats, reach-weighted policies are added into the slot vector
+    ``strategy_sums`` in place, and the immediate regrets (opponent-and-chance
+    weighted advantage of each action over the policy value) are accumulated
+    into a new slot vector. Returns ``(seat 0 root value, immediate
+    regrets)``; seat 1's value is the exact negation.
 
     A bottom-up sweep values the nodes; a top-down one carries seat 0's,
     seat 1's and chance's reach into the non-terminal nodes, multiplying by
-    1.0 where another mover moves; then each updated seat's decision edges
-    add their terms, each slot's in preorder (see ``efg_core.Plan``). An
-    infoset's nodes are never ancestor and descendant, so preorder adds them
-    in the order their subtrees finish.
+    1.0 where another mover moves; then each seat's decision edges add their
+    terms, each slot's in preorder (see ``efg_core.Plan``). An infoset's
+    nodes are never ancestor and descendant, so preorder adds them in the
+    order their subtrees finish.
     """
     layout = game.layout
     policy = np.asarray(policy, dtype=np.float64)
     values = node_values(layout, policy)
     deltas = np.zeros(layout.offset[-1])
-    seats = [seat for seat in (0, 1) if seat in update_players]
-    if seats:
-        table = np.concatenate((policy, layout.tail))
-        factor = np.where(layout.down_mover, table[layout.down_src], 1.0)
-        reach = np.ones((3, len(values)))
-        for parent, child, lo, hi in layout.down:
-            reach[:, child] = reach.take(parent, axis=1) * factor[:, lo:hi]
-    for seat in seats:
+    table = np.concatenate((policy, layout.tail))
+    factor = np.where(layout.down_mover, table[layout.down_src], 1.0)
+    reach = np.ones((3, len(values)))
+    for parent, child, lo, hi in layout.down:
+        reach[:, child] = reach.take(parent, axis=1) * factor[:, lo:hi]
+    for seat in (0, 1):
         plan = layout.plans[seat]
         slot, parent, child = plan.slot, plan.parent, plan.child
         at = reach.take(parent, axis=1)
@@ -155,36 +143,13 @@ def cfr_pass(game: GameSpec, policy, strategy_sums, update_players):
     return float(values[0]), deltas
 
 
-def _update(game: GameSpec, tables: CFRTables, players):
-    """One regret-matched pass updating ``players``; returns its regrets.
-
-    Regrets and deltas are sums that start from +0.0, so neither is ever
-    -0.0, and adding the other seat's 0.0 deltas changes no regret.
-    """
-    policy = regret_policy(game, tables.regrets)
-    _, deltas = cfr_pass(game, policy, tables.strategy_sums, players)
-    tables.regrets += deltas
-    return deltas
-
-
 def cfr_iteration(game: GameSpec, tables: CFRTables):
-    """One simultaneous update of both seats; returns the immediate regrets."""
-    deltas = _update(game, tables, (0, 1))
+    """One regret-matched pass updating both seats; returns its regrets."""
+    policy = regret_policy(game, tables.regrets)
+    _, deltas = cfr_pass(game, policy, tables.strategy_sums)
+    tables.regrets += deltas
     tables.iterations += 1
     return deltas
-
-
-def cfr_iteration_alternating(game: GameSpec, tables: CFRTables):
-    """One alternating update (seat 0's pass, then seat 1's against it).
-
-    Seat 1's pass already sees seat 0's refreshed regrets. Returns both
-    passes' immediate regrets in one slot vector: each pass is 0.0 at the
-    other's slots.
-    """
-    first = _update(game, tables, (0,))
-    second = _update(game, tables, (1,))
-    tables.iterations += 1
-    return first + second
 
 
 def average_strategy(game: GameSpec, strategy_sums) -> dict[str, tuple[float, ...]]:
@@ -211,33 +176,35 @@ def max_positive_regret_sum(tables: CFRTables) -> float:
     return total
 
 
+def checkpoints(game: GameSpec, config, step, strategy_sums):
+    """Call ``step()`` ``config.iterations`` times, logging as it goes.
+
+    After every ``config.log_every``-th call and after the final one, yields
+    ``(t, exploitability of the average of strategy_sums, elapsed wall-clock
+    milliseconds)``. ``step`` must add into ``strategy_sums`` in place.
+    """
+    start = time.perf_counter()
+    for t in range(1, config.iterations + 1):
+        step()
+        if t % config.log_every == 0 or t == config.iterations:
+            average = average_strategy(game, strategy_sums)
+            exploit = exploitability(game, average)
+            yield t, exploit, (time.perf_counter() - start) * 1000.0
+
+
 def solve(game: GameSpec, config: CFRConfig):
     """Run CFR and return (average strategy profile, convergence log).
 
-    Logs every ``config.log_every`` iterations and always at the final one:
-    iteration number, exploitability of the running average strategy, the
-    positive-regret bound numerator, and elapsed wall-clock milliseconds.
-    Everything except the timing column is deterministic.
+    Logs at every checkpoint (see ``checkpoints``): iteration number,
+    exploitability of the running average strategy, the positive-regret
+    bound numerator, and elapsed wall-clock milliseconds. Everything except
+    the timing column is deterministic.
     """
     tables = new_tables(game)
-    step = (
-        cfr_iteration
-        if config.update_mode == "simultaneous"
-        else cfr_iteration_alternating
-    )
-    log: list[ConvergenceRow] = []
-    start = time.perf_counter()
-    for t in range(1, config.iterations + 1):
-        step(game, tables)
-        if t % config.log_every == 0 or t == config.iterations:
-            log.append(
-                ConvergenceRow(
-                    t=t,
-                    exploitability=exploitability(
-                        game, average_strategy(game, tables.strategy_sums)
-                    ),
-                    max_pos_regret_sum=max_positive_regret_sum(tables),
-                    wall_ms=(time.perf_counter() - start) * 1000.0,
-                )
-            )
+    log = [
+        ConvergenceRow(t, exploit, max_positive_regret_sum(tables), wall_ms)
+        for t, exploit, wall_ms in checkpoints(
+            game, config, lambda: cfr_iteration(game, tables), tables.strategy_sums
+        )
+    ]
     return average_strategy(game, tables.strategy_sums), log

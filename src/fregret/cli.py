@@ -269,7 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument(
         "--target-mode", choices=("exact", "bootstrap"), default="exact"
     )
-    solve_cmd.add_argument("--seed", type=int, default=0)
+    solve_cmd.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seeds tree bagging only; solve never bags, so it changes no output",
+    )
     solve_cmd.add_argument("--log-every", type=int, default=1)
     solve_cmd.add_argument("--out", required=True)
     solve_cmd.set_defaults(func=cmd_solve)

@@ -327,6 +327,12 @@ def _check_min_leaf_weight(value) -> float:
     return float(value)
 
 
+def _check_max_depth(value) -> int | None:
+    if value is not None and (int(value) != value or value < 0):
+        raise ValueError(f"max_depth must be None or an integer >= 0, got {value!r}")
+    return None if value is None else int(value)
+
+
 def fit_tree(
     features,
     targets,
@@ -359,9 +365,7 @@ def fit_tree(
     """
     X, y, w = _training_set(features, targets, weights)
     min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
-    if max_depth is not None and (int(max_depth) != max_depth or max_depth < 0):
-        raise ValueError("max_depth must be None or a nonnegative integer")
-    max_depth = None if max_depth is None else int(max_depth)
+    max_depth = _check_max_depth(max_depth)
     try:
         with np.errstate(over="raise", invalid="raise"):
             records = _grow(X, y, w, min_leaf_weight, max_depth)
@@ -454,11 +458,9 @@ def parse_tree(text: str) -> RegressionTree:
         raw_depth = header_fields["max_depth"]
     except KeyError as missing:
         raise ValueError(f"tree header missing field {missing}") from None
-    max_depth = None if raw_depth == "none" else int(raw_depth)
+    max_depth = _check_max_depth(None if raw_depth == "none" else int(raw_depth))
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be none or >= 0, got {max_depth}")
     min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
     records = []
     open_slots = 1  # subtrees announced by the lines so far but not yet read

@@ -17,15 +17,20 @@ compounds through the targets.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfr import average_strategy, cfr_pass, regret_policy
+from ._validation import check_positive_int
+from .cfr import average_strategy, cfr_pass, checkpoints, regret_policy
 from .efg_core import GameSpec
-from .estimator import TabularEstimator, TreeRegressor, featurize
-from .eval import exploitability
+from .estimator import (
+    TabularEstimator,
+    TreeRegressor,
+    _check_max_depth,
+    _check_min_leaf_weight,
+    featurize,
+)
 
 ESTIMATOR_KINDS = ("tabular", "tree")
 TARGET_MODES = ("exact", "bootstrap")
@@ -38,7 +43,6 @@ class RCFRConfig:
     iterations: int
     estimator_kind: str = "tree"
     target_mode: str = "exact"
-    refit_every: int = 1
     log_every: int = 1
     seed: int = 0
     min_leaf_weight: float = 1.0
@@ -46,8 +50,7 @@ class RCFRConfig:
     n_bags: int = 1
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        self.iterations = check_positive_int(self.iterations, "iterations")
         if self.estimator_kind not in ESTIMATOR_KINDS:
             raise ValueError(
                 f"estimator_kind must be one of {ESTIMATOR_KINDS}, "
@@ -58,10 +61,10 @@ class RCFRConfig:
                 f"target_mode must be one of {TARGET_MODES}, "
                 f"got '{self.target_mode}'"
             )
-        if self.refit_every < 1:
-            raise ValueError("refit_every must be >= 1")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+        self.log_every = check_positive_int(self.log_every, "log_every")
+        self.min_leaf_weight = _check_min_leaf_weight(self.min_leaf_weight)
+        self.max_depth = _check_max_depth(self.max_depth)
+        self.n_bags = check_positive_int(self.n_bags, "n_bags")
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,6 @@ class RCFRState:
     targets: np.ndarray = field(repr=False)
     predictions: np.ndarray = field(repr=False)
     strategy_sums: np.ndarray = field(repr=False)
-    iterations: int = 0
 
 
 def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
@@ -136,8 +138,8 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
             )
             for player in (0, 1)
         )
-    owner = np.repeat([p for p, _, _ in infosets], [n for _, _, n in infosets])
-    seat_slots = (np.flatnonzero(owner == 0), np.flatnonzero(owner == 1))
+    seat = game.layout.seat[game.layout.owner]
+    seat_slots = (np.flatnonzero(seat == 0), np.flatnonzero(seat == 1))
     state = RCFRState(
         game=game,
         estimators=estimators,
@@ -157,13 +159,6 @@ def _cache_predictions(state: RCFRState) -> None:
         if len(slots):
             estimator = state.estimators[player]
             state.predictions[slots] = estimator.predict(state.features[slots])
-
-
-def _refit(state: RCFRState) -> None:
-    for player, slots in enumerate(state.seat_slots):
-        if len(slots):
-            state.estimators[player].fit(state.features[slots], state.targets[slots])
-    _cache_predictions(state)
 
 
 def training_mse(state: RCFRState, player: int) -> float:
@@ -191,46 +186,31 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
     accumulate exactly either way.
     """
     policy = regret_policy(game, state.predictions)
-    _, deltas = cfr_pass(game, policy, state.strategy_sums, (0, 1))
+    _, deltas = cfr_pass(game, policy, state.strategy_sums)
     if config.target_mode == "exact":
         state.targets += deltas
     else:
         state.targets = state.predictions + deltas
-    state.iterations += 1
-    if state.iterations % config.refit_every == 0:
-        _refit(state)
+    for player, slots in enumerate(state.seat_slots):
+        if len(slots):
+            state.estimators[player].fit(state.features[slots], state.targets[slots])
+    _cache_predictions(state)
     return state
 
 
 def rcfr_solve(game: GameSpec, config: RCFRConfig):
     """Run RCFR; returns (average strategy, convergence log, model-size log).
 
-    Both logs share the cadence: every ``log_every`` iterations and at the
-    final one. Everything except wall_ms is deterministic for a fixed seed.
+    Both logs have a row at every checkpoint (see ``cfr.checkpoints``).
+    Everything except wall_ms is deterministic for a fixed seed.
     """
     state = new_state(game, config)
+    step = lambda: rcfr_iteration(game, state, config)
     convergence: list[RcfrConvergenceRow] = []
     model_sizes: list[ModelSizeRow] = []
-    start = time.perf_counter()
-    for t in range(1, config.iterations + 1):
-        rcfr_iteration(game, state, config)
-        if t % config.log_every == 0 or t == config.iterations:
-            convergence.append(
-                RcfrConvergenceRow(
-                    t=t,
-                    exploitability=exploitability(
-                        game, average_strategy(game, state.strategy_sums)
-                    ),
-                    mse_p1=training_mse(state, 0),
-                    mse_p2=training_mse(state, 1),
-                    wall_ms=(time.perf_counter() - start) * 1000.0,
-                )
-            )
-            model_sizes.append(
-                ModelSizeRow(
-                    t=t,
-                    leaves_p1=state.estimators[0].model_complexity(),
-                    leaves_p2=state.estimators[1].model_complexity(),
-                )
-            )
+    for t, exploit, wall_ms in checkpoints(game, config, step, state.strategy_sums):
+        mse = (training_mse(state, 0), training_mse(state, 1))
+        convergence.append(RcfrConvergenceRow(t, exploit, *mse, wall_ms))
+        leaves = [estimator.model_complexity() for estimator in state.estimators]
+        model_sizes.append(ModelSizeRow(t, *leaves))
     return average_strategy(game, state.strategy_sums), convergence, model_sizes

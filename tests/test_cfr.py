@@ -16,8 +16,8 @@ from fregret.cfr import (
     CFRTables,
     average_strategy,
     cfr_iteration,
-    cfr_iteration_alternating,
     cfr_pass,
+    checkpoints,
     max_positive_regret_sum,
     new_tables,
     regret_policy,
@@ -30,8 +30,9 @@ from fregret.efg_core import (
     terminal,
     uniform_profile,
 )
-from fregret.games import build_leduc
-from fregret.regret import regret_match
+from fregret.eval import exploitability
+from fregret.games import build_leduc, build_matrix
+from fregret.regret import RegretMatcher, regret_match, rm_update
 
 RANKS = "JQK"
 DEALS = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
@@ -220,10 +221,7 @@ class TestIteration:
     def test_root_value_matches_expected_value(self, kuhn_game):
         tables = new_tables(kuhn_game)
         value, _ = cfr_pass(
-            kuhn_game,
-            regret_policy(kuhn_game, tables.regrets),
-            tables.strategy_sums,
-            (0, 1),
+            kuhn_game, regret_policy(kuhn_game, tables.regrets), tables.strategy_sums
         )
         uniform_ev = expected_value(kuhn_game, uniform_profile(kuhn_game))
         assert abs(value - uniform_ev[0]) < 1e-12
@@ -260,38 +258,62 @@ class TestIteration:
             cfr_iteration(leduc_game, tables)
 
 
-class TestAlternating:
-    def test_counts_one_iteration_and_covers_both_seats(self, kuhn_game):
-        tables = new_tables(kuhn_game)
-        deltas = by_key(kuhn_game, cfr_iteration_alternating(kuhn_game, tables))
-        assert tables.iterations == 1
-        assert len(deltas) == 12
-        for seat in ("p0:", "p1:"):
-            assert any(any(row) for key, row in deltas.items() if key.startswith(seat))
+def one_move_game(name):
+    """The matrix game ``name`` as a GameSpec: seat 0 picks at ``p0:<name>``,
+    then seat 1 picks at one ``p1:<name>`` infoset below each of seat 0's
+    actions, without seeing it."""
+    matrix = build_matrix(name)
+    actions = [f"a{j}" for j in range(matrix.n_cols)]
+    rows = [
+        decision(1, f"p1:{name}", actions, [terminal(u) for u in row])
+        for row in matrix.payoffs
+    ]
+    moves = [f"a{i}" for i in range(matrix.n_rows)]
+    return matrix, make_game(name, decision(0, f"p0:{name}", moves, rows))
 
-    def test_seat_zero_pass_matches_simultaneous_but_seat_one_reacts(
-        self, kuhn_game
-    ):
-        simultaneous = by_key(kuhn_game, cfr_iteration(kuhn_game, new_tables(kuhn_game)))
-        alternating = by_key(
-            kuhn_game, cfr_iteration_alternating(kuhn_game, new_tables(kuhn_game))
-        )
-        p0_keys = [k for k in simultaneous if k.startswith("p0:")]
-        for key in p0_keys:
-            assert alternating[key] == simultaneous[key]
-        assert any(
-            alternating[k] != simultaneous[k]
-            for k in simultaneous
-            if k.startswith("p1:")
+
+def selfplay_against_cfr(name, steps):
+    """Run CFR on the one-move game beside ``rm_update`` self-play; yields
+    CFR's policy and regrets, then self-play's, once per step."""
+    matrix, game = one_move_game(name)
+    tables = new_tables(game)
+    row = RegretMatcher.fresh(matrix.n_rows)
+    col = RegretMatcher.fresh(matrix.n_cols)
+    for _ in range(steps):
+        row_policy, col_policy = regret_match(row.regrets), regret_match(col.regrets)
+        policy = regret_policy(game, tables.regrets)
+        cfr_iteration(game, tables)
+        row = rm_update(row, matrix.row_payoffs(col_policy))
+        col = rm_update(col, matrix.col_payoffs(row_policy))
+        yield (
+            policy.tolist(),
+            tables.regrets.tolist(),
+            [*row_policy, *col_policy],
+            [*row.regrets, *col.regrets],
         )
 
-    def test_alternating_solve_converges_on_kuhn(self, kuhn_game):
-        _, log = solve(
-            kuhn_game,
-            CFRConfig(iterations=300, update_mode="alternating", log_every=100),
-        )
-        assert log[-1].exploitability < 0.75 * log[0].exploitability
-        assert log[-1].exploitability < 0.15
+
+class TestOneMoveGame:
+    """CFR on a one-move game is regret-matching self-play on its matrix."""
+
+    def test_rps_equals_regret_matching_selfplay_bit_for_bit(self):
+        # From uniform play RPS self-play never leaves the equilibrium, so
+        # every regret is exactly 0.0 along the way on both sides.
+        for policy, regrets, rm_policy, rm_regrets in selfplay_against_cfr(
+            "rps", 2_000
+        ):
+            assert policy == rm_policy
+            assert regrets == rm_regrets
+
+    def test_moving_selfplay_agrees_to_rounding(self):
+        # Here the regrets move, and the pass adds its terms in another order
+        # than the matrix's row and column payoffs.
+        for policy, regrets, rm_policy, rm_regrets in selfplay_against_cfr(
+            "biased_mp", 2_000
+        ):
+            assert np.max(np.abs(np.subtract(policy, rm_policy))) < 1e-9
+            assert np.max(np.abs(np.subtract(regrets, rm_regrets))) < 1e-9
+        assert max(map(abs, rm_regrets)) > 1.0
 
 
 class TestAveraging:
@@ -359,9 +381,44 @@ class TestSolve:
         with pytest.raises(ValueError):
             CFRConfig(iterations=0)
         with pytest.raises(ValueError):
-            CFRConfig(iterations=5, update_mode="cyclic")
-        with pytest.raises(ValueError):
             CFRConfig(iterations=5, log_every=0)
+
+    @pytest.mark.parametrize(
+        "options", [dict(iterations=2.5), dict(iterations=5, log_every=1.5)]
+    )
+    def test_fractional_counts_fail_at_the_config(self, options):
+        with pytest.raises(ValueError, match="positive integer"):
+            CFRConfig(**options)
+
+    def test_integral_float_counts_are_stored_as_ints(self, kuhn_game):
+        config = CFRConfig(iterations=4.0, log_every=2.0)
+        assert type(config.iterations) is int and type(config.log_every) is int
+        _, log = solve(kuhn_game, config)
+        assert [row.t for row in log] == [2, 4]
+
+
+class TestCheckpoints:
+    def test_steps_every_iteration_and_logs_on_cadence(self, kuhn_game):
+        tables = new_tables(kuhn_game)
+        calls = []
+
+        def step():
+            calls.append(len(calls) + 1)
+            cfr_iteration(kuhn_game, tables)
+
+        config = CFRConfig(iterations=25, log_every=10)
+        seen = []
+        for t, exploit, wall_ms in checkpoints(
+            kuhn_game, config, step, tables.strategy_sums
+        ):
+            assert len(calls) == t
+            average = average_strategy(kuhn_game, tables.strategy_sums)
+            assert exploit == exploitability(kuhn_game, average)
+            seen.append((t, wall_ms))
+        assert len(calls) == 25
+        assert [t for t, _ in seen] == [10, 20, 25]
+        times = [wall_ms for _, wall_ms in seen]
+        assert times == sorted(times) and times[0] >= 0.0
 
 
 class TestRegretBookkeeping:

@@ -266,6 +266,28 @@ class TestSolveCommand:
         assert code == 4
         assert "iterations" in err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--min-leaf", "nan"], "min_leaf_weight"),
+            (["--min-leaf", "-1"], "min_leaf_weight"),
+            (["--max-depth", "-3"], "max_depth"),
+            (["--log-every", "0"], "log_every"),
+        ],
+    )
+    def test_bad_tree_shape_is_a_validation_error_in_any_mode(
+        self, tmp_path, capsys, flags, name
+    ):
+        out = tmp_path / "x"
+        code, _, err = run(
+            ["solve", "--game", "kuhn", "--algo", "rcfr", "--estimator",
+             "tabular", "--iters", "2", "--out", str(out)] + flags,
+            capsys,
+        )
+        assert code == 4
+        assert name in err
+        assert not out.exists()
+
     def test_help_exits_cleanly(self, capsys):
         assert run(["--help"], capsys)[0] == 0
 

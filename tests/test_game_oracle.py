@@ -19,6 +19,8 @@ import itertools
 import math
 import pathlib
 import random
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -431,27 +433,24 @@ def filled(game, table):
     return {key: table.get(key, [0.0] * n) for _, key, n in enumerate_infosets(game)}
 
 
-@pytest.mark.parametrize("update_players", [(0, 1), (0,), (1,), "alternating"])
-def test_cfr_pass_matches_reference(games, update_players):
+def test_cfr_pass_matches_reference(games):
     for game in games.values():
-        seats = [(0,), (1,)] if update_players == "alternating" else [update_players]
         slots = game.layout.offset[-1]
         regrets, sums = np.zeros(slots), np.zeros(slots)
         old_regrets = {key: [0.0] * n for _, key, n in enumerate_infosets(game)}
         old_sums = {}
         for _ in range(4):
-            for players in seats:
-                policy = regret_policy(game, regrets)
-                value, deltas = cfr_pass(game, policy, sums, players)
-                regrets = regrets + deltas
-                old_value, old_deltas = reference_cfr_pass(
-                    game, lambda key: regret_match(old_regrets[key]), old_sums, players
-                )
-                for key, vec in old_deltas.items():
-                    for a, delta in enumerate(vec):
-                        old_regrets[key][a] += delta
-                assert repr(value) == repr(old_value)
-                assert repr(by_key(game, deltas)) == repr(filled(game, old_deltas))
+            policy = regret_policy(game, regrets)
+            value, deltas = cfr_pass(game, policy, sums)
+            regrets = regrets + deltas
+            old_value, old_deltas = reference_cfr_pass(
+                game, lambda key: regret_match(old_regrets[key]), old_sums, (0, 1)
+            )
+            for key, vec in old_deltas.items():
+                for a, delta in enumerate(vec):
+                    old_regrets[key][a] += delta
+            assert repr(value) == repr(old_value)
+            assert repr(by_key(game, deltas)) == repr(filled(game, old_deltas))
         assert repr(by_key(game, regrets)) == repr(old_regrets)
         assert repr(by_key(game, sums)) == repr(filled(game, old_sums))
 
@@ -504,30 +503,28 @@ def reference_cfr_solve(game, config):
 
 def assert_solve_matches_reference(game, config):
     profile, log = solve(game, config)
-    expected_profile, expected_log = reference_cfr_solve(game, config)
+    # The oracle still takes an update mode; the solver has only this one.
+    oracle_config = SimpleNamespace(**asdict(config), update_mode="simultaneous")
+    expected_profile, expected_log = reference_cfr_solve(game, oracle_config)
     assert repr(profile) == repr(expected_profile)
     assert repr(
         [(row.t, row.exploitability, row.max_pos_regret_sum) for row in log]
     ) == repr(expected_log)
 
 
-@pytest.mark.parametrize("update_mode", ["simultaneous", "alternating"])
 @pytest.mark.parametrize(
     "game_fixture, iterations, log_every",
     [("kuhn_game", 50, 10), ("leduc_game", 4, 2)],
 )
 def test_solve_matches_reference_on_poker(
-    request, game_fixture, iterations, log_every, update_mode
+    request, game_fixture, iterations, log_every
 ):
-    config = CFRConfig(
-        iterations=iterations, update_mode=update_mode, log_every=log_every
-    )
+    config = CFRConfig(iterations=iterations, log_every=log_every)
     assert_solve_matches_reference(request.getfixturevalue(game_fixture), config)
 
 
-@pytest.mark.parametrize("update_mode", ["simultaneous", "alternating"])
-def test_solve_matches_reference_on_random_games(games, update_mode):
-    config = CFRConfig(iterations=6, update_mode=update_mode, log_every=2)
+def test_solve_matches_reference_on_random_games(games):
+    config = CFRConfig(iterations=6, log_every=2)
     for seed in SEEDS[::8]:
         assert_solve_matches_reference(games[seed], config)
 

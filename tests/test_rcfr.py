@@ -4,10 +4,13 @@ import hashlib
 import itertools
 import math
 import re
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import by_key, infoset_slots, predict_row
+from test_cfr import one_move_game
 from test_game_oracle import (
     SEEDS,
     random_game,
@@ -162,16 +165,6 @@ class TestIteration:
         assert state.features.shape == (offset[-1], 19)
         assert len(state.targets) == len(state.predictions) == offset[-1]
 
-    def test_refit_every_delays_training(self, kuhn_game):
-        config = RCFRConfig(iterations=4, estimator_kind="tree", refit_every=3)
-        state = new_state(kuhn_game, config)
-        rcfr_iteration(kuhn_game, state, config)
-        assert state.estimators[0].model_complexity() == 0
-        rcfr_iteration(kuhn_game, state, config)
-        assert state.estimators[0].model_complexity() == 0
-        rcfr_iteration(kuhn_game, state, config)
-        assert state.estimators[0].model_complexity() > 0
-
     def test_bootstrap_targets_diverge_from_exact_with_a_tree(self, kuhn_game):
         exact_cfg = RCFRConfig(
             iterations=60, estimator_kind="tree", target_mode="exact", max_depth=2
@@ -275,7 +268,9 @@ def reference_solve(game, config):
 
 def assert_solve_matches_reference(game, config):
     profile, convergence, _ = rcfr_solve(game, config)
-    expected_profile, expected_log = reference_solve(game, config)
+    # The oracle still takes a refit period; the solver refits every pass.
+    oracle_config = SimpleNamespace(**asdict(config), refit_every=1)
+    expected_profile, expected_log = reference_solve(game, oracle_config)
     assert repr(profile) == repr(expected_profile)
     assert repr(
         [(row.t, row.exploitability, row.mse_p1, row.mse_p2) for row in convergence]
@@ -288,11 +283,10 @@ class TestPredictionCache:
     @pytest.mark.parametrize(
         "options",
         [
-            dict(refit_every=3),
             dict(target_mode="bootstrap"),
             dict(n_bags=3, seed=4),
-            dict(n_bags=3, refit_every=3, target_mode="bootstrap", seed=2),
-            dict(estimator_kind="tabular", refit_every=3, target_mode="bootstrap"),
+            dict(n_bags=3, target_mode="bootstrap", seed=2),
+            dict(estimator_kind="tabular", target_mode="bootstrap"),
         ],
     )
     def test_matches_row_by_row_reference(self, kuhn_game, options):
@@ -307,7 +301,6 @@ class TestPredictionCache:
             log_every=2,
             min_leaf_weight=8.0,
             n_bags=3,
-            refit_every=3,
             target_mode="bootstrap",
         )
         assert_solve_matches_reference(leduc_game, config)
@@ -414,6 +407,27 @@ class TestSolve:
         assert convergence[-1].mse_p1 > 0.0
 
 
+class TestOneMoveGame:
+    @pytest.mark.parametrize("name", ["rps", "biased_mp"])
+    @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
+    def test_tabular_rcfr_equals_cfr(self, name, target_mode):
+        _, game = one_move_game(name)
+        profile, log = solve(game, CFRConfig(iterations=300, log_every=50))
+        tabular, convergence, _ = rcfr_solve(
+            game,
+            RCFRConfig(
+                iterations=300,
+                log_every=50,
+                estimator_kind="tabular",
+                target_mode=target_mode,
+            ),
+        )
+        assert tabular == profile
+        assert [(row.t, row.exploitability) for row in convergence] == [
+            (row.t, row.exploitability) for row in log
+        ]
+
+
 class TestOneSeatGame:
     def test_tree_rcfr_skips_a_seat_that_never_acts(self):
         game = make_game(
@@ -437,9 +451,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             RCFRConfig(iterations=1, target_mode="loose")
         with pytest.raises(ValueError):
-            RCFRConfig(iterations=1, refit_every=0)
-        with pytest.raises(ValueError):
             RCFRConfig(iterations=1, log_every=0)
+
+    @pytest.mark.parametrize("estimator_kind", ["tabular", "tree"])
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            (dict(iterations=2.5), "iterations"),
+            (dict(log_every=1.5), "log_every"),
+            (dict(n_bags=0), "n_bags"),
+            (dict(n_bags=1.5), "n_bags"),
+            (dict(min_leaf_weight=math.nan), "min_leaf_weight"),
+            (dict(min_leaf_weight=-1.0), "min_leaf_weight"),
+            (dict(max_depth=-1), "max_depth"),
+            (dict(max_depth=1.5), "max_depth"),
+        ],
+    )
+    def test_bad_shape_fails_at_the_config(self, estimator_kind, options, name):
+        with pytest.raises(ValueError, match=name):
+            RCFRConfig(**{"iterations": 2, **options}, estimator_kind=estimator_kind)
+
+    def test_counts_and_shape_are_stored_normalized(self):
+        config = RCFRConfig(
+            iterations=3.0, log_every=1.0, n_bags=2.0, min_leaf_weight=4, max_depth=2.0
+        )
+        assert (config.iterations, config.log_every, config.n_bags) == (3, 1, 2)
+        assert type(config.iterations) is int and type(config.n_bags) is int
+        assert config.min_leaf_weight == 4.0 and type(config.min_leaf_weight) is float
+        assert config.max_depth == 2 and type(config.max_depth) is int
 
     def test_state_repr_stays_compact(self, kuhn_game):
         state = new_state(kuhn_game, RCFRConfig(iterations=1))
