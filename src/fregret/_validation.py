@@ -1,10 +1,18 @@
-"""Shared helpers: positive-integer validation and the round-trip float form."""
+"""Shared helpers: integer validation and the round-trip float form."""
 
 from __future__ import annotations
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` equals an integer; infinities and NaN do not."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError):
+        return False
+
+
 def check_positive_int(value, name: str) -> int:
-    if int(value) != value or value < 1:
+    if not (is_integer(value) and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 

@@ -7,11 +7,17 @@ Distinct infoset-actions may share a vector there; the tabular
 
 The tree learner is a greedy CART-style regressor: splits maximize weighted
 variance reduction, thresholds are midpoints between consecutive distinct
-values, ties break to the lowest feature index then lowest threshold. It
-grows a level at a time: the bins of a feature are its distinct values, as
-in histogram split search, and three ``bincount`` calls per level give every
-open node's prefix sums at every cut, each added in presorted order, so the
-trees are those of a per-node ``cumsum`` scan bit for bit. A
+values, ties break to the lowest feature index then lowest threshold.
+Fitting has two steps. ``plan_fit`` does what depends only on the features,
+once: the presort, the value numbering and the cut expansion of the rows of
+one or more roots, stacked. ``fit_forest`` then grows one tree per root for
+given targets and weights, all roots a level at a time: the bins of a
+feature are its distinct values, as in histogram split search, and three
+``bincount`` calls per level give every open node's prefix sums at every
+cut, each added in presorted order, so each tree is that of a per-node
+``cumsum`` scan over its root's rows alone, bit for bit. ``fit_tree`` is the
+one-root case, and ``TreeRegressor`` grows one root per bag; RCFR keeps one
+plan per solve and grows both seats' bags as one forest at every refit. A
 fitted tree is nothing but flat preorder arrays (``RegressionTree``), which
 fitting, parsing, serialization and prediction all walk without recursion.
 Both estimators predict through one method, ``predict(rows)``.
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_positive_int, format_float
+from ._validation import check_positive_int, format_float, is_integer
 from .games.poker import ACTION_CHARS, RANK_CHARS, parse_key, rules_for, stakes
 
 FEATURE_DIM = 19
@@ -137,43 +143,97 @@ def _from_preorder(records, n_features, min_leaf_weight, max_depth) -> Regressio
     )
 
 
-def _grow(X, y, w, min_leaf_weight, max_depth):
-    """Preorder node records of the greedy tree, grown a level at a time.
+@dataclass(frozen=True, eq=False)
+class FitPlan:
+    """What growing trees on a fixed feature matrix needs of it, built once
+    by ``plan_fit`` and reused for any targets and weights.
 
-    Once per fit, each feature's rows are sorted stably, and the distinct
-    values of all features are numbered feature by feature, ascending. A
+    The roots' rows are stacked into one planned matrix, root after root and
+    each in its given order: planned row ``i`` is feature row ``rows[i]``,
+    and root ``r`` owns the next ``counts[r]`` planned rows. ``XT`` is that
+    matrix transposed. Each feature's planned rows are sorted stably, and
+    the distinct values of all features are numbered feature by feature,
+    ascending; ``values`` holds them and ``slot_feature`` their features. A
     value's number is the slot of the cut that sends that value and all
-    lower ones left. The cut expansion lists, feature by feature and in
-    sorted order, one entry per row and cut the row falls left of: a row
-    whose value ranks ``b`` among its feature's ``nb`` distinct values
-    feeds the cuts at ranks ``b .. nb - 2``, so the expansion has
-    ``sum_f sum_rows (nb_f - 1 - b)`` entries.
-
-    Once per level, ``bincount`` keyed by (searched node, slot) adds every
-    node's weight, weighted-target and row-count prefix at every cut. It
-    adds in input order from 0.0, so each prefix is the sequential sum that
-    a ``cumsum`` over the node's presorted rows gives. Slots run feature by
-    feature, so the row-wise argmax of the (node, slot) scores breaks ties
-    to the lowest feature, then the lowest threshold.
+    lower ones left, so ``last_value``, a feature's highest, has no cut. The
+    cut expansion (``entry_row``, ``entry_slot``) lists, feature by feature
+    and in sorted order, one entry per planned row and cut the row falls
+    left of: a row whose value ranks ``b`` among its feature's ``nb``
+    distinct values feeds the cuts at ranks ``b .. nb - 2``.
     """
-    n_rows, n_features = X.shape
-    XT = np.ascontiguousarray(X.T)
-    wy = w * y
+
+    rows: np.ndarray
+    counts: np.ndarray
+    n_rows: int  # rows of the feature matrix, which targets and weights match
+    XT: np.ndarray
+    values: np.ndarray
+    slot_feature: np.ndarray
+    last_value: np.ndarray
+    entry_row: np.ndarray
+    entry_slot: np.ndarray
+
+
+def plan_fit(features, roots=None) -> FitPlan:
+    """The fit plan of ``features`` for one tree per root: a list of feature
+    row numbers, by default one root of every row in order. A row may sit
+    in several roots, and several times in one, as in a bootstrap resample.
+    Raises ValueError unless the features are a finite, non-empty 2-D array
+    and every root has rows, all of them rows of the features."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("features must be a 2-dimensional array")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+    if roots is None:
+        roots = [np.arange(len(X))]
+    if not roots or min(len(root) for root in roots) == 0:
+        raise ValueError("empty dataset")
+    rows = np.concatenate([np.asarray(root, dtype=np.intp) for root in roots])
+    if rows.min() < 0 or rows.max() >= len(X):
+        raise ValueError("a root names a row the features lack")
+    XT = np.ascontiguousarray(X[rows].T)
     order = np.argsort(XT, axis=1, kind="stable")
     xs = np.sort(XT, axis=1)  # read only for where runs start and their values
     run_starts = np.ones(xs.shape, dtype=bool)
     run_starts[:, 1:] = xs[:, 1:] > xs[:, :-1]
     value_id = (run_starts.cumsum() - 1).reshape(xs.shape)
-    values = xs[run_starts]
-    last_value = value_id[:, -1]  # no cut there: its slot stays empty
-    n_slots = len(values)
-    slot_feature = np.repeat(np.arange(n_features), run_starts.sum(axis=1))
+    last_value = value_id[:, -1]
     fan = (last_value[:, None] - value_id).ravel()
     entry_row = np.repeat(order.ravel(), fan)
     group_start = fan.cumsum() - fan
     entry_slot = np.arange(entry_row.size) + np.repeat(
         value_id.ravel() - group_start, fan
     )
+    return FitPlan(
+        rows=rows,
+        counts=np.array([len(root) for root in roots]),
+        n_rows=len(X),
+        XT=XT,
+        values=xs[run_starts],
+        slot_feature=np.repeat(np.arange(X.shape[1]), run_starts.sum(axis=1)),
+        last_value=last_value,
+        entry_row=entry_row,
+        entry_slot=entry_slot,
+    )
+
+
+def _grow(plan, y, w, min_leaf_weight, max_depth):
+    """Preorder node records of each root's greedy tree, all grown together
+    a level at a time; ``y`` and ``w`` are per planned row.
+
+    Once per level, ``bincount`` keyed by (searched node, slot) adds every
+    node's weight, weighted-target and row-count prefix at every cut. It
+    adds in input order from 0.0, so each prefix is the sequential sum that
+    a ``cumsum`` over the node's presorted rows gives. A cut at a value the
+    node lacks adds no row, so it is inadmissible there, and the next value
+    is the node's own: other roots' rows change no tree. Slots run feature
+    by feature, so the row-wise argmax of the (node, slot) scores breaks
+    ties to the lowest feature, then the lowest threshold.
+    """
+    XT, values, slot_feature = plan.XT, plan.values, plan.slot_feature
+    last_value, entry_row, entry_slot = plan.last_value, plan.entry_row, plan.entry_slot
+    n_rows, n_slots = len(plan.rows), len(values)
+    wy = w * y
     entry_w = w[entry_row]
     entry_wy = wy[entry_row]
 
@@ -181,7 +241,7 @@ def _grow(X, y, w, min_leaf_weight, max_depth):
     records = []  # (feature, threshold, value) by node id
     children = {}  # split node id -> (left id, right id)
     rows = np.arange(n_rows)  # the level's rows, grouped by node, in index order
-    counts = np.array([n_rows])
+    counts = plan.counts
     depth = 0
     while True:
         starts = counts.cumsum() - counts
@@ -283,30 +343,25 @@ def _grow(X, y, w, min_leaf_weight, max_depth):
         counts = np.bincount(child, minlength=2 * len(split_nodes))
         depth += 1
 
-    preorder = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        preorder.append(records[node])
-        if node in children:
-            stack += reversed(children[node])
-    return preorder
+    forest = []
+    for root in range(len(plan.counts)):
+        preorder, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            preorder.append(records[node])
+            if node in children:
+                stack += reversed(children[node])
+        forest.append(preorder)
+    return forest
 
 
-def _training_set(features, targets, weights):
-    """Features, targets and weights as float64 arrays; raises ValueError
-    unless the shapes agree, features, targets and weights are finite, no
-    weight is negative and the total weight is positive."""
-    X = np.asarray(features, dtype=np.float64)
+def _targets_and_weights(n_rows, targets, weights):
+    """Targets and weights as float64 vectors of ``n_rows``; raises
+    ValueError unless they are finite, no weight is negative and the total
+    weight is positive."""
     y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("features must be a 2-dimensional array")
-    if X.shape[0] == 0:
-        raise ValueError("empty dataset")
-    if y.shape != (X.shape[0],):
+    if y.shape != (n_rows,):
         raise ValueError("targets do not match features row count")
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
     if not np.isfinite(y).all():
         raise ValueError("targets must be finite")
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=np.float64)
@@ -318,7 +373,7 @@ def _training_set(features, targets, weights):
         raise ValueError("negative sample weight")
     if not np.any(w > 0.0):
         raise ValueError("total sample weight is zero")
-    return X, y, w
+    return y, w
 
 
 def _check_min_leaf_weight(value) -> float:
@@ -328,9 +383,43 @@ def _check_min_leaf_weight(value) -> float:
 
 
 def _check_max_depth(value) -> int | None:
-    if value is not None and (int(value) != value or value < 0):
+    if value is not None and not (is_integer(value) and value >= 0):
         raise ValueError(f"max_depth must be None or an integer >= 0, got {value!r}")
     return None if value is None else int(value)
+
+
+def fit_forest(
+    plan: FitPlan,
+    targets,
+    weights=None,
+    *,
+    min_leaf_weight: float = 1.0,
+    max_depth: int | None = None,
+) -> list[RegressionTree]:
+    """One tree per root of ``plan``, each the tree ``fit_tree`` fits to its
+    root's rows; ``targets`` and ``weights`` are per feature row.
+
+    All roots grow together, one split search over every open node of a
+    level (see ``_grow``), so the per-level cost is paid once for the
+    forest. Raises ValueError as ``fit_tree`` does, and when a root's total
+    weight is zero.
+    """
+    y, w = _targets_and_weights(plan.n_rows, targets, weights)
+    min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
+    max_depth = _check_max_depth(max_depth)
+    y, w = y[plan.rows], w[plan.rows]
+    if not np.logical_or.reduceat(w > 0.0, plan.counts.cumsum() - plan.counts).all():
+        raise ValueError("total sample weight is zero")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            forest = _grow(plan, y, w, min_leaf_weight, max_depth)
+    except FloatingPointError as error:
+        raise ValueError(f"tree fit overflows float64: {error}") from None
+    n_features = plan.XT.shape[0]
+    return [
+        _from_preorder(records, n_features, min_leaf_weight, max_depth)
+        for records in forest
+    ]
 
 
 def fit_tree(
@@ -341,7 +430,8 @@ def fit_tree(
     min_leaf_weight: float = 1.0,
     max_depth: int | None = None,
 ) -> RegressionTree:
-    """Fit one greedy variance-reduction tree.
+    """Fit one greedy variance-reduction tree: ``fit_forest`` over a plan
+    with one root of every row.
 
     Growth stops at a node when no split strictly reduces weighted variance,
     either side would fall below ``min_leaf_weight``, ``max_depth`` is
@@ -349,12 +439,12 @@ def fit_tree(
     midpoint of two consecutive distinct values, or the lower value where
     the midpoint of two adjacent doubles rounds up to the higher one.
 
-    The tree grows a level at a time, with one split search over every open
-    node of the level (see ``_grow``). A level's work is one entry per row
-    and per cut between distinct values that the row falls left of: at most
-    rows times distinct values per feature. That is small for few-valued
-    columns such as ``featurize`` gives, and quadratic in the row count for
-    a continuous column.
+    A level's work is one entry per row and per cut between distinct values
+    that the row falls left of: at most rows times distinct values per
+    feature. That is small for few-valued columns such as ``featurize``
+    gives, and quadratic in the row count for a continuous column. A caller
+    that refits on fixed features keeps one ``plan_fit`` and calls
+    ``fit_forest``, which skips the presort and cut expansion.
 
     Data that overflow float64 raise ValueError: a node's weight or
     weighted-target total, the score of leaving a searched node whole, a
@@ -363,15 +453,8 @@ def fit_tree(
     threshold midpoint. A sum inside a run of equal values is never a cut
     and is not checked. So every fitted leaf and threshold is finite.
     """
-    X, y, w = _training_set(features, targets, weights)
-    min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
-    max_depth = _check_max_depth(max_depth)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            records = _grow(X, y, w, min_leaf_weight, max_depth)
-    except FloatingPointError as error:
-        raise ValueError(f"tree fit overflows float64: {error}") from None
-    return _from_preorder(records, X.shape[1], min_leaf_weight, max_depth)
+    config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
+    return fit_forest(plan_fit(features), targets, weights, **config)[0]
 
 
 def predict(tree: RegressionTree, features) -> float:
@@ -555,22 +638,28 @@ class TreeRegressor:
         self.seed = seed
         self._trees: list[RegressionTree] = []
 
-    def fit(self, features, targets, sample_weight=None):
-        check_positive_int(self.n_bags, "n_bags")
-        # Check the whole set: a bootstrap resample may skip a bad row.
-        X, y, w = _training_set(features, targets, sample_weight)
-        n = len(y)
+    def _bags(self, weights) -> list[np.ndarray]:
+        """The rows each tree trains on: every row in order for one bag,
+        else ``n_bags`` bootstrap resamples from an rng seeded afresh, so
+        the same weights give the same bags at every fit."""
+        n = len(weights)
         if self.n_bags == 1:
-            samples = [np.arange(n)]
-        else:
-            rng = np.random.default_rng(self.seed)
-            samples = []
-            while len(samples) < self.n_bags:
-                rows = rng.integers(0, n, size=n)
-                if np.any(w[rows] > 0.0):  # else unfittable: draw it again
-                    samples.append(rows)
+            return [np.arange(n)]
+        rng = np.random.default_rng(self.seed)
+        bags = []
+        while len(bags) < self.n_bags:
+            rows = rng.integers(0, n, size=n)
+            if np.any(weights[rows] > 0.0):  # else unfittable: draw it again
+                bags.append(rows)
+        return bags
+
+    def fit(self, features, targets, sample_weight=None):
+        """One tree per bag, each bag a root of one ``fit_forest`` call."""
+        check_positive_int(self.n_bags, "n_bags")
+        # The plan and forest check the whole set, not only the rows drawn.
+        y, w = _targets_and_weights(len(features), targets, sample_weight)
         config = dict(min_leaf_weight=self.min_leaf_weight, max_depth=self.max_depth)
-        self._trees = [fit_tree(X[r], y[r], w[r], **config) for r in samples]
+        self._trees = fit_forest(plan_fit(features, self._bags(w)), y, w, **config)
         return self
 
     def predict(self, features) -> list[float]:

@@ -18,6 +18,7 @@ compounds through the targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,11 +26,14 @@ from ._validation import check_positive_int
 from .cfr import average_strategy, cfr_pass, checkpoints, regret_policy
 from .efg_core import GameSpec
 from .estimator import (
+    FitPlan,
     TabularEstimator,
     TreeRegressor,
     _check_max_depth,
     _check_min_leaf_weight,
     featurize,
+    fit_forest,
+    plan_fit,
 )
 
 ESTIMATOR_KINDS = ("tabular", "tree")
@@ -108,6 +112,23 @@ class RCFRState:
     predictions: np.ndarray = field(repr=False)
     strategy_sums: np.ndarray = field(repr=False)
 
+    @property
+    def acting(self) -> list:
+        """(estimator, slots) of each seat that acts, in seat order."""
+        return [(e, s) for e, s in zip(self.estimators, self.seat_slots) if len(s)]
+
+    @cached_property
+    def plan(self) -> FitPlan:
+        """The trees' fit plan: one root per bag of each acting seat, in
+        seat order. Built at the first refit and kept, since the features
+        are fixed and a bag's rows are the same at every fit."""
+        roots = [
+            slots[rows]
+            for estimator, slots in self.acting
+            for rows in estimator._bags(np.ones(len(slots)))
+        ]
+        return plan_fit(self.features, roots)
+
 
 def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
     """Fresh solver state with per-slot feature rows precomputed.
@@ -155,10 +176,8 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
 
 def _cache_predictions(state: RCFRState) -> None:
     """One batched predict per seat that acts, written into its slots."""
-    for player, slots in enumerate(state.seat_slots):
-        if len(slots):
-            estimator = state.estimators[player]
-            state.predictions[slots] = estimator.predict(state.features[slots])
+    for estimator, slots in state.acting:
+        state.predictions[slots] = estimator.predict(state.features[slots])
 
 
 def training_mse(state: RCFRState, player: int) -> float:
@@ -191,9 +210,19 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
         state.targets += deltas
     else:
         state.targets = state.predictions + deltas
-    for player, slots in enumerate(state.seat_slots):
-        if len(slots):
-            state.estimators[player].fit(state.features[slots], state.targets[slots])
+    if config.estimator_kind == "tabular":
+        for estimator, slots in state.acting:
+            estimator.fit(state.features[slots], state.targets[slots])
+    else:  # one forest: every bag of both seats is a root of the plan
+        trees = fit_forest(
+            state.plan,
+            state.targets,
+            min_leaf_weight=config.min_leaf_weight,
+            max_depth=config.max_depth,
+        )
+        for estimator, _ in state.acting:
+            n = estimator.n_bags
+            estimator._trees, trees = trees[:n], trees[n:]
     _cache_predictions(state)
     return state
 

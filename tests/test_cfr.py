@@ -384,7 +384,14 @@ class TestSolve:
             CFRConfig(iterations=5, log_every=0)
 
     @pytest.mark.parametrize(
-        "options", [dict(iterations=2.5), dict(iterations=5, log_every=1.5)]
+        "options",
+        [
+            dict(iterations=2.5),
+            dict(iterations=5, log_every=1.5),
+            dict(iterations=math.inf),
+            dict(iterations=math.nan),
+            dict(iterations=5, log_every=-math.inf),
+        ],
     )
     def test_fractional_counts_fail_at_the_config(self, options):
         with pytest.raises(ValueError, match="positive integer"):

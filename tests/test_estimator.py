@@ -12,9 +12,11 @@ from fregret.estimator import (
     TabularEstimator,
     TreeRegressor,
     featurize,
+    fit_forest,
     fit_tree,
     model_complexity,
     parse_tree,
+    plan_fit,
     predict,
     predict_rows,
     serialize_tree,
@@ -203,6 +205,18 @@ class TestFitTree:
         with pytest.raises(ValueError):
             fit_tree([[1.0], [2.0]], [1.0, 2.0], [0.0, 0.0])
 
+    def test_forest_root_without_rows_or_weight_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            plan_fit([[0.0], [1.0]], [[0, 1], []])
+        for root in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError, match="lack"):
+                plan_fit([[0.0], [1.0]], [root])
+        plan = plan_fit([[0.0], [1.0], [2.0]], [[0, 1], [2, 2]])
+        with pytest.raises(ValueError, match="weight is zero"):
+            fit_forest(plan, [1.0, 2.0, 3.0], [1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="targets do not match"):
+            fit_forest(plan, [1.0, 2.0])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -229,6 +243,8 @@ class TestFitTree:
         ],
     )
     def test_non_finite_feature_rejected(self, features):
+        with pytest.raises(ValueError, match="features must be finite"):
+            plan_fit(features, [[1], [0, 1]])
         with pytest.raises(ValueError, match="features must be finite"):
             fit_tree(features, [0.0, 1.0], min_leaf_weight=0.0)
         with pytest.raises(ValueError, match="features must be finite"):
@@ -339,6 +355,13 @@ class TestFitTree:
     def test_max_depth_zero_is_constant(self):
         tree = fit_tree([[0.0], [1.0]], [0.0, 10.0], max_depth=0)
         assert tree.feature.tolist() == [-1] and tree.value.tolist() == [5.0]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1.5, -1])
+    def test_bad_max_depth_rejected(self, bad):
+        with pytest.raises(ValueError, match="max_depth"):
+            fit_tree([[0.0], [1.0]], [0.0, 10.0], max_depth=bad)
+        with pytest.raises(ValueError, match="max_depth"):
+            TreeRegressor(max_depth=bad).fit([[0.0], [1.0]], [0.0, 10.0])
 
 
 class TestPredict:
@@ -614,6 +637,11 @@ class TestTreeRegressor:
     def test_bag_count_validated(self):
         with pytest.raises(ValueError):
             TreeRegressor(n_bags=0).fit([[1.0]], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5])
+    def test_non_integer_bag_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="n_bags"):
+            TreeRegressor(n_bags=bad).fit([[0.0], [1.0]], [0.0, 10.0])
 
     def test_bag_without_positive_weight_is_redrawn(self):
         # Seed 0 draws a resample of row 0 alone, whose weight is zero.

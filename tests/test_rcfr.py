@@ -20,6 +20,7 @@ from test_game_oracle import (
     reference_exploitability,
 )
 
+import fregret.rcfr as rcfr_module
 from fregret.cfr import (
     CFRConfig,
     average_strategy,
@@ -164,6 +165,44 @@ class TestIteration:
         assert sorted(both.tolist()) == list(range(offset[-1]))
         assert state.features.shape == (offset[-1], 19)
         assert len(state.targets) == len(state.predictions) == offset[-1]
+
+    @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_target_fails_the_refit(
+        self, leduc_game, monkeypatch, target_mode, bad
+    ):
+        config = RCFRConfig(iterations=2, target_mode=target_mode)
+        state = new_state(leduc_game, config)
+        rcfr_iteration(leduc_game, state, config)
+        real_pass = rcfr_module.cfr_pass
+
+        def poisoned_pass(*args):
+            value, deltas = real_pass(*args)
+            deltas[5] = bad
+            return value, deltas
+
+        monkeypatch.setattr(rcfr_module, "cfr_pass", poisoned_pass)
+        with pytest.raises(ValueError, match="targets must be finite"):
+            rcfr_iteration(leduc_game, state, config)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_feature_fails_the_plan(self, kuhn_game, bad):
+        config = RCFRConfig(iterations=1)
+        state = new_state(kuhn_game, config)
+        state.features[3, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            rcfr_iteration(kuhn_game, state, config)
+
+    @pytest.mark.parametrize("n_bags", [1, 3])
+    def test_fit_plan_is_built_at_the_first_refit_and_kept(self, kuhn_game, n_bags):
+        config = RCFRConfig(iterations=3, n_bags=n_bags)
+        state = new_state(kuhn_game, config)
+        assert "plan" not in vars(state)
+        rcfr_iteration(kuhn_game, state, config)
+        plan = state.plan
+        assert len(plan.counts) == 2 * n_bags
+        rcfr_iteration(kuhn_game, state, config)
+        assert state.plan is plan
 
     def test_bootstrap_targets_diverge_from_exact_with_a_tree(self, kuhn_game):
         exact_cfg = RCFRConfig(
@@ -354,6 +393,20 @@ class TestSolve:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert [(r.t, r.leaves_p1, r.leaves_p2) for r in model_sizes] == sizes
 
+    def test_leduc_bagged_tree_rcfr_is_pinned(self, leduc_game, tmp_path):
+        # Recorded with one fit_tree call per bag and seat; the stacked plan
+        # grows all six bags as roots of one forest and must match.
+        config = RCFRConfig(
+            iterations=20, min_leaf_weight=8.0, n_bags=3, log_every=10
+        )
+        profile, _, model_sizes = rcfr_solve(leduc_game, config)
+        path = tmp_path / "strategy.csv"
+        write_strategy_file(str(path), leduc_game, profile)
+        digest = "9421e853f83afebfa4abb36cfe3508f0bb923f97cc776c9556eb82a43e1d5029"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        sizes = [(r.t, r.leaves_p1, r.leaves_p2) for r in model_sizes]
+        assert sizes == [(10, 91, 92), (20, 93, 92)]
+
     def test_profile_rows_are_distributions(self, kuhn_game):
         profile, _, _ = rcfr_solve(kuhn_game, RCFRConfig(iterations=40, log_every=40))
         for row in profile.values():
@@ -465,6 +518,10 @@ class TestConfig:
             (dict(min_leaf_weight=-1.0), "min_leaf_weight"),
             (dict(max_depth=-1), "max_depth"),
             (dict(max_depth=1.5), "max_depth"),
+            (dict(iterations=math.inf), "iterations"),
+            (dict(n_bags=math.inf), "n_bags"),
+            (dict(max_depth=math.inf), "max_depth"),
+            (dict(max_depth=math.nan), "max_depth"),
         ],
     )
     def test_bad_shape_fails_at_the_config(self, estimator_kind, options, name):

@@ -16,7 +16,9 @@ from fregret._validation import format_float
 from fregret.estimator import (
     TREE_FORMAT_HEADER,
     TreeRegressor,
+    fit_forest,
     fit_tree,
+    plan_fit,
     serialize_tree,
 )
 from fregret.games import build_leduc
@@ -246,3 +248,70 @@ def test_bagged_trees_match_reference():
         assert serialize_tree(tree) == reference_fit(
             X[rows], y[rows], min_leaf_weight=2.0, max_depth=4
         )
+
+
+def forest_roots(rng, X, n_roots):
+    """``n_roots`` row lists over ``X``, drawn from kinds that stress the
+    stacked plan: the rows below and above the median of column 0 (their
+    column-0 values do not overlap), a bootstrap resample (duplicate rows),
+    a random subset in shuffled order, and a single row."""
+    n = len(X)
+    middle = np.median(X[:, 0])
+    kinds = [
+        np.flatnonzero(X[:, 0] <= middle),
+        np.flatnonzero(X[:, 0] > middle),
+        rng.integers(0, n, size=n),
+        rng.permutation(n)[: int(rng.integers(2, n))],
+        rng.integers(0, n, size=1),
+    ]
+    picks = rng.choice(len(kinds), size=n_roots, replace=False)
+    return [kinds[k] for k in picks if len(kinds[k])] or [np.arange(n)]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_forest_roots_match_single_fits(seed):
+    # Each root of one plan must grow the tree that a fit on its rows alone
+    # grows, whatever rows the other roots hold.
+    rng = np.random.default_rng(700 + seed)
+    X, y = random_corpus(rng, n_rows=36, n_features=3, levels=int(rng.integers(2, 6)))
+    roots = forest_roots(rng, X, n_roots=int(rng.integers(1, 5)))
+    y[roots[-1]] = 1.5  # one root whose targets are all equal
+    w = rng.choice([0.0, 0.5, 1.0, 2.5], size=len(y))
+    for root in roots:
+        w[root[0]] = 1.0
+    plan = plan_fit(X, roots)
+    for weights in (None, w):
+        for min_leaf_weight in (0.0, 1.0, 3.0):
+            for max_depth in (None, 0, 2):
+                config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
+                trees = fit_forest(plan, y, weights, **config)
+                assert len(trees) == len(roots)
+                for root, tree in zip(roots, trees):
+                    rw = None if weights is None else weights[root]
+                    expected = reference_fit(X[root], y[root], rw, **config)
+                    assert serialize_tree(tree) == expected
+                    assert tree == fit_tree(X[root], y[root], rw, **config)
+
+
+def test_one_plan_serves_many_targets():
+    rng = np.random.default_rng(31)
+    X, _ = random_corpus(rng, n_rows=50, n_features=4, levels=4)
+    roots = [rng.integers(0, len(X), size=len(X)) for _ in range(3)]
+    plan = plan_fit(X, roots)
+    for _ in range(30):
+        y = np.round(rng.normal(size=len(X)), 1)
+        for root, tree in zip(roots, fit_forest(plan, y, min_leaf_weight=2.0)):
+            assert tree == fit_tree(X[root], y[root], min_leaf_weight=2.0)
+
+
+def test_leduc_forest_of_both_seats_matches_per_seat_fits():
+    game = build_leduc()
+    config = RCFRConfig(iterations=12, min_leaf_weight=4.0)
+    state = new_state(game, config)
+    plan = plan_fit(state.features, state.seat_slots)
+    for _ in range(config.iterations):
+        rcfr_iteration(game, state, config)
+        trees = fit_forest(plan, state.targets, min_leaf_weight=4.0)
+        for slots, tree in zip(state.seat_slots, trees):
+            X, y = state.features[slots], state.targets[slots]
+            assert tree == fit_tree(X, y, min_leaf_weight=4.0)
