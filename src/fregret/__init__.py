@@ -7,13 +7,7 @@ exploitability, head-to-head matches) on Kuhn poker and Leduc Hold'em.
 """
 
 from .cfr import CFRConfig, CFRTables, solve
-from .estimator import (
-    RegressionTree,
-    TabularEstimator,
-    TreeRegressor,
-    featurize,
-    fit_tree,
-)
+from .estimator import RegressionTree, featurize, fit_tree
 from .eval import (
     BestResponseResult,
     MatchResult,
@@ -59,8 +53,6 @@ __all__ = [
     "RCFRState",
     "RegressionTree",
     "RegretMatcher",
-    "TabularEstimator",
-    "TreeRegressor",
     "best_response",
     "build_kuhn",
     "build_leduc",

@@ -1,4 +1,5 @@
-"""Shared helpers: integer validation and the round-trip float form."""
+"""Shared helpers: integer validation, the in-order float sum and the
+round-trip float form."""
 
 from __future__ import annotations
 
@@ -15,6 +16,16 @@ def check_positive_int(value, name: str) -> int:
     if not (is_integer(value) and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def ordered_sum(values) -> float:
+    """``values`` added one at a time from 0.0, in order. The builtin
+    ``sum`` is compensated on Python 3.12+, so its result would depend on
+    the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def format_float(value: float) -> str:

@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 usage error, 3 I/O error, 4 validation error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -119,9 +120,10 @@ def read_strategy_file(path: str):
             raise ValueError(
                 f"{path}, line {number}: bad probability '{prob_text}'"
             ) from None
-        if not prob >= 0.0:
+        if not 0.0 <= prob < math.inf:
             raise ValueError(
-                f"{path}, line {number}: negative probability {prob_text}"
+                f"{path}, line {number}: probability {prob_text} must be "
+                f"finite and >= 0"
             )
         row = by_infoset.setdefault(key, {})
         if index in row:
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seeds tree bagging only; solve never bags, so it changes no output",
+        help="accepted for compatibility; changes no output",
     )
     solve_cmd.add_argument("--log-every", type=int, default=1)
     solve_cmd.add_argument("--out", required=True)

@@ -1,9 +1,9 @@
-"""Features for (infoset, action) pairs and the regret estimators.
+"""Features for (infoset, action) pairs and the regression-tree learner.
 
 ``featurize`` maps an infoset key plus a candidate action to a fixed 19-dim
 vector of betting/card/action state, which the regression tree trains on.
-Distinct infoset-actions may share a vector there; the tabular
-(exact-memorizer) mode keys on slot numbers instead (see ``rcfr``).
+Distinct infoset-actions may share a vector there; tabular RCFR memorizes
+each slot's target instead and needs no features (see ``rcfr``).
 
 The tree learner is a greedy CART-style regressor: splits maximize weighted
 variance reduction, thresholds are midpoints between consecutive distinct
@@ -16,11 +16,10 @@ feature are its distinct values, as in histogram split search, and three
 ``bincount`` calls per level give every open node's prefix sums at every
 cut, each added in presorted order, so each tree is that of a per-node
 ``cumsum`` scan over its root's rows alone, bit for bit. ``fit_tree`` is the
-one-root case, and ``TreeRegressor`` grows one root per bag; RCFR keeps one
-plan per solve and grows both seats' bags as one forest at every refit. A
-fitted tree is nothing but flat preorder arrays (``RegressionTree``), which
-fitting, parsing, serialization and prediction all walk without recursion.
-Both estimators predict through one method, ``predict(rows)``.
+one-root case; RCFR keeps one plan per solve, with one root per seat, and
+grows both seats' trees as one forest at every refit. A fitted tree is
+nothing but flat preorder arrays (``RegressionTree``), which fitting,
+parsing, serialization and prediction all walk without recursion.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_positive_int, format_float, is_integer
+from ._validation import format_float, is_integer
 from .games.poker import ACTION_CHARS, RANK_CHARS, parse_key, rules_for, stakes
 
 FEATURE_DIM = 19
@@ -568,109 +567,3 @@ def parse_tree(text: str) -> RegressionTree:
     if open_slots:
         raise ValueError("truncated tree file")
     return _from_preorder(records, n_features, min_leaf_weight, max_depth)
-
-
-# ---------------------------------------------------------------------------
-# Estimator API
-
-
-def _row_keys(features) -> list[tuple[float, ...]]:
-    """One hashable tuple of Python floats per feature row."""
-    if isinstance(features, np.ndarray):
-        return [tuple(row) for row in features.tolist()]
-    return [tuple(float(v) for v in row) for row in features]
-
-
-class TabularEstimator:
-    """Exact (feature vector -> target) memorizer; 0 for unseen vectors.
-
-    Fitting refuses to store two different targets under one vector: that
-    means two distinct infoset-actions collided in feature space, which
-    exact mode must surface rather than silently merge. Sample weights are
-    ignored (memorization has nothing to weigh).
-    """
-
-    def __init__(self):
-        self._table: dict[tuple[float, ...], float] = {}
-
-    def fit(self, features, targets, sample_weight=None):
-        table: dict[tuple[float, ...], float] = {}
-        for key, target in zip(_row_keys(features), targets, strict=True):
-            value = float(target)
-            if not math.isfinite(value):
-                raise ValueError(f"targets must be finite, got {value!r}")
-            previous = table.get(key)
-            if previous is not None and previous != value:
-                raise ValueError(
-                    "feature collision: one vector maps to targets "
-                    f"{previous!r} and {value!r}"
-                )
-            table[key] = value
-        self._table = table
-        return self
-
-    def predict(self, features) -> list[float]:
-        return [self._table.get(key, 0.0) for key in _row_keys(features)]
-
-    def model_complexity(self) -> int:
-        return len(self._table)
-
-
-class TreeRegressor:
-    """Regression tree(s) behind the estimator API.
-
-    ``n_bags`` = 1 fits a single tree on the data as given; larger values fit
-    that many trees on seeded bootstrap resamples and predict their mean.
-    Before the first fit, predictions are 0 (matching zero-initialized
-    regrets).
-    """
-
-    def __init__(
-        self,
-        min_leaf_weight: float = 1.0,
-        max_depth: int | None = None,
-        n_bags: int = 1,
-        seed: int = 0,
-    ):
-        self.min_leaf_weight = min_leaf_weight
-        self.max_depth = max_depth
-        self.n_bags = n_bags
-        self.seed = seed
-        self._trees: list[RegressionTree] = []
-
-    def _bags(self, weights) -> list[np.ndarray]:
-        """The rows each tree trains on: every row in order for one bag,
-        else ``n_bags`` bootstrap resamples from an rng seeded afresh, so
-        the same weights give the same bags at every fit."""
-        n = len(weights)
-        if self.n_bags == 1:
-            return [np.arange(n)]
-        rng = np.random.default_rng(self.seed)
-        bags = []
-        while len(bags) < self.n_bags:
-            rows = rng.integers(0, n, size=n)
-            if np.any(weights[rows] > 0.0):  # else unfittable: draw it again
-                bags.append(rows)
-        return bags
-
-    def fit(self, features, targets, sample_weight=None):
-        """One tree per bag, each bag a root of one ``fit_forest`` call."""
-        check_positive_int(self.n_bags, "n_bags")
-        # The plan and forest check the whole set, not only the rows drawn.
-        y, w = _targets_and_weights(len(features), targets, sample_weight)
-        config = dict(min_leaf_weight=self.min_leaf_weight, max_depth=self.max_depth)
-        self._trees = fit_forest(plan_fit(features, self._bags(w)), y, w, **config)
-        return self
-
-    def predict(self, features) -> list[float]:
-        """Predictions for all rows at once; a bagged prediction adds
-        ``0 + p1 + p2 + ...`` over the trees and then divides."""
-        if not self._trees:
-            return [0.0] * len(features)
-        total = 0.0
-        for tree in self._trees:
-            total = total + predict_rows(tree, features)
-        return (total / len(self._trees)).tolist()
-
-    def model_complexity(self) -> int:
-        return sum(model_complexity(tree) for tree in self._trees)

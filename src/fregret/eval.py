@@ -16,6 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from ._validation import ordered_sum
 from .efg_core import GameSpec, checked_policy, node_values
 
 
@@ -238,7 +239,7 @@ def sampled_match(
                 value = -_play_hand(root, b_first, chance_cuts, next_mark, [], False)
             values.append(value)
         played = hands
-    mean = sum(values) / len(values)
+    mean = ordered_sum(values) / len(values)
     if len(values) >= 2:
         stderr = statistics.stdev(values) / math.sqrt(len(values))
     else:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .._validation import ordered_sum
+
 # Row player's payoffs; the column player receives the negation.
 _NAMED = {
     "rps": ((0.0, -1.0, 1.0), (1.0, 0.0, -1.0), (-1.0, 1.0, 0.0)),
@@ -29,15 +31,20 @@ class MatrixGame:
         return len(self.payoffs[0])
 
     def row_payoffs(self, col_strategy) -> list[float]:
-        """Expected payoff of each row action against a column mixture."""
+        """Expected payoff of each row action against a column mixture,
+        added in column order (``ordered_sum``)."""
         return [
-            sum(p * q for p, q in zip(row, col_strategy)) for row in self.payoffs
+            ordered_sum(p * q for p, q in zip(row, col_strategy))
+            for row in self.payoffs
         ]
 
     def col_payoffs(self, row_strategy) -> list[float]:
-        """Expected payoff of each column action against a row mixture."""
+        """Expected payoff of each column action against a row mixture,
+        added in row order (``ordered_sum``)."""
         return [
-            -sum(row_strategy[i] * self.payoffs[i][j] for i in range(self.n_rows))
+            -ordered_sum(
+                row_strategy[i] * self.payoffs[i][j] for i in range(self.n_rows)
+            )
             for j in range(self.n_cols)
         ]
 

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from ._validation import check_positive_int
+from ._validation import check_positive_int, ordered_sum
 
 
 @dataclass(frozen=True)
@@ -88,29 +88,24 @@ def regret_match(regrets) -> tuple[float, ...]:
     """Policy proportional to positive regrets; uniform when none are positive.
 
     Raises ValueError on an empty vector or one whose sum is NaN or infinite.
-    Both sums run from 0.0 in order: the builtin ``sum`` is compensated on
-    Python 3.12+, which would make the policy depend on the Python version.
+    Both sums run from 0.0 in order (``ordered_sum``).
     """
     n = len(regrets)
     if n == 0:
         raise ValueError("empty regret vector")
-    total = 0.0
-    for r in regrets:
-        total += r
-    if not math.isfinite(total):
+    if not math.isfinite(ordered_sum(regrets)):
         raise ValueError(f"non-finite regrets {tuple(regrets)!r}")
     positive = [r if r > 0.0 else 0.0 for r in regrets]
-    total = 0.0
-    for p in positive:
-        total += p
+    total = ordered_sum(positive)
     if total <= 0.0:
         return (1.0 / n,) * n
     return tuple(p / total for p in positive)
 
 
 def _advance(state: RegretMatcher, policy, payoff) -> RegretMatcher:
-    """Accumulate one step played with ``policy`` against ``payoff``."""
-    expected = sum(p * u for p, u in zip(policy, payoff))
+    """Accumulate one step played with ``policy`` against ``payoff``; the
+    expected payoff is added in action order (``ordered_sum``)."""
+    expected = ordered_sum(p * u for p, u in zip(policy, payoff))
     regrets = tuple(r + (u - expected) for r, u in zip(state.regrets, payoff))
     cumulative = tuple(
         c + p for c, p in zip(state.cumulative_strategy, policy)

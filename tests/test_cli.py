@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -151,15 +152,21 @@ class TestStrategyParsing:
         with pytest.raises(ValueError, match="line 2"):
             read_strategy_file(path)
 
-    def test_negative_probability_rejected(self, tmp_path):
-        path = self.write(
-            tmp_path,
-            "# fregret-strategy v1 game=kuhn exploit_convention=sum\n"
-            "p0:J:-:,0,-0.25\n"
-            "p0:J:-:,1,1.25\n",
-        )
-        with pytest.raises(ValueError, match="line 2"):
-            read_strategy_file(path)
+    def test_negative_probability_rejected(self, tmp_path, capsys):
+        # NaN and inf fail at their own line too, not at the row's sum.
+        for bad in ("-0.25", "nan", "inf", "-inf"):
+            path = self.write(
+                tmp_path,
+                "# fregret-strategy v1 game=kuhn exploit_convention=sum\n"
+                "p0:J:-:,0,0.5\n"
+                f"p0:J:-:,1,{bad}\n",
+            )
+            message = f"line 3: probability {bad} must be finite and >= 0"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read_strategy_file(path)
+            argv = ["exploit", "--game", "kuhn", "--strategy", path]
+            code, _, err = run(argv, capsys)
+            assert code == 4 and message in err
 
     def test_duplicate_entry_rejected(self, tmp_path):
         path = self.write(

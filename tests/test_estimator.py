@@ -1,16 +1,13 @@
-"""Features, the tabular memorizer, and the regression-tree learner."""
+"""Features and the regression-tree learner."""
 
 import math
 import random
 
 import numpy as np
 import pytest
-from conftest import predict_row
 
 from fregret.estimator import (
     FEATURE_DIM,
-    TabularEstimator,
-    TreeRegressor,
     featurize,
     fit_forest,
     fit_tree,
@@ -195,11 +192,10 @@ class TestFitTree:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             fit_tree([[1.0]], [1.0], [-1.0])
-        # No resample of this seed draws row 2; the whole set is checked.
+        # No root holds row 2; the whole set is checked.
+        plan = plan_fit([[0.0], [1.0], [2.0]], [[0, 1], [1, 0, 0]])
         with pytest.raises(ValueError, match="negative"):
-            TreeRegressor(n_bags=2, seed=43).fit(
-                [[0.0], [1.0], [2.0]], [1.0, 2.0, 3.0], [1.0, 1.0, -1.0]
-            )
+            fit_forest(plan, [1.0, 2.0, 3.0], [1.0, 1.0, -1.0])
 
     def test_zero_total_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -221,18 +217,17 @@ class TestFitTree:
     def test_non_finite_target_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             fit_tree([[1.0], [2.0]], [1.0, bad])
-        # A bootstrap resample that skips the bad row must still reject it.
+        # A forest whose roots skip the bad row must still reject it.
         with pytest.raises(ValueError, match="finite"):
-            TreeRegressor(n_bags=2).fit([[1.0], [2.0]], [1.0, bad])
+            fit_forest(plan_fit([[1.0], [2.0]], [[0, 0], [0]]), [1.0, bad])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             fit_tree([[1.0], [2.0]], [1.0, 2.0], [1.0, bad])
+        plan = plan_fit([[0.0], [1.0], [2.0]], [[0, 1], [1, 0, 0]])
         with pytest.raises(ValueError, match="finite"):
-            TreeRegressor(n_bags=2, seed=43).fit(
-                [[0.0], [1.0], [2.0]], [1.0, 2.0, 3.0], [1.0, 1.0, bad]
-            )
+            fit_forest(plan, [1.0, 2.0, 3.0], [1.0, 1.0, bad])
 
     @pytest.mark.parametrize(
         "features",
@@ -247,10 +242,10 @@ class TestFitTree:
             plan_fit(features, [[1], [0, 1]])
         with pytest.raises(ValueError, match="features must be finite"):
             fit_tree(features, [0.0, 1.0], min_leaf_weight=0.0)
+        # A plan whose root skips the bad row must still reject it.
+        finite_row = [math.isfinite(row[0]) for row in features].index(True)
         with pytest.raises(ValueError, match="features must be finite"):
-            TreeRegressor(min_leaf_weight=0.0).fit(features, [0.0, 1.0])
-        with pytest.raises(ValueError, match="features must be finite"):
-            TreeRegressor(min_leaf_weight=0.0, n_bags=2).fit(features, [0.0, 1.0])
+            plan_fit(features, [[finite_row]])
 
     @pytest.mark.parametrize(
         "targets, weights",
@@ -263,8 +258,9 @@ class TestFitTree:
     def test_overflowing_fit_rejected(self, targets, weights):
         with pytest.raises(ValueError, match="overflow"):
             fit_tree([[0.0], [1.0]], targets, weights)
+        plan = plan_fit([[0.0], [1.0]], [[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="overflow"):
-            TreeRegressor().fit([[0.0], [1.0]], targets, weights)
+            fit_forest(plan, targets, weights)
 
     def test_prefix_overflowing_in_sorted_order_rejected(self):
         # In row order the targets cancel to 0; sorted by the feature, the
@@ -274,7 +270,7 @@ class TestFitTree:
         with pytest.raises(ValueError, match="overflow"):
             fit_tree(X, y)
         with pytest.raises(ValueError, match="overflow"):
-            TreeRegressor().fit(X, y)
+            fit_forest(plan_fit(X, [[0, 1], [0, 1, 2, 3]]), y)
 
     def test_sum_inside_a_run_of_equal_values_is_not_checked(self):
         # Squaring the prefix 1e200 between the two rows at 0 overflows,
@@ -360,8 +356,9 @@ class TestFitTree:
     def test_bad_max_depth_rejected(self, bad):
         with pytest.raises(ValueError, match="max_depth"):
             fit_tree([[0.0], [1.0]], [0.0, 10.0], max_depth=bad)
+        plan = plan_fit([[0.0], [1.0]], [[0, 1], [1]])
         with pytest.raises(ValueError, match="max_depth"):
-            TreeRegressor(max_depth=bad).fit([[0.0], [1.0]], [0.0, 10.0])
+            fit_forest(plan, [0.0, 10.0], max_depth=bad)
 
 
 class TestPredict:
@@ -392,30 +389,16 @@ class TestPredict:
 class TestPredictRows:
     """The batched walk over the flat tree equals the row-by-row walk."""
 
-    def assert_rows_match(self, estimator, rows):
-        batched = estimator.predict(rows)
-        one_by_one = [predict_row(estimator, row) for row in rows]
-        assert [v.hex() for v in batched] == [v.hex() for v in one_by_one]
-
     def test_fitted_trees(self):
         rng = random.Random(41)
         for min_leaf in (1.0, 3.0, 8.0):
             X, y = random_dataset(rng, n_rows=60)
-            est = TreeRegressor(min_leaf_weight=min_leaf).fit(X, y)
+            tree = fit_tree(X, y, min_leaf_weight=min_leaf)
             probes = [[rng.uniform(-0.2, 1.2) for _ in range(4)] for _ in range(200)]
-            self.assert_rows_match(est, X + probes)
-
-    def test_bagged_trees(self):
-        rng = random.Random(42)
-        X, y = random_dataset(rng, n_rows=60)
-        est = TreeRegressor(n_bags=3, seed=5, min_leaf_weight=2.0).fit(X, y)
-        self.assert_rows_match(est, X)
-        self.assert_rows_match(est, np.asarray(X))
-
-    def test_unfitted_is_all_zeros(self):
-        rows = [[1.0, 2.0], [3.0, -4.0]]
-        assert TreeRegressor().predict(rows) == [0.0, 0.0]
-        self.assert_rows_match(TreeRegressor(), rows)
+            for rows in (X + probes, np.asarray(X)):
+                batched = predict_rows(tree, rows).tolist()
+                one_by_one = [predict(tree, row) for row in rows]
+                assert [v.hex() for v in batched] == [v.hex() for v in one_by_one]
 
     def test_parsed_tree_and_rows_on_thresholds(self):
         tree = fit_tree(
@@ -566,109 +549,3 @@ class TestSerialization:
         assert "RegressionTree(" in repr(tree)
         assert hash(tree) == hash(tree)
         assert tree == tree
-
-
-class TestTabularEstimator:
-    def test_memorizes_and_defaults_to_zero(self):
-        est = TabularEstimator()
-        est.fit([(1.0, 2.0)], [3.0])
-        assert est.predict([(1.0, 2.0), (9.0, 9.0), (0.0, 0.0)]) == [3.0, 0.0, 0.0]
-
-    def test_unfitted_predicts_zero(self):
-        assert TabularEstimator().predict([(1.0,)]) == [0.0]
-
-    def test_refit_replaces_table(self):
-        est = TabularEstimator()
-        est.fit([(1.0,)], [5.0])
-        est.fit([(2.0,)], [7.0])
-        assert est.predict([(1.0,), (2.0,)]) == [0.0, 7.0]
-
-    def test_collision_rejected(self):
-        est = TabularEstimator()
-        with pytest.raises(ValueError, match="collision"):
-            est.fit([(1.0, 2.0), (1.0, 2.0)], [3.0, 4.0])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_target_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            TabularEstimator().fit([(1.0,), (2.0,)], [1.0, bad])
-
-    def test_duplicate_with_same_target_allowed(self):
-        est = TabularEstimator()
-        est.fit([(1.0,), (1.0,)], [3.0, 3.0])
-        assert est.predict([(1.0,)]) == [3.0]
-
-    def test_leduc_19dim_collision_surfaces_as_error(self):
-        keys = ["p1:J:Q:rc/c", "p1:J:Q:crc/c"]
-        X = [featurize("leduc", k, "c") for k in keys]
-        est = TabularEstimator()
-        with pytest.raises(ValueError, match="collision"):
-            est.fit(X, [1.0, 2.0])
-
-    def test_model_complexity_is_table_size(self):
-        est = TabularEstimator().fit([(1.0,), (2.0,)], [0.5, 0.25])
-        assert est.model_complexity() == 2
-
-
-class TestTreeRegressor:
-    def test_unfitted_predicts_zero(self):
-        est = TreeRegressor()
-        assert est.predict([[1.0, 2.0]]) == [0.0]
-
-    def test_single_tree_matches_fit_tree(self):
-        rng = random.Random(14)
-        X, y = random_dataset(rng)
-        est = TreeRegressor(min_leaf_weight=2.0).fit(X, y)
-        direct = fit_tree(X, y, min_leaf_weight=2.0)
-        assert est.predict(X) == [predict(direct, xi) for xi in X]
-        assert est.model_complexity() == model_complexity(direct)
-
-    def test_bagging_deterministic_and_averaged(self):
-        rng = random.Random(25)
-        X, y = random_dataset(rng, n_rows=40)
-        a = TreeRegressor(n_bags=3, seed=11, min_leaf_weight=2.0).fit(X, y)
-        b = TreeRegressor(n_bags=3, seed=11, min_leaf_weight=2.0).fit(X, y)
-        assert a.predict(X) == b.predict(X)
-        assert len(a._trees) == 3
-        phi = X[0]
-        mean = sum(predict(t, phi) for t in a._trees) / 3
-        assert math.isclose(a.predict([phi])[0], mean, rel_tol=0, abs_tol=1e-15)
-
-    def test_bag_count_validated(self):
-        with pytest.raises(ValueError):
-            TreeRegressor(n_bags=0).fit([[1.0]], [1.0])
-
-    @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5])
-    def test_non_integer_bag_count_rejected(self, bad):
-        with pytest.raises(ValueError, match="n_bags"):
-            TreeRegressor(n_bags=bad).fit([[0.0], [1.0]], [0.0, 10.0])
-
-    def test_bag_without_positive_weight_is_redrawn(self):
-        # Seed 0 draws a resample of row 0 alone, whose weight is zero.
-        X = np.array([[0.0], [1.0]])
-        y = np.array([1.0, 2.0])
-        w = np.array([0.0, 1.0])
-        est = TreeRegressor(n_bags=3, seed=0).fit(X, y, w)
-        assert est.predict(X) == [2.0, 2.0]
-        rng = np.random.default_rng(0)
-        draws = [rng.integers(0, 2, size=2) for _ in range(12)]
-        assert not all(np.any(w[rows] > 0.0) for rows in draws[:3])
-        kept = [rows for rows in draws if np.any(w[rows] > 0.0)][:3]
-        assert [serialize_tree(t) for t in est._trees] == [
-            serialize_tree(fit_tree(X[rows], y[rows], w[rows])) for rows in kept
-        ]
-
-    @pytest.mark.parametrize("data_seed, n_rows, seed", [(42, 60, 5), (25, 40, 11)])
-    def test_bags_with_positive_weight_keep_their_draws(self, data_seed, n_rows, seed):
-        # Each of the first n_bags draws is fit as drawn, nothing redrawn.
-        X, y = random_dataset(random.Random(data_seed), n_rows=n_rows)
-        X, y = np.asarray(X), np.asarray(y)
-        est = TreeRegressor(n_bags=3, seed=seed, min_leaf_weight=2.0).fit(X, y)
-        rng = np.random.default_rng(seed)
-        expected = []
-        for _ in range(3):
-            rows = rng.integers(0, n_rows, size=n_rows)
-            expected.append(
-                serialize_tree(fit_tree(X[rows], y[rows], min_leaf_weight=2.0))
-            )
-        assert [serialize_tree(t) for t in est._trees] == expected

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import by_key, infoset_slots, predict_row
+from conftest import by_key, infoset_slots
 from test_cfr import one_move_game
 from test_game_oracle import (
     SEEDS,
@@ -37,13 +37,12 @@ from fregret.efg_core import (
     terminal,
     uniform_profile,
 )
-from fregret.estimator import TabularEstimator, TreeRegressor, featurize
+from fregret.estimator import featurize, fit_tree, model_complexity, predict
 from fregret.eval import exploitability
 from fregret.rcfr import (
     ModelSizeRow,
     RCFRConfig,
     RCFRState,
-    _cache_predictions,
     new_state,
     rcfr_iteration,
     rcfr_solve,
@@ -87,7 +86,7 @@ class TestOracleEquivalence:
         assert_tracks_cfr_exactly(leduc_game, "bootstrap", 25)
 
     def test_tabular_mode_matches_cfr_on_random_games(self):
-        # Tabular features are slot numbers, so no poker key is needed.
+        # Tabular RCFR reads no features, so no poker key is needed.
         for seed in SEEDS[::8]:
             game = random_game(seed)
             profile, log = solve(game, CFRConfig(iterations=20))
@@ -102,29 +101,30 @@ class TestOracleEquivalence:
 
 class TestPolicy:
     def test_unfitted_estimator_gives_uniform_everywhere(self, kuhn_game):
-        state = new_state(kuhn_game, RCFRConfig(iterations=1))
-        rows = by_key(kuhn_game, regret_policy(kuhn_game, state.predictions))
-        for row, (_, _, n) in zip(rows.values(), enumerate_infosets(kuhn_game)):
-            assert row == [1.0 / n] * n
+        for kind in ("tree", "tabular"):
+            config = RCFRConfig(iterations=1, estimator_kind=kind)
+            state = new_state(kuhn_game, config)
+            assert not state.predictions.any()
+            rows = by_key(kuhn_game, regret_policy(kuhn_game, state.predictions))
+            infosets = enumerate_infosets(kuhn_game)
+            for row, (_, _, n) in zip(rows.values(), infosets):
+                assert row == [1.0 / n] * n
 
     def test_all_negative_predictions_give_uniform(self, leduc_game):
         config = RCFRConfig(iterations=1, estimator_kind="tabular")
         state = new_state(leduc_game, config)
         _, slots = infoset_slots(leduc_game, "p0:J:-:cr/")
-        rows = state.features[slots]
-        assert len(rows) == 3
-        state.estimators[0].fit(rows, [-1.0, -1.0, -1.0])
-        _cache_predictions(state)
+        state.predictions[slots] = [-1.0, -1.0, -1.0]
         policy = regret_policy(leduc_game, state.predictions)[slots].tolist()
         assert policy == [1.0 / 3.0] * 3
 
-    def test_direct_fit_reaches_rcfr_policy(self, leduc_game):
-        # The fitted estimator reaches the policy through the prediction cache.
+    def test_predictions_set_the_policy(self, leduc_game):
+        # The solver's policy reads the predictions and nothing else.
         for kind in ("tabular", "tree"):
-            state = new_state(leduc_game, RCFRConfig(iterations=1, estimator_kind=kind))
+            config = RCFRConfig(iterations=1, estimator_kind=kind)
+            state = new_state(leduc_game, config)
             _, slots = infoset_slots(leduc_game, "p0:J:-:cr/")
-            state.estimators[0].fit(state.features[slots], [1.0, 3.0, 0.0])
-            _cache_predictions(state)
+            state.predictions[slots] = [1.0, 3.0, 0.0]
             policy = regret_policy(leduc_game, state.predictions)
             assert policy[slots].tolist() == [0.25, 0.75, 0.0]
 
@@ -171,9 +171,6 @@ class TestIteration:
     def test_non_finite_target_fails_the_refit(
         self, leduc_game, monkeypatch, target_mode, bad
     ):
-        config = RCFRConfig(iterations=2, target_mode=target_mode)
-        state = new_state(leduc_game, config)
-        rcfr_iteration(leduc_game, state, config)
         real_pass = rcfr_module.cfr_pass
 
         def poisoned_pass(*args):
@@ -181,9 +178,27 @@ class TestIteration:
             deltas[5] = bad
             return value, deltas
 
-        monkeypatch.setattr(rcfr_module, "cfr_pass", poisoned_pass)
-        with pytest.raises(ValueError, match="targets must be finite"):
+        for kind in ("tree", "tabular"):
+            config = RCFRConfig(
+                iterations=2, estimator_kind=kind, target_mode=target_mode
+            )
+            state = new_state(leduc_game, config)
             rcfr_iteration(leduc_game, state, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(rcfr_module, "cfr_pass", poisoned_pass)
+                with pytest.raises(ValueError, match="targets must be finite"):
+                    rcfr_iteration(leduc_game, state, config)
+
+    @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
+    def test_tabular_predictions_are_the_targets(self, leduc_game, target_mode):
+        config = RCFRConfig(
+            iterations=30, estimator_kind="tabular", target_mode=target_mode
+        )
+        state = new_state(leduc_game, config)
+        for _ in range(config.iterations):
+            rcfr_iteration(leduc_game, state, config)
+            assert state.predictions.tobytes() == state.targets.tobytes()
+        assert np.abs(state.targets).max() > 0.0
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_feature_fails_the_plan(self, kuhn_game, bad):
@@ -193,14 +208,34 @@ class TestIteration:
         with pytest.raises(ValueError, match="features must be finite"):
             rcfr_iteration(kuhn_game, state, config)
 
-    @pytest.mark.parametrize("n_bags", [1, 3])
-    def test_fit_plan_is_built_at_the_first_refit_and_kept(self, kuhn_game, n_bags):
-        config = RCFRConfig(iterations=3, n_bags=n_bags)
+    @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
+    def test_seat_trees_are_single_fits(self, kuhn_game, target_mode):
+        # Each seat's tree is the one fit_tree grows on that seat's rows,
+        # its predictions are that tree's and its size is its leaf count.
+        config = RCFRConfig(
+            iterations=15, target_mode=target_mode, min_leaf_weight=2.0
+        )
+        state = new_state(kuhn_game, config)
+        for _ in range(config.iterations):
+            rcfr_iteration(kuhn_game, state, config)
+            for tree, slots in zip(state.trees, state.seat_slots):
+                X, y = state.features[slots], state.targets[slots]
+                assert tree == fit_tree(X, y, min_leaf_weight=2.0)
+                assert state.predictions[slots].tolist() == [
+                    predict(tree, row) for row in X
+                ]
+            assert rcfr_module.model_sizes(state, config) == [
+                model_complexity(tree) for tree in state.trees
+            ]
+
+    def test_fit_plan_is_built_at_the_first_refit_and_kept(self, kuhn_game):
+        config = RCFRConfig(iterations=3)
         state = new_state(kuhn_game, config)
         assert "plan" not in vars(state)
         rcfr_iteration(kuhn_game, state, config)
         plan = state.plan
-        assert len(plan.counts) == 2 * n_bags
+        assert plan.counts.tolist() == [len(slots) for slots in state.seat_slots]
+        assert plan.rows.tolist() == np.concatenate(state.seat_slots).tolist()
         rcfr_iteration(kuhn_game, state, config)
         assert state.plan is plan
 
@@ -223,10 +258,26 @@ class TestIteration:
         assert gap > 1e-12
 
 
+def oracle_fit(config, rows, values):
+    """The regressor a refit on ``rows`` and ``values`` must give, as a
+    function of one row: a dict memorizer for the tabular kind, else
+    ``fit_tree`` read through the scalar ``predict``."""
+    if config.estimator_kind == "tabular":
+        table = dict(zip(map(tuple, rows), values))
+        return lambda row: table[tuple(row)]
+    tree = fit_tree(
+        rows,
+        values,
+        min_leaf_weight=config.min_leaf_weight,
+        max_depth=config.max_depth,
+    )
+    return lambda row: predict(tree, row)
+
+
 def reference_solve(game, config):
     """RCFR as a loop over stores keyed by infoset, driving
-    ``reference_cfr_pass``, with its own features and estimators. Every use
-    predicts row by row through ``predict_row``, with no prediction cache:
+    ``reference_cfr_pass``, with its own features and regressors from
+    ``oracle_fit``. Every use predicts row by row, with no prediction cache:
     the loop the solver must match. Returns the average profile and the
     (t, exploitability, mse_p1, mse_p2) log."""
     infosets = reference_enumerate_infosets(game)
@@ -237,18 +288,9 @@ def reference_solve(game, config):
             """Injective: a running number per infoset-action."""
             return (float(next(numbers)),)
 
-        estimators = (TabularEstimator(), TabularEstimator())
     else:
         featurize_fn = featurize
-        estimators = tuple(
-            TreeRegressor(
-                min_leaf_weight=config.min_leaf_weight,
-                max_depth=config.max_depth,
-                n_bags=config.n_bags,
-                seed=config.seed + player,
-            )
-            for player in (0, 1)
-        )
+    regressors = [lambda row: 0.0, lambda row: 0.0]  # before the first fit
     features = {
         key: [featurize_fn(game.game_id, key, a) for a in game.action_labels[key]]
         for _, key, _ in infosets
@@ -261,8 +303,8 @@ def reference_solve(game, config):
     strategy_sums = {key: [0.0] * n for _, key, n in infosets}
 
     def predicted(infoset):
-        estimator = estimators[owner[infoset]]
-        return [predict_row(estimator, row) for row in features[infoset]]
+        regressor = regressors[owner[infoset]]
+        return [regressor(row) for row in features[infoset]]
 
     def mse(player):
         errors = [
@@ -296,7 +338,7 @@ def reference_solve(game, config):
             for player in (0, 1):
                 rows = [r for key in targets[player] for r in features[key]]
                 values = [v for row in targets[player].values() for v in row]
-                estimators[player].fit(rows, values)
+                regressors[player] = oracle_fit(config, rows, values)
         if t % config.log_every == 0 or t == config.iterations:
             average = reference_average(strategy_sums)
             log.append(
@@ -317,15 +359,16 @@ def assert_solve_matches_reference(game, config):
 
 
 class TestPredictionCache:
-    """The solver's cached predictions stay in step with its estimators."""
+    """The solver's cached predictions stay in step with its regressors."""
 
     @pytest.mark.parametrize(
         "options",
         [
             dict(target_mode="bootstrap"),
-            dict(n_bags=3, seed=4),
-            dict(n_bags=3, target_mode="bootstrap", seed=2),
+            dict(seed=4),
+            dict(max_depth=2, target_mode="bootstrap"),
             dict(estimator_kind="tabular", target_mode="bootstrap"),
+            dict(estimator_kind="tabular"),
         ],
     )
     def test_matches_row_by_row_reference(self, kuhn_game, options):
@@ -334,12 +377,11 @@ class TestPredictionCache:
         )
         assert_solve_matches_reference(kuhn_game, config)
 
-    def test_leduc_bootstrap_bagged(self, leduc_game):
+    def test_leduc_bootstrap(self, leduc_game):
         config = RCFRConfig(
             iterations=4,
             log_every=2,
             min_leaf_weight=8.0,
-            n_bags=3,
             target_mode="bootstrap",
         )
         assert_solve_matches_reference(leduc_game, config)
@@ -393,20 +435,6 @@ class TestSolve:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert [(r.t, r.leaves_p1, r.leaves_p2) for r in model_sizes] == sizes
 
-    def test_leduc_bagged_tree_rcfr_is_pinned(self, leduc_game, tmp_path):
-        # Recorded with one fit_tree call per bag and seat; the stacked plan
-        # grows all six bags as roots of one forest and must match.
-        config = RCFRConfig(
-            iterations=20, min_leaf_weight=8.0, n_bags=3, log_every=10
-        )
-        profile, _, model_sizes = rcfr_solve(leduc_game, config)
-        path = tmp_path / "strategy.csv"
-        write_strategy_file(str(path), leduc_game, profile)
-        digest = "9421e853f83afebfa4abb36cfe3508f0bb923f97cc776c9556eb82a43e1d5029"
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-        sizes = [(r.t, r.leaves_p1, r.leaves_p2) for r in model_sizes]
-        assert sizes == [(10, 91, 92), (20, 93, 92)]
-
     def test_profile_rows_are_distributions(self, kuhn_game):
         profile, _, _ = rcfr_solve(kuhn_game, RCFRConfig(iterations=40, log_every=40))
         for row in profile.values():
@@ -437,7 +465,7 @@ class TestSolve:
             slots = state.seat_slots[player]
             total = 0.0
             for features, target in zip(state.features[slots], state.targets[slots]):
-                predicted = predict_row(state.estimators[player], features)
+                predicted = predict(state.trees[player], features)
                 total += (predicted - float(target)) ** 2
             assert abs(logged - total / len(slots)) < 1e-9
 
@@ -512,14 +540,11 @@ class TestConfig:
         [
             (dict(iterations=2.5), "iterations"),
             (dict(log_every=1.5), "log_every"),
-            (dict(n_bags=0), "n_bags"),
-            (dict(n_bags=1.5), "n_bags"),
             (dict(min_leaf_weight=math.nan), "min_leaf_weight"),
             (dict(min_leaf_weight=-1.0), "min_leaf_weight"),
             (dict(max_depth=-1), "max_depth"),
             (dict(max_depth=1.5), "max_depth"),
             (dict(iterations=math.inf), "iterations"),
-            (dict(n_bags=math.inf), "n_bags"),
             (dict(max_depth=math.inf), "max_depth"),
             (dict(max_depth=math.nan), "max_depth"),
         ],
@@ -530,10 +555,10 @@ class TestConfig:
 
     def test_counts_and_shape_are_stored_normalized(self):
         config = RCFRConfig(
-            iterations=3.0, log_every=1.0, n_bags=2.0, min_leaf_weight=4, max_depth=2.0
+            iterations=3.0, log_every=1.0, min_leaf_weight=4, max_depth=2.0
         )
-        assert (config.iterations, config.log_every, config.n_bags) == (3, 1, 2)
-        assert type(config.iterations) is int and type(config.n_bags) is int
+        assert (config.iterations, config.log_every) == (3, 1)
+        assert type(config.iterations) is int and type(config.log_every) is int
         assert config.min_leaf_weight == 4.0 and type(config.min_leaf_weight) is float
         assert config.max_depth == 2 and type(config.max_depth) is int
 

@@ -108,6 +108,18 @@ class TestRmUpdate:
         state = rm_update(state, rock_payoff)
         assert state.regrets == (-1.0, 1.0, -3.0)
 
+    def test_expected_payoffs_sum_in_order_on_every_python(self):
+        # From 0.0 in order, 1e16/3 + 1/3 rounds to a multiple of 0.5 and
+        # the -1e16/3 leaves 0.5. A compensated sum, as the builtin ``sum``
+        # is on Python 3.12+, gives 1/3 and regret[1] near 0.667.
+        payoff = (1e16, 1.0, -1e16)
+        state = rm_update(RegretMatcher.fresh(3), payoff)
+        assert state.regrets == (1e16, 0.5, -1e16)
+        uniform = (1.0 / 3.0,) * 3
+        assert build_matrix(payoffs=[payoff]).row_payoffs(uniform) == [0.5]
+        column = [[value] for value in payoff]
+        assert build_matrix(payoffs=column).col_payoffs(uniform) == [-0.5]
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rm_update(RegretMatcher.fresh(2), (1.0, 0.0, 0.0))

@@ -15,7 +15,6 @@ import pytest
 from fregret._validation import format_float
 from fregret.estimator import (
     TREE_FORMAT_HEADER,
-    TreeRegressor,
     fit_forest,
     fit_tree,
     plan_fit,
@@ -238,13 +237,12 @@ def test_continuous_features_with_zero_weights():
             )
 
 
-def test_bagged_trees_match_reference():
+def test_bootstrap_roots_match_reference():
     X, y = random_corpus(np.random.default_rng(99), n_rows=50, n_features=3, levels=4)
-    estimator = TreeRegressor(min_leaf_weight=2.0, max_depth=4, n_bags=3, seed=8)
-    estimator.fit(X, y)
     rng = np.random.default_rng(8)
-    for tree in estimator._trees:
-        rows = rng.integers(0, X.shape[0], size=X.shape[0])
+    roots = [rng.integers(0, X.shape[0], size=X.shape[0]) for _ in range(3)]
+    trees = fit_forest(plan_fit(X, roots), y, min_leaf_weight=2.0, max_depth=4)
+    for rows, tree in zip(roots, trees):
         assert serialize_tree(tree) == reference_fit(
             X[rows], y[rows], min_leaf_weight=2.0, max_depth=4
         )
