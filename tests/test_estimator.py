@@ -361,6 +361,33 @@ class TestFitTree:
             fit_forest(plan, [0.0, 10.0], max_depth=bad)
 
 
+class TestFitForest:
+    def test_default_plan_is_one_root_of_every_row(self):
+        rng = random.Random(14)
+        X, y = random_dataset(rng)
+        for plan in (plan_fit(X), plan_fit(X, [list(range(len(X)))])):
+            [tree] = fit_forest(plan, y, min_leaf_weight=2.0)
+            assert tree == fit_tree(X, y, min_leaf_weight=2.0)
+            assert model_complexity(tree) > 1
+
+    def test_refits_on_one_plan_are_deterministic(self):
+        rng = random.Random(25)
+        X, y = random_dataset(rng, n_rows=40)
+        plan = plan_fit(X, [[0, 1, 2, 3] * 10, list(range(40))])
+        kept = {
+            name: value.copy()
+            for name, value in vars(plan).items()
+            if isinstance(value, np.ndarray)
+        }
+        first = fit_forest(plan, y, min_leaf_weight=2.0)
+        second = fit_forest(plan, y, min_leaf_weight=2.0)
+        assert [serialize_tree(t) for t in first] == [
+            serialize_tree(t) for t in second
+        ]
+        for name, value in kept.items():
+            assert getattr(plan, name).tobytes() == value.tobytes(), name
+
+
 class TestPredict:
     def test_single_leaf_constant_everywhere(self):
         tree = fit_tree([[3.0, 1.0]], [7.5])
@@ -423,6 +450,12 @@ class TestPredictRows:
         assert predict_rows(tree, [[0.0, 0.0], [5.0, 5.0]]).tolist() == [3.0, 3.0]
         with pytest.raises(ValueError):
             predict_rows(tree, [[1.0]])
+
+    def test_no_rows_give_no_predictions(self):
+        tree = fit_tree([[0.0, 1.0], [1.0, 0.0]], [3.0, -3.0], min_leaf_weight=0.0)
+        assert model_complexity(tree) == 2
+        empty = predict_rows(tree, np.empty((0, 2)))
+        assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 class TestModelComplexity:

@@ -200,6 +200,63 @@ class TestIteration:
             assert state.predictions.tobytes() == state.targets.tobytes()
         assert np.abs(state.targets).max() > 0.0
 
+    @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
+    def test_tabular_refit_copies_the_targets(self, kuhn_game, target_mode):
+        # The predictions are a snapshot: a later change to the targets must
+        # not reach them before the next refit.
+        config = RCFRConfig(
+            iterations=2, estimator_kind="tabular", target_mode=target_mode
+        )
+        state = new_state(kuhn_game, config)
+        rcfr_iteration(kuhn_game, state, config)
+        assert not np.shares_memory(state.predictions, state.targets)
+        before = state.predictions.copy()
+        state.targets += 1.0
+        assert state.predictions.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name", ["kuhn_game", "leduc_game", "one_seat"])
+    def test_tabular_state_holds_no_features_or_trees(self, request, name):
+        # The memorizer's size is its seat's slot count, one entry each.
+        if name == "one_seat":
+            game = make_game(
+                "kuhn",
+                decision(0, "p0:J:-:", ("c", "r"), (terminal(1.0), terminal(-1.0))),
+            )
+        else:
+            game = request.getfixturevalue(name)
+        config = RCFRConfig(iterations=3, estimator_kind="tabular")
+        state = new_state(game, config)
+        for _ in range(config.iterations):
+            rcfr_iteration(game, state, config)
+        assert state.features is None
+        assert state.trees == (None, None)
+        seats = game.layout.seat[game.layout.owner]
+        assert rcfr_module.model_sizes(state, config) == [
+            int(np.count_nonzero(seats == p)) for p in (0, 1)
+        ]
+
+    def test_colliding_feature_rows_share_a_tree_prediction(self, leduc_game):
+        # Two raise routes to the same pot meet in feature space: the tree
+        # must predict one value for both, the memorizer keeps each target.
+        slots = []
+        for key in ("p1:J:Q:rc/c", "p1:J:Q:crc/c"):
+            _, infoset = infoset_slots(leduc_game, key)
+            slots.append(infoset.start + leduc_game.action_labels[key].index("c"))
+        tree_cfg = RCFRConfig(iterations=6)
+        tabular_cfg = RCFRConfig(iterations=6, estimator_kind="tabular")
+        tree_state = new_state(leduc_game, tree_cfg)
+        tabular_state = new_state(leduc_game, tabular_cfg)
+        assert tree_state.features[slots[0]].tolist() == (
+            tree_state.features[slots[1]].tolist()
+        )
+        for _ in range(6):
+            rcfr_iteration(leduc_game, tree_state, tree_cfg)
+            rcfr_iteration(leduc_game, tabular_state, tabular_cfg)
+            first, second = tree_state.predictions[slots].tolist()
+            assert first == second
+        first, second = tabular_state.predictions[slots].tolist()
+        assert first != second
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_feature_fails_the_plan(self, kuhn_game, bad):
         config = RCFRConfig(iterations=1)
@@ -369,6 +426,8 @@ class TestPredictionCache:
             dict(max_depth=2, target_mode="bootstrap"),
             dict(estimator_kind="tabular", target_mode="bootstrap"),
             dict(estimator_kind="tabular"),
+            dict(max_depth=0),
+            dict(max_depth=3),
         ],
     )
     def test_matches_row_by_row_reference(self, kuhn_game, options):
@@ -382,6 +441,19 @@ class TestPredictionCache:
             iterations=4,
             log_every=2,
             min_leaf_weight=8.0,
+            target_mode="bootstrap",
+        )
+        assert_solve_matches_reference(leduc_game, config)
+
+    def test_leduc_exact(self, leduc_game):
+        config = RCFRConfig(iterations=4, log_every=2, min_leaf_weight=4.0)
+        assert_solve_matches_reference(leduc_game, config)
+
+    def test_leduc_tabular_bootstrap(self, leduc_game):
+        config = RCFRConfig(
+            iterations=4,
+            log_every=2,
+            estimator_kind="tabular",
             target_mode="bootstrap",
         )
         assert_solve_matches_reference(leduc_game, config)
@@ -434,6 +506,59 @@ class TestSolve:
         write_strategy_file(str(path), leduc_game, profile)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert [(r.t, r.leaves_p1, r.leaves_p2) for r in model_sizes] == sizes
+
+    @pytest.mark.parametrize(
+        "options, digest, sizes",
+        [
+            (
+                dict(min_leaf_weight=16.0, target_mode="bootstrap"),
+                "c8c57b17bda89da245ce3f4cbe78c6065d693c60d68a1afbd49bf70f8903d0d9",
+                [(10, 18, 18), (20, 20, 17)],
+            ),
+            (
+                dict(min_leaf_weight=4.0, max_depth=3),
+                "f1b2ae6fc814edbf80011d418230103a96da57dea36f591cf600103b090915ee",
+                [(10, 8, 8), (20, 8, 8)],
+            ),
+            (
+                dict(min_leaf_weight=1.0, max_depth=5, target_mode="bootstrap"),
+                "c5a59f1dfba7c634d44fa68f76eaeef98105359648b8770307e1f56dbc85f3c5",
+                [(10, 29, 31), (20, 29, 31)],
+            ),
+        ],
+    )
+    def test_leduc_tree_rcfr_shapes_are_pinned(
+        self, leduc_game, tmp_path, options, digest, sizes
+    ):
+        # Recorded with the estimator classes RCFR used to fit through.
+        config = RCFRConfig(iterations=20, log_every=10, **options)
+        profile, _, model_sizes = rcfr_solve(leduc_game, config)
+        path = tmp_path / "strategy.csv"
+        write_strategy_file(str(path), leduc_game, profile)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert [(r.t, r.leaves_p1, r.leaves_p2) for r in model_sizes] == sizes
+
+    @pytest.mark.parametrize("estimator_kind", ["tabular", "tree"])
+    def test_seed_changes_no_output(self, kuhn_game, estimator_kind):
+        runs = [
+            rcfr_solve(
+                kuhn_game,
+                RCFRConfig(
+                    iterations=20,
+                    log_every=5,
+                    estimator_kind=estimator_kind,
+                    target_mode="bootstrap",
+                    seed=seed,
+                ),
+            )
+            for seed in (0, 9)
+        ]
+        (profile_a, conv_a, sizes_a), (profile_b, conv_b, sizes_b) = runs
+        assert repr(profile_a) == repr(profile_b)
+        assert sizes_a == sizes_b
+        assert [
+            repr((r.t, r.exploitability, r.mse_p1, r.mse_p2)) for r in conv_a
+        ] == [repr((r.t, r.exploitability, r.mse_p1, r.mse_p2)) for r in conv_b]
 
     def test_profile_rows_are_distributions(self, kuhn_game):
         profile, _, _ = rcfr_solve(kuhn_game, RCFRConfig(iterations=40, log_every=40))
@@ -547,6 +672,10 @@ class TestConfig:
             (dict(iterations=math.inf), "iterations"),
             (dict(max_depth=math.inf), "max_depth"),
             (dict(max_depth=math.nan), "max_depth"),
+            (dict(iterations=math.nan), "iterations"),
+            (dict(log_every=math.inf), "log_every"),
+            (dict(log_every=math.nan), "log_every"),
+            (dict(min_leaf_weight=math.inf), "min_leaf_weight"),
         ],
     )
     def test_bad_shape_fails_at_the_config(self, estimator_kind, options, name):

@@ -237,9 +237,13 @@ def test_continuous_features_with_zero_weights():
             )
 
 
-def test_bootstrap_roots_match_reference():
-    X, y = random_corpus(np.random.default_rng(99), n_rows=50, n_features=3, levels=4)
-    rng = np.random.default_rng(8)
+@pytest.mark.parametrize(
+    "data_seed, n_rows, draw_seed", [(99, 50, 8), (42, 60, 5), (25, 40, 11)]
+)
+def test_bootstrap_roots_match_reference(data_seed, n_rows, draw_seed):
+    rng = np.random.default_rng(data_seed)
+    X, y = random_corpus(rng, n_rows=n_rows, n_features=3, levels=4)
+    rng = np.random.default_rng(draw_seed)
     roots = [rng.integers(0, X.shape[0], size=X.shape[0]) for _ in range(3)]
     trees = fit_forest(plan_fit(X, roots), y, min_leaf_weight=2.0, max_depth=4)
     for rows, tree in zip(roots, trees):
