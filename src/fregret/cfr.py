@@ -124,17 +124,19 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
     policy = np.asarray(policy, dtype=np.float64)
     values = node_values(layout, policy)
     deltas = np.zeros(layout.offset[-1])
-    table = np.concatenate((policy, layout.tail))
-    factor = np.where(layout.down_mover, table[layout.down_src], 1.0)
-    reach = np.ones((3, len(values)))
-    for parent, child, lo, hi in layout.down:
-        reach[:, child] = reach.take(parent, axis=1) * factor[:, lo:hi]
+    weight = np.concatenate((policy, layout.tail))[layout.down_src]
+    # One reach vector per mover: a (3, nodes) array would pass glibc's
+    # mmap threshold on Leduc, making each pass's cost depend on heap state.
+    reach = [np.ones(len(values)) for _ in range(3)]
+    for at, moves in zip(reach, layout.down_mover):
+        factor = np.where(moves, weight, 1.0)
+        for parent, child, lo, hi in layout.down:
+            at[child] = at[parent] * factor[lo:hi]
     for seat in (0, 1):
         plan = layout.plans[seat]
         slot, parent, child = plan.slot, plan.parent, plan.child
-        at = reach.take(parent, axis=1)
-        np.add.at(strategy_sums, slot, at[seat] * policy[slot])
-        counterfactual = at[1 - seat] * at[2]
+        np.add.at(strategy_sums, slot, reach[seat][parent] * policy[slot])
+        counterfactual = reach[1 - seat][parent] * reach[2][parent]
         if seat == 0:
             advantage = values[child] - values[parent]
         else:  # seat 1's value is the negation, so the advantage flips sign

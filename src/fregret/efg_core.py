@@ -7,7 +7,9 @@ embed the acting seat (``p0:``/``p1:``) so one dict covers both players.
 runs: it turns profiles into a slot vector whose rows are distributions.
 
 ``GameNode`` trees are the builders' input format, and sampled play walks
-them. ``make_game`` checks one with an explicit stack and flattens it into a
+them. Nodes are immutable, so a built tree may share one subtree between
+several parents; ``make_game`` treats every visit as its own position. It
+checks a tree with an explicit stack and flattens it into a
 ``GameLayout``: numpy index arrays over the tree's edges, with nodes
 numbered in preorder and grouped by depth, plus a table of the infosets
 numbered in first-visit preorder. The CFR pass, best response and expected
@@ -45,7 +47,8 @@ class GameNode:
     chips. children is ordered to match actions/outcomes.
 
     Nodes compare and hash by identity, and their repr leaves out the
-    children, so none of the three walks a subtree.
+    children, so none of the three walks a subtree. A node may be the child
+    of several parents; ``make_game`` treats each visit as its own position.
     """
 
     kind: str

@@ -33,6 +33,8 @@ from ._validation import format_float, is_integer
 from .games.poker import ACTION_CHARS, RANK_CHARS, parse_key, rules_for, stakes
 
 FEATURE_DIM = 19
+# The feature columns of the candidate action one-hot, over ACTION_CHARS.
+ACTION_FEATURES = slice(12, 15)
 TREE_FORMAT_HEADER = "# fregret-tree v1"
 
 

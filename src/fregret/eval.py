@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._validation import ordered_sum
+from ._validation import check_positive_int, ordered_sum
 from .efg_core import GameSpec, checked_policy, node_values
 
 
@@ -213,8 +213,7 @@ def sampled_match(
     draws afresh, so each outcome follows its node's distribution and the
     pair's score is an unbiased estimate.
     """
-    if hands < 1:
-        raise ValueError("hands must be >= 1")
+    hands = check_positive_int(hands, "hands")
     for profile in (profile_a, profile_b):
         checked_policy(game, (profile, profile))
     a_first, b_first = (

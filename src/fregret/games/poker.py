@@ -62,22 +62,26 @@ def legal_actions(seq: str, cap: int):
     return ("f", "c") if seq.count("r") >= cap else ("f", "c", "r")
 
 
+def _paid_after(paid, seat: int, action: str, size: float) -> tuple[float, float]:
+    """Each seat's stake after ``seat`` plays ``action`` in a round of
+    ``size`` wagers: a call matches the opponent, a bet or raise tops it."""
+    if action == "f":
+        return paid
+    stake = paid[1 - seat] + size if action == "r" else paid[1 - seat]
+    return (stake, paid[1]) if seat == 0 else (paid[0], stake)
+
+
 def stakes(rules: PokerRules, rounds) -> tuple[float, float]:
     """Chips each seat has committed, antes included, after these rounds.
 
     Stakes are equal whenever a round closes, so one running total per seat
-    serves every round: a call matches the opponent, a bet or raise tops it.
+    serves every round, in which seat 0 acts first.
     """
-    paid = [ANTE, ANTE]
+    paid = (ANTE, ANTE)
     for seq, size in zip(rounds, rules.bet_sizes):
-        actor = 0
-        for ch in seq:
-            if ch == "c":
-                paid[actor] = paid[1 - actor]
-            elif ch == "r":
-                paid[actor] = paid[1 - actor] + size
-            actor = 1 - actor
-    return paid[0], paid[1]
+        for position, action in enumerate(seq):
+            paid = _paid_after(paid, position % 2, action, size)
+    return paid
 
 
 def infoset_key(rules: PokerRules, seat: int, rank: int, board, rounds) -> str:
@@ -124,35 +128,56 @@ def _showdown_sign(rank0: int, rank1: int, board) -> float:
     return 1.0 if rank0 > rank1 else -1.0
 
 
-def _node(rules: PokerRules, deal, board, rounds: tuple[str, ...]) -> GameNode:
-    """Subtree after ``rounds`` (betting strings so far, last one open)."""
+def _node(rules: PokerRules, ranks, rest, board, rounds, paid, terminals) -> GameNode:
+    """Subtree after ``rounds`` (betting strings so far, last one open) with
+    private ``ranks``, the ranks ``rest`` still to deal in deck order, and
+    ``paid`` each seat's stake. ``terminals`` holds one node per payoff."""
     seq = rounds[-1]
     if seq.endswith("f"):
         folder = (len(seq) - 1) % 2
-        stake = stakes(rules, rounds)
-        return terminal(-stake[0] if folder == 0 else stake[1])
-    actions = legal_actions(seq, rules.cap)
-    if actions is None:
+        u0 = -paid[0] if folder == 0 else paid[1]
+    elif (actions := legal_actions(seq, rules.cap)) is None:
         if len(rounds) < len(rules.bet_sizes):
-            remaining = [card for card in rules.deck if card not in deal]
-            children = [
-                _node(rules, deal, card[0], rounds + ("",)) for card in remaining
-            ]
-            return chance([1.0 / len(remaining)] * len(remaining), children)
+            # Boards of one rank lead to the same subtree.
+            boards = {
+                rank: _node(rules, ranks, rest, rank, rounds + ("",), paid, terminals)
+                for rank in dict.fromkeys(rest)
+            }
+            return chance([1.0 / len(rest)] * len(rest), [boards[r] for r in rest])
         # Stakes are equal for both seats at showdown.
-        sign = _showdown_sign(deal[0][0], deal[1][0], board)
-        return terminal(sign * stakes(rules, rounds)[0])
-    seat = len(seq) % 2
-    key = infoset_key(rules, seat, deal[seat][0], board, rounds)
-    children = [_node(rules, deal, board, rounds[:-1] + (seq + a,)) for a in actions]
-    return decision(seat, key, actions, children)
+        u0 = _showdown_sign(ranks[0], ranks[1], board) * paid[0]
+    else:
+        seat = len(seq) % 2
+        size = rules.bet_sizes[len(rounds) - 1]
+        key = infoset_key(rules, seat, ranks[seat], board, rounds)
+        children = [
+            _node(
+                rules, ranks, rest, board, (*rounds[:-1], seq + a),
+                _paid_after(paid, seat, a, size), terminals,
+            )
+            for a in actions
+        ]
+        return decision(seat, key, actions, children)
+    if u0 not in terminals:
+        terminals[u0] = terminal(u0)
+    return terminals[u0]
 
 
 def build_poker(rules: PokerRules) -> GameSpec:
-    """Build the full tree: a chance node over ordered private deals."""
+    """Build the full tree: a chance node over ordered private deals, with
+    one shared subtree per deal signature (both private ranks and the ranks
+    still to deal, which fix the subtree)."""
     deals = [(c0, c1) for c0 in rules.deck for c1 in rules.deck if c0 != c1]
-    children = [_node(rules, deal, None, ("",)) for deal in deals]
-    root = chance([1.0 / len(deals)] * len(deals), children)
+    signatures = [
+        ((c0[0], c1[0]), tuple(c[0] for c in rules.deck if c not in (c0, c1)))
+        for c0, c1 in deals
+    ]
+    terminals: dict[float, GameNode] = {}
+    subtrees = {
+        sig: _node(rules, *sig, None, ("",), (ANTE, ANTE), terminals)
+        for sig in dict.fromkeys(signatures)
+    }
+    root = chance([1.0 / len(deals)] * len(deals), [subtrees[s] for s in signatures])
     return make_game(rules.game_id, root)
 
 

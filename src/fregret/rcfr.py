@@ -27,6 +27,7 @@ from ._validation import check_positive_int
 from .cfr import average_strategy, cfr_pass, checkpoints, regret_policy
 from .efg_core import GameSpec
 from .estimator import (
+    ACTION_FEATURES,
     FitPlan,
     _check_max_depth,
     _check_min_leaf_weight,
@@ -36,6 +37,7 @@ from .estimator import (
     plan_fit,
     predict_rows,
 )
+from .games.poker import ACTION_CHARS
 
 ESTIMATOR_KINDS = ("tabular", "tree")
 TARGET_MODES = ("exact", "bootstrap")
@@ -138,14 +140,14 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
         strategy_sums=np.zeros(n_slots),
     )
     if config.estimator_kind == "tree":
-        state.features = np.array(
-            [
-                featurize(game.game_id, key, action)
-                for _, key, _ in game.layout.infosets
-                for action in game.action_labels[key]
-            ],
-            dtype=np.float64,
-        )
+        # An infoset's slots differ only in the candidate action one-hot, so
+        # each infoset is featurized once, with its first action.
+        labels = game.action_labels
+        rows = [featurize(game.game_id, key, acts[0]) for key, acts in labels.items()]
+        state.features = np.array(rows, dtype=np.float64)[game.layout.owner]
+        column = {a: i for i, a in enumerate(ACTION_CHARS)}
+        hot = [column[a] for acts in labels.values() for a in acts]
+        state.features[:, ACTION_FEATURES] = np.eye(len(ACTION_CHARS))[hot]
     return state
 
 

@@ -1,6 +1,8 @@
 """Shared fixtures (game trees are immutable, so each is built once per
 session) and views of slot vectors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,24 @@ def by_key(game, flat):
         key: flat[offset[k] : offset[k + 1]]
         for k, (_, key, _) in enumerate(game.layout.infosets)
     }
+
+
+def layout_parts(layout):
+    """Every value of a ``GameLayout``, its plans included, flattened in
+    field order, with each list's or tuple's length before its items and
+    each array as (dtype, shape, bytes). Layouts are byte-identical when
+    their lists are equal."""
+    parts, todo = [], [layout]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            parts.append((item.dtype.str, item.shape, item.tobytes()))
+        elif dataclasses.is_dataclass(item):
+            fields = dataclasses.fields(item)
+            todo.extend(getattr(item, f.name) for f in reversed(fields))
+        elif isinstance(item, (list, tuple)):
+            parts.append((type(item).__name__, len(item)))
+            todo.extend(reversed(item))
+        else:
+            parts.append(item)
+    return parts

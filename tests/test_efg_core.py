@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import random
 
 import pytest
+from conftest import layout_parts
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fregret.efg_core import check_row, checked_policy
+from fregret.eval import exact_ev, exploitability, sampled_match
 from fregret.games import (
     CHANCE,
     DECISION,
@@ -264,3 +267,50 @@ def test_checked_policy_skips_a_seat_without_a_profile(kuhn_game):
     seats = kuhn_game.layout.seat[kuhn_game.layout.owner]
     assert policy[seats == 0].tolist() == [0.0] * 12
     assert policy[seats == 1].tolist() == [0.3, 0.7] * 6
+
+
+def repeated_deal_game(shared):
+    """A chance root over three deals whose first and last lead to the same
+    decision subtree: one object twice when ``shared``, else two copies."""
+
+    def subtree():
+        return decision(0, "p0:x", ("a", "b"), [
+            chance((0.25, 0.75), [
+                terminal(1.0),
+                decision(1, "p1:y", ("l", "r"), [terminal(-2.0), terminal(3.0)]),
+            ]),
+            decision(1, "p1:z", ("l", "r"), [terminal(0.5), terminal(-1.5)]),
+        ])
+
+    first = subtree()
+    middle = decision(1, "p1:w", ("l", "r"), [terminal(2.0), terminal(-1.0)])
+    last = first if shared else subtree()
+    return make_game("deals", chance((0.5, 0.25, 0.25), [first, middle, last]))
+
+
+def random_rows(game, seed):
+    rng = random.Random(seed)
+    profile = {}
+    for _, key, n in enumerate_infosets(game):
+        weights = [rng.random() + 0.01 for _ in range(n)]
+        total = sum(weights)
+        profile[key] = tuple(w / total for w in weights)
+    return profile
+
+
+def test_shared_subtrees_change_nothing():
+    shared, copied = repeated_deal_game(True), repeated_deal_game(False)
+    assert shared.root.children[0] is shared.root.children[2]
+    assert copied.root.children[0] is not copied.root.children[2]
+    assert layout_parts(shared.layout) == layout_parts(copied.layout)
+    assert shared.action_labels == copied.action_labels
+    assert shared.utility_range == copied.utility_range
+    a, b = random_rows(shared, 1), random_rows(shared, 2)
+    for evaluate in (
+        lambda game: expected_value(game, a),
+        lambda game: exploitability(game, a),
+        lambda game: exact_ev(game, a, b),
+        lambda game: sampled_match(game, a, b, hands=501, seed=3),
+        lambda game: sampled_match(game, a, b, hands=501, seed=3, duplicate=True),
+    ):
+        assert evaluate(shared) == evaluate(copied)

@@ -233,6 +233,25 @@ class TestSampledMatch:
         with pytest.raises(ValueError):
             sampled_match(kuhn_game, profile, profile, hands=0)
 
+    @pytest.mark.parametrize("duplicate", [False, True])
+    @pytest.mark.parametrize("hands", [0, -2, 2.5, math.inf, math.nan, "7"])
+    def test_rejects_hands_that_are_not_positive_integers(
+        self, kuhn_game, hands, duplicate
+    ):
+        profile = uniform_profile(kuhn_game)
+        with pytest.raises(ValueError, match="hands must be a positive integer"):
+            sampled_match(kuhn_game, profile, profile, hands, duplicate=duplicate)
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_integral_hands_count_as_ints(self, kuhn_game, duplicate):
+        profile = uniform_profile(kuhn_game)
+        for hands, played in ((True, 1), (4.0, 4), (5.0, 5)):
+            result = sampled_match(
+                kuhn_game, profile, profile, hands, duplicate=duplicate
+            )
+            expected = max(2, played - played % 2) if duplicate else played
+            assert type(result.hands) is int and result.hands == expected
+
     def test_mean_tracks_exact_ev(self, kuhn_game):
         uniform = uniform_profile(kuhn_game)
         bettor = constant_profile(kuhn_game, 1)

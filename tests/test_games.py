@@ -1,10 +1,12 @@
 """Game construction: structure, payoffs, and rule invariants."""
 
+import dataclasses
 import hashlib
 import math
 import re
 
 import pytest
+from conftest import layout_parts
 
 import fregret
 import fregret.games
@@ -93,6 +95,58 @@ def test_exported_names_resolve():
     for module in (fregret, fregret.games):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], f"{module.__name__}.__all__ names missing: {missing}"
+
+
+def unshared_copy(root):
+    """A copy of the tree with a new node at every visit, built bottom-up
+    from an explicit stack."""
+    copies, stack = [], [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if not children_done:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+            continue
+        cut = len(copies) - len(node.children)
+        children = tuple(copies[cut:])
+        del copies[cut:]
+        copies.append(dataclasses.replace(node, children=children))
+    return copies[0]
+
+
+def visits_and_nodes(root):
+    """The number of node visits of a walk from ``root``, and the number of
+    distinct node objects it meets."""
+    visits, seen, stack = 0, set(), [root]
+    while stack:
+        node = stack.pop()
+        visits += 1
+        seen.add(id(node))
+        stack.extend(node.children)
+    return visits, len(seen)
+
+
+class TestSharedSubtrees:
+    @pytest.mark.parametrize("build, deals, distinct", [
+        (build_kuhn, 6, 6),
+        (build_leduc, 30, 9),
+    ])
+    def test_one_subtree_per_deal_signature(self, build, deals, distinct):
+        # Private ranks and the ranks left to deal fix a deal's subtree.
+        root = build().root
+        assert len(root.children) == deals
+        assert len(set(root.children)) == distinct
+
+    def test_unshared_copy_has_the_same_layout(self, leduc_game):
+        visits, nodes = visits_and_nodes(leduc_game.root)
+        assert visits == len(leduc_game.layout.utility) == 9451
+        assert nodes < visits
+        copy = unshared_copy(leduc_game.root)
+        assert visits_and_nodes(copy) == (visits, visits)
+        copied = make_game("leduc", copy)
+        assert layout_parts(copied.layout) == layout_parts(leduc_game.layout)
+        assert copied.action_labels == leduc_game.action_labels
+        assert copied.utility_range == leduc_game.utility_range
 
 
 class TestKuhn:

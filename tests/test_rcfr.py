@@ -99,6 +99,23 @@ class TestOracleEquivalence:
             ]
 
 
+@pytest.mark.parametrize("name", ["kuhn_game", "leduc_game"])
+def test_tree_state_features_equal_per_slot_featurize(request, name):
+    # new_state featurizes each infoset once and sets each slot's action.
+    game = request.getfixturevalue(name)
+    state = new_state(game, RCFRConfig(iterations=1, estimator_kind="tree"))
+    expected = np.array(
+        [
+            featurize(game.game_id, key, action)
+            for _, key, _ in game.layout.infosets
+            for action in game.action_labels[key]
+        ],
+        dtype=np.float64,
+    )
+    assert state.features.shape == expected.shape
+    assert state.features.tobytes() == expected.tobytes()
+
+
 class TestPolicy:
     def test_unfitted_estimator_gives_uniform_everywhere(self, kuhn_game):
         for kind in ("tree", "tabular"):
