@@ -7,6 +7,13 @@ exploitability, head-to-head matches) on Kuhn poker and Leduc Hold'em.
 """
 
 from .cfr import CFRConfig, CFRTables, solve
+from .efg_core import (
+    GameNode,
+    GameSpec,
+    enumerate_infosets,
+    expected_value,
+    uniform_profile,
+)
 from .estimator import RegressionTree, featurize, fit_tree
 from .eval import (
     BestResponseResult,
@@ -17,17 +24,7 @@ from .eval import (
     merge_profiles,
     sampled_match,
 )
-from .games import (
-    GameNode,
-    GameSpec,
-    MatrixGame,
-    build_kuhn,
-    build_leduc,
-    build_matrix,
-    enumerate_infosets,
-    expected_value,
-    uniform_profile,
-)
+from .games import MatrixGame, build_kuhn, build_leduc, build_matrix
 from .rcfr import RCFRConfig, RCFRState, rcfr_solve
 from .regret import (
     NoiseModel,

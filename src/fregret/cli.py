@@ -266,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument(
         "--estimator", choices=("tabular", "tree"), default="tree"
     )
-    solve_cmd.add_argument("--min-leaf", type=float, default=1.0)
+    solve_cmd.add_argument(
+        "--min-leaf", type=float, default=1.0, help="least rows per leaf"
+    )
     solve_cmd.add_argument("--max-depth", type=int, default=None)
     solve_cmd.add_argument(
         "--target-mode", choices=("exact", "bootstrap"), default="exact"

@@ -5,26 +5,28 @@ vector of betting/card/action state, which the regression tree trains on.
 Distinct infoset-actions may share a vector there; tabular RCFR memorizes
 each slot's target instead and needs no features (see ``rcfr``).
 
-The tree learner is a greedy CART-style regressor: splits maximize weighted
-variance reduction, thresholds are midpoints between consecutive distinct
-values, ties break to the lowest feature index then lowest threshold.
-Fitting has two steps. ``plan_fit`` does what depends only on the features,
-once: the presort, the value numbering and the cut expansion of the rows of
-one or more roots, stacked. ``fit_forest`` then grows one tree per root for
-given targets and weights, all roots a level at a time: the bins of a
-feature are its distinct values, as in histogram split search, and three
-``bincount`` calls per level give every open node's prefix sums at every
-cut, each added in presorted order, so each tree is that of a per-node
-``cumsum`` scan over its root's rows alone, bit for bit. ``fit_tree`` is the
-one-root case; RCFR keeps one plan per solve, with one root per seat, and
-grows both seats' trees as one forest at every refit. A fitted tree is
-nothing but flat preorder arrays (``RegressionTree``), which fitting,
-parsing, serialization and prediction all walk without recursion.
+The tree learner is a greedy CART-style regressor: splits maximize variance
+reduction, thresholds are midpoints between consecutive distinct values,
+ties break to the lowest feature index then lowest threshold, and no leaf
+holds fewer than ``min_leaf_weight`` rows. Fitting has two steps.
+``plan_fit`` does what depends only on the features, once: the presort, the
+value numbering and the cut expansion of the rows of one or more roots,
+stacked. ``fit_forest`` then grows one tree per root for given targets, all
+roots a level at a time: the bins of a feature are its distinct values, as
+in histogram split search, and two ``bincount`` calls per level give every
+open node's row-count and target prefix sums at every cut, each added in
+presorted order, so each tree is that of a per-node ``cumsum`` scan over its
+root's rows alone, bit for bit. ``fit_tree`` is the one-root case; RCFR
+keeps one plan per solve, with one root per seat, and grows both seats'
+trees as one forest at every refit. A fitted tree is nothing but flat
+preorder arrays (``RegressionTree``), which fitting, parsing, serialization
+and prediction all walk without recursion.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,10 @@ FEATURE_DIM = 19
 # The feature columns of the candidate action one-hot, over ACTION_CHARS.
 ACTION_FEATURES = slice(12, 15)
 TREE_FORMAT_HEADER = "# fregret-tree v1"
+TREE_HEADER_PATTERN = re.compile(
+    re.escape(TREE_FORMAT_HEADER)
+    + r" n_features=(-?[0-9]+) min_leaf_weight=(\S+) max_depth=(-?[0-9]+|none)"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +153,7 @@ def _from_preorder(records, n_features, min_leaf_weight, max_depth) -> Regressio
 @dataclass(frozen=True, eq=False)
 class FitPlan:
     """What growing trees on a fixed feature matrix needs of it, built once
-    by ``plan_fit`` and reused for any targets and weights.
+    by ``plan_fit`` and reused for any targets.
 
     The roots' rows are stacked into one planned matrix, root after root and
     each in its given order: planned row ``i`` is feature row ``rows[i]``,
@@ -165,7 +171,7 @@ class FitPlan:
 
     rows: np.ndarray
     counts: np.ndarray
-    n_rows: int  # rows of the feature matrix, which targets and weights match
+    n_rows: int  # rows of the feature matrix, which targets match
     XT: np.ndarray
     values: np.ndarray
     slot_feature: np.ndarray
@@ -177,12 +183,14 @@ class FitPlan:
 def plan_fit(features, roots=None) -> FitPlan:
     """The fit plan of ``features`` for one tree per root: a list of feature
     row numbers, by default one root of every row in order. A row may sit
-    in several roots, and several times in one, as in a bootstrap resample.
-    Raises ValueError unless the features are a finite, non-empty 2-D array
-    and every root has rows, all of them rows of the features."""
+    in several roots, and several times in one. Raises ValueError unless
+    the features are a finite 2-D array with at least one column and every
+    root has rows, all of them rows of the features."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("features must be a 2-dimensional array")
+    if X.shape[1] == 0:
+        raise ValueError("features must have at least one column")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
     if roots is None:
@@ -218,25 +226,23 @@ def plan_fit(features, roots=None) -> FitPlan:
     )
 
 
-def _grow(plan, y, w, min_leaf_weight, max_depth):
+def _grow(plan, y, min_leaf_weight, max_depth):
     """Preorder node records of each root's greedy tree, all grown together
-    a level at a time; ``y`` and ``w`` are per planned row.
+    a level at a time; ``y`` is per planned row.
 
     Once per level, ``bincount`` keyed by (searched node, slot) adds every
-    node's weight, weighted-target and row-count prefix at every cut. It
-    adds in input order from 0.0, so each prefix is the sequential sum that
-    a ``cumsum`` over the node's presorted rows gives. A cut at a value the
-    node lacks adds no row, so it is inadmissible there, and the next value
-    is the node's own: other roots' rows change no tree. Slots run feature
-    by feature, so the row-wise argmax of the (node, slot) scores breaks
-    ties to the lowest feature, then the lowest threshold.
+    node's target and row-count prefix at every cut. It adds in input order
+    from 0.0, so each target prefix is the sequential sum that a ``cumsum``
+    over the node's presorted rows gives. A cut at a value the node lacks
+    adds no row, so it is inadmissible there, and the next value is the
+    node's own: other roots' rows change no tree. Slots run feature by
+    feature, so the row-wise argmax of the (node, slot) scores breaks ties
+    to the lowest feature, then the lowest threshold.
     """
     XT, values, slot_feature = plan.XT, plan.values, plan.slot_feature
     last_value, entry_row, entry_slot = plan.last_value, plan.entry_row, plan.entry_slot
     n_rows, n_slots = len(plan.rows), len(values)
-    wy = w * y
-    entry_w = w[entry_row]
-    entry_wy = wy[entry_row]
+    entry_y = y[entry_row]
 
     # A level's nodes have consecutive ids, in the order of ``counts``.
     records = []  # (feature, threshold, value) by node id
@@ -248,20 +254,18 @@ def _grow(plan, y, w, min_leaf_weight, max_depth):
         starts = counts.cumsum() - counts
         # One reduce per node, which adds pairwise; reduceat would add the
         # same rows in another order and round differently.
-        node_w, node_wy = w[rows], wy[rows]
-        spans = list(zip(starts.tolist(), (starts + counts).tolist()))
-        total_w = np.array([np.add.reduce(node_w[a:b]) for a, b in spans])
-        total_s = np.array([np.add.reduce(node_wy[a:b]) for a, b in spans])
+        node_y = y[rows]
+        spans = zip(starts.tolist(), (starts + counts).tolist())
+        total_s = np.array([np.add.reduce(node_y[a:b]) for a, b in spans])
         if max_depth is not None and depth >= max_depth:
             nodes = np.array([], dtype=np.intp)
         else:  # the nodes to search: those whose targets differ
-            node_y = y[rows]
             low_y = np.minimum.reduceat(node_y, starts)
             nodes = (low_y < np.maximum.reduceat(node_y, starts)).nonzero()[0]
         splits = np.zeros(len(nodes), dtype=bool)
         if len(nodes):
-            tw, ts = total_w[nodes], total_s[nodes]
-            baseline = ts * ts / tw
+            tc, ts = counts[nodes], total_s[nodes]
+            baseline = ts * ts / tc
             search_of_node = np.full(len(counts), -1)
             search_of_node[nodes] = np.arange(len(nodes))
             row_search = np.full(n_rows, -1)
@@ -270,46 +274,37 @@ def _grow(plan, y, w, min_leaf_weight, max_depth):
             keep = entry_search >= 0
             if not keep.all():  # rows of closed nodes never come back
                 entry_row, entry_slot = entry_row[keep], entry_slot[keep]
-                entry_w, entry_wy = entry_w[keep], entry_wy[keep]
-                entry_search = entry_search[keep]
+                entry_y, entry_search = entry_y[keep], entry_search[keep]
             key = entry_search * n_slots + entry_slot
             size = len(nodes) * n_slots
             shape = (len(nodes), n_slots)
-            w_left = np.bincount(key, entry_w, size).reshape(shape)
-            s_left = np.bincount(key, entry_wy, size).reshape(shape)
+            s_left = np.bincount(key, entry_y, size).reshape(shape)
             c_left = np.bincount(key, minlength=size).reshape(shape)
-            if not (np.isfinite(w_left).all() and np.isfinite(s_left).all()):
+            if not np.isfinite(s_left).all():
                 raise FloatingPointError("overflow in a prefix sum at a cut")
-            w_right = tw[:, None] - w_left
+            c_right = tc[:, None] - c_left
             s_right = ts[:, None] - s_left
             # A feature's first slot follows the empty slot of the previous
             # feature's last value, so a count rises at a slot exactly when
             # the node holds that slot's value.
             c_before = np.zeros_like(c_left)
             c_before[:, 1:] = c_left[:, :-1]
-            lighter = np.minimum(w_left, w_right)
             valid = (
                 (c_left > c_before)
-                & (c_left < counts[nodes, None])
-                & (lighter >= min_leaf_weight)
-                & (lighter > 0.0)
+                & (c_right > 0)
+                & (np.minimum(c_left, c_right) >= min_leaf_weight)
             )
             # Scored only where admissible, so only a score that could be
             # chosen may overflow.
-            lw, rw = w_left[valid], w_right[valid]
+            lc, rc = c_left[valid], c_right[valid]
             ls, rs = s_left[valid], s_right[valid]
             scores = np.full(shape, -np.inf)
-            scores[valid] = ls * ls / lw + rs * rs / rw
+            scores[valid] = ls * ls / lc + rs * rs / rc
             best_slot = scores.argmax(axis=1)
             splits = scores.max(axis=1) > baseline
         split_nodes = nodes[splits]
-        is_leaf = np.ones(len(counts), dtype=bool)
-        is_leaf[split_nodes] = False
-        leaves = is_leaf.nonzero()[0]
-        level = [None] * len(counts)
-        means = total_s[leaves] / total_w[leaves]
-        for i, mean in zip(leaves.tolist(), means.tolist()):
-            level[i] = (-1, 0.0, mean)
+        # Each node's record as a leaf; the split nodes' are replaced below.
+        level = [(-1, 0.0, mean) for mean in (total_s / counts).tolist()]
         if not len(split_nodes):
             records += level
             break
@@ -356,27 +351,6 @@ def _grow(plan, y, w, min_leaf_weight, max_depth):
     return forest
 
 
-def _targets_and_weights(n_rows, targets, weights):
-    """Targets and weights as float64 vectors of ``n_rows``; raises
-    ValueError unless they are finite, no weight is negative and the total
-    weight is positive."""
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != (n_rows,):
-        raise ValueError("targets do not match features row count")
-    if not np.isfinite(y).all():
-        raise ValueError("targets must be finite")
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != y.shape:
-        raise ValueError("weights do not match features row count")
-    if not np.isfinite(w).all():
-        raise ValueError("sample weights must be finite")
-    if np.any(w < 0.0):
-        raise ValueError("negative sample weight")
-    if not np.any(w > 0.0):
-        raise ValueError("total sample weight is zero")
-    return y, w
-
-
 def _check_min_leaf_weight(value) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"min_leaf_weight must be finite and >= 0, got {value!r}")
@@ -392,28 +366,27 @@ def _check_max_depth(value) -> int | None:
 def fit_forest(
     plan: FitPlan,
     targets,
-    weights=None,
     *,
     min_leaf_weight: float = 1.0,
     max_depth: int | None = None,
 ) -> list[RegressionTree]:
     """One tree per root of ``plan``, each the tree ``fit_tree`` fits to its
-    root's rows; ``targets`` and ``weights`` are per feature row.
+    root's rows; ``targets`` are per feature row.
 
     All roots grow together, one split search over every open node of a
     level (see ``_grow``), so the per-level cost is paid once for the
-    forest. Raises ValueError as ``fit_tree`` does, and when a root's total
-    weight is zero.
+    forest. Raises ValueError as ``fit_tree`` does.
     """
-    y, w = _targets_and_weights(plan.n_rows, targets, weights)
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != (plan.n_rows,):
+        raise ValueError("targets do not match features row count")
+    if not np.isfinite(y).all():
+        raise ValueError("targets must be finite")
     min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
     max_depth = _check_max_depth(max_depth)
-    y, w = y[plan.rows], w[plan.rows]
-    if not np.logical_or.reduceat(w > 0.0, plan.counts.cumsum() - plan.counts).all():
-        raise ValueError("total sample weight is zero")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            forest = _grow(plan, y, w, min_leaf_weight, max_depth)
+            forest = _grow(plan, y[plan.rows], min_leaf_weight, max_depth)
     except FloatingPointError as error:
         raise ValueError(f"tree fit overflows float64: {error}") from None
     n_features = plan.XT.shape[0]
@@ -426,7 +399,6 @@ def fit_forest(
 def fit_tree(
     features,
     targets,
-    weights=None,
     *,
     min_leaf_weight: float = 1.0,
     max_depth: int | None = None,
@@ -434,8 +406,8 @@ def fit_tree(
     """Fit one greedy variance-reduction tree: ``fit_forest`` over a plan
     with one root of every row.
 
-    Growth stops at a node when no split strictly reduces weighted variance,
-    either side would fall below ``min_leaf_weight``, ``max_depth`` is
+    Growth stops at a node when no split strictly reduces variance, either
+    side would hold fewer than ``min_leaf_weight`` rows, ``max_depth`` is
     reached, or the node's targets are all equal. A threshold is the
     midpoint of two consecutive distinct values, or the lower value where
     the midpoint of two adjacent doubles rounds up to the higher one.
@@ -447,15 +419,15 @@ def fit_tree(
     that refits on fixed features keeps one ``plan_fit`` and calls
     ``fit_forest``, which skips the presort and cut expansion.
 
-    Data that overflow float64 raise ValueError: a node's weight or
-    weighted-target total, the score of leaving a searched node whole, a
-    prefix of either total in sorted order at a cut between distinct
-    values, the score of a cut that ``min_leaf_weight`` allows, or a
-    threshold midpoint. A sum inside a run of equal values is never a cut
-    and is not checked. So every fitted leaf and threshold is finite.
+    Data that overflow float64 raise ValueError: a node's target total, the
+    score of leaving a searched node whole, a prefix of that total in
+    sorted order at a cut between distinct values, the score of a cut that
+    ``min_leaf_weight`` allows, or a threshold midpoint. A sum inside a run
+    of equal values is never a cut and is not checked. So every fitted leaf
+    and threshold is finite.
     """
     config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
-    return fit_forest(plan_fit(features), targets, weights, **config)[0]
+    return fit_forest(plan_fit(features), targets, **config)[0]
 
 
 def predict(tree: RegressionTree, features) -> float:
@@ -524,24 +496,19 @@ def _finite(text: str, what: str, number: int) -> float:
 def parse_tree(text: str) -> RegressionTree:
     """Inverse of ``serialize_tree``; raises ValueError on malformed input.
 
-    Rejects feature indices outside ``[0, n_features)``, non-finite
-    thresholds and leaf values, ``n_features < 1``, a non-finite or
-    negative ``min_leaf_weight`` and a negative ``max_depth``.
+    The header must match ``TREE_HEADER_PATTERN`` whole: each field once,
+    in ``serialize_tree``'s order, with nothing else on the line. Rejects
+    feature indices outside ``[0, n_features)``, non-finite thresholds and
+    leaf values, ``n_features < 1``, a non-finite or negative
+    ``min_leaf_weight`` and a negative ``max_depth``.
     """
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith(TREE_FORMAT_HEADER):
-        raise ValueError("not a fregret-tree file (missing header)")
-    header_fields = dict(
-        part.split("=", 1)
-        for part in lines[0][len(TREE_FORMAT_HEADER):].split()
-        if "=" in part
-    )
-    try:
-        n_features = int(header_fields["n_features"])
-        min_leaf_weight = float(header_fields["min_leaf_weight"])
-        raw_depth = header_fields["max_depth"]
-    except KeyError as missing:
-        raise ValueError(f"tree header missing field {missing}") from None
+    match = TREE_HEADER_PATTERN.fullmatch(lines[0]) if lines else None
+    if match is None:
+        raise ValueError("not a fregret-tree file (missing or malformed header)")
+    raw_features, raw_weight, raw_depth = match.groups()
+    n_features = int(raw_features)
+    min_leaf_weight = float(raw_weight)
     max_depth = _check_max_depth(None if raw_depth == "none" else int(raw_depth))
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")

@@ -9,16 +9,14 @@ from conftest import layout_parts
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fregret.efg_core import check_row, checked_policy
-from fregret.eval import exact_ev, exploitability, sampled_match
-from fregret.games import (
+from fregret.efg_core import (
     CHANCE,
     DECISION,
     TERMINAL,
     GameNode,
-    build_kuhn,
-    build_leduc,
     chance,
+    check_row,
+    checked_policy,
     decision,
     enumerate_infosets,
     expected_value,
@@ -26,6 +24,8 @@ from fregret.games import (
     terminal,
     uniform_profile,
 )
+from fregret.eval import exact_ev, exploitability, sampled_match
+from fregret.games import build_kuhn, build_leduc
 
 KUHN_RANKS = "JQK"
 

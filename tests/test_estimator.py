@@ -26,10 +26,9 @@ def random_dataset(rng, n_rows=30, n_features=4):
     return X, y
 
 
-def brute_force_best_split(X, y, w=None):
+def brute_force_best_split(X, y):
     """Exhaustive minimum-SSE single split; ties to lowest feature/threshold."""
     n = len(y)
-    w = [1.0] * n if w is None else w
     best = None
     for j in range(len(X[0])):
         values = sorted({row[j] for row in X})
@@ -39,9 +38,8 @@ def brute_force_best_split(X, y, w=None):
             right = [i for i in range(n) if X[i][j] > theta]
             sse = 0.0
             for side in (left, right):
-                total_w = sum(w[i] for i in side)
-                mean = sum(w[i] * y[i] for i in side) / total_w
-                sse += sum(w[i] * (y[i] - mean) ** 2 for i in side)
+                mean = sum(y[i] for i in side) / len(side)
+                sse += sum((y[i] - mean) ** 2 for i in side)
             if best is None or sse < best[0] - 1e-12:
                 best = (sse, j, theta)
     return best[1], best[2]
@@ -170,15 +168,6 @@ class TestFitTree:
             assert tree.feature[0] == oracle_feature
             assert abs(tree.threshold[0] - oracle_threshold) < 1e-12
 
-    def test_weighted_depth_one_matches_exhaustive_search(self):
-        rng = random.Random(77)
-        X, y = random_dataset(rng)
-        w = [rng.uniform(0.1, 3.0) for _ in y]
-        tree = fit_tree(X, y, w, max_depth=1, min_leaf_weight=0.0)
-        assert (tree.feature[0], tree.threshold[0]) == pytest.approx(
-            brute_force_best_split(X, y, w)
-        )
-
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             fit_tree([], [])
@@ -187,29 +176,27 @@ class TestFitTree:
         with pytest.raises(ValueError):
             fit_tree([[1.0], [2.0]], [1.0])
         with pytest.raises(ValueError):
-            fit_tree([[1.0]], [1.0], [1.0, 2.0])
+            fit_tree([[1.0]], [1.0, 2.0])
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            fit_tree([[1.0]], [1.0], [-1.0])
-        # No root holds row 2; the whole set is checked.
-        plan = plan_fit([[0.0], [1.0], [2.0]], [[0, 1], [1, 0, 0]])
-        with pytest.raises(ValueError, match="negative"):
-            fit_forest(plan, [1.0, 2.0, 3.0], [1.0, 1.0, -1.0])
+    @pytest.mark.parametrize("features", [np.zeros((3, 0)), [[], [], []]])
+    def test_features_without_a_column_rejected(self, features):
+        # Such a tree would have n_features=0, which parse_tree refuses.
+        for targets in ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="at least one column"):
+                fit_tree(features, targets)
+        for roots in (None, [[0, 1], [2]]):
+            with pytest.raises(ValueError, match="at least one column"):
+                plan_fit(features, roots)
+        with pytest.raises(ValueError, match="at least one column"):
+            fit_forest(plan_fit(features, [[0], [1, 2]]), [1.0, 2.0, 3.0])
 
-    def test_zero_total_weight_rejected(self):
-        with pytest.raises(ValueError):
-            fit_tree([[1.0], [2.0]], [1.0, 2.0], [0.0, 0.0])
-
-    def test_forest_root_without_rows_or_weight_rejected(self):
+    def test_forest_root_without_rows_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             plan_fit([[0.0], [1.0]], [[0, 1], []])
         for root in ([0, 2], [-1, 0]):
             with pytest.raises(ValueError, match="lack"):
                 plan_fit([[0.0], [1.0]], [root])
         plan = plan_fit([[0.0], [1.0], [2.0]], [[0, 1], [2, 2]])
-        with pytest.raises(ValueError, match="weight is zero"):
-            fit_forest(plan, [1.0, 2.0, 3.0], [1.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="targets do not match"):
             fit_forest(plan, [1.0, 2.0])
 
@@ -220,14 +207,6 @@ class TestFitTree:
         # A forest whose roots skip the bad row must still reject it.
         with pytest.raises(ValueError, match="finite"):
             fit_forest(plan_fit([[1.0], [2.0]], [[0, 0], [0]]), [1.0, bad])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_weight_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            fit_tree([[1.0], [2.0]], [1.0, 2.0], [1.0, bad])
-        plan = plan_fit([[0.0], [1.0], [2.0]], [[0, 1], [1, 0, 0]])
-        with pytest.raises(ValueError, match="finite"):
-            fit_forest(plan, [1.0, 2.0, 3.0], [1.0, 1.0, bad])
 
     @pytest.mark.parametrize(
         "features",
@@ -248,19 +227,18 @@ class TestFitTree:
             plan_fit(features, [[finite_row]])
 
     @pytest.mark.parametrize(
-        "targets, weights",
+        "targets",
         [
-            ([1e308, 1e308], [10.0, 10.0]),  # w * y overflows: leaf inf
-            ([1e308, -1e308], [10.0, 10.0]),  # inf - inf: leaf nan
-            ([1.0, 2.0], [1e308, 1e308]),  # total weight overflows
+            [1e308, 1e308],  # the node total overflows: leaf inf
+            [1e308, -1e308],  # a side's squared total overflows
         ],
     )
-    def test_overflowing_fit_rejected(self, targets, weights):
+    def test_overflowing_fit_rejected(self, targets):
         with pytest.raises(ValueError, match="overflow"):
-            fit_tree([[0.0], [1.0]], targets, weights)
+            fit_tree([[0.0], [1.0]], targets)
         plan = plan_fit([[0.0], [1.0]], [[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="overflow"):
-            fit_forest(plan, targets, weights)
+            fit_forest(plan, targets)
 
     def test_prefix_overflowing_in_sorted_order_rejected(self):
         # In row order the targets cancel to 0; sorted by the feature, the
@@ -296,42 +274,32 @@ class TestFitTree:
         rng = random.Random(5)
         for _ in range(10):
             X, y = random_dataset(rng, n_rows=40)
-            w = [rng.uniform(0.5, 2.0) for _ in y]
-            tree = fit_tree(X, y, w, min_leaf_weight=3.0)
-            total_w = sum(w)
-            mean = sum(wi * yi for wi, yi in zip(w, y)) / total_w
-            variance = sum(wi * (yi - mean) ** 2 for wi, yi in zip(w, y)) / total_w
-            mse = (
-                sum(
-                    wi * (yi - predict(tree, xi)) ** 2
-                    for wi, yi, xi in zip(w, y, X)
-                )
-                / total_w
-            )
+            tree = fit_tree(X, y, min_leaf_weight=3.0)
+            mean = sum(y) / len(y)
+            variance = sum((yi - mean) ** 2 for yi in y) / len(y)
+            mse = sum((yi - predict(tree, xi)) ** 2 for yi, xi in zip(y, X)) / len(y)
             assert mse <= variance + 1e-12
 
-    def test_leaf_values_are_weighted_means(self):
+    def test_leaf_values_are_means(self):
         rng = random.Random(9)
         X, y = random_dataset(rng, n_rows=50)
-        w = [rng.uniform(0.2, 2.0) for _ in y]
-        tree = fit_tree(X, y, w, min_leaf_weight=4.0)
+        tree = fit_tree(X, y, min_leaf_weight=4.0)
         groups = {}
-        for xi, yi, wi in zip(X, y, w):
+        for xi, yi in zip(X, y):
             node = 0
             path = []
             while tree.feature[node] >= 0:
                 go_left = xi[tree.feature[node]] <= tree.threshold[node]
                 path.append("L" if go_left else "R")
                 node = node + 1 if go_left else tree.right[node]
-            groups.setdefault("".join(path), []).append((yi, wi))
+            groups.setdefault("".join(path), []).append(yi)
         for path, rows in groups.items():
             node = 0
             for step in path:
                 node = node + 1 if step == "L" else tree.right[node]
             assert tree.feature[node] == -1
-            total = sum(wi for _, wi in rows)
-            mean = sum(yi * wi for yi, wi in rows) / total
-            assert abs(tree.value[node] - mean) < 1e-9
+            assert len(rows) >= 4
+            assert abs(tree.value[node] - sum(rows) / len(rows)) < 1e-9
 
     def test_deterministic_on_identical_data(self):
         rng = random.Random(31)
@@ -551,19 +519,43 @@ class TestSerialization:
             parse_tree(self.HEADER + body)
 
     @pytest.mark.parametrize(
-        "header",
+        "header, message",
         [
-            "# fregret-tree v1 n_features=0 min_leaf_weight=1 max_depth=none\n",
-            "# fregret-tree v1 n_features=-3 min_leaf_weight=1 max_depth=none\n",
-            "# fregret-tree v1 n_features=2 min_leaf_weight=1 max_depth=-1\n",
-            "# fregret-tree v1 n_features=2 min_leaf_weight=nan max_depth=none\n",
-            "# fregret-tree v1 n_features=2 min_leaf_weight=inf max_depth=none\n",
-            "# fregret-tree v1 n_features=2 min_leaf_weight=-3 max_depth=none\n",
+            ("n_features=0 min_leaf_weight=1 max_depth=none", "n_features must"),
+            ("n_features=-3 min_leaf_weight=1 max_depth=none", "n_features must"),
+            ("n_features=2 min_leaf_weight=1 max_depth=-1", "max_depth must"),
+            ("n_features=2 min_leaf_weight=nan max_depth=none", "min_leaf_weight must"),
+            ("n_features=2 min_leaf_weight=inf max_depth=none", "min_leaf_weight must"),
+            ("n_features=2 min_leaf_weight=-3 max_depth=none", "min_leaf_weight must"),
         ],
     )
-    def test_bad_header_values_rejected(self, header):
-        with pytest.raises(ValueError):
-            parse_tree(header + "leaf,1\n")
+    def test_bad_header_values_rejected(self, header, message):
+        with pytest.raises(ValueError, match=message):
+            parse_tree(f"# fregret-tree v1 {header}\nleaf,1\n")
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "# fregret-tree v10 n_features=2 min_leaf_weight=1 max_depth=none",
+            "# fregret-tree v1n_features=2 min_leaf_weight=1 max_depth=none",
+            "# fregret-tree v1 n_features=2 min_leaf_weight=1 max_depth=none bogus=3",
+            "# fregret-tree v1 n_features=2 min_leaf_weight=1 max_depth=none junk",
+            "# fregret-tree v1 n_features=2 n_features=5 min_leaf_weight=1 "
+            "max_depth=none",
+            "# fregret-tree v1 n_features=2 min_leaf_weight=1 max_depth=none "
+            "max_depth=3",
+            "# fregret-tree v1 n_features=two min_leaf_weight=1 max_depth=none",
+            "# fregret-tree v1 n_features=2.0 min_leaf_weight=1 max_depth=none",
+            "# fregret-tree v1 n_features=2 min_leaf_weight=1 max_depth=1.5",
+            "# fregret-tree v1 n_features=2 min_leaf_weight=1",
+            "# fregret-tree v1 min_leaf_weight=1 n_features=2 max_depth=none",
+            "# fregret-tree v1  n_features=2 min_leaf_weight=1 max_depth=none",
+            "# fregret-tree v1",
+        ],
+    )
+    def test_malformed_header_rejected(self, header):
+        with pytest.raises(ValueError, match="not a fregret-tree file"):
+            parse_tree(header + "\nleaf,1\n")
 
     def test_deep_chain_needs_no_recursion(self):
         depth = 2000

@@ -10,17 +10,9 @@ from conftest import layout_parts
 
 import fregret
 import fregret.games
+from fregret.efg_core import CHANCE, DECISION, TERMINAL, enumerate_infosets, make_game
 from fregret.estimator import featurize
-from fregret.games import (
-    CHANCE,
-    DECISION,
-    TERMINAL,
-    build_kuhn,
-    build_leduc,
-    build_matrix,
-    enumerate_infosets,
-    make_game,
-)
+from fregret.games import build_kuhn, build_leduc, build_matrix
 
 # sha256 of ``tree_dump`` and ``feature_dump`` over Kuhn then Leduc. The
 # tree digest was recorded from the separate Kuhn and Leduc builders that the

@@ -25,6 +25,7 @@ from fregret.cfr import (
     CFRConfig,
     average_strategy,
     cfr_iteration,
+    checkpoints,
     new_tables,
     regret_policy,
     solve,
@@ -628,6 +629,56 @@ class TestSolve:
         config = RCFRConfig(iterations=50, log_every=50, max_depth=1)
         _, convergence, _ = rcfr_solve(kuhn_game, config)
         assert convergence[-1].mse_p1 > 0.0
+
+
+def distinct_rows(state):
+    """Distinct feature rows per seat."""
+    return [len(np.unique(state.features[s], axis=0)) for s in state.seat_slots]
+
+
+class TestRealizability:
+    """Trees that can hold one leaf per infoset-action realize the regrets,
+    so tree RCFR plays as tabular RCFR, which is CFR (the paper's
+    corollary, checked where the features tell every slot apart)."""
+
+    @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
+    def test_kuhn_min_leaf_0_trees_play_as_tabular(self, kuhn_game, target_mode):
+        options = dict(iterations=1000, target_mode=target_mode)
+        tree_cfg = RCFRConfig(min_leaf_weight=0.0, **options)
+        tabular_cfg = RCFRConfig(estimator_kind="tabular", **options)
+        tree_state = new_state(kuhn_game, tree_cfg)
+        tabular_state = new_state(kuhn_game, tabular_cfg)
+        assert distinct_rows(tree_state) == [12, 12]
+        for _ in range(options["iterations"]):
+            rcfr_iteration(kuhn_game, tree_state, tree_cfg)
+            rcfr_iteration(kuhn_game, tabular_state, tabular_cfg)
+            assert (
+                tree_state.strategy_sums.tobytes()
+                == tabular_state.strategy_sums.tobytes()
+            )
+
+    @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
+    def test_leduc_min_leaf_1_trees_track_cfr(self, leduc_game, target_mode):
+        # Leduc's features collide; the count of round-1 actions, as one
+        # more column, tells every seat's slots apart.
+        config = RCFRConfig(iterations=200, log_every=10, target_mode=target_mode)
+        state = new_state(leduc_game, config)
+        keys = [key for _, key, _ in leduc_game.layout.infosets]
+        column = [len(key.split(":")[3].split("/")[0]) for key in keys]
+        owner = leduc_game.layout.owner
+        state.features = np.column_stack([state.features, np.array(column)[owner]])
+        assert distinct_rows(state) == [336, 336]
+        step = lambda: rcfr_iteration(leduc_game, state, config)
+        tree_log = [
+            (t, exploit)
+            for t, exploit, _ in checkpoints(
+                leduc_game, config, step, state.strategy_sums
+            )
+        ]
+        _, cfr_log = solve(leduc_game, CFRConfig(iterations=200, log_every=10))
+        assert [t for t, _ in tree_log] == [row.t for row in cfr_log]
+        gaps = [abs(e - row.exploitability) for (_, e), row in zip(tree_log, cfr_log)]
+        assert max(gaps) <= 1e-9
 
 
 class TestOneMoveGame:

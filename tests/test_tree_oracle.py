@@ -106,9 +106,9 @@ def reference_fit(X, y, w=None, *, min_leaf_weight=1.0, max_depth=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def assert_same_tree(X, y, w=None, **kwargs):
-    fast = serialize_tree(fit_tree(X, y, w, **kwargs))
-    assert fast == reference_fit(X, y, w, **kwargs)
+def assert_same_tree(X, y, **kwargs):
+    fast = serialize_tree(fit_tree(X, y, **kwargs))
+    assert fast == reference_fit(X, y, **kwargs)
 
 
 def leduc_corpora(min_leaf_weight, iterations):
@@ -168,21 +168,15 @@ def random_corpus(rng, n_rows, n_features, levels):
 def test_random_corpora(seed):
     rng = np.random.default_rng(seed)
     X, y = random_corpus(rng, n_rows=60, n_features=4, levels=int(rng.integers(2, 6)))
-    weights = rng.choice([0.0, 0.5, 1.0, 2.5], size=len(y))
-    weights[0] = 1.0
-    for w in (None, weights):
-        for min_leaf_weight in (0.0, 1.0, 3.0):
-            for max_depth in (None, 0, 1, 3):
-                assert_same_tree(
-                    X, y, w, min_leaf_weight=min_leaf_weight, max_depth=max_depth
-                )
+    for min_leaf_weight in (0.0, 1.0, 3.0):
+        for max_depth in (None, 0, 1, 3):
+            assert_same_tree(X, y, min_leaf_weight=min_leaf_weight, max_depth=max_depth)
 
 
 def mixed_corpus(rng):
     """A one-valued column, few-valued and continuous columns side by side,
-    one row repeated with differing targets, so the node that ends up
-    holding those copies is searched and has no cut, and zero weights on
-    the first and last row of every run of equal values in column 1."""
+    and one row repeated with differing targets, so the node that ends up
+    holding those copies is searched and has no cut."""
     n_rows = 40
     X = np.column_stack(
         [
@@ -195,23 +189,15 @@ def mixed_corpus(rng):
     X = np.vstack([X, np.repeat(X[:1], 5, axis=0)])
     y = np.round(rng.normal(size=len(X)), 1)
     y[-5:] = np.arange(5.0) + 0.5
-    w = rng.choice([0.5, 1.0, 2.5], size=len(X))
-    order = np.argsort(X[:, 1], kind="stable")
-    edges = np.flatnonzero(np.diff(X[order, 1]))
-    run_edges = np.concatenate([[0], edges, edges + 1, [len(X) - 1]])
-    w[order[run_edges]] = 0.0
-    return X, y, w
+    return X, y
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_mixed_random_corpora(seed):
-    X, y, w = mixed_corpus(np.random.default_rng(200 + seed))
-    for weights in (None, w):
-        for min_leaf_weight in (0.0, 1.0, 3.0):
-            for max_depth in (None, 2):
-                assert_same_tree(
-                    X, y, weights, min_leaf_weight=min_leaf_weight, max_depth=max_depth
-                )
+    X, y = mixed_corpus(np.random.default_rng(200 + seed))
+    for min_leaf_weight in (0.0, 1.0, 3.0):
+        for max_depth in (None, 2):
+            assert_same_tree(X, y, min_leaf_weight=min_leaf_weight, max_depth=max_depth)
 
 
 def test_complementary_one_hot_ties_go_to_lowest_feature():
@@ -222,19 +208,15 @@ def test_complementary_one_hot_ties_go_to_lowest_feature():
     assert serialize_tree(fit_tree(X, y)).splitlines()[1] == "node,0,0.5"
 
 
-def test_continuous_features_with_zero_weights():
-    # Weights that are not dyadic make every sum's rounding depend on its
+def test_continuous_features():
+    # Targets that are not dyadic make every sum's rounding depend on its
     # order; large leaves make the leaf means show it.
     rng = random.Random(4)
     for _ in range(5):
         X = [[rng.random() for _ in range(3)] for _ in range(80)]
         y = [rng.uniform(-3.0, 3.0) for _ in range(80)]
-        w = [rng.choice([0.0, rng.uniform(0.1, 2.0)]) for _ in range(80)]
-        w[0] = 1.0
         for min_leaf_weight, max_depth in ((0.0, None), (6.0, None), (0.0, 2)):
-            assert_same_tree(
-                X, y, w, min_leaf_weight=min_leaf_weight, max_depth=max_depth
-            )
+            assert_same_tree(X, y, min_leaf_weight=min_leaf_weight, max_depth=max_depth)
 
 
 @pytest.mark.parametrize(
@@ -278,21 +260,16 @@ def test_forest_roots_match_single_fits(seed):
     X, y = random_corpus(rng, n_rows=36, n_features=3, levels=int(rng.integers(2, 6)))
     roots = forest_roots(rng, X, n_roots=int(rng.integers(1, 5)))
     y[roots[-1]] = 1.5  # one root whose targets are all equal
-    w = rng.choice([0.0, 0.5, 1.0, 2.5], size=len(y))
-    for root in roots:
-        w[root[0]] = 1.0
     plan = plan_fit(X, roots)
-    for weights in (None, w):
-        for min_leaf_weight in (0.0, 1.0, 3.0):
-            for max_depth in (None, 0, 2):
-                config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
-                trees = fit_forest(plan, y, weights, **config)
-                assert len(trees) == len(roots)
-                for root, tree in zip(roots, trees):
-                    rw = None if weights is None else weights[root]
-                    expected = reference_fit(X[root], y[root], rw, **config)
-                    assert serialize_tree(tree) == expected
-                    assert tree == fit_tree(X[root], y[root], rw, **config)
+    for min_leaf_weight in (0.0, 1.0, 3.0):
+        for max_depth in (None, 0, 2):
+            config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
+            trees = fit_forest(plan, y, **config)
+            assert len(trees) == len(roots)
+            for root, tree in zip(roots, trees):
+                expected = reference_fit(X[root], y[root], **config)
+                assert serialize_tree(tree) == expected
+                assert tree == fit_tree(X[root], y[root], **config)
 
 
 def test_one_plan_serves_many_targets():
