@@ -467,8 +467,6 @@ def node_values(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
 def expected_value(game: GameSpec, profile: dict) -> tuple[float, float]:
     """Exact expected utilities (u1, u2) under a behavioral profile."""
     policy = checked_policy(game, (profile, profile))
-    if not game.root.children:
-        return game.root.utilities
     value = float(node_values(game.layout, policy)[0])
     # Summing seat 1's negated payoffs from 0.0 gives exactly -value, except
     # that a zero total is +0.0; 0.0 - value is that same number.

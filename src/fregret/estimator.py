@@ -17,10 +17,10 @@ in histogram split search, and two ``bincount`` calls per level give every
 open node's row-count and target prefix sums at every cut, each added in
 presorted order, so each tree is that of a per-node ``cumsum`` scan over its
 root's rows alone, bit for bit. ``fit_tree`` is the one-root case; RCFR
-keeps one plan per solve, with one root per seat, and grows both seats'
-trees as one forest at every refit. A fitted tree is nothing but flat
-preorder arrays (``RegressionTree``), which fitting, parsing, serialization
-and prediction all walk without recursion.
+keeps one plan per solve, with one root per seat, grows both seats' trees
+as one forest at every refit and reads its predictions off that fit. A
+fitted tree is nothing but flat preorder arrays (``RegressionTree``), which
+fitting, parsing, serialization and ``predict`` all walk without recursion.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ TREE_HEADER_PATTERN = re.compile(
     re.escape(TREE_FORMAT_HEADER)
     + r" n_features=(-?[0-9]+) min_leaf_weight=(\S+) max_depth=(-?[0-9]+|none)"
 )
+# The forms ``format_float`` writes; parsing reads no others.
+NUMBER_PATTERN = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?|-?inf|nan")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,8 @@ def plan_fit(features, roots=None) -> FitPlan:
 
 def _grow(plan, y, min_leaf_weight, max_depth):
     """Preorder node records of each root's greedy tree, all grown together
-    a level at a time; ``y`` is per planned row.
+    a level at a time, and each planned row's leaf value; ``y`` is per
+    planned row.
 
     Once per level, ``bincount`` keyed by (searched node, slot) adds every
     node's target and row-count prefix at every cut. It adds in input order
@@ -237,7 +240,9 @@ def _grow(plan, y, min_leaf_weight, max_depth):
     adds no row, so it is inadmissible there, and the next value is the
     node's own: other roots' rows change no tree. Slots run feature by
     feature, so the row-wise argmax of the (node, slot) scores breaks ties
-    to the lowest feature, then the lowest threshold.
+    to the lowest feature, then the lowest threshold. Each level writes its
+    rows' node means, so a row's last write is its leaf's value; rows go
+    right on ``x > threshold``, so that is the leaf ``predict`` reaches.
     """
     XT, values, slot_feature = plan.XT, plan.values, plan.slot_feature
     last_value, entry_row, entry_slot = plan.last_value, plan.entry_row, plan.entry_slot
@@ -248,6 +253,7 @@ def _grow(plan, y, min_leaf_weight, max_depth):
     records = []  # (feature, threshold, value) by node id
     children = {}  # split node id -> (left id, right id)
     rows = np.arange(n_rows)  # the level's rows, grouped by node, in index order
+    fitted = np.empty(n_rows)
     counts = plan.counts
     depth = 0
     while True:
@@ -304,7 +310,9 @@ def _grow(plan, y, min_leaf_weight, max_depth):
             splits = scores.max(axis=1) > baseline
         split_nodes = nodes[splits]
         # Each node's record as a leaf; the split nodes' are replaced below.
-        level = [(-1, 0.0, mean) for mean in (total_s / counts).tolist()]
+        means = total_s / counts
+        fitted[rows] = np.repeat(means, counts)
+        level = [(-1, 0.0, mean) for mean in means.tolist()]
         if not len(split_nodes):
             records += level
             break
@@ -348,7 +356,7 @@ def _grow(plan, y, min_leaf_weight, max_depth):
             if node in children:
                 stack += reversed(children[node])
         forest.append(preorder)
-    return forest
+    return forest, fitted
 
 
 def _check_min_leaf_weight(value) -> float:
@@ -369,9 +377,10 @@ def fit_forest(
     *,
     min_leaf_weight: float = 1.0,
     max_depth: int | None = None,
-) -> list[RegressionTree]:
-    """One tree per root of ``plan``, each the tree ``fit_tree`` fits to its
-    root's rows; ``targets`` are per feature row.
+) -> tuple[list[RegressionTree], np.ndarray]:
+    """``(trees, fitted)``: one tree per root of ``plan``, each the tree
+    ``fit_tree`` fits to its root's rows, and each planned row's leaf value,
+    ``predict`` on that row bit for bit; ``targets`` are per feature row.
 
     All roots grow together, one split search over every open node of a
     level (see ``_grow``), so the per-level cost is paid once for the
@@ -386,14 +395,15 @@ def fit_forest(
     max_depth = _check_max_depth(max_depth)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            forest = _grow(plan, y[plan.rows], min_leaf_weight, max_depth)
+            forest, fitted = _grow(plan, y[plan.rows], min_leaf_weight, max_depth)
     except FloatingPointError as error:
         raise ValueError(f"tree fit overflows float64: {error}") from None
     n_features = plan.XT.shape[0]
-    return [
+    trees = [
         _from_preorder(records, n_features, min_leaf_weight, max_depth)
         for records in forest
     ]
+    return trees, fitted
 
 
 def fit_tree(
@@ -427,7 +437,8 @@ def fit_tree(
     and threshold is finite.
     """
     config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
-    return fit_forest(plan_fit(features), targets, **config)[0]
+    trees, _ = fit_forest(plan_fit(features), targets, **config)
+    return trees[0]
 
 
 def predict(tree: RegressionTree, features) -> float:
@@ -442,25 +453,6 @@ def predict(tree: RegressionTree, features) -> float:
         go_left = row[tree.feature[node]] <= tree.threshold[node]
         node = node + 1 if go_left else tree.right[node]
     return float(tree.value[node])
-
-
-def predict_rows(tree: RegressionTree, features) -> np.ndarray:
-    """Leaf predictions for every row of a 2-D feature array, walking all
-    rows down the flat tree together; equals ``predict`` row by row."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != tree.n_features:
-        raise ValueError(
-            f"feature rows have shape {X.shape}, tree expects "
-            f"{tree.n_features} features"
-        )
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    active = np.flatnonzero(tree.feature[node] >= 0)
-    while active.size:
-        at = node[active]
-        go_left = X[active, tree.feature[at]] <= tree.threshold[at]
-        node[active] = np.where(go_left, at + 1, tree.right[at])
-        active = active[tree.feature[node[active]] >= 0]
-    return tree.value[node]
 
 
 def model_complexity(tree: RegressionTree) -> int:
@@ -486,21 +478,23 @@ def serialize_tree(tree: RegressionTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finite(text: str, what: str, number: int) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"tree line {number}: {what} {text!r} is not finite")
-    return value
+def _number(text: str, what: str, where: str, finite: bool = True) -> float:
+    if not NUMBER_PATTERN.fullmatch(text):
+        raise ValueError(f"{where}: {what} {text!r} is not a number")
+    if finite and not math.isfinite(float(text)):
+        raise ValueError(f"{where}: {what} {text!r} is not finite")
+    return float(text)
 
 
 def parse_tree(text: str) -> RegressionTree:
     """Inverse of ``serialize_tree``; raises ValueError on malformed input.
 
     The header must match ``TREE_HEADER_PATTERN`` whole: each field once,
-    in ``serialize_tree``'s order, with nothing else on the line. Rejects
-    feature indices outside ``[0, n_features)``, non-finite thresholds and
-    leaf values, ``n_features < 1``, a non-finite or negative
-    ``min_leaf_weight`` and a negative ``max_depth``.
+    in ``serialize_tree``'s order, with nothing else on the line. Numbers
+    must be in a form ``NUMBER_PATTERN`` matches, and feature indices plain
+    digits. Rejects feature indices outside ``[0, n_features)``, non-finite
+    thresholds and leaf values, ``n_features < 1``, a non-finite or
+    negative ``min_leaf_weight`` and a negative ``max_depth``.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     match = TREE_HEADER_PATTERN.fullmatch(lines[0]) if lines else None
@@ -508,28 +502,29 @@ def parse_tree(text: str) -> RegressionTree:
         raise ValueError("not a fregret-tree file (missing or malformed header)")
     raw_features, raw_weight, raw_depth = match.groups()
     n_features = int(raw_features)
-    min_leaf_weight = float(raw_weight)
+    weight = _number(raw_weight, "min_leaf_weight", "tree header", finite=False)
     max_depth = _check_max_depth(None if raw_depth == "none" else int(raw_depth))
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
-    min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
+    min_leaf_weight = _check_min_leaf_weight(weight)
     records = []
     open_slots = 1  # subtrees announced by the lines so far but not yet read
     for number, line in enumerate(lines[1:], start=2):
         if open_slots == 0:
             raise ValueError("trailing content after tree definition")
         parts = line.split(",")
+        where = f"tree line {number}"
         if parts[0] == "leaf" and len(parts) == 2:
-            records.append((-1, 0.0, _finite(parts[1], "leaf value", number)))
+            records.append((-1, 0.0, _number(parts[1], "leaf value", where)))
             open_slots -= 1
         elif parts[0] == "node" and len(parts) == 3:
-            feature = int(parts[1])
-            if not 0 <= feature < n_features:
+            index = parts[1]
+            if not re.fullmatch("[0-9]+", index) or int(index) >= n_features:
                 raise ValueError(
-                    f"tree line {number}: feature {feature} outside "
-                    f"[0, {n_features})"
+                    f"{where}: feature {index!r} is not plain digits "
+                    f"or is outside [0, {n_features})"
                 )
-            records.append((feature, _finite(parts[2], "threshold", number), 0.0))
+            records.append((int(index), _number(parts[2], "threshold", where), 0.0))
             open_slots += 1
         else:
             raise ValueError(f"malformed tree line {number}: {line!r}")

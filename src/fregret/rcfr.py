@@ -35,7 +35,6 @@ from .estimator import (
     fit_forest,
     model_complexity,
     plan_fit,
-    predict_rows,
 )
 from .games.poker import ACTION_CHARS
 
@@ -104,10 +103,10 @@ class RCFRState:
     ``seat_slots`` holds each seat's slots in table order. A slot's
     prediction is its seat's regressor as of the last refit (zeros before
     the first), and the solver reads it in place of asking the regressor.
-    The tree kind also holds ``features``, one float64 row per slot, and
-    ``trees``: per seat, the tree fitted at the last refit, or None for a
-    seat with no slots or before the first refit. The tabular kind has
-    neither, since its predictions are copies of the targets.
+    The tree kind reads it off the fit and also holds ``features``, one
+    float64 row per slot, and ``trees``: per seat, the tree fitted at the
+    last refit, or None for a seat with no slots or before the first
+    refit. The tabular kind has neither: its predictions copy the targets.
     """
 
     seat_slots: tuple = field(repr=False)
@@ -194,18 +193,11 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
             raise ValueError("targets must be finite")
         state.predictions = state.targets.copy()
     else:  # one forest: each acting seat's tree is a root of the plan
-        trees = iter(
-            fit_forest(
-                state.plan,
-                state.targets,
-                min_leaf_weight=config.min_leaf_weight,
-                max_depth=config.max_depth,
-            )
-        )
+        shape = dict(min_leaf_weight=config.min_leaf_weight, max_depth=config.max_depth)
+        trees, fitted = fit_forest(state.plan, state.targets, **shape)
+        state.predictions[state.plan.rows] = fitted
+        trees = iter(trees)
         state.trees = tuple(next(trees) if len(s) else None for s in state.seat_slots)
-        for tree, slots in zip(state.trees, state.seat_slots):
-            if tree is not None:
-                state.predictions[slots] = predict_rows(tree, state.features[slots])
     return state
 
 

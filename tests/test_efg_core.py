@@ -69,6 +69,9 @@ class TestExpectedValue:
     def test_single_terminal_game(self):
         game = make_game("toy", terminal(3.5))
         assert expected_value(game, {}) == (3.5, -3.5)
+        # A zero total is +0.0 for both seats, as in every other game.
+        zero = expected_value(make_game("toy", terminal(0.0)), {})
+        assert [v.hex() for v in zero] == ["0x0.0p+0", "0x0.0p+0"]
 
     def test_pure_chance_game(self):
         root = chance([0.25, 0.75], [terminal(4.0), terminal(-4.0)])

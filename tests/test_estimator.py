@@ -2,10 +2,12 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
+from fregret._validation import format_float
 from fregret.estimator import (
     FEATURE_DIM,
     featurize,
@@ -15,7 +17,6 @@ from fregret.estimator import (
     parse_tree,
     plan_fit,
     predict,
-    predict_rows,
     serialize_tree,
 )
 
@@ -268,7 +269,7 @@ class TestFitTree:
         tree = fit_tree([[low], [high]], [0.0, 1.0], min_leaf_weight=0.0)
         assert tree.feature.tolist() == [0, -1, -1]
         assert tree.threshold.tolist()[0] == low
-        assert predict_rows(tree, [[low], [high]]).tolist() == [0.0, 1.0]
+        assert [predict(tree, [low]), predict(tree, [high])] == [0.0, 1.0]
 
     def test_training_mse_at_most_target_variance(self):
         rng = random.Random(5)
@@ -334,7 +335,7 @@ class TestFitForest:
         rng = random.Random(14)
         X, y = random_dataset(rng)
         for plan in (plan_fit(X), plan_fit(X, [list(range(len(X)))])):
-            [tree] = fit_forest(plan, y, min_leaf_weight=2.0)
+            [tree], _ = fit_forest(plan, y, min_leaf_weight=2.0)
             assert tree == fit_tree(X, y, min_leaf_weight=2.0)
             assert model_complexity(tree) > 1
 
@@ -347,11 +348,12 @@ class TestFitForest:
             for name, value in vars(plan).items()
             if isinstance(value, np.ndarray)
         }
-        first = fit_forest(plan, y, min_leaf_weight=2.0)
-        second = fit_forest(plan, y, min_leaf_weight=2.0)
+        first, first_fitted = fit_forest(plan, y, min_leaf_weight=2.0)
+        second, second_fitted = fit_forest(plan, y, min_leaf_weight=2.0)
         assert [serialize_tree(t) for t in first] == [
             serialize_tree(t) for t in second
         ]
+        assert first_fitted.tobytes() == second_fitted.tobytes()
         for name, value in kept.items():
             assert getattr(plan, name).tobytes() == value.tobytes(), name
 
@@ -379,51 +381,6 @@ class TestPredict:
                 else:
                     node = tree.right[node]
             assert predict(tree, xi) == tree.value[node]
-
-
-class TestPredictRows:
-    """The batched walk over the flat tree equals the row-by-row walk."""
-
-    def test_fitted_trees(self):
-        rng = random.Random(41)
-        for min_leaf in (1.0, 3.0, 8.0):
-            X, y = random_dataset(rng, n_rows=60)
-            tree = fit_tree(X, y, min_leaf_weight=min_leaf)
-            probes = [[rng.uniform(-0.2, 1.2) for _ in range(4)] for _ in range(200)]
-            for rows in (X + probes, np.asarray(X)):
-                batched = predict_rows(tree, rows).tolist()
-                one_by_one = [predict(tree, row) for row in rows]
-                assert [v.hex() for v in batched] == [v.hex() for v in one_by_one]
-
-    def test_parsed_tree_and_rows_on_thresholds(self):
-        tree = fit_tree(
-            [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0]],
-            [0.0, 3.0, 10.0, 13.0, 20.0],
-        )
-        clone = parse_tree(serialize_tree(tree))
-        thresholds = [
-            float(line.split(",")[2])
-            for line in serialize_tree(tree).splitlines()
-            if line.startswith("node,")
-        ]
-        assert thresholds
-        rows = [[t, t] for t in thresholds] + [[t, 0.0] for t in thresholds]
-        rows += [[0.5, 0.5], [1.5, 0.5], [np.nextafter(0.5, 1.0), 0.5]]
-        for source in (tree, clone):
-            expected = [predict(source, row) for row in rows]
-            assert predict_rows(source, rows).tolist() == expected
-
-    def test_single_leaf_and_dimension_mismatch(self):
-        tree = fit_tree([[1.0, 2.0]], [3.0])
-        assert predict_rows(tree, [[0.0, 0.0], [5.0, 5.0]]).tolist() == [3.0, 3.0]
-        with pytest.raises(ValueError):
-            predict_rows(tree, [[1.0]])
-
-    def test_no_rows_give_no_predictions(self):
-        tree = fit_tree([[0.0, 1.0], [1.0, 0.0]], [3.0, -3.0], min_leaf_weight=0.0)
-        assert model_complexity(tree) == 2
-        empty = predict_rows(tree, np.empty((0, 2)))
-        assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 class TestModelComplexity:
@@ -499,10 +456,51 @@ class TestSerialization:
 
     HEADER = "# fregret-tree v1 n_features=2 min_leaf_weight=1 max_depth=none\n"
 
-    @pytest.mark.parametrize("feature", ["-1", "2", "7"])
+    # serialize_tree writes an index as plain digits, so no other form of
+    # one, in range or not, is read.
+    @pytest.mark.parametrize(
+        "feature", ["-1", "2", "7", "+0", " 1", "1 ", "1_0", "0.0", "-0", "abc", ""]
+    )
     def test_feature_index_out_of_range_rejected(self, feature):
-        with pytest.raises(ValueError, match="outside"):
+        message = re.escape(f"tree line 2: feature {feature!r}")
+        with pytest.raises(ValueError, match=message):
             parse_tree(self.HEADER + f"node,{feature},0.5\nleaf,1\nleaf,2\n")
+
+    @pytest.mark.parametrize(
+        "body, text",
+        [
+            ("leaf, 1\n", " 1"),
+            ("leaf,1E0\n", "1E0"),
+            ("leaf,1e5\n", "1e5"),
+            ("leaf,+1\n", "+1"),
+            ("leaf,1.\n", "1."),
+            ("leaf,.5\n", ".5"),
+            ("leaf,abc\n", "abc"),
+            ("leaf,Infinity\n", "Infinity"),
+            ("leaf,\n", ""),
+            ("node,0,0_5\nleaf,1\nleaf,2\n", "0_5"),
+            ("node,0,0x1p-1\nleaf,1\nleaf,2\n", "0x1p-1"),
+        ],
+    )
+    def test_number_forms_serialize_tree_never_writes_rejected(self, body, text):
+        with pytest.raises(ValueError) as error:
+            parse_tree(self.HEADER + body)
+        assert str(error.value).startswith("tree line 2: ")
+        assert str(error.value).endswith(f" {text!r} is not a number")
+
+    def test_every_written_number_form_parses(self):
+        values = [0.0, -0.0, 0.1, -2.5, 1e300, -1.5e-7, 5e-324, 123456789.0]
+        weight = format_float(2.0**-20)  # 9.5367431640625e-07
+        text = self.HEADER.replace("=1 ", f"={weight} ") + "".join(
+            f"node,1,{format_float(v)}\n" for v in values
+        )
+        text += "".join(f"leaf,{format_float(v)}\n" for v in [*values, 1e20])
+        tree = parse_tree(text)
+        assert serialize_tree(tree) == text
+        assert tree.min_leaf_weight == 2.0**-20
+        assert [v.hex() for v in tree.threshold[: len(values)].tolist()] == [
+            v.hex() for v in values
+        ]
 
     @pytest.mark.parametrize(
         "body",
@@ -527,6 +525,13 @@ class TestSerialization:
             ("n_features=2 min_leaf_weight=nan max_depth=none", "min_leaf_weight must"),
             ("n_features=2 min_leaf_weight=inf max_depth=none", "min_leaf_weight must"),
             ("n_features=2 min_leaf_weight=-3 max_depth=none", "min_leaf_weight must"),
+            # Forms serialize_tree never writes.
+            ("n_features=2 min_leaf_weight=1_0 max_depth=none", "header: min_leaf_"),
+            ("n_features=2 min_leaf_weight=abc max_depth=none", "header: min_leaf_"),
+            ("n_features=2 min_leaf_weight=1E0 max_depth=none", "header: min_leaf_"),
+            ("n_features=2 min_leaf_weight=+1 max_depth=none", "header: min_leaf_"),
+            ("n_features=2 min_leaf_weight=.5 max_depth=none", "header: min_leaf_"),
+            ("n_features=2 min_leaf_weight=Infinity max_depth=none", "header: min_"),
         ],
     )
     def test_bad_header_values_rejected(self, header, message):
@@ -569,7 +574,6 @@ class TestSerialization:
         assert serialize_tree(tree) == text
         assert model_complexity(tree) == depth + 1
         rows = [[-1.0], [1000.0], [1999.0], [5000.0]]
-        assert predict_rows(tree, rows).tolist() == [0.0, 1000.0, 1999.0, -1.0]
         assert [predict(tree, row) for row in rows] == [0.0, 1000.0, 1999.0, -1.0]
         assert "RegressionTree(" in repr(tree)
         assert hash(tree) == hash(tree)

@@ -18,6 +18,7 @@ from fregret.estimator import (
     fit_forest,
     fit_tree,
     plan_fit,
+    predict,
     serialize_tree,
 )
 from fregret.games import build_leduc
@@ -227,7 +228,7 @@ def test_bootstrap_roots_match_reference(data_seed, n_rows, draw_seed):
     X, y = random_corpus(rng, n_rows=n_rows, n_features=3, levels=4)
     rng = np.random.default_rng(draw_seed)
     roots = [rng.integers(0, X.shape[0], size=X.shape[0]) for _ in range(3)]
-    trees = fit_forest(plan_fit(X, roots), y, min_leaf_weight=2.0, max_depth=4)
+    trees, _ = fit_forest(plan_fit(X, roots), y, min_leaf_weight=2.0, max_depth=4)
     for rows, tree in zip(roots, trees):
         assert serialize_tree(tree) == reference_fit(
             X[rows], y[rows], min_leaf_weight=2.0, max_depth=4
@@ -252,6 +253,16 @@ def forest_roots(rng, X, n_roots):
     return [kinds[k] for k in picks if len(kinds[k])] or [np.arange(n)]
 
 
+def assert_fitted_is_predict(plan, X, trees, fitted):
+    """Each planned row's fitted value is its root's tree's ``predict`` on
+    that row, bit for bit."""
+    tree_of_row = np.repeat(np.arange(len(trees)), plan.counts)
+    predicted = [
+        predict(trees[r], X[row]) for r, row in zip(tree_of_row, plan.rows.tolist())
+    ]
+    assert [v.hex() for v in fitted.tolist()] == [v.hex() for v in predicted]
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_forest_roots_match_single_fits(seed):
     # Each root of one plan must grow the tree that a fit on its rows alone
@@ -264,8 +275,9 @@ def test_forest_roots_match_single_fits(seed):
     for min_leaf_weight in (0.0, 1.0, 3.0):
         for max_depth in (None, 0, 2):
             config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
-            trees = fit_forest(plan, y, **config)
+            trees, fitted = fit_forest(plan, y, **config)
             assert len(trees) == len(roots)
+            assert_fitted_is_predict(plan, X, trees, fitted)
             for root, tree in zip(roots, trees):
                 expected = reference_fit(X[root], y[root], **config)
                 assert serialize_tree(tree) == expected
@@ -279,7 +291,8 @@ def test_one_plan_serves_many_targets():
     plan = plan_fit(X, roots)
     for _ in range(30):
         y = np.round(rng.normal(size=len(X)), 1)
-        for root, tree in zip(roots, fit_forest(plan, y, min_leaf_weight=2.0)):
+        trees, _ = fit_forest(plan, y, min_leaf_weight=2.0)
+        for root, tree in zip(roots, trees):
             assert tree == fit_tree(X[root], y[root], min_leaf_weight=2.0)
 
 
@@ -290,7 +303,10 @@ def test_leduc_forest_of_both_seats_matches_per_seat_fits():
     plan = plan_fit(state.features, state.seat_slots)
     for _ in range(config.iterations):
         rcfr_iteration(game, state, config)
-        trees = fit_forest(plan, state.targets, min_leaf_weight=4.0)
+        trees, fitted = fit_forest(plan, state.targets, min_leaf_weight=4.0)
+        assert_fitted_is_predict(plan, state.features, trees, fitted)
+        # The solver keeps those same values as its predictions.
+        assert state.predictions[plan.rows].tobytes() == fitted.tobytes()
         for slots, tree in zip(state.seat_slots, trees):
             X, y = state.features[slots], state.targets[slots]
             assert tree == fit_tree(X, y, min_leaf_weight=4.0)
