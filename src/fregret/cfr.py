@@ -25,7 +25,7 @@ import numpy as np
 
 from ._validation import check_positive_int
 from .efg_core import GameSpec, node_values
-from .eval import exploitability
+from .eval import policy_exploitability
 
 
 @dataclass
@@ -113,30 +113,25 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
     into a new slot vector. Returns ``(seat 0 root value, immediate
     regrets)``; seat 1's value is the exact negation.
 
-    A bottom-up sweep values the nodes; a top-down one carries seat 0's,
-    seat 1's and chance's reach into the non-terminal nodes, multiplying by
-    1.0 where another mover moves; then each seat's decision edges add their
-    terms, each slot's in preorder (see ``efg_core.Plan``). An infoset's
-    nodes are never ancestor and descendant, so preorder adds them in the
-    order their subtrees finish.
+    A bottom-up sweep values the nodes. A vector of every sequence's reach
+    (see ``GameLayout``) is filled a level at a time: the same products as
+    a top-down node sweep, less its factors of 1.0. Then each seat's
+    decision edges add their terms, each slot's in preorder (see
+    ``efg_core.Plan``). An infoset's nodes are never ancestor and
+    descendant, so preorder adds them in the order their subtrees finish.
     """
     layout = game.layout
     policy = np.asarray(policy, dtype=np.float64)
     values = node_values(layout, policy)
     deltas = np.zeros(layout.offset[-1])
-    weight = np.concatenate((policy, layout.tail))[layout.down_src]
-    # One reach vector per mover: a (3, nodes) array would pass glibc's
-    # mmap threshold on Leduc, making each pass's cost depend on heap state.
-    reach = [np.ones(len(values)) for _ in range(3)]
-    for at, moves in zip(reach, layout.down_mover):
-        factor = np.where(moves, weight, 1.0)
-        for parent, child, lo, hi in layout.down:
-            at[child] = at[parent] * factor[lo:hi]
+    reach = np.ones(len(deltas) + 1)
+    for slots, parents in layout.sequences:
+        reach[slots] = reach[parents] * policy[slots]
     for seat in (0, 1):
         plan = layout.plans[seat]
         slot, parent, child = plan.slot, plan.parent, plan.child
-        np.add.at(strategy_sums, slot, reach[seat][parent] * policy[slot])
-        counterfactual = reach[1 - seat][parent] * reach[2][parent]
+        np.add.at(strategy_sums, slot, reach[slot])
+        counterfactual = reach[plan.opponent] * plan.chance
         if seat == 0:
             advantage = values[child] - values[parent]
         else:  # seat 1's value is the negation, so the advantage flips sign
@@ -171,10 +166,10 @@ def max_positive_regret_sum(tables: CFRTables) -> float:
     Divided by the iteration count this upper-bounds the exploitability of
     the average strategy. The sum runs from 0.0 in table order.
     """
-    regrets, offset = tables.regrets.tolist(), tables.game.layout.offset
+    maxima = np.maximum.reduceat(tables.regrets, tables.game.layout.offset[:-1])
     total = 0.0
-    for start, end in zip(offset, offset[1:]):
-        total += max(0.0, max(regrets[start:end]))
+    for regret in np.maximum(maxima, 0.0).tolist():
+        total += regret
     return total
 
 
@@ -189,8 +184,7 @@ def checkpoints(game: GameSpec, config, step, strategy_sums):
     for t in range(1, config.iterations + 1):
         step()
         if t % config.log_every == 0 or t == config.iterations:
-            average = average_strategy(game, strategy_sums)
-            exploit = exploitability(game, average)
+            exploit = policy_exploitability(game, _normalize(game, strategy_sums))
             yield t, exploit, (time.perf_counter() - start) * 1000.0
 
 

@@ -12,9 +12,10 @@ several parents; ``make_game`` treats every visit as its own position. It
 checks a tree with an explicit stack and flattens it into a
 ``GameLayout``: numpy index arrays over the tree's edges, with nodes
 numbered in preorder and grouped by depth, plus a table of the infosets
-numbered in first-visit preorder. The CFR pass, best response and expected
-value are numpy sweeps over them, one level at a time, so no traversal
-depends on Python's recursion limit.
+numbered in first-visit preorder. Node values and best response (its
+reach top-down, then its choices) are numpy sweeps over them, one level at
+a time, so no traversal depends on Python's recursion limit; the CFR pass
+takes its reach from the sequence form (see ``GameLayout``) instead.
 
 The sweeps add with ``np.add.at``, which is unbuffered and adds in index
 order. So each node, slot and score sees the same float additions, in the
@@ -96,14 +97,17 @@ class Plan:
     which gives their weight-table indices.
 
     ``parent``, ``child`` and ``slot`` are all the choices in bucket order,
-    so each slot's edges come in preorder; ``heads`` and ``head_infoset``
-    are all the decision nodes. ``rows`` lists the seat's infosets in table
-    order as (key, id, action count).
+    so each slot's edges come in preorder, and ``opponent`` and ``chance``
+    hold the opponent's sequence and the chance reach at their parents;
+    ``heads`` and ``head_infoset`` are all the decision nodes. ``rows``
+    lists the seat's infosets in table order as (key, id, action count).
     """
 
     parent: np.ndarray
     child: np.ndarray
     slot: np.ndarray
+    opponent: np.ndarray
+    chance: np.ndarray
     heads: np.ndarray
     head_infoset: np.ndarray
     sum_src: np.ndarray
@@ -121,7 +125,11 @@ class GameLayout:
     Every infoset-action has a *slot*: slots run over the infoset table in
     order, then over each infoset's actions. Infoset ``k`` owns slots
     ``offset[k]`` to ``offset[k + 1] - 1``, and ``offset[-1]`` is the slot
-    count. Solver tables are flat vectors indexed by slot.
+    count. Solver tables are flat vectors indexed by slot. A seat's
+    *sequence* at a node is the slot of its last move above it, or
+    ``offset[-1]`` if none; under perfect recall its reach there is the
+    sequence's. ``sequences`` groups the slots by their seat's earlier
+    moves, fewest first, as (slots, parent sequences).
 
     The rest are the index arrays of the numpy sweeps. An edge's weight is
     read from a *weight table*: the policy slot vector followed by ``tail``,
@@ -131,7 +139,7 @@ class GameLayout:
     grouped by the parent's tree depth, root first, in preorder within a
     depth, as (parents, children, lo, hi) with ``lo:hi`` the group's span
     in ``down_src``, their weight-table indices; ``down_mover`` marks
-    whether seat 0, seat 1 or chance moves on each. ``seat`` gives each
+    whether seat 0 or seat 1 moves on each. ``seat`` gives each
     infoset's acting seat, and ``owner`` and ``uniform`` give each slot's
     infoset id and 1 / its action count;
     ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal nodes,
@@ -141,6 +149,7 @@ class GameLayout:
     infosets: list[tuple[int, str, int]]
     offset: list[int]
     tail: np.ndarray
+    sequences: tuple
     down: tuple
     down_src: np.ndarray
     down_mover: np.ndarray
@@ -158,9 +167,10 @@ def _spans(key) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
-def _plan(seat, parent, src, moved, depth, moves, owner, offset, infosets) -> Plan:
+def _plan(seat, parent, src, moved, depth, moves, owner, offset, infosets, opp, chance):
     """Seat ``seat``'s plan (see ``Plan``). Edge ``e`` leads from
-    ``parent[e]`` into node ``e + 1``. Each array is sorted by move depth,
+    ``parent[e]`` into node ``e + 1``; ``opp`` and ``chance`` give each node's
+    opponent sequence and chance reach. Each array is sorted by move depth,
     deepest first, and cut into buckets by slicing."""
     own = np.flatnonzero(moved == seat)
     own = own[np.argsort(-moves[parent[own]], kind="stable")]
@@ -209,6 +219,8 @@ def _plan(seat, parent, src, moved, depth, moves, owner, offset, infosets) -> Pl
         parent=nodes,
         child=kids,
         slot=slot,
+        opponent=opp[nodes],
+        chance=chance[nodes],
         heads=heads,
         head_infoset=head_infoset,
         sum_src=src[other],
@@ -240,39 +252,55 @@ def _layout(parents, actions, infoset, utility, tail, first, infosets, offset):
     src += np.frombuffer(actions, dtype=np.int64)[1:]
     del edge_infoset, first_prob  # memory use peaks in the plans
     # Tree depth and each seat's move depth, by pointer jumping: each round
-    # adds the counts of the path above the node's current ancestor.
-    steps = np.zeros((3, nodes), dtype=np.intp)
-    steps[0, 1:] = 1
-    steps[1, 1:] = moved == 0
-    steps[2, 1:] = moved == 1
+    # adds the counts of the path above the node's current ancestor. They
+    # are three vectors: a (3, nodes) array passes glibc's mmap threshold.
+    steps = [np.concatenate(([0], c)) for c in (moved >= 0, moved == 0, moved == 1)]
     ancestor = np.concatenate(([0], parent))
     while ancestor.any():
-        steps += steps.take(ancestor, axis=1)
+        steps = [row + row.take(ancestor) for row in steps]
         ancestor = ancestor.take(ancestor)
     owner = np.repeat(np.arange(len(infosets)), np.diff(offset))
     down = np.flatnonzero(~terminal[1:])
     down = down[np.argsort(steps[0][parent[down]], kind="stable")]
-    down_parents, down_children = parent[down], down + 1
+    down_parents, down_children, down_src = parent[down], down + 1, src[down]
+    down_groups = tuple(
+        (down_parents[lo:hi], down_children[lo:hi], lo, hi)
+        for lo, hi in _spans(steps[0][down_parents])
+    )
+    down_mover = moved[down] == np.arange(2)[:, None]
+    # Each inner node's chance reach, multiplied top-down by 1.0 where a
+    # seat moves, and each seat's sequence there (see ``GameLayout``).
+    factor = np.concatenate((np.ones(slots), tail))[down_src]
+    chance, last = np.ones(nodes), [np.full(nodes, slots) for _ in range(2)]
+    for above, below, lo, hi in down_groups:
+        chance[below] = chance[above] * factor[lo:hi]
+        for own, seq in zip(down_mover[:, lo:hi], last):
+            seq[below] = np.where(own, down_src[lo:hi], seq[above])
+    plans = tuple(
+        _plan(seat, parent, src, moved, steps[0], steps[1 + seat], owner, offset,
+              infosets, last[1 - seat], chance)
+        for seat in (0, 1)
+    )
+    # Perfect recall gives every node of an infoset the same sequences.
+    sequence = np.zeros((2, slots), dtype=np.intp)
+    for seat, plan in enumerate(plans):
+        sequence[:, plan.slot] = steps[1 + seat][plan.parent], last[seat][plan.parent]
+    order = np.argsort(sequence[0], kind="stable")
+    depths, prior = sequence[:, order]
     return GameLayout(
         infosets=infosets,
         offset=offset.tolist(),
         tail=np.array(tail, dtype=np.float64),
-        down=tuple(
-            (down_parents[lo:hi], down_children[lo:hi], lo, hi)
-            for lo, hi in _spans(steps[0][down_parents])
-        ),
-        down_src=src[down],
-        down_mover=moved[down] == np.arange(3)[:, None],
+        sequences=tuple((order[lo:hi], prior[lo:hi]) for lo, hi in _spans(depths)),
+        down=down_groups,
+        down_src=down_src,
+        down_mover=down_mover,
         seat=seats[:-1],
         owner=owner,
         uniform=1.0 / np.diff(offset)[owner],
         utility=np.frombuffer(utility, dtype=np.float64),
         terminal=terminal,
-        plans=tuple(
-            _plan(seat, parent, src, moved, steps[0], steps[1 + seat], owner, offset,
-                  infosets)
-            for seat in (0, 1)
-        ),
+        plans=plans,
     )
 
 

@@ -110,11 +110,14 @@ def best_response(
     return BestResponseResult(value=value, response=response, responder=responder)
 
 
-def exploitability(game: GameSpec, profile) -> float:
-    """Sum of both seats' best-response values, read off one checked slot
-    vector; 0 exactly at an equilibrium."""
-    policy = checked_policy(game, (profile, profile))
+def policy_exploitability(game: GameSpec, policy) -> float:
+    """``exploitability`` of a slot vector whose rows are distributions."""
     return _respond(game.layout, policy, 0)[0] + _respond(game.layout, policy, 1)[0]
+
+
+def exploitability(game: GameSpec, profile) -> float:
+    """Sum of both seats' best-response values; 0 exactly at an equilibrium."""
+    return policy_exploitability(game, checked_policy(game, (profile, profile)))
 
 
 def merge_profiles(game: GameSpec, seat0_profile, seat1_profile):

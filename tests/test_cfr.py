@@ -1,6 +1,7 @@
 """Tabular CFR: iteration arithmetic, tables, averaging, and convergence."""
 
 import functools
+import hashlib
 import math
 import re
 
@@ -23,6 +24,7 @@ from fregret.cfr import (
     regret_policy,
     solve,
 )
+from fregret.cli import write_strategy_file
 from fregret.efg_core import (
     decision,
     expected_value,
@@ -376,6 +378,23 @@ class TestSolve:
         _, log = solve(leduc_game, CFRConfig(iterations=30, log_every=10))
         assert [row.t for row in log] == [10, 20, 30]
         assert log[-1].exploitability < log[0].exploitability
+
+    def test_leduc_solve_is_pinned(self, leduc_game, tmp_path):
+        # Recorded before the pass took its reach from the sequence form.
+        profile, log = solve(leduc_game, CFRConfig(iterations=50, log_every=10))
+        path = tmp_path / "strategy.csv"
+        write_strategy_file(str(path), leduc_game, profile)
+        assert (
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            == "9f81650ba8367c33a7776b3de4a50f1e9eac69e62faf7aed719a2950b493d525"
+        )
+        assert repr([(r.t, r.exploitability, r.max_pos_regret_sum) for r in log]) == (
+            "[(10, 1.8540371439353385, 40.35458158013761), "
+            "(20, 1.182324772528457, 48.55640091167942), "
+            "(30, 0.7671142736660244, 52.5783499497267), "
+            "(40, 0.6067904670573698, 56.70139323061777), "
+            "(50, 0.5618290274323173, 59.77817921146938)]"
+        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -19,8 +19,7 @@ import itertools
 import math
 import pathlib
 import random
-from dataclasses import asdict
-from types import SimpleNamespace
+from operator import mul
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from fregret.efg_core import (
     DECISION,
     TERMINAL,
     chance,
+    checked_policy,
     decision,
     enumerate_infosets,
     expected_value,
@@ -433,13 +433,57 @@ def filled(game, table):
     return {key: table.get(key, [0.0] * n) for _, key, n in enumerate_infosets(game)}
 
 
-def test_cfr_pass_matches_reference(games):
-    for game in games.values():
+def node_reach(game, policy):
+    """Seat 0's, seat 1's and chance's reach of every node, in preorder:
+    each parent's reach times the edge's factor, 1.0 where another mover
+    moves, as the CFR pass once carried them down the tree."""
+    layout = game.layout
+    ids = {key: k for k, (_, key, _) in enumerate(layout.infosets)}
+    rows, stack = [], [(game.root, (1.0, 1.0, 1.0))]
+    while stack:
+        node, reach = stack.pop()
+        rows.append(reach)
+        for a in range(len(node.children) - 1, -1, -1):
+            factor = [1.0, 1.0, 1.0]
+            if node.kind == CHANCE:
+                factor[2] = node.chance_probs[a]
+            else:
+                factor[node.player] = policy[layout.offset[ids[node.infoset]] + a]
+            stack.append((node.children[a], tuple(map(mul, reach, factor))))
+    return np.array(rows).T
+
+
+def test_sequence_reach_is_node_reach(games, leduc_game):
+    """At every decision edge, the sequence-reach vector gives the acting
+    seat's reach times its policy and the opponent's reach, and the plan
+    gives the chance reach, bit for bit; ``sequences`` lists every slot
+    once."""
+    for seed, game in [*games.items(), (0, leduc_game)]:
+        layout, rng = game.layout, random.Random(seed)
+        levels = [slots.tolist() for slots, _ in layout.sequences]
+        assert sorted(sum(levels, [])) == list(range(layout.offset[-1]))
+        for profile in (uniform_profile(game), random_profile(game, rng, False)):
+            policy = checked_policy(game, (profile, profile))
+            reach = np.ones(layout.offset[-1] + 1)
+            for slots, parents in layout.sequences:
+                reach[slots] = reach[parents] * policy[slots]
+            nodes = node_reach(game, policy.tolist())
+            for seat, plan in enumerate(layout.plans):
+                own, other, by_chance = nodes[seat], nodes[1 - seat], nodes[2]
+                expected = own[plan.parent] * policy[plan.slot]
+                assert reach[plan.slot].tobytes() == expected.tobytes()
+                assert reach[plan.opponent].tobytes() == other[plan.parent].tobytes()
+                assert plan.chance.tobytes() == by_chance[plan.parent].tobytes()
+
+
+def test_cfr_pass_matches_reference(games, leduc_game):
+    runs = [(game, 4) for game in games.values()] + [(leduc_game, 3)]
+    for game, iterations in runs:
         slots = game.layout.offset[-1]
         regrets, sums = np.zeros(slots), np.zeros(slots)
         old_regrets = {key: [0.0] * n for _, key, n in enumerate_infosets(game)}
         old_sums = {}
-        for _ in range(4):
+        for _ in range(iterations):
             policy = regret_policy(game, regrets)
             value, deltas = cfr_pass(game, policy, sums)
             regrets = regrets + deltas
@@ -481,19 +525,14 @@ def reference_cfr_solve(game, config):
     infosets = reference_enumerate_infosets(game)
     regrets = {key: [0.0] * n for _, key, n in infosets}
     strategy_sums = {key: [0.0] * n for _, key, n in infosets}
-    if config.update_mode == "simultaneous":
-        passes = [(0, 1)]
-    else:
-        passes = [(0,), (1,)]
     log = []
     for t in range(1, config.iterations + 1):
-        for players in passes:
-            _, deltas = reference_cfr_pass(
-                game, lambda key: regret_match(regrets[key]), strategy_sums, players
-            )
-            for key, vec in deltas.items():
-                for a, delta in enumerate(vec):
-                    regrets[key][a] += delta
+        _, deltas = reference_cfr_pass(
+            game, lambda key: regret_match(regrets[key]), strategy_sums, (0, 1)
+        )
+        for key, vec in deltas.items():
+            for a, delta in enumerate(vec):
+                regrets[key][a] += delta
         if t % config.log_every == 0 or t == config.iterations:
             bound = sum(max(0.0, max(row)) for row in regrets.values())
             average = reference_average(strategy_sums)
@@ -503,9 +542,7 @@ def reference_cfr_solve(game, config):
 
 def assert_solve_matches_reference(game, config):
     profile, log = solve(game, config)
-    # The oracle still takes an update mode; the solver has only this one.
-    oracle_config = SimpleNamespace(**asdict(config), update_mode="simultaneous")
-    expected_profile, expected_log = reference_cfr_solve(game, oracle_config)
+    expected_profile, expected_log = reference_cfr_solve(game, config)
     assert repr(profile) == repr(expected_profile)
     assert repr(
         [(row.t, row.exploitability, row.max_pos_regret_sum) for row in log]
