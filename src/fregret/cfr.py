@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validation import check_positive_int
-from .efg_core import GameSpec, node_values
+from ._validation import check_positive_int, ordered_sum
+from .efg_core import GameSpec, node_values, sequence_reach
 from .eval import policy_exploitability
 
 
@@ -114,9 +114,9 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
     regrets)``; seat 1's value is the exact negation.
 
     A bottom-up sweep values the nodes. A vector of every sequence's reach
-    (see ``GameLayout``) is filled a level at a time: the same products as
-    a top-down node sweep, less its factors of 1.0. Then each seat's
-    decision edges add their terms, each slot's in preorder (see
+    (``efg_core.sequence_reach``) is filled a level at a time: the same
+    products as a top-down node sweep, less its factors of 1.0. Then each
+    seat's decision edges add their terms, each slot's in preorder (see
     ``efg_core.Plan``). An infoset's nodes are never ancestor and
     descendant, so preorder adds them in the order their subtrees finish.
     """
@@ -124,9 +124,7 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
     policy = np.asarray(policy, dtype=np.float64)
     values = node_values(layout, policy)
     deltas = np.zeros(layout.offset[-1])
-    reach = np.ones(len(deltas) + 1)
-    for slots, parents in layout.sequences:
-        reach[slots] = reach[parents] * policy[slots]
+    reach = sequence_reach(layout, policy)
     for seat in (0, 1):
         plan = layout.plans[seat]
         slot, parent, child = plan.slot, plan.parent, plan.child
@@ -167,10 +165,7 @@ def max_positive_regret_sum(tables: CFRTables) -> float:
     the average strategy. The sum runs from 0.0 in table order.
     """
     maxima = np.maximum.reduceat(tables.regrets, tables.game.layout.offset[:-1])
-    total = 0.0
-    for regret in np.maximum(maxima, 0.0).tolist():
-        total += regret
-    return total
+    return ordered_sum(np.maximum(maxima, 0.0).tolist())
 
 
 def checkpoints(game: GameSpec, config, step, strategy_sums):

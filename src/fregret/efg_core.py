@@ -11,11 +11,11 @@ them. Nodes are immutable, so a built tree may share one subtree between
 several parents; ``make_game`` treats every visit as its own position. It
 checks a tree with an explicit stack and flattens it into a
 ``GameLayout``: numpy index arrays over the tree's edges, with nodes
-numbered in preorder and grouped by depth, plus a table of the infosets
-numbered in first-visit preorder. Node values and best response (its
-reach top-down, then its choices) are numpy sweeps over them, one level at
-a time, so no traversal depends on Python's recursion limit; the CFR pass
-takes its reach from the sequence form (see ``GameLayout``) instead.
+numbered in preorder, plus a table of the infosets numbered in first-visit
+preorder. Node values and best response are numpy sweeps over them, one
+level at a time, so no traversal depends on Python's recursion limit. Both
+the CFR pass and best response take their reach from the sequence form
+(see ``GameLayout`` and ``sequence_reach``).
 
 The sweeps add with ``np.add.at``, which is unbuffered and adds in index
 order. So each node, slot and score sees the same float additions, in the
@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._validation import format_float
+from ._validation import format_float, ordered_sum
 
 CHANCE = "chance"
 DECISION = "decision"
@@ -98,9 +98,9 @@ class Plan:
 
     ``parent``, ``child`` and ``slot`` are all the choices in bucket order,
     so each slot's edges come in preorder, and ``opponent`` and ``chance``
-    hold the opponent's sequence and the chance reach at their parents;
-    ``heads`` and ``head_infoset`` are all the decision nodes. ``rows``
-    lists the seat's infosets in table order as (key, id, action count).
+    hold the opponent's sequence and the chance reach at their parents.
+    ``rows`` lists the seat's infosets in table order as (key, id, action
+    count).
     """
 
     parent: np.ndarray
@@ -108,8 +108,6 @@ class Plan:
     slot: np.ndarray
     opponent: np.ndarray
     chance: np.ndarray
-    heads: np.ndarray
-    head_infoset: np.ndarray
     sum_src: np.ndarray
     buckets: tuple
     rows: list
@@ -128,31 +126,23 @@ class GameLayout:
     count. Solver tables are flat vectors indexed by slot. A seat's
     *sequence* at a node is the slot of its last move above it, or
     ``offset[-1]`` if none; under perfect recall its reach there is the
-    sequence's. ``sequences`` groups the slots by their seat's earlier
-    moves, fewest first, as (slots, parent sequences).
+    sequence's (see ``sequence_reach``). ``sequences`` groups the slots by
+    their seat's earlier moves, fewest first, as (slots, parent sequences).
 
     The rest are the index arrays of the numpy sweeps. An edge's weight is
     read from a *weight table*: the policy slot vector followed by ``tail``,
     which holds every chance probability. ``plans`` orders the edges for
     each seat's best response (see ``Plan``); seat 0's order also serves the
-    bottom-up node values. ``down`` lists the edges into non-terminal nodes
-    grouped by the parent's tree depth, root first, in preorder within a
-    depth, as (parents, children, lo, hi) with ``lo:hi`` the group's span
-    in ``down_src``, their weight-table indices; ``down_mover`` marks
-    whether seat 0 or seat 1 moves on each. ``seat`` gives each
-    infoset's acting seat, and ``owner`` and ``uniform`` give each slot's
-    infoset id and 1 / its action count;
-    ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal nodes,
-    which ``terminal`` marks False.
+    bottom-up node values. ``seat`` gives each infoset's acting seat, and
+    ``owner`` and ``uniform`` give each slot's infoset id and 1 / its action
+    count; ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal
+    nodes, which ``terminal`` marks False.
     """
 
     infosets: list[tuple[int, str, int]]
     offset: list[int]
     tail: np.ndarray
     sequences: tuple
-    down: tuple
-    down_src: np.ndarray
-    down_mover: np.ndarray
     seat: np.ndarray
     owner: np.ndarray
     uniform: np.ndarray
@@ -221,80 +211,77 @@ def _plan(seat, parent, src, moved, depth, moves, owner, offset, infosets, opp, 
         slot=slot,
         opponent=opp[nodes],
         chance=chance[nodes],
-        heads=heads,
-        head_infoset=head_infoset,
         sum_src=src[other],
         buckets=tuple(buckets),
         rows=rows,
     )
 
 
-def _layout(parents, actions, infoset, utility, tail, first, infosets, offset):
+def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
     """Build the ``GameLayout`` from ``make_game``'s columns, with numpy: no
     Python loop runs over all nodes.
 
     Edge ``e`` leads from ``parent[e]`` into node ``e + 1``: every node but
     the root has one edge into it, and preorder numbers the root 0.
+    Raises ValueError on imperfect recall, at the first offending decision
+    node in preorder.
     """
     nodes = len(parents)
     slots = offset[-1]
     parent = np.frombuffer(parents, dtype=np.int64)[1:].astype(np.intp, copy=False)
+    depth = np.frombuffer(depths, dtype=np.int64)
+    node_infoset = np.frombuffer(infoset, dtype=np.int64)
     terminal = np.ones(nodes, dtype=bool)
     terminal[parent] = False
-    first_prob = np.zeros(nodes, dtype=np.intp)
-    first_prob[list(first)] = list(first.values())
-    edge_infoset = np.frombuffer(infoset, dtype=np.int64)[parent]
     # Each edge's mover: seat 0 or 1, or 2 for chance, whose infoset is -1.
     seats = np.array([player for player, _, _ in infosets] + [2], dtype=np.intp)
-    moved = seats[edge_infoset]
-    offset = np.array(offset, dtype=np.intp)
-    src = np.where(moved == 2, slots + first_prob[parent], offset[edge_infoset])
-    src += np.frombuffer(actions, dtype=np.int64)[1:]
-    del edge_infoset, first_prob  # memory use peaks in the plans
-    # Tree depth and each seat's move depth, by pointer jumping: each round
-    # adds the counts of the path above the node's current ancestor. They
-    # are three vectors: a (3, nodes) array passes glibc's mmap threshold.
-    steps = [np.concatenate(([0], c)) for c in (moved >= 0, moved == 0, moved == 1)]
-    ancestor = np.concatenate(([0], parent))
-    while ancestor.any():
-        steps = [row + row.take(ancestor) for row in steps]
-        ancestor = ancestor.take(ancestor)
-    owner = np.repeat(np.arange(len(infosets)), np.diff(offset))
+    moved = seats[node_infoset[parent]]
+    src = np.frombuffer(weights, dtype=np.int64)[1:].astype(np.intp)
+    src[moved == 2] += slots
+    # Top-down over the edges into inner nodes, a tree depth at a time: each
+    # node's chance reach (multiplied by 1.0 where a seat moves) and each
+    # seat's sequence and move count there (see ``GameLayout``).
     down = np.flatnonzero(~terminal[1:])
-    down = down[np.argsort(steps[0][parent[down]], kind="stable")]
-    down_parents, down_children, down_src = parent[down], down + 1, src[down]
-    down_groups = tuple(
-        (down_parents[lo:hi], down_children[lo:hi], lo, hi)
-        for lo, hi in _spans(steps[0][down_parents])
-    )
-    down_mover = moved[down] == np.arange(2)[:, None]
-    # Each inner node's chance reach, multiplied top-down by 1.0 where a
-    # seat moves, and each seat's sequence there (see ``GameLayout``).
-    factor = np.concatenate((np.ones(slots), tail))[down_src]
-    chance, last = np.ones(nodes), [np.full(nodes, slots) for _ in range(2)]
-    for above, below, lo, hi in down_groups:
+    down = down[np.argsort(depth[parent[down]], kind="stable")]
+    factor = np.concatenate((np.ones(slots), tail))[src[down]]
+    chance = np.ones(nodes)
+    last = [np.full(nodes, slots) for _ in range(2)]
+    moves = [np.zeros(nodes, dtype=np.intp) for _ in range(2)]
+    for lo, hi in _spans(depth[parent[down]]):
+        edges = down[lo:hi]
+        above, below = parent[edges], edges + 1
         chance[below] = chance[above] * factor[lo:hi]
-        for own, seq in zip(down_mover[:, lo:hi], last):
-            seq[below] = np.where(own, down_src[lo:hi], seq[above])
+        for seat in (0, 1):
+            own = moved[edges] == seat
+            last[seat][below] = np.where(own, src[edges], last[seat][above])
+            moves[seat][below] = moves[seat][above] + own
+    del down, factor  # memory use peaks in the plans
+    # Perfect recall: every node of an infoset has its first node's sequence.
+    decided = np.flatnonzero(node_infoset >= 0)
+    ids = node_infoset[decided]
+    own_sequence = np.where(seats[ids] == 0, last[0][decided], last[1][decided])
+    _, first = np.unique(ids, return_index=True)
+    bad = np.flatnonzero(own_sequence != own_sequence[first][ids])
+    if len(bad):
+        raise ValueError(f"imperfect recall at infoset '{infosets[ids[bad[0]]][1]}'")
+    del decided, ids, own_sequence, first, bad
+    offset = np.array(offset, dtype=np.intp)
+    owner = np.repeat(np.arange(len(infosets)), np.diff(offset))
     plans = tuple(
-        _plan(seat, parent, src, moved, steps[0], steps[1 + seat], owner, offset,
+        _plan(seat, parent, src, moved, depth, moves[seat], owner, offset,
               infosets, last[1 - seat], chance)
         for seat in (0, 1)
     )
-    # Perfect recall gives every node of an infoset the same sequences.
     sequence = np.zeros((2, slots), dtype=np.intp)
     for seat, plan in enumerate(plans):
-        sequence[:, plan.slot] = steps[1 + seat][plan.parent], last[seat][plan.parent]
+        sequence[:, plan.slot] = moves[seat][plan.parent], last[seat][plan.parent]
     order = np.argsort(sequence[0], kind="stable")
-    depths, prior = sequence[:, order]
+    counts, prior = sequence[:, order]
     return GameLayout(
         infosets=infosets,
         offset=offset.tolist(),
         tail=np.array(tail, dtype=np.float64),
-        sequences=tuple((order[lo:hi], prior[lo:hi]) for lo, hi in _spans(depths)),
-        down=down_groups,
-        down_src=down_src,
-        down_mover=down_mover,
+        sequences=tuple((order[lo:hi], prior[lo:hi]) for lo, hi in _spans(counts)),
         seat=seats[:-1],
         owner=owner,
         uniform=1.0 / np.diff(offset)[owner],
@@ -326,30 +313,33 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
     Raises ValueError on malformed nodes (a decision node's infoset key
     must be a ``str``), non-finite chance probabilities or utilities,
     non-zero-sum payoffs, infosets whose nodes disagree on player or
-    actions, and imperfect recall: every node of an infoset must share the
-    acting seat's own (infoset, action index) history. Comparing only the
-    latest step of that history suffices: the step names an earlier infoset,
-    whose nodes were checked the same way.
+    actions, and imperfect recall: every node of an infoset must have the
+    acting seat's own sequence (see ``GameLayout``). That compares only the
+    latest step of the seat's (infoset, action) history, which suffices:
+    the step names an earlier infoset, whose nodes were checked the same
+    way. Recall is checked after the walk, so any other fault is reported
+    first.
     """
     labels: dict[str, tuple[str, ...]] = {}
     ids: dict[str, int] = {}
-    last_step: list[tuple | None] = []
     infosets: list[tuple[int, str, int]] = []
     offset = [0]
-    # By node, as machine numbers: the parent, the index among siblings, the
-    # infoset id (-1 off decision nodes) and seat 0's payoff (0.0 off
-    # terminals). Chance probabilities go to the weight-table tail, and
-    # ``first`` maps each chance node to the tail index of its first one.
-    parents, actions, infoset = array("q"), array("q"), array("q")
+    # By node, as machine numbers: the parent, the weight index of the edge
+    # into it (its slot after a decision node, the tail index of its
+    # probability after a chance node), the tree depth, the infoset id (-1
+    # off decision nodes) and seat 0's payoff (0.0 off terminals). Chance
+    # probabilities go to the weight-table tail.
+    parents, weights, depths, infoset = array("q"), array("q"), array("q"), array("q")
     utility = array("d")
-    tail, first = [], {}
+    tail = []
     # Children are pushed in reverse, so nodes are numbered in preorder.
-    stack = [(root, -1, 0, None, None)]
+    stack = [(root, -1, 0, 0)]
     while stack:
-        node, parent, action, step0, step1 = stack.pop()
+        node, parent, weight, depth = stack.pop()
         index = len(parents)
         parents.append(parent)
-        actions.append(action)
+        weights.append(weight)
+        depths.append(depth)
         infoset.append(-1)
         utility.append(0.0)
         if node.kind == TERMINAL:
@@ -370,10 +360,8 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 raise ValueError("chance probabilities must be finite and >= 0")
             if abs(sum(node.chance_probs) - 1.0) > 1e-12:
                 raise ValueError("chance probabilities do not sum to 1")
-            first[index] = len(tail)
+            base = len(tail)
             tail.extend(node.chance_probs)
-            for a in range(len(node.children) - 1, -1, -1):
-                stack.append((node.children[a], index, a, step0, step1))
         elif node.kind == DECISION:
             if len(node.actions) != len(node.children):
                 raise ValueError("action/child count mismatch")
@@ -381,27 +369,23 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 raise ValueError("decision node with no actions")
             if node.player not in (0, 1):
                 raise ValueError(f"decision node player {node.player!r} is not 0 or 1")
-            own = step0 if node.player == 0 else step1
             key = node.infoset
             if not isinstance(key, str):
                 raise ValueError(f"decision node infoset {key!r} is not a str")
             k = ids.setdefault(key, len(ids))
-            if k == len(last_step):  # first node of a new infoset
+            if k == len(infosets):  # first node of a new infoset
                 infosets.append((node.player, key, len(node.actions)))
                 offset.append(offset[-1] + len(node.actions))
                 labels[key] = node.actions
-                last_step.append(own)
             elif labels[key] != node.actions or infosets[k][0] != node.player:
                 raise ValueError(f"inconsistent infoset '{key}'")
-            elif last_step[k] != own:
-                raise ValueError(f"imperfect recall at infoset '{key}'")
             infoset[index] = k
-            for a in range(len(node.children) - 1, -1, -1):
-                steps = ((key, a), step1) if node.player == 0 else (step0, (key, a))
-                stack.append((node.children[a], index, a, *steps))
+            base = offset[k]
         else:
             raise ValueError(f"unknown node kind '{node.kind}'")
-    layout = _layout(parents, actions, infoset, utility, tail, first, infosets, offset)
+        for a in range(len(node.children) - 1, -1, -1):
+            stack.append((node.children[a], index, base + a, depth + 1))
+    layout = _layout(parents, weights, depths, infoset, utility, tail, infosets, offset)
     # Seat 1's payoffs are the exact negations, so both seats' spreads agree.
     payoffs = layout.utility[layout.terminal].tolist()
     return GameSpec(
@@ -423,9 +407,7 @@ def check_row(key: str, probs, where: str = "") -> None:
     entries sum to 1 within 1e-6; ``where`` starts the message. The sum
     runs from 0.0 in order, as in ``checked_policy``: the builtin ``sum`` is
     compensated on Python 3.12+."""
-    total = 0.0
-    for p in probs:
-        total += float(p)
+    total = ordered_sum(map(float, probs))
     # A NaN or infinite entry makes the sum NaN or infinite, never near 1.
     if not (abs(total - 1.0) <= 1e-6 and min(probs) >= 0.0):
         raise ValueError(
@@ -474,6 +456,17 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
         k = int(bad.argmax())
         check_row(layout.infosets[k][1], rows[k])
     return policy
+
+
+def sequence_reach(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
+    """Every sequence's reach when slot ``s`` plays with probability
+    ``policy[s]``: by slot, with the empty sequence's 1.0 at ``offset[-1]``.
+    Filled a level of ``sequences`` at a time, so each slot's reach is its
+    parent sequence's times its policy."""
+    reach = np.ones(layout.offset[-1] + 1)
+    for slots, parents in layout.sequences:
+        reach[slots] = reach[parents] * policy[slots]
+    return reach
 
 
 def node_values(layout: GameLayout, policy: np.ndarray) -> np.ndarray:

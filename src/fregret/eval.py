@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._validation import check_positive_int, ordered_sum
-from .efg_core import GameSpec, checked_policy, node_values
+from .efg_core import GameSpec, checked_policy, node_values, sequence_reach
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,26 @@ class MatchResult:
 
 
 def _respond(layout, policy, responder: int):
-    """``best_response``'s sweeps against slot vector ``policy``: the root
-    value, each infoset's pick, and each node's opponent-and-chance reach."""
+    """``best_response``'s sweep against slot vector ``policy``: the root
+    value, each infoset's pick, and the opponent-and-chance reach of each
+    of the responder's decision edges, in plan order."""
     plan = layout.plans[responder]
-    table = np.concatenate((policy, layout.tail))
-    factor = np.where(layout.down_mover[responder], 1.0, table[layout.down_src])
-    weight = np.ones(len(layout.utility))
-    for parent, child, lo, hi in layout.down:
-        weight[child] = weight[parent] * factor[lo:hi]
+    weight = sequence_reach(layout, policy)[plan.opponent] * plan.chance
     if responder == 0:
         value = layout.utility.copy()
     else:  # +0.0, not -0.0, at the nodes whose values are sums
         value = np.zeros(len(layout.utility))
         np.negative(layout.utility, out=value, where=layout.terminal)
-    probs = table[plan.sum_src]
+    probs = np.concatenate((policy, layout.tail))[plan.sum_src]
     score = np.zeros(layout.offset[-1] + 1)
     score[-1] = -np.inf  # the padding slot of a shorter infoset's row
     choice = np.zeros(len(layout.infosets), dtype=np.intp)
+    seen = 0  # the decision edges of the buckets so far
     for choices, levels in plan.buckets:
         if choices is not None:
-            parent, child, slot, pad, ids, heads, first, head_infoset = choices
-            np.add.at(score, slot, weight[parent] * value[child])
+            _, child, slot, pad, ids, heads, first, head_infoset = choices
+            np.add.at(score, slot, weight[seen : seen + len(slot)] * value[child])
+            seen += len(slot)
             choice[ids] = score[pad].argmax(axis=1)
             value[heads] = value[child[first + choice[head_infoset]]]
         for parent, child, lo, hi in levels:
@@ -81,8 +80,9 @@ def best_response(
     unreachable get a uniform row in the returned response; any choice there
     is value-neutral.
 
-    A top-down sweep carries each node's opponent-and-chance reach. Nodes
-    are then valued in buckets by the responder's move depth, deepest first
+    Each decision edge's weight is the reach of the opponent's sequence at
+    its parent times the chance reach there (``efg_core.sequence_reach``).
+    Nodes are valued in buckets by the responder's move depth, deepest first
     (see ``efg_core.Plan``). Under perfect recall an infoset's nodes
     share that depth, so when a bucket starts, all their children are
     valued: each infoset's action scores are summed over its nodes in
@@ -97,7 +97,7 @@ def best_response(
     plan = layout.plans[responder]
     value, choice, weight = _respond(layout, checked_policy(game, seats), responder)
     reach = np.zeros(len(layout.infosets))
-    np.add.at(reach, plan.head_infoset, weight[plan.heads])
+    np.add.at(reach, layout.owner[plan.slot], weight)
     picks, reached = choice.tolist(), (reach > 0.0).tolist()
     # Rows by action count: the pure row of each action, then uniform.
     rows: dict[int, list[tuple[float, ...]]] = {}

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._validation import check_positive_int
+from ._validation import check_positive_int, ordered_sum
 from .cfr import average_strategy, cfr_pass, checkpoints, regret_policy
 from .efg_core import GameSpec
 from .estimator import (
@@ -159,10 +159,8 @@ def training_mse(state: RCFRState, player: int) -> float:
     either would change the logged bits.
     """
     slots = state.seat_slots[player]
-    total = 0.0
-    predictions = state.predictions[slots].tolist()
-    for predicted, target in zip(predictions, state.targets[slots].tolist()):
-        total += (predicted - target) ** 2
+    pairs = zip(state.predictions[slots].tolist(), state.targets[slots].tolist())
+    total = ordered_sum((predicted - target) ** 2 for predicted, target in pairs)
     return total / len(slots) if len(slots) else 0.0
 
 

@@ -191,6 +191,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="imperfect recall"):
             make_game("bad", root)
 
+    @pytest.mark.parametrize("moved_first", [False, True])
+    def test_imperfect_recall_of_no_move_rejected(self, moved_first):
+        # Seat 0 has no move above one node of "p0:y" and one move above
+        # the other, in either preorder.
+        def y():
+            return decision(0, "p0:y", ("a",), [terminal(0.0)])
+
+        branches = [y(), decision(0, "p0:x", ("a",), [y()])]
+        if moved_first:
+            branches.reverse()
+        with pytest.raises(ValueError, match="imperfect recall at infoset 'p0:y'"):
+            make_game("bad", chance([0.5, 0.5], branches))
+
+    def test_walk_faults_come_before_imperfect_recall(self):
+        # Recall is checked on the finished layout, so a fault later in
+        # preorder than the forgetful node is the one reported.
+        def forgetful():
+            return decision(0, "p0:y", ("a",), [terminal(0.0)])
+
+        unfair = GameNode(kind=TERMINAL, utilities=(1.0, 1.0))
+        root = decision(0, "p0:x", ("a", "b", "c"), [forgetful(), forgetful(), unfair])
+        with pytest.raises(ValueError, match="not zero-sum"):
+            make_game("bad", root)
+
     def test_utility_range_is_spread(self):
         root = chance([0.5, 0.5], [terminal(-3.0), terminal(5.0)])
         game = make_game("toy", root)

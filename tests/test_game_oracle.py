@@ -27,6 +27,7 @@ from conftest import by_key
 
 import fregret
 from fregret.cfr import CFRConfig, cfr_pass, new_tables, regret_policy, solve
+from fregret.cli import read_strategy_file
 from fregret.efg_core import (
     CHANCE,
     DECISION,
@@ -37,11 +38,13 @@ from fregret.efg_core import (
     enumerate_infosets,
     expected_value,
     make_game,
+    sequence_reach,
     terminal,
     uniform_profile,
 )
 from fregret.eval import (
     BestResponseResult,
+    _respond,
     best_response,
     exact_ev,
     exploitability,
@@ -454,9 +457,10 @@ def node_reach(game, policy):
 
 
 def test_sequence_reach_is_node_reach(games, leduc_game):
-    """At every decision edge, the sequence-reach vector gives the acting
-    seat's reach times its policy and the opponent's reach, and the plan
-    gives the chance reach, bit for bit; ``sequences`` lists every slot
+    """At every decision edge, ``sequence_reach`` gives the acting seat's
+    reach times its policy and the opponent's reach, the plan gives the
+    chance reach, and best response weighs the edge by the opponent's reach
+    times the chance reach, bit for bit; ``sequences`` lists every slot
     once."""
     for seed, game in [*games.items(), (0, leduc_game)]:
         layout, rng = game.layout, random.Random(seed)
@@ -464,9 +468,7 @@ def test_sequence_reach_is_node_reach(games, leduc_game):
         assert sorted(sum(levels, [])) == list(range(layout.offset[-1]))
         for profile in (uniform_profile(game), random_profile(game, rng, False)):
             policy = checked_policy(game, (profile, profile))
-            reach = np.ones(layout.offset[-1] + 1)
-            for slots, parents in layout.sequences:
-                reach[slots] = reach[parents] * policy[slots]
+            reach = sequence_reach(layout, policy)
             nodes = node_reach(game, policy.tolist())
             for seat, plan in enumerate(layout.plans):
                 own, other, by_chance = nodes[seat], nodes[1 - seat], nodes[2]
@@ -474,6 +476,8 @@ def test_sequence_reach_is_node_reach(games, leduc_game):
                 assert reach[plan.slot].tobytes() == expected.tobytes()
                 assert reach[plan.opponent].tobytes() == other[plan.parent].tobytes()
                 assert plan.chance.tobytes() == by_chance[plan.parent].tobytes()
+                weight = other[plan.parent] * by_chance[plan.parent]
+                assert _respond(layout, policy, seat)[2].tobytes() == weight.tobytes()
 
 
 def test_cfr_pass_matches_reference(games, leduc_game):
@@ -593,6 +597,24 @@ def test_best_response_matches_reference(games):
                     list(old.response.items())
                 )
                 assert new.responder == responder
+
+
+def test_best_response_matches_reference_on_leduc(leduc_game):
+    """Both responders against three fixed Leduc profiles: uniform, the
+    stored CFR profile and one seeded random profile. The reference weighs
+    nodes by a product that interleaves opponent and chance factors."""
+    stored = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
+    profiles = (
+        uniform_profile(leduc_game),
+        read_strategy_file(str(stored))[1],
+        random_profile(leduc_game, random.Random(0), False),
+    )
+    for profile in profiles:
+        for responder in (0, 1):
+            new = best_response(leduc_game, profile, responder)
+            old = reference_best_response(leduc_game, profile, responder)
+            assert repr(new.value) == repr(old.value)
+            assert repr(list(new.response.items())) == repr(list(old.response.items()))
 
 
 def outcome(run, *args):
