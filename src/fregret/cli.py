@@ -4,12 +4,13 @@ Three subcommands: ``solve`` writes a strategy file plus a convergence CSV,
 ``exploit`` prints the exploitability of a stored strategy, and ``compete``
 pits two stored strategies against each other (exact or sampled).
 
-Strategy files open with ``# fregret-strategy v1 game=<id>
-exploit_convention=sum`` and then hold one ``infoset_key,action_index,
-probability`` line per action, sorted by key then index. The convention tag
-records that exploitability values are the sum over both seats' best
-responses; halve them for a per-seat average. All floats are written with 17
-significant digits, so write -> read -> write is byte-identical.
+Strategy files are UTF-8 text. They open with ``# fregret-strategy v1
+game=<id> exploit_convention=sum`` and then hold one ``infoset_key,
+action_index,probability`` line per action, sorted by key then index. The
+convention tag records that exploitability values are the sum over both
+seats' best responses; halve them for a per-seat average. All floats are
+written with 17 significant digits, so write -> read -> write is
+byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 validation error.
 """
@@ -21,10 +22,13 @@ import math
 import os
 import re
 import sys
+from itertools import repeat
+
+import numpy as np
 
 from ._validation import format_float
 from .cfr import CFRConfig, solve
-from .efg_core import check_row, checked_policy
+from .efg_core import bad_rows, check_row, checked_policy
 from .eval import exact_ev, exploitability, sampled_match
 from .games import build_kuhn, build_leduc
 from .rcfr import RCFRConfig, rcfr_solve
@@ -56,12 +60,12 @@ def format_csv(header, rows) -> str:
 
 
 def write_strategy_file(path: str, game, profile) -> None:
-    """Check the profile against the game and store it sorted.
+    """Check the profile against the game and store it sorted, as UTF-8.
 
     Raises ValueError, before the file is opened, on anything the reader or
     ``efg_core.checked_policy`` would reject: a game id that is empty or has
-    whitespace, a key with a comma or a line break, or a profile that fails
-    the check.
+    whitespace, a key with a comma or a line break, text that UTF-8 cannot
+    encode, or a profile that fails the check.
     """
     try:
         checked_policy(game, (profile, profile))
@@ -77,19 +81,48 @@ def write_strategy_file(path: str, game, profile) -> None:
             raise ValueError(f"infoset key {key!r} has a comma or a line break")
         for index, prob in enumerate(profile[key]):
             lines.append(f"{key},{index},{format_float(prob)}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+    except UnicodeEncodeError as error:
+        text = error.object[error.start : error.end]
+        raise ValueError(f"{text!r} cannot be written as UTF-8") from None
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+def _converted(convert, texts):
+    """``convert`` mapped over ``texts``, and the position of the first text
+    it rejects with ValueError, or None. ``list.extend`` keeps the values
+    converted before the failure."""
+    values = []
+    try:
+        values.extend(map(convert, texts))
+    except ValueError:
+        return values, len(values)
+    return values, None
 
 
 def read_strategy_file(path: str):
-    """Parse a strategy file; returns (game id, profile).
+    """Parse a UTF-8 strategy file; returns (game id, profile), the profile's
+    keys in order of first appearance.
 
-    Every malformed line is reported with its line number; per-infoset
-    probabilities must be contiguous from action index 0 and pass
-    ``efg_core.check_row``.
+    A malformed line raises ValueError with its line number, the first such
+    line in the file. Then each infoset's indices must run 0..n-1 and its
+    row pass ``efg_core.check_row``; the first infoset to fail, in order of
+    first appearance, is reported, a missing index before a bad sum.
+
+    All rows are checked at once: each column is converted by one ``map``
+    call, and a stable sort by (infoset, action index) groups the rows, so
+    an infoset is valid exactly when its sorted indices are 0..n-1.
     """
-    with open(path) as handle:
-        lines = handle.read().splitlines()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as error:
+        raise ValueError(
+            f"{path}: not UTF-8 text ({error.reason} at byte {error.start})"
+        ) from None
     if not lines:
         raise ValueError(f"{path}, line 1: empty strategy file")
     match = STRATEGY_HEADER_PATTERN.fullmatch(lines[0])
@@ -99,51 +132,69 @@ def read_strategy_file(path: str):
             f"'# fregret-strategy v1 game=<id> exploit_convention=sum'"
         )
     game_id = match.group(1)
-    by_infoset: dict[str, dict[int, float]] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(
-                f"{path}, line {number}: expected "
-                f"'infoset_key,action_index,probability'"
-            )
-        key, index_text, prob_text = parts
-        try:
-            index = int(index_text)
-        except ValueError:
-            raise ValueError(
-                f"{path}, line {number}: bad action index '{index_text}'"
-            ) from None
-        try:
-            prob = float(prob_text)
-        except ValueError:
-            raise ValueError(
-                f"{path}, line {number}: bad probability '{prob_text}'"
-            ) from None
-        if not 0.0 <= prob < math.inf:
-            raise ValueError(
-                f"{path}, line {number}: probability {prob_text} must be "
-                f"finite and >= 0"
-            )
-        row = by_infoset.setdefault(key, {})
-        if index in row:
-            raise ValueError(
-                f"{path}, line {number}: duplicate entry for "
-                f"'{key}' action {index}"
-            )
-        row[index] = prob
-    profile: dict[str, tuple[float, ...]] = {}
-    where = f"{path}: "
-    for key, row in by_infoset.items():
-        count = len(row)
-        if sorted(row) != list(range(count)):
+    body = lines[1:]
+    count = len(body)
+    # Faults as (body line, rank, message): the earliest line wins, and on
+    # one line the rank orders the checks as a line-by-line reader makes
+    # them. Each column is parsed only up to its first fault.
+    faults = []
+    misfit = np.fromiter(map(str.count, body, repeat(",")), np.intp, count) != 2
+    parsed = int(misfit.argmax()) if misfit.any() else count
+    if parsed < count:
+        message = "expected 'infoset_key,action_index,probability'"
+        faults.append((parsed, 0, message))
+    fields = ",".join(body[:parsed]).split(",") if parsed else []
+    keys, index_texts, prob_texts = fields[0::3], fields[1::3], fields[2::3]
+    indices, at = _converted(int, index_texts)
+    if at is not None:
+        faults.append((at, 1, f"bad action index '{index_texts[at]}'"))
+    probs, at = _converted(float, prob_texts)
+    if at is not None:
+        faults.append((at, 2, f"bad probability '{prob_texts[at]}'"))
+    prob = np.array(probs, dtype=np.float64)
+    outside = ~((prob >= 0.0) & (prob < math.inf))
+    if outside.any():
+        at = int(outside.argmax())
+        faults.append(
+            (at, 3, f"probability {prob_texts[at]} must be finite and >= 0")
+        )
+    first = dict.fromkeys(keys)
+    ids = dict(zip(first, range(len(first))))
+    owner = np.fromiter(map(ids.__getitem__, keys), np.intp, len(indices))
+    try:
+        index = np.array(indices, dtype=np.int64)
+    except OverflowError:  # past int64: compare the Python ints themselves
+        index = np.array(indices, dtype=object)
+    # The stable sort puts each repeat of an (infoset, index) pair right
+    # after its first line; the earliest repeating line is the duplicate.
+    order = np.lexsort((index, owner))
+    owner, index = owner[order], index[order]
+    again = (owner[1:] == owner[:-1]) & (index[1:] == index[:-1])
+    if again.any():
+        at = int(order[1:][again].min())
+        faults.append(
+            (at, 4, f"duplicate entry for '{keys[at]}' action {indices[at]}")
+        )
+    if faults:
+        at, _, message = min(faults)
+        raise ValueError(f"{path}, line {at + 2}: {message}")
+    prob = prob[order]
+    sizes = np.bincount(owner, minlength=len(first))
+    ends = np.cumsum(sizes)
+    gap = np.zeros(len(first), dtype=bool)
+    gap[owner[index != np.arange(count) - np.repeat(ends - sizes, sizes)]] = True
+    bad = gap | bad_rows(owner, prob, len(first))
+    flat, ends = prob.tolist(), ends.tolist()
+    rows = [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+    if bad.any():
+        k = int(bad.argmax())
+        key = list(first)[k]
+        if gap[k]:
             raise ValueError(
                 f"{path}: infoset '{key}' is missing some action indices"
             )
-        probs = tuple(row[i] for i in range(count))
-        check_row(key, probs, where)
-        profile[key] = probs
-    return game_id, profile
+        check_row(key, rows[k], f"{path}: ")
+    return game_id, dict(zip(first, rows))
 
 
 def _load_for_game(path: str, game):
@@ -206,7 +257,8 @@ def cmd_solve(args) -> int:
     write_strategy_file(
         os.path.join(args.out, STRATEGY_FILENAME), game, profile
     )
-    with open(os.path.join(args.out, CONVERGENCE_FILENAME), "w") as handle:
+    convergence_path = os.path.join(args.out, CONVERGENCE_FILENAME)
+    with open(convergence_path, "w", encoding="utf-8") as handle:
         handle.write(format_csv(header, rows))
     return 0
 

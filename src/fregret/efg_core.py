@@ -416,6 +416,17 @@ def check_row(key: str, probs, where: str = "") -> None:
         )
 
 
+def bad_rows(owner: np.ndarray, probs: np.ndarray, count: int) -> np.ndarray:
+    """Mask of the ``count`` rows that ``check_row`` rejects, where entry
+    ``i`` of ``probs`` belongs to row ``owner[i]`` and each row's entries
+    come in order. ``bincount`` adds each row's entries in that order from
+    0.0, as ``check_row`` does, so the two agree on every row."""
+    sums = np.bincount(owner, weights=probs, minlength=count)
+    bad = ~(np.abs(sums - 1.0) <= 1e-6)
+    bad[owner[probs < 0.0]] = True
+    return bad
+
+
 def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
     """The slot vector of each seat's rows from its profile in
     ``seat_profiles``, zeros for a seat whose profile is None.
@@ -423,8 +434,8 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
     Raises on the first fault, in this order: ValueError on a key the game
     lacks; KeyError on a missing row or ValueError on one of the wrong
     length, the first in table order; ``check_row``'s ValueError on the first
-    row in table order that is not a distribution, found in one pass over
-    the vector (``bincount`` adds each infoset's sum in slot order from 0.0).
+    row in table order that is not a distribution, found by ``bad_rows`` in
+    one pass over the vector.
     """
     layout, labels = game.layout, game.action_labels
     for profile in seat_profiles:
@@ -448,9 +459,7 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
     policy = np.fromiter(
         chain.from_iterable(rows), dtype=np.float64, count=layout.offset[-1]
     )
-    sums = np.bincount(layout.owner, weights=policy, minlength=len(rows))
-    bad = ~(np.abs(sums - 1.0) <= 1e-6)
-    bad[layout.owner[policy < 0.0]] = True
+    bad = bad_rows(layout.owner, policy, len(rows))
     bad &= np.array([profile is not None for profile in seat_profiles])[layout.seat]
     if bad.any():
         k = int(bad.argmax())

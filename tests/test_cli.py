@@ -2,11 +2,13 @@
 
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
+from test_game_oracle import random_game, random_profile
 
 import fregret
 from fregret.cli import (
@@ -33,6 +35,22 @@ def solve_into(tmp_path, capsys, name, extra):
     return out / "strategy.csv", out / "convergence.csv"
 
 
+EDGE_FLOATS = (-0.0, 0.0, 5e-324)
+
+
+def edge_case_profile(game):
+    """A random profile in which every other row, in key order, holds -0.0,
+    0.0 and the least subnormal around one entry of 1 - 2**-53."""
+    profile = random_profile(game, random.Random(game.game_id), False)
+    for k, key in enumerate(sorted(profile)):
+        if k % 2 == 0:
+            n = len(profile[key])
+            row = [EDGE_FLOATS[(k + a) % 3] for a in range(n)]
+            row[k % n] = 1 - 2**-53
+            profile[key] = tuple(row)
+    return profile
+
+
 class TestStrategyFiles:
     def test_solve_one_iteration_encodes_uniform(self, tmp_path, capsys, kuhn_game):
         strategy, _ = solve_into(
@@ -43,7 +61,7 @@ class TestStrategyFiles:
         assert game_id == "kuhn"
         assert profile == uniform_profile(kuhn_game)
 
-    def test_write_read_write_is_byte_identical(self, tmp_path, capsys):
+    def test_write_read_write_is_byte_identical(self, tmp_path, capsys, leduc_game):
         strategy, _ = solve_into(
             tmp_path, capsys, "r",
             ["--game", "kuhn", "--algo", "cfr", "--iters", "30"],
@@ -55,6 +73,19 @@ class TestStrategyFiles:
         rewritten = tmp_path / "rewritten.csv"
         write_strategy_file(str(rewritten), game, profile)
         assert rewritten.read_bytes() == strategy.read_bytes()
+        # Leduc and random oracle games, with rows holding float edge cases:
+        # every row reads back bit for bit, in the writer's key order.
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        for game in (leduc_game, *map(random_game, range(0, 200, 25))):
+            profile = edge_case_profile(game)
+            write_strategy_file(str(first), game, profile)
+            game_id, read = read_strategy_file(str(first))
+            assert game_id == game.game_id
+            assert list(read) == sorted(profile)
+            for key, row in profile.items():
+                assert list(map(float.hex, read[key])) == list(map(float.hex, row))
+            write_strategy_file(str(second), game, read)
+            assert second.read_bytes() == first.read_bytes()
 
     def test_lines_are_sorted_by_key_then_action(self, tmp_path, capsys):
         strategy, _ = solve_into(
@@ -111,6 +142,42 @@ class TestStrategyWriterMatchesReader:
         with pytest.raises(ValueError):
             write_strategy_file(str(path), one_infoset_game(game_id, key), {key: row})
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "game_id, key", [("toy", "p0:\ud800"), ("toy\udcff", "p0:x")]
+    )
+    def test_text_utf8_cannot_encode_raises_and_writes_nothing(
+        self, tmp_path, game_id, key
+    ):
+        path = tmp_path / "bad.csv"
+        game = one_infoset_game(game_id, key)
+        with pytest.raises(ValueError, match="cannot be written as UTF-8"):
+            write_strategy_file(str(path), game, {key: (0.5, 0.5)})
+        assert not path.exists()
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        """Under the C locale the file is still UTF-8 and reads back."""
+        path = tmp_path / "e.csv"
+        script = (
+            "import sys\n"
+            "from fregret.cli import read_strategy_file, write_strategy_file\n"
+            "from fregret.efg_core import decision, make_game, terminal\n"
+            "key = 'p0:\\u00e9'\n"
+            "game = make_game('toy', decision(0, key, ('a', 'b'),"
+            " (terminal(1.0), terminal(-1.0))))\n"
+            "write_strategy_file(sys.argv[1], game, {key: (0.25, 0.75)})\n"
+            "assert read_strategy_file(sys.argv[1]) == ('toy', {key: (0.25, 0.75)})\n"
+        )
+        env = dict(child_env(), PYTHONUTF8="0", LC_ALL="C")
+        env.pop("PYTHONIOENCODING", None)
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "p0:\u00e9,0,0.25\n".encode("utf-8") in path.read_bytes()
 
     def test_valid_profile_round_trips_byte_for_byte(self, tmp_path):
         game = one_infoset_game("toy-1", "p0: x;y")
@@ -337,6 +404,20 @@ class TestExploitCommand:
         )
         assert code == 4
         assert "p0:J:-:" in err
+
+    def test_file_that_is_not_utf8_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(
+            b"# fregret-strategy v1 game=kuhn exploit_convention=sum\n"
+            b"p0:\xe9,0,1\n"
+        )
+        message = f"{path}: not UTF-8 text (invalid continuation byte at byte 58)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_strategy_file(str(path))
+        code, _, err = run(
+            ["exploit", "--game", "kuhn", "--strategy", str(path)], capsys
+        )
+        assert code == 4 and message in err
 
     def test_missing_file_is_an_io_error(self, tmp_path, capsys):
         code, _, _ = run(
