@@ -4,7 +4,7 @@ Three subcommands: ``solve`` writes a strategy file plus a convergence CSV,
 ``exploit`` prints the exploitability of a stored strategy, and ``compete``
 pits two stored strategies against each other (exact or sampled).
 
-Strategy files are UTF-8 text. They open with ``# fregret-strategy v1
+Strategy files are UTF-8 text without a byte-order mark. They open with ``# fregret-strategy v1
 game=<id> exploit_convention=sum`` and then hold one ``infoset_key,
 action_index,probability`` line per action, sorted by key then index. The
 convention tag records that exploitability values are the sum over both
@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 usage error, 3 I/O error, 4 validation error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import math
 import os
 import re
@@ -106,10 +107,12 @@ def read_strategy_file(path: str):
     """Parse a UTF-8 strategy file; returns (game id, profile), the profile's
     keys in order of first appearance.
 
-    A malformed line raises ValueError with its line number, the first such
-    line in the file. Then each infoset's indices must run 0..n-1 and its
-    row pass ``efg_core.check_row``; the first infoset to fail, in order of
-    first appearance, is reported, a missing index before a bad sum.
+    A file that starts with a UTF-8 byte-order mark, or is not UTF-8,
+    raises ValueError. A malformed line raises ValueError with its line
+    number, the first such line in the file. Then each infoset's indices
+    must run 0..n-1 and its row pass ``efg_core.check_row``; the first
+    infoset to fail, in order of first appearance, is reported, a missing
+    index before a bad sum.
 
     All rows are checked at once: each column is converted by one ``map``
     call, and a stable sort by (infoset, action index) groups the rows, so
@@ -117,6 +120,11 @@ def read_strategy_file(path: str):
     """
     with open(path, "rb") as handle:
         data = handle.read()
+    if data.startswith(codecs.BOM_UTF8):
+        raise ValueError(
+            f"{path}, line 1: starts with a UTF-8 byte-order mark; "
+            f"strategy files have none"
+        )
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as error:

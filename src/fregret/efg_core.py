@@ -6,16 +6,17 @@ embed the acting seat (``p0:``/``p1:``) so one dict covers both players.
 ``checked_policy`` is the one check of a profile, which every evaluator
 runs: it turns profiles into a slot vector whose rows are distributions.
 
-``GameNode`` trees are the builders' input format, and sampled play walks
-them. Nodes are immutable, so a built tree may share one subtree between
-several parents; ``make_game`` treats every visit as its own position. It
-checks a tree with an explicit stack and flattens it into a
-``GameLayout``: numpy index arrays over the tree's edges, with nodes
-numbered in preorder, plus a table of the infosets numbered in first-visit
-preorder. Node values and best response are numpy sweeps over them, one
-level at a time, so no traversal depends on Python's recursion limit. Both
-the CFR pass and best response take their reach from the sequence form
-(see ``GameLayout`` and ``sequence_reach``).
+``GameNode`` trees are the builders' input format. Nodes are immutable,
+so a built tree may share one subtree between several parents;
+``make_game`` treats every visit as its own position. It checks a tree
+with an explicit stack and flattens it into a ``GameLayout``: numpy index
+arrays over the tree's edges, with nodes numbered in preorder, plus a
+table of the infosets numbered in first-visit preorder. Node values and
+best response are numpy sweeps over them, one level at a time, so no
+traversal depends on Python's recursion limit. Both the CFR pass and best
+response take their reach from the sequence form (see ``GameLayout`` and
+``sequence_reach``). Sampled play moves blocks of hands down the layout's
+child table, one edge per round.
 
 The sweeps add with ``np.add.at``, which is unbuffered and adds in index
 order. So each node, slot and score sees the same float additions, in the
@@ -137,6 +138,15 @@ class GameLayout:
     ``owner`` and ``uniform`` give each slot's infoset id and 1 / its action
     count; ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal
     nodes, which ``terminal`` marks False.
+
+    Sampled play reads the *child table*: node ``n``'s edges sit at
+    positions ``start[n]`` to ``start[n + 1] - 1``, in action order, each
+    with its child in ``child`` and its weight-table index in ``source``.
+    ``columns`` holds, for each column c >= 1 of the weight table's rows
+    (an infoset's slots, or one chance node's run of ``tail``), the
+    weight-table indices at column c, so running totals can be added a
+    column at a time. ``chance_node`` marks the chance nodes, and
+    ``chance_depth`` is the most chance nodes on a path from the root.
     """
 
     infosets: list[tuple[int, str, int]]
@@ -149,6 +159,12 @@ class GameLayout:
     utility: np.ndarray
     terminal: np.ndarray
     plans: tuple[Plan, Plan]
+    chance_node: np.ndarray
+    start: np.ndarray
+    child: np.ndarray
+    source: np.ndarray
+    columns: tuple
+    chance_depth: int
 
 
 def _spans(key) -> list[tuple[int, int]]:
@@ -157,14 +173,18 @@ def _spans(key) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
-def _plan(seat, parent, src, moved, depth, moves, owner, offset, infosets, opp, chance):
+def _plan(
+    seat, parent, up, src, moved, depth, moves, owner, offset, infosets, opp, chance
+):
     """Seat ``seat``'s plan (see ``Plan``). Edge ``e`` leads from
-    ``parent[e]`` into node ``e + 1``; ``opp`` and ``chance`` give each node's
-    opponent sequence and chance reach. Each array is sorted by move depth,
-    deepest first, and cut into buckets by slicing."""
+    ``parent[e]`` into node ``e + 1``. ``moves``, ``opp`` and ``chance``
+    give the seat's move count, its opponent's sequence and the chance
+    reach at each edge parent, where ``up[e]`` is ``parent[e]``'s place
+    among them. Each array is sorted by move depth, deepest first, and cut
+    into buckets by slicing."""
     own = np.flatnonzero(moved == seat)
-    own = own[np.argsort(-moves[parent[own]], kind="stable")]
-    nodes, kids, slot = parent[own], own + 1, src[own]
+    own = own[np.argsort(-moves[up[own]], kind="stable")]
+    nodes, near, kids, slot = parent[own], up[own], own + 1, src[own]
     # A node's edges are consecutive, in action order.
     first = np.flatnonzero(np.diff(nodes, prepend=-1))
     heads = nodes[first]
@@ -175,7 +195,7 @@ def _plan(seat, parent, src, moved, depth, moves, owner, offset, infosets, opp, 
     # The seat's infosets by move depth, which all their nodes share.
     ids = np.array([k for _, k, _ in rows], dtype=np.intp)
     id_depth = np.zeros(len(infosets), dtype=np.intp)
-    id_depth[head_infoset] = moves[heads]
+    id_depth[head_infoset] = moves[near[first]]
     ids = ids[np.argsort(-id_depth[ids], kind="stable")]
     count = offset[ids + 1] - offset[ids]
     width = max(count.tolist(), default=1)
@@ -183,17 +203,18 @@ def _plan(seat, parent, src, moved, depth, moves, owner, offset, infosets, opp, 
     pad[np.arange(width) >= count[:, None]] = len(owner)
     # Opponent and chance edges by move depth, then tree depth, deepest first.
     other = np.flatnonzero(moved != seat)
-    key = moves[parent[other]] * (int(depth.max()) + 1) + depth[parent[other]]
+    key = moves[up[other]] * (int(depth.max()) + 1) + depth[parent[other]]
     order = np.argsort(-key, kind="stable")
     other, key = other[order], key[order]
+    del order
     parents, children = parent[other], other + 1
     levels: dict[int, list] = {}
     for lo, hi in _spans(key):
         group = (parents[lo:hi], children[lo:hi], lo, hi)
-        levels.setdefault(int(moves[parents[lo]]), []).append(group)
+        levels.setdefault(int(moves[up[other[lo]]]), []).append(group)
     spans = [
         {int(by[lo]): (lo, hi) for lo, hi in _spans(by)}
-        for by in (moves[nodes], moves[heads], id_depth[ids])
+        for by in (moves[near], moves[near[first]], id_depth[ids])
     ]
     buckets = []
     for d in sorted(spans[0].keys() | levels.keys(), reverse=True):
@@ -209,8 +230,8 @@ def _plan(seat, parent, src, moved, depth, moves, owner, offset, infosets, opp, 
         parent=nodes,
         child=kids,
         slot=slot,
-        opponent=opp[nodes],
-        chance=chance[nodes],
+        opponent=opp[near],
+        chance=chance[near],
         sum_src=src[other],
         buckets=tuple(buckets),
         rows=rows,
@@ -239,44 +260,70 @@ def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
     src = np.frombuffer(weights, dtype=np.int64)[1:].astype(np.intp)
     src[moved == 2] += slots
     # Top-down over the edges into inner nodes, a tree depth at a time: each
-    # node's chance reach (multiplied by 1.0 where a seat moves) and each
-    # seat's sequence and move count there (see ``GameLayout``).
-    down = np.flatnonzero(~terminal[1:])
-    down = down[np.argsort(depth[parent[down]], kind="stable")]
+    # inner node's chance reach (multiplied by 1.0 where a seat moves) and
+    # each seat's sequence and move count there (see ``GameLayout``). Only
+    # inner nodes are edge parents, so only they are kept: ``up[e]`` is
+    # ``parent[e]``'s place among them, and the root's is 0.
+    inner = np.flatnonzero(~terminal)
+    up = np.searchsorted(inner, parent)
+    rise = np.argsort(depth[inner[1:]], kind="stable")
+    below = rise + 1
+    down = inner[below] - 1
     factor = np.concatenate((np.ones(slots), tail))[src[down]]
-    chance = np.ones(nodes)
-    last = [np.full(nodes, slots) for _ in range(2)]
-    moves = [np.zeros(nodes, dtype=np.intp) for _ in range(2)]
+    chance = np.ones(len(inner))
+    last = [np.full(len(inner), slots) for _ in range(2)]
+    moves = [np.zeros(len(inner), dtype=np.intp) for _ in range(2)]
     for lo, hi in _spans(depth[parent[down]]):
-        edges = down[lo:hi]
-        above, below = parent[edges], edges + 1
-        chance[below] = chance[above] * factor[lo:hi]
+        edges, at = down[lo:hi], below[lo:hi]
+        above = up[edges]
+        chance[at] = chance[above] * factor[lo:hi]
         for seat in (0, 1):
             own = moved[edges] == seat
-            last[seat][below] = np.where(own, src[edges], last[seat][above])
-            moves[seat][below] = moves[seat][above] + own
-    del down, factor  # memory use peaks in the plans
+            last[seat][at] = np.where(own, src[edges], last[seat][above])
+            moves[seat][at] = moves[seat][above] + own
+    del rise, down, below, factor
     # Perfect recall: every node of an infoset has its first node's sequence.
-    decided = np.flatnonzero(node_infoset >= 0)
-    ids = node_infoset[decided]
+    kind = node_infoset[inner]
+    decided = np.flatnonzero(kind >= 0)
+    ids = kind[decided]
     own_sequence = np.where(seats[ids] == 0, last[0][decided], last[1][decided])
     _, first = np.unique(ids, return_index=True)
     bad = np.flatnonzero(own_sequence != own_sequence[first][ids])
     if len(bad):
         raise ValueError(f"imperfect recall at infoset '{infosets[ids[bad[0]]][1]}'")
     del decided, ids, own_sequence, first, bad
+    # The most chance nodes on a path: at a chance node, those above it (its
+    # depth less both seats' moves) and itself.
+    chanced = (depth[inner] - moves[0] - moves[1])[kind < 0]
+    chance_depth = int(chanced.max(initial=-1)) + 1
+    del kind, chanced
     offset = np.array(offset, dtype=np.intp)
     owner = np.repeat(np.arange(len(infosets)), np.diff(offset))
     plans = tuple(
-        _plan(seat, parent, src, moved, depth, moves[seat], owner, offset,
+        _plan(seat, parent, up, src, moved, depth, moves[seat], owner, offset,
               infosets, last[1 - seat], chance)
         for seat in (0, 1)
     )
+    # Memory use peaks in the plans; what they alone read goes before the
+    # child table is built.
+    del up, chance, moved
     sequence = np.zeros((2, slots), dtype=np.intp)
     for seat, plan in enumerate(plans):
-        sequence[:, plan.slot] = moves[seat][plan.parent], last[seat][plan.parent]
+        near = np.searchsorted(inner, plan.parent)
+        sequence[:, plan.slot] = moves[seat][near], last[seat][near]
+    del inner, last, moves, near
     order = np.argsort(sequence[0], kind="stable")
     counts, prior = sequence[:, order]
+    # The child table: each node's edges in action order, from a stable sort
+    # of the edges by parent, with each edge's weight index and its column
+    # in the weight table's row.
+    child = np.argsort(parent, kind="stable")
+    source = src[child]
+    child += 1
+    start = np.zeros(nodes + 1, dtype=np.intp)
+    np.cumsum(np.bincount(parent, minlength=nodes), out=start[1:])
+    column = np.zeros(slots + len(tail), dtype=np.intp)
+    column[source] = np.arange(len(source)) - np.repeat(start[:-1], np.diff(start))
     return GameLayout(
         infosets=infosets,
         offset=offset.tolist(),
@@ -288,6 +335,14 @@ def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
         utility=np.frombuffer(utility, dtype=np.float64),
         terminal=terminal,
         plans=plans,
+        chance_node=(node_infoset < 0) & ~terminal,
+        start=start,
+        child=child,
+        source=source,
+        columns=tuple(
+            np.flatnonzero(column == c) for c in range(1, column.max(initial=0) + 1)
+        ),
+        chance_depth=chance_depth,
     )
 
 

@@ -3,22 +3,25 @@
 Exploitability here is the SUM of both seats' best-response values (zero
 exactly at an equilibrium); halve it to compare against per-player-average
 conventions. Matches report chips per hand from the first profile's view.
+
+Sampled play moves a block of hands at a time down the layout's child
+table, every live hand one edge per round of numpy operations. Each draw
+is a binary search over its row's running totals, and the marks come from
+a seeded PCG64's raw stream (see ``sampled_match``).
 """
 
 from __future__ import annotations
 
 import math
-import random
-import statistics
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from ._validation import check_positive_int, ordered_sum
+from ._validation import check_positive_int
 from .efg_core import GameSpec, checked_policy, node_values, sequence_reach
 
+# Hand pairs per block of sampled play.
+BLOCK = 2048
 
 @dataclass(frozen=True)
 class BestResponseResult:
@@ -144,49 +147,41 @@ def exact_ev(game: GameSpec, profile_a, profile_b) -> float:
     return 0.5 * (float(a_seated_first) - float(b_seated_first))
 
 
-def cut_table(row) -> tuple[float, ...]:
-    """The running totals of ``row``, added one at a time from 0.0, without
-    the last. ``bisect_right(cut_table(row), mark)`` is the first index
-    whose running total exceeds ``mark``, or the last index if none does,
-    as when the row sums to less than 1 and the mark lies past its total."""
-    return tuple(accumulate(row, initial=0.0))[1:-1]
+def _cuts(layout, policy: np.ndarray) -> np.ndarray:
+    """Each edge's cut under slot vector ``policy``, by child-table
+    position.
 
-
-def _play_hand(root, cuts, chance_cuts, next_mark, script, replay: bool) -> float:
-    """One sampled hand down the tree from ``root``; returns seat 0's payoff.
-
-    Each draw bisects a cut table with a mark from ``next_mark()``: at a
-    decision node the table ``cuts[key]`` of its infoset ``key``, at a
-    chance node the table of its probabilities from ``chance_cuts``. That
-    cache, filled on first use, maps each chance node to its table and each
-    probability tuple to the one table that all nodes with it share.
-
-    Chance outcomes are recorded in ``script``, by event order, with the
-    table that drew them. A replaying hand takes a recorded outcome only at
-    a node whose table is that same object, so whose distribution is the
-    one the outcome was drawn from; elsewhere, and past the script's end,
-    it draws afresh and records nothing.
+    An edge's cut is the running total of its node's row of the weight
+    table up to it, added a column at a time from 0.0, so it is what adding
+    the row's entries one at a time from 0.0 gives. Each node's last edge
+    gets +inf instead, so a search that passes every earlier cut stops
+    there.
     """
-    node, event = root, 0
-    while children := node.children:
-        # make_game gives every decision node a str key, so None is chance.
-        if node.infoset is None:
-            table = chance_cuts.get(node)
-            if table is None:
-                probs = node.chance_probs
-                table = chance_cuts.setdefault(probs, cut_table(probs))
-                chance_cuts[node] = table
-            if replay and event < len(script) and script[event][0] is table:
-                index = script[event][1]
-            else:
-                index = bisect_right(table, next_mark())
-                if not replay:
-                    script.append((table, index))
-            event += 1
-        else:
-            index = bisect_right(cuts[node.infoset], next_mark())
-        node = children[index]
-    return node.utilities[0]
+    weights = np.concatenate((policy, layout.tail))
+    totals = 0.0 + weights
+    for at in layout.columns:
+        totals[at] = totals[at - 1] + weights[at]
+    cuts = totals.take(layout.source)
+    cuts[layout.start[1:][~layout.terminal] - 1] = np.inf
+    return cuts
+
+
+def _search(cuts: np.ndarray, lo: np.ndarray, hi: np.ndarray, mark: np.ndarray):
+    """For each draw, the first position from ``lo`` to ``hi`` whose cut
+    exceeds ``mark``: ``bisect_right`` on a row's cuts, by binary search.
+    The cuts of a row never fall, and ``cuts[hi]`` must exceed the mark."""
+    for _ in range(int((hi - lo).max()).bit_length()):
+        mid = (lo + hi) >> 1
+        right = cuts.take(mid) <= mark
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
+
+
+def _marks(bits, count: int) -> np.ndarray:
+    """The next ``count`` marks from ``bits``: the top 53 bits of each raw
+    64-bit draw times 2**-53, the form ``random.random()`` returns."""
+    return (bits.random_raw(count) >> 11) * 2.0**-53
 
 
 def sampled_match(
@@ -199,53 +194,93 @@ def sampled_match(
 ) -> MatchResult:
     """Seeded head-to-head match; mean is profile_a's chips per hand.
 
-    Plain mode alternates profile_a's seat each hand. Duplicate mode plays
-    hands in pairs with the seats swapped for the second hand; scoring
-    averages each pair, which cancels most deal luck. Odd hand counts round
-    down to full pairs, and at least one pair is played: ``hands=1`` plays
-    two hands.
+    Plain mode alternates profile_a's seat each hand, first in seat 0.
+    Duplicate mode plays hands in pairs, profile_a in seat 0 and then in
+    seat 1; scoring averages each pair, which cancels most deal luck. Odd
+    hand counts round down to full pairs, and at least one pair is played:
+    ``hands=1`` plays two hands.
 
-    Every draw takes a mark from ``random.Random(seed)`` and picks the first
-    index whose running total of the row exceeds it, or the last index if
-    none does; it bisects the row's ``cut_table``. Both seatings' tables
-    are built once per call, and each chance node's on first use.
+    Hands are played in blocks of ``BLOCK`` pairs (``2 * BLOCK`` hands in
+    plain mode), in order. Each round of a block moves every live hand one
+    edge down the layout's child table, until all reach a terminal. A draw
+    takes a mark and picks the first index whose running total of the row
+    exceeds it, or the last index if none does: a binary search over the
+    row's cuts (see ``_cuts``).
 
-    The second hand of a pair resamples every action and replays the first
-    hand's chance outcomes by event order, but only at a chance node with
-    the same probabilities as the one that drew the outcome. Elsewhere it
-    draws afresh, so each outcome follows its node's distribution and the
-    pair's score is an unbiased estimate.
+    Marks come from ``numpy.random.PCG64(abs(seed))``'s raw stream (see
+    ``_marks``). Each round, every live hand of the block takes the next
+    mark, in hand order. In duplicate mode a block first takes
+    ``layout.chance_depth`` rows of one mark per pair: at its k-th chance
+    event each hand of a pair uses row k's mark instead of its own. So
+    where the pair's chance nodes have the same probabilities, both hands
+    get the same outcome. Elsewhere each draw still follows its node's
+    distribution, so the pair's score is an unbiased estimate.
+
+    ``mean`` is ``numpy.sum`` of the scores (pairwise summation, whose order
+    depends only on their count) over the count. ``stderr`` is the square
+    root of ``numpy.sum`` of the squared deviations from the mean over one
+    less than the count, over the square root of the count; 0.0 for one
+    score.
     """
     hands = check_positive_int(hands, "hands")
-    for profile in (profile_a, profile_b):
-        checked_policy(game, (profile, profile))
-    a_first, b_first = (
-        {key: cut_table(seats[player][key]) for player, key, _ in game.layout.infosets}
-        for seats in ((profile_a, profile_b), (profile_b, profile_a))
-    )
-    root, chance_cuts, next_mark = game.root, {}, random.Random(seed).random
-    values: list[float] = []
-    if duplicate:
-        pairs = max(1, hands // 2)
-        for _ in range(pairs):
-            script: list = []
-            first = _play_hand(root, a_first, chance_cuts, next_mark, script, False)
-            second = _play_hand(root, b_first, chance_cuts, next_mark, script, True)
-            values.append(0.5 * (first - second))
-        played = 2 * pairs
-    else:
-        for hand in range(hands):
-            if hand % 2 == 0:
-                value = _play_hand(root, a_first, chance_cuts, next_mark, [], False)
-            else:
-                value = -_play_hand(root, b_first, chance_cuts, next_mark, [], False)
-            values.append(value)
-        played = hands
-    mean = ordered_sum(values) / len(values)
-    if len(values) >= 2:
-        stderr = statistics.stdev(values) / math.sqrt(len(values))
-    else:
-        stderr = 0.0
+    layout = game.layout
+    policy_a = checked_policy(game, (profile_a, profile_a))
+    policy_b = checked_policy(game, (profile_b, profile_b))
+    seat0 = layout.seat[layout.owner] == 0
+    # Seating 0 puts profile_a in seat 0, seating 1 in seat 1. The tables
+    # hold both seatings, seating 1's nodes and edges after seating 0's.
+    cuts = np.concatenate([
+        _cuts(layout, np.where(seat0, first, second))
+        for first, second in ((policy_a, policy_b), (policy_b, policy_a))
+    ])
+    nodes, edges = len(layout.utility), len(layout.child)
+    bounds = np.concatenate((layout.start, layout.start[1:] + edges))
+    child = np.concatenate((layout.child, layout.child + nodes))
+    over = np.concatenate((layout.terminal, layout.terminal))
+    at_chance = np.concatenate((layout.chance_node, layout.chance_node))
+    bits = np.random.PCG64(abs(seed))
+    played = 2 * max(1, hands // 2) if duplicate else hands
+    values = np.empty(played // 2 if duplicate else played)
+    for begin in range(0, played, 2 * BLOCK):
+        count = min(2 * BLOCK, played - begin)
+        out = np.empty(count)  # each hand's seat-0 payoff, then profile_a's
+        hand = np.arange(count)
+        node = hand % 2 * nodes
+        if duplicate:
+            common = _marks(bits, layout.chance_depth * (count // 2))
+            common = common.reshape(layout.chance_depth, count // 2)
+            event = np.zeros(count, dtype=np.intp)
+        while True:
+            done = over.take(node)
+            if done.any():
+                out[hand.compress(done)] = layout.utility.take(
+                    node.compress(done) % nodes
+                )
+                live = ~done
+                hand, node = hand.compress(live), node.compress(live)
+                if duplicate:
+                    event = event.compress(live)
+                if not len(hand):
+                    break
+            mark = _marks(bits, len(hand))
+            if duplicate:
+                which = np.flatnonzero(at_chance.take(node))
+                mark[which] = common[event[which], hand[which] >> 1]
+                event[which] += 1
+            lo, hi = bounds.take(node), bounds.take(node + 1) - 1
+            node = child.take(_search(cuts, lo, hi, mark))
+        np.negative(out[1::2], out=out[1::2])
+        if duplicate:
+            values[begin // 2 : (begin + count) // 2] = 0.5 * (out[0::2] + out[1::2])
+        else:
+            values[begin : begin + count] = out
+    n = len(values)
+    mean = float(np.sum(values)) / n
+    stderr = 0.0
+    if n >= 2:
+        deviation = values - mean
+        spread = float(np.sum(deviation * deviation)) / (n - 1)
+        stderr = math.sqrt(spread) / math.sqrt(n)
     return MatchResult(
         hands=played, mean=mean, stderr=stderr, seed=seed, duplicate=duplicate
     )

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pathlib
 import random
 import re
 import subprocess
@@ -419,6 +420,22 @@ class TestExploitCommand:
         )
         assert code == 4 and message in err
 
+    def test_byte_order_mark_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(
+            b"\xef\xbb\xbf# fregret-strategy v1 game=kuhn exploit_convention=sum\n"
+        )
+        message = (
+            f"{path}, line 1: starts with a UTF-8 byte-order mark; "
+            f"strategy files have none"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_strategy_file(str(path))
+        code, _, err = run(
+            ["exploit", "--game", "kuhn", "--strategy", str(path)], capsys
+        )
+        assert code == 4 and message in err
+
     def test_missing_file_is_an_io_error(self, tmp_path, capsys):
         code, _, _ = run(
             ["exploit", "--game", "kuhn",
@@ -488,6 +505,24 @@ class TestCompeteCommand:
         )
         _, mean_text, stderr_text, _, _ = out.splitlines()[1].split(",")
         assert abs(float(mean_text) - exact) <= 3.0 * float(stderr_text)
+
+    def test_leduc_duplicate_match_is_pinned(self, tmp_path, capsys):
+        # The CI workflow checks the same line through the console script.
+        uniform, _ = solve_into(
+            tmp_path, capsys, "u",
+            ["--game", "leduc", "--algo", "cfr", "--iters", "1"],
+        )
+        solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
+        code, out, _ = run(
+            ["compete", "--game", "leduc", "--a", str(solved), "--b", str(uniform),
+             "--duplicate", "--hands", "20000", "--seed", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "hands,mean,stderr,seed,duplicate",
+            "20000,0.72004999999999997,0.024338951049784799,1,true",
+        ]
 
     def test_game_mismatch_between_files_fails(self, tmp_path, capsys):
         kuhn_strat, _ = solve_into(

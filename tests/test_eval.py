@@ -1,11 +1,9 @@
 """Best response, exploitability, exact EV, and sampled matches."""
 
-import dataclasses
 import itertools
 import math
 import random
 import re
-import sys
 
 import pytest
 from test_game_oracle import random_game
@@ -196,6 +194,19 @@ class TestSampledMatch:
         second = sampled_match(kuhn_game, a, b, hands=500, seed=11)
         assert first == second
 
+    @pytest.mark.parametrize("duplicate", [False, True])
+    @pytest.mark.parametrize("seed", [3, 2**70])
+    def test_negative_seed_plays_its_absolute_value(self, leduc_game, duplicate, seed):
+        a, b = uniform_profile(leduc_game), random_profile(leduc_game, 4)
+        negative, positive = (
+            sampled_match(leduc_game, a, b, 301, seed=s, duplicate=duplicate)
+            for s in (-seed, seed)
+        )
+        assert (negative.seed, positive.seed) == (-seed, seed)
+        assert (negative.hands, negative.mean, negative.stderr) == (
+            positive.hands, positive.mean, positive.stderr
+        )
+
     def test_deterministic_matchup_has_zero_spread(self, kuhn_game):
         bettor = constant_profile(kuhn_game, 1)
         folder = constant_profile(kuhn_game, 0)
@@ -352,83 +363,80 @@ class TestProfileCheck:
 
 # (game, duplicate, hands asked, seed, hands played, mean, stderr) of
 # uniform play against ``random_profile(game, 7)``. The random games have
-# integer payoffs, so every mean is an exact sum on any Python version.
-# The random games' duplicate rows were re-recorded when a replayed chance
-# outcome became limited to nodes with the distribution that drew it; the
-# other rows are as first recorded.
+# integer payoffs, so every mean is an exact sum.
 GOLDEN_MATCHES = [
-    ('kuhn', False, 1, 0, 1, 2.0, 0.0),
-    ('kuhn', False, 1, 3, 1, 1.0, 0.0),
-    ('kuhn', False, 5, 0, 5, 1.0, 0.5477225575051661),
-    ('kuhn', False, 5, 3, 5, -0.4, 0.6),
-    ('kuhn', False, 2001, 0, 2001, -0.005997001499250375, 0.03283204284653582),
-    ('kuhn', False, 2001, 3, 2001, 0.07796101949025487, 0.032022598221278974),
-    ('kuhn', True, 1, 0, 2, 1.5, 0.0),
-    ('kuhn', True, 1, 3, 2, 1.0, 0.0),
-    ('kuhn', True, 5, 0, 4, 1.5, 0.0),
-    ('kuhn', True, 5, 3, 4, 0.25, 0.7499999999999999),
-    ('kuhn', True, 2001, 0, 2000, 0.0505, 0.025195923967669547),
-    ('kuhn', True, 2001, 3, 2000, 0.041, 0.023576998852162565),
-    ('leduc', False, 1, 0, 1, 1.0, 0.0),
+    ('kuhn', False, 1, 0, 1, -1.0, 0.0),
+    ('kuhn', False, 1, 3, 1, -1.0, 0.0),
+    ('kuhn', False, 5, 0, 5, 0.0, 0.8366600265340755),
+    ('kuhn', False, 5, 3, 5, 0.2, 0.7348469228349533),
+    ('kuhn', False, 2001, 0, 2001, 0.08295852073963018, 0.032411910702882046),
+    ('kuhn', False, 2001, 3, 2001, 0.063968015992004, 0.03215487607596281),
+    ('kuhn', True, 1, 0, 2, 0.0, 0.0),
+    ('kuhn', True, 1, 3, 2, -0.5, 0.0),
+    ('kuhn', True, 5, 0, 4, -1.5, 0.0),
+    ('kuhn', True, 5, 3, 4, 1.0, 0.5),
+    ('kuhn', True, 2001, 0, 2000, 0.0745, 0.023964015189947285),
+    ('kuhn', True, 2001, 3, 2000, 0.032, 0.02412587942558899),
+    ('leduc', False, 1, 0, 1, -9.0, 0.0),
     ('leduc', False, 1, 3, 1, 3.0, 0.0),
-    ('leduc', False, 5, 0, 5, 4.6, 1.833030277982336),
-    ('leduc', False, 5, 3, 5, -0.2, 1.3564659966250534),
-    ('leduc', False, 2001, 0, 2001, -0.026486756621689155, 0.09637818567050428),
-    ('leduc', False, 2001, 3, 2001, -0.015992003998001, 0.09275812648471045),
-    ('leduc', True, 1, 0, 2, -1.0, 0.0),
-    ('leduc', True, 1, 3, 2, 2.0, 0.0),
-    ('leduc', True, 5, 0, 4, 0.25, 1.25),
-    ('leduc', True, 5, 3, 4, 0.5, 1.4999999999999998),
-    ('leduc', True, 2001, 0, 2000, -0.0755, 0.08352859855628356),
-    ('leduc', True, 2001, 3, 2000, -0.1975, 0.08538169466451098),
+    ('leduc', False, 5, 0, 5, 3.2, 3.2924155266308657),
+    ('leduc', False, 5, 3, 5, 1.0, 1.0488088481701516),
+    ('leduc', False, 2001, 0, 2001, -0.0384807596201899, 0.09670229355391742),
+    ('leduc', False, 2001, 3, 2001, -0.054972513743128434, 0.09818690300600741),
+    ('leduc', True, 1, 0, 2, -2.0, 0.0),
+    ('leduc', True, 1, 3, 2, -2.0, 0.0),
+    ('leduc', True, 5, 0, 4, 2.0, 0.0),
+    ('leduc', True, 5, 3, 4, -3.5, 1.4999999999999998),
+    ('leduc', True, 2001, 0, 2000, -0.017, 0.08429006949703989),
+    ('leduc', True, 2001, 3, 2000, 0.0515, 0.08302403712624881),
     ('random1', False, 1, 0, 1, -1.0, 0.0),
-    ('random1', False, 1, 3, 1, 2.0, 0.0),
-    ('random1', False, 5, 0, 5, 0.0, 0.8366600265340755),
-    ('random1', False, 5, 3, 5, 1.2, 0.58309518948453),
-    ('random1', False, 2001, 0, 2001, -0.053973013493253376, 0.03335395756717613),
-    ('random1', False, 2001, 3, 2001, -0.046476761619190406, 0.03294884826502071),
-    ('random1', True, 1, 0, 2, 0.0, 0.0),
-    ('random1', True, 1, 3, 2, 2.0, 0.0),
-    ('random1', True, 5, 0, 4, 0.0, 0.0),
-    ('random1', True, 5, 3, 4, 1.0, 1.0),
-    ('random1', True, 2001, 0, 2000, -0.013, 0.022323291184978288),
-    ('random1', True, 2001, 3, 2000, -0.0475, 0.02214687865669188),
-    ('random3', False, 1, 0, 1, 0.0, 0.0),
+    ('random1', False, 1, 3, 1, -1.0, 0.0),
+    ('random1', False, 5, 0, 5, -0.2, 0.916515138991168),
+    ('random1', False, 5, 3, 5, 1.0, 0.5477225575051661),
+    ('random1', False, 2001, 0, 2001, -0.07746126936531735, 0.03287412389404763),
+    ('random1', False, 2001, 3, 2001, -0.00399800099950025, 0.03267962706313382),
+    ('random1', True, 1, 0, 2, 0.5, 0.0),
+    ('random1', True, 1, 3, 2, 0.0, 0.0),
+    ('random1', True, 5, 0, 4, -0.25, 0.25),
+    ('random1', True, 5, 3, 4, -1.0, 1.0),
+    ('random1', True, 2001, 0, 2000, -0.0775, 0.022533341995840332),
+    ('random1', True, 2001, 3, 2000, -0.0195, 0.02313882354734473),
+    ('random3', False, 1, 0, 1, 2.0, 0.0),
     ('random3', False, 1, 3, 1, 2.0, 0.0),
-    ('random3', False, 5, 0, 5, -0.2, 0.19999999999999998),
-    ('random3', False, 5, 3, 5, 0.4, 0.8124038404635959),
-    ('random3', False, 2001, 0, 2001, 0.026986506746626688, 0.034648743331493204),
-    ('random3', False, 2001, 3, 2001, 0.06146926536731634, 0.034659186235321625),
-    ('random3', True, 1, 0, 2, 0.5, 0.0),
-    ('random3', True, 1, 3, 2, 0.0, 0.0),
-    ('random3', True, 5, 0, 4, 0.5, 0.0),
-    ('random3', True, 5, 3, 4, -0.25, 0.25),
-    ('random3', True, 2001, 0, 2000, 0.077, 0.02913623036564476),
-    ('random3', True, 2001, 3, 2000, 0.0805, 0.029548991402294816),
-    ('random21', False, 1, 0, 1, 2.0, 0.0),
+    ('random3', False, 5, 0, 5, 0.0, 0.8944271909999159),
+    ('random3', False, 5, 3, 5, 1.0, 0.5477225575051661),
+    ('random3', False, 2001, 0, 2001, 0.08095952023988005, 0.035044358831163414),
+    ('random3', False, 2001, 3, 2001, 0.051974012993503245, 0.035553012071110154),
+    ('random3', True, 1, 0, 2, -0.5, 0.0),
+    ('random3', True, 1, 3, 2, 0.5, 0.0),
+    ('random3', True, 5, 0, 4, -1.5, 0.0),
+    ('random3', True, 5, 3, 4, 0.0, 2.0),
+    ('random3', True, 2001, 0, 2000, 0.023, 0.02967914843542267),
+    ('random3', True, 2001, 3, 2000, 0.0585, 0.028951095245532868),
+    ('random21', False, 1, 0, 1, 1.0, 0.0),
     ('random21', False, 1, 3, 1, 2.0, 0.0),
-    ('random21', False, 5, 0, 5, 0.4, 0.9797958971132711),
-    ('random21', False, 5, 3, 5, 0.4, 0.7483314773547882),
-    ('random21', False, 2001, 0, 2001, 0.0944527736131934, 0.038833401729720066),
-    ('random21', False, 2001, 3, 2001, 0.1359320339830085, 0.03822337123586613),
-    ('random21', True, 1, 0, 2, 2.0, 0.0),
-    ('random21', True, 1, 3, 2, 0.0, 0.0),
-    ('random21', True, 5, 0, 4, 1.0, 1.0),
-    ('random21', True, 5, 3, 4, 0.25, 0.25),
-    ('random21', True, 2001, 0, 2000, 0.1425, 0.019334362352236175),
-    ('random21', True, 2001, 3, 2000, 0.1275, 0.019997340914322675),
-    ('random29', False, 1, 0, 1, 2.0, 0.0),
-    ('random29', False, 1, 3, 1, -2.0, 0.0),
-    ('random29', False, 5, 0, 5, 0.6, 0.7483314773547882),
-    ('random29', False, 5, 3, 5, 0.0, 0.8944271909999159),
-    ('random29', False, 2001, 0, 2001, 0.23388305847076463, 0.03252855097978541),
-    ('random29', False, 2001, 3, 2001, 0.18840579710144928, 0.03213994812519839),
-    ('random29', True, 1, 0, 2, 1.0, 0.0),
+    ('random21', False, 5, 0, 5, 0.2, 0.916515138991168),
+    ('random21', False, 5, 3, 5, -1.2, 0.48989794855663565),
+    ('random21', False, 2001, 0, 2001, 0.15442278860569716, 0.0384718182463556),
+    ('random21', False, 2001, 3, 2001, 0.14042978510744628, 0.03866700452552167),
+    ('random21', True, 1, 0, 2, 0.0, 0.0),
+    ('random21', True, 1, 3, 2, 1.5, 0.0),
+    ('random21', True, 5, 0, 4, 0.0, 0.0),
+    ('random21', True, 5, 3, 4, 0.5, 0.5),
+    ('random21', True, 2001, 0, 2000, 0.146, 0.020250780086063205),
+    ('random21', True, 2001, 3, 2000, 0.089, 0.019594972900286514),
+    ('random29', False, 1, 0, 1, 1.0, 0.0),
+    ('random29', False, 1, 3, 1, 0.0, 0.0),
+    ('random29', False, 5, 0, 5, 0.2, 0.7999999999999999),
+    ('random29', False, 5, 3, 5, 0.8, 0.48989794855663565),
+    ('random29', False, 2001, 0, 2001, 0.1489255372313843, 0.03236327172579841),
+    ('random29', False, 2001, 3, 2001, 0.21189405297351324, 0.03266505361270737),
+    ('random29', True, 1, 0, 2, -0.5, 0.0),
     ('random29', True, 1, 3, 2, 0.0, 0.0),
-    ('random29', True, 5, 0, 4, 1.25, 0.25),
-    ('random29', True, 5, 3, 4, 0.5, 0.5),
-    ('random29', True, 2001, 0, 2000, 0.1955, 0.029739101603178334),
-    ('random29', True, 2001, 3, 2000, 0.1805, 0.02922368515046954),
+    ('random29', True, 5, 0, 4, 0.5, 1.0),
+    ('random29', True, 5, 3, 4, -0.5, 0.5),
+    ('random29', True, 2001, 0, 2000, 0.2005, 0.029324216266759108),
+    ('random29', True, 2001, 3, 2000, 0.1555, 0.029213407421476417),
 ]
 
 
@@ -445,9 +453,7 @@ def golden_games(kuhn_game, leduc_game):
 )
 def test_sampled_match_is_pinned(golden_games, name):
     """Every draw and every hand's payoff as recorded: a change to how play
-    walks the game shows here. Python 3.10's ``statistics.stdev`` rounds
-    the square root of an already rounded variance, 3.11+ rounds once, so
-    there the stderr may differ by an ulp."""
+    walks the game shows here."""
     game = golden_games[name]
     a, b = uniform_profile(game), random_profile(game, 7)
     for _, duplicate, hands, seed, played, mean, stderr in (
@@ -455,7 +461,4 @@ def test_sampled_match_is_pinned(golden_games, name):
     ):
         result = sampled_match(game, a, b, hands, seed=seed, duplicate=duplicate)
         expected = MatchResult(played, mean, stderr, seed, duplicate)
-        if sys.version_info < (3, 11):
-            assert abs(result.stderr - stderr) <= math.ulp(stderr)
-            result = dataclasses.replace(result, stderr=stderr)
         assert repr(result) == repr(expected)

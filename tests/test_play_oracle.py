@@ -1,33 +1,43 @@
-"""Sampled play against the linear-scan walk it replaced.
+"""Sampled play against a scalar walk down the ``GameNode`` tree.
 
-``reference_draw`` is the linear scan that ``sampled_match`` used before it
-bisected cut tables, kept here unchanged: it adds a row's entries one at a
-time from 0.0 and takes the first index whose running total exceeds the
-mark, or the last index if none does. ``reference_play_hand`` and
-``reference_sampled_match`` are the walk and the match loop built on it,
-unchanged but for the replay rule: a recorded chance outcome is replayed
-only at a node whose probabilities equal those of the node that drew it,
-and the replaying hand records nothing. ``sampled_match`` must reproduce
-them bit for bit on Kuhn, Leduc and a subset of the random oracle games, in
-plain and duplicate mode.
+``reference_draw`` is the linear scan that sampled play has always drawn
+by: it adds a row's entries one at a time from 0.0 and takes the first
+index whose running total exceeds the mark, or the last index if none
+does. ``bisect_right`` on the row's ``cut_table`` picks the same index, and
+so must the cuts of ``eval._cuts`` searched by ``eval._search``.
+
+``reference_sampled_match`` plays a match one hand and one draw at a time
+down the tree, by the mark rule that ``sampled_match`` documents: blocks of
+``BLOCK`` pairs, one mark per live hand per round in hand order, and in
+duplicate mode one row of pair marks per chance event, taken when the block
+starts. ``sampled_match`` must reproduce it bit for bit on Kuhn, Leduc and
+a subset of the random oracle games, in plain and duplicate mode, at hand
+counts that end inside, at and past a block's end.
 """
 
 import math
 import random
-import statistics
 from bisect import bisect_right
+from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_game_oracle import SEEDS, is_dyadic, random_game, random_profile
 
-from fregret.efg_core import uniform_profile
-from fregret.eval import MatchResult, cut_table, merge_profiles, sampled_match
+from fregret.efg_core import CHANCE, decision, make_game, terminal, uniform_profile
+from fregret.eval import (
+    BLOCK,
+    MatchResult,
+    _cuts,
+    _search,
+    merge_profiles,
+    sampled_match,
+)
 
 
-def reference_draw(rng, probs):
-    mark = rng.random()
+def reference_draw(mark, probs):
     cumulative = 0.0
     for index, prob in enumerate(probs):
         cumulative += prob
@@ -36,63 +46,70 @@ def reference_draw(rng, probs):
     return len(probs) - 1
 
 
-def reference_play_hand(root, rows, rng, script, replay):
-    node, event = root, 0
-    while children := node.children:
-        if node.infoset is None:
-            if (
-                replay
-                and event < len(script)
-                and script[event][0] == node.chance_probs
-            ):
-                index = script[event][1]
-            else:
-                index = reference_draw(rng, node.chance_probs)
-                if not replay:
-                    script.append((node.chance_probs, index))
-            event += 1
-        else:
-            index = reference_draw(rng, rows[node.infoset])
-        node = children[index]
-    return node.utilities[0]
+def cut_table(row):
+    """The running totals of ``row``, added one at a time from 0.0, without
+    the last. ``bisect_right(cut_table(row), mark)`` is the first index
+    whose running total exceeds ``mark``, or the last index if none does,
+    as when the row sums to less than 1 and the mark lies past its total."""
+    return tuple(accumulate(row, initial=0.0))[1:-1]
+
+
+def chance_depth(root):
+    """The most chance nodes on a path down from ``root``."""
+    most, stack = 0, [(root, 0)]
+    while stack:
+        node, seen = stack.pop()
+        seen += node.kind == CHANCE
+        most = max(most, seen)
+        stack.extend((child, seen) for child in node.children)
+    return most
 
 
 def reference_sampled_match(game, profile_a, profile_b, hands, seed, duplicate):
-    a_first = merge_profiles(game, profile_a, profile_b)
-    b_first = merge_profiles(game, profile_b, profile_a)
-    rng = random.Random(seed)
-    values = []
+    seatings = (
+        merge_profiles(game, profile_a, profile_b),
+        merge_profiles(game, profile_b, profile_a),
+    )
+    bits = np.random.PCG64(abs(seed))
+
+    def marks(count):
+        return [(raw >> 11) * 2.0**-53 for raw in bits.random_raw(count).tolist()]
+
+    depth = chance_depth(game.root)
+    played = 2 * max(1, hands // 2) if duplicate else hands
+    utilities = []
+    for begin in range(0, played, 2 * BLOCK):
+        count = min(2 * BLOCK, played - begin)
+        pairs = count // 2
+        if duplicate:
+            row = marks(depth * pairs)
+            common = [row[k * pairs : (k + 1) * pairs] for k in range(depth)]
+        nodes, events = [game.root] * count, [0] * count
+        live = range(count)
+        while live := [hand for hand in live if nodes[hand].children]:
+            for hand, mark in zip(live, marks(len(live))):
+                node = nodes[hand]
+                if node.kind == CHANCE:
+                    if duplicate:
+                        mark = common[events[hand]][hand // 2]
+                        events[hand] += 1
+                    probs = node.chance_probs
+                else:
+                    probs = seatings[hand % 2][node.infoset]
+                nodes[hand] = node.children[reference_draw(mark, probs)]
+        utilities.extend(node.utilities[0] for node in nodes)
     if duplicate:
-        pairs = max(1, hands // 2)
-        for _ in range(pairs):
-            script = []
-            first = reference_play_hand(game.root, a_first, rng, script, False)
-            second = reference_play_hand(game.root, b_first, rng, script, True)
-            values.append(0.5 * (first - second))
-        played = 2 * pairs
+        values = [0.5 * (a - b) for a, b in zip(utilities[0::2], utilities[1::2])]
     else:
-        for hand in range(hands):
-            if hand % 2 == 0:
-                values.append(reference_play_hand(game.root, a_first, rng, [], False))
-            else:
-                values.append(-reference_play_hand(game.root, b_first, rng, [], False))
-        played = hands
-    mean = sum(values) / len(values)
-    if len(values) >= 2:
-        stderr = statistics.stdev(values) / math.sqrt(len(values))
-    else:
-        stderr = 0.0
+        values = [u if hand % 2 == 0 else -u for hand, u in enumerate(utilities)]
+    values = np.array(values)
+    n = len(values)
+    mean = float(np.sum(values)) / n
+    stderr = 0.0
+    if n >= 2:
+        spread = float(np.sum(np.square(values - mean))) / (n - 1)
+        stderr = math.sqrt(spread) / math.sqrt(n)
     return MatchResult(played, mean, stderr, seed, duplicate)
-
-
-class Mark:
-    """A stand-in for ``random.Random`` whose one draw is ``mark``."""
-
-    def __init__(self, mark):
-        self.mark = mark
-
-    def random(self):
-        return self.mark
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +127,7 @@ LAST_MARK = 1.0 - 2.0**-53
 
 @st.composite
 def rows(draw):
-    weights = draw(st.lists(ENTRIES, min_size=1, max_size=6))
+    weights = draw(st.lists(ENTRIES, min_size=1, max_size=30))
     total = math.fsum(weights)
     if total == 0.0:
         return tuple(weights)
@@ -118,34 +135,76 @@ def rows(draw):
     return tuple(w / total * target for w in weights)
 
 
-def running_totals(row):
-    totals, cumulative = [], 0.0
-    for prob in row:
-        cumulative += prob
-        totals.append(cumulative)
-    return totals
+def marks_for(row, extra):
+    """``extra``, 0, the last mark, and each running total and its two
+    neighbours, within [0, 1)."""
+    marks = set(extra) | {0.0, LAST_MARK}
+    for total in accumulate(row, initial=0.0):
+        marks |= {total, math.nextafter(total, -1.0), math.nextafter(total, 2.0)}
+    return sorted(m for m in marks if 0.0 <= m < 1.0)
+
+
+def searched(rows, marks):
+    """Index drawn from ``rows[k]`` at each mark of ``marks[k]``, by one
+    ``_search`` over a game whose seat-1 nodes each play one row, so rows of
+    every width share the search; and each row's cuts."""
+    game = make_game(
+        "rows",
+        decision(
+            0,
+            "p0:",
+            [str(k) for k in range(len(rows))],
+            [
+                decision(1, f"p1:{k}", [str(a) for a in range(len(row))],
+                         [terminal(0.0)] * len(row))
+                for k, row in enumerate(rows)
+            ],
+        ),
+    )
+    layout = game.layout
+    policy = np.array([1.0] * len(rows) + [p for row in rows for p in row])
+    cuts = _cuts(layout, policy)
+    heads = layout.child[layout.start[0] : layout.start[1]]
+    first, last = layout.start[heads], layout.start[heads + 1] - 1
+    counts = [len(m) for m in marks]
+    lo = np.repeat(first, counts)
+    picks = _search(
+        cuts, lo, np.repeat(last, counts), np.array([m for ms in marks for m in ms])
+    ) - lo
+    ends = np.cumsum(counts)
+    return (
+        [picks[end - count : end].tolist() for end, count in zip(ends, counts)],
+        [cuts[a:b].tolist() for a, b in zip(first, last)],
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(row=rows(), marks=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
-@example(row=(1.0,), marks=[])
-@example(row=(0.0, -0.0, 1.0), marks=[])
-@example(row=(-0.0, 5e-324, 0.5, 0.5), marks=[5e-324])
-@example(row=(0.25, 0.25, 0.5 - 1e-7), marks=[])
-@example(row=(0.0, 0.0), marks=[0.5])
-def test_cut_table_draw_matches_the_scan(row, marks):
-    marks = set(marks) | {0.0, LAST_MARK}
-    for total in running_totals(row):
-        marks |= {total, math.nextafter(total, -1.0), math.nextafter(total, 2.0)}
-    for mark in sorted(m for m in marks if 0.0 <= m < 1.0):
-        assert bisect_right(cut_table(row), mark) == reference_draw(Mark(mark), row)
+@given(
+    rows=st.lists(rows(), min_size=1, max_size=4),
+    extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4),
+)
+@example(rows=[(1.0,)], extra=[])
+@example(rows=[(0.0, -0.0, 1.0)], extra=[])
+@example(rows=[(-0.0, 5e-324, 0.5, 0.5), (1.0,)], extra=[5e-324])
+@example(rows=[(0.25, 0.25, 0.5 - 1e-7)], extra=[])
+@example(rows=[(0.0, 0.0), (1.0 / 30,) * 30], extra=[0.5])
+def test_cut_table_draw_matches_the_scan(rows, extra):
+    marks = [marks_for(row, extra) for row in rows]
+    picks, cuts = searched(rows, marks)
+    for row, row_marks, row_picks, row_cuts in zip(rows, marks, picks, cuts):
+        table = cut_table(row)
+        assert [c.hex() for c in row_cuts] == [c.hex() for c in table]
+        for mark, pick in zip(row_marks, row_picks):
+            assert pick == bisect_right(table, mark) == reference_draw(mark, row)
 
 
 def test_short_row_falls_back_to_the_last_action():
     row = (0.5, 0.5 - 1e-7)
-    assert reference_draw(Mark(LAST_MARK), row) == 1
+    assert reference_draw(LAST_MARK, row) == 1
     assert bisect_right(cut_table(row), LAST_MARK) == 1
     assert bisect_right(cut_table((1.0,)), LAST_MARK) == 0
+    picks, _ = searched([row, (1.0,)], [[LAST_MARK], [LAST_MARK]])
+    assert picks == [[1], [0]]
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +222,30 @@ def matchups(game, seed):
     return [(uniform, mixed), (mixed, other)]
 
 
-def assert_matches_reference(game, seed, hands):
+def assert_matches_reference(game, seed, hand_counts):
     for a, b in matchups(game, seed):
         for duplicate in (False, True):
-            for match_seed in (0, 3):
-                args = (game, a, b, hands, match_seed, duplicate)
-                assert repr(sampled_match(*args)) == repr(
-                    reference_sampled_match(*args)
-                )
+            for match_seed in (0, -3):
+                for hands in hand_counts:
+                    args = (game, a, b, hands, match_seed, duplicate)
+                    assert repr(sampled_match(*args)) == repr(
+                        reference_sampled_match(*args)
+                    ), args[3:]
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_match_matches_reference_on_random_games(seed):
-    assert_matches_reference(random_game(seed), seed, 301)
+    assert_matches_reference(random_game(seed), seed, (1, 7, 301))
 
 
-def test_match_matches_reference_on_poker(kuhn_game, leduc_game):
-    assert_matches_reference(kuhn_game, 1, 2001)
-    assert_matches_reference(leduc_game, 2, 2001)
+# Past 2 * BLOCK hands, plain play starts a second block; past 2 * BLOCK + 1,
+# duplicate play does.
+BLOCK_EDGES = (1, 5, 2 * BLOCK - 1, 2 * BLOCK + 1, 2 * BLOCK + 3)
+
+
+def test_match_matches_reference_on_kuhn(kuhn_game):
+    assert_matches_reference(kuhn_game, 1, BLOCK_EDGES)
+
+
+def test_match_matches_reference_on_leduc(leduc_game):
+    assert_matches_reference(leduc_game, 2, BLOCK_EDGES)

@@ -197,7 +197,6 @@ def test_fixed_cases_match_reference(tmp_path, name, end):
         "\n",
         "not a header\n",
         HEADER.format("a b") + "\n",
-        "\ufeff" + HEADER.format("kuhn"),
     ],
 )
 def test_header_faults_match_reference(tmp_path, text):
