@@ -127,7 +127,9 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
     reach = sequence_reach(layout, policy)
     for seat in (0, 1):
         plan = layout.plans[seat]
-        slot, parent, child = plan.slot, plan.parent, plan.child
+        decisions = len(plan.opponent)
+        slot = plan.source[:decisions]
+        parent, child = plan.parent[:decisions], plan.child[:decisions]
         np.add.at(strategy_sums, slot, reach[slot])
         counterfactual = reach[plan.opponent] * plan.chance
         if seat == 0:

@@ -9,14 +9,14 @@ runs: it turns profiles into a slot vector whose rows are distributions.
 ``GameNode`` trees are the builders' input format. Nodes are immutable,
 so a built tree may share one subtree between several parents;
 ``make_game`` treats every visit as its own position. It checks a tree
-with an explicit stack and flattens it into a ``GameLayout``: numpy index
-arrays over the tree's edges, with nodes numbered in preorder, plus a
-table of the infosets numbered in first-visit preorder. Node values and
-best response are numpy sweeps over them, one level at a time, so no
-traversal depends on Python's recursion limit. Both the CFR pass and best
-response take their reach from the sequence form (see ``GameLayout`` and
-``sequence_reach``). Sampled play moves blocks of hands down the layout's
-child table, one edge per round.
+with an explicit stack and flattens it into a ``GameLayout``: a table of
+the infosets numbered in first-visit preorder, and one edge list per
+seat, its ``Plan``, with nodes numbered in preorder. Node values and best
+response are numpy sweeps over a plan's steps, one level at a time, so
+no traversal depends on Python's recursion limit. Both the CFR pass and
+best response take their reach from the sequence form (see
+``GameLayout`` and ``sequence_reach``). Sampled play moves blocks of
+hands down seat 0's plan, one edge per round.
 
 The sweeps add with ``np.add.at``, which is unbuffered and adds in index
 order. So each node, slot and score sees the same float additions, in the
@@ -85,41 +85,37 @@ def terminal(u1: float) -> GameNode:
 class Plan:
     """The game's edges in the order of one seat's best response.
 
-    ``buckets`` holds one entry per move depth of the seat, deepest first:
-    its *choices* at that depth (None if it has no decision nodes there)
-    and its *levels*. The choices are the seat's decision edges out of
-    nodes at that depth, as (parents, children, slots, pad, ids, heads,
-    first, head infosets): ``pad`` gives each infoset ``ids[i]`` its slots
-    by row, padded with the slot past the end, ``heads`` are the decision
-    nodes, and ``first`` their first edge. The levels are the opponent and
-    chance edges out of nodes at that depth, grouped by the parent's tree
-    depth, deepest first, in preorder within a group, each group as
-    (parents, children, lo, hi) with ``lo:hi`` its span in ``sum_src``,
-    which gives their weight-table indices.
+    Edge ``i`` leads from node ``parent[i]`` into node ``child[i]``, and
+    ``source[i]`` is its weight-table index. The seat's decision edges come
+    first, ``len(opponent)`` of them, then the opponent and chance edges.
+    Each node's edges are consecutive, in action order. ``opponent`` and
+    ``chance`` hold the opponent's sequence and the chance reach at each
+    decision edge's parent.
 
-    ``parent``, ``child`` and ``slot`` are all the choices in bucket order,
-    so each slot's edges come in preorder, and ``opponent`` and ``chance``
-    hold the opponent's sequence and the chance reach at their parents.
-    ``rows`` lists the seat's infosets in table order as (key, id, action
-    count).
+    ``steps`` is the sweep order, as ``(lo, hi, pick)`` spans of the edges:
+    per move depth of the seat, deepest first, one pick step over the
+    seat's decision edges out of nodes at that depth, then one sum step per
+    tree depth of the opponent and chance edges out of them, deepest
+    first. Within a step, edges come in preorder. ``pick`` is None on a sum
+    step and ``(pad, ids, heads, first, head_infoset)`` on a pick step:
+    ``pad`` gives each infoset ``ids[i]`` its slots by row, padded with the
+    slot past the end, and ``heads`` are the step's decision nodes, with
+    their first edges in ``first`` and their infosets in ``head_infoset``.
     """
 
     parent: np.ndarray
     child: np.ndarray
-    slot: np.ndarray
+    source: np.ndarray
     opponent: np.ndarray
     chance: np.ndarray
-    sum_src: np.ndarray
-    buckets: tuple
-    rows: list
+    steps: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class GameLayout:
     """A game tree flattened in preorder: node 0 is the root, and each node
-    precedes its children, which come in action order. Each edge is named by
-    its child. ``infosets`` holds (player, key, action count) by infoset id,
-    in first-visit order.
+    precedes its children, which come in action order. ``infosets`` holds
+    (player, key, action count) by infoset id, in first-visit order.
 
     Every infoset-action has a *slot*: slots run over the infoset table in
     order, then over each infoset's actions. Infoset ``k`` owns slots
@@ -130,23 +126,23 @@ class GameLayout:
     sequence's (see ``sequence_reach``). ``sequences`` groups the slots by
     their seat's earlier moves, fewest first, as (slots, parent sequences).
 
-    The rest are the index arrays of the numpy sweeps. An edge's weight is
-    read from a *weight table*: the policy slot vector followed by ``tail``,
-    which holds every chance probability. ``plans`` orders the edges for
-    each seat's best response (see ``Plan``); seat 0's order also serves the
-    bottom-up node values. ``seat`` gives each infoset's acting seat, and
+    An edge's weight is read from a *weight table*: the policy slot vector
+    followed by ``tail``, which holds every chance probability. ``plans``
+    lists the edges once per seat, in the order of that seat's best
+    response (see ``Plan``); seat 0's order also serves the bottom-up node
+    values and sampled play. ``seat`` gives each infoset's acting seat, and
     ``owner`` and ``uniform`` give each slot's infoset id and 1 / its action
     count; ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal
     nodes, which ``terminal`` marks False.
 
-    Sampled play reads the *child table*: node ``n``'s edges sit at
-    positions ``start[n]`` to ``start[n + 1] - 1``, in action order, each
-    with its child in ``child`` and its weight-table index in ``source``.
-    ``columns`` holds, for each column c >= 1 of the weight table's rows
-    (an infoset's slots, or one chance node's run of ``tail``), the
-    weight-table indices at column c, so running totals can be added a
-    column at a time. ``chance_node`` marks the chance nodes, and
-    ``chance_depth`` is the most chance nodes on a path from the root.
+    Sampled play finds node ``n``'s edges in seat 0's plan at ``first[n]``
+    to ``last[n]`` (0 to 0 at a terminal). ``columns`` holds, for each
+    column c >= 1 of the infosets' rows of slots, the slots at column c, so
+    a policy's running totals can be added a column at a time.
+    ``tail_totals`` holds the chance rows' running totals, each chance
+    node's run of ``tail`` added that way from 0.0. ``chance_node`` marks
+    the chance nodes, and ``chance_depth`` is the most chance nodes on a
+    path from the root.
     """
 
     infosets: list[tuple[int, str, int]]
@@ -160,10 +156,10 @@ class GameLayout:
     terminal: np.ndarray
     plans: tuple[Plan, Plan]
     chance_node: np.ndarray
-    start: np.ndarray
-    child: np.ndarray
-    source: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
     columns: tuple
+    tail_totals: np.ndarray
     chance_depth: int
 
 
@@ -173,6 +169,12 @@ def _spans(key) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
+def _columns(column) -> tuple:
+    """Where each value c >= 1 of ``column`` sits, for c in order."""
+    top = int(column.max(initial=0))
+    return tuple(np.flatnonzero(column == c) for c in range(1, top + 1))
+
+
 def _plan(
     seat, parent, up, src, moved, depth, moves, owner, offset, infosets, opp, chance
 ):
@@ -180,61 +182,39 @@ def _plan(
     ``parent[e]`` into node ``e + 1``. ``moves``, ``opp`` and ``chance``
     give the seat's move count, its opponent's sequence and the chance
     reach at each edge parent, where ``up[e]`` is ``parent[e]``'s place
-    among them. Each array is sorted by move depth, deepest first, and cut
-    into buckets by slicing."""
+    among them. One stable sort orders the seat's decision edges by move
+    depth, deepest first, and one the other edges by move depth, then tree
+    depth, deepest first."""
+    stride = int(depth.max()) + 1
     own = np.flatnonzero(moved == seat)
     own = own[np.argsort(-moves[up[own]], kind="stable")]
-    nodes, near, kids, slot = parent[own], up[own], own + 1, src[own]
-    # A node's edges are consecutive, in action order.
-    first = np.flatnonzero(np.diff(nodes, prepend=-1))
-    heads = nodes[first]
-    head_infoset = owner[slot[first]]
-    rows = [
-        (key, k, n) for k, (player, key, n) in enumerate(infosets) if player == seat
-    ]
-    # The seat's infosets by move depth, which all their nodes share.
-    ids = np.array([k for _, k, _ in rows], dtype=np.intp)
-    id_depth = np.zeros(len(infosets), dtype=np.intp)
-    id_depth[head_infoset] = moves[near[first]]
-    ids = ids[np.argsort(-id_depth[ids], kind="stable")]
-    count = offset[ids + 1] - offset[ids]
-    width = max(count.tolist(), default=1)
-    pad = offset[ids][:, None] + np.arange(width)
-    pad[np.arange(width) >= count[:, None]] = len(owner)
-    # Opponent and chance edges by move depth, then tree depth, deepest first.
     other = np.flatnonzero(moved != seat)
-    key = moves[up[other]] * (int(depth.max()) + 1) + depth[parent[other]]
+    key = moves[up[other]] * stride + depth[parent[other]]
     order = np.argsort(-key, kind="stable")
     other, key = other[order], key[order]
-    del order
-    parents, children = parent[other], other + 1
-    levels: dict[int, list] = {}
+    edges = np.concatenate((own, other))
+    nodes, near = parent[edges], up[own]
+    steps: dict[int, list] = {}
+    for lo, hi in _spans(moves[near]):
+        # A node's edges are consecutive, in action order.
+        first = lo + np.flatnonzero(np.diff(nodes[lo:hi], prepend=-1))
+        head_infoset = owner[src[own[first]]]
+        ids = np.flatnonzero(np.bincount(head_infoset, minlength=len(infosets)))
+        count = offset[ids + 1] - offset[ids]
+        pad = offset[ids][:, None] + np.arange(count.max())
+        pad[np.arange(count.max()) >= count[:, None]] = len(owner)
+        pick = (pad, ids, nodes[first], first, head_infoset)
+        steps[int(moves[near[lo]])] = [(lo, hi, pick)]
     for lo, hi in _spans(key):
-        group = (parents[lo:hi], children[lo:hi], lo, hi)
-        levels.setdefault(int(moves[up[other[lo]]]), []).append(group)
-    spans = [
-        {int(by[lo]): (lo, hi) for lo, hi in _spans(by)}
-        for by in (moves[near], moves[near[first]], id_depth[ids])
-    ]
-    buckets = []
-    for d in sorted(spans[0].keys() | levels.keys(), reverse=True):
-        choices = None
-        if d in spans[0]:
-            (e0, e1), (h0, h1), (i0, i1) = (span[d] for span in spans)
-            choices = (
-                nodes[e0:e1], kids[e0:e1], slot[e0:e1], pad[i0:i1], ids[i0:i1],
-                heads[h0:h1], first[h0:h1] - e0, head_infoset[h0:h1],
-            )
-        buckets.append((choices, tuple(levels.get(d, ()))))
+        at = (len(own) + lo, len(own) + hi, None)
+        steps.setdefault(int(key[lo]) // stride, []).append(at)
     return Plan(
         parent=nodes,
-        child=kids,
-        slot=slot,
+        child=edges + 1,
+        source=src[edges],
         opponent=opp[near],
         chance=chance[near],
-        sum_src=src[other],
-        buckets=tuple(buckets),
-        rows=rows,
+        steps=tuple(chain.from_iterable(steps[d] for d in sorted(steps, reverse=True))),
     )
 
 
@@ -296,7 +276,14 @@ def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
     # depth less both seats' moves) and itself.
     chanced = (depth[inner] - moves[0] - moves[1])[kind < 0]
     chance_depth = int(chanced.max(initial=-1)) + 1
-    del kind, chanced
+    del kind, chanced, inner
+    # Each slot's move count and parent sequence, the same at every edge.
+    sequence = np.zeros((2, slots), dtype=np.intp)
+    for seat in (0, 1):
+        own = moved == seat
+        sequence[:, src[own]] = moves[seat][up[own]], last[seat][up[own]]
+    order = np.argsort(sequence[0], kind="stable")
+    counts, prior = sequence[:, order]
     offset = np.array(offset, dtype=np.intp)
     owner = np.repeat(np.arange(len(infosets)), np.diff(offset))
     plans = tuple(
@@ -304,30 +291,25 @@ def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
               infosets, last[1 - seat], chance)
         for seat in (0, 1)
     )
-    # Memory use peaks in the plans; what they alone read goes before the
-    # child table is built.
-    del up, chance, moved
-    sequence = np.zeros((2, slots), dtype=np.intp)
-    for seat, plan in enumerate(plans):
-        near = np.searchsorted(inner, plan.parent)
-        sequence[:, plan.slot] = moves[seat][near], last[seat][near]
-    del inner, last, moves, near
-    order = np.argsort(sequence[0], kind="stable")
-    counts, prior = sequence[:, order]
-    # The child table: each node's edges in action order, from a stable sort
-    # of the edges by parent, with each edge's weight index and its column
-    # in the weight table's row.
-    child = np.argsort(parent, kind="stable")
-    source = src[child]
-    child += 1
-    start = np.zeros(nodes + 1, dtype=np.intp)
-    np.cumsum(np.bincount(parent, minlength=nodes), out=start[1:])
+    del up, chance, moved, last, moves
+    # Each node's edges in seat 0's plan, and each weight-table index's
+    # column: its place among its node's edges.
+    plan = plans[0]
+    heads = np.flatnonzero(np.diff(plan.parent, prepend=-1))
+    first = np.zeros(nodes, dtype=np.intp)
+    last = np.zeros(nodes, dtype=np.intp)
+    first[plan.parent[heads]] = heads
+    last[plan.parent[heads]] = np.append(heads[1:], len(plan.parent)) - 1
     column = np.zeros(slots + len(tail), dtype=np.intp)
-    column[source] = np.arange(len(source)) - np.repeat(start[:-1], np.diff(start))
+    column[plan.source] = np.arange(len(plan.source)) - first[plan.parent]
+    tail = np.array(tail, dtype=np.float64)
+    tail_totals = 0.0 + tail
+    for at in _columns(column[slots:]):
+        tail_totals[at] = tail_totals[at - 1] + tail[at]
     return GameLayout(
         infosets=infosets,
         offset=offset.tolist(),
-        tail=np.array(tail, dtype=np.float64),
+        tail=tail,
         sequences=tuple((order[lo:hi], prior[lo:hi]) for lo, hi in _spans(counts)),
         seat=seats[:-1],
         owner=owner,
@@ -336,12 +318,10 @@ def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
         terminal=terminal,
         plans=plans,
         chance_node=(node_infoset < 0) & ~terminal,
-        start=start,
-        child=child,
-        source=source,
-        columns=tuple(
-            np.flatnonzero(column == c) for c in range(1, column.max(initial=0) + 1)
-        ),
+        first=first,
+        last=last,
+        columns=_columns(column[:slots]),
+        tail_totals=tail_totals,
         chance_depth=chance_depth,
     )
 
@@ -413,7 +393,7 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 raise ValueError("chance outcome/child count mismatch")
             if not all(0.0 <= p < math.inf for p in node.chance_probs):
                 raise ValueError("chance probabilities must be finite and >= 0")
-            if abs(sum(node.chance_probs) - 1.0) > 1e-12:
+            if abs(ordered_sum(node.chance_probs) - 1.0) > 1e-12:
                 raise ValueError("chance probabilities do not sum to 1")
             base = len(tail)
             tail.extend(node.chance_probs)
@@ -535,17 +515,14 @@ def sequence_reach(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
 
 def node_values(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
     """Seat 0's value of every node when slot ``s`` plays with probability
-    ``policy[s]``: one bottom-up sweep in seat 0's plan order, each group
-    adding every node's weighted child values, in action order, to 0.0."""
+    ``policy[s]``: one bottom-up sweep over seat 0's plan, each step adding
+    every node's weighted child values, in action order, to 0.0."""
     plan = layout.plans[0]
-    weight = np.concatenate((policy, layout.tail))[plan.sum_src]
+    weight = np.concatenate((policy, layout.tail))[plan.source]
+    parent, child = plan.parent, plan.child
     values = layout.utility.copy()
-    for choices, levels in plan.buckets:
-        if choices is not None:
-            parent, child, slot = choices[:3]
-            np.add.at(values, parent, policy[slot] * values[child])
-        for parent, child, lo, hi in levels:
-            np.add.at(values, parent, weight[lo:hi] * values[child])
+    for lo, hi, _ in plan.steps:
+        np.add.at(values, parent[lo:hi], weight[lo:hi] * values[child[lo:hi]])
     return values
 
 

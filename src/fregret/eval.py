@@ -4,10 +4,11 @@ Exploitability here is the SUM of both seats' best-response values (zero
 exactly at an equilibrium); halve it to compare against per-player-average
 conventions. Matches report chips per hand from the first profile's view.
 
-Sampled play moves a block of hands at a time down the layout's child
-table, every live hand one edge per round of numpy operations. Each draw
-is a binary search over its row's running totals, and the marks come from
-a seeded PCG64's raw stream (see ``sampled_match``).
+Best response sweeps the responder's plan (see ``efg_core.Plan``), and
+sampled play moves a block of hands at a time down seat 0's plan, every
+live hand one edge per round of numpy operations. Each draw is a binary
+search over its row's running totals, and the marks come from a seeded
+PCG64's raw stream (see ``sampled_match``).
 """
 
 from __future__ import annotations
@@ -48,26 +49,27 @@ def _respond(layout, policy, responder: int):
     value, each infoset's pick, and the opponent-and-chance reach of each
     of the responder's decision edges, in plan order."""
     plan = layout.plans[responder]
+    decisions = len(plan.opponent)
     weight = sequence_reach(layout, policy)[plan.opponent] * plan.chance
     if responder == 0:
         value = layout.utility.copy()
     else:  # +0.0, not -0.0, at the nodes whose values are sums
         value = np.zeros(len(layout.utility))
         np.negative(layout.utility, out=value, where=layout.terminal)
-    probs = np.concatenate((policy, layout.tail))[plan.sum_src]
+    probs = np.concatenate((policy, layout.tail))[plan.source[decisions:]]
+    parent, child, source = plan.parent, plan.child, plan.source
     score = np.zeros(layout.offset[-1] + 1)
     score[-1] = -np.inf  # the padding slot of a shorter infoset's row
     choice = np.zeros(len(layout.infosets), dtype=np.intp)
-    seen = 0  # the decision edges of the buckets so far
-    for choices, levels in plan.buckets:
-        if choices is not None:
-            _, child, slot, pad, ids, heads, first, head_infoset = choices
-            np.add.at(score, slot, weight[seen : seen + len(slot)] * value[child])
-            seen += len(slot)
+    for lo, hi, pick in plan.steps:
+        if pick is None:
+            terms = probs[lo - decisions : hi - decisions] * value[child[lo:hi]]
+            np.add.at(value, parent[lo:hi], terms)
+        else:
+            pad, ids, heads, first, head_infoset = pick
+            np.add.at(score, source[lo:hi], weight[lo:hi] * value[child[lo:hi]])
             choice[ids] = score[pad].argmax(axis=1)
             value[heads] = value[child[first + choice[head_infoset]]]
-        for parent, child, lo, hi in levels:
-            np.add.at(value, parent, probs[lo:hi] * value[child])
     return float(value[0]), choice, weight
 
 
@@ -85,13 +87,14 @@ def best_response(
 
     Each decision edge's weight is the reach of the opponent's sequence at
     its parent times the chance reach there (``efg_core.sequence_reach``).
-    Nodes are valued in buckets by the responder's move depth, deepest first
-    (see ``efg_core.Plan``). Under perfect recall an infoset's nodes
-    share that depth, so when a bucket starts, all their children are
-    valued: each infoset's action scores are summed over its nodes in
-    preorder, ``argmax`` picks the first best action, and the nodes take
-    that child's value. The bucket's opponent and chance nodes follow,
-    deepest first, each adding its weighted child values to 0.0.
+    Nodes are valued in the steps of the responder's plan, by its move
+    depth, deepest first (see ``efg_core.Plan``). Under perfect recall an
+    infoset's nodes share that depth, so when a depth's pick step starts,
+    all their children are valued: each infoset's action scores are summed
+    over its nodes in preorder, ``argmax`` picks the first best action, and
+    the nodes take that child's value. The depth's sum steps follow, over
+    its opponent and chance nodes, deepest first, each adding its weighted
+    child values to 0.0.
     """
     if responder not in (0, 1):
         raise ValueError("responder must be 0 or 1")
@@ -100,12 +103,14 @@ def best_response(
     plan = layout.plans[responder]
     value, choice, weight = _respond(layout, checked_policy(game, seats), responder)
     reach = np.zeros(len(layout.infosets))
-    np.add.at(reach, layout.owner[plan.slot], weight)
+    np.add.at(reach, layout.owner[plan.source[: len(weight)]], weight)
     picks, reached = choice.tolist(), (reach > 0.0).tolist()
     # Rows by action count: the pure row of each action, then uniform.
     rows: dict[int, list[tuple[float, ...]]] = {}
     response: dict[str, tuple[float, ...]] = {}
-    for key, k, n in plan.rows:
+    for k, (player, key, n) in enumerate(layout.infosets):
+        if player != responder:
+            continue
         if n not in rows:
             rows[n] = [tuple(float(a == b) for a in range(n)) for b in range(n)]
             rows[n].append((1.0 / n,) * n)
@@ -148,21 +153,20 @@ def exact_ev(game: GameSpec, profile_a, profile_b) -> float:
 
 
 def _cuts(layout, policy: np.ndarray) -> np.ndarray:
-    """Each edge's cut under slot vector ``policy``, by child-table
-    position.
+    """Each edge's cut under slot vector ``policy``, by its place in seat
+    0's plan.
 
     An edge's cut is the running total of its node's row of the weight
     table up to it, added a column at a time from 0.0, so it is what adding
-    the row's entries one at a time from 0.0 gives. Each node's last edge
-    gets +inf instead, so a search that passes every earlier cut stops
-    there.
+    the row's entries one at a time from 0.0 gives; the chance rows' totals
+    are the layout's ``tail_totals``. Each node's last edge gets +inf
+    instead, so a search that passes every earlier cut stops there.
     """
-    weights = np.concatenate((policy, layout.tail))
-    totals = 0.0 + weights
+    totals = 0.0 + policy
     for at in layout.columns:
-        totals[at] = totals[at - 1] + weights[at]
-    cuts = totals.take(layout.source)
-    cuts[layout.start[1:][~layout.terminal] - 1] = np.inf
+        totals[at] = totals[at - 1] + policy[at]
+    cuts = np.concatenate((totals, layout.tail_totals)).take(layout.plans[0].source)
+    cuts[layout.last[~layout.terminal]] = np.inf
     return cuts
 
 
@@ -202,7 +206,7 @@ def sampled_match(
 
     Hands are played in blocks of ``BLOCK`` pairs (``2 * BLOCK`` hands in
     plain mode), in order. Each round of a block moves every live hand one
-    edge down the layout's child table, until all reach a terminal. A draw
+    edge down seat 0's plan, until all reach a terminal. A draw
     takes a mark and picks the first index whose running total of the row
     exceeds it, or the last index if none does: a binary search over the
     row's cuts (see ``_cuts``).
@@ -233,9 +237,11 @@ def sampled_match(
         _cuts(layout, np.where(seat0, first, second))
         for first, second in ((policy_a, policy_b), (policy_b, policy_a))
     ])
-    nodes, edges = len(layout.utility), len(layout.child)
-    bounds = np.concatenate((layout.start, layout.start[1:] + edges))
-    child = np.concatenate((layout.child, layout.child + nodes))
+    plan = layout.plans[0]
+    nodes, edges = len(layout.utility), len(plan.child)
+    first = np.concatenate((layout.first, layout.first + edges))
+    last = np.concatenate((layout.last, layout.last + edges))
+    child = np.concatenate((plan.child, plan.child + nodes))
     over = np.concatenate((layout.terminal, layout.terminal))
     at_chance = np.concatenate((layout.chance_node, layout.chance_node))
     bits = np.random.PCG64(abs(seed))
@@ -267,8 +273,7 @@ def sampled_match(
                 which = np.flatnonzero(at_chance.take(node))
                 mark[which] = common[event[which], hand[which] >> 1]
                 event[which] += 1
-            lo, hi = bounds.take(node), bounds.take(node + 1) - 1
-            node = child.take(_search(cuts, lo, hi, mark))
+            node = child.take(_search(cuts, first.take(node), last.take(node), mark))
         np.negative(out[1::2], out=out[1::2])
         if duplicate:
             values[begin // 2 : (begin + count) // 2] = 0.5 * (out[0::2] + out[1::2])

@@ -524,6 +524,21 @@ class TestCompeteCommand:
             "20000,0.72004999999999997,0.024338951049784799,1,true",
         ]
 
+    def test_leduc_exact_ev_is_pinned(self, tmp_path, capsys):
+        # The CI workflow checks the same line through the console script.
+        uniform, _ = solve_into(
+            tmp_path, capsys, "u",
+            ["--game", "leduc", "--algo", "cfr", "--iters", "1"],
+        )
+        solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
+        code, out, _ = run(
+            ["compete", "--game", "leduc", "--a", str(solved), "--b", str(uniform),
+             "--exact"],
+            capsys,
+        )
+        assert code == 0
+        assert out == "exact_ev,0.74677303712406373\n"
+
     def test_game_mismatch_between_files_fails(self, tmp_path, capsys):
         kuhn_strat, _ = solve_into(
             tmp_path, capsys, "k",

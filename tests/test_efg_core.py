@@ -125,6 +125,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_game("bad", chance([0.5, 0.6], [terminal(0.0), terminal(0.0)]))
 
+    def test_chance_probs_are_summed_in_order(self):
+        # A compensated sum (the builtin sum on Python 3.12+) comes within
+        # 1e-12 of 1; adding in order from 0.0 stays at 1 - 2e-12.
+        probs = [1 - 2e-12] + [5e-17] * 30000
+        assert abs(math.fsum(probs) - 1.0) <= 1e-12
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            make_game("bad", chance(probs, [terminal(0.0)] * len(probs)))
+
     def test_chance_probs_negative_rejected(self):
         with pytest.raises(ValueError):
             make_game("bad", chance([-0.5, 1.5], [terminal(0.0), terminal(0.0)]))

@@ -368,14 +368,9 @@ def games():
 
 def plan_edges(layout, seat):
     """Seat ``seat``'s plan as (parent, child, weight-table index) triples:
-    its decision edges, then the other edges of every bucket's levels."""
+    its decision edges, then the other edges."""
     plan = layout.plans[seat]
-    edges = list(zip(plan.parent.tolist(), plan.child.tolist(), plan.slot.tolist()))
-    for _, levels in plan.buckets:
-        for parent, child, lo, hi in levels:
-            sources = plan.sum_src[lo:hi].tolist()
-            edges.extend(zip(parent.tolist(), child.tolist(), sources))
-    return edges
+    return list(zip(plan.parent.tolist(), plan.child.tolist(), plan.source.tolist()))
 
 
 def test_layout_is_the_tree_in_preorder(games):
@@ -415,6 +410,43 @@ def test_layout_is_the_tree_in_preorder(games):
                         "chance", repr(float(layout.tail[source - offset[-1]]))
                     )
             assert found == weights
+
+
+def test_plans_list_every_edge_once(games, kuhn_game, leduc_game):
+    """Each seat's plan lists every edge once, its decision edges first,
+    and its steps tile the edges in order: the pick steps the decision
+    edges, the sum steps the rest. In seat 0's plan, node ``n``'s edges sit
+    at ``first[n]`` to ``last[n]``, in action order, as sampled play needs."""
+    for game in [*games.values(), kuhn_game, leduc_game]:
+        # Each visit's children, in action order, and its mover (2 off
+        # decision nodes), numbered in preorder.
+        kids, mover, stack = [], [], [(game.root, None)]
+        while stack:
+            node, above = stack.pop()
+            if above is not None:
+                kids[above].append(len(kids))
+            kids.append([])
+            mover.append(node.player if node.kind == DECISION else 2)
+            stack.extend((child, len(kids) - 1) for child in reversed(node.children))
+        edges = sorted((kid, n) for n, children in enumerate(kids) for kid in children)
+        layout = game.layout
+        for seat, plan in enumerate(layout.plans):
+            decisions, count = len(plan.opponent), len(plan.child)
+            assert sorted(zip(plan.child.tolist(), plan.parent.tolist())) == edges
+            movers = [mover[n] for n in plan.parent.tolist()]
+            assert movers[:decisions] == [seat] * decisions
+            assert seat not in movers[decisions:]
+            picks = [(lo, hi) for lo, hi, pick in plan.steps if pick is not None]
+            sums = [(lo, hi) for lo, hi, pick in plan.steps if pick is None]
+            for spans, start, end in ((picks, 0, decisions), (sums, decisions, count)):
+                cuts = [start] + [hi for _, hi in spans]
+                assert [lo for lo, _ in spans] == cuts[:-1]
+                assert cuts[-1] == end
+                assert all(lo < hi for lo, hi in spans)
+        child, first, last = layout.plans[0].child, layout.first, layout.last
+        for n, children in enumerate(kids):
+            if children:
+                assert child[first[n] : last[n] + 1].tolist() == children
 
 
 def test_generator_covers_the_hard_cases(games):
@@ -472,11 +504,13 @@ def test_sequence_reach_is_node_reach(games, leduc_game):
             nodes = node_reach(game, policy.tolist())
             for seat, plan in enumerate(layout.plans):
                 own, other, by_chance = nodes[seat], nodes[1 - seat], nodes[2]
-                expected = own[plan.parent] * policy[plan.slot]
-                assert reach[plan.slot].tobytes() == expected.tobytes()
-                assert reach[plan.opponent].tobytes() == other[plan.parent].tobytes()
-                assert plan.chance.tobytes() == by_chance[plan.parent].tobytes()
-                weight = other[plan.parent] * by_chance[plan.parent]
+                parent = plan.parent[: len(plan.opponent)]
+                slot = plan.source[: len(plan.opponent)]
+                expected = own[parent] * policy[slot]
+                assert reach[slot].tobytes() == expected.tobytes()
+                assert reach[plan.opponent].tobytes() == other[parent].tobytes()
+                assert plan.chance.tobytes() == by_chance[parent].tobytes()
+                weight = other[parent] * by_chance[parent]
                 assert _respond(layout, policy, seat)[2].tobytes() == weight.tobytes()
 
 
