@@ -103,16 +103,24 @@ def _converted(convert, texts):
     return values, None
 
 
+def _index(text: str) -> int:
+    """``int`` of plain ASCII digits; ValueError for any other text."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def read_strategy_file(path: str):
     """Parse a UTF-8 strategy file; returns (game id, profile), the profile's
     keys in order of first appearance.
 
     A file that starts with a UTF-8 byte-order mark, or is not UTF-8,
     raises ValueError. A malformed line raises ValueError with its line
-    number, the first such line in the file. Then each infoset's indices
-    must run 0..n-1 and its row pass ``efg_core.check_row``; the first
-    infoset to fail, in order of first appearance, is reported, a missing
-    index before a bad sum.
+    number, the first such line in the file; an action index must be
+    plain ASCII digits. Then each infoset's indices must run 0..n-1 and
+    its row pass ``efg_core.check_row``; the first infoset to fail, in
+    order of first appearance, is reported, a missing index before a bad
+    sum.
 
     All rows are checked at once: each column is converted by one ``map``
     call, and a stable sort by (infoset, action index) groups the rows, so
@@ -153,7 +161,13 @@ def read_strategy_file(path: str):
         faults.append((parsed, 0, message))
     fields = ",".join(body[:parsed]).split(",") if parsed else []
     keys, index_texts, prob_texts = fields[0::3], fields[1::3], fields[2::3]
-    indices, at = _converted(int, index_texts)
+    # An index is plain ASCII digits, but ``int`` also reads signs, spaces,
+    # underscores and other scripts' digits. A column whose join is plain
+    # digits needs ``int`` only, which rejects an empty index; any other
+    # column is checked index by index.
+    joined = "".join(index_texts)
+    convert = int if joined.isascii() and joined.isdigit() else _index
+    indices, at = _converted(convert, index_texts)
     if at is not None:
         faults.append((at, 1, f"bad action index '{index_texts[at]}'"))
     probs, at = _converted(float, prob_texts)

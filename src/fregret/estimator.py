@@ -25,6 +25,7 @@ fitting, parsing, serialization and ``predict`` all walk without recursion.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -50,6 +51,7 @@ NUMBER_PATTERN = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?|-?inf|nan")
 # Feature extraction
 
 
+@functools.lru_cache(maxsize=4096)
 def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
     """Feature vector for playing ``action`` at ``infoset``.
 
@@ -65,6 +67,11 @@ def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
       [15:19] opponent's most recent action (f, c, r, none)
 
     Suits never appear: infosets that differ only in suit history coincide.
+
+    A pure function of its three strings, so results are cached per
+    process (4,096 entries; Leduc has 288 infosets), and each key is
+    parsed once however many ``rcfr.new_state`` calls ask for it. A bad
+    key is not cached and raises on every call.
     """
     rules = rules_for(game_id)
     seat, rank, board, rounds = parse_key(rules, infoset)
@@ -243,11 +250,25 @@ def _grow(plan, y, min_leaf_weight, max_depth):
     to the lowest feature, then the lowest threshold. Each level writes its
     rows' node means, so a row's last write is its leaf's value; rows go
     right on ``x > threshold``, so that is the leaf ``predict`` reaches.
+
+    A node with fewer than ``2 * max(min_leaf_weight, 1)`` rows cannot
+    split, so it is a leaf unsearched, and a level of such nodes skips its
+    bincounts and scores. The exception keeps the overflow errors of a
+    search: when some |target| is at least ``2**511`` over the largest
+    root's row count, every node is searched, since only then can a
+    node's total or prefix reach ``2**512`` and its square overflow. The
+    bound is half of ``2**512`` because rounding can lift a float sum a
+    little above the sum of its terms' magnitudes. The test reads the
+    largest |target|, not a sum, which could itself overflow.
     """
     XT, values, slot_feature = plan.XT, plan.values, plan.slot_feature
     last_value, entry_row, entry_slot = plan.last_value, plan.entry_row, plan.entry_slot
     n_rows, n_slots = len(plan.rows), len(values)
     entry_y = y[entry_row]
+    # A split leaves at least one row and ``min_leaf_weight`` rows a side,
+    # so smaller nodes go unsearched, unless a node's sums could overflow.
+    risky = np.abs(y).max() >= 2.0**511 / plan.counts.max()
+    min_split = 0.0 if risky else 2 * max(min_leaf_weight, 1.0)
 
     # A level's nodes have consecutive ids, in the order of ``counts``.
     records = []  # (feature, threshold, value) by node id
@@ -265,25 +286,29 @@ def _grow(plan, y, min_leaf_weight, max_depth):
         total_s = np.array([np.add.reduce(node_y[a:b]) for a, b in spans])
         if max_depth is not None and depth >= max_depth:
             nodes = np.array([], dtype=np.intp)
-        else:  # the nodes to search: those whose targets differ
+        else:  # the nodes to search: big enough, with targets that differ
             low_y = np.minimum.reduceat(node_y, starts)
-            nodes = (low_y < np.maximum.reduceat(node_y, starts)).nonzero()[0]
+            differ = low_y < np.maximum.reduceat(node_y, starts)
+            nodes = (differ & (counts >= min_split)).nonzero()[0]
         splits = np.zeros(len(nodes), dtype=bool)
         if len(nodes):
             tc, ts = counts[nodes], total_s[nodes]
             baseline = ts * ts / tc
-            search_of_node = np.full(len(counts), -1)
-            search_of_node[nodes] = np.arange(len(nodes))
-            row_search = np.full(n_rows, -1)
-            row_search[rows] = np.repeat(search_of_node, counts)
-            entry_search = row_search[entry_row]
-            keep = entry_search >= 0
-            if not keep.all():  # rows of closed nodes never come back
-                entry_row, entry_slot = entry_row[keep], entry_slot[keep]
-                entry_y, entry_search = entry_y[keep], entry_search[keep]
-            key = entry_search * n_slots + entry_slot
             size = len(nodes) * n_slots
             shape = (len(nodes), n_slots)
+            # An entry's key is its searched node's first (node, slot) bin
+            # plus its slot, and negative for a node not searched.
+            node_base = np.full(len(counts), -n_slots)
+            node_base[nodes] = np.arange(0, size, n_slots)
+            row_base = np.full(n_rows, -n_slots)
+            row_base[rows] = np.repeat(node_base, counts)
+            key = row_base[entry_row] + entry_slot
+            # Rows of closed nodes never come back. Taking by index beats
+            # masking four times, which finds the kept entries each time.
+            keep = (key >= 0).nonzero()[0]
+            if len(keep) < len(key):
+                entry_row, entry_slot = entry_row[keep], entry_slot[keep]
+                entry_y, key = entry_y[keep], key[keep]
             s_left = np.bincount(key, entry_y, size).reshape(shape)
             c_left = np.bincount(key, minlength=size).reshape(shape)
             if not np.isfinite(s_left).all():
@@ -434,7 +459,9 @@ def fit_tree(
     sorted order at a cut between distinct values, the score of a cut that
     ``min_leaf_weight`` allows, or a threshold midpoint. A sum inside a run
     of equal values is never a cut and is not checked. So every fitted leaf
-    and threshold is finite.
+    and threshold is finite. A node too small to split is searched only
+    where one of these sums could overflow (see ``_grow``), so it raises
+    exactly where a search of it would.
     """
     config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
     trees, _ = fit_forest(plan_fit(features), targets, **config)

@@ -187,5 +187,6 @@ def build_kuhn() -> GameSpec:
 
 
 def build_leduc() -> GameSpec:
-    """Build the full Leduc Hold'em tree (120 deals, 288 infosets)."""
+    """Build the full Leduc Hold'em tree (30 private deals at the root, each
+    with 4 possible board cards, so 120 card runs; 288 infosets)."""
     return build_poker(LEDUC)

@@ -128,7 +128,8 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
 
     The tabular kind needs no features: memorizing the target of every
     infoset-action is the paper's tabular case, on any game. The tree uses
-    the compact numeric features it is meant to generalize over.
+    the compact numeric features it is meant to generalize over; a later
+    state for the same game reads them from ``featurize``'s cache.
     """
     n_slots = game.layout.offset[-1]
     seat = game.layout.seat[game.layout.owner]

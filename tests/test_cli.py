@@ -236,6 +236,23 @@ class TestStrategyParsing:
             code, _, err = run(argv, capsys)
             assert code == 4 and message in err
 
+    @pytest.mark.parametrize("token", [" +01", "1_0", "-1", "\u0661", "", "1 "])
+    def test_action_index_is_plain_ascii_digits(self, tmp_path, capsys, token):
+        # int() reads all of these but the empty one; the writer writes none.
+        path = tmp_path / "file.csv"
+        path.write_text(
+            "# fregret-strategy v1 game=kuhn exploit_convention=sum\n"
+            "p0:J:-:,0,0.5\n"
+            f"p0:J:-:,{token},0.5\n",
+            encoding="utf-8",
+        )
+        path = str(path)
+        message = f"line 3: bad action index '{token}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_strategy_file(path)
+        code, _, err = run(["exploit", "--game", "kuhn", "--strategy", path], capsys)
+        assert code == 4 and message in err
+
     def test_duplicate_entry_rejected(self, tmp_path):
         path = self.write(
             tmp_path,

@@ -21,6 +21,11 @@ from fregret.estimator import (
 )
 
 
+# The largest double under 2**512 / 20, and the one below it.
+TOP20 = math.nextafter(2.0**512 / 20, 0.0)
+TOP20_LESS = math.nextafter(TOP20, 0.0)
+
+
 def random_dataset(rng, n_rows=30, n_features=4):
     X = [[rng.random() for _ in range(n_features)] for _ in range(n_rows)]
     y = [rng.uniform(-5.0, 5.0) for _ in range(n_rows)]
@@ -133,6 +138,16 @@ class TestFeaturize:
             featurize("holdem", "p0:J:-:/", "c")
         with pytest.raises(ValueError):
             featurize("leduc", "p0:J:-:/", "x")
+
+    def test_bad_key_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="bad rank"):
+                featurize("leduc", "p0:A:-:/", "c")
+
+    def test_cached_vectors_equal_fresh_ones(self):
+        args = ("leduc", "p1:J:Q:crc/r", "c")
+        assert featurize(*args) is featurize(*args)
+        assert featurize(*args) == featurize.__wrapped__(*args)
 
     def test_known_collision(self):
         # Different raise routes to the same 6-chip pot meet in feature space.
@@ -256,6 +271,22 @@ class TestFitTree:
         # but no cut can sit inside a run of equal values.
         tree = fit_tree([[0.0], [0.0], [1.0]], [1e200, -1e200, 0.0])
         assert serialize_tree(tree).splitlines()[1:] == ["leaf,0"]
+
+    @pytest.mark.parametrize(
+        "X, y",
+        [
+            ([[0.0], [2.0], [1.0]], [1e308, -1e308, 1e308]),
+            # Each target just under 2**512 / 20; the total rounds up to
+            # 2**512, whose square overflows.
+            ([[float(i)] for i in range(20)], [TOP20_LESS] + [TOP20] * 19),
+        ],
+    )
+    def test_node_too_small_to_split_still_overflows(self, X, y):
+        # No cut leaves min_leaf_weight rows a side, so the root is searched
+        # only because a sum over its rows may overflow.
+        message = "tree fit overflows float64: overflow encountered in multiply"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_tree(X, y, min_leaf_weight=len(y) / 2 + 0.5)
 
     @pytest.mark.parametrize(
         "low, high",

@@ -117,6 +117,18 @@ def test_tree_state_features_equal_per_slot_featurize(request, name):
     assert state.features.tobytes() == expected.tobytes()
 
 
+def test_second_new_state_reads_the_featurize_cache(leduc_game):
+    # Each infoset is featurized once per process, however many solves.
+    config = RCFRConfig(iterations=1, estimator_kind="tree")
+    first = new_state(leduc_game, config)
+    before = featurize.cache_info()
+    second = new_state(leduc_game, config)
+    after = featurize.cache_info()
+    assert after.hits - before.hits == len(leduc_game.action_labels)
+    assert after.misses == before.misses
+    assert second.features.tobytes() == first.features.tobytes()
+
+
 class TestPolicy:
     def test_unfitted_estimator_gives_uniform_everywhere(self, kuhn_game):
         for kind in ("tree", "tabular"):
@@ -643,6 +655,17 @@ class TestRealizability:
 
     @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
     def test_kuhn_min_leaf_0_trees_play_as_tabular(self, kuhn_game, target_mode):
+        """Equal strategy sums, though the policies are not always equal.
+
+        At the refit of iteration 3, slots 14 and 15 (targets
+        0x1.5555555555553p-5 and 0x1.5555555555555p-5) share a leaf
+        predicting 0x1.5555555555554p-5, since splitting them gains less
+        than float resolution, so the policies of iteration 4 differ there
+        by an ulp. The sums still agree because each Kuhn infoset's reach is
+        added once per node visit, and the second addition rounds the
+        difference away; a CFR pass that added the sums once per sequence
+        made this test fail at slot 14, in iteration 4.
+        """
         options = dict(iterations=1000, target_mode=target_mode)
         tree_cfg = RCFRConfig(min_leaf_weight=0.0, **options)
         tabular_cfg = RCFRConfig(estimator_kind="tabular", **options)

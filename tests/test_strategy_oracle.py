@@ -2,7 +2,8 @@
 
 ``reference_read_strategy_file`` is the reader that parsed and checked one
 line at a time before ``read_strategy_file`` converted whole columns at
-once, kept here unchanged but for the encoding, which is UTF-8 in both. On
+once, kept here unchanged but for the encoding, which is UTF-8 in both, and
+the action index, which both read only as plain ASCII digits. On
 every input both must return the same (game id, profile), by ``float.hex``
 and key order, or raise the same exception type with the same message. The
 inputs are fixed edge cases plus thousands of seeded mutations of valid
@@ -54,6 +55,8 @@ def reference_read_strategy_file(path: str):
             )
         key, index_text, prob_text = parts
         try:
+            if not (index_text.isascii() and index_text.isdigit()):
+                raise ValueError(index_text)
             index = int(index_text)
         except ValueError:
             raise ValueError(
@@ -210,8 +213,7 @@ def test_first_fault_in_file_order_is_reported(tmp_path):
         "bad probability before a later bad index": "line 2: bad probability",
         "duplicate before a later parse fault": "line 3: duplicate entry",
         "duplicate after an earlier parse fault": "line 3: bad probability",
-        "duplicate spelled differently": "line 3: duplicate entry for "
-        "'p0:J:-:' action 1",
+        "duplicate spelled differently": "line 3: bad action index ' +01'",
         "gap in a key after a key with a bad sum": "sum to 0.80000000000000004",
         "bad sum in a key after a key with a gap": "'p0:J:-:' is missing",
         "index past int64 twice": "line 3: duplicate entry",
