@@ -31,10 +31,9 @@ from ._validation import format_float
 from .cfr import CFRConfig, solve
 from .efg_core import bad_rows, check_row, checked_policy
 from .eval import exact_ev, exploitability, sampled_match
-from .games import build_kuhn, build_leduc
-from .rcfr import RCFRConfig, rcfr_solve
+from .games.poker import RULES, build_poker
+from .rcfr import ESTIMATOR_KINDS, TARGET_MODES, RCFRConfig, rcfr_solve
 
-GAME_BUILDERS = {"kuhn": build_kuhn, "leduc": build_leduc}
 ALGORITHMS = ("cfr", "rcfr")
 STRATEGY_HEADER_PATTERN = re.compile(
     r"# fregret-strategy v1 game=(\S+) exploit_convention=sum"
@@ -231,7 +230,7 @@ def _load_for_game(path: str, game):
 
 
 def cmd_solve(args) -> int:
-    game = GAME_BUILDERS[args.game]()
+    game = build_poker(RULES[args.game])
     if args.algo == "cfr":
         profile, log = solve(
             game, CFRConfig(iterations=args.iters, log_every=args.log_every)
@@ -286,14 +285,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exploit(args) -> int:
-    game = GAME_BUILDERS[args.game]()
+    game = build_poker(RULES[args.game])
     profile = _load_for_game(args.strategy, game)
     print(f"exploitability,{format_float(exploitability(game, profile))}")
     return 0
 
 
 def cmd_compete(args) -> int:
-    game = GAME_BUILDERS[args.game]()
+    game = build_poker(RULES[args.game])
     profile_a = _load_for_game(args.a, game)
     profile_b = _load_for_game(args.b, game)
     if args.exact:
@@ -334,19 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd = commands.add_parser(
         "solve", help="run a solver and write strategy + convergence files"
     )
-    solve_cmd.add_argument("--game", required=True, choices=sorted(GAME_BUILDERS))
+    solve_cmd.add_argument("--game", required=True, choices=sorted(RULES))
     solve_cmd.add_argument("--algo", required=True, choices=ALGORITHMS)
     solve_cmd.add_argument("--iters", required=True, type=int)
-    solve_cmd.add_argument(
-        "--estimator", choices=("tabular", "tree"), default="tree"
-    )
+    solve_cmd.add_argument("--estimator", choices=ESTIMATOR_KINDS, default="tree")
     solve_cmd.add_argument(
         "--min-leaf", type=float, default=1.0, help="least rows per leaf"
     )
     solve_cmd.add_argument("--max-depth", type=int, default=None)
-    solve_cmd.add_argument(
-        "--target-mode", choices=("exact", "bootstrap"), default="exact"
-    )
+    solve_cmd.add_argument("--target-mode", choices=TARGET_MODES, default="exact")
     solve_cmd.add_argument(
         "--seed",
         type=int,
@@ -360,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     exploit_cmd = commands.add_parser(
         "exploit", help="print the exploitability of a stored strategy"
     )
-    exploit_cmd.add_argument("--game", required=True, choices=sorted(GAME_BUILDERS))
+    exploit_cmd.add_argument("--game", required=True, choices=sorted(RULES))
     exploit_cmd.add_argument("--strategy", required=True)
     exploit_cmd.set_defaults(func=cmd_exploit)
 
     compete_cmd = commands.add_parser(
         "compete", help="play two stored strategies against each other"
     )
-    compete_cmd.add_argument("--game", required=True, choices=sorted(GAME_BUILDERS))
+    compete_cmd.add_argument("--game", required=True, choices=sorted(RULES))
     compete_cmd.add_argument("--a", required=True)
     compete_cmd.add_argument("--b", required=True)
     compete_cmd.add_argument("--hands", type=int, default=10000)

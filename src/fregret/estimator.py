@@ -1,7 +1,9 @@
 """Features for (infoset, action) pairs and the regression-tree learner.
 
 ``featurize`` maps an infoset key plus a candidate action to a fixed 19-dim
-vector of betting/card/action state, which the regression tree trains on.
+vector of betting/card/action state, which the regression tree trains on;
+the state is what ``poker.parse_key`` finds by replaying the key through
+the betting rules, and ``slot_features`` lays it out for a game's slots.
 Distinct infoset-actions may share a vector there; tabular RCFR memorizes
 each slot's target instead and needs no features (see ``rcfr``).
 
@@ -33,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import format_float, is_integer
-from .games.poker import ACTION_CHARS, RANK_CHARS, parse_key, rules_for, stakes
+from .games.poker import ACTION_CHARS, RANK_CHARS, parse_key, rules_for
 
 FEATURE_DIM = 19
 # The feature columns of the candidate action one-hot, over ACTION_CHARS.
-ACTION_FEATURES = slice(12, 15)
+_ACTION_FEATURES = slice(12, 15)
 TREE_FORMAT_HEADER = "# fregret-tree v1"
 TREE_HEADER_PATTERN = re.compile(
     re.escape(TREE_FORMAT_HEADER)
@@ -67,6 +69,8 @@ def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
       [15:19] opponent's most recent action (f, c, r, none)
 
     Suits never appear: infosets that differ only in suit history coincide.
+    The columns lay out the decision point ``poker.parse_key`` replays the
+    key to, so a key no node has, or an action its node lacks, raises.
 
     A pure function of its three strings, so results are cached per
     process (4,096 entries; Leduc has 288 infosets), and each key is
@@ -74,29 +78,32 @@ def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
     key is not cached and raises on every call.
     """
     rules = rules_for(game_id)
-    seat, rank, board, rounds = parse_key(rules, infoset)
-    if action not in ACTION_CHARS or len(action) != 1:
-        raise ValueError(f"unknown action label {action!r}")
-    current = len(rounds) - 1 if board != "-" else 0
-    pot = sum(stakes(rules, rounds))
-    raises = float(rounds[current].count("r"))
-    # Seat 0 opens every round and actors alternate, so the opponent's last
-    # action is the trailing one at odd-or-even positions matching them.
-    last_opponent = "none"
-    for seq in rounds:
-        for position, ch in enumerate(seq):
-            if position % 2 != seat:
-                last_opponent = ch
-    features = [float(current), pot, raises]
+    seat, rank, board, current, paid, raises, last, offered = parse_key(rules, infoset)
+    if action not in offered:
+        raise ValueError(f"action {action!r} is not legal at infoset '{infoset}'")
+    features = [float(current), sum(paid), float(raises)]
     features.extend(1.0 if rank == r else 0.0 for r in RANK_CHARS)
     features.extend(1.0 if board == r else 0.0 for r in RANK_CHARS)
     features.append(1.0 if board == "-" else 0.0)
     features.append(1.0 if rank == board else 0.0)
     features.append(float(seat))
     features.extend(1.0 if action == a else 0.0 for a in ACTION_CHARS)
-    features.extend(1.0 if last_opponent == a else 0.0 for a in ACTION_CHARS)
-    features.append(1.0 if last_opponent == "none" else 0.0)
+    features.extend(1.0 if last == a else 0.0 for a in ACTION_CHARS)
+    features.append(1.0 if last is None else 0.0)
     return tuple(features)
+
+
+def slot_features(game) -> np.ndarray:
+    """One float64 feature row per slot of ``game``'s layout. An infoset's
+    slots differ only in the candidate action one-hot, so each infoset is
+    featurized once, with its first action, and the one-hot is then set."""
+    labels = game.action_labels
+    rows = [featurize(game.game_id, key, acts[0]) for key, acts in labels.items()]
+    features = np.array(rows, dtype=np.float64)[game.layout.owner]
+    column = {a: i for i, a in enumerate(ACTION_CHARS)}
+    hot = [column[a] for acts in labels.values() for a in acts]
+    features[:, _ACTION_FEATURES] = np.eye(len(ACTION_CHARS))[hot]
+    return features
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ Infoset keys follow ``p{seat}:{rank}:{board|-}:{actions}``, where actions
 holds one betting string per round of the game, joined by ``/``, over the
 characters f/c/r (fold, check/call, bet/raise). Suits are dealt (they shape
 the deck) but never appear in keys, since showdown ignores them.
+``parse_key`` replays a key through the same betting rules the builder
+uses, so it accepts exactly the keys of the game's decision nodes.
 """
 
 from __future__ import annotations
@@ -71,19 +73,6 @@ def _paid_after(paid, seat: int, action: str, size: float) -> tuple[float, float
     return (stake, paid[1]) if seat == 0 else (paid[0], stake)
 
 
-def stakes(rules: PokerRules, rounds) -> tuple[float, float]:
-    """Chips each seat has committed, antes included, after these rounds.
-
-    Stakes are equal whenever a round closes, so one running total per seat
-    serves every round, in which seat 0 acts first.
-    """
-    paid = (ANTE, ANTE)
-    for seq, size in zip(rounds, rules.bet_sizes):
-        for position, action in enumerate(seq):
-            paid = _paid_after(paid, position % 2, action, size)
-    return paid
-
-
 def infoset_key(rules: PokerRules, seat: int, rank: int, board, rounds) -> str:
     """Key of ``seat`` holding ``rank`` with ``board`` (a rank or None)."""
     unplayed = "/" * (len(rules.bet_sizes) - len(rounds))
@@ -91,31 +80,49 @@ def infoset_key(rules: PokerRules, seat: int, rank: int, board, rounds) -> str:
     return f"p{seat}:{RANK_CHARS[rank]}:{board_char}:{'/'.join(rounds)}{unplayed}"
 
 
+def _malformed(key: str, why: str) -> ValueError:
+    return ValueError(f"malformed infoset key '{key}': {why}")
+
+
 def parse_key(rules: PokerRules, key: str):
-    """Split a key into (seat, rank char, board char, per-round actions)."""
-    parts = key.split(":")
-    if len(parts) != 4:
+    """Replay a key through the builder's betting rules to its decision
+    point: (seat to act, rank char, board char or ``-``, open round, each
+    seat's stake with antes, raises this round, the opponent's latest action
+    or None, legal actions). A key that no decision node of the game has
+    raises ValueError."""
+    fields = key.split(":")
+    if len(fields) != 4:
         raise ValueError(f"malformed infoset key '{key}'")
-    seat, rank, board, actions = parts
+    seat, rank, board, actions = fields
     rounds = actions.split("/")
     if seat not in ("p0", "p1"):
-        raise ValueError(f"malformed infoset key '{key}': bad seat")
+        raise _malformed(key, "bad seat")
     if len(rank) != 1 or rank not in RANK_CHARS:
-        raise ValueError(f"malformed infoset key '{key}': bad rank")
+        raise _malformed(key, "bad rank")
     if board != "-" and (len(board) != 1 or board not in RANK_CHARS):
-        raise ValueError(f"malformed infoset key '{key}': bad board")
+        raise _malformed(key, "bad board")
     if len(rounds) != len(rules.bet_sizes):
-        raise ValueError(
-            f"malformed infoset key '{key}': expected "
-            f"{len(rules.bet_sizes)} betting round field(s)"
-        )
+        raise _malformed(key, f"expected {len(rules.bet_sizes)} betting round field(s)")
     if board != "-" and len(rounds) == 1:
-        raise ValueError(
-            f"malformed infoset key '{key}': {rules.game_id} has no board"
-        )
-    if any(ch not in ACTION_CHARS for ch in actions.replace("/", "")):
-        raise ValueError(f"malformed infoset key '{key}': bad action character")
-    return int(seat[1]), rank, board, rounds
+        raise _malformed(key, f"{rules.game_id} has no board")
+    player, current = int(seat[1]), 0 if board == "-" else 1
+    if any(rounds[current + 1 :]):
+        raise _malformed(key, f"betting after round {current + 1}")
+    paid, last_opponent = (ANTE, ANTE), None
+    for number, seq in enumerate(rounds[: current + 1]):
+        for position, action in enumerate(seq):
+            if action not in (legal_actions(seq[:position], rules.cap) or ()):
+                raise _malformed(key, f"illegal '{action}' in round {number + 1}")
+            paid = _paid_after(paid, position % 2, action, rules.bet_sizes[number])
+            if position % 2 != player:
+                last_opponent = action
+        if number < current and (seq.endswith("f") or legal_actions(seq, rules.cap)):
+            raise _malformed(key, f"round {number + 1} does not reach the board")
+    offered = legal_actions(rounds[current], rules.cap)
+    if offered is None or len(rounds[current]) % 2 != player:
+        raise _malformed(key, f"{seat} is not to act")
+    raises = rounds[current].count("r")
+    return player, rank, board, current, paid, raises, last_opponent, offered
 
 
 def _showdown_sign(rank0: int, rank1: int, board) -> float:

@@ -27,16 +27,14 @@ from ._validation import check_positive_int, ordered_sum
 from .cfr import average_strategy, cfr_pass, checkpoints, regret_policy
 from .efg_core import GameSpec
 from .estimator import (
-    ACTION_FEATURES,
     FitPlan,
     _check_max_depth,
     _check_min_leaf_weight,
-    featurize,
     fit_forest,
     model_complexity,
     plan_fit,
+    slot_features,
 )
-from .games.poker import ACTION_CHARS
 
 ESTIMATOR_KINDS = ("tabular", "tree")
 TARGET_MODES = ("exact", "bootstrap")
@@ -140,14 +138,7 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
         strategy_sums=np.zeros(n_slots),
     )
     if config.estimator_kind == "tree":
-        # An infoset's slots differ only in the candidate action one-hot, so
-        # each infoset is featurized once, with its first action.
-        labels = game.action_labels
-        rows = [featurize(game.game_id, key, acts[0]) for key, acts in labels.items()]
-        state.features = np.array(rows, dtype=np.float64)[game.layout.owner]
-        column = {a: i for i, a in enumerate(ACTION_CHARS)}
-        hot = [column[a] for acts in labels.values() for a in acts]
-        state.features[:, ACTION_FEATURES] = np.eye(len(ACTION_CHARS))[hot]
+        state.features = slot_features(game)
     return state
 
 

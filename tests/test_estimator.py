@@ -19,6 +19,7 @@ from fregret.estimator import (
     predict,
     serialize_tree,
 )
+from fregret.games.poker import RULES, parse_key
 
 
 # The largest double under 2**512 / 20, and the one below it.
@@ -121,6 +122,10 @@ class TestFeaturize:
             "p0:J:-:xy/",  # bad action chars
             "p0:J:-",  # missing field
             "p0:J:-:c/c/c",  # too many rounds
+            "p0:J:-:rrrrr/",  # five raises under a cap of two
+            "p1:J:-:/",  # seat 0 acts first
+            "p0:J:-:cc/c",  # round 2 betting without a board
+            "p0:J:-:fc/",  # betting after a fold
         ],
     )
     def test_malformed_leduc_keys(self, key):
@@ -139,6 +144,11 @@ class TestFeaturize:
         with pytest.raises(ValueError):
             featurize("leduc", "p0:J:-:/", "x")
 
+    def test_action_the_node_lacks(self):
+        # Seat 0 opens a round facing no wager, so it cannot fold.
+        with pytest.raises(ValueError, match="not legal"):
+            featurize("leduc", "p0:J:-:/", "f")
+
     def test_bad_key_raises_on_every_call(self):
         for _ in range(3):
             with pytest.raises(ValueError, match="bad rank"):
@@ -153,6 +163,46 @@ class TestFeaturize:
         # Different raise routes to the same 6-chip pot meet in feature space.
         a_key, b_key = "p1:J:Q:rc/c", "p1:J:Q:crc/c"
         assert featurize("leduc", a_key, "c") == featurize("leduc", b_key, "c")
+
+
+# Every one-edit neighbour of every key over this alphabet: substitutions,
+# insertions and deletions, the keys themselves included.
+NEIGHBOUR_ALPHABET = "p012JQKA-:fcrx/"
+
+
+def one_edit_neighbours(keys):
+    found = set()
+    for key in keys:
+        for i in range(len(key) + 1):
+            found.update(key[:i] + ch + key[i:] for ch in NEIGHBOUR_ALPHABET)
+            found.update(key[:i] + ch + key[i + 1 :] for ch in NEIGHBOUR_ALPHABET)
+            found.add(key[:i] + key[i + 1 :])
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, candidates", [("kuhn_game", 2_752), ("leduc_game", 89_184)]
+)
+def test_parse_key_accepts_exactly_the_game_keys(request, name, candidates):
+    # The replay and the builder share one betting model: a key parses when
+    # some decision node of the built game has it, and then gives that
+    # node's seat and actions.
+    game = request.getfixturevalue(name)
+    rules = RULES[game.game_id]
+    nodes = {
+        key: (player, game.action_labels[key])
+        for player, key, _ in game.layout.infosets
+    }
+    neighbours = one_edit_neighbours(nodes)
+    assert len(neighbours) == candidates
+    accepted = {}
+    for key in neighbours:
+        try:
+            seat, *_, actions = parse_key(rules, key)
+        except ValueError:
+            continue
+        accepted[key] = (seat, actions)
+    assert accepted == nodes
 
 
 class TestFitTree:

@@ -779,8 +779,9 @@ CHAIN_DEPTH = 3000
 
 
 def chain_key(seat, depth):
-    """A Kuhn-shaped key, so the features of both estimators apply: ``depth``
-    in base 3 over the action characters, eight digits."""
+    """A Kuhn-shaped key, ``depth`` in base 3 over the action characters,
+    eight digits. No Kuhn node has such a key, so the tabular estimator
+    applies and the tree estimator's features reject it."""
     digits = ""
     for _ in range(8):
         depth, digit = divmod(depth, 3)
@@ -817,11 +818,9 @@ def test_deep_chain_needs_no_recursion():
         game, RCFRConfig(iterations=3, estimator_kind="tabular")
     )
     assert tabular == profile
-    tree, convergence, sizes = rcfr_solve(
-        game, RCFRConfig(iterations=2, min_leaf_weight=64.0)
-    )
-    assert len(convergence) == len(sizes) == 2
-    assert exploitability(game, tree) >= -1e-12
+    with pytest.raises(ValueError, match="malformed infoset key"):
+        rcfr_solve(game, RCFRConfig(iterations=2, min_leaf_weight=64.0))
+    assert exploitability(game, profile) >= -1e-12
     uniform = uniform_profile(game)
     u0, u1 = expected_value(game, merge_profiles(game, profile, uniform))
     assert u0 == -u1
@@ -863,7 +862,7 @@ def calls_itself(tree):
     return looping
 
 
-@pytest.mark.parametrize("module", ["efg_core", "cfr", "rcfr", "eval"])
+@pytest.mark.parametrize("module", ["efg_core", "cfr", "rcfr", "estimator", "eval"])
 def test_core_modules_do_not_recurse(module):
     path = pathlib.Path(fregret.__file__).parent / f"{module}.py"
     assert calls_itself(ast.parse(path.read_text())) == set()
