@@ -1,7 +1,9 @@
-"""Shared helpers: integer validation, the in-order float sum and the
-round-trip float form."""
+"""Shared helpers: integer validation, the in-order float sum, the
+round-trip float form and the number grammar every file reader takes."""
 
 from __future__ import annotations
+
+import re
 
 
 def is_integer(value) -> bool:
@@ -31,3 +33,13 @@ def ordered_sum(values) -> float:
 def format_float(value: float) -> str:
     """Fixed 17-significant-digit decimal form; round-trips float64 exactly."""
     return f"{float(value):.17g}"
+
+
+# The number forms ``format_float`` and ``repr`` write, and the only ones the
+# file readers take, though ``float`` also reads spaces, ``+1``, ``1_0``,
+# ``.5``, ``1E5``, ``Infinity`` and more. ``(?:x|)`` is ``(?:x)?``, which
+# ``re`` matches more slowly. Indices are plain ASCII digits.
+NUMBER = r"-?[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|)|-?inf|nan"
+INDEX = r"[0-9]+"
+NUMBER_PATTERN = re.compile(NUMBER)
+INDEX_PATTERN = re.compile(INDEX)

@@ -4,13 +4,14 @@ Three subcommands: ``solve`` writes a strategy file plus a convergence CSV,
 ``exploit`` prints the exploitability of a stored strategy, and ``compete``
 pits two stored strategies against each other (exact or sampled).
 
-Strategy files are UTF-8 text without a byte-order mark. They open with ``# fregret-strategy v1
-game=<id> exploit_convention=sum`` and then hold one ``infoset_key,
-action_index,probability`` line per action, sorted by key then index. The
-convention tag records that exploitability values are the sum over both
-seats' best responses; halve them for a per-seat average. All floats are
-written with 17 significant digits, so write -> read -> write is
-byte-identical.
+Strategy files are UTF-8 text without a byte-order mark: the header
+``# fregret-strategy v1 game=<id> exploit_convention=sum``, then one
+``infoset_key,action_index,probability`` line per action, sorted by key then
+index. The convention tag records that exploitability values are the sum
+over both seats' best responses; halve them for a per-seat average. Floats
+are written with 17 significant digits, so write -> read -> write is
+byte-identical; the reader takes only the number forms the writer writes
+(``_validation.NUMBER`` and ``INDEX``).
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 validation error.
 """
@@ -23,11 +24,10 @@ import math
 import os
 import re
 import sys
-from itertools import repeat
 
 import numpy as np
 
-from ._validation import format_float
+from ._validation import INDEX, INDEX_PATTERN, NUMBER, format_float
 from .cfr import CFRConfig, solve
 from .efg_core import bad_rows, check_row, checked_policy
 from .eval import exact_ev, exploitability, sampled_match
@@ -38,6 +38,8 @@ ALGORITHMS = ("cfr", "rcfr")
 STRATEGY_HEADER_PATTERN = re.compile(
     r"# fregret-strategy v1 game=(\S+) exploit_convention=sum"
 )
+# Strategy-file body lines, each ended by "\n", in the forms the writer writes.
+_STRATEGY_LINES = re.compile(rf"(?:[^,]*,{INDEX},(?:{NUMBER})\n)*")
 STRATEGY_FILENAME = "strategy.csv"
 CONVERGENCE_FILENAME = "convergence.csv"
 
@@ -90,40 +92,23 @@ def write_strategy_file(path: str, game, profile) -> None:
         handle.write(data)
 
 
-def _converted(convert, texts):
-    """``convert`` mapped over ``texts``, and the position of the first text
-    it rejects with ValueError, or None. ``list.extend`` keeps the values
-    converted before the failure."""
-    values = []
-    try:
-        values.extend(map(convert, texts))
-    except ValueError:
-        return values, len(values)
-    return values, None
-
-
-def _index(text: str) -> int:
-    """``int`` of plain ASCII digits; ValueError for any other text."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(text)
-    return int(text)
-
-
 def read_strategy_file(path: str):
     """Parse a UTF-8 strategy file; returns (game id, profile), the profile's
     keys in order of first appearance.
 
     A file that starts with a UTF-8 byte-order mark, or is not UTF-8,
     raises ValueError. A malformed line raises ValueError with its line
-    number, the first such line in the file; an action index must be
-    plain ASCII digits. Then each infoset's indices must run 0..n-1 and
-    its row pass ``efg_core.check_row``; the first infoset to fail, in
+    number, the first such line in the file; an action index must be an
+    ``_validation.INDEX`` and a probability an ``_validation.NUMBER``, the
+    forms the writer writes. Then each infoset's indices must run 0..n-1
+    and its row pass ``efg_core.check_row``; the first infoset to fail, in
     order of first appearance, is reported, a missing index before a bad
     sum.
 
-    All rows are checked at once: each column is converted by one ``map``
-    call, and a stable sort by (infoset, action index) groups the rows, so
-    an infoset is valid exactly when its sorted indices are 0..n-1.
+    All rows are checked at once: one regex match finds the first malformed
+    line, numpy converts each column before it in one call, and a stable
+    sort by (infoset, action index) groups the rows, so an infoset is valid
+    exactly when its sorted indices are 0..n-1.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -149,43 +134,45 @@ def read_strategy_file(path: str):
     game_id = match.group(1)
     body = lines[1:]
     count = len(body)
+    # One match finds the first line the writer could not have written. Its
+    # key is ``[^,]*``, not the slower ``[^,\n]*``, so a key may take in
+    # lines with no comma: then the fields fall short, and the first is it.
+    text = "\n".join([*body, ""])
+    end = _STRATEGY_LINES.match(text).end()
+    parsed = count if end == len(text) else text.count("\n", 0, end)
+    fields = ",".join(body[:parsed]).split(",") if parsed else []
+    if len(fields) != 3 * parsed:
+        parsed = next(i for i, line in enumerate(body) if "," not in line)
+        del fields[3 * parsed :]
     # Faults as (body line, rank, message): the earliest line wins, and on
     # one line the rank orders the checks as a line-by-line reader makes
-    # them. Each column is parsed only up to its first fault.
+    # them. The lines before the first malformed one are checked further.
     faults = []
-    misfit = np.fromiter(map(str.count, body, repeat(",")), np.intp, count) != 2
-    parsed = int(misfit.argmax()) if misfit.any() else count
     if parsed < count:
-        message = "expected 'infoset_key,action_index,probability'"
+        _, *rest = body[parsed].split(",")
+        if len(rest) != 2:
+            message = "expected 'infoset_key,action_index,probability'"
+        elif INDEX_PATTERN.fullmatch(rest[0]) is None:
+            message = f"bad action index '{rest[0]}'"
+        else:
+            message = f"bad probability '{rest[1]}'"
         faults.append((parsed, 0, message))
-    fields = ",".join(body[:parsed]).split(",") if parsed else []
     keys, index_texts, prob_texts = fields[0::3], fields[1::3], fields[2::3]
-    # An index is plain ASCII digits, but ``int`` also reads signs, spaces,
-    # underscores and other scripts' digits. A column whose join is plain
-    # digits needs ``int`` only, which rejects an empty index; any other
-    # column is checked index by index.
-    joined = "".join(index_texts)
-    convert = int if joined.isascii() and joined.isdigit() else _index
-    indices, at = _converted(convert, index_texts)
-    if at is not None:
-        faults.append((at, 1, f"bad action index '{index_texts[at]}'"))
-    probs, at = _converted(float, prob_texts)
-    if at is not None:
-        faults.append((at, 2, f"bad probability '{prob_texts[at]}'"))
-    prob = np.array(probs, dtype=np.float64)
+    # numpy reads each token as ``int`` and ``float`` do.
+    prob = np.array(prob_texts, dtype=np.float64)
     outside = ~((prob >= 0.0) & (prob < math.inf))
     if outside.any():
         at = int(outside.argmax())
         faults.append(
-            (at, 3, f"probability {prob_texts[at]} must be finite and >= 0")
+            (at, 1, f"probability {prob_texts[at]} must be finite and >= 0")
         )
     first = dict.fromkeys(keys)
     ids = dict(zip(first, range(len(first))))
-    owner = np.fromiter(map(ids.__getitem__, keys), np.intp, len(indices))
+    owner = np.fromiter(map(ids.__getitem__, keys), np.intp, parsed)
     try:
-        index = np.array(indices, dtype=np.int64)
+        index = np.array(index_texts, dtype=np.int64)
     except OverflowError:  # past int64: compare the Python ints themselves
-        index = np.array(indices, dtype=object)
+        index = np.array(list(map(int, index_texts)), dtype=object)
     # The stable sort puts each repeat of an (infoset, index) pair right
     # after its first line; the earliest repeating line is the duplicate.
     order = np.lexsort((index, owner))
@@ -193,9 +180,8 @@ def read_strategy_file(path: str):
     again = (owner[1:] == owner[:-1]) & (index[1:] == index[:-1])
     if again.any():
         at = int(order[1:][again].min())
-        faults.append(
-            (at, 4, f"duplicate entry for '{keys[at]}' action {indices[at]}")
-        )
+        message = f"duplicate entry for '{keys[at]}' action {int(index_texts[at])}"
+        faults.append((at, 2, message))
     if faults:
         at, _, message = min(faults)
         raise ValueError(f"{path}, line {at + 2}: {message}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import format_float, is_integer
+from ._validation import INDEX_PATTERN, NUMBER_PATTERN, format_float, is_integer
 from .games.poker import ACTION_CHARS, RANK_CHARS, parse_key, rules_for
 
 FEATURE_DIM = 19
@@ -45,8 +45,6 @@ TREE_HEADER_PATTERN = re.compile(
     re.escape(TREE_FORMAT_HEADER)
     + r" n_features=(-?[0-9]+) min_leaf_weight=(\S+) max_depth=(-?[0-9]+|none)"
 )
-# The forms ``format_float`` writes; parsing reads no others.
-NUMBER_PATTERN = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?|-?inf|nan")
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +523,14 @@ def parse_tree(text: str) -> RegressionTree:
 
     The header must match ``TREE_HEADER_PATTERN`` whole: each field once,
     in ``serialize_tree``'s order, with nothing else on the line. Numbers
-    must be in a form ``NUMBER_PATTERN`` matches, and feature indices plain
-    digits. Rejects feature indices outside ``[0, n_features)``, non-finite
-    thresholds and leaf values, ``n_features < 1``, a non-finite or
-    negative ``min_leaf_weight`` and a negative ``max_depth``.
+    and feature indices must be in the shared grammar, ``_validation.NUMBER``
+    and ``INDEX``. Rejects feature indices outside ``[0, n_features)``,
+    non-finite thresholds and leaf values, ``n_features < 1``, a non-finite
+    or negative ``min_leaf_weight`` and a negative ``max_depth``. Blank
+    lines are skipped, but an error gives its line's place in the text.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    match = TREE_HEADER_PATTERN.fullmatch(lines[0]) if lines else None
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    match = TREE_HEADER_PATTERN.fullmatch(lines[0][1]) if lines else None
     if match is None:
         raise ValueError("not a fregret-tree file (missing or malformed header)")
     raw_features, raw_weight, raw_depth = match.groups()
@@ -543,7 +542,7 @@ def parse_tree(text: str) -> RegressionTree:
     min_leaf_weight = _check_min_leaf_weight(weight)
     records = []
     open_slots = 1  # subtrees announced by the lines so far but not yet read
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in lines[1:]:
         if open_slots == 0:
             raise ValueError("trailing content after tree definition")
         parts = line.split(",")
@@ -553,7 +552,7 @@ def parse_tree(text: str) -> RegressionTree:
             open_slots -= 1
         elif parts[0] == "node" and len(parts) == 3:
             index = parts[1]
-            if not re.fullmatch("[0-9]+", index) or int(index) >= n_features:
+            if not INDEX_PATTERN.fullmatch(index) or int(index) >= n_features:
                 raise ValueError(
                     f"{where}: feature {index!r} is not plain digits "
                     f"or is outside [0, {n_features})"

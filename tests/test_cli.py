@@ -453,6 +453,21 @@ class TestExploitCommand:
         )
         assert code == 4 and message in err
 
+    @pytest.mark.parametrize("token", ["half", "1_0"])
+    def test_bad_probability_in_stored_file_fails_at_its_line(
+        self, tmp_path, capsys, token
+    ):
+        # As CI's sed '3s/,[^,]*$/,<token>/' on the stored Leduc file.
+        solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
+        lines = solved.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + f",{token}\n"
+        path = tmp_path / f"{token}.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        code, _, err = run(
+            ["exploit", "--game", "leduc", "--strategy", str(path)], capsys
+        )
+        assert code == 4 and f"line 3: bad probability '{token}'" in err
+
     def test_missing_file_is_an_io_error(self, tmp_path, capsys):
         code, _, _ = run(
             ["exploit", "--game", "kuhn",

@@ -527,6 +527,18 @@ class TestSerialization:
                 "branch,0,0.5\n"
             )
 
+    def test_errors_give_the_line_in_the_text(self):
+        # Blank lines, before the header and in the body, are skipped but
+        # still counted: the bad leaf is the fifth line of the text.
+        text = "\n" + self.HEADER + "node,0,0.5\n\nleaf,x\nleaf,2\n"
+        with pytest.raises(ValueError, match="^tree line 5: leaf value 'x'"):
+            parse_tree(text)
+        with pytest.raises(ValueError, match="^malformed tree line 5: "):
+            parse_tree(text.replace("leaf,x", "branch,1"))
+        spaced = "\n \n" + self.HEADER + "\nnode,0,0.5\n\t\nleaf,1\n\nleaf,2\n\n"
+        plain = self.HEADER + "node,0,0.5\nleaf,1\nleaf,2\n"
+        assert parse_tree(spaced) == parse_tree(plain)
+
     def test_predictions_survive_round_trip(self):
         tree = self.build_tree(seed=8)
         clone = parse_tree(serialize_tree(tree))

@@ -3,7 +3,10 @@
 ``reference_read_strategy_file`` is the reader that parsed and checked one
 line at a time before ``read_strategy_file`` converted whole columns at
 once, kept here unchanged but for the encoding, which is UTF-8 in both, and
-the action index, which both read only as plain ASCII digits. On
+the number forms: both read an action index only as plain ASCII digits and
+a probability only in a form ``format_float`` or ``repr`` writes, a token
+outside these failing at its line. The reference checks them against its
+own copy of that grammar, ``PROBABILITY``, not the reader's. On
 every input both must return the same (game id, profile), by ``float.hex``
 and key order, or raise the same exception type with the same message. The
 inputs are fixed edge cases plus thousands of seeded mutations of valid
@@ -15,6 +18,7 @@ and keys changed, and line ends varied.
 import math
 import pathlib
 import random
+import re
 
 import pytest
 from test_game_oracle import random_game, random_profile
@@ -25,6 +29,8 @@ from fregret.efg_core import check_row, uniform_profile
 
 STORED = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
 HEADER = "# fregret-strategy v1 game={} exploit_convention=sum"
+# The probability forms fregret writes, copied rather than imported.
+PROBABILITY = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?|-?inf|nan")
 
 
 def reference_read_strategy_file(path: str):
@@ -63,6 +69,8 @@ def reference_read_strategy_file(path: str):
                 f"{path}, line {number}: bad action index '{index_text}'"
             ) from None
         try:
+            if not PROBABILITY.fullmatch(prob_text):
+                raise ValueError(prob_text)
             prob = float(prob_text)
         except ValueError:
             raise ValueError(
@@ -242,7 +250,8 @@ INDEX_TOKENS = (
 PROB_TOKENS = (
     "", "half", "nan", "NaN", "inf", "-inf", "-0", "-0.0", "0", "1", "1e400",
     "-1e-400", "5e-324", "0.5", "-0.5", "1.0000001", "0.999999", " 0.5",
-    "0x1p-1", "1_0", "infinity", "1e-7",
+    "0x1p-1", "1_0", "infinity", "1e-7", "+0.5", ".5", "5.", "1E-5", "1e5",
+    "Infinity", "\u0660.\u0665", "0.5 ",
 )
 KEY_TOKENS = ("", " ", "p0:é", "p0:J:-:", "p9:zz")
 GARBAGE_LINES = ("", "garbage", "a,b", "a,b,c,d", ",,", ",0,1", "p0:x,0,1")
