@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._validation import check_positive_int, ordered_sum
-from .efg_core import GameSpec, node_values, sequence_reach
+from .efg_core import GameSpec, sequence_reach
 from .eval import policy_exploitability
 
 
@@ -113,29 +113,33 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
     into a new slot vector. Returns ``(seat 0 root value, immediate
     regrets)``; seat 1's value is the exact negation.
 
-    A bottom-up sweep values the nodes. A vector of every sequence's reach
-    (``efg_core.sequence_reach``) is filled a level at a time: the same
-    products as a top-down node sweep, less its factors of 1.0. Then each
-    seat's decision edges add their terms, each slot's in preorder (see
-    ``efg_core.Plan``). An infoset's nodes are never ancestor and
-    descendant, so preorder adds them in the order their subtrees finish.
+    A bottom-up sweep over the layout's edge ``levels`` values the nodes,
+    each adding its weighted child values, in action order, to 0.0. A
+    vector of every sequence's reach (``efg_core.sequence_reach``) gives
+    the strategy sums and, with the chance reach, each decision edge's
+    counterfactual weight. Then each seat's decision edges add their
+    terms, each slot's in preorder (see ``GameLayout.decisions``). An
+    infoset's nodes are never ancestor and descendant, so preorder adds
+    them in the order their subtrees finish.
     """
     layout = game.layout
     policy = np.asarray(policy, dtype=np.float64)
-    values = node_values(layout, policy)
+    weight = np.concatenate((policy, layout.tail))[layout.source]
+    parent, child = layout.parent, layout.child
+    values = layout.utility.copy()
+    for level in layout.levels:
+        np.add.at(values, parent[level], weight[level] * values[child[level]])
     deltas = np.zeros(layout.offset[-1])
     reach = sequence_reach(layout, policy)
-    for seat in (0, 1):
-        plan = layout.plans[seat]
-        decisions = len(plan.opponent)
-        slot = plan.source[:decisions]
-        parent, child = plan.parent[:decisions], plan.child[:decisions]
+    for seat, (slot, above, below, opponent, by_chance) in enumerate(
+        layout.decisions
+    ):
         np.add.at(strategy_sums, slot, reach[slot])
-        counterfactual = reach[plan.opponent] * plan.chance
+        counterfactual = reach[opponent] * by_chance
         if seat == 0:
-            advantage = values[child] - values[parent]
+            advantage = values[below] - values[above]
         else:  # seat 1's value is the negation, so the advantage flips sign
-            advantage = values[parent] - values[child]
+            advantage = values[above] - values[below]
         np.add.at(deltas, slot, counterfactual * advantage)
     return float(values[0]), deltas
 

@@ -9,18 +9,27 @@ runs: it turns profiles into a slot vector whose rows are distributions.
 ``GameNode`` trees are the builders' input format. Nodes are immutable,
 so a built tree may share one subtree between several parents;
 ``make_game`` treats every visit as its own position. It checks a tree
-with an explicit stack and flattens it into a ``GameLayout``: a table of
-the infosets numbered in first-visit preorder, and one edge list per
-seat, its ``Plan``, with nodes numbered in preorder. Node values and best
-response are numpy sweeps over a plan's steps, one level at a time, so
-no traversal depends on Python's recursion limit. Both the CFR pass and
-best response take their reach from the sequence form (see
-``GameLayout`` and ``sequence_reach``). Sampled play moves blocks of
-hands down seat 0's plan, one edge per round.
+with an explicit stack and flattens it into a ``GameLayout``, with numpy
+sweeps a tree depth at a time, so no traversal depends on Python's
+recursion limit.
 
-The sweeps add with ``np.add.at``, which is unbuffered and adds in index
-order. So each node, slot and score sees the same float additions, in the
-same order, as a loop over the tree in preorder that sums from 0.0.
+Evaluation reads the sequence form (see ``GameLayout``). A policy gives
+each sequence its reach (``sequence_reach``). The pair table sums the
+terminals once per game into pairs of sequences, so a seat's terminal
+value by sequence is one ``bincount`` over the pairs, weighted by the
+other seat's reach. Best response backs those values up the seat's
+sequences, deepest first, each infoset adding its largest slot value
+(``eval.best_response``), and a policy's value is one sum over the pairs
+(``policy_value``). The CFR pass (``cfr.cfr_pass``) takes its
+reach from the sequence form too, but values the nodes by one bottom-up
+sweep over the edge list's ``levels``, so its regrets keep the node
+order's bits, on which the tree learner's splits depend. Sampled play
+moves blocks of hands down the edge list, one edge per round.
+
+Every sum runs in a fixed order that depends only on the game: ``bincount``
+and the unbuffered ``np.add.at`` add in index order from 0.0, and
+``policy_value`` adds its terms pairwise, in an order set by their count.
+So each run gives the same bits.
 """
 
 from __future__ import annotations
@@ -82,36 +91,6 @@ def terminal(u1: float) -> GameNode:
 
 
 @dataclass(frozen=True, eq=False)
-class Plan:
-    """The game's edges in the order of one seat's best response.
-
-    Edge ``i`` leads from node ``parent[i]`` into node ``child[i]``, and
-    ``source[i]`` is its weight-table index. The seat's decision edges come
-    first, ``len(opponent)`` of them, then the opponent and chance edges.
-    Each node's edges are consecutive, in action order. ``opponent`` and
-    ``chance`` hold the opponent's sequence and the chance reach at each
-    decision edge's parent.
-
-    ``steps`` is the sweep order, as ``(lo, hi, pick)`` spans of the edges:
-    per move depth of the seat, deepest first, one pick step over the
-    seat's decision edges out of nodes at that depth, then one sum step per
-    tree depth of the opponent and chance edges out of them, deepest
-    first. Within a step, edges come in preorder. ``pick`` is None on a sum
-    step and ``(pad, ids, heads, first, head_infoset)`` on a pick step:
-    ``pad`` gives each infoset ``ids[i]`` its slots by row, padded with the
-    slot past the end, and ``heads`` are the step's decision nodes, with
-    their first edges in ``first`` and their infosets in ``head_infoset``.
-    """
-
-    parent: np.ndarray
-    child: np.ndarray
-    source: np.ndarray
-    opponent: np.ndarray
-    chance: np.ndarray
-    steps: tuple
-
-
-@dataclass(frozen=True, eq=False)
 class GameLayout:
     """A game tree flattened in preorder: node 0 is the root, and each node
     precedes its children, which come in action order. ``infosets`` holds
@@ -120,46 +99,71 @@ class GameLayout:
     Every infoset-action has a *slot*: slots run over the infoset table in
     order, then over each infoset's actions. Infoset ``k`` owns slots
     ``offset[k]`` to ``offset[k + 1] - 1``, and ``offset[-1]`` is the slot
-    count. Solver tables are flat vectors indexed by slot. A seat's
-    *sequence* at a node is the slot of its last move above it, or
-    ``offset[-1]`` if none; under perfect recall its reach there is the
-    sequence's (see ``sequence_reach``). ``sequences`` groups the slots by
-    their seat's earlier moves, fewest first, as (slots, parent sequences).
+    count, S. Solver tables are flat vectors indexed by slot. ``seat``
+    gives each infoset's acting seat, and ``owner`` and ``uniform`` give
+    each slot's infoset id and 1 / its action count.
 
-    An edge's weight is read from a *weight table*: the policy slot vector
-    followed by ``tail``, which holds every chance probability. ``plans``
-    lists the edges once per seat, in the order of that seat's best
-    response (see ``Plan``); seat 0's order also serves the bottom-up node
-    values and sampled play. ``seat`` gives each infoset's acting seat, and
-    ``owner`` and ``uniform`` give each slot's infoset id and 1 / its action
-    count; ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal
-    nodes, which ``terminal`` marks False.
+    A seat's *sequence* at a node is the slot of its last move above it,
+    or its empty sequence if it has not moved there: S for seat 0 and
+    S + 1 for seat 1. Vectors by sequence have S + 2 entries. Under perfect
+    recall every node of an infoset has its seat's same sequence, the
+    parent sequence of the infoset's slots. ``sequences`` groups the slots
+    by their seat's earlier moves, fewest first, both seats together, as
+    (slots, parent sequences, starts): a level's slots come in slot order,
+    so each infoset's are a run, and ``starts`` are where the runs begin.
 
-    Sampled play finds node ``n``'s edges in seat 0's plan at ``first[n]``
-    to ``last[n]`` (0 to 0 at a terminal). ``columns`` holds, for each
-    column c >= 1 of the infosets' rows of slots, the slots at column c, so
-    a policy's running totals can be added a column at a time.
-    ``tail_totals`` holds the chance rows' running totals, each chance
-    node's run of ``tail`` added that way from 0.0. ``chance_node`` marks
-    the chance nodes, and ``chance_depth`` is the most chance nodes on a
-    path from the root.
+    The *pair table* is the sequence form of the payoffs. A terminal
+    enters every evaluation only through its two sequences and its chance
+    reach times its payoffs, so terminals with the same two sequences are
+    added once per game. ``pairs`` is a 2 x P array of each pair of
+    sequences that some terminal has, seat 0's then seat 1's, sorted.
+    Row ``seat`` of ``payoff`` holds, by pair, the chance reach times that
+    seat's payoff of the pair's terminals, added in preorder from 0.0;
+    ``chance`` holds their chance reaches, added the same way.
+
+    The edge list: ``parent``, ``child`` and ``source`` list the edges by
+    their parent's tree depth, deepest first, and within a depth grouped
+    by parent in preorder, each node's in action order: edge ``i`` leads
+    from node ``parent[i]`` into node ``child[i]``, and ``source[i]`` is
+    its weight-table index. The weight table is the policy slot vector
+    followed by ``tail``, which holds every chance probability.
+    ``levels`` holds the slices of the list by parent depth, so a sweep
+    over them values every child before its parent. ``decisions`` holds,
+    per seat, its decision edges in preorder of their parents, as (slot,
+    parent, child, the opponent's sequence at the parent, the chance
+    reach at the parent). Sampled play finds node ``n``'s edges at
+    ``first[n]`` to ``last[n]`` (0 to 0 at a terminal). ``columns`` holds, for each column c >= 1 of the infosets' rows of
+    slots, the slots at column c, so a policy's running totals can be
+    added a column at a time. ``tail_totals`` holds the chance rows'
+    running totals, each chance node's run of ``tail`` added that way from
+    0.0. ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal
+    nodes, which ``terminal`` marks False. ``chance_node`` marks the chance
+    nodes, and ``chance_depth`` is the most chance nodes on a path from
+    the root.
     """
 
     infosets: list[tuple[int, str, int]]
     offset: list[int]
-    tail: np.ndarray
-    sequences: tuple
     seat: np.ndarray
     owner: np.ndarray
     uniform: np.ndarray
-    utility: np.ndarray
-    terminal: np.ndarray
-    plans: tuple[Plan, Plan]
-    chance_node: np.ndarray
+    sequences: tuple
+    pairs: np.ndarray
+    payoff: np.ndarray
+    chance: np.ndarray
+    parent: np.ndarray
+    child: np.ndarray
+    source: np.ndarray
+    levels: tuple
+    decisions: tuple
     first: np.ndarray
     last: np.ndarray
+    tail: np.ndarray
     columns: tuple
     tail_totals: np.ndarray
+    utility: np.ndarray
+    terminal: np.ndarray
+    chance_node: np.ndarray
     chance_depth: int
 
 
@@ -175,47 +179,9 @@ def _columns(column) -> tuple:
     return tuple(np.flatnonzero(column == c) for c in range(1, top + 1))
 
 
-def _plan(
-    seat, parent, up, src, moved, depth, moves, owner, offset, infosets, opp, chance
-):
-    """Seat ``seat``'s plan (see ``Plan``). Edge ``e`` leads from
-    ``parent[e]`` into node ``e + 1``. ``moves``, ``opp`` and ``chance``
-    give the seat's move count, its opponent's sequence and the chance
-    reach at each edge parent, where ``up[e]`` is ``parent[e]``'s place
-    among them. One stable sort orders the seat's decision edges by move
-    depth, deepest first, and one the other edges by move depth, then tree
-    depth, deepest first."""
-    stride = int(depth.max()) + 1
-    own = np.flatnonzero(moved == seat)
-    own = own[np.argsort(-moves[up[own]], kind="stable")]
-    other = np.flatnonzero(moved != seat)
-    key = moves[up[other]] * stride + depth[parent[other]]
-    order = np.argsort(-key, kind="stable")
-    other, key = other[order], key[order]
-    edges = np.concatenate((own, other))
-    nodes, near = parent[edges], up[own]
-    steps: dict[int, list] = {}
-    for lo, hi in _spans(moves[near]):
-        # A node's edges are consecutive, in action order.
-        first = lo + np.flatnonzero(np.diff(nodes[lo:hi], prepend=-1))
-        head_infoset = owner[src[own[first]]]
-        ids = np.flatnonzero(np.bincount(head_infoset, minlength=len(infosets)))
-        count = offset[ids + 1] - offset[ids]
-        pad = offset[ids][:, None] + np.arange(count.max())
-        pad[np.arange(count.max()) >= count[:, None]] = len(owner)
-        pick = (pad, ids, nodes[first], first, head_infoset)
-        steps[int(moves[near[lo]])] = [(lo, hi, pick)]
-    for lo, hi in _spans(key):
-        at = (len(own) + lo, len(own) + hi, None)
-        steps.setdefault(int(key[lo]) // stride, []).append(at)
-    return Plan(
-        parent=nodes,
-        child=edges + 1,
-        source=src[edges],
-        opponent=opp[near],
-        chance=chance[near],
-        steps=tuple(chain.from_iterable(steps[d] for d in sorted(steps, reverse=True))),
-    )
+def _runs(key) -> np.ndarray:
+    """Where each run of equal values in ``key`` begins."""
+    return np.flatnonzero(np.diff(key, prepend=-1))
 
 
 def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
@@ -232,6 +198,7 @@ def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
     parent = np.frombuffer(parents, dtype=np.int64)[1:].astype(np.intp, copy=False)
     depth = np.frombuffer(depths, dtype=np.int64)
     node_infoset = np.frombuffer(infoset, dtype=np.int64)
+    utility = np.frombuffer(utility, dtype=np.float64)
     terminal = np.ones(nodes, dtype=bool)
     terminal[parent] = False
     # Each edge's mover: seat 0 or 1, or 2 for chance, whose infoset is -1.
@@ -239,89 +206,103 @@ def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
     moved = seats[node_infoset[parent]]
     src = np.frombuffer(weights, dtype=np.int64)[1:].astype(np.intp)
     src[moved == 2] += slots
-    # Top-down over the edges into inner nodes, a tree depth at a time: each
-    # inner node's chance reach (multiplied by 1.0 where a seat moves) and
-    # each seat's sequence and move count there (see ``GameLayout``). Only
-    # inner nodes are edge parents, so only they are kept: ``up[e]`` is
-    # ``parent[e]``'s place among them, and the root's is 0.
-    inner = np.flatnonzero(~terminal)
-    up = np.searchsorted(inner, parent)
-    rise = np.argsort(depth[inner[1:]], kind="stable")
-    below = rise + 1
-    down = inner[below] - 1
-    factor = np.concatenate((np.ones(slots), tail))[src[down]]
-    chance = np.ones(len(inner))
-    last = [np.full(len(inner), slots) for _ in range(2)]
-    moves = [np.zeros(len(inner), dtype=np.intp) for _ in range(2)]
-    for lo, hi in _spans(depth[parent[down]]):
-        edges, at = down[lo:hi], below[lo:hi]
-        above = up[edges]
-        chance[at] = chance[above] * factor[lo:hi]
+    tail = np.array(tail, dtype=np.float64)
+    # Top-down over the edges, a tree depth at a time: each node's chance
+    # reach (multiplied by 1.0 where a seat moves) and each seat's sequence
+    # and move count there.
+    down = np.argsort(depth[1:], kind="stable")
+    factor = np.concatenate((np.ones(slots), tail))[src]
+    chance = np.ones(nodes)
+    last = [np.full(nodes, slots + seat) for seat in (0, 1)]
+    moves = [np.zeros(nodes, dtype=np.intp) for _ in range(2)]
+    for lo, hi in _spans(depth[1:][down]):
+        edges = down[lo:hi]
+        at, above = edges + 1, parent[edges]
+        chance[at] = chance[above] * factor[edges]
         for seat in (0, 1):
             own = moved[edges] == seat
             last[seat][at] = np.where(own, src[edges], last[seat][above])
             moves[seat][at] = moves[seat][above] + own
-    del rise, down, below, factor
     # Perfect recall: every node of an infoset has its first node's sequence.
-    kind = node_infoset[inner]
-    decided = np.flatnonzero(kind >= 0)
-    ids = kind[decided]
+    decided = np.flatnonzero(node_infoset >= 0)
+    ids = node_infoset[decided]
     own_sequence = np.where(seats[ids] == 0, last[0][decided], last[1][decided])
     _, first = np.unique(ids, return_index=True)
     bad = np.flatnonzero(own_sequence != own_sequence[first][ids])
     if len(bad):
         raise ValueError(f"imperfect recall at infoset '{infosets[ids[bad[0]]][1]}'")
-    del decided, ids, own_sequence, first, bad
     # The most chance nodes on a path: at a chance node, those above it (its
     # depth less both seats' moves) and itself.
-    chanced = (depth[inner] - moves[0] - moves[1])[kind < 0]
+    chance_node = (node_infoset < 0) & ~terminal
+    chanced = (depth - moves[0] - moves[1])[chance_node]
     chance_depth = int(chanced.max(initial=-1)) + 1
-    del kind, chanced, inner
     # Each slot's move count and parent sequence, the same at every edge.
     sequence = np.zeros((2, slots), dtype=np.intp)
     for seat in (0, 1):
         own = moved == seat
-        sequence[:, src[own]] = moves[seat][up[own]], last[seat][up[own]]
+        sequence[:, src[own]] = moves[seat][parent[own]], last[seat][parent[own]]
     order = np.argsort(sequence[0], kind="stable")
     counts, prior = sequence[:, order]
     offset = np.array(offset, dtype=np.intp)
     owner = np.repeat(np.arange(len(infosets)), np.diff(offset))
-    plans = tuple(
-        _plan(seat, parent, up, src, moved, depth, moves[seat], owner, offset,
-              infosets, last[1 - seat], chance)
-        for seat in (0, 1)
-    )
-    del up, chance, moved, last, moves
-    # Each node's edges in seat 0's plan, and each weight-table index's
-    # column: its place among its node's edges.
-    plan = plans[0]
-    heads = np.flatnonzero(np.diff(plan.parent, prepend=-1))
+    # The pair table: the terminals' sequence pairs, sorted, and each pair's
+    # chance reaches and chance reach times payoff, added in preorder.
+    ends = np.flatnonzero(terminal)
+    span = slots + 2
+    keys, pair = np.unique(last[0][ends] * span + last[1][ends], return_inverse=True)
+    reach = chance[ends]
+    payoff = np.bincount(pair, reach * utility[ends])
+    # The edge list, by parent depth, deepest first, then grouped by parent
+    # in preorder, each node's edges in action order; each seat's decision
+    # edges in preorder; and each weight-table index's column: its place
+    # among its node's edges.
+    edges = np.argsort(parent, kind="stable")
+    edges = edges[np.argsort(-depth[parent[edges]], kind="stable")]
+    above = parent[edges]
+    heads = _runs(above)
+    decisions = []
+    for seat in (0, 1):
+        own = np.flatnonzero(moved[edges] == seat)
+        own = own[np.argsort(above[own], kind="stable")]
+        at = above[own]
+        decisions.append(
+            (src[edges[own]], at, edges[own] + 1, last[1 - seat][at], chance[at])
+        )
     first = np.zeros(nodes, dtype=np.intp)
     last = np.zeros(nodes, dtype=np.intp)
-    first[plan.parent[heads]] = heads
-    last[plan.parent[heads]] = np.append(heads[1:], len(plan.parent)) - 1
+    first[above[heads]] = heads
+    last[above[heads]] = np.append(heads[1:], len(edges)) - 1
     column = np.zeros(slots + len(tail), dtype=np.intp)
-    column[plan.source] = np.arange(len(plan.source)) - first[plan.parent]
-    tail = np.array(tail, dtype=np.float64)
+    column[src[edges]] = np.arange(len(edges)) - first[above]
     tail_totals = 0.0 + tail
     for at in _columns(column[slots:]):
         tail_totals[at] = tail_totals[at - 1] + tail[at]
     return GameLayout(
         infosets=infosets,
         offset=offset.tolist(),
-        tail=tail,
-        sequences=tuple((order[lo:hi], prior[lo:hi]) for lo, hi in _spans(counts)),
         seat=seats[:-1],
         owner=owner,
         uniform=1.0 / np.diff(offset)[owner],
-        utility=np.frombuffer(utility, dtype=np.float64),
-        terminal=terminal,
-        plans=plans,
-        chance_node=(node_infoset < 0) & ~terminal,
+        sequences=tuple(
+            (order[lo:hi], prior[lo:hi], _runs(owner[order[lo:hi]]))
+            for lo, hi in _spans(counts)
+        ),
+        pairs=np.stack((keys // span, keys % span)),
+        payoff=np.stack((payoff, -payoff)),
+        chance=np.bincount(pair, reach),
+        parent=above,
+        child=edges + 1,
+        source=src[edges],
+        levels=tuple(slice(lo, hi) for lo, hi in _spans(depth[above])),
+        decisions=tuple(decisions),
         first=first,
         last=last,
+        tail=tail,
         columns=_columns(column[:slots]),
         tail_totals=tail_totals,
+        utility=utility,
+        terminal=terminal,
+        chance_node=chance_node,
         chance_depth=chance_depth,
     )
 
@@ -504,34 +485,29 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
 
 def sequence_reach(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
     """Every sequence's reach when slot ``s`` plays with probability
-    ``policy[s]``: by slot, with the empty sequence's 1.0 at ``offset[-1]``.
+    ``policy[s]``: a vector by sequence, 1.0 at both empty sequences.
     Filled a level of ``sequences`` at a time, so each slot's reach is its
     parent sequence's times its policy."""
-    reach = np.ones(layout.offset[-1] + 1)
-    for slots, parents in layout.sequences:
+    reach = np.ones(layout.offset[-1] + 2)
+    for slots, parents, _ in layout.sequences:
         reach[slots] = reach[parents] * policy[slots]
     return reach
 
 
-def node_values(layout: GameLayout, policy: np.ndarray) -> np.ndarray:
-    """Seat 0's value of every node when slot ``s`` plays with probability
-    ``policy[s]``: one bottom-up sweep over seat 0's plan, each step adding
-    every node's weighted child values, in action order, to 0.0."""
-    plan = layout.plans[0]
-    weight = np.concatenate((policy, layout.tail))[plan.source]
-    parent, child = plan.parent, plan.child
-    values = layout.utility.copy()
-    for lo, hi, _ in plan.steps:
-        np.add.at(values, parent[lo:hi], weight[lo:hi] * values[child[lo:hi]])
-    return values
+def policy_value(layout: GameLayout, policy: np.ndarray) -> float:
+    """Seat 0's value when slot ``s`` plays with probability ``policy[s]``:
+    each pair's payoff times both seats' reach, added by ``numpy.sum``
+    (pairwise summation, whose order depends only on the pair count)."""
+    reach = sequence_reach(layout, policy)
+    pairs = layout.pairs
+    return float(np.sum(layout.payoff[0] * reach[pairs[0]] * reach[pairs[1]]))
 
 
 def expected_value(game: GameSpec, profile: dict) -> tuple[float, float]:
     """Exact expected utilities (u1, u2) under a behavioral profile."""
-    policy = checked_policy(game, (profile, profile))
-    value = float(node_values(game.layout, policy)[0])
-    # Summing seat 1's negated payoffs from 0.0 gives exactly -value, except
-    # that a zero total is +0.0; 0.0 - value is that same number.
+    value = policy_value(game.layout, checked_policy(game, (profile, profile)))
+    # Seat 1's payoffs are the exact negations, so its value is -value, but
+    # written 0.0 - value so that a zero total is +0.0.
     return value, 0.0 - value
 
 

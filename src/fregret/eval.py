@@ -4,11 +4,14 @@ Exploitability here is the SUM of both seats' best-response values (zero
 exactly at an equilibrium); halve it to compare against per-player-average
 conventions. Matches report chips per hand from the first profile's view.
 
-Best response sweeps the responder's plan (see ``efg_core.Plan``), and
-sampled play moves a block of hands at a time down seat 0's plan, every
-live hand one edge per round of numpy operations. Each draw is a binary
-search over its row's running totals, and the marks come from a seeded
-PCG64's raw stream (see ``sampled_match``).
+Best response, exploitability and exact EV read the sequence form (see
+``efg_core``): best response backs the pair table's values up by
+sequence, each infoset taking its best action, and exact EV is one sum
+over the pairs. Sampled play moves a block of hands at a time down the
+layout's edge list, every live hand one edge per round of numpy
+operations. Each draw is a binary search over its row's running totals,
+and the marks come from a seeded PCG64's raw stream (see
+``sampled_match``).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import check_positive_int
-from .efg_core import GameSpec, checked_policy, node_values, sequence_reach
+from .efg_core import GameSpec, checked_policy, policy_value, sequence_reach
 
 # Hand pairs per block of sampled play.
 BLOCK = 2048
@@ -44,33 +47,22 @@ class MatchResult:
     duplicate: bool
 
 
-def _respond(layout, policy, responder: int):
-    """``best_response``'s sweep against slot vector ``policy``: the root
-    value, each infoset's pick, and the opponent-and-chance reach of each
-    of the responder's decision edges, in plan order."""
-    plan = layout.plans[responder]
-    decisions = len(plan.opponent)
-    weight = sequence_reach(layout, policy)[plan.opponent] * plan.chance
-    if responder == 0:
-        value = layout.utility.copy()
-    else:  # +0.0, not -0.0, at the nodes whose values are sums
-        value = np.zeros(len(layout.utility))
-        np.negative(layout.utility, out=value, where=layout.terminal)
-    probs = np.concatenate((policy, layout.tail))[plan.source[decisions:]]
-    parent, child, source = plan.parent, plan.child, plan.source
-    score = np.zeros(layout.offset[-1] + 1)
-    score[-1] = -np.inf  # the padding slot of a shorter infoset's row
-    choice = np.zeros(len(layout.infosets), dtype=np.intp)
-    for lo, hi, pick in plan.steps:
-        if pick is None:
-            terms = probs[lo - decisions : hi - decisions] * value[child[lo:hi]]
-            np.add.at(value, parent[lo:hi], terms)
-        else:
-            pad, ids, heads, first, head_infoset = pick
-            np.add.at(score, source[lo:hi], weight[lo:hi] * value[child[lo:hi]])
-            choice[ids] = score[pad].argmax(axis=1)
-            value[heads] = value[child[first + choice[head_infoset]]]
-    return float(value[0]), choice, weight
+def _respond(layout, reach, weights) -> np.ndarray:
+    """Both seats' best-response values by sequence, each seat against the
+    other's sequence ``reach``. A sequence's terminal value sums, over the
+    pairs that hold it, the pair's ``weights`` (a row per seat, or one for
+    both) times the other seat's reach, by ``bincount`` in pair order from
+    0.0. A backup over ``sequences``, deepest level first, then adds each
+    infoset's largest slot value into its parent sequence, with
+    ``np.add.at``, in infoset order. Seat ``i``'s value is at its empty
+    sequence, ``offset[-1] + i``."""
+    pairs = layout.pairs
+    terms = weights * reach[pairs[::-1]]
+    values = np.bincount(pairs.ravel(), terms.ravel(), minlength=len(reach))
+    for slots, parents, starts in reversed(layout.sequences):
+        best = np.maximum.reduceat(values[slots], starts)
+        np.add.at(values, parents[starts], best)
+    return values
 
 
 def best_response(
@@ -78,49 +70,46 @@ def best_response(
 ) -> BestResponseResult:
     """Exact best response for ``responder`` against ``opponent_profile``.
 
-    Dynamic programming over the tree: at each responder infoset pick the
-    action maximizing the opponent-and-chance-reach-weighted sum of child
-    values (ties to the lowest action index). Only the opponent's infosets
-    are read from the profile. Responder infosets the opponent's play makes
-    unreachable get a uniform row in the returned response; any choice there
-    is value-neutral.
+    At each responder infoset pick the action whose opponent-and-chance
+    reach-weighted value is largest (ties to the lowest action index).
+    Only the opponent's infosets are read from the profile. Responder
+    infosets the opponent's play makes unreachable get a uniform row in the
+    returned response; any choice there is value-neutral.
 
-    Each decision edge's weight is the reach of the opponent's sequence at
-    its parent times the chance reach there (``efg_core.sequence_reach``).
-    Nodes are valued in the steps of the responder's plan, by its move
-    depth, deepest first (see ``efg_core.Plan``). Under perfect recall an
-    infoset's nodes share that depth, so when a depth's pick step starts,
-    all their children are valued: each infoset's action scores are summed
-    over its nodes in preorder, ``argmax`` picks the first best action, and
-    the nodes take that child's value. The depth's sum steps follow, over
-    its opponent and chance nodes, deepest first, each adding its weighted
-    child values to 0.0.
+    The values are ``_respond``'s, over the sequence form: a responder
+    slot's value sums the pair table's payoffs below it, each times the
+    opponent's sequence reach, with each deeper responder infoset taking
+    its largest action value. An infoset is reachable when the same backup
+    over the pairs' chance reaches gives one of its slots a positive value.
     """
     if responder not in (0, 1):
         raise ValueError("responder must be 0 or 1")
     seats = (None, opponent_profile) if responder == 0 else (opponent_profile, None)
     layout = game.layout
-    plan = layout.plans[responder]
-    value, choice, weight = _respond(layout, checked_policy(game, seats), responder)
-    reach = np.zeros(len(layout.infosets))
-    np.add.at(reach, layout.owner[plan.source[: len(weight)]], weight)
-    picks, reached = choice.tolist(), (reach > 0.0).tolist()
+    reach = sequence_reach(layout, checked_policy(game, seats))
+    values = _respond(layout, reach, layout.payoff).tolist()
+    mass = _respond(layout, reach, layout.chance).tolist()
     # Rows by action count: the pure row of each action, then uniform.
     rows: dict[int, list[tuple[float, ...]]] = {}
     response: dict[str, tuple[float, ...]] = {}
-    for k, (player, key, n) in enumerate(layout.infosets):
+    for (player, key, n), lo in zip(layout.infosets, layout.offset):
         if player != responder:
             continue
         if n not in rows:
             rows[n] = [tuple(float(a == b) for a in range(n)) for b in range(n)]
             rows[n].append((1.0 / n,) * n)
-        response[key] = rows[n][picks[k] if reached[k] else n]
+        row = values[lo : lo + n]
+        reached = max(mass[lo : lo + n]) > 0.0
+        response[key] = rows[n][row.index(max(row)) if reached else n]
+    value = values[layout.offset[-1] + responder]
     return BestResponseResult(value=value, response=response, responder=responder)
 
 
 def policy_exploitability(game: GameSpec, policy) -> float:
     """``exploitability`` of a slot vector whose rows are distributions."""
-    return _respond(game.layout, policy, 0)[0] + _respond(game.layout, policy, 1)[0]
+    layout = game.layout
+    values = _respond(layout, sequence_reach(layout, policy), layout.payoff)
+    return float(values[-2]) + float(values[-1])
 
 
 def exploitability(game: GameSpec, profile) -> float:
@@ -147,14 +136,14 @@ def exact_ev(game: GameSpec, profile_a, profile_b) -> float:
     policy_a = checked_policy(game, (profile_a, profile_a))
     policy_b = checked_policy(game, (profile_b, profile_b))
     seat0 = layout.seat[layout.owner] == 0
-    a_seated_first = node_values(layout, np.where(seat0, policy_a, policy_b))[0]
-    b_seated_first = node_values(layout, np.where(seat0, policy_b, policy_a))[0]
-    return 0.5 * (float(a_seated_first) - float(b_seated_first))
+    a_seated_first = policy_value(layout, np.where(seat0, policy_a, policy_b))
+    b_seated_first = policy_value(layout, np.where(seat0, policy_b, policy_a))
+    return 0.5 * (a_seated_first - b_seated_first)
 
 
 def _cuts(layout, policy: np.ndarray) -> np.ndarray:
-    """Each edge's cut under slot vector ``policy``, by its place in seat
-    0's plan.
+    """Each edge's cut under slot vector ``policy``, by its place in the
+    layout's edge list.
 
     An edge's cut is the running total of its node's row of the weight
     table up to it, added a column at a time from 0.0, so it is what adding
@@ -165,7 +154,7 @@ def _cuts(layout, policy: np.ndarray) -> np.ndarray:
     totals = 0.0 + policy
     for at in layout.columns:
         totals[at] = totals[at - 1] + policy[at]
-    cuts = np.concatenate((totals, layout.tail_totals)).take(layout.plans[0].source)
+    cuts = np.concatenate((totals, layout.tail_totals)).take(layout.source)
     cuts[layout.last[~layout.terminal]] = np.inf
     return cuts
 
@@ -206,7 +195,7 @@ def sampled_match(
 
     Hands are played in blocks of ``BLOCK`` pairs (``2 * BLOCK`` hands in
     plain mode), in order. Each round of a block moves every live hand one
-    edge down seat 0's plan, until all reach a terminal. A draw
+    edge down the layout's edge list, until all reach a terminal. A draw
     takes a mark and picks the first index whose running total of the row
     exceeds it, or the last index if none does: a binary search over the
     row's cuts (see ``_cuts``).
@@ -237,11 +226,10 @@ def sampled_match(
         _cuts(layout, np.where(seat0, first, second))
         for first, second in ((policy_a, policy_b), (policy_b, policy_a))
     ])
-    plan = layout.plans[0]
-    nodes, edges = len(layout.utility), len(plan.child)
+    nodes, edges = len(layout.utility), len(layout.child)
     first = np.concatenate((layout.first, layout.first + edges))
     last = np.concatenate((layout.last, layout.last + edges))
-    child = np.concatenate((plan.child, plan.child + nodes))
+    child = np.concatenate((layout.child, layout.child + nodes))
     over = np.concatenate((layout.terminal, layout.terminal))
     at_chance = np.concatenate((layout.chance_node, layout.chance_node))
     bits = np.random.PCG64(abs(seed))

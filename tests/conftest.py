@@ -36,10 +36,9 @@ def by_key(game, flat):
 
 
 def layout_parts(layout):
-    """Every value of a ``GameLayout``, its plans included, flattened in
-    field order, with each list's or tuple's length before its items and
-    each array as (dtype, shape, bytes). Layouts are byte-identical when
-    their lists are equal."""
+    """Every value of a ``GameLayout``, flattened in field order, with each
+    list's or tuple's length before its items and each array as (dtype,
+    shape, bytes). Layouts are byte-identical when their lists are equal."""
     parts, todo = [], [layout]
     while todo:
         item = todo.pop()

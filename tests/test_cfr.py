@@ -381,6 +381,8 @@ class TestSolve:
 
     def test_leduc_solve_is_pinned(self, leduc_game, tmp_path):
         # Recorded before the pass took its reach from the sequence form.
+        # The exploitability column was re-recorded when best response
+        # began to read the pair table, which adds in another order.
         profile, log = solve(leduc_game, CFRConfig(iterations=50, log_every=10))
         path = tmp_path / "strategy.csv"
         write_strategy_file(str(path), leduc_game, profile)
@@ -390,10 +392,10 @@ class TestSolve:
         )
         assert repr([(r.t, r.exploitability, r.max_pos_regret_sum) for r in log]) == (
             "[(10, 1.8540371439353385, 40.35458158013761), "
-            "(20, 1.182324772528457, 48.55640091167942), "
+            "(20, 1.1823247725284571, 48.55640091167942), "
             "(30, 0.7671142736660244, 52.5783499497267), "
-            "(40, 0.6067904670573698, 56.70139323061777), "
-            "(50, 0.5618290274323173, 59.77817921146938)]"
+            "(40, 0.6067904670573695, 56.70139323061777), "
+            "(50, 0.5618290274323174, 59.77817921146938)]"
         )
 
     def test_config_validation(self):

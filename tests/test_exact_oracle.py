@@ -21,6 +21,7 @@ from exact_oracle import (
     best_response,
     exact_ev,
     exact_policy,
+    gamma,
     regrets,
     roundings,
     within,
@@ -80,7 +81,7 @@ def misses(game, policy, exact_game=None):
 
 
 def cfr_policies(game, iterations):
-    """The regret-matched policy of each pass in a CFR run, and the last."""
+    """The regret-matched policy of each pass in a CFR run."""
     tables, policies = new_tables(game), []
     for _ in range(iterations):
         policies.append(regret_policy(game, tables.regrets))
@@ -89,6 +90,8 @@ def cfr_policies(game, iterations):
 
 
 def poker_policies(game, seed):
+    """Uniform, a seeded random policy with zero rows, and the policies of
+    CFR's 4th and 12th passes."""
     uniform = checked_policy(game, (uniform_profile(game),) * 2)
     spread = random_profile(game, random.Random(seed), False)
     played = cfr_policies(game, 12)
@@ -114,13 +117,9 @@ def test_random_game_evaluators_are_within_the_bound(games):
             assert misses(game, checked_policy(game, (profile, profile))) == []
 
 
-def test_the_bound_is_far_below_a_relative_1e_9():
+def test_the_bound_is_far_below_a_relative_1e_9(leduc_game):
     """What the mutation tests rely on: on Leduc, γₙ is below 1e-12."""
-    from exact_oracle import gamma
-
-    from fregret.games import build_leduc
-
-    assert float(gamma(roundings(build_leduc()))) < 1e-12
+    assert float(gamma(roundings(leduc_game))) < 1e-12
 
 
 def rebuilt(root, change):
@@ -141,8 +140,7 @@ def rebuilt(root, change):
 
 
 def last_terminal(root):
-    """The last terminal in preorder whose payoff is not zero, reached only
-    through chance and decision nodes (so every policy plays past it)."""
+    """The last terminal in preorder whose payoff is not zero."""
     stack, found = [root], None
     while stack:
         node = stack.pop()
@@ -161,9 +159,8 @@ def test_a_mutated_game_fails_the_check(request, name, mutation):
     victim = last_terminal(game.root)
     u = victim.utilities[0]
     wrong = u * (1 + 1e-9) if mutation.startswith("payoff") else 0.0
-    mutant = make_game(
-        game.game_id, rebuilt(game.root, lambda n: terminal(wrong) if n is victim else None)
-    )
+    root = rebuilt(game.root, lambda n: terminal(wrong) if n is victim else None)
+    mutant = make_game(game.game_id, root)
     policy = checked_policy(game, (uniform_profile(game),) * 2)
     assert misses(game, policy) == []
     assert misses(mutant, policy, exact_game=game) != []

@@ -164,7 +164,7 @@ def searched(rows, marks):
     layout = game.layout
     policy = np.array([1.0] * len(rows) + [p for row in rows for p in row])
     cuts = _cuts(layout, policy)
-    heads = layout.plans[0].child[layout.first[0] : layout.last[0] + 1]
+    heads = layout.child[layout.first[0] : layout.last[0] + 1]
     first, last = layout.first[heads], layout.last[heads]
     counts = [len(m) for m in marks]
     lo = np.repeat(first, counts)
