@@ -20,11 +20,11 @@ value by sequence is one ``bincount`` over the pairs, weighted by the
 other seat's reach. Best response backs those values up the seat's
 sequences, deepest first, each infoset adding its largest slot value
 (``eval.best_response``), and a policy's value is one sum over the pairs
-(``policy_value``). The CFR pass (``cfr.cfr_pass``) takes its
-reach from the sequence form too, but values the nodes by one bottom-up
-sweep over the edge list's ``levels``, so its regrets keep the node
-order's bits, on which the tree learner's splits depend. Sampled play
-moves blocks of hands down the edge list, one edge per round.
+(``policy_value``). The CFR pass (``cfr.cfr_pass``) takes its reach
+from the sequence form too, but values the nodes by one bottom-up sweep
+over the edge list's ``levels``, so its regrets keep the node order's
+bits, on which the tree learner's splits depend. Sampled play moves
+blocks of hands down the edge list, one edge per round.
 
 Every sum runs in a fixed order that depends only on the game: ``bincount``
 and the unbuffered ``np.add.at`` add in index order from 0.0, and
@@ -113,9 +113,9 @@ class GameLayout:
     so each infoset's are a run, and ``starts`` are where the runs begin.
 
     The *pair table* is the sequence form of the payoffs. A terminal
-    enters every evaluation only through its two sequences and its chance
-    reach times its payoffs, so terminals with the same two sequences are
-    added once per game. ``pairs`` is a 2 x P array of each pair of
+    enters best response and expected value only through its two
+    sequences and its chance reach times its payoffs, so terminals with
+    the same two sequences are added once per game. ``pairs`` is a 2 x P array of each pair of
     sequences that some terminal has, seat 0's then seat 1's, sorted.
     Row ``seat`` of ``payoff`` holds, by pair, the chance reach times that
     seat's payoff of the pair's terminals, added in preorder from 0.0;
