@@ -113,14 +113,15 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
     into a new slot vector. Returns ``(seat 0 root value, immediate
     regrets)``; seat 1's value is the exact negation.
 
-    A bottom-up sweep over the layout's edge ``levels`` values the nodes,
-    each adding its weighted child values, in action order, to 0.0. A
-    vector of every sequence's reach (``efg_core.sequence_reach``) gives
-    the strategy sums and, with the chance reach, each decision edge's
-    counterfactual weight. Then each seat's decision edges add their
-    terms, each slot's in preorder (see ``GameLayout.decisions``). An
-    infoset's nodes are never ancestor and descendant, so preorder adds
-    them in the order their subtrees finish.
+    A bottom-up sweep over the layout's edge ``levels`` values each node
+    once, however many positions share it, each adding its weighted child
+    values, in action order, to 0.0. A vector of every sequence's reach
+    (``efg_core.sequence_reach``) gives the strategy sums and, with the
+    chance reach, each decision edge's counterfactual weight. Each class
+    of a seat's decision edges (see ``GameLayout.decisions``) computes its
+    term once; then every position adds its class's term, each slot's in
+    preorder. An infoset's positions are never ancestor and descendant, so
+    preorder adds them in the order their subtrees finish.
     """
     layout = game.layout
     policy = np.asarray(policy, dtype=np.float64)
@@ -131,7 +132,7 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
         np.add.at(values, parent[level], weight[level] * values[child[level]])
     deltas = np.zeros(layout.offset[-1])
     reach = sequence_reach(layout, policy)
-    for seat, (slot, above, below, opponent, by_chance) in enumerate(
+    for seat, (slot, kind, above, below, opponent, by_chance) in enumerate(
         layout.decisions
     ):
         np.add.at(strategy_sums, slot, reach[slot])
@@ -140,7 +141,7 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
             advantage = values[below] - values[above]
         else:  # seat 1's value is the negation, so the advantage flips sign
             advantage = values[above] - values[below]
-        np.add.at(deltas, slot, counterfactual * advantage)
+        np.add.at(deltas, slot, (counterfactual * advantage)[kind])
     return float(values[0]), deltas
 
 

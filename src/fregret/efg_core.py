@@ -7,24 +7,28 @@ embed the acting seat (``p0:``/``p1:``) so one dict covers both players.
 runs: it turns profiles into a slot vector whose rows are distributions.
 
 ``GameNode`` trees are the builders' input format. Nodes are immutable,
-so a built tree may share one subtree between several parents;
-``make_game`` treats every visit as its own position. It checks a tree
-with an explicit stack and flattens it into a ``GameLayout``, with numpy
-sweeps a tree depth at a time, so no traversal depends on Python's
-recursion limit.
+so a built tree may share one subtree between several parents.
+``make_game`` numbers both the *positions*, every visit of a preorder
+walk, and the *nodes*, the distinct objects. It checks each node once,
+with an explicit stack, and a later position of a node repeats its first
+subtree's numbers without a walk. It flattens the tree into a
+``GameLayout`` with numpy, so no traversal depends on Python's recursion
+limit.
 
 Evaluation reads the sequence form (see ``GameLayout``). A policy gives
 each sequence its reach (``sequence_reach``). The pair table sums the
-terminals once per game into pairs of sequences, so a seat's terminal
-value by sequence is one ``bincount`` over the pairs, weighted by the
-other seat's reach. Best response backs those values up the seat's
-sequences, deepest first, each infoset adding its largest slot value
-(``eval.best_response``), and a policy's value is one sum over the pairs
-(``policy_value``). The CFR pass (``cfr.cfr_pass``) takes its reach
+terminal positions once per game into pairs of sequences, so a seat's
+terminal value by sequence is one ``bincount`` over the pairs, weighted
+by the other seat's reach. Best response backs those values up the
+seat's sequences, deepest first, each infoset adding its largest slot
+value (``eval.best_response``), and a policy's value is one sum over the
+pairs (``policy_value``). The CFR pass (``cfr.cfr_pass``) takes its reach
 from the sequence form too, but values the nodes by one bottom-up sweep
-over the edge list's ``levels``, so its regrets keep the node order's
-bits, on which the tree learner's splits depend. Sampled play moves
-blocks of hands down the edge list, one edge per round.
+over the edge list's ``levels``, each node once, and adds each position's
+regret term, computed once per class of equal terms, so its regrets keep
+the position order's bits, on which the tree learner's splits depend.
+Sampled play moves blocks of hands down the same edge list, one edge per
+round.
 
 Every sum runs in a fixed order that depends only on the game: ``bincount``
 and the unbuffered ``np.add.at`` add in index order from 0.0, and
@@ -59,7 +63,8 @@ class GameNode:
 
     Nodes compare and hash by identity, and their repr leaves out the
     children, so none of the three walks a subtree. A node may be the child
-    of several parents; ``make_game`` treats each visit as its own position.
+    of several parents; ``make_game`` numbers each visit as its own
+    position and each node once.
     """
 
     kind: str
@@ -92,9 +97,11 @@ def terminal(u1: float) -> GameNode:
 
 @dataclass(frozen=True, eq=False)
 class GameLayout:
-    """A game tree flattened in preorder: node 0 is the root, and each node
-    precedes its children, which come in action order. ``infosets`` holds
-    (player, key, action count) by infoset id, in first-visit order.
+    """A game tree flattened. Its *positions* are the visits of a preorder
+    walk from the root; its *nodes* are the distinct ``GameNode`` objects,
+    which a built tree may share between positions. Nodes are numbered in
+    the order of their first positions, so node 0 is the root. ``infosets``
+    holds (player, key, action count) by infoset id, in first-visit order.
 
     Every infoset-action has a *slot*: slots run over the infoset table in
     order, then over each infoset's actions. Infoset ``k`` owns slots
@@ -103,43 +110,52 @@ class GameLayout:
     gives each infoset's acting seat, and ``owner`` and ``uniform`` give
     each slot's infoset id and 1 / its action count.
 
-    A seat's *sequence* at a node is the slot of its last move above it,
-    or its empty sequence if it has not moved there: S for seat 0 and
+    A seat's *sequence* at a position is the slot of its last move above
+    it, or its empty sequence if it has not moved there: S for seat 0 and
     S + 1 for seat 1. Vectors by sequence have S + 2 entries. Under perfect
-    recall every node of an infoset has its seat's same sequence, the
+    recall every position of an infoset has its seat's same sequence, the
     parent sequence of the infoset's slots. ``sequences`` groups the slots
     by their seat's earlier moves, fewest first, both seats together, as
     (slots, parent sequences, starts): a level's slots come in slot order,
     so each infoset's are a run, and ``starts`` are where the runs begin.
 
     The *pair table* is the sequence form of the payoffs. A terminal
-    enters best response and expected value only through its two
-    sequences and its chance reach times its payoffs, so terminals with
-    the same two sequences are added once per game. ``pairs`` is a 2 x P array of each pair of
-    sequences that some terminal has, seat 0's then seat 1's, sorted.
-    Row ``seat`` of ``payoff`` holds, by pair, the chance reach times that
-    seat's payoff of the pair's terminals, added in preorder from 0.0;
-    ``chance`` holds their chance reaches, added the same way.
+    position enters best response and expected value only through its two
+    sequences and its chance reach times its payoffs, so terminal positions
+    with the same two sequences are added once per game. ``pairs`` is a
+    2 x P array of each pair of sequences that some terminal position has,
+    seat 0's then seat 1's, sorted. Row ``seat`` of ``payoff`` holds, by
+    pair, the chance reach times that seat's payoff of the pair's terminal
+    positions, added in preorder from 0.0; ``chance`` holds their chance
+    reaches, added the same way.
 
-    The edge list: ``parent``, ``child`` and ``source`` list the edges by
-    their parent's tree depth, deepest first, and within a depth grouped
-    by parent in preorder, each node's in action order: edge ``i`` leads
-    from node ``parent[i]`` into node ``child[i]``, and ``source[i]`` is
-    its weight-table index. The weight table is the policy slot vector
-    followed by ``tail``, which holds every chance probability.
-    ``levels`` holds the slices of the list by parent depth, so a sweep
-    over them values every child before its parent. ``decisions`` holds,
-    per seat, its decision edges in preorder of their parents, as (slot,
-    parent, child, the opponent's sequence at the parent, the chance
-    reach at the parent). Sampled play finds node ``n``'s edges at
-    ``first[n]`` to ``last[n]`` (0 to 0 at a terminal). ``columns`` holds, for each column c >= 1 of the infosets' rows of
-    slots, the slots at column c, so a policy's running totals can be
-    added a column at a time. ``tail_totals`` holds the chance rows'
-    running totals, each chance node's run of ``tail`` added that way from
-    0.0. ``utility`` is seat 0's payoff by node, +0.0 at the non-terminal
-    nodes, which ``terminal`` marks False. ``chance_node`` marks the chance
-    nodes, and ``chance_depth`` is the most chance nodes on a path from
-    the root.
+    The edge list holds each node's edges once, however many positions the
+    node has. ``parent``, ``child`` and ``source`` list the edges by their
+    parent's height (the most edges on a path from it down to a terminal),
+    lowest first, and within a height grouped by parent, each node's in
+    action order: edge ``i`` leads from node ``parent[i]`` into node
+    ``child[i]``, and ``source[i]`` is its weight-table index. The weight
+    table is the policy slot vector followed by ``tail``, which holds each
+    chance node's probabilities. ``levels`` holds the slices of the list by
+    parent height, so a sweep over them values every child before its
+    parent. Node ``n``'s edges are at ``first[n]`` to ``last[n]`` (0 to 0
+    at a terminal). ``columns`` holds, for each column c >= 1 of the
+    infosets' rows of slots, the slots at column c, so a policy's running
+    totals can be added a column at a time. ``tail_totals`` holds the
+    chance rows' running totals, each chance node's run of ``tail`` added
+    that way from 0.0. ``utility`` is seat 0's payoff by node, +0.0 at the
+    non-terminal nodes, which ``terminal`` marks False. ``chance_node``
+    marks the chance nodes, and ``chance_depth`` is the most chance nodes
+    on a path from the root.
+
+    ``decisions`` holds, per seat, its decision edges at every position, in
+    preorder of their parent positions, each position's in action order,
+    as (slot, class) by position and (parent, child, opponent, chance) by
+    class. Positions are in one class when they have the same slot, parent
+    node, opponent's sequence at the parent and chance reach there (as
+    bits); then they have the same counterfactual regret term, which the
+    CFR pass computes once per class. A class's parent and child are
+    nodes, and its opponent and chance are that sequence and reach.
     """
 
     infosets: list[tuple[int, str, int]]
@@ -184,96 +200,134 @@ def _runs(key) -> np.ndarray:
     return np.flatnonzero(np.diff(key, prepend=-1))
 
 
-def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
-    """Build the ``GameLayout`` from ``make_game``'s columns, with numpy: no
-    Python loop runs over all nodes.
+def _classes(*keys) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct tuples of ``keys``, equal-length integer arrays:
+    each tuple's number, and where each number first occurs."""
+    order = np.lexsort(keys)  # stable, so each run begins at its first place
+    ordered = np.stack(keys)[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return number, order[new]
 
-    Edge ``e`` leads from ``parent[e]`` into node ``e + 1``: every node but
-    the root has one edge into it, and preorder numbers the root 0.
-    Raises ValueError on imperfect recall, at the first offending decision
-    node in preorder.
+
+def _layout(back, weights, visits, firsts, sizes, infoset, utility, tail,
+            infosets, offset):
+    """Build the ``GameLayout`` from ``make_game``'s columns, with numpy: no
+    Python loop runs over all positions.
+
+    ``back``, ``weights`` and ``visits`` are by position; ``firsts``,
+    ``sizes``, ``infoset`` and ``utility`` by node. Edge ``e`` of the
+    position tree leads from position ``parent[e]`` into position
+    ``e + 1``: every position but the root has one edge into it, and
+    preorder numbers the root 0. Raises ValueError on imperfect recall, at
+    the first offending decision position in preorder.
     """
-    nodes = len(parents)
     slots = offset[-1]
-    parent = np.frombuffer(parents, dtype=np.int64)[1:].astype(np.intp, copy=False)
-    depth = np.frombuffer(depths, dtype=np.int64)
-    node_infoset = np.frombuffer(infoset, dtype=np.int64)
+    visit = np.frombuffer(visits, dtype=np.int64).astype(np.intp, copy=False)
+    positions = len(visit)
+    parent = np.arange(1, positions) - np.frombuffer(back, dtype=np.int64)[1:]
+    # A position's depth is the number of subtrees open there less its own:
+    # each position opens one, which closes where its node's subtree ends.
+    first_at = np.frombuffer(firsts, dtype=np.int64)
+    size = np.frombuffer(sizes, dtype=np.int64)
+    closed = np.bincount(np.arange(positions) + size[visit], minlength=positions + 1)
+    depth = np.arange(positions) - closed[:positions].cumsum()
+    # Each node's height: how deep its first subtree reaches below it.
+    bounds = np.stack((first_at, first_at + size), axis=1).ravel()
+    height = np.maximum.reduceat(np.append(depth, 0), bounds)[::2] - depth[first_at]
     utility = np.frombuffer(utility, dtype=np.float64)
-    terminal = np.ones(nodes, dtype=bool)
-    terminal[parent] = False
+    node_infoset = np.frombuffer(infoset, dtype=np.int64)
+    position_infoset = node_infoset[visit]
+    terminal = np.ones(len(utility), dtype=bool)
+    terminal[visit[parent]] = False
     # Each edge's mover: seat 0 or 1, or 2 for chance, whose infoset is -1.
     seats = np.array([player for player, _, _ in infosets] + [2], dtype=np.intp)
-    moved = seats[node_infoset[parent]]
+    moved = seats[position_infoset[parent]]
     src = np.frombuffer(weights, dtype=np.int64)[1:].astype(np.intp)
     src[moved == 2] += slots
     tail = np.array(tail, dtype=np.float64)
-    # Top-down over the edges, a tree depth at a time: each node's chance
-    # reach (multiplied by 1.0 where a seat moves) and each seat's sequence
-    # and move count there.
+    # Top-down over the edges, a tree depth at a time: each position's
+    # chance reach (multiplied by 1.0 where a seat moves) and each seat's
+    # sequence and move count there.
     down = np.argsort(depth[1:], kind="stable")
+    spans = _spans(depth[1:][down])
     factor = np.concatenate((np.ones(slots), tail))[src]
-    chance = np.ones(nodes)
-    last = [np.full(nodes, slots + seat) for seat in (0, 1)]
-    moves = [np.zeros(nodes, dtype=np.intp) for _ in range(2)]
-    for lo, hi in _spans(depth[1:][down]):
+    chance = np.ones(positions)
+    sequence_at = [np.full(positions, slots + seat) for seat in (0, 1)]
+    moves = [np.zeros(positions, dtype=np.intp) for _ in range(2)]
+    for lo, hi in spans:
         edges = down[lo:hi]
         at, above = edges + 1, parent[edges]
         chance[at] = chance[above] * factor[edges]
         for seat in (0, 1):
             own = moved[edges] == seat
-            last[seat][at] = np.where(own, src[edges], last[seat][above])
+            sequence_at[seat][at] = np.where(own, src[edges], sequence_at[seat][above])
             moves[seat][at] = moves[seat][above] + own
-    # Perfect recall: every node of an infoset has its first node's sequence.
-    decided = np.flatnonzero(node_infoset >= 0)
-    ids = node_infoset[decided]
-    own_sequence = np.where(seats[ids] == 0, last[0][decided], last[1][decided])
-    _, first = np.unique(ids, return_index=True)
-    bad = np.flatnonzero(own_sequence != own_sequence[first][ids])
+    # Perfect recall: every position of an infoset has its first one's sequence.
+    decided = np.flatnonzero(position_infoset >= 0)
+    ids = position_infoset[decided]
+    own_sequence = np.where(
+        seats[ids] == 0, sequence_at[0][decided], sequence_at[1][decided]
+    )
+    _, first_of = np.unique(ids, return_index=True)
+    bad = np.flatnonzero(own_sequence != own_sequence[first_of][ids])
     if len(bad):
         raise ValueError(f"imperfect recall at infoset '{infosets[ids[bad[0]]][1]}'")
-    # The most chance nodes on a path: at a chance node, those above it (its
-    # depth less both seats' moves) and itself.
+    # The most chance nodes on a path: at a chance position, those above it
+    # (its depth less both seats' moves) and itself.
     chance_node = (node_infoset < 0) & ~terminal
-    chanced = (depth - moves[0] - moves[1])[chance_node]
+    chanced = (depth - moves[0] - moves[1])[chance_node[visit]]
     chance_depth = int(chanced.max(initial=-1)) + 1
     # Each slot's move count and parent sequence, the same at every edge.
     sequence = np.zeros((2, slots), dtype=np.intp)
     for seat in (0, 1):
         own = moved == seat
-        sequence[:, src[own]] = moves[seat][parent[own]], last[seat][parent[own]]
+        sequence[:, src[own]] = moves[seat][parent[own]], sequence_at[seat][parent[own]]
     order = np.argsort(sequence[0], kind="stable")
     counts, prior = sequence[:, order]
     offset = np.array(offset, dtype=np.intp)
     owner = np.repeat(np.arange(len(infosets)), np.diff(offset))
-    # The pair table: the terminals' sequence pairs, sorted, and each pair's
-    # chance reaches and chance reach times payoff, added in preorder.
-    ends = np.flatnonzero(terminal)
+    # The pair table: the terminal positions' sequence pairs, sorted, and
+    # each pair's chance reaches and chance reach times payoff, added in
+    # preorder.
+    ends = np.flatnonzero(terminal[visit])
     span = slots + 2
-    keys, pair = np.unique(last[0][ends] * span + last[1][ends], return_inverse=True)
+    keys, pair = np.unique(
+        sequence_at[0][ends] * span + sequence_at[1][ends], return_inverse=True
+    )
     reach = chance[ends]
-    payoff = np.bincount(pair, reach * utility[ends])
-    # The edge list, by parent depth, deepest first, then grouped by parent
-    # in preorder, each node's edges in action order; each seat's decision
-    # edges in preorder; and each weight-table index's column: its place
-    # among its node's edges.
-    edges = np.argsort(parent, kind="stable")
-    edges = edges[np.argsort(-depth[parent[edges]], kind="stable")]
-    above = parent[edges]
-    heads = _runs(above)
+    payoff = np.bincount(pair, reach * utility[visit[ends]])
+    # Each seat's decision edges at every position, in preorder of their
+    # parents, each position's in action order, and their classes.
     decisions = []
     for seat in (0, 1):
-        own = np.flatnonzero(moved[edges] == seat)
-        own = own[np.argsort(above[own], kind="stable")]
-        at = above[own]
-        decisions.append(
-            (src[edges[own]], at, edges[own] + 1, last[1 - seat][at], chance[at])
-        )
-    first = np.zeros(nodes, dtype=np.intp)
-    last = np.zeros(nodes, dtype=np.intp)
+        own = np.flatnonzero(moved == seat)
+        own = own[np.argsort(parent[own], kind="stable")]
+        at = parent[own]
+        opponent, by_chance = sequence_at[1 - seat][at], chance[at]
+        kind, where = _classes(src[own], visit[at], opponent, by_chance.view(np.int64))
+        decisions.append((
+            src[own], kind, visit[at][where], visit[own + 1][where],
+            opponent[where], by_chance[where],
+        ))
+    # The edge list: the edges out of each node's first position, by parent
+    # height, then by parent, each node's in action order; and each
+    # weight-table index's column, its place among its node's edges.
+    is_first = np.zeros(positions, dtype=bool)
+    is_first[first_at] = True
+    edges = np.flatnonzero(is_first[parent])
+    edges = edges[np.argsort(visit[parent[edges]], kind="stable")]
+    edges = edges[np.argsort(height[visit[parent[edges]]], kind="stable")]
+    above, source = visit[parent[edges]], src[edges]
+    heads = _runs(above)
+    first = np.zeros(len(utility), dtype=np.intp)
+    last = np.zeros(len(utility), dtype=np.intp)
     first[above[heads]] = heads
     last[above[heads]] = np.append(heads[1:], len(edges)) - 1
     column = np.zeros(slots + len(tail), dtype=np.intp)
-    column[src[edges]] = np.arange(len(edges)) - first[above]
+    column[source] = np.arange(len(edges)) - first[above]
     tail_totals = 0.0 + tail
     for at in _columns(column[slots:]):
         tail_totals[at] = tail_totals[at - 1] + tail[at]
@@ -291,9 +345,9 @@ def _layout(parents, weights, depths, infoset, utility, tail, infosets, offset):
         payoff=np.stack((payoff, -payoff)),
         chance=np.bincount(pair, reach),
         parent=above,
-        child=edges + 1,
-        source=src[edges],
-        levels=tuple(slice(lo, hi) for lo, hi in _spans(depth[above])),
+        child=visit[edges + 1],
+        source=source,
+        levels=tuple(slice(lo, hi) for lo, hi in _spans(height[above])),
         decisions=tuple(decisions),
         first=first,
         last=last,
@@ -329,35 +383,60 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
     Raises ValueError on malformed nodes (a decision node's infoset key
     must be a ``str``), non-finite chance probabilities or utilities,
     non-zero-sum payoffs, infosets whose nodes disagree on player or
-    actions, and imperfect recall: every node of an infoset must have the
-    acting seat's own sequence (see ``GameLayout``). That compares only the
-    latest step of the seat's (infoset, action) history, which suffices:
-    the step names an earlier infoset, whose nodes were checked the same
-    way. Recall is checked after the walk, so any other fault is reported
-    first.
+    actions, and imperfect recall: every position of an infoset must have
+    the acting seat's own sequence (see ``GameLayout``). That compares only
+    the latest step of the seat's (infoset, action) history, which
+    suffices: the step names an earlier infoset, whose positions were
+    checked the same way. Each node is checked at its first position in
+    preorder, so the first fault found is the one a check at every
+    position would find first. Recall is checked after the walk, so any
+    other fault is reported first.
     """
     labels: dict[str, tuple[str, ...]] = {}
     ids: dict[str, int] = {}
     infosets: list[tuple[int, str, int]] = []
     offset = [0]
-    # By node, as machine numbers: the parent, the weight index of the edge
-    # into it (its slot after a decision node, the tail index of its
-    # probability after a chance node), the tree depth, the infoset id (-1
-    # off decision nodes) and seat 0's payoff (0.0 off terminals). Chance
-    # probabilities go to the weight-table tail.
-    parents, weights, depths, infoset = array("q"), array("q"), array("q"), array("q")
-    utility = array("d")
+    # By position, as machine numbers: how far back its parent position is,
+    # the weight index of the edge into it (its slot after a decision node,
+    # the tail index of its probability after a chance node) and the node
+    # there. By node, numbered at its first position: that position, the
+    # number of positions in its subtree, the infoset id (-1 off decision
+    # nodes), seat 0's payoff (0.0 off terminals) and the weight index of
+    # its first edge. Each chance node's probabilities go to the
+    # weight-table tail once.
+    back, weights, visits = array("q"), array("q"), array("q")
+    firsts, sizes, infoset, utility = array("q"), array("q"), array("q"), array("d")
+    numbers: dict[GameNode, int] = {}
+    bases: list[int] = []
     tail = []
-    # Children are pushed in reverse, so nodes are numbered in preorder.
-    stack = [(root, -1, 0, 0)]
+    # Children are pushed in reverse, so positions are numbered in preorder,
+    # and a marker under them records the subtree's size once it is done. A
+    # node's checks run at its first position only: they read nothing but
+    # the node and the infosets numbered before it. Its later positions
+    # repeat its first subtree's columns, but for the edge into it.
+    stack = [(root, -1, 0)]
     while stack:
-        node, parent, weight, depth = stack.pop()
-        index = len(parents)
-        parents.append(parent)
+        node, parent, weight = stack.pop()
+        index = len(visits)
+        if node is None:  # node ``parent``'s first subtree is done
+            sizes[parent] = index - firsts[parent]
+            continue
+        number = numbers.get(node)
+        back.append(index - parent)
         weights.append(weight)
-        depths.append(depth)
+        if number is not None:
+            first, size = firsts[number], sizes[number]
+            back.extend(back[first + 1 : first + size])
+            weights.extend(weights[first + 1 : first + size])
+            visits.extend(visits[first : first + size])
+            continue
+        number = numbers[node] = len(bases)
+        visits.append(number)
+        firsts.append(index)
+        sizes.append(1)
         infoset.append(-1)
         utility.append(0.0)
+        base = 0
         if node.kind == TERMINAL:
             if node.children:
                 raise ValueError("terminal node with children")
@@ -367,9 +446,8 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 if not (math.isfinite(u0) and math.isfinite(u1)):
                     raise ValueError("non-finite terminal utility")
                 raise ValueError("terminal utilities are not zero-sum")
-            utility[index] = u0
-            continue
-        if node.kind == CHANCE:
+            utility[number] = u0
+        elif node.kind == CHANCE:
             if len(node.chance_probs) != len(node.children):
                 raise ValueError("chance outcome/child count mismatch")
             if not all(0.0 <= p < math.inf for p in node.chance_probs):
@@ -395,13 +473,19 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
                 labels[key] = node.actions
             elif labels[key] != node.actions or infosets[k][0] != node.player:
                 raise ValueError(f"inconsistent infoset '{key}'")
-            infoset[index] = k
+            infoset[number] = k
             base = offset[k]
         else:
             raise ValueError(f"unknown node kind '{node.kind}'")
-        for a in range(len(node.children) - 1, -1, -1):
-            stack.append((node.children[a], index, base + a, depth + 1))
-    layout = _layout(parents, weights, depths, infoset, utility, tail, infosets, offset)
+        bases.append(base)
+        children = node.children
+        if children:
+            stack.append((None, number, 0))
+            for a in range(len(children) - 1, -1, -1):
+                stack.append((children[a], index, base + a))
+    layout = _layout(
+        back, weights, visits, firsts, sizes, infoset, utility, tail, infosets, offset
+    )
     # Seat 1's payoffs are the exact negations, so both seats' spreads agree.
     payoffs = layout.utility[layout.terminal].tolist()
     return GameSpec(

@@ -179,8 +179,10 @@ class FitPlan:
     lower ones left, so ``last_value``, a feature's highest, has no cut. The
     cut expansion (``entry_row``, ``entry_slot``) lists, feature by feature
     and in sorted order, one entry per planned row and cut the row falls
-    left of: a row whose value ranks ``b`` among its feature's ``nb``
-    distinct values feeds the cuts at ranks ``b .. nb - 2``.
+    left of that a node of its root can use: a row whose value ranks ``b``
+    among its feature's ``nb`` distinct values feeds the cuts at ranks
+    ``b .. min(t, nb - 2)``, where ``t`` ranks its root's highest value,
+    and none where its root holds one value.
     """
 
     rows: np.ndarray
@@ -221,7 +223,20 @@ def plan_fit(features, roots=None) -> FitPlan:
     run_starts[:, 1:] = xs[:, 1:] > xs[:, :-1]
     value_id = (run_starts.cumsum() - 1).reshape(xs.shape)
     last_value = value_id[:, -1]
-    fan = (last_value[:, None] - value_id).ravel()
+    # A row feeds the cuts from its value's up to its root's highest
+    # value's, which no row of the root passes but whose count the
+    # threshold's next-value search reads, and to none in a feature constant
+    # within its root: no other cut can split a node of the root.
+    counts = np.array([len(root) for root in roots])
+    feature = np.arange(len(XT))[:, None]
+    by_row = np.empty_like(value_id)
+    by_row[feature, order] = value_id
+    starts = counts.cumsum() - counts
+    top = np.maximum.reduceat(by_row, starts, axis=1)
+    varied = top > np.minimum.reduceat(by_row, starts, axis=1)
+    end = np.where(varied, np.minimum(top, last_value[:, None] - 1) + 1, 0)
+    end = np.repeat(end, counts, axis=1)[feature, order]
+    fan = np.maximum(end - value_id, 0).ravel()
     entry_row = np.repeat(order.ravel(), fan)
     group_start = fan.cumsum() - fan
     entry_slot = np.arange(entry_row.size) + np.repeat(
@@ -229,7 +244,7 @@ def plan_fit(features, roots=None) -> FitPlan:
     )
     return FitPlan(
         rows=rows,
-        counts=np.array([len(root) for root in roots]),
+        counts=counts,
         n_rows=len(X),
         XT=XT,
         values=xs[run_starts],

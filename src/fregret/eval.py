@@ -16,6 +16,7 @@ and the marks come from a seeded PCG64's raw stream (see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,22 +48,23 @@ class MatchResult:
     duplicate: bool
 
 
-def _respond(layout, reach, weights) -> np.ndarray:
-    """Both seats' best-response values by sequence, each seat against the
-    other's sequence ``reach``. A sequence's terminal value sums, over the
-    pairs that hold it, the pair's ``weights`` (a row per seat, or one for
-    both) times the other seat's reach, by ``bincount`` in pair order from
-    0.0. A backup over ``sequences``, deepest level first, then adds each
-    infoset's largest slot value into its parent sequence, with
-    ``np.add.at``, in infoset order. Seat ``i``'s value is at its empty
+def _respond(layout, values) -> np.ndarray:
+    """Back best-response ``values``, by sequence along their first axis,
+    up the sequences in place: over ``sequences``, deepest level first,
+    each infoset adds its largest slot value into its parent sequence, with
+    ``np.add.at``, in infoset order. Seat ``i``'s value ends at its empty
     sequence, ``offset[-1] + i``."""
-    pairs = layout.pairs
-    terms = weights * reach[pairs[::-1]]
-    values = np.bincount(pairs.ravel(), terms.ravel(), minlength=len(reach))
     for slots, parents, starts in reversed(layout.sequences):
         best = np.maximum.reduceat(values[slots], starts)
         np.add.at(values, parents[starts], best)
     return values
+
+
+@functools.lru_cache(maxsize=None)
+def _rows(n: int) -> tuple[tuple[float, ...], ...]:
+    """The pure row of each of ``n`` actions, then the uniform row."""
+    pure = tuple(tuple(float(a == b) for a in range(n)) for b in range(n))
+    return (*pure, (1.0 / n,) * n)
 
 
 def best_response(
@@ -76,39 +78,48 @@ def best_response(
     infosets the opponent's play makes unreachable get a uniform row in the
     returned response; any choice there is value-neutral.
 
-    The values are ``_respond``'s, over the sequence form: a responder
-    slot's value sums the pair table's payoffs below it, each times the
-    opponent's sequence reach, with each deeper responder infoset taking
-    its largest action value. An infoset is reachable when the same backup
-    over the pairs' chance reaches gives one of its slots a positive value.
+    The values come from one backup (``_respond``) of two rows over the
+    sequence form. In the first, a responder sequence's terminal value sums
+    the pair table's payoffs that hold it, each times the opponent's
+    sequence reach, by ``bincount`` in pair order from 0.0; in the second,
+    the pairs' chance reaches the same way. An infoset is reachable when the
+    second row gives one of its slots a positive value. Each row's largest
+    value and its first slot come from ``reduceat`` over the infosets.
     """
     if responder not in (0, 1):
         raise ValueError("responder must be 0 or 1")
     seats = (None, opponent_profile) if responder == 0 else (opponent_profile, None)
     layout = game.layout
     reach = sequence_reach(layout, checked_policy(game, seats))
-    values = _respond(layout, reach, layout.payoff).tolist()
-    mass = _respond(layout, reach, layout.chance).tolist()
-    # Rows by action count: the pure row of each action, then uniform.
-    rows: dict[int, list[tuple[float, ...]]] = {}
-    response: dict[str, tuple[float, ...]] = {}
-    for (player, key, n), lo in zip(layout.infosets, layout.offset):
-        if player != responder:
-            continue
-        if n not in rows:
-            rows[n] = [tuple(float(a == b) for a in range(n)) for b in range(n)]
-            rows[n].append((1.0 / n,) * n)
-        row = values[lo : lo + n]
-        reached = max(mass[lo : lo + n]) > 0.0
-        response[key] = rows[n][row.index(max(row)) if reached else n]
-    value = values[layout.offset[-1] + responder]
+    own, other = layout.pairs[responder], reach[layout.pairs[1 - responder]]
+    values, mass = _respond(layout, np.stack([
+        np.bincount(own, weights * other, minlength=len(reach))
+        for weights in (layout.payoff[responder], layout.chance)
+    ], axis=1)).T
+    slots, starts = layout.offset[-1], np.array(layout.offset[:-1])
+    best = np.maximum.reduceat(values[:slots], starts)
+    hits = np.where(values[:slots] == best[layout.owner], np.arange(slots), slots)
+    pick = np.minimum.reduceat(hits, starts) - starts
+    reached = np.maximum.reduceat(mass[:slots], starts) > 0.0
+    response = {
+        key: _rows(n)[a if hit else n]
+        for (player, key, n), a, hit in zip(
+            layout.infosets, pick.tolist(), reached.tolist()
+        )
+        if player == responder
+    }
+    value = float(values[slots + responder])
     return BestResponseResult(value=value, response=response, responder=responder)
 
 
 def policy_exploitability(game: GameSpec, policy) -> float:
     """``exploitability`` of a slot vector whose rows are distributions."""
     layout = game.layout
-    values = _respond(layout, sequence_reach(layout, policy), layout.payoff)
+    reach, pairs = sequence_reach(layout, policy), layout.pairs
+    terms = layout.payoff * reach[pairs[::-1]]
+    values = _respond(
+        layout, np.bincount(pairs.ravel(), terms.ravel(), minlength=len(reach))
+    )
     return float(values[-2]) + float(values[-1])
 
 

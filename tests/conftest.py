@@ -35,21 +35,50 @@ def by_key(game, flat):
     }
 
 
-def layout_parts(layout):
-    """Every value of a ``GameLayout``, flattened in field order, with each
-    list's or tuple's length before its items and each array as (dtype,
-    shape, bytes). Layouts are byte-identical when their lists are equal."""
-    parts, todo = [], [layout]
-    while todo:
-        item = todo.pop()
+def position_parts(layout):
+    """What a ``GameLayout`` says about the positions of its game, as a
+    list: every field that is not by node, each array as (dtype, shape,
+    bytes); then each position in preorder, walked down the edge list from
+    the root, with its node's payoff, kind and edges' weights (a slot, or a
+    chance probability and its running total, as bits); then each seat's
+    decision edges at every position as (slot, the class's opponent
+    sequence, the class's chance reach as bits). Two layouts of one game,
+    whether or not its tree shares nodes, give equal lists."""
+
+    def flat(item):
         if isinstance(item, np.ndarray):
-            parts.append((item.dtype.str, item.shape, item.tobytes()))
-        elif dataclasses.is_dataclass(item):
-            fields = dataclasses.fields(item)
-            todo.extend(getattr(item, f.name) for f in reversed(fields))
-        elif isinstance(item, (list, tuple)):
-            parts.append((type(item).__name__, len(item)))
-            todo.extend(reversed(item))
-        else:
-            parts.append(item)
+            return [(item.dtype.str, item.shape, item.tobytes())]
+        if isinstance(item, (list, tuple)):
+            parts = [(type(item).__name__, len(item))]
+            return parts + [part for inner in item for part in flat(inner)]
+        return [item]
+
+    parts = []
+    for name in ("infosets", "offset", "seat", "owner", "uniform", "sequences",
+                 "pairs", "payoff", "chance", "columns", "chance_depth"):
+        parts += [name, *flat(getattr(layout, name))]
+    slots, source = layout.offset[-1], layout.source.tolist()
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        edges = range(layout.first[node], layout.last[node] + 1)
+        if layout.terminal[node]:
+            edges = range(0)
+        weights = [
+            ("slot", source[e]) if source[e] < slots else (
+                "chance", layout.tail[source[e] - slots].hex(),
+                layout.tail_totals[source[e] - slots].hex(),
+            )
+            for e in edges
+        ]
+        parts.append((
+            layout.utility[node].hex(), bool(layout.terminal[node]),
+            bool(layout.chance_node[node]), weights,
+        ))
+        stack.extend(int(layout.child[e]) for e in reversed(edges))
+    for slot, kind, _, _, opponent, by_chance in layout.decisions:
+        parts.append(list(zip(
+            slot.tolist(), opponent[kind].tolist(),
+            [reach.hex() for reach in by_chance[kind].tolist()],
+        )))
     return parts

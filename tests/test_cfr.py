@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import random
 import re
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from conftest import by_key, infoset_slots
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_game_oracle import random_game
+from test_exact_oracle import misses
+from test_game_oracle import SHARED_SEEDS, is_dyadic, random_game, random_profile
 
 from fregret.cfr import (
     CFRConfig,
@@ -26,6 +28,7 @@ from fregret.cfr import (
 )
 from fregret.cli import write_strategy_file
 from fregret.efg_core import (
+    checked_policy,
     decision,
     expected_value,
     make_game,
@@ -200,6 +203,16 @@ class TestIteration:
         for key, expect in oracle.items():
             for got, want in zip(deltas[key], expect):
                 assert abs(got - want) < 1e-12, key
+
+    def test_shared_games_are_within_the_exact_bound(self):
+        # The pass computes one regret term per class of positions; each
+        # regret, and every other evaluator, must still lie within the
+        # exact oracle's bound on games whose positions share nodes.
+        for seed in SHARED_SEEDS:
+            game = random_game(seed, shared=True)
+            spread = random_profile(game, random.Random(seed), is_dyadic(seed))
+            for profile in (uniform_profile(game), spread):
+                assert misses(game, checked_policy(game, (profile, profile))) == []
 
     def test_tables_accumulate_the_returned_deltas(self, kuhn_game):
         tables = new_tables(kuhn_game)

@@ -538,8 +538,9 @@ class TestCompeteCommand:
         _, mean_text, stderr_text, _, _ = out.splitlines()[1].split(",")
         assert abs(float(mean_text) - exact) <= 3.0 * float(stderr_text)
 
-    def test_leduc_duplicate_match_is_pinned(self, tmp_path, capsys):
-        # The CI workflow checks the same line through the console script.
+    def leduc_match(self, tmp_path, capsys, *flags):
+        """The output of one Leduc ``compete`` of the stored CFR profile
+        against uniform play, with ``flags``."""
         uniform, _ = solve_into(
             tmp_path, capsys, "u",
             ["--game", "leduc", "--algo", "cfr", "--iters", "1"],
@@ -547,28 +548,32 @@ class TestCompeteCommand:
         solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
         code, out, _ = run(
             ["compete", "--game", "leduc", "--a", str(solved), "--b", str(uniform),
-             "--duplicate", "--hands", "20000", "--seed", "1"],
+             *flags],
             capsys,
         )
         assert code == 0
-        assert out.splitlines() == [
+        return out
+
+    def test_leduc_duplicate_match_is_pinned(self, tmp_path, capsys):
+        # The CI workflow checks the same line through the console script.
+        flags = ("--duplicate", "--hands", "20000", "--seed", "1")
+        assert self.leduc_match(tmp_path, capsys, *flags).splitlines() == [
             "hands,mean,stderr,seed,duplicate",
             "20000,0.72004999999999997,0.024338951049784799,1,true",
         ]
 
+    def test_leduc_plain_match_is_pinned(self, tmp_path, capsys):
+        # Plain mode draws every chance event from its own mark. The CI
+        # workflow checks the same line through the console script.
+        flags = ("--hands", "20000", "--seed", "1")
+        assert self.leduc_match(tmp_path, capsys, *flags).splitlines() == [
+            "hands,mean,stderr,seed,duplicate",
+            "20000,0.77195000000000003,0.030915852719478217,1,false",
+        ]
+
     def test_leduc_exact_ev_is_pinned(self, tmp_path, capsys):
         # The CI workflow checks the same line through the console script.
-        uniform, _ = solve_into(
-            tmp_path, capsys, "u",
-            ["--game", "leduc", "--algo", "cfr", "--iters", "1"],
-        )
-        solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
-        code, out, _ = run(
-            ["compete", "--game", "leduc", "--a", str(solved), "--b", str(uniform),
-             "--exact"],
-            capsys,
-        )
-        assert code == 0
+        out = self.leduc_match(tmp_path, capsys, "--exact")
         assert out == "exact_ev,0.74677303712406373\n"
 
     def test_game_mismatch_between_files_fails(self, tmp_path, capsys):

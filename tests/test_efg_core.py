@@ -4,11 +4,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
-from conftest import layout_parts
+from conftest import position_parts
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fregret.cfr import cfr_pass, regret_policy
 from fregret.efg_core import (
     CHANCE,
     DECISION,
@@ -333,15 +335,24 @@ def random_rows(game, seed):
     return profile
 
 
+def played(game):
+    """Root value, regrets and strategy sums of one CFR pass, repr for repr."""
+    sums = np.linspace(0.5, 2.0, game.layout.offset[-1])
+    value, deltas = cfr_pass(game, regret_policy(game, np.arange(len(sums))), sums)
+    return repr((value, deltas.tolist(), sums.tolist()))
+
+
 def test_shared_subtrees_change_nothing():
     shared, copied = repeated_deal_game(True), repeated_deal_game(False)
     assert shared.root.children[0] is shared.root.children[2]
     assert copied.root.children[0] is not copied.root.children[2]
-    assert layout_parts(shared.layout) == layout_parts(copied.layout)
+    assert len(shared.layout.utility) < len(copied.layout.utility)
+    assert position_parts(shared.layout) == position_parts(copied.layout)
     assert shared.action_labels == copied.action_labels
     assert shared.utility_range == copied.utility_range
     a, b = random_rows(shared, 1), random_rows(shared, 2)
     for evaluate in (
+        played,
         lambda game: expected_value(game, a),
         lambda game: exploitability(game, a),
         lambda game: exact_ev(game, a, b),

@@ -10,12 +10,12 @@ the layout does, and sums each pair's terminals in preorder; each
 sequence's value then sums its pairs, in order, and values back up by
 sequence. Those two walks once added in node order too, as the recursive
 evaluators did; ``exact_oracle`` is the witness that does not depend on
-the order. On a few hundred seeded random zero-sum perfect-recall games
-the layout code must reproduce the walks bit for bit: root values, regret
-and strategy-sum vectors, best-response values and response rows, dict
-order included. ``reference_cfr_solve`` runs CFR on tables keyed by
-infoset over those walks, and ``solve`` must match its profiles and logs
-repr for repr. Best-response values are also checked against a
+the order. On a few hundred seeded random zero-sum perfect-recall games,
+some of whose positions share nodes, the layout code must reproduce the
+walks bit for bit: root values, regret and strategy-sum vectors,
+best-response values and response rows, dict order included.
+``reference_cfr_solve`` runs CFR on tables keyed by infoset over those
+walks, and ``solve`` must match its profiles and logs repr for repr. Best-response values are also checked against a
 brute-force maximum over the responder's pure strategies, and a 3000-deep
 chain game checks that no traversal needs Python's recursion limit.
 """
@@ -300,7 +300,7 @@ def random_distribution(rng, n, zero_share):
     return tuple(w / total for w in weights)
 
 
-def random_game(seed):
+def random_game(seed, shared=False):
     """A random two-player zero-sum perfect-recall game.
 
     Each seat's infoset key is everything it has seen: its own moves, plus
@@ -308,19 +308,38 @@ def random_game(seed):
     chance nodes and opponent moves sit on some paths and not on others, so
     the nodes of one infoset lie at different tree depths. Payoffs come from
     a few integers, so actions often tie.
+
+    With ``shared``, positions share nodes, in three ways. There is one
+    terminal object per payoff, so one node may be several children of one
+    parent, at many depths. The outcomes of some chance nodes that no seat
+    observes lead to one subtree, under chance reaches that differ where
+    the probabilities do. And the actions of some moves that the opponent
+    does not observe lead to one subtree in which only the opponent acts,
+    under different opponent sequences. Without it, the game is the one
+    this function has always grown from ``seed``.
     """
     rng = random.Random(seed)
     dyadic = is_dyadic(seed)
-    n_actions = {}
+    n_actions, terminals = {}, {}
 
     def payoff():
         if not dyadic and rng.random() < 0.3:
             return rng.uniform(-3.0, 3.0)
         return float(rng.choice((-2, -1, 0, 1, 2)))
 
-    def grow(depth, views):
+    def leaf():
+        u = payoff()
+        if not shared:
+            return terminal(u)
+        if u not in terminals:
+            terminals[u] = terminal(u)
+        return terminals[u]
+
+    def grow(depth, views, banned=None):
+        """The subtree at ``depth`` under ``views``; seat ``banned``, if
+        any, does not act in it."""
         if depth >= MAX_DEPTH or (depth >= 2 and rng.random() < 0.3):
-            return terminal(payoff())
+            return leaf()
         if rng.random() < 0.25:
             outcomes = rng.choice((2, 3))
             if dyadic:
@@ -328,27 +347,34 @@ def random_game(seed):
             else:
                 probs = random_distribution(rng, outcomes, 0.0)
             watcher = rng.choice((None, None, 0, 1))
+            if shared and watcher is None and rng.random() < 0.6:
+                return chance(probs, [grow(depth + 1, views, banned)] * outcomes)
             children = []
             for outcome in range(outcomes):
                 seen = list(views)
                 if watcher is not None:
                     seen[watcher] += (f"o{outcome}",)
-                children.append(grow(depth + 1, tuple(seen)))
+                children.append(grow(depth + 1, tuple(seen), banned))
             return chance(probs, children)
-        seat = rng.choice((0, 1))
+        seat = rng.choice((0, 1)) if banned is None else 1 - banned
         key = f"p{seat}:" + ".".join(views[seat])
         count = n_actions.setdefault(key, rng.choice((1, 2, 2, 3, 3)))
+        labels = [f"a{a}" for a in range(count)]
         watched = rng.random() < 0.5
+        if shared and not watched and banned is None and rng.random() < 0.5:
+            # The mover does not act below, so its own views are not read.
+            return decision(seat, key, labels, [grow(depth + 1, views, seat)] * count)
         children = []
         for action in range(count):
             seen = list(views)
             seen[seat] += (f"a{action}",)
             if watched:
                 seen[1 - seat] += (f"x{action}",)
-            children.append(grow(depth + 1, tuple(seen)))
-        return decision(seat, key, [f"a{a}" for a in range(count)], children)
+            children.append(grow(depth + 1, tuple(seen), banned))
+        return decision(seat, key, labels, children)
 
-    return make_game(f"random{seed}", grow(0, ((), ())))
+    name = "shared" if shared else "random"
+    return make_game(f"{name}{seed}", grow(0, ((), ())))
 
 
 def random_profile(game, rng, dyadic):
@@ -378,20 +404,73 @@ def games():
     return {seed: random_game(seed) for seed in SEEDS}
 
 
+SHARED_SEEDS = range(60)
+
+
+@pytest.fixture(scope="module")
+def shared_games():
+    return {seed: random_game(seed, shared=True) for seed in SHARED_SEEDS}
+
+
 # ---------------------------------------------------------------------------
 # Layout and traversals against the references
 
 
-def layout_edges(layout):
-    """The edge list as (parent, child, weight-table index) triples."""
-    triples = zip(layout.parent.tolist(), layout.child.tolist(), layout.source.tolist())
-    return list(triples)
+def position_rows(game):
+    """Every position in preorder as (node, parent position, action, both
+    seats' sequences, chance reach): the root's parent and action are None,
+    sequences are numbered as ``reference_sequence_form`` numbers them, and
+    the chance reach is the product of the chance probabilities above, from
+    the root down."""
+    ranges, *_ = reference_sequence_form(game, lambda node: (0.0,) * len(node.actions))
+    slots = sum(len(r) for r in ranges.values())
+    rows, stack = [], [(game.root, None, None, (slots, slots + 1), 1.0)]
+    while stack:
+        node, above, action, at, reach = stack.pop()
+        rows.append((node, above, action, at, reach))
+        here = len(rows) - 1
+        for a in reversed(range(len(node.children))):
+            child, step, factor = node.children[a], at, 1.0
+            if node.kind == CHANCE:
+                factor = node.chance_probs[a]
+            else:
+                s = ranges[node.infoset][a]
+                step = (s, at[1]) if node.player == 0 else (at[0], s)
+            stack.append((child, here, a, step, reach * factor))
+    return rows
 
 
-def test_layout_is_the_tree_in_preorder(games):
-    for game in games.values():
-        nodes = [node for node, _ in tree_nodes(game)]
-        index = {id(node): i for i, node in enumerate(nodes)}
+def node_numbers(game):
+    """Each node object's number by ``id``, in the order of its first
+    position in preorder, and the nodes in that order."""
+    numbers, nodes = {}, []
+    for node, _ in tree_nodes(game):
+        if id(node) not in numbers:
+            numbers[id(node)] = len(nodes)
+            nodes.append(node)
+    return numbers, nodes
+
+
+def decision_edges(rows, seat):
+    """Seat ``seat``'s decision edges at every position, from
+    ``position_rows``, as (parent position, action, child node): parent
+    positions in preorder, each one's in action order. The walk meets each
+    edge at its child position, and a stable sort by parent position keeps
+    each position's action order."""
+    edges = [
+        (p, a, node) for node, p, a, _, _ in rows
+        if p is not None and rows[p][0].kind == DECISION and rows[p][0].player == seat
+    ]
+    return sorted(edges, key=lambda edge: edge[0])
+
+
+def test_layout_is_the_tree_in_preorder(games, shared_games, kuhn_game, leduc_game):
+    """Nodes are numbered by their first positions in preorder, with their
+    kinds and payoffs, and node ``n``'s row of the edge list, ``first[n]``
+    to ``last[n]``, holds its edges in action order: each one's child and
+    weight, its slot or its chance probability."""
+    for game in [*games.values(), *shared_games.values(), kuhn_game, leduc_game]:
+        numbers, nodes = node_numbers(game)
         layout = game.layout
         infosets = enumerate_infosets(game)
         assert infosets == reference_enumerate_infosets(game)
@@ -402,73 +481,90 @@ def test_layout_is_the_tree_in_preorder(games):
         assert layout.offset[-1] == len(new_tables(game).regrets)
         ids = {key: k for k, (_, key, _) in enumerate(infosets)}
         assert layout.terminal.tolist() == [node.kind == TERMINAL for node in nodes]
+        assert layout.chance_node.tolist() == [node.kind == CHANCE for node in nodes]
         payoffs = [node.utilities[0] if node.utilities else 0.0 for node in nodes]
         assert repr(layout.utility.tolist()) == repr(payoffs)
-        # Each edge's weight: its slot, or where its chance probability is.
-        weights = {}
-        for i, node in enumerate(nodes):
-            for a, child in enumerate(node.children):
-                edge = i, index[id(child)]
-                if node.kind == DECISION:
-                    weights[edge] = ("slot", offset[ids[node.infoset]] + a)
-                else:
-                    weights[edge] = ("chance", repr(node.chance_probs[a]))
-        edges = layout_edges(layout)
-        assert len(edges) == len(weights)
-        found = {}
-        for parent, child, source in edges:
-            if source < offset[-1]:
-                found[parent, child] = ("slot", source)
-            else:
-                found[parent, child] = (
-                    "chance", repr(float(layout.tail[source - offset[-1]]))
-                )
-        assert found == weights
-
-
-def test_edge_list_serves_play_and_the_pass(games, kuhn_game, leduc_game):
-    """The edge list holds every edge once. Node ``n``'s edges sit at
-    ``first[n]`` to ``last[n]``, in action order, as sampled play needs.
-    ``levels`` tiles the list by parent depth, deepest first, so the
-    bottom-up sweep values every child before its parent. ``decisions``
-    lists each seat's decision edges with their parents in preorder, each
-    node's in action order, so each slot's terms add in preorder."""
-    for game in [*games.values(), kuhn_game, leduc_game]:
-        # Each visit's children, in action order, its depth and its mover
-        # (2 off decision nodes), numbered in preorder.
-        kids, depth, mover, stack = [], [], [], [(game.root, None)]
-        while stack:
-            node, above = stack.pop()
-            if above is not None:
-                kids[above].append(len(kids))
-            depth.append(0 if above is None else depth[above] + 1)
-            mover.append(node.player if node.kind == DECISION else 2)
-            kids.append([])
-            stack.extend((child, len(kids) - 1) for child in reversed(node.children))
-        layout = game.layout
-        edges = [(n, kid) for n, children in enumerate(kids) for kid in children]
         parent, child = layout.parent.tolist(), layout.child.tolist()
-        assert sorted(zip(parent, child)) == edges
-        first, last = layout.first, layout.last
-        for n, children in enumerate(kids):
-            if children:
-                assert child[first[n] : last[n] + 1] == children
-                assert parent[first[n] : last[n] + 1] == [n] * len(children)
+        source, tail = layout.source.tolist(), layout.tail.tolist()
+        for n, node in enumerate(nodes):
+            expected = []
+            for a, below in enumerate(node.children):
+                if node.kind == DECISION:
+                    weight = ("slot", offset[ids[node.infoset]] + a)
+                else:
+                    weight = ("chance", repr(node.chance_probs[a]))
+                expected.append((n, numbers[id(below)], weight))
+            found = []
+            if node.children:
+                for e in range(layout.first[n], layout.last[n] + 1):
+                    if source[e] < offset[-1]:
+                        weight = ("slot", source[e])
+                    else:
+                        weight = ("chance", repr(tail[source[e] - offset[-1]]))
+                    found.append((parent[e], child[e], weight))
             else:
-                assert first[n] == last[n] == 0
+                assert layout.first[n] == layout.last[n] == 0
+            assert found == expected
+        assert len(child) == sum(len(node.children) for node in nodes)
+
+
+def test_edge_list_serves_play_and_the_pass(games, shared_games, kuhn_game, leduc_game):
+    """The nodes' rows tile the edge list, so it holds each node's edges
+    once. ``levels`` tiles it by parent height, lowest first, one height a
+    level, so the bottom-up sweep values every child before its parent.
+    ``decisions`` lists each seat's decision edges at every position, with
+    their parent positions in preorder, each position's in action order,
+    by slot, as the strategy sums and regrets add them; and a position's
+    class is its (slot, parent node, child node, opponent sequence, chance
+    reach as bits), one class for each such tuple."""
+    for game in [*games.values(), *shared_games.values(), kuhn_game, leduc_game]:
+        numbers, nodes = node_numbers(game)
+        layout, rows = game.layout, position_rows(game)
+        # Each node's height, from its positions in reverse preorder; every
+        # position of a node has the same.
+        climb = [0] * len(rows)
+        for p in reversed(range(1, len(rows))):
+            above = rows[p][1]
+            climb[above] = max(climb[above], climb[p] + 1)
+        height = {}
+        for (node, *_), h in zip(rows, climb):
+            assert height.setdefault(numbers[id(node)], h) == h
+        parent, child = layout.parent.tolist(), layout.child.tolist()
+        spans = sorted(
+            (int(layout.first[n]), int(layout.last[n]) + 1)
+            for n, node in enumerate(nodes)
+            if node.children
+        )
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert (spans[-1][1] if spans else 0) == len(parent)
         ends = [0] + [level.stop for level in layout.levels]
         assert [level.start for level in layout.levels] == ends[:-1]
-        assert ends[-1] == len(edges)
-        seen = [{depth[parent[e]] for e in range(lv.start, lv.stop)} for lv in layout.levels]
-        assert all(len(d) == 1 for d in seen)
-        assert [min(d) for d in seen] == sorted((min(d) for d in seen), reverse=True)
-        for seat, (slot, above, below, _, _) in enumerate(layout.decisions):
-            own = [(n, kid) for n, kid in edges if mover[n] == seat]
-            assert list(zip(above.tolist(), below.tolist())) == own
-            where = dict(zip(zip(parent, child), layout.source.tolist()))
-            assert slot.tolist() == [where[edge] for edge in own]
-
-
+        assert ends[-1] == len(parent)
+        seen = [
+            {height[parent[e]] for e in range(lv.start, lv.stop)} for lv in layout.levels
+        ]
+        assert all(len(h) == 1 for h in seen)
+        assert [min(h) for h in seen] == sorted({min(h) for h in seen})
+        assert all(height[c] < height[p] for p, c in zip(parent, child))
+        ids = {key: k for k, (_, key, _) in enumerate(layout.infosets)}
+        for seat, (slot, kind, above, below, opponent, by_chance) in enumerate(
+            layout.decisions
+        ):
+            edges = decision_edges(rows, seat)
+            keys = []
+            for p, a, down in edges:
+                up, _, _, at, reach = rows[p]
+                start = layout.offset[ids[up.infoset]]
+                keys.append((
+                    start + a, numbers[id(up)], numbers[id(down)], at[1 - seat],
+                    reach.hex(),
+                ))
+            found = list(zip(
+                slot.tolist(), above[kind].tolist(), below[kind].tolist(),
+                opponent[kind].tolist(), [r.hex() for r in by_chance[kind].tolist()],
+            ))
+            assert found == keys
+            assert len(above) == len(set(keys))
 def terminal_pairs(game):
     """Each terminal visit, in preorder, as ((seat 0's sequence, seat 1's),
     chance reach as a float product from the root, seat 0's payoff), from
@@ -492,7 +588,9 @@ def terminal_pairs(game):
     return rows
 
 
-def test_pair_table_holds_every_terminal_once(games, kuhn_game, leduc_game):
+def test_pair_table_holds_every_terminal_once(
+    games, shared_games, kuhn_game, leduc_game
+):
     """Every terminal lands in exactly one pair. A pair's payoff and chance
     reach are its terminals' chance reach times payoff, and chance reach,
     added in preorder from 0.0, bit for bit; seat 1's payoff row is the
@@ -502,8 +600,9 @@ def test_pair_table_holds_every_terminal_once(games, kuhn_game, leduc_game):
     30 pairs, and Leduc's 5,520 terminals fall into 1,116."""
     assert kuhn_game.layout.pairs.shape == (2, 30)
     assert leduc_game.layout.pairs.shape == (2, 1116)
-    assert int(leduc_game.layout.terminal.sum()) == 5520
-    for seed, game in [*games.items(), (0, kuhn_game), (0, leduc_game)]:
+    assert len(terminal_pairs(leduc_game)) == 5520
+    poker = [(0, kuhn_game), (0, leduc_game)]
+    for seed, game in [*games.items(), *shared_games.items(), *poker]:
         layout, rows = game.layout, terminal_pairs(game)
         pairs = {}
         for at, reach, payoff in rows:
@@ -532,7 +631,7 @@ def test_generator_covers_the_hard_cases(games):
                 counts.add(len(node.actions))
     assert counts == {1, 2, 3}
     assert sum(len(d) > 1 for d in depths.values()) >= 100
-    sizes = [len(game.layout.utility) for game in games.values()]
+    sizes = [len(tree_nodes(game)) for game in games.values()]
     assert max(sizes) < 2000
 
 
@@ -562,21 +661,26 @@ def node_reach(game, policy):
     return np.array(rows).T
 
 
-def test_sequence_reach_is_node_reach(games, leduc_game):
-    """At every decision edge, ``sequence_reach`` gives the acting seat's
-    reach times its policy and the opponent's reach, and ``decisions``
-    the chance reach; at every terminal, the reach of its pair's sequences
-    is each seat's reach there; all bit for bit. ``sequences`` lists every
-    slot once, each level's infosets as whole runs."""
-    for seed, game in [*games.items(), (0, leduc_game)]:
+def test_sequence_reach_is_node_reach(games, shared_games, leduc_game):
+    """At every decision edge of every position, ``sequence_reach`` gives
+    the acting seat's reach times its policy and the opponent's reach, and
+    the edge's class in ``decisions`` the chance reach; at every terminal
+    position, the reach of its pair's sequences is each seat's reach there;
+    all bit for bit. ``sequences`` lists every slot once, each level's
+    infosets as whole runs."""
+    for seed, game in [*games.items(), *shared_games.items(), (0, leduc_game)]:
         layout, rng = game.layout, random.Random(seed)
         levels = [slots.tolist() for slots, _, _ in layout.sequences]
         assert sorted(sum(levels, [])) == list(range(layout.offset[-1]))
         for slots, _, starts in layout.sequences:
             owners = layout.owner[slots]
             assert owners[starts].tolist() == sorted(set(owners.tolist()))
-        ends = np.flatnonzero(layout.terminal)
+        rows = position_rows(game)
+        ends = [p for p, (node, *_) in enumerate(rows) if node.kind == TERMINAL]
         at = [pair for pair, _, _ in terminal_pairs(game)]
+        parents = [
+            [p for p, _, _ in decision_edges(rows, seat)] for seat in (0, 1)
+        ]
         for profile in (uniform_profile(game), random_profile(game, rng, False)):
             policy = checked_policy(game, (profile, profile))
             reach = sequence_reach(layout, policy)
@@ -584,37 +688,72 @@ def test_sequence_reach_is_node_reach(games, leduc_game):
             for seat in (0, 1):
                 ours = reach[[pair[seat] for pair in at]]
                 assert ours.tobytes() == nodes[seat][ends].tobytes()
-            for seat, (slot, parent, _, opponent, by_chance) in enumerate(
+            for seat, (slot, kind, _, _, opponent, by_chance) in enumerate(
                 layout.decisions
             ):
                 own, other = nodes[seat], nodes[1 - seat]
+                parent = parents[seat]
                 expected = own[parent] * policy[slot]
                 assert reach[slot].tobytes() == expected.tobytes()
-                assert reach[opponent].tobytes() == other[parent].tobytes()
-                assert by_chance.tobytes() == nodes[2][parent].tobytes()
+                assert reach[opponent[kind]].tobytes() == other[parent].tobytes()
+                assert by_chance[kind].tobytes() == nodes[2][parent].tobytes()
+
+
+def assert_pass_matches_reference(game, iterations):
+    """``iterations`` regret-matched passes against ``reference_cfr_pass``,
+    repr for repr: root values, regrets and strategy sums."""
+    slots = game.layout.offset[-1]
+    regrets, sums = np.zeros(slots), np.zeros(slots)
+    old_regrets = {key: [0.0] * n for _, key, n in enumerate_infosets(game)}
+    old_sums = {}
+    for _ in range(iterations):
+        policy = regret_policy(game, regrets)
+        value, deltas = cfr_pass(game, policy, sums)
+        regrets = regrets + deltas
+        old_value, old_deltas = reference_cfr_pass(
+            game, lambda key: regret_match(old_regrets[key]), old_sums, (0, 1)
+        )
+        for key, vec in old_deltas.items():
+            for a, delta in enumerate(vec):
+                old_regrets[key][a] += delta
+        assert repr(value) == repr(old_value)
+        assert repr(by_key(game, deltas)) == repr(filled(game, old_deltas))
+    assert repr(by_key(game, regrets)) == repr(old_regrets)
+    assert repr(by_key(game, sums)) == repr(filled(game, old_sums))
+
+
+def test_shared_games_share_what_the_classes_tell_apart(shared_games):
+    """The shared games hold what the pass's classes must keep apart:
+    decision edges of one node whose positions differ in the opponent's
+    sequence, or in the chance reach, and nodes that reach one child by
+    several actions."""
+    sequences = reaches = doubled = 0
+    for game in shared_games.values():
+        layout = game.layout
+        for slot, kind, above, _, opponent, by_chance in layout.decisions:
+            edges = {}
+            for s, k in zip(slot.tolist(), kind.tolist()):
+                edges.setdefault((s, int(above[k])), set()).add(k)
+            for classes in edges.values():
+                classes = list(classes)
+                sequences += len(set(opponent[classes].tolist())) > 1
+                reaches += len(set(by_chance[classes].tolist())) > 1
+        pairs = list(zip(layout.parent.tolist(), layout.child.tolist()))
+        doubled += len(pairs) - len(set(pairs))
+    assert sequences >= 200 and reaches >= 150 and doubled >= 200
 
 
 def test_cfr_pass_matches_reference(games, leduc_game):
-    runs = [(game, 4) for game in games.values()] + [(leduc_game, 3)]
-    for game, iterations in runs:
-        slots = game.layout.offset[-1]
-        regrets, sums = np.zeros(slots), np.zeros(slots)
-        old_regrets = {key: [0.0] * n for _, key, n in enumerate_infosets(game)}
-        old_sums = {}
-        for _ in range(iterations):
-            policy = regret_policy(game, regrets)
-            value, deltas = cfr_pass(game, policy, sums)
-            regrets = regrets + deltas
-            old_value, old_deltas = reference_cfr_pass(
-                game, lambda key: regret_match(old_regrets[key]), old_sums, (0, 1)
-            )
-            for key, vec in old_deltas.items():
-                for a, delta in enumerate(vec):
-                    old_regrets[key][a] += delta
-            assert repr(value) == repr(old_value)
-            assert repr(by_key(game, deltas)) == repr(filled(game, old_deltas))
-        assert repr(by_key(game, regrets)) == repr(old_regrets)
-        assert repr(by_key(game, sums)) == repr(filled(game, old_sums))
+    for game in games.values():
+        assert_pass_matches_reference(game, 4)
+    assert_pass_matches_reference(leduc_game, 3)
+
+
+def test_cfr_pass_matches_reference_on_shared_games(shared_games):
+    """One node's regret terms differ between positions with other opponent
+    sequences or chance reaches; the pass must still add each position's."""
+    for game in shared_games.values():
+        assert_pass_matches_reference(game, 4)
 
 
 def reference_average(strategy_sums):

@@ -6,7 +6,7 @@ import math
 import re
 
 import pytest
-from conftest import layout_parts
+from conftest import position_parts
 
 import fregret
 import fregret.games
@@ -130,15 +130,29 @@ class TestSharedSubtrees:
         assert len(set(root.children)) == distinct
 
     def test_unshared_copy_has_the_same_layout(self, leduc_game):
+        """The layout numbers Leduc's 9,451 positions and its 835 nodes;
+        an unshared copy has a node at every position, and says the same
+        of every position."""
         visits, nodes = visits_and_nodes(leduc_game.root)
-        assert visits == len(leduc_game.layout.utility) == 9451
-        assert nodes < visits
+        layout = leduc_game.layout
+        assert (visits, nodes) == (9451, len(layout.utility)) == (9451, 835)
         copy = unshared_copy(leduc_game.root)
         assert visits_and_nodes(copy) == (visits, visits)
         copied = make_game("leduc", copy)
-        assert layout_parts(copied.layout) == layout_parts(leduc_game.layout)
+        assert len(copied.layout.utility) == visits
+        assert position_parts(copied.layout) == position_parts(layout)
         assert copied.action_labels == leduc_game.action_labels
         assert copied.utility_range == leduc_game.utility_range
+
+    def test_leduc_pass_reads_one_edge_per_node_and_class(self, leduc_game):
+        """The edge list holds Leduc's 2,016 node edges, not its 9,450
+        position edges, and each seat's 4,410 decision edges at positions
+        fall into 903 classes of equal regret terms."""
+        layout = leduc_game.layout
+        assert len(layout.child) == 2016
+        for slot, kind, above, below, opponent, by_chance in layout.decisions:
+            assert len(slot) == len(kind) == 4410
+            assert len(above) == len(below) == len(opponent) == len(by_chance) == 903
 
 
 class TestKuhn:

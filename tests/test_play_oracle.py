@@ -11,8 +11,9 @@ down the tree, by the mark rule that ``sampled_match`` documents: blocks of
 ``BLOCK`` pairs, one mark per live hand per round in hand order, and in
 duplicate mode one row of pair marks per chance event, taken when the block
 starts. ``sampled_match`` must reproduce it bit for bit on Kuhn, Leduc and
-a subset of the random oracle games, in plain and duplicate mode, at hand
-counts that end inside, at and past a block's end.
+a subset of the random oracle games, with and without shared subtrees, in
+plain and duplicate mode, at hand counts that end inside, at and past a
+block's end.
 """
 
 import math
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_game_oracle import SEEDS, is_dyadic, random_game, random_profile
+from test_game_oracle import SEEDS, SHARED_SEEDS, is_dyadic, random_game, random_profile
 
 from fregret.efg_core import CHANCE, decision, make_game, terminal, uniform_profile
 from fregret.eval import (
@@ -236,6 +237,12 @@ def assert_matches_reference(game, seed, hand_counts):
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_match_matches_reference_on_random_games(seed):
     assert_matches_reference(random_game(seed), seed, (1, 7, 301))
+
+
+@pytest.mark.parametrize("seed", SHARED_SEEDS[::6])
+def test_match_matches_reference_on_shared_games(seed):
+    # Hands share the edge list's nodes, whatever their positions.
+    assert_matches_reference(random_game(seed, shared=True), seed, (1, 7, 301))
 
 
 # Past 2 * BLOCK hands, plain play starts a second block; past 2 * BLOCK + 1,

@@ -7,6 +7,7 @@ score so far, and a recursive serializer. The level-wise split search must
 reproduce its trees bit for bit, ties and float summation order included.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -310,3 +311,61 @@ def test_leduc_forest_of_both_seats_matches_per_seat_fits():
         for slots, tree in zip(state.seat_slots, trees):
             X, y = state.features[slots], state.targets[slots]
             assert tree == fit_tree(X, y, min_leaf_weight=4.0)
+
+
+def unpruned(plan):
+    """``plan`` with the cut expansion of one root over all its planned
+    rows: each row feeds every cut from its value's to its feature's last
+    but one, whatever its own root holds."""
+    order = np.argsort(plan.XT, axis=1, kind="stable")
+    xs = np.sort(plan.XT, axis=1)
+    run_starts = np.ones(xs.shape, dtype=bool)
+    run_starts[:, 1:] = xs[:, 1:] > xs[:, :-1]
+    value_id = (run_starts.cumsum() - 1).reshape(xs.shape)
+    fan = (value_id[:, -1:] - value_id).ravel()
+    entry_row = np.repeat(order.ravel(), fan)
+    entry_slot = np.arange(entry_row.size) + np.repeat(
+        value_id.ravel() - (fan.cumsum() - fan), fan
+    )
+    return dataclasses.replace(plan, entry_row=entry_row, entry_slot=entry_slot)
+
+
+def assert_fits_as_unpruned(plan, targets, **config):
+    """The plan's trees and fitted values are those of its unpruned
+    expansion, bit for bit; returns how many entries it dropped."""
+    full = unpruned(plan)
+    trees, fitted = fit_forest(plan, targets, **config)
+    full_trees, full_fitted = fit_forest(full, targets, **config)
+    assert [serialize_tree(t) for t in trees] == [serialize_tree(t) for t in full_trees]
+    assert fitted.tobytes() == full_fitted.tobytes()
+    return len(full.entry_row) - len(plan.entry_row)
+
+
+@pytest.mark.parametrize("min_leaf_weight", [64.0, 16.0, 4.0])
+def test_leduc_plan_drops_cuts_no_seat_can_use(min_leaf_weight):
+    """Stacked, the two Leduc seats' plan has the 8,910 entries of two
+    per-seat plans, not 9,582, and fits as the unpruned plan does."""
+    game = build_leduc()
+    config = RCFRConfig(iterations=6, min_leaf_weight=min_leaf_weight)
+    state = new_state(game, config)
+    plan = plan_fit(state.features, state.seat_slots)
+    seats = [plan_fit(state.features, [slots]) for slots in state.seat_slots]
+    assert len(plan.entry_row) == sum(len(p.entry_row) for p in seats) == 8910
+    assert len(unpruned(plan).entry_row) == 9582
+    for _ in range(config.iterations):
+        rcfr_iteration(game, state, config)
+        assert_fits_as_unpruned(plan, state.targets, min_leaf_weight=min_leaf_weight)
+
+
+def test_forests_fit_as_unpruned_plans():
+    dropped = 0
+    for seed in range(16):
+        rng = np.random.default_rng(700 + seed)
+        levels = int(rng.integers(2, 6))
+        X, y = random_corpus(rng, n_rows=36, n_features=3, levels=levels)
+        plan = plan_fit(X, forest_roots(rng, X, n_roots=int(rng.integers(1, 5))))
+        for min_leaf_weight in (0.0, 1.0, 3.0):
+            for max_depth in (None, 0, 2):
+                config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
+                dropped += assert_fits_as_unpruned(plan, y, **config)
+    assert dropped > 0
