@@ -225,6 +225,36 @@ class TestValidation:
         with pytest.raises(ValueError, match="not zero-sum"):
             make_game("bad", root)
 
+    @pytest.mark.parametrize("order, first", [
+        ((0, 1, 0), "do not sum to 1"),
+        ((1, 0, 1), "not zero-sum"),
+        ((2, 0, 2), "inconsistent infoset 'p0:x'"),
+        ((0, 2, 0), "do not sum to 1"),
+    ])
+    def test_a_shared_fault_is_reported_as_unshared_copies_are(self, order, first):
+        # make_game checks each node once, at its first position; the first
+        # fault in preorder must not depend on whether nodes are shared.
+        def faults():
+            return [
+                chance([0.5, 0.6], [terminal(0.0), terminal(0.0)]),
+                GameNode(kind=TERMINAL, utilities=(1.0, 1.0)),
+                decision(0, "p0:x", ("a", "b"), [terminal(0.0), terminal(0.0)]),
+            ]
+
+        shared = faults()
+        trees = [
+            [shared[k] for k in order],
+            [faults()[k] for k in order],
+        ]
+        messages = []
+        for children in trees:
+            root = decision(0, "p0:x", ("a", "b", "c"), children)
+            with pytest.raises(ValueError) as raised:
+                make_game("bad", root)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert first in messages[0]
+
     def test_utility_range_is_spread(self):
         root = chance([0.5, 0.5], [terminal(-3.0), terminal(5.0)])
         game = make_game("toy", root)
