@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -101,7 +102,8 @@ class GameLayout:
     walk from the root; its *nodes* are the distinct ``GameNode`` objects,
     which a built tree may share between positions. Nodes are numbered in
     the order of their first positions, so node 0 is the root. ``infosets``
-    holds (player, key, action count) by infoset id, in first-visit order.
+    holds (player, key, action count) by infoset id, in first-visit order,
+    and ``row_sizes`` the action counts alone.
 
     Every infoset-action has a *slot*: slots run over the infoset table in
     order, then over each infoset's actions. Infoset ``k`` owns slots
@@ -181,6 +183,11 @@ class GameLayout:
     terminal: np.ndarray
     chance_node: np.ndarray
     chance_depth: int
+
+    @cached_property
+    def row_sizes(self) -> list[int]:
+        """Each infoset's action count, by infoset id."""
+        return [n for _, _, n in self.infosets]
 
 
 def _spans(key) -> list[tuple[int, int]]:
@@ -535,7 +542,11 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
     lacks; KeyError on a missing row or ValueError on one of the wrong
     length, the first in table order; ``check_row``'s ValueError on the first
     row in table order that is not a distribution, found by ``bad_rows`` in
-    one pass over the vector.
+    one pass over the vector. Where both seats read one profile that has
+    every key, its rows are taken by one ``map`` over the table's keys and
+    their lengths compared in one step with the layout's ``row_sizes``;
+    other seatings, and a profile that fails there, are read row by row,
+    which words the first fault.
     """
     layout, labels = game.layout, game.action_labels
     for profile in seat_profiles:
@@ -544,6 +555,38 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
             raise ValueError(
                 f"infoset '{key}' does not exist in game '{game.game_id}'"
             )
+    rows = None
+    shared = seat_profiles[0]
+    if (
+        shared is not None
+        and all(profile is shared for profile in seat_profiles)
+        and len(shared) == len(labels)
+    ):
+        # It has no key the game lacks (checked above), so it has them all.
+        rows = list(map(shared.__getitem__, labels))
+        try:
+            sized = list(map(len, rows)) == layout.row_sizes
+        except TypeError:  # a row without a length, worded below
+            sized = False
+        if not sized:
+            rows = None
+    if rows is None:
+        rows = _rows_in_table_order(layout, seat_profiles)
+    policy = np.fromiter(
+        chain.from_iterable(rows), dtype=np.float64, count=layout.offset[-1]
+    )
+    bad = bad_rows(layout.owner, policy, len(rows))
+    bad &= np.array([profile is not None for profile in seat_profiles])[layout.seat]
+    if bad.any():
+        k = int(bad.argmax())
+        check_row(layout.infosets[k][1], rows[k])
+    return policy
+
+
+def _rows_in_table_order(layout: GameLayout, seat_profiles) -> list:
+    """Each infoset's row from its seat's profile, zeros for a seat whose
+    profile is None, in table order, raising as ``checked_policy`` does on
+    the first one missing or of the wrong length."""
     rows = []
     for player, key, n in layout.infosets:
         profile = seat_profiles[player]
@@ -556,15 +599,7 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
                 f"probabilities for {n} actions"
             )
         rows.append(probs)
-    policy = np.fromiter(
-        chain.from_iterable(rows), dtype=np.float64, count=layout.offset[-1]
-    )
-    bad = bad_rows(layout.owner, policy, len(rows))
-    bad &= np.array([profile is not None for profile in seat_profiles])[layout.seat]
-    if bad.any():
-        k = int(bad.argmax())
-        check_row(layout.infosets[k][1], rows[k])
-    return policy
+    return rows
 
 
 def sequence_reach(layout: GameLayout, policy: np.ndarray) -> np.ndarray:

@@ -13,16 +13,21 @@ ties break to the lowest feature index then lowest threshold, and no leaf
 holds fewer than ``min_leaf_weight`` rows. Fitting has two steps.
 ``plan_fit`` does what depends only on the features, once: the presort, the
 value numbering and the cut expansion of the rows of one or more roots,
-stacked. ``fit_forest`` then grows one tree per root for given targets, all
-roots a level at a time: the bins of a feature are its distinct values, as
-in histogram split search, and two ``bincount`` calls per level give every
-open node's row-count and target prefix sums at every cut, each added in
-presorted order, so each tree is that of a per-node ``cumsum`` scan over its
-root's rows alone, bit for bit. ``fit_tree`` is the one-root case; RCFR
-keeps one plan per solve, with one root per seat, grows both seats' trees
-as one forest at every refit and reads its predictions off that fit. A
-fitted tree is nothing but flat preorder arrays (``RegressionTree``), which
-fitting, parsing, serialization and ``predict`` all walk without recursion.
+stacked, and the root level's bins and row counts. ``fit_forest`` then
+grows one tree per root for given targets, all roots a level at a time: the
+bins of a feature are its distinct values, as in histogram split search,
+and two ``bincount`` calls per level give every open node's row-count and
+target prefix sums at every cut it can still take, each added in presorted
+order, so each tree is that of a per-node ``cumsum`` scan over its root's
+rows alone, bit for bit. A cut that a node cannot take no descendant can
+take either, so its entries leave after the level, and each threshold is
+read off the rows its split sends right. ``fit_tree`` is the one-root case;
+RCFR keeps one plan per solve, with one root per seat, grows both seats'
+trees as one forest at every refit (``grow_forest``) and reads its
+predictions off that fit, building tree objects only where they are read.
+A fitted tree is nothing but flat preorder arrays (``RegressionTree``),
+which fitting, parsing, serialization and ``predict`` all walk without
+recursion.
 """
 
 from __future__ import annotations
@@ -176,13 +181,15 @@ class FitPlan:
     the distinct values of all features are numbered feature by feature,
     ascending; ``values`` holds them and ``slot_feature`` their features. A
     value's number is the slot of the cut that sends that value and all
-    lower ones left, so ``last_value``, a feature's highest, has no cut. The
-    cut expansion (``entry_row``, ``entry_slot``) lists, feature by feature
-    and in sorted order, one entry per planned row and cut the row falls
-    left of that a node of its root can use: a row whose value ranks ``b``
-    among its feature's ``nb`` distinct values feeds the cuts at ranks
-    ``b .. min(t, nb - 2)``, where ``t`` ranks its root's highest value,
-    and none where its root holds one value.
+    lower ones left. The cut expansion (``entry_row``, ``entry_slot``)
+    lists, feature by feature and in sorted order, one entry per planned
+    row and cut the row falls left of that a node of its root can take: a
+    row whose value ranks ``b`` feeds the cuts at ranks ``b .. t - 1``,
+    where ``t`` ranks its root's highest value, so none where its root
+    holds one value. The root level, where every root is a node, is stored
+    too: ``root_key`` is each entry's (root, slot) bin, ``root * n_slots +
+    slot``, and ``root_count`` each bin's row count, which depend only on
+    the features.
     """
 
     rows: np.ndarray
@@ -191,17 +198,21 @@ class FitPlan:
     XT: np.ndarray
     values: np.ndarray
     slot_feature: np.ndarray
-    last_value: np.ndarray
     entry_row: np.ndarray
     entry_slot: np.ndarray
+    root_key: np.ndarray
+    root_count: np.ndarray
 
 
 def plan_fit(features, roots=None) -> FitPlan:
     """The fit plan of ``features`` for one tree per root: a list of feature
     row numbers, by default one root of every row in order. A row may sit
-    in several roots, and several times in one. Raises ValueError unless
-    the features are a finite 2-D array with at least one column and every
-    root has rows, all of them rows of the features."""
+    in several roots, and several times in one. The plan holds no entry at
+    a root's highest value, whose cut sends every row of the root left, and
+    it keys and counts the root level, which ``_grow`` reads whenever every
+    root is searched. Raises ValueError unless the features are a finite
+    2-D array with at least one column and every root has rows, all of them
+    rows of the features."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("features must be a 2-dimensional array")
@@ -222,89 +233,123 @@ def plan_fit(features, roots=None) -> FitPlan:
     run_starts = np.ones(xs.shape, dtype=bool)
     run_starts[:, 1:] = xs[:, 1:] > xs[:, :-1]
     value_id = (run_starts.cumsum() - 1).reshape(xs.shape)
-    last_value = value_id[:, -1]
-    # A row feeds the cuts from its value's up to its root's highest
-    # value's, which no row of the root passes but whose count the
-    # threshold's next-value search reads, and to none in a feature constant
-    # within its root: no other cut can split a node of the root.
+    # A row feeds the cuts from its value's up to its root's highest value's,
+    # which sends every row of the root left, exclusive: no other cut can
+    # split a node of the root.
     counts = np.array([len(root) for root in roots])
     feature = np.arange(len(XT))[:, None]
     by_row = np.empty_like(value_id)
     by_row[feature, order] = value_id
     starts = counts.cumsum() - counts
     top = np.maximum.reduceat(by_row, starts, axis=1)
-    varied = top > np.minimum.reduceat(by_row, starts, axis=1)
-    end = np.where(varied, np.minimum(top, last_value[:, None] - 1) + 1, 0)
-    end = np.repeat(end, counts, axis=1)[feature, order]
+    end = np.repeat(top, counts, axis=1)[feature, order]
     fan = np.maximum(end - value_id, 0).ravel()
     entry_row = np.repeat(order.ravel(), fan)
     group_start = fan.cumsum() - fan
     entry_slot = np.arange(entry_row.size) + np.repeat(
         value_id.ravel() - group_start, fan
     )
+    values = xs[run_starts]
+    root_of_row = np.repeat(np.arange(len(counts)), counts)
+    root_key = root_of_row[entry_row] * len(values) + entry_slot
     return FitPlan(
         rows=rows,
         counts=counts,
         n_rows=len(X),
         XT=XT,
-        values=xs[run_starts],
+        values=values,
         slot_feature=np.repeat(np.arange(X.shape[1]), run_starts.sum(axis=1)),
-        last_value=last_value,
         entry_row=entry_row,
         entry_slot=entry_slot,
+        root_key=root_key,
+        root_count=np.bincount(root_key, minlength=len(counts) * len(values)),
     )
 
 
+# Below this many terms numpy's pairwise sum is the in-order sum from 0.0,
+# which is also what ``bincount`` adds.
+_PAIRWISE_BLOCK = 8
+
+
+def _node_totals(node_y, starts, counts):
+    """Each node's target total as ``np.add.reduce`` of its rows gives it,
+    pairwise; ``reduceat`` adds in order and would round differently.
+
+    Nodes of fewer than ``_PAIRWISE_BLOCK`` rows, where the two orders
+    agree, are added by one ``bincount``, the rest one reduce each.
+    ``bincount`` checks no float flag, so a small node's overflow is raised
+    here as the reduce would raise it."""
+    small = counts < _PAIRWISE_BLOCK
+    if small.any():
+        node_of_row = np.repeat(np.arange(len(counts)), counts)
+        total_s = np.bincount(node_of_row, node_y, len(counts))
+        if not np.isfinite(total_s[small]).all():
+            raise FloatingPointError("overflow encountered in reduce")
+    else:
+        total_s = np.empty(len(counts))
+    big = (~small).nonzero()[0]
+    spans = zip(starts[big].tolist(), (starts + counts)[big].tolist())
+    total_s[big] = [np.add.reduce(node_y[a:b]) for a, b in spans]
+    return total_s
+
+
 def _grow(plan, y, min_leaf_weight, max_depth):
-    """Preorder node records of each root's greedy tree, all grown together
-    a level at a time, and each planned row's leaf value; ``y`` is per
-    planned row.
+    """Each root's greedy tree, all grown together a level at a time, as a
+    list of levels, and each planned row's leaf value; ``y`` is per planned
+    row. A level's nodes have consecutive ids, in the order of its
+    ``counts``, the roots first, and it is ``(means, split_nodes, feature,
+    threshold)``: every node's mean, and the nodes that split, in order,
+    with their splits. Split ``j`` of a level has children ``2 * j`` and
+    ``2 * j + 1`` of the next.
 
     Once per level, ``bincount`` keyed by (searched node, slot) adds every
-    node's target and row-count prefix at every cut. It adds in input order
-    from 0.0, so each target prefix is the sequential sum that a ``cumsum``
-    over the node's presorted rows gives. A cut at a value the node lacks
-    adds no row, so it is inadmissible there, and the next value is the
-    node's own: other roots' rows change no tree. Slots run feature by
-    feature, so the row-wise argmax of the (node, slot) scores breaks ties
-    to the lowest feature, then the lowest threshold. Each level writes its
-    rows' node means, so a row's last write is its leaf's value; rows go
-    right on ``x > threshold``, so that is the leaf ``predict`` reaches.
+    node's target and row-count prefix at every cut it can still take. It
+    adds in input order from 0.0, so each target prefix is the sequential
+    sum that a ``cumsum`` over the node's presorted rows gives. A cut is
+    admissible where both sides hold at least ``max(min_leaf_weight, 1)``
+    rows. At a value the node lacks it has the partition, sums and score of
+    the node's next lower value's cut, and the row-wise argmax of the
+    (node, slot) scores takes the lower one: slots run feature by feature,
+    so ties break to the lowest feature, then the lowest threshold, and
+    other roots' rows change no tree. A child's side counts at a cut are at
+    most its parent's, so a cut inadmissible at a node is at every
+    descendant, and its entries are dropped after the level, as are those
+    of a node that does not split. Where every root is searched, the root
+    level's keys and counts come from the plan. A split's threshold lies between its cut value and the
+    least value of the rows it sends right. Each level writes its rows'
+    node means, so a row's last write is its leaf's value; rows go right
+    on ``x > threshold``, so that is the leaf ``predict`` reaches.
 
     A node with fewer than ``2 * max(min_leaf_weight, 1)`` rows cannot
     split, so it is a leaf unsearched, and a level of such nodes skips its
     bincounts and scores. The exception keeps the overflow errors of a
     search: when some |target| is at least ``2**511`` over the largest
-    root's row count, every node is searched, since only then can a
-    node's total or prefix reach ``2**512`` and its square overflow. The
-    bound is half of ``2**512`` because rounding can lift a float sum a
-    little above the sum of its terms' magnitudes. The test reads the
-    largest |target|, not a sum, which could itself overflow.
+    root's row count, every node is searched and a split node keeps every
+    entry, since only then can a node's total or prefix reach ``2**512``
+    and its square overflow. The bound is half of ``2**512`` because
+    rounding can lift a float sum a little above the sum of its terms'
+    magnitudes. The test reads the largest |target|, not a sum, which could
+    itself overflow.
     """
     XT, values, slot_feature = plan.XT, plan.values, plan.slot_feature
-    last_value, entry_row, entry_slot = plan.last_value, plan.entry_row, plan.entry_slot
+    entry_row, entry_slot = plan.entry_row, plan.entry_slot
     n_rows, n_slots = len(plan.rows), len(values)
     entry_y = y[entry_row]
     # A split leaves at least one row and ``min_leaf_weight`` rows a side,
     # so smaller nodes go unsearched, unless a node's sums could overflow.
     risky = np.abs(y).max() >= 2.0**511 / plan.counts.max()
-    min_split = 0.0 if risky else 2 * max(min_leaf_weight, 1.0)
+    least = max(min_leaf_weight, 1.0)
+    min_split = 0.0 if risky else 2 * least
 
-    # A level's nodes have consecutive ids, in the order of ``counts``.
-    records = []  # (feature, threshold, value) by node id
-    children = {}  # split node id -> (left id, right id)
+    levels = []
     rows = np.arange(n_rows)  # the level's rows, grouped by node, in index order
     fitted = np.empty(n_rows)
     counts = plan.counts
-    depth = 0
     while True:
         starts = counts.cumsum() - counts
-        # One reduce per node, which adds pairwise; reduceat would add the
-        # same rows in another order and round differently.
         node_y = y[rows]
-        spans = zip(starts.tolist(), (starts + counts).tolist())
-        total_s = np.array([np.add.reduce(node_y[a:b]) for a, b in spans])
-        if max_depth is not None and depth >= max_depth:
+        total_s = _node_totals(node_y, starts, counts)
+        if max_depth is not None and len(levels) >= max_depth:
             nodes = np.array([], dtype=np.intp)
         else:  # the nodes to search: big enough, with targets that differ
             low_y = np.minimum.reduceat(node_y, starts)
@@ -314,37 +359,27 @@ def _grow(plan, y, min_leaf_weight, max_depth):
         if len(nodes):
             tc, ts = counts[nodes], total_s[nodes]
             baseline = ts * ts / tc
+            # A row of (node, slot) bins per searched node, and past them
+            # one more row that takes the entries of nodes not searched.
             size = len(nodes) * n_slots
             shape = (len(nodes), n_slots)
-            # An entry's key is its searched node's first (node, slot) bin
-            # plus its slot, and negative for a node not searched.
-            node_base = np.full(len(counts), -n_slots)
-            node_base[nodes] = np.arange(0, size, n_slots)
-            row_base = np.full(n_rows, -n_slots)
-            row_base[rows] = np.repeat(node_base, counts)
-            key = row_base[entry_row] + entry_slot
-            # Rows of closed nodes never come back. Taking by index beats
-            # masking four times, which finds the kept entries each time.
-            keep = (key >= 0).nonzero()[0]
-            if len(keep) < len(key):
-                entry_row, entry_slot = entry_row[keep], entry_slot[keep]
-                entry_y, key = entry_y[keep], key[keep]
-            s_left = np.bincount(key, entry_y, size).reshape(shape)
-            c_left = np.bincount(key, minlength=size).reshape(shape)
+            if not levels and len(nodes) == len(counts):
+                key, c_left = plan.root_key, plan.root_count
+            else:
+                node_base = np.full(len(counts), size)
+                node_base[nodes] = np.arange(0, size, n_slots)
+                # Entries leave with their node, so every entry's row is here.
+                row_base = np.empty(n_rows, dtype=np.intp)
+                row_base[rows] = np.repeat(node_base, counts)
+                key = row_base[entry_row] + entry_slot
+                c_left = np.bincount(key, minlength=size + n_slots)[:size]
+            c_left = c_left.reshape(shape)
+            s_left = np.bincount(key, entry_y, size + n_slots)[:size].reshape(shape)
             if not np.isfinite(s_left).all():
                 raise FloatingPointError("overflow in a prefix sum at a cut")
             c_right = tc[:, None] - c_left
             s_right = ts[:, None] - s_left
-            # A feature's first slot follows the empty slot of the previous
-            # feature's last value, so a count rises at a slot exactly when
-            # the node holds that slot's value.
-            c_before = np.zeros_like(c_left)
-            c_before[:, 1:] = c_left[:, :-1]
-            valid = (
-                (c_left > c_before)
-                & (c_right > 0)
-                & (np.minimum(c_left, c_right) >= min_leaf_weight)
-            )
+            valid = (c_left >= least) & (c_right >= least)
             # Scored only where admissible, so only a score that could be
             # chosen may overflow.
             lc, rc = c_left[valid], c_right[valid]
@@ -353,55 +388,47 @@ def _grow(plan, y, min_leaf_weight, max_depth):
             scores[valid] = ls * ls / lc + rs * rs / rc
             best_slot = scores.argmax(axis=1)
             splits = scores.max(axis=1) > baseline
+            # A split node keeps the entries of the cuts its children can
+            # still take, or every entry where sums could overflow.
+            kept = np.zeros(size + n_slots, dtype=bool)
+            if risky:
+                kept[:size] = np.repeat(splits, n_slots)
+            else:
+                kept[:size] = (valid & splits[:, None]).ravel()
+            live = kept[key].nonzero()[0]
+            entry_row, entry_slot, entry_y = (
+                entry_row[live], entry_slot[live], entry_y[live]
+            )
         split_nodes = nodes[splits]
-        # Each node's record as a leaf; the split nodes' are replaced below.
         means = total_s / counts
         fitted[rows] = np.repeat(means, counts)
-        level = [(-1, 0.0, mean) for mean in means.tolist()]
-        if not len(split_nodes):
-            records += level
-            break
-        slot = best_slot[splits]
-        feature = slot_feature[slot]
-        c_split = c_left[splits]
-        c_cut = c_split[np.arange(len(slot)), slot]
-        beyond = (c_split > c_cut[:, None]) & (slot_feature == feature[:, None])
-        next_slot = np.where(
-            beyond.any(axis=1), beyond.argmax(axis=1), last_value[feature]
-        )
-        low, high = values[slot], values[next_slot]
-        middle = (low + high) / 2.0
-        # Between adjacent doubles the midpoint may round up to ``high``,
-        # which would send every row left; the lower value cuts the same.
-        threshold = np.where(middle < high, middle, low)
-        first_id = len(records)
-        first_child = first_id + len(counts)
-        for j, (i, f, t) in enumerate(
-            zip(split_nodes.tolist(), feature.tolist(), threshold.tolist())
-        ):
-            level[i] = (f, t, 0.0)
-            children[first_id + i] = (first_child + 2 * j, first_child + 2 * j + 1)
-        records += level
+        if not len(split_nodes):  # empty splits, features and thresholds
+            levels.append((means, split_nodes, split_nodes, split_nodes))
+            return levels, fitted
+        # The split nodes' rows, grouped by split, and which go right: a
+        # row goes right when its value exceeds the cut's, and the least
+        # such value bounds the threshold from above.
         split_of_node = np.full(len(counts), -1)
         split_of_node[split_nodes] = np.arange(len(split_nodes))
         row_split = np.repeat(split_of_node, counts)
         moving = row_split >= 0
         rows, row_split = rows[moving], row_split[moving]
-        child = 2 * row_split + (XT[feature[row_split], rows] > threshold[row_split])
+        slot = best_slot[splits]
+        feature, low = slot_feature[slot], values[slot]
+        x = XT[feature[row_split], rows]
+        right = x > low[row_split]
+        split_counts = counts[split_nodes]
+        high = np.minimum.reduceat(
+            np.where(right, x, np.inf), split_counts.cumsum() - split_counts
+        )
+        middle = (low + high) / 2.0
+        # Between adjacent doubles the midpoint may round up to ``high``,
+        # which would send every row left; the lower value cuts the same.
+        threshold = np.where(middle < high, middle, low)
+        levels.append((means, split_nodes, feature, threshold))
+        child = 2 * row_split + right
         rows = rows[child.argsort(kind="stable")]
         counts = np.bincount(child, minlength=2 * len(split_nodes))
-        depth += 1
-
-    forest = []
-    for root in range(len(plan.counts)):
-        preorder, stack = [], [root]
-        while stack:
-            node = stack.pop()
-            preorder.append(records[node])
-            if node in children:
-                stack += reversed(children[node])
-        forest.append(preorder)
-    return forest, fitted
 
 
 def _check_min_leaf_weight(value) -> float:
@@ -414,6 +441,69 @@ def _check_max_depth(value) -> int | None:
     if value is not None and not (is_integer(value) and value >= 0):
         raise ValueError(f"max_depth must be None or an integer >= 0, got {value!r}")
     return None if value is None else int(value)
+
+
+@dataclass(frozen=True, eq=False)
+class Forest:
+    """One fit's trees, one per root of its plan, as the levels ``_grow``
+    leaves them. ``trees`` walks them into ``RegressionTree``s on its first
+    read, so a caller that needs only the fitted values builds none."""
+
+    levels: list
+    n_features: int
+    min_leaf_weight: float
+    max_depth: int | None
+
+    @functools.cached_property
+    def trees(self) -> list[RegressionTree]:
+        records = []  # (feature, threshold, value) by node id
+        children = {}  # split node id -> (left id, right id)
+        for means, split_nodes, feature, threshold in self.levels:
+            first_id = len(records)
+            first_child = first_id + len(means)
+            level = [(-1, 0.0, mean) for mean in means.tolist()]
+            for j, (i, f, t) in enumerate(
+                zip(split_nodes.tolist(), feature.tolist(), threshold.tolist())
+            ):
+                level[i] = (f, t, 0.0)
+                children[first_id + i] = (first_child + 2 * j, first_child + 2 * j + 1)
+            records += level
+        config = (self.n_features, self.min_leaf_weight, self.max_depth)
+        trees = []
+        for root in range(len(self.levels[0][0])):  # the first level's nodes
+            preorder, stack = [], [root]
+            while stack:
+                node = stack.pop()
+                preorder.append(records[node])
+                if node in children:
+                    stack += reversed(children[node])
+            trees.append(_from_preorder(preorder, *config))
+        return trees
+
+
+def grow_forest(
+    plan: FitPlan,
+    targets,
+    *,
+    min_leaf_weight: float = 1.0,
+    max_depth: int | None = None,
+) -> tuple[Forest, np.ndarray]:
+    """``(forest, fitted)``: the fit of ``fit_forest``, with its trees left
+    unbuilt in ``forest.trees``. Raises ValueError as ``fit_forest`` does."""
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != (plan.n_rows,):
+        raise ValueError("targets do not match features row count")
+    if not np.isfinite(y).all():
+        raise ValueError("targets must be finite")
+    min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
+    max_depth = _check_max_depth(max_depth)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            levels, fitted = _grow(plan, y[plan.rows], min_leaf_weight, max_depth)
+    except FloatingPointError as error:
+        raise ValueError(f"tree fit overflows float64: {error}") from None
+    config = (plan.XT.shape[0], min_leaf_weight, max_depth)
+    return Forest(levels, *config), fitted
 
 
 def fit_forest(
@@ -429,26 +519,13 @@ def fit_forest(
 
     All roots grow together, one split search over every open node of a
     level (see ``_grow``), so the per-level cost is paid once for the
-    forest. Raises ValueError as ``fit_tree`` does.
+    forest; each level searches only the cuts a node can still take, the
+    root level's bins come from the plan, and a threshold is read off the
+    rows being split. Raises ValueError as ``fit_tree`` does.
     """
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != (plan.n_rows,):
-        raise ValueError("targets do not match features row count")
-    if not np.isfinite(y).all():
-        raise ValueError("targets must be finite")
-    min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
-    max_depth = _check_max_depth(max_depth)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            forest, fitted = _grow(plan, y[plan.rows], min_leaf_weight, max_depth)
-    except FloatingPointError as error:
-        raise ValueError(f"tree fit overflows float64: {error}") from None
-    n_features = plan.XT.shape[0]
-    trees = [
-        _from_preorder(records, n_features, min_leaf_weight, max_depth)
-        for records in forest
-    ]
-    return trees, fitted
+    config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
+    forest, fitted = grow_forest(plan, targets, **config)
+    return forest.trees, fitted
 
 
 def fit_tree(

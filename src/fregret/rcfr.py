@@ -28,9 +28,10 @@ from .cfr import average_strategy, cfr_pass, checkpoints, regret_policy
 from .efg_core import GameSpec
 from .estimator import (
     FitPlan,
+    Forest,
     _check_max_depth,
     _check_min_leaf_weight,
-    fit_forest,
+    grow_forest,
     model_complexity,
     plan_fit,
     slot_features,
@@ -102,9 +103,9 @@ class RCFRState:
     prediction is its seat's regressor as of the last refit (zeros before
     the first), and the solver reads it in place of asking the regressor.
     The tree kind reads it off the fit and also holds ``features``, one
-    float64 row per slot, and ``trees``: per seat, the tree fitted at the
-    last refit, or None for a seat with no slots or before the first
-    refit. The tabular kind has neither: its predictions copy the targets.
+    float64 row per slot, and ``forest``, the last refit's unbuilt trees
+    (None before the first). The tabular kind has neither: its predictions
+    copy the targets.
     """
 
     seat_slots: tuple = field(repr=False)
@@ -112,13 +113,24 @@ class RCFRState:
     predictions: np.ndarray = field(repr=False)
     strategy_sums: np.ndarray = field(repr=False)
     features: np.ndarray | None = field(default=None, repr=False)
-    trees: tuple = field(default=(None, None), repr=False)
+    forest: Forest | None = field(default=None, repr=False)
 
     @cached_property
     def plan(self) -> FitPlan:
         """The trees' fit plan: one root per seat that acts, in seat order.
         Built at the first refit and kept, since the features are fixed."""
         return plan_fit(self.features, [s for s in self.seat_slots if len(s)])
+
+    @property
+    def trees(self) -> tuple:
+        """Per seat, the tree fitted at the last refit, or None for a seat
+        with no slots or before the first refit. Built from ``forest`` on
+        the first read after a refit, since the solver itself reads only
+        the fitted values."""
+        if self.forest is None:
+            return (None, None)
+        trees = iter(self.forest.trees)
+        return tuple(next(trees) if len(s) else None for s in self.seat_slots)
 
 
 def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
@@ -184,10 +196,8 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
         state.predictions = state.targets.copy()
     else:  # one forest: each acting seat's tree is a root of the plan
         shape = dict(min_leaf_weight=config.min_leaf_weight, max_depth=config.max_depth)
-        trees, fitted = fit_forest(state.plan, state.targets, **shape)
+        state.forest, fitted = grow_forest(state.plan, state.targets, **shape)
         state.predictions[state.plan.rows] = fitted
-        trees = iter(trees)
-        state.trees = tuple(next(trees) if len(s) else None for s in state.seat_slots)
     return state
 
 

@@ -336,6 +336,50 @@ def test_checked_policy_skips_a_seat_without_a_profile(kuhn_game):
     assert policy[seats == 1].tolist() == [0.3, 0.7] * 6
 
 
+def first_fault(game, profile):
+    try:
+        checked_policy(game, (profile, profile))
+    except (KeyError, TypeError, ValueError) as error:
+        return type(error).__name__, str(error)
+    return None
+
+
+def test_checked_policy_words_the_first_fault_in_table_order(leduc_game):
+    # Both seats read one profile, so a profile with every key is read in
+    # one map; each fault must still be the first in table order.
+    keys = [key for _, key, _ in leduc_game.layout.infosets]
+    early, late = keys[5], keys[200]
+    short = f"profile entry for '{early}' has 1 probabilities for 2 actions"
+
+    def spoiled(early_row=None, late_row=None):
+        profile = uniform_profile(leduc_game)
+        for key, row in ((early, early_row), (late, late_row)):
+            if row == "missing":
+                del profile[key]
+            elif row is not None:
+                profile[key] = row
+        return profile
+
+    assert first_fault(leduc_game, spoiled((1.0,), "missing")) == (
+        "ValueError", short,
+    )
+    assert first_fault(leduc_game, spoiled("missing", (1.0,))) == (
+        "KeyError", repr(f"profile missing infoset '{early}'"),
+    )
+    assert first_fault(leduc_game, spoiled((1.0,), 0.5)) == (
+        "ValueError", short,
+    )
+    assert first_fault(leduc_game, spoiled(0.5, (1.0,))) == (
+        "TypeError", "object of type 'float' has no len()",
+    )
+    assert first_fault(leduc_game, spoiled(late_row=(0.5, 0.6))) == (
+        "ValueError",
+        f"probabilities (0.5, 0.6) for infoset '{late}' sum to 1.1000000000000001; "
+        "each must be finite and >= 0, summing to 1",
+    )
+    assert first_fault(leduc_game, uniform_profile(leduc_game)) is None
+
+
 def repeated_deal_game(shared):
     """A chance root over three deals whose first and last lead to the same
     decision subtree: one object twice when ``shared``, else two copies."""

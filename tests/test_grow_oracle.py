@@ -1,0 +1,136 @@
+"""The tree grower against its recorded implementation, bit for bit.
+
+``recorded_grow`` is the level-wise grower as it was before its levels
+dropped dead cuts, took the root level from the plan, read thresholds off
+the rows being split and summed small nodes in one call. None of that may
+move a split, a threshold, a leaf value or a fitted value, nor an overflow
+error; these tests compare serialized trees and fitted bytes.
+"""
+
+import numpy as np
+import pytest
+from recorded_grow import recorded_fit, recorded_plan
+from test_tree_oracle import forest_roots, random_corpus
+
+from fregret.estimator import fit_forest, plan_fit, serialize_tree
+from fregret.games import build_leduc
+from fregret.rcfr import RCFRConfig, new_state, rcfr_iteration
+
+
+def assert_fits_as_recorded(X, roots, y, **config):
+    trees, fitted = fit_forest(plan_fit(X, roots), y, **config)
+    texts, recorded = recorded_fit(recorded_plan(X, roots), y, **config)
+    assert [serialize_tree(tree) for tree in trees] == texts
+    assert fitted.tobytes() == recorded.tobytes()
+
+
+@pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
+@pytest.mark.parametrize("min_leaf_weight", [64.0, 16.0, 4.0, 1.0, 0.0])
+def test_leduc_refits_match_recorded(leduc_game, target_mode, min_leaf_weight):
+    # Every refit of 60-iteration solves, compared as the solver made it:
+    # its trees and the fitted values it keeps as predictions.
+    for max_depth in (None, 2, 5):
+        config = RCFRConfig(
+            iterations=60,
+            target_mode=target_mode,
+            min_leaf_weight=min_leaf_weight,
+            max_depth=max_depth,
+        )
+        state = new_state(leduc_game, config)
+        plan = recorded_plan(state.features, state.seat_slots)
+        shape = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
+        for _ in range(config.iterations):
+            rcfr_iteration(leduc_game, state, config)
+            texts, fitted = recorded_fit(plan, state.targets, **shape)
+            assert [serialize_tree(tree) for tree in state.trees] == texts
+            assert state.predictions[plan.rows].tobytes() == fitted.tobytes()
+
+
+def random_forest_data(seed):
+    """Few-valued columns with repeated rows and tied targets, or, for odd
+    seeds, a continuous column beside them and targets that do not tie."""
+    rng = np.random.default_rng(900 + seed)
+    X, y = random_corpus(rng, n_rows=36, n_features=3, levels=int(rng.integers(2, 6)))
+    if seed % 2:
+        X[:, 1] = rng.random(len(X))
+        y = rng.normal(size=len(X))
+    return X, forest_roots(rng, X, n_roots=int(rng.integers(1, 5))), y
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_random_forests_match_recorded(block):
+    # 4 blocks x 15 draws x 18 configurations: 1,080 forests.
+    for seed in range(15 * block, 15 * block + 15):
+        X, roots, y = random_forest_data(seed)
+        for min_leaf_weight in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0):
+            for max_depth in (None, 1, 3):
+                assert_fits_as_recorded(
+                    X, roots, y, min_leaf_weight=min_leaf_weight, max_depth=max_depth
+                )
+
+
+def fit_error(fit):
+    try:
+        fit()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+def test_overflow_at_a_cut_the_parent_could_not_take():
+    """A child's prefix at a cut inadmissible at its parent overflows.
+
+    With min-leaf 4 the root (9 rows) cannot cut column 0 at 0, which
+    leaves 3 rows right, so the grower drops that cut's entries unless a
+    sum could overflow. Here one can: the root splits on column 1, and its
+    left child holds the two ``M`` rows of column 0's left side without the
+    ``-M`` row between them, so that prefix is ``M + M``, which overflows,
+    while every total and every admissible prefix stays small.
+    """
+    M = 1e308
+    X = np.array(
+        [
+            [0, 0], [1, 0], [0, 1], [0, 0], [1, 0],
+            [1, 1], [0, 1], [0, 1], [0, 0],
+        ],
+        dtype=np.float64,
+    )
+    y = np.array([M, -M, -M, M, -M, M, 1.0, 0.0, -1.0])
+    config = dict(min_leaf_weight=4.0)
+    message = "tree fit overflows float64: overflow in a prefix sum at a cut"
+    recorded = fit_error(lambda: recorded_fit(recorded_plan(X), y, **config))
+    assert recorded == message
+    assert fit_error(lambda: fit_forest(plan_fit(X), y, **config)) == message
+    # The root's own prefix at that cut is finite: M, 0, M, M, M, M.
+    with np.errstate(over="raise"):
+        np.cumsum(y[X[:, 0] == 0])
+
+
+def in_order_sum(terms):
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def test_small_sums_are_in_order_from_zero():
+    """The grower sums nodes of fewer than 8 rows by ``bincount``, which
+    adds in order from 0.0, in place of ``np.add.reduce``, whose pairwise
+    sum agrees below 8 terms. A numpy whose reduce changes that fails here
+    rather than in a pinned digest."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in range(1, 8):
+        for _ in range(400):
+            magnitude = 10.0 ** rng.integers(-30, 30, size=n)
+            cases.append(rng.normal(size=n) * magnitude)
+        cases.append(np.full(n, -0.0))
+        cases.append(np.where(rng.random(n) < 0.5, 0.0, -0.0))
+        cases.append(np.array([1e308, -1e308, 1e308, 1e308, -1e308, 1.0, -0.0][:n]))
+        cases.append(rng.choice([1.7e308, -1.7e308, 0.0, -0.0], size=n))
+    with np.errstate(all="ignore"):
+        for terms in cases:
+            expected = np.float64(in_order_sum(terms.tolist())).tobytes()
+            assert np.add.reduce(terms).tobytes() == expected, terms
+            one_bin = np.bincount(np.zeros(len(terms), dtype=np.intp), terms)
+            assert one_bin.tobytes() == expected, terms

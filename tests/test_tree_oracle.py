@@ -316,7 +316,8 @@ def test_leduc_forest_of_both_seats_matches_per_seat_fits():
 def unpruned(plan):
     """``plan`` with the cut expansion of one root over all its planned
     rows: each row feeds every cut from its value's to its feature's last
-    but one, whatever its own root holds."""
+    but one, whatever its own root holds. Its stored root level is keyed
+    and counted over those entries."""
     order = np.argsort(plan.XT, axis=1, kind="stable")
     xs = np.sort(plan.XT, axis=1)
     run_starts = np.ones(xs.shape, dtype=bool)
@@ -327,7 +328,16 @@ def unpruned(plan):
     entry_slot = np.arange(entry_row.size) + np.repeat(
         value_id.ravel() - (fan.cumsum() - fan), fan
     )
-    return dataclasses.replace(plan, entry_row=entry_row, entry_slot=entry_slot)
+    n_roots, n_slots = len(plan.counts), len(plan.values)
+    root_of_row = np.repeat(np.arange(n_roots), plan.counts)
+    root_key = root_of_row[entry_row] * n_slots + entry_slot
+    return dataclasses.replace(
+        plan,
+        entry_row=entry_row,
+        entry_slot=entry_slot,
+        root_key=root_key,
+        root_count=np.bincount(root_key, minlength=n_roots * n_slots),
+    )
 
 
 def assert_fits_as_unpruned(plan, targets, **config):
