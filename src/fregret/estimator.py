@@ -21,10 +21,12 @@ target prefix sums at every cut it can still take, each added in presorted
 order, so each tree is that of a per-node ``cumsum`` scan over its root's
 rows alone, bit for bit. A cut that a node cannot take no descendant can
 take either, so its entries leave after the level, and each threshold is
-read off the rows its split sends right. ``fit_tree`` is the one-root case;
-RCFR keeps one plan per solve, with one root per seat, grows both seats'
-trees as one forest at every refit (``grow_forest``) and reads its
-predictions off that fit, building tree objects only where they are read.
+read off the rows its split sends right. ``fit_forest`` rejects targets
+whose sums could overflow before it grows anything, so the growth itself
+checks no sum. Its forest builds tree objects only when ``trees`` is read:
+``fit_tree`` is the one-root case and reads its one tree, while RCFR keeps
+one plan per solve, with one root per seat, grows both seats' trees as one
+forest at every refit and reads its predictions off the fitted values.
 A fitted tree is nothing but flat preorder arrays (``RegressionTree``),
 which fitting, parsing, serialization and ``predict`` all walk without
 recursion.
@@ -99,10 +101,12 @@ def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
 def slot_features(game) -> np.ndarray:
     """One float64 feature row per slot of ``game``'s layout. An infoset's
     slots differ only in the candidate action one-hot, so each infoset is
-    featurized once, with its first action, and the one-hot is then set."""
+    featurized once, with its first action, and the one-hot is then set.
+    A game with no decision node gets a matrix of no rows."""
     labels = game.action_labels
     rows = [featurize(game.game_id, key, acts[0]) for key, acts in labels.items()]
-    features = np.array(rows, dtype=np.float64)[game.layout.owner]
+    by_infoset = np.array(rows, dtype=np.float64).reshape(-1, FEATURE_DIM)
+    features = by_infoset[game.layout.owner]
     column = {a: i for i, a in enumerate(ACTION_CHARS)}
     hot = [column[a] for acts in labels.values() for a in acts]
     features[:, _ACTION_FEATURES] = np.eye(len(ACTION_CHARS))[hot]
@@ -276,15 +280,11 @@ def _node_totals(node_y, starts, counts):
     pairwise; ``reduceat`` adds in order and would round differently.
 
     Nodes of fewer than ``_PAIRWISE_BLOCK`` rows, where the two orders
-    agree, are added by one ``bincount``, the rest one reduce each.
-    ``bincount`` checks no float flag, so a small node's overflow is raised
-    here as the reduce would raise it."""
+    agree, are added by one ``bincount``, the rest one reduce each."""
     small = counts < _PAIRWISE_BLOCK
     if small.any():
         node_of_row = np.repeat(np.arange(len(counts)), counts)
         total_s = np.bincount(node_of_row, node_y, len(counts))
-        if not np.isfinite(total_s[small]).all():
-            raise FloatingPointError("overflow encountered in reduce")
     else:
         total_s = np.empty(len(counts))
     big = (~small).nonzero()[0]
@@ -314,32 +314,25 @@ def _grow(plan, y, min_leaf_weight, max_depth):
     other roots' rows change no tree. A child's side counts at a cut are at
     most its parent's, so a cut inadmissible at a node is at every
     descendant, and its entries are dropped after the level, as are those
-    of a node that does not split. Where every root is searched, the root
-    level's keys and counts come from the plan. A split's threshold lies between its cut value and the
+    of a node that does not split. A node with fewer than ``2 *
+    max(min_leaf_weight, 1)`` rows cannot split, so it is a leaf
+    unsearched, and a level of such nodes skips its bincounts and scores.
+    Where every root is searched, the root level's keys and counts come
+    from the plan. A split's threshold lies between its cut value and the
     least value of the rows it sends right. Each level writes its rows'
     node means, so a row's last write is its leaf's value; rows go right
     on ``x > threshold``, so that is the leaf ``predict`` reaches.
 
-    A node with fewer than ``2 * max(min_leaf_weight, 1)`` rows cannot
-    split, so it is a leaf unsearched, and a level of such nodes skips its
-    bincounts and scores. The exception keeps the overflow errors of a
-    search: when some |target| is at least ``2**511`` over the largest
-    root's row count, every node is searched and a split node keeps every
-    entry, since only then can a node's total or prefix reach ``2**512``
-    and its square overflow. The bound is half of ``2**512`` because
-    rounding can lift a float sum a little above the sum of its terms'
-    magnitudes. The test reads the largest |target|, not a sum, which could
-    itself overflow.
+    ``fit_forest`` admits only targets under ``2**511`` over the largest
+    root's row count, so no sum here reaches ``2**512`` and no square or
+    score overflows; only a threshold midpoint still can.
     """
     XT, values, slot_feature = plan.XT, plan.values, plan.slot_feature
     entry_row, entry_slot = plan.entry_row, plan.entry_slot
     n_rows, n_slots = len(plan.rows), len(values)
     entry_y = y[entry_row]
-    # A split leaves at least one row and ``min_leaf_weight`` rows a side,
-    # so smaller nodes go unsearched, unless a node's sums could overflow.
-    risky = np.abs(y).max() >= 2.0**511 / plan.counts.max()
+    # A split leaves at least one row and ``min_leaf_weight`` rows a side.
     least = max(min_leaf_weight, 1.0)
-    min_split = 0.0 if risky else 2 * least
 
     levels = []
     rows = np.arange(n_rows)  # the level's rows, grouped by node, in index order
@@ -354,7 +347,7 @@ def _grow(plan, y, min_leaf_weight, max_depth):
         else:  # the nodes to search: big enough, with targets that differ
             low_y = np.minimum.reduceat(node_y, starts)
             differ = low_y < np.maximum.reduceat(node_y, starts)
-            nodes = (differ & (counts >= min_split)).nonzero()[0]
+            nodes = (differ & (counts >= 2 * least)).nonzero()[0]
         splits = np.zeros(len(nodes), dtype=bool)
         if len(nodes):
             tc, ts = counts[nodes], total_s[nodes]
@@ -375,13 +368,10 @@ def _grow(plan, y, min_leaf_weight, max_depth):
                 c_left = np.bincount(key, minlength=size + n_slots)[:size]
             c_left = c_left.reshape(shape)
             s_left = np.bincount(key, entry_y, size + n_slots)[:size].reshape(shape)
-            if not np.isfinite(s_left).all():
-                raise FloatingPointError("overflow in a prefix sum at a cut")
             c_right = tc[:, None] - c_left
             s_right = ts[:, None] - s_left
             valid = (c_left >= least) & (c_right >= least)
-            # Scored only where admissible, so only a score that could be
-            # chosen may overflow.
+            # Scored only where admissible: elsewhere a side may be empty.
             lc, rc = c_left[valid], c_right[valid]
             ls, rs = s_left[valid], s_right[valid]
             scores = np.full(shape, -np.inf)
@@ -389,12 +379,9 @@ def _grow(plan, y, min_leaf_weight, max_depth):
             best_slot = scores.argmax(axis=1)
             splits = scores.max(axis=1) > baseline
             # A split node keeps the entries of the cuts its children can
-            # still take, or every entry where sums could overflow.
+            # still take.
             kept = np.zeros(size + n_slots, dtype=bool)
-            if risky:
-                kept[:size] = np.repeat(splits, n_slots)
-            else:
-                kept[:size] = (valid & splits[:, None]).ravel()
+            kept[:size] = (valid & splits[:, None]).ravel()
             live = kept[key].nonzero()[0]
             entry_row, entry_slot, entry_y = (
                 entry_row[live], entry_slot[live], entry_y[live]
@@ -481,51 +468,47 @@ class Forest:
         return trees
 
 
-def grow_forest(
-    plan: FitPlan,
-    targets,
-    *,
-    min_leaf_weight: float = 1.0,
-    max_depth: int | None = None,
-) -> tuple[Forest, np.ndarray]:
-    """``(forest, fitted)``: the fit of ``fit_forest``, with its trees left
-    unbuilt in ``forest.trees``. Raises ValueError as ``fit_forest`` does."""
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != (plan.n_rows,):
-        raise ValueError("targets do not match features row count")
-    if not np.isfinite(y).all():
-        raise ValueError("targets must be finite")
-    min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
-    max_depth = _check_max_depth(max_depth)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            levels, fitted = _grow(plan, y[plan.rows], min_leaf_weight, max_depth)
-    except FloatingPointError as error:
-        raise ValueError(f"tree fit overflows float64: {error}") from None
-    config = (plan.XT.shape[0], min_leaf_weight, max_depth)
-    return Forest(levels, *config), fitted
-
-
 def fit_forest(
     plan: FitPlan,
     targets,
     *,
     min_leaf_weight: float = 1.0,
     max_depth: int | None = None,
-) -> tuple[list[RegressionTree], np.ndarray]:
-    """``(trees, fitted)``: one tree per root of ``plan``, each the tree
-    ``fit_tree`` fits to its root's rows, and each planned row's leaf value,
-    ``predict`` on that row bit for bit; ``targets`` are per feature row.
+) -> tuple[Forest, np.ndarray]:
+    """``(forest, fitted)``: one tree per root of ``plan``, each the tree
+    ``fit_tree`` fits to its root's rows, built on the first read of
+    ``forest.trees``, and each planned row's leaf value, ``predict`` on that
+    row bit for bit; ``targets`` are per feature row.
 
     All roots grow together, one split search over every open node of a
     level (see ``_grow``), so the per-level cost is paid once for the
     forest; each level searches only the cuts a node can still take, the
     root level's bins come from the plan, and a threshold is read off the
-    rows being split. Raises ValueError as ``fit_tree`` does.
+    rows being split. Raises ValueError as ``fit_tree`` does, where the
+    bound on targets is ``2**511`` over the largest root's row count.
     """
-    config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
-    forest, fitted = grow_forest(plan, targets, **config)
-    return forest.trees, fitted
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != (plan.n_rows,):
+        raise ValueError("targets do not match features row count")
+    if not np.isfinite(y).all():
+        raise ValueError("targets must be finite")
+    # Under this bound a sum of a root's targets stays under 2**512 after
+    # rounding, so every square and score in ``_grow`` is finite.
+    n = int(plan.counts.max())
+    if np.abs(y).max() >= 2.0**511 / n:
+        raise ValueError(
+            f"tree fit overflows float64: some |target| >= 2**511 / {n}, "
+            "the largest root's row count"
+        )
+    min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
+    max_depth = _check_max_depth(max_depth)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            levels, fitted = _grow(plan, y[plan.rows], min_leaf_weight, max_depth)
+    except FloatingPointError as error:  # a threshold midpoint
+        raise ValueError(f"tree fit overflows float64: {error}") from None
+    config = (plan.XT.shape[0], min_leaf_weight, max_depth)
+    return Forest(levels, *config), fitted
 
 
 def fit_tree(
@@ -551,18 +534,16 @@ def fit_tree(
     that refits on fixed features keeps one ``plan_fit`` and calls
     ``fit_forest``, which skips the presort and cut expansion.
 
-    Data that overflow float64 raise ValueError: a node's target total, the
-    score of leaving a searched node whole, a prefix of that total in
-    sorted order at a cut between distinct values, the score of a cut that
-    ``min_leaf_weight`` allows, or a threshold midpoint. A sum inside a run
-    of equal values is never a cut and is not checked. So every fitted leaf
-    and threshold is finite. A node too small to split is searched only
-    where one of these sums could overflow (see ``_grow``), so it raises
-    exactly where a search of it would.
+    Data that could overflow float64 raise ValueError, so every fitted leaf
+    and threshold is finite. One rule covers the targets: some |target| at
+    least ``2**511`` over the row count is rejected before any growth,
+    whether or not a sum of the fit would in fact overflow; below that no
+    sum, square or score can. A threshold midpoint of two finite features
+    that overflows raises too.
     """
     config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
-    trees, _ = fit_forest(plan_fit(features), targets, **config)
-    return trees[0]
+    forest, _ = fit_forest(plan_fit(features), targets, **config)
+    return forest.trees[0]
 
 
 def predict(tree: RegressionTree, features) -> float:

@@ -6,9 +6,12 @@ Exact per-iteration regrets update a per-player target store, and each
 seat's regressor is refit on that store. The tabular regressor memorizes:
 its predictions are the stored targets themselves, so the whole trajectory
 collapses bit-for-bit onto vanilla CFR. The tree kind fits one regression
-tree per seat that acts, both grown as one forest over a fit plan kept for
-the whole solve; its policy carries approximation error, and exploitability
-plateaus at a floor that tightens as the trees are allowed finer leaves.
+tree per seat that acts, both grown as one forest by one ``fit_forest``
+call over a fit plan kept for the whole solve, and reads its predictions
+off the fitted values, so the tree objects are built only when read; where
+no seat acts there is nothing to fit. Its policy carries approximation
+error, and exploitability plateaus at a floor that tightens as the trees
+are allowed finer leaves.
 
 Two target modes: ``exact`` keeps true cumulative regrets (error enters
 through the policy only); ``bootstrap`` rebuilds each target from the
@@ -31,7 +34,7 @@ from .estimator import (
     Forest,
     _check_max_depth,
     _check_min_leaf_weight,
-    grow_forest,
+    fit_forest,
     model_complexity,
     plan_fit,
     slot_features,
@@ -103,9 +106,10 @@ class RCFRState:
     prediction is its seat's regressor as of the last refit (zeros before
     the first), and the solver reads it in place of asking the regressor.
     The tree kind reads it off the fit and also holds ``features``, one
-    float64 row per slot, and ``forest``, the last refit's unbuilt trees
-    (None before the first). The tabular kind has neither: its predictions
-    copy the targets.
+    float64 row per slot, and ``forest``, the last refit's ``fit_forest``
+    result, whose trees are built only when read (None before the first
+    refit, and on a game where no seat acts, which is never refit). The
+    tabular kind has neither: its predictions copy the targets.
     """
 
     seat_slots: tuple = field(repr=False)
@@ -182,7 +186,8 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
     Immediate regrets are computed exactly as in tabular CFR. Exact mode
     accumulates them into the targets; bootstrap mode rewrites each target
     as the pre-refit model's prediction plus the new regret. Strategy sums
-    accumulate exactly either way.
+    accumulate exactly either way. A tree refit is skipped on a game with no
+    slots, whose plan would have no root.
     """
     policy = regret_policy(game, state.predictions)
     _, deltas = cfr_pass(game, policy, state.strategy_sums)
@@ -194,9 +199,9 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
         if not np.isfinite(state.targets).all():
             raise ValueError("targets must be finite")
         state.predictions = state.targets.copy()
-    else:  # one forest: each acting seat's tree is a root of the plan
+    elif len(state.targets):  # one forest, each acting seat's tree a root of the plan
         shape = dict(min_leaf_weight=config.min_leaf_weight, max_depth=config.max_depth)
-        state.forest, fitted = grow_forest(state.plan, state.targets, **shape)
+        state.forest, fitted = fit_forest(state.plan, state.targets, **shape)
         state.predictions[state.plan.rows] = fitted
     return state
 

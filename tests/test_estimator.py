@@ -27,6 +27,14 @@ TOP20 = math.nextafter(2.0**512 / 20, 0.0)
 TOP20_LESS = math.nextafter(TOP20, 0.0)
 
 
+def bound_error(n):
+    """The pattern of the error for a target at or over ``2**511 / n``."""
+    return re.escape(
+        f"tree fit overflows float64: some |target| >= 2**511 / {n}, "
+        "the largest root's row count"
+    )
+
+
 def random_dataset(rng, n_rows=30, n_features=4):
     X = [[rng.random() for _ in range(n_features)] for _ in range(n_rows)]
     y = [rng.uniform(-5.0, 5.0) for _ in range(n_rows)]
@@ -318,9 +326,11 @@ class TestFitTree:
 
     def test_sum_inside_a_run_of_equal_values_is_not_checked(self):
         # Squaring the prefix 1e200 between the two rows at 0 overflows,
-        # but no cut can sit inside a run of equal values.
-        tree = fit_tree([[0.0], [0.0], [1.0]], [1e200, -1e200, 0.0])
-        assert serialize_tree(tree).splitlines()[1:] == ["leaf,0"]
+        # but no cut can sit inside a run of equal values, and the fit
+        # checks no sum: it rejects the targets first, as 1e200 is over
+        # 2**511 / 3, the bound under which no sum can overflow.
+        with pytest.raises(ValueError, match=f"^{bound_error(3)}$"):
+            fit_tree([[0.0], [0.0], [1.0]], [1e200, -1e200, 0.0])
 
     @pytest.mark.parametrize(
         "X, y",
@@ -332,10 +342,9 @@ class TestFitTree:
         ],
     )
     def test_node_too_small_to_split_still_overflows(self, X, y):
-        # No cut leaves min_leaf_weight rows a side, so the root is searched
-        # only because a sum over its rows may overflow.
-        message = "tree fit overflows float64: overflow encountered in multiply"
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        # No cut leaves min_leaf_weight rows a side, so the root is never
+        # searched, but targets whose sums may overflow are rejected first.
+        with pytest.raises(ValueError, match=f"^{bound_error(len(y))}$"):
             fit_tree(X, y, min_leaf_weight=len(y) / 2 + 0.5)
 
     @pytest.mark.parametrize(
@@ -416,7 +425,7 @@ class TestFitForest:
         rng = random.Random(14)
         X, y = random_dataset(rng)
         for plan in (plan_fit(X), plan_fit(X, [list(range(len(X)))])):
-            [tree], _ = fit_forest(plan, y, min_leaf_weight=2.0)
+            [tree] = fit_forest(plan, y, min_leaf_weight=2.0)[0].trees
             assert tree == fit_tree(X, y, min_leaf_weight=2.0)
             assert model_complexity(tree) > 1
 
@@ -431,8 +440,8 @@ class TestFitForest:
         }
         first, first_fitted = fit_forest(plan, y, min_leaf_weight=2.0)
         second, second_fitted = fit_forest(plan, y, min_leaf_weight=2.0)
-        assert [serialize_tree(t) for t in first] == [
-            serialize_tree(t) for t in second
+        assert [serialize_tree(t) for t in first.trees] == [
+            serialize_tree(t) for t in second.trees
         ]
         assert first_fitted.tobytes() == second_fitted.tobytes()
         for name, value in kept.items():

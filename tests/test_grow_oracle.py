@@ -3,24 +3,30 @@
 ``recorded_grow`` is the level-wise grower as it was before its levels
 dropped dead cuts, took the root level from the plan, read thresholds off
 the rows being split and summed small nodes in one call. None of that may
-move a split, a threshold, a leaf value or a fitted value, nor an overflow
-error; these tests compare serialized trees and fitted bytes.
+move a split, a threshold, a leaf value or a fitted value; these tests
+compare serialized trees and fitted bytes. The recorded grower checks its
+sums for overflow as it goes, where ``fit_forest`` rejects targets at a
+bound before it grows, so a fit under that bound that matches it also
+overflowed nowhere.
 """
+
+import math
+import re
 
 import numpy as np
 import pytest
 from recorded_grow import recorded_fit, recorded_plan
 from test_tree_oracle import forest_roots, random_corpus
 
-from fregret.estimator import fit_forest, plan_fit, serialize_tree
+from fregret.estimator import fit_forest, fit_tree, plan_fit, serialize_tree
 from fregret.games import build_leduc
 from fregret.rcfr import RCFRConfig, new_state, rcfr_iteration
 
 
 def assert_fits_as_recorded(X, roots, y, **config):
-    trees, fitted = fit_forest(plan_fit(X, roots), y, **config)
+    forest, fitted = fit_forest(plan_fit(X, roots), y, **config)
     texts, recorded = recorded_fit(recorded_plan(X, roots), y, **config)
-    assert [serialize_tree(tree) for tree in trees] == texts
+    assert [serialize_tree(tree) for tree in forest.trees] == texts
     assert fitted.tobytes() == recorded.tobytes()
 
 
@@ -69,23 +75,17 @@ def test_random_forests_match_recorded(block):
                 )
 
 
-def fit_error(fit):
-    try:
-        fit()
-    except ValueError as error:
-        return str(error)
-    return None
-
-
 def test_overflow_at_a_cut_the_parent_could_not_take():
     """A child's prefix at a cut inadmissible at its parent overflows.
 
     With min-leaf 4 the root (9 rows) cannot cut column 0 at 0, which
-    leaves 3 rows right, so the grower drops that cut's entries unless a
-    sum could overflow. Here one can: the root splits on column 1, and its
-    left child holds the two ``M`` rows of column 0's left side without the
-    ``-M`` row between them, so that prefix is ``M + M``, which overflows,
-    while every total and every admissible prefix stays small.
+    leaves 3 rows right, so the grower drops that cut's entries. Here the
+    root splits on column 1, and its left child holds the two ``M`` rows of
+    column 0's left side without the ``-M`` row between them, so that
+    prefix is ``M + M``, which overflows, while every total and every
+    admissible prefix stays small. The recorded grower raises at that
+    prefix; ``fit_forest`` rejects the targets before growing, since ``M``
+    is over ``2**511 / 9``.
     """
     M = 1e308
     X = np.array(
@@ -97,13 +97,64 @@ def test_overflow_at_a_cut_the_parent_could_not_take():
     )
     y = np.array([M, -M, -M, M, -M, M, 1.0, 0.0, -1.0])
     config = dict(min_leaf_weight=4.0)
-    message = "tree fit overflows float64: overflow in a prefix sum at a cut"
-    recorded = fit_error(lambda: recorded_fit(recorded_plan(X), y, **config))
-    assert recorded == message
-    assert fit_error(lambda: fit_forest(plan_fit(X), y, **config)) == message
+    with pytest.raises(ValueError, match="^tree fit overflows float64"):
+        recorded_fit(recorded_plan(X), y, **config)
+    with pytest.raises(ValueError, match="^tree fit overflows float64"):
+        fit_forest(plan_fit(X), y, **config)
     # The root's own prefix at that cut is finite: M, 0, M, M, M, M.
     with np.errstate(over="raise"):
         np.cumsum(y[X[:, 0] == 0])
+
+
+def bound_data(n):
+    """A root of ``n`` rows, one column of distinct values and one of few,
+    and targets whose magnitudes reach just under ``2**511 / n``: equal but
+    for one row, all of one sign, and of mixed signs."""
+    top = math.nextafter(2.0**511 / n, 0.0)
+    rng = np.random.default_rng(n)
+    X = np.column_stack([np.arange(n), rng.integers(0, 3, size=n)]).astype(float)
+    near = np.full(n, top)
+    near[0] = math.nextafter(top, 0.0)
+    same = top * rng.uniform(0.5, 1.0, size=n)
+    same[rng.integers(n)] = top
+    mixed = same * rng.choice([-1.0, 1.0], size=n)
+    return X, (near, -near, same, mixed)
+
+
+def bound_roots(n):
+    """One root of all ``n`` rows, or that root beside a smaller one: the
+    bound is set by the largest root."""
+    return (None, [list(range(n)), list(range(n // 2 + 1))])
+
+
+def test_targets_under_the_bound_fit_as_recorded():
+    # The recorded grower checks every sum it squares, so a match also
+    # shows that nothing overflowed.
+    for n in range(1, 51):
+        X, targets = bound_data(n)
+        for roots in bound_roots(n):
+            for y in targets:
+                for min_leaf_weight in (0.0, 1.0, 4.0):
+                    config = dict(min_leaf_weight=min_leaf_weight)
+                    assert_fits_as_recorded(X, roots, y, **config)
+
+
+def test_targets_at_the_bound_are_rejected():
+    for n in range(1, 51):
+        X, targets = bound_data(n)
+        over = math.nextafter(2.0**511 / n, math.inf)
+        message = f"tree fit overflows float64: some |target| >= 2**511 / {n},"
+        pattern = "^" + re.escape(message)
+        for y in targets:
+            y = y.copy()
+            y[-1] = math.copysign(over, y[-1])
+            for min_leaf_weight in (0.0, 1.0, 4.0):
+                config = dict(min_leaf_weight=min_leaf_weight)
+                with pytest.raises(ValueError, match=pattern):
+                    fit_tree(X, y, **config)
+                for roots in bound_roots(n):
+                    with pytest.raises(ValueError, match=pattern):
+                        fit_forest(plan_fit(X, roots), y, **config)
 
 
 def in_order_sum(terms):

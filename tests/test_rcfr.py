@@ -34,13 +34,20 @@ from fregret.cfr import (
 )
 from fregret.cli import write_strategy_file
 from fregret.efg_core import (
+    chance,
     decision,
     enumerate_infosets,
     make_game,
     terminal,
     uniform_profile,
 )
-from fregret.estimator import featurize, fit_tree, model_complexity, predict
+from fregret.estimator import (
+    FEATURE_DIM,
+    featurize,
+    fit_tree,
+    model_complexity,
+    predict,
+)
 from fregret.eval import exploitability
 from fregret.rcfr import (
     ModelSizeRow,
@@ -327,6 +334,16 @@ class TestIteration:
         assert plan.rows.tolist() == np.concatenate(state.seat_slots).tolist()
         rcfr_iteration(kuhn_game, state, config)
         assert state.plan is plan
+
+    def test_a_refit_builds_no_tree_objects(self, leduc_game):
+        # The solver reads only the fitted values; trees are built when read.
+        config = RCFRConfig(iterations=2, min_leaf_weight=4.0)
+        state = new_state(leduc_game, config)
+        rcfr_iteration(leduc_game, state, config)
+        assert "trees" not in vars(state.forest)
+        trees = state.trees
+        assert "trees" in vars(state.forest)
+        assert all(model_complexity(tree) > 1 for tree in trees)
 
     def test_bootstrap_targets_diverge_from_exact_with_a_tree(self, kuhn_game):
         exact_cfg = RCFRConfig(
@@ -791,6 +808,20 @@ class TestOneSeatGame:
         )
         assert tree == tabular == {"p0:J:-:": (0.9, 0.1)}
         assert sizes[-1].leaves_p1 > 0 and sizes[-1].leaves_p2 == 0
+
+    def test_tree_rcfr_runs_where_no_seat_acts(self):
+        # No slot, so no feature row and no tree: the refit is skipped.
+        game = make_game("kuhn", chance([0.5, 0.5], [terminal(1.0), terminal(-1.0)]))
+        config = RCFRConfig(iterations=3)
+        state = new_state(game, config)
+        assert state.features.shape == (0, FEATURE_DIM)
+        rcfr_iteration(game, state, config)
+        assert state.forest is None and state.trees == (None, None)
+        profile, log, sizes = rcfr_solve(game, config)
+        tabular = rcfr_solve(game, RCFRConfig(iterations=3, estimator_kind="tabular"))
+        assert profile == tabular[0] == {}
+        assert [row.exploitability for row in log] == [0.0, 0.0, 0.0]
+        assert [(s.leaves_p1, s.leaves_p2) for s in sizes] == [(0, 0)] * 3
 
 
 class TestConfig:

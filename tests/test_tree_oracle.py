@@ -229,7 +229,8 @@ def test_bootstrap_roots_match_reference(data_seed, n_rows, draw_seed):
     X, y = random_corpus(rng, n_rows=n_rows, n_features=3, levels=4)
     rng = np.random.default_rng(draw_seed)
     roots = [rng.integers(0, X.shape[0], size=X.shape[0]) for _ in range(3)]
-    trees, _ = fit_forest(plan_fit(X, roots), y, min_leaf_weight=2.0, max_depth=4)
+    forest, _ = fit_forest(plan_fit(X, roots), y, min_leaf_weight=2.0, max_depth=4)
+    trees = forest.trees
     for rows, tree in zip(roots, trees):
         assert serialize_tree(tree) == reference_fit(
             X[rows], y[rows], min_leaf_weight=2.0, max_depth=4
@@ -276,7 +277,8 @@ def test_forest_roots_match_single_fits(seed):
     for min_leaf_weight in (0.0, 1.0, 3.0):
         for max_depth in (None, 0, 2):
             config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
-            trees, fitted = fit_forest(plan, y, **config)
+            forest, fitted = fit_forest(plan, y, **config)
+            trees = forest.trees
             assert len(trees) == len(roots)
             assert_fitted_is_predict(plan, X, trees, fitted)
             for root, tree in zip(roots, trees):
@@ -292,8 +294,8 @@ def test_one_plan_serves_many_targets():
     plan = plan_fit(X, roots)
     for _ in range(30):
         y = np.round(rng.normal(size=len(X)), 1)
-        trees, _ = fit_forest(plan, y, min_leaf_weight=2.0)
-        for root, tree in zip(roots, trees):
+        forest, _ = fit_forest(plan, y, min_leaf_weight=2.0)
+        for root, tree in zip(roots, forest.trees):
             assert tree == fit_tree(X[root], y[root], min_leaf_weight=2.0)
 
 
@@ -304,7 +306,8 @@ def test_leduc_forest_of_both_seats_matches_per_seat_fits():
     plan = plan_fit(state.features, state.seat_slots)
     for _ in range(config.iterations):
         rcfr_iteration(game, state, config)
-        trees, fitted = fit_forest(plan, state.targets, min_leaf_weight=4.0)
+        forest, fitted = fit_forest(plan, state.targets, min_leaf_weight=4.0)
+        trees = forest.trees
         assert_fitted_is_predict(plan, state.features, trees, fitted)
         # The solver keeps those same values as its predictions.
         assert state.predictions[plan.rows].tobytes() == fitted.tobytes()
@@ -344,9 +347,10 @@ def assert_fits_as_unpruned(plan, targets, **config):
     """The plan's trees and fitted values are those of its unpruned
     expansion, bit for bit; returns how many entries it dropped."""
     full = unpruned(plan)
-    trees, fitted = fit_forest(plan, targets, **config)
-    full_trees, full_fitted = fit_forest(full, targets, **config)
-    assert [serialize_tree(t) for t in trees] == [serialize_tree(t) for t in full_trees]
+    forest, fitted = fit_forest(plan, targets, **config)
+    full_forest, full_fitted = fit_forest(full, targets, **config)
+    texts = [serialize_tree(t) for t in forest.trees]
+    assert texts == [serialize_tree(t) for t in full_forest.trees]
     assert fitted.tobytes() == full_fitted.tobytes()
     return len(full.entry_row) - len(plan.entry_row)
 
