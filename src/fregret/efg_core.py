@@ -414,7 +414,6 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
     back, weights, visits = array("q"), array("q"), array("q")
     firsts, sizes, infoset, utility = array("q"), array("q"), array("q"), array("d")
     numbers: dict[GameNode, int] = {}
-    bases: list[int] = []
     tail = []
     # Children are pushed in reverse, so positions are numbered in preorder,
     # and a marker under them records the subtree's size once it is done. A
@@ -437,7 +436,7 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
             weights.extend(weights[first + 1 : first + size])
             visits.extend(visits[first : first + size])
             continue
-        number = numbers[node] = len(bases)
+        number = numbers[node] = len(firsts)
         visits.append(number)
         firsts.append(index)
         sizes.append(1)
@@ -484,7 +483,6 @@ def make_game(game_id: str, root: GameNode) -> GameSpec:
             base = offset[k]
         else:
             raise ValueError(f"unknown node kind '{node.kind}'")
-        bases.append(base)
         children = node.children
         if children:
             stack.append((None, number, 0))

@@ -49,11 +49,11 @@ class MatchResult:
 
 
 def _respond(layout, values) -> np.ndarray:
-    """Back best-response ``values``, by sequence along their first axis,
-    up the sequences in place: over ``sequences``, deepest level first,
-    each infoset adds its largest slot value into its parent sequence, with
-    ``np.add.at``, in infoset order. Seat ``i``'s value ends at its empty
-    sequence, ``offset[-1] + i``."""
+    """Back best-response ``values``, one per sequence, up the sequences
+    in place: over ``sequences``, deepest level first, each infoset adds
+    its largest slot value into its parent sequence, with ``np.add.at``,
+    in infoset order. Seat ``i``'s value ends at its empty sequence,
+    ``offset[-1] + i``."""
     for slots, parents, starts in reversed(layout.sequences):
         best = np.maximum.reduceat(values[slots], starts)
         np.add.at(values, parents[starts], best)
@@ -78,13 +78,13 @@ def best_response(
     infosets the opponent's play makes unreachable get a uniform row in the
     returned response; any choice there is value-neutral.
 
-    The values come from one backup (``_respond``) of two rows over the
-    sequence form. In the first, a responder sequence's terminal value sums
-    the pair table's payoffs that hold it, each times the opponent's
-    sequence reach, by ``bincount`` in pair order from 0.0; in the second,
-    the pairs' chance reaches the same way. An infoset is reachable when the
-    second row gives one of its slots a positive value. Each row's largest
-    value and its first slot come from ``reduceat`` over the infosets.
+    The values come from two backups (``_respond``) over the sequence
+    form. In the first, a responder sequence's terminal value sums the pair
+    table's payoffs that hold it, each times the opponent's sequence reach,
+    by ``bincount`` in pair order from 0.0; the second backs up the pairs'
+    chance reaches the same way. An infoset is reachable when the second
+    gives one of its slots a positive value. Each infoset's largest value
+    and its first slot come from ``reduceat`` over the infosets.
     """
     if responder not in (0, 1):
         raise ValueError("responder must be 0 or 1")
@@ -92,10 +92,10 @@ def best_response(
     layout = game.layout
     reach = sequence_reach(layout, checked_policy(game, seats))
     own, other = layout.pairs[responder], reach[layout.pairs[1 - responder]]
-    values, mass = _respond(layout, np.stack([
-        np.bincount(own, weights * other, minlength=len(reach))
-        for weights in (layout.payoff[responder], layout.chance)
-    ], axis=1)).T
+    values, mass = (
+        _respond(layout, np.bincount(own, w * other, minlength=len(reach)))
+        for w in (layout.payoff[responder], layout.chance)
+    )
     slots, starts = layout.offset[-1], np.array(layout.offset[:-1])
     best = np.maximum.reduceat(values[:slots], starts)
     hits = np.where(values[:slots] == best[layout.owner], np.arange(slots), slots)

@@ -6,12 +6,12 @@ Exact per-iteration regrets update a per-player target store, and each
 seat's regressor is refit on that store. The tabular regressor memorizes:
 its predictions are the stored targets themselves, so the whole trajectory
 collapses bit-for-bit onto vanilla CFR. The tree kind fits one regression
-tree per seat that acts, both grown as one forest by one ``fit_forest``
-call over a fit plan kept for the whole solve, and reads its predictions
-off the fitted values, so the tree objects are built only when read; where
-no seat acts there is nothing to fit. Its policy carries approximation
-error, and exploitability plateaus at a floor that tightens as the trees
-are allowed finer leaves.
+tree per seat that acts, grown as one forest by one ``fit_forest`` call
+over the fit plan ``new_state`` builds, and reads its predictions off the
+fitted values. A state without a plan memorizes, as the tree kind does
+where no seat acts. The trees' policy carries approximation error, and
+exploitability plateaus at a floor that tightens as the trees are allowed
+finer leaves.
 
 Two target modes: ``exact`` keeps true cumulative regrets (error enters
 through the policy only); ``bootstrap`` rebuilds each target from the
@@ -22,7 +22,6 @@ compounds through the targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -105,25 +104,18 @@ class RCFRState:
     ``seat_slots`` holds each seat's slots in table order. A slot's
     prediction is its seat's regressor as of the last refit (zeros before
     the first), and the solver reads it in place of asking the regressor.
-    The tree kind reads it off the fit and also holds ``features``, one
-    float64 row per slot, and ``forest``, the last refit's ``fit_forest``
-    result, whose trees are built only when read (None before the first
-    refit, and on a game where no seat acts, which is never refit). The
-    tabular kind has neither: its predictions copy the targets.
+    ``plan`` is the trees' fit plan, one root per seat that acts; without
+    one the refit memorizes, copying the targets. ``forest`` is the last
+    refit's ``fit_forest`` result, whose trees are built only when read
+    (None before the first refit, and wherever there is no plan).
     """
 
     seat_slots: tuple = field(repr=False)
     targets: np.ndarray = field(repr=False)
     predictions: np.ndarray = field(repr=False)
     strategy_sums: np.ndarray = field(repr=False)
-    features: np.ndarray | None = field(default=None, repr=False)
+    plan: FitPlan | None = field(default=None, repr=False)
     forest: Forest | None = field(default=None, repr=False)
-
-    @cached_property
-    def plan(self) -> FitPlan:
-        """The trees' fit plan: one root per seat that acts, in seat order.
-        Built at the first refit and kept, since the features are fixed."""
-        return plan_fit(self.features, [s for s in self.seat_slots if len(s)])
 
     @property
     def trees(self) -> tuple:
@@ -138,12 +130,13 @@ class RCFRState:
 
 
 def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
-    """Fresh solver state; for trees, with per-slot feature rows precomputed.
+    """Fresh solver state; for trees, with the fit plan every refit reuses.
 
     The tabular kind needs no features: memorizing the target of every
-    infoset-action is the paper's tabular case, on any game. The tree uses
-    the compact numeric features it is meant to generalize over; a later
-    state for the same game reads them from ``featurize``'s cache.
+    infoset-action is the paper's tabular case, on any game. The tree kind
+    plans one root per seat that acts over ``slot_features``, the compact
+    features it is meant to generalize over, so features ``plan_fit``
+    rejects raise ValueError here; where no seat acts it has no plan.
     """
     n_slots = game.layout.offset[-1]
     seat = game.layout.seat[game.layout.owner]
@@ -153,8 +146,9 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
         predictions=np.zeros(n_slots),
         strategy_sums=np.zeros(n_slots),
     )
-    if config.estimator_kind == "tree":
-        state.features = slot_features(game)
+    roots = [slots for slots in state.seat_slots if len(slots)]
+    if config.estimator_kind == "tree" and roots:
+        state.plan = plan_fit(slot_features(game), roots)
     return state
 
 
@@ -172,10 +166,10 @@ def training_mse(state: RCFRState, player: int) -> float:
     return total / len(slots) if len(slots) else 0.0
 
 
-def model_sizes(state: RCFRState, config: RCFRConfig) -> list[int]:
-    """Leaves per seat: its tree's leaf count, or for the tabular kind its
+def model_sizes(state: RCFRState) -> list[int]:
+    """Leaves per seat: its tree's leaf count, or without a fit plan its
     slot count (one memorized entry each); 0 for a seat with no slots."""
-    if config.estimator_kind == "tabular":
+    if state.plan is None:
         return [len(slots) for slots in state.seat_slots]
     return [0 if tree is None else model_complexity(tree) for tree in state.trees]
 
@@ -186,8 +180,9 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
     Immediate regrets are computed exactly as in tabular CFR. Exact mode
     accumulates them into the targets; bootstrap mode rewrites each target
     as the pre-refit model's prediction plus the new regret. Strategy sums
-    accumulate exactly either way. A tree refit is skipped on a game with no
-    slots, whose plan would have no root.
+    accumulate exactly either way. Without a fit plan the refit memorizes;
+    with one it grows one forest over the plan and scatters the fitted
+    values back to their slots.
     """
     policy = regret_policy(game, state.predictions)
     _, deltas = cfr_pass(game, policy, state.strategy_sums)
@@ -195,11 +190,11 @@ def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFR
         state.targets += deltas
     else:
         state.targets = state.predictions + deltas
-    if config.estimator_kind == "tabular":  # the memorizer: predictions = targets
+    if state.plan is None:  # the memorizer: predictions = targets
         if not np.isfinite(state.targets).all():
             raise ValueError("targets must be finite")
         state.predictions = state.targets.copy()
-    elif len(state.targets):  # one forest, each acting seat's tree a root of the plan
+    else:  # one forest, each acting seat's tree a root of the plan
         shape = dict(min_leaf_weight=config.min_leaf_weight, max_depth=config.max_depth)
         state.forest, fitted = fit_forest(state.plan, state.targets, **shape)
         state.predictions[state.plan.rows] = fitted
@@ -219,5 +214,5 @@ def rcfr_solve(game: GameSpec, config: RCFRConfig):
     for t, exploit, wall_ms in checkpoints(game, config, step, state.strategy_sums):
         mse = (training_mse(state, 0), training_mse(state, 1))
         convergence.append(RcfrConvergenceRow(t, exploit, *mse, wall_ms))
-        sizes.append(ModelSizeRow(t, *model_sizes(state, config)))
+        sizes.append(ModelSizeRow(t, *model_sizes(state)))
     return average_strategy(game, state.strategy_sums), convergence, sizes

@@ -230,8 +230,10 @@ def recorded_grow(plan, y, min_leaf_weight, max_depth):
 
 def recorded_fit(plan, targets, *, min_leaf_weight=1.0, max_depth=None):
     """``(texts, fitted)``: each root's tree as ``serialize_tree`` text and
-    each planned row's fitted value; raises ValueError on overflow with the
-    message ``fit_forest`` gives."""
+    each planned row's fitted value; raises ValueError on overflow with its
+    own in-loop message ("tree fit overflows float64: " and numpy's or the
+    grower's reason), where ``fit_forest`` rejects targets at or above its
+    bound of ``2**511`` over the largest root's row count before it grows."""
     y = np.asarray(targets, dtype=np.float64)[plan.rows]
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -157,6 +157,19 @@ class TestExploitability:
     def test_uniform_leduc_is_clearly_exploitable(self, leduc_game):
         assert exploitability(leduc_game, uniform_profile(leduc_game)) > 1.0
 
+    @pytest.mark.parametrize(
+        "name", ["kuhn", "leduc", "random1", "random3", "random21", "random29"]
+    )
+    def test_is_the_sum_of_both_best_responses(self, golden_games, name):
+        # Both evaluators back up the same per-sequence sums, so the sum of
+        # the two responses is exploitability bit for bit, zero rows too.
+        game = golden_games[name]
+        profiles = [random_profile(game, seed) for seed in range(8)]
+        profiles += [constant_profile(game, 0), uniform_profile(game)]
+        for profile in profiles:
+            values = [best_response(game, profile, seat).value for seat in (0, 1)]
+            assert exploitability(game, profile) == values[0] + values[1]
+
 
 class TestExactEv:
     def test_self_play_is_exactly_zero(self, kuhn_game):

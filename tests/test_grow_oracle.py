@@ -18,7 +18,13 @@ import pytest
 from recorded_grow import recorded_fit, recorded_plan
 from test_tree_oracle import forest_roots, random_corpus
 
-from fregret.estimator import fit_forest, fit_tree, plan_fit, serialize_tree
+from fregret.estimator import (
+    fit_forest,
+    fit_tree,
+    plan_fit,
+    serialize_tree,
+    slot_features,
+)
 from fregret.games import build_leduc
 from fregret.rcfr import RCFRConfig, new_state, rcfr_iteration
 
@@ -43,7 +49,7 @@ def test_leduc_refits_match_recorded(leduc_game, target_mode, min_leaf_weight):
             max_depth=max_depth,
         )
         state = new_state(leduc_game, config)
-        plan = recorded_plan(state.features, state.seat_slots)
+        plan = recorded_plan(slot_features(leduc_game), state.seat_slots)
         shape = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
         for _ in range(config.iterations):
             rcfr_iteration(leduc_game, state, config)

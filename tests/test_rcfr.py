@@ -46,7 +46,9 @@ from fregret.estimator import (
     featurize,
     fit_tree,
     model_complexity,
+    plan_fit,
     predict,
+    slot_features,
 )
 from fregret.eval import exploitability
 from fregret.rcfr import (
@@ -111,9 +113,11 @@ class TestOracleEquivalence:
 
 @pytest.mark.parametrize("name", ["kuhn_game", "leduc_game"])
 def test_tree_state_features_equal_per_slot_featurize(request, name):
-    # new_state featurizes each infoset once and sets each slot's action.
+    # slot_features featurizes each infoset once and sets each slot's
+    # action, and new_state plans the trees' fit over those rows.
     game = request.getfixturevalue(name)
     state = new_state(game, RCFRConfig(iterations=1, estimator_kind="tree"))
+    features = slot_features(game)
     expected = np.array(
         [
             featurize(game.game_id, key, action)
@@ -122,8 +126,9 @@ def test_tree_state_features_equal_per_slot_featurize(request, name):
         ],
         dtype=np.float64,
     )
-    assert state.features.shape == expected.shape
-    assert state.features.tobytes() == expected.tobytes()
+    assert features.shape == expected.shape
+    assert features.tobytes() == expected.tobytes()
+    assert state.plan.XT.T.tobytes() == features[state.plan.rows].tobytes()
 
 
 def test_second_new_state_reads_the_featurize_cache(leduc_game):
@@ -135,7 +140,7 @@ def test_second_new_state_reads_the_featurize_cache(leduc_game):
     after = featurize.cache_info()
     assert after.hits - before.hits == len(leduc_game.action_labels)
     assert after.misses == before.misses
-    assert second.features.tobytes() == first.features.tobytes()
+    assert second.plan.XT.tobytes() == first.plan.XT.tobytes()
 
 
 class TestPolicy:
@@ -202,7 +207,7 @@ class TestIteration:
             assert slots.tolist() == expected
         both = np.concatenate(state.seat_slots)
         assert sorted(both.tolist()) == list(range(offset[-1]))
-        assert state.features.shape == (offset[-1], 19)
+        assert state.plan.XT.shape == (19, offset[-1])
         assert len(state.targets) == len(state.predictions) == offset[-1]
 
     @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
@@ -267,10 +272,10 @@ class TestIteration:
         state = new_state(game, config)
         for _ in range(config.iterations):
             rcfr_iteration(game, state, config)
-        assert state.features is None
+        assert state.plan is None
         assert state.trees == (None, None)
         seats = game.layout.seat[game.layout.owner]
-        assert rcfr_module.model_sizes(state, config) == [
+        assert rcfr_module.model_sizes(state) == [
             int(np.count_nonzero(seats == p)) for p in (0, 1)
         ]
 
@@ -285,9 +290,8 @@ class TestIteration:
         tabular_cfg = RCFRConfig(iterations=6, estimator_kind="tabular")
         tree_state = new_state(leduc_game, tree_cfg)
         tabular_state = new_state(leduc_game, tabular_cfg)
-        assert tree_state.features[slots[0]].tolist() == (
-            tree_state.features[slots[1]].tolist()
-        )
+        features = slot_features(leduc_game)
+        assert features[slots[0]].tolist() == features[slots[1]].tolist()
         for _ in range(6):
             rcfr_iteration(leduc_game, tree_state, tree_cfg)
             rcfr_iteration(leduc_game, tabular_state, tabular_cfg)
@@ -297,12 +301,12 @@ class TestIteration:
         assert first != second
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_non_finite_feature_fails_the_plan(self, kuhn_game, bad):
-        config = RCFRConfig(iterations=1)
-        state = new_state(kuhn_game, config)
-        state.features[3, 1] = bad
+    def test_non_finite_feature_fails_the_plan(self, kuhn_game, monkeypatch, bad):
+        features = slot_features(kuhn_game)
+        features[3, 1] = bad
+        monkeypatch.setattr(rcfr_module, "slot_features", lambda game: features)
         with pytest.raises(ValueError, match="features must be finite"):
-            rcfr_iteration(kuhn_game, state, config)
+            new_state(kuhn_game, RCFRConfig(iterations=1))
 
     @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
     def test_seat_trees_are_single_fits(self, kuhn_game, target_mode):
@@ -312,28 +316,28 @@ class TestIteration:
             iterations=15, target_mode=target_mode, min_leaf_weight=2.0
         )
         state = new_state(kuhn_game, config)
+        features = slot_features(kuhn_game)
         for _ in range(config.iterations):
             rcfr_iteration(kuhn_game, state, config)
             for tree, slots in zip(state.trees, state.seat_slots):
-                X, y = state.features[slots], state.targets[slots]
+                X, y = features[slots], state.targets[slots]
                 assert tree == fit_tree(X, y, min_leaf_weight=2.0)
                 assert state.predictions[slots].tolist() == [
                     predict(tree, row) for row in X
                 ]
-            assert rcfr_module.model_sizes(state, config) == [
+            assert rcfr_module.model_sizes(state) == [
                 model_complexity(tree) for tree in state.trees
             ]
 
-    def test_fit_plan_is_built_at_the_first_refit_and_kept(self, kuhn_game):
+    def test_fit_plan_is_built_by_new_state_and_kept(self, kuhn_game):
         config = RCFRConfig(iterations=3)
         state = new_state(kuhn_game, config)
-        assert "plan" not in vars(state)
-        rcfr_iteration(kuhn_game, state, config)
         plan = state.plan
         assert plan.counts.tolist() == [len(slots) for slots in state.seat_slots]
         assert plan.rows.tolist() == np.concatenate(state.seat_slots).tolist()
-        rcfr_iteration(kuhn_game, state, config)
-        assert state.plan is plan
+        for _ in range(config.iterations):
+            rcfr_iteration(kuhn_game, state, config)
+            assert state.plan is plan
 
     def test_a_refit_builds_no_tree_objects(self, leduc_game):
         # The solver reads only the fitted values; trees are built when read.
@@ -635,10 +639,11 @@ class TestSolve:
         state = new_state(kuhn_game, config)
         for _ in range(20):
             rcfr_iteration(kuhn_game, state, config)
+        rows = slot_features(kuhn_game)
         for player, logged in ((0, convergence[-1].mse_p1), (1, convergence[-1].mse_p2)):
             slots = state.seat_slots[player]
             total = 0.0
-            for features, target in zip(state.features[slots], state.targets[slots]):
+            for features, target in zip(rows[slots], state.targets[slots]):
                 predicted = predict(state.trees[player], features)
                 total += (predicted - float(target)) ** 2
             assert abs(logged - total / len(slots)) < 1e-9
@@ -662,9 +667,9 @@ class TestSolve:
         assert convergence[-1].mse_p1 > 0.0
 
 
-def distinct_rows(state):
+def distinct_rows(state, features):
     """Distinct feature rows per seat."""
-    return [len(np.unique(state.features[s], axis=0)) for s in state.seat_slots]
+    return [len(np.unique(features[s], axis=0)) for s in state.seat_slots]
 
 
 def leaves_of(tree, rows):
@@ -732,17 +737,18 @@ class TestRealizability:
         )
         layout = kuhn_game.layout
         state = new_state(kuhn_game, config)
-        assert distinct_rows(state) == [12, 12]
+        features = slot_features(kuhn_game)
+        assert distinct_rows(state, features) == [12, 12]
         realized = 0
         for _ in range(config.iterations):
             rcfr_iteration(kuhn_game, state, config)
             for seat, slots in enumerate(state.seat_slots):
-                rows = state.features[slots]
+                rows = features[slots]
                 leaves = {}
                 for slot, leaf in zip(slots, leaves_of(state.trees[seat], rows)):
                     leaves.setdefault(leaf, []).append(slot)
                 for held in leaves.values():
-                    assert unresolvable(state.features[held], state.targets[held])
+                    assert unresolvable(features[held], state.targets[held])
             exact = np.ones(len(layout.infosets), dtype=bool)
             exact[layout.owner[state.predictions != state.targets]] = False
             played = regret_policy(kuhn_game, state.predictions)[exact[layout.owner]]
@@ -760,8 +766,9 @@ class TestRealizability:
         keys = [key for _, key, _ in leduc_game.layout.infosets]
         column = [len(key.split(":")[3].split("/")[0]) for key in keys]
         owner = leduc_game.layout.owner
-        state.features = np.column_stack([state.features, np.array(column)[owner]])
-        assert distinct_rows(state) == [336, 336]
+        features = np.column_stack([slot_features(leduc_game), np.array(column)[owner]])
+        state.plan = plan_fit(features, state.seat_slots)
+        assert distinct_rows(state, features) == [336, 336]
         step = lambda: rcfr_iteration(leduc_game, state, config)
         tree_log = [
             (t, exploit)
@@ -810,11 +817,13 @@ class TestOneSeatGame:
         assert sizes[-1].leaves_p1 > 0 and sizes[-1].leaves_p2 == 0
 
     def test_tree_rcfr_runs_where_no_seat_acts(self):
-        # No slot, so no feature row and no tree: the refit is skipped.
+        # No slot, so no feature row and no plan: the refit memorizes no
+        # targets and fits no tree.
         game = make_game("kuhn", chance([0.5, 0.5], [terminal(1.0), terminal(-1.0)]))
         config = RCFRConfig(iterations=3)
         state = new_state(game, config)
-        assert state.features.shape == (0, FEATURE_DIM)
+        assert slot_features(game).shape == (0, FEATURE_DIM)
+        assert state.plan is None
         rcfr_iteration(game, state, config)
         assert state.forest is None and state.trees == (None, None)
         profile, log, sizes = rcfr_solve(game, config)

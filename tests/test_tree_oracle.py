@@ -21,6 +21,7 @@ from fregret.estimator import (
     plan_fit,
     predict,
     serialize_tree,
+    slot_features,
 )
 from fregret.games import build_leduc
 from fregret.rcfr import RCFRConfig, new_state, rcfr_iteration
@@ -120,11 +121,12 @@ def leduc_corpora(min_leaf_weight, iterations):
         iterations=iterations, min_leaf_weight=min_leaf_weight, seed=1
     )
     state = new_state(game, config)
+    features = slot_features(game)
     corpora = []
     for _ in range(iterations):
         rcfr_iteration(game, state, config)
         for slots in state.seat_slots:
-            corpora.append((state.features[slots], state.targets[slots]))
+            corpora.append((features[slots], state.targets[slots]))
     return corpora
 
 
@@ -303,16 +305,17 @@ def test_leduc_forest_of_both_seats_matches_per_seat_fits():
     game = build_leduc()
     config = RCFRConfig(iterations=12, min_leaf_weight=4.0)
     state = new_state(game, config)
-    plan = plan_fit(state.features, state.seat_slots)
+    features = slot_features(game)
+    plan = plan_fit(features, state.seat_slots)
     for _ in range(config.iterations):
         rcfr_iteration(game, state, config)
         forest, fitted = fit_forest(plan, state.targets, min_leaf_weight=4.0)
         trees = forest.trees
-        assert_fitted_is_predict(plan, state.features, trees, fitted)
+        assert_fitted_is_predict(plan, features, trees, fitted)
         # The solver keeps those same values as its predictions.
         assert state.predictions[plan.rows].tobytes() == fitted.tobytes()
         for slots, tree in zip(state.seat_slots, trees):
-            X, y = state.features[slots], state.targets[slots]
+            X, y = features[slots], state.targets[slots]
             assert tree == fit_tree(X, y, min_leaf_weight=4.0)
 
 
@@ -362,8 +365,9 @@ def test_leduc_plan_drops_cuts_no_seat_can_use(min_leaf_weight):
     game = build_leduc()
     config = RCFRConfig(iterations=6, min_leaf_weight=min_leaf_weight)
     state = new_state(game, config)
-    plan = plan_fit(state.features, state.seat_slots)
-    seats = [plan_fit(state.features, [slots]) for slots in state.seat_slots]
+    features = slot_features(game)
+    plan = plan_fit(features, state.seat_slots)
+    seats = [plan_fit(features, [slots]) for slots in state.seat_slots]
     assert len(plan.entry_row) == sum(len(p.entry_row) for p in seats) == 8910
     assert len(unpruned(plan).entry_row) == 9582
     for _ in range(config.iterations):
