@@ -19,17 +19,13 @@ bins of a feature are its distinct values, as in histogram split search,
 and two ``bincount`` calls per level give every open node's row-count and
 target prefix sums at every cut it can still take, each added in presorted
 order, so each tree is that of a per-node ``cumsum`` scan over its root's
-rows alone, bit for bit. A cut that a node cannot take no descendant can
-take either, so its entries leave after the level, and each threshold is
-read off the rows its split sends right. ``fit_forest`` rejects targets
-whose sums could overflow before it grows anything, so the growth itself
-checks no sum. Its forest builds tree objects only when ``trees`` is read:
-``fit_tree`` is the one-root case and reads its one tree, while RCFR keeps
-one plan per solve, with one root per seat, grows both seats' trees as one
-forest at every refit and reads its predictions off the fitted values.
-A fitted tree is nothing but flat preorder arrays (``RegressionTree``),
-which fitting, parsing, serialization and ``predict`` all walk without
-recursion.
+rows alone, bit for bit (see ``_grow``). Its forest builds tree objects
+only when ``trees`` is read: ``fit_tree`` is the one-root case and reads
+its one tree, while RCFR keeps one plan per game, with one root per seat,
+grows both seats' trees as one forest at every refit, and reads its
+predictions off the fitted values and its leaf counts from the levels. A
+fitted tree is nothing but flat preorder arrays (``RegressionTree``), which
+fitting, parsing, serialization and ``predict`` all walk without recursion.
 """
 
 from __future__ import annotations
@@ -193,7 +189,7 @@ class FitPlan:
     holds one value. The root level, where every root is a node, is stored
     too: ``root_key`` is each entry's (root, slot) bin, ``root * n_slots +
     slot``, and ``root_count`` each bin's row count, which depend only on
-    the features.
+    the features. Its arrays are read-only: one plan serves many fits.
     """
 
     rows: np.ndarray
@@ -256,7 +252,7 @@ def plan_fit(features, roots=None) -> FitPlan:
     values = xs[run_starts]
     root_of_row = np.repeat(np.arange(len(counts)), counts)
     root_key = root_of_row[entry_row] * len(values) + entry_slot
-    return FitPlan(
+    plan = FitPlan(
         rows=rows,
         counts=counts,
         n_rows=len(X),
@@ -268,6 +264,9 @@ def plan_fit(features, roots=None) -> FitPlan:
         root_key=root_key,
         root_count=np.bincount(root_key, minlength=len(counts) * len(values)),
     )
+    for array in (v for v in vars(plan).values() if isinstance(v, np.ndarray)):
+        array.flags.writeable = False
+    return plan
 
 
 # Below this many terms numpy's pairwise sum is the in-order sum from 0.0,
@@ -434,12 +433,23 @@ def _check_max_depth(value) -> int | None:
 class Forest:
     """One fit's trees, one per root of its plan, as the levels ``_grow``
     leaves them. ``trees`` walks them into ``RegressionTree``s on its first
-    read, so a caller that needs only the fitted values builds none."""
+    read; fitted values and ``leaf_counts`` need none."""
 
     levels: list
     n_features: int
     min_leaf_weight: float
     max_depth: int | None
+
+    @property
+    def leaf_counts(self) -> list[int]:
+        """Each root's leaf count, one more than its splits, each split's
+        root carried down to its children a level at a time."""
+        root = np.arange(len(self.levels[0][0]))
+        leaves = np.ones(len(root), dtype=np.intp)
+        for _, split_nodes, _, _ in self.levels:
+            leaves += np.bincount(root[split_nodes], minlength=len(leaves))
+            root = root[split_nodes].repeat(2)
+        return leaves.tolist()
 
     @functools.cached_property
     def trees(self) -> list[RegressionTree]:

@@ -7,9 +7,9 @@ seat's regressor is refit on that store. The tabular regressor memorizes:
 its predictions are the stored targets themselves, so the whole trajectory
 collapses bit-for-bit onto vanilla CFR. The tree kind fits one regression
 tree per seat that acts, grown as one forest by one ``fit_forest`` call
-over the fit plan ``new_state`` builds, and reads its predictions off the
-fitted values. A state without a plan memorizes, as the tree kind does
-where no seat acts. The trees' policy carries approximation error, and
+over the game's fit plan, built once per game, and reads its predictions
+off the fitted values. A state without a plan memorizes, as the tree kind
+does where no seat acts. The trees' policy carries approximation error, and
 exploitability plateaus at a floor that tightens as the trees are allowed
 finer leaves.
 
@@ -21,11 +21,12 @@ compounds through the targets.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validation import check_positive_int, ordered_sum
+from ._validation import check_positive_int
 from .cfr import average_strategy, cfr_pass, checkpoints, regret_policy
 from .efg_core import GameSpec
 from .estimator import (
@@ -34,13 +35,15 @@ from .estimator import (
     _check_max_depth,
     _check_min_leaf_weight,
     fit_forest,
-    model_complexity,
     plan_fit,
     slot_features,
 )
 
 ESTIMATOR_KINDS = ("tabular", "tree")
 TARGET_MODES = ("exact", "bootstrap")
+# Each game's tree fit plan, keyed weakly on its layout (a GameSpec holds a
+# dict and cannot be hashed), so a game that is dropped drops its plan.
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -104,10 +107,11 @@ class RCFRState:
     ``seat_slots`` holds each seat's slots in table order. A slot's
     prediction is its seat's regressor as of the last refit (zeros before
     the first), and the solver reads it in place of asking the regressor.
-    ``plan`` is the trees' fit plan, one root per seat that acts; without
-    one the refit memorizes, copying the targets. ``forest`` is the last
-    refit's ``fit_forest`` result, whose trees are built only when read
-    (None before the first refit, and wherever there is no plan).
+    ``plan`` is the trees' fit plan, one root per seat that acts, built once
+    per game and shared; without one the refit memorizes, copying the
+    targets. ``forest`` is the last refit's ``fit_forest`` result, whose
+    trees are built only when read (None before the first refit, and
+    wherever there is no plan).
     """
 
     seat_slots: tuple = field(repr=False)
@@ -119,10 +123,8 @@ class RCFRState:
 
     @property
     def trees(self) -> tuple:
-        """Per seat, the tree fitted at the last refit, or None for a seat
-        with no slots or before the first refit. Built from ``forest`` on
-        the first read after a refit, since the solver itself reads only
-        the fitted values."""
+        """Per seat, the last refit's tree, built from ``forest`` on first
+        read; None for a seat with no slots or before the first refit."""
         if self.forest is None:
             return (None, None)
         trees = iter(self.forest.trees)
@@ -135,8 +137,9 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
     The tabular kind needs no features: memorizing the target of every
     infoset-action is the paper's tabular case, on any game. The tree kind
     plans one root per seat that acts over ``slot_features``, the compact
-    features it is meant to generalize over, so features ``plan_fit``
-    rejects raise ValueError here; where no seat acts it has no plan.
+    features it is meant to generalize over, once per game, so features
+    ``plan_fit`` rejects raise ValueError here, on every call; where no
+    seat acts it has no plan.
     """
     n_slots = game.layout.offset[-1]
     seat = game.layout.seat[game.layout.owner]
@@ -148,7 +151,9 @@ def new_state(game: GameSpec, config: RCFRConfig) -> RCFRState:
     )
     roots = [slots for slots in state.seat_slots if len(slots)]
     if config.estimator_kind == "tree" and roots:
-        state.plan = plan_fit(slot_features(game), roots)
+        state.plan = _PLANS.get(game.layout)
+        if state.plan is None:
+            state.plan = _PLANS[game.layout] = plan_fit(slot_features(game), roots)
     return state
 
 
@@ -156,22 +161,22 @@ def training_mse(state: RCFRState, player: int) -> float:
     """Mean squared error over the seat's targets of the predictions cached
     at the last refit (the solver's current regressor).
 
-    The errors are added one at a time in slot order: ``np.mean`` sums
-    pairwise and the builtin ``sum`` is compensated on Python 3.12+, and
-    either would change the logged bits.
+    The errors are squared by Python's float ``**`` (glibc's ``pow`` rounds
+    about one square in a thousand otherwise than ``x * x``) and added in
+    slot order by ``np.cumsum``, not pairwise as by ``np.sum``: a loop's bits.
     """
     slots = state.seat_slots[player]
-    pairs = zip(state.predictions[slots].tolist(), state.targets[slots].tolist())
-    total = ordered_sum((predicted - target) ** 2 for predicted, target in pairs)
-    return total / len(slots) if len(slots) else 0.0
+    errors = (state.predictions[slots] - state.targets[slots]).astype(object)
+    return float(np.cumsum(errors**2)[-1]) / len(slots) if len(slots) else 0.0
 
 
 def model_sizes(state: RCFRState) -> list[int]:
-    """Leaves per seat: its tree's leaf count, or without a fit plan its
-    slot count (one memorized entry each); 0 for a seat with no slots."""
+    """Leaves per seat: its tree's leaf count from the levels, or without a plan
+    its slot count; 0 for a seat with no slots or before the first refit."""
     if state.plan is None:
         return [len(slots) for slots in state.seat_slots]
-    return [0 if tree is None else model_complexity(tree) for tree in state.trees]
+    leaves = iter(state.forest.leaf_counts if state.forest else ())
+    return [next(leaves, 0) if len(slots) else 0 for slots in state.seat_slots]
 
 
 def rcfr_iteration(game: GameSpec, state: RCFRState, config: RCFRConfig) -> RCFRState:

@@ -1,9 +1,12 @@
 """Regression CFR: oracle equivalence with CFR, floors, and bookkeeping."""
 
+import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import re
+import weakref
 from dataclasses import asdict
 from fractions import Fraction
 from types import SimpleNamespace
@@ -32,7 +35,8 @@ from fregret.cfr import (
     regret_policy,
     solve,
 )
-from fregret.cli import write_strategy_file
+from fregret._validation import ordered_sum
+from fregret.cli import format_csv, write_strategy_file
 from fregret.efg_core import (
     chance,
     decision,
@@ -44,6 +48,7 @@ from fregret.efg_core import (
 from fregret.estimator import (
     FEATURE_DIM,
     featurize,
+    fit_forest,
     fit_tree,
     model_complexity,
     plan_fit,
@@ -51,6 +56,7 @@ from fregret.estimator import (
     slot_features,
 )
 from fregret.eval import exploitability
+from fregret.games import build_kuhn, build_leduc
 from fregret.rcfr import (
     ModelSizeRow,
     RCFRConfig,
@@ -131,16 +137,56 @@ def test_tree_state_features_equal_per_slot_featurize(request, name):
     assert state.plan.XT.T.tobytes() == features[state.plan.rows].tobytes()
 
 
-def test_second_new_state_reads_the_featurize_cache(leduc_game):
-    # Each infoset is featurized once per process, however many solves.
+def test_second_new_state_reads_the_featurize_cache(leduc_game, monkeypatch):
+    # One fit plan per game: a second state on the game shares it and
+    # featurizes nothing; a game built anew plans again from featurize's
+    # cache; a dropped game drops its plan; rejected features are not kept.
     config = RCFRConfig(iterations=1, estimator_kind="tree")
     first = new_state(leduc_game, config)
     before = featurize.cache_info()
     second = new_state(leduc_game, config)
+    assert second.plan is first.plan
+    assert featurize.cache_info() == before
+
+    game = build_leduc()
+    fresh = new_state(game, config)
     after = featurize.cache_info()
-    assert after.hits - before.hits == len(leduc_game.action_labels)
+    assert fresh.plan is not first.plan
+    assert fresh.plan.XT.tobytes() == first.plan.XT.tobytes()
+    assert after.hits - before.hits == len(game.action_labels)
     assert after.misses == before.misses
-    assert second.plan.XT.tobytes() == first.plan.XT.tobytes()
+    plan, layout = weakref.ref(fresh.plan), weakref.ref(game.layout)
+    assert rcfr_module._PLANS[game.layout] is fresh.plan
+    del game, fresh
+    gc.collect()
+    assert plan() is None and layout() is None
+
+    game = build_leduc()
+    features = slot_features(game)
+    features[5, 1] = math.nan
+    monkeypatch.setattr(rcfr_module, "slot_features", lambda game: features)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="features must be finite"):
+            new_state(game, config)
+    assert game.layout not in rcfr_module._PLANS
+
+
+def test_shared_plan_is_read_only(leduc_game):
+    # Every state on the game holds this plan, so no fit may write into it,
+    # and a fit on it equals one on writable copies of its arrays.
+    config = RCFRConfig(iterations=1, min_leaf_weight=4.0)
+    plan = new_state(leduc_game, config).plan
+    arrays = {k: v for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == {f.name for f in dataclasses.fields(plan)} - {"n_rows"}
+    for array in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    writable = dataclasses.replace(plan, **{k: v.copy() for k, v in arrays.items()})
+    targets = np.random.default_rng(5).normal(size=plan.n_rows)
+    forest, fitted = fit_forest(plan, targets, min_leaf_weight=4.0)
+    copy_forest, copy_fitted = fit_forest(writable, targets, min_leaf_weight=4.0)
+    assert fitted.tobytes() == copy_fitted.tobytes()
+    assert forest.trees == copy_forest.trees
 
 
 class TestPolicy:
@@ -301,12 +347,14 @@ class TestIteration:
         assert first != second
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_non_finite_feature_fails_the_plan(self, kuhn_game, monkeypatch, bad):
-        features = slot_features(kuhn_game)
+    def test_non_finite_feature_fails_the_plan(self, monkeypatch, bad):
+        # A game built here, since a game that has a plan plans no more.
+        game = build_kuhn()
+        features = slot_features(game)
         features[3, 1] = bad
         monkeypatch.setattr(rcfr_module, "slot_features", lambda game: features)
         with pytest.raises(ValueError, match="features must be finite"):
-            new_state(kuhn_game, RCFRConfig(iterations=1))
+            new_state(game, RCFRConfig(iterations=1))
 
     @pytest.mark.parametrize("target_mode", ["exact", "bootstrap"])
     def test_seat_trees_are_single_fits(self, kuhn_game, target_mode):
@@ -344,8 +392,10 @@ class TestIteration:
         config = RCFRConfig(iterations=2, min_leaf_weight=4.0)
         state = new_state(leduc_game, config)
         rcfr_iteration(leduc_game, state, config)
+        sizes = rcfr_module.model_sizes(state)  # read off the levels
         assert "trees" not in vars(state.forest)
         trees = state.trees
+        assert sizes == [model_complexity(tree) for tree in trees]
         assert "trees" in vars(state.forest)
         assert all(model_complexity(tree) > 1 for tree in trees)
 
@@ -647,6 +697,82 @@ class TestSolve:
                 predicted = predict(state.trees[player], features)
                 total += (predicted - float(target)) ** 2
             assert abs(logged - total / len(slots)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(min_leaf_weight=4.0),
+            dict(min_leaf_weight=16.0, target_mode="bootstrap"),
+        ],
+    )
+    def test_solves_sharing_a_plan_match_a_fresh_game(
+        self, leduc_game, tmp_path, options
+    ):
+        # Two solves in a row on one game share its plan; a game built anew
+        # plans again. All three give the same files and logs.
+        config = RCFRConfig(iterations=20, log_every=5, **options)
+        plan = new_state(leduc_game, config).plan
+        runs = [rcfr_solve(leduc_game, config) for _ in range(2)]
+        fresh = build_leduc()
+        runs.append(rcfr_solve(fresh, config))
+        assert new_state(leduc_game, config).plan is plan
+        assert new_state(fresh, config).plan is not plan
+        outputs = []
+        for n, (profile, convergence, sizes) in enumerate(runs):
+            path = tmp_path / f"strategy{n}.csv"
+            write_strategy_file(str(path), leduc_game, profile)
+            logged = [
+                repr((r.t, r.exploitability, r.mse_p1, r.mse_p2)) for r in convergence
+            ]
+            outputs.append((path.read_bytes(), logged, sizes))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_leduc_min_leaf_4_log_is_pinned(self, leduc_game):
+        # The convergence.csv of `fregret solve --game leduc --algo rcfr
+        # --estimator tree --min-leaf 4 --iters 20` without its wall_ms
+        # column; CI pins the same digest.
+        _, convergence, sizes = rcfr_solve(
+            leduc_game, RCFRConfig(iterations=20, min_leaf_weight=4.0)
+        )
+        header = ["t", "exploitability", "mse_p1", "mse_p2", "leaves_p1", "leaves_p2"]
+        rows = [
+            (c.t, c.exploitability, c.mse_p1, c.mse_p2, s.leaves_p1, s.leaves_p2)
+            for c, s in zip(convergence, sizes)
+        ]
+        text = format_csv(header, rows).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "caa9c77e5122c95645e476571617c2a9a9fed83b650c0db27138ac428047f00c"
+        )
+
+    def test_training_mse_is_the_ordered_loop(self):
+        # The squares go through Python's float ``**`` and the sum runs in
+        # slot order from 0.0, as a loop gives them: random errors of one
+        # magnitude and of many, exact zeros, and a seat with no slots.
+        # Seats of one and two slots log single squares, which a sum of
+        # many would round away.
+        rng = np.random.default_rng(11)
+        n = 20000
+        wide = 10.0 ** rng.integers(-150, 100, size=n)
+        scale = np.where(np.arange(n) < n // 2, 1.0, wide)
+        predictions = rng.normal(size=n) * scale
+        targets = rng.normal(size=n) * scale
+        targets[::7] = predictions[::7]
+        predictions[::11] = targets[::11] = 0.0
+        for seats in [
+            (np.arange(n // 2), np.arange(n // 2, n)),
+            (np.arange(0, n, 2), np.arange(n)),
+            (np.arange(n), np.array([], dtype=np.intp)),
+            (rng.permutation(n)[:999], np.arange(3)),
+            *((np.array([k]), np.array([k, k + 1])) for k in range(0, n, 5)),
+        ]:
+            state = RCFRState(seats, targets, predictions, np.zeros(n))
+            for player, slots in enumerate(seats):
+                pairs = zip(predictions[slots].tolist(), targets[slots].tolist())
+                total = ordered_sum((p - t) ** 2 for p, t in pairs)
+                expected = total / len(slots) if len(slots) else 0.0
+                mse = training_mse(state, player)
+                assert type(mse) is float
+                assert mse.hex() == expected.hex()
 
     def test_tabular_exact_mse_is_zero(self, kuhn_game):
         config = RCFRConfig(iterations=10, estimator_kind="tabular", log_every=10)

@@ -18,6 +18,7 @@ from fregret.estimator import (
     TREE_FORMAT_HEADER,
     fit_forest,
     fit_tree,
+    model_complexity,
     plan_fit,
     predict,
     serialize_tree,
@@ -270,7 +271,9 @@ def assert_fitted_is_predict(plan, X, trees, fitted):
 @pytest.mark.parametrize("seed", range(16))
 def test_forest_roots_match_single_fits(seed):
     # Each root of one plan must grow the tree that a fit on its rows alone
-    # grows, whatever rows the other roots hold.
+    # grows, whatever rows the other roots hold, and the leaf counts read
+    # from the levels must be those trees' leaf counts, depth cut-offs
+    # included.
     rng = np.random.default_rng(700 + seed)
     X, y = random_corpus(rng, n_rows=36, n_features=3, levels=int(rng.integers(2, 6)))
     roots = forest_roots(rng, X, n_roots=int(rng.integers(1, 5)))
@@ -280,8 +283,12 @@ def test_forest_roots_match_single_fits(seed):
         for max_depth in (None, 0, 2):
             config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
             forest, fitted = fit_forest(plan, y, **config)
+            leaves = forest.leaf_counts  # read before any tree is built
+            assert "trees" not in vars(forest)
             trees = forest.trees
             assert len(trees) == len(roots)
+            assert leaves == [model_complexity(tree) for tree in trees]
+            assert leaves[-1] == 1  # the root of equal targets never splits
             assert_fitted_is_predict(plan, X, trees, fitted)
             for root, tree in zip(roots, trees):
                 expected = reference_fit(X[root], y[root], **config)
