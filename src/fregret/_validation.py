@@ -7,10 +7,10 @@ import re
 
 
 def is_integer(value) -> bool:
-    """Whether ``value`` equals an integer; infinities and NaN do not."""
+    """Whether ``value`` equals an integer; infinities, NaN and None do not."""
     try:
         return int(value) == value
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         return False
 
 

@@ -10,10 +10,10 @@ Tables are float64 vectors over the game's slots, one per infoset-action
 takes the policy as a slot vector, so the same traversal serves both the
 tabular solver here and solvers that predict regrets with a fitted model;
 ``regret_policy`` regret-matches either kind of regret vector. Both are
-numpy sweeps over the layout's index arrays whose every sum runs from
-0.0 in a fixed order (``np.add.at`` or a loop), never pairwise or
-compensated, so runs are bit-for-bit identical across repeats and across
-Python versions.
+numpy sweeps over the layout's index arrays whose every sum runs from 0.0
+in a fixed order (``np.add.at``, ``bincount`` or a loop), never pairwise
+or compensated, so runs are bit-for-bit identical across repeats and
+across Python versions.
 """
 
 from __future__ import annotations
@@ -117,11 +117,11 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
     once, however many positions share it, each adding its weighted child
     values, in action order, to 0.0. A vector of every sequence's reach
     (``efg_core.sequence_reach``) gives the strategy sums and, with the
-    chance reach, each decision edge's counterfactual weight. Each class
-    of a seat's decision edges (see ``GameLayout.decisions``) computes its
-    term once; then every position adds its class's term, each slot's in
-    preorder. An infoset's positions are never ancestor and descendant, so
-    preorder adds them in the order their subtrees finish.
+    chance reach, each decision edge's counterfactual weight. Each class of
+    both seats' decision edges (see ``GameLayout.decisions``) computes its
+    term once; then one ``bincount`` adds each position's class term, each
+    slot's in preorder. An infoset's positions are never ancestor and
+    descendant, so preorder adds them in the order their subtrees finish.
     """
     layout = game.layout
     policy = np.asarray(policy, dtype=np.float64)
@@ -130,18 +130,11 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
     values = layout.utility.copy()
     for level in layout.levels:
         np.add.at(values, parent[level], weight[level] * values[child[level]])
-    deltas = np.zeros(layout.offset[-1])
     reach = sequence_reach(layout, policy)
-    for seat, (slot, kind, above, below, opponent, by_chance) in enumerate(
-        layout.decisions
-    ):
-        np.add.at(strategy_sums, slot, reach[slot])
-        counterfactual = reach[opponent] * by_chance
-        if seat == 0:
-            advantage = values[below] - values[above]
-        else:  # seat 1's value is the negation, so the advantage flips sign
-            advantage = values[above] - values[below]
-        np.add.at(deltas, slot, (counterfactual * advantage)[kind])
+    slot, kind, gain, loss, opponent, by_chance = layout.decisions
+    np.add.at(strategy_sums, slot, reach[slot])
+    terms = reach[opponent] * by_chance * (values[gain] - values[loss])
+    deltas = np.bincount(slot, terms[kind], minlength=layout.offset[-1])
     return float(values[0]), deltas
 
 

@@ -25,10 +25,10 @@ value (``eval.best_response``), and a policy's value is one sum over the
 pairs (``policy_value``). The CFR pass (``cfr.cfr_pass``) takes its reach
 from the sequence form too, but values the nodes by one bottom-up sweep
 over the edge list's ``levels``, each node once, and adds each position's
-regret term, computed once per class of equal terms, so its regrets keep
-the position order's bits, on which the tree learner's splits depend.
-Sampled play moves blocks of hands down the same edge list, one edge per
-round.
+regret term, computed once per class of equal terms of both seats, so its
+regrets keep the position order's bits, on which the tree learner's
+splits depend. Sampled play moves blocks of hands down the same edge
+list, one edge per round.
 
 Every sum runs in a fixed order that depends only on the game: ``bincount``
 and the unbuffered ``np.add.at`` add in index order from 0.0, and
@@ -150,14 +150,14 @@ class GameLayout:
     marks the chance nodes, and ``chance_depth`` is the most chance nodes
     on a path from the root.
 
-    ``decisions`` holds, per seat, its decision edges at every position, in
+    ``decisions`` holds both seats' decision edges at every position, in
     preorder of their parent positions, each position's in action order,
-    as (slot, class) by position and (parent, child, opponent, chance) by
-    class. Positions are in one class when they have the same slot, parent
-    node, opponent's sequence at the parent and chance reach there (as
-    bits); then they have the same counterfactual regret term, which the
-    CFR pass computes once per class. A class's parent and child are
-    nodes, and its opponent and chance are that sequence and reach.
+    as (slot, class) by position and (gain, loss, opponent, chance) by
+    class. Positions whose slot, parent node, opponent's sequence at the
+    parent and chance reach there (as bits) agree share a class and so a
+    counterfactual regret term, which the CFR pass computes once. A class's
+    gain and loss are nodes: the child and the parent for seat 0, and the
+    reverse for seat 1, whose payoffs are seat 0's negated.
     """
 
     infosets: list[tuple[int, str, int]]
@@ -211,7 +211,7 @@ def _classes(*keys) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct tuples of ``keys``, equal-length integer arrays:
     each tuple's number, and where each number first occurs."""
     order = np.lexsort(keys)  # stable, so each run begins at its first place
-    ordered = np.stack(keys)[:, order]
+    ordered = np.stack(keys).take(order, axis=1)
     new = np.ones(len(order), dtype=bool)
     new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
     number = np.empty(len(order), dtype=np.intp)
@@ -256,28 +256,28 @@ def _layout(back, weights, visits, firsts, sizes, infoset, utility, tail,
     src[moved == 2] += slots
     tail = np.array(tail, dtype=np.float64)
     # Top-down over the edges, a tree depth at a time: each position's
-    # chance reach (multiplied by 1.0 where a seat moves) and each seat's
-    # sequence and move count there.
+    # chance reach (multiplied by 1.0 where a seat moves) and both seats'
+    # sequences and move counts there, flat until the loop ends (seat s's
+    # at s * positions + p), as numpy indexes one axis faster than two.
     down = np.argsort(depth[1:], kind="stable")
     spans = _spans(depth[1:][down])
     factor = np.concatenate((np.ones(slots), tail))[src]
     chance = np.ones(positions)
-    sequence_at = [np.full(positions, slots + seat) for seat in (0, 1)]
-    moves = [np.zeros(positions, dtype=np.intp) for _ in range(2)]
+    sequence_at = np.repeat([slots, slots + 1], positions)
+    moves = np.zeros(2 * positions, dtype=np.intp)
+    base = np.array([[0], [positions]])
     for lo, hi in spans:
         edges = down[lo:hi]
         at, above = edges + 1, parent[edges]
         chance[at] = chance[above] * factor[edges]
-        for seat in (0, 1):
-            own = moved[edges] == seat
-            sequence_at[seat][at] = np.where(own, src[edges], sequence_at[seat][above])
-            moves[seat][at] = moves[seat][above] + own
+        own = moved[edges] == [[0], [1]]
+        sequence_at[at + base] = np.where(own, src[edges], sequence_at[above + base])
+        moves[at + base] = moves[above + base] + own
+    sequence_at, moves = sequence_at.reshape(2, -1), moves.reshape(2, -1)
     # Perfect recall: every position of an infoset has its first one's sequence.
     decided = np.flatnonzero(position_infoset >= 0)
     ids = position_infoset[decided]
-    own_sequence = np.where(
-        seats[ids] == 0, sequence_at[0][decided], sequence_at[1][decided]
-    )
+    own_sequence = sequence_at[seats[ids], decided]
     _, first_of = np.unique(ids, return_index=True)
     bad = np.flatnonzero(own_sequence != own_sequence[first_of][ids])
     if len(bad):
@@ -285,13 +285,14 @@ def _layout(back, weights, visits, firsts, sizes, infoset, utility, tail,
     # The most chance nodes on a path: at a chance position, those above it
     # (its depth less both seats' moves) and itself.
     chance_node = (node_infoset < 0) & ~terminal
-    chanced = (depth - moves[0] - moves[1])[chance_node[visit]]
-    chance_depth = int(chanced.max(initial=-1)) + 1
-    # Each slot's move count and parent sequence, the same at every edge.
+    chance_depth = int((depth - moves.sum(0))[chance_node[visit]].max(initial=-1)) + 1
+    # The decision edges by parent position, and each slot's move count and
+    # parent sequence, the same at every edge.
+    acting = np.flatnonzero(moved < 2)
+    acting = acting[np.argsort(parent[acting], kind="stable")]
+    mover, at = moved[acting], parent[acting]
     sequence = np.zeros((2, slots), dtype=np.intp)
-    for seat in (0, 1):
-        own = moved == seat
-        sequence[:, src[own]] = moves[seat][parent[own]], sequence_at[seat][parent[own]]
+    sequence[:, src[acting]] = moves[mover, at], sequence_at[mover, at]
     order = np.argsort(sequence[0], kind="stable")
     counts, prior = sequence[:, order]
     offset = np.array(offset, dtype=np.intp)
@@ -302,23 +303,18 @@ def _layout(back, weights, visits, firsts, sizes, infoset, utility, tail,
     ends = np.flatnonzero(terminal[visit])
     span = slots + 2
     keys, pair = np.unique(
-        sequence_at[0][ends] * span + sequence_at[1][ends], return_inverse=True
+        sequence_at[0, ends] * span + sequence_at[1, ends], return_inverse=True
     )
     reach = chance[ends]
     payoff = np.bincount(pair, reach * utility[visit[ends]])
-    # Each seat's decision edges at every position, in preorder of their
-    # parents, each position's in action order, and their classes.
-    decisions = []
-    for seat in (0, 1):
-        own = np.flatnonzero(moved == seat)
-        own = own[np.argsort(parent[own], kind="stable")]
-        at = parent[own]
-        opponent, by_chance = sequence_at[1 - seat][at], chance[at]
-        kind, where = _classes(src[own], visit[at], opponent, by_chance.view(np.int64))
-        decisions.append((
-            src[own], kind, visit[at][where], visit[own + 1][where],
-            opponent[where], by_chance[where],
-        ))
+    # Their classes, by (parent node, slot) as one number, opponent and
+    # chance reach bits; seat 0 gains the child's value, seat 1 the parent's.
+    opponent, by_chance = sequence_at[1 - mover, at], chance[at]
+    kind, where = _classes(
+        visit[at] * slots + src[acting], opponent, by_chance.view(np.int64)
+    )
+    above, below = visit[at][where], visit[acting + 1][where]
+    gain, loss = np.where(mover[where] == 0, (below, above), (above, below))
     # The edge list: the edges out of each node's first position, by parent
     # height, then by parent, each node's in action order; and each
     # weight-table index's column, its place among its node's edges.
@@ -329,8 +325,7 @@ def _layout(back, weights, visits, firsts, sizes, infoset, utility, tail,
     edges = edges[np.argsort(height[visit[parent[edges]]], kind="stable")]
     above, source = visit[parent[edges]], src[edges]
     heads = _runs(above)
-    first = np.zeros(len(utility), dtype=np.intp)
-    last = np.zeros(len(utility), dtype=np.intp)
+    first, last = np.zeros((2, len(utility)), dtype=np.intp)
     first[above[heads]] = heads
     last[above[heads]] = np.append(heads[1:], len(edges)) - 1
     column = np.zeros(slots + len(tail), dtype=np.intp)
@@ -355,7 +350,7 @@ def _layout(back, weights, visits, firsts, sizes, infoset, utility, tail,
         child=visit[edges + 1],
         source=source,
         levels=tuple(slice(lo, hi) for lo, hi in _spans(height[above])),
-        decisions=tuple(decisions),
+        decisions=(src[acting], kind, gain, loss, opponent[where], by_chance[where]),
         first=first,
         last=last,
         tail=tail,
@@ -508,16 +503,21 @@ def enumerate_infosets(game: GameSpec) -> list[tuple[int, str, int]]:
 
 
 def check_row(key: str, probs, where: str = "") -> None:
-    """Reject a strategy row unless every entry is finite and >= 0 and the
-    entries sum to 1 within 1e-6; ``where`` starts the message. The sum
-    runs from 0.0 in order, as in ``checked_policy``: the builtin ``sum`` is
-    compensated on Python 3.12+."""
-    total = ordered_sum(map(float, probs))
+    """Reject a strategy row unless every entry is one ``float`` reads,
+    finite and >= 0, and the entries sum to 1 within 1e-6; ``where`` starts
+    the message. The sum runs from 0.0 in order, as in ``checked_policy``:
+    the builtin ``sum`` is compensated on Python 3.12+."""
+    row = f"{where}probabilities {tuple(probs)!r} for infoset '{key}'"
+    try:
+        values = list(map(float, probs))
+    except (OverflowError, TypeError, ValueError):
+        raise ValueError(f"{row} are not all numbers") from None
+    total = ordered_sum(values)
     # A NaN or infinite entry makes the sum NaN or infinite, never near 1.
-    if not (abs(total - 1.0) <= 1e-6 and min(probs) >= 0.0):
+    if not (abs(total - 1.0) <= 1e-6 and min(values) >= 0.0):
         raise ValueError(
-            f"{where}probabilities {tuple(probs)!r} for infoset '{key}' sum to "
-            f"{format_float(total)}; each must be finite and >= 0, summing to 1"
+            f"{row} sum to {format_float(total)}; each must be finite and >= 0, "
+            "summing to 1"
         )
 
 
@@ -539,12 +539,12 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
     Raises on the first fault, in this order: ValueError on a key the game
     lacks; KeyError on a missing row or ValueError on one of the wrong
     length, the first in table order; ``check_row``'s ValueError on the first
-    row in table order that is not a distribution, found by ``bad_rows`` in
-    one pass over the vector. Where both seats read one profile that has
-    every key, its rows are taken by one ``map`` over the table's keys and
-    their lengths compared in one step with the layout's ``row_sizes``;
-    other seatings, and a profile that fails there, are read row by row,
-    which words the first fault.
+    row in table order with an entry ``float`` cannot read or that is not a
+    distribution, found by ``bad_rows`` in one pass over the vector. Where
+    both seats read one profile that has every key, its rows are taken by
+    one ``map`` over the table's keys and their lengths compared in one
+    step with the layout's ``row_sizes``; other seatings, and a profile
+    that fails there, are read row by row, which words the first fault.
     """
     layout, labels = game.layout, game.action_labels
     for profile in seat_profiles:
@@ -570,13 +570,15 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
             rows = None
     if rows is None:
         rows = _rows_in_table_order(layout, seat_profiles)
-    policy = np.fromiter(
-        chain.from_iterable(rows), dtype=np.float64, count=layout.offset[-1]
-    )
-    bad = bad_rows(layout.owner, policy, len(rows))
-    bad &= np.array([profile is not None for profile in seat_profiles])[layout.seat]
-    if bad.any():
-        k = int(bad.argmax())
+    read = np.array([profile is not None for profile in seat_profiles])[layout.seat]
+    try:
+        policy = np.fromiter(
+            chain.from_iterable(rows), dtype=np.float64, count=layout.offset[-1]
+        )
+        bad = bad_rows(layout.owner, policy, len(rows)) & read
+    except (OverflowError, TypeError, ValueError):  # check_row words the entry
+        bad = read
+    for k in bad.nonzero()[0]:
         check_row(layout.infosets[k][1], rows[k])
     return policy
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_positive_int
+from ._validation import check_positive_int, is_integer
 from .efg_core import GameSpec, checked_policy, policy_value, sequence_reach
 
 # Hand pairs per block of sampled play.
@@ -86,8 +86,9 @@ def best_response(
     gives one of its slots a positive value. Each infoset's largest value
     and its first slot come from ``reduceat`` over the infosets.
     """
-    if responder not in (0, 1):
-        raise ValueError("responder must be 0 or 1")
+    if not (is_integer(responder) and responder in (0, 1)):
+        raise ValueError(f"responder must be 0 or 1, got {responder!r}")
+    responder = int(responder)
     seats = (None, opponent_profile) if responder == 0 else (opponent_profile, None)
     layout = game.layout
     reach = sequence_reach(layout, checked_policy(game, seats))
@@ -227,6 +228,9 @@ def sampled_match(
     score.
     """
     hands = check_positive_int(hands, "hands")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
     layout = game.layout
     policy_a = checked_policy(game, (profile_a, profile_a))
     policy_b = checked_policy(game, (profile_b, profile_b))

@@ -161,13 +161,13 @@ def training_mse(state: RCFRState, player: int) -> float:
     """Mean squared error over the seat's targets of the predictions cached
     at the last refit (the solver's current regressor).
 
-    The errors are squared by Python's float ``**`` (glibc's ``pow`` rounds
-    about one square in a thousand otherwise than ``x * x``) and added in
-    slot order by ``np.cumsum``, not pairwise as by ``np.sum``: a loop's bits.
+    The errors are squared as ``d * d``, which rounds the same on every
+    platform, and added in slot order by ``np.cumsum``, not pairwise as by
+    ``np.sum``: a loop's bits.
     """
     slots = state.seat_slots[player]
-    errors = (state.predictions[slots] - state.targets[slots]).astype(object)
-    return float(np.cumsum(errors**2)[-1]) / len(slots) if len(slots) else 0.0
+    errors = state.predictions[slots] - state.targets[slots]
+    return float(np.cumsum(errors * errors)[-1]) / len(slots) if len(slots) else 0.0
 
 
 def model_sizes(state: RCFRState) -> list[int]:

@@ -41,9 +41,10 @@ def position_parts(layout):
     bytes); then each position in preorder, walked down the edge list from
     the root, with its node's payoff, kind and edges' weights (a slot, or a
     chance probability and its running total, as bits); then each seat's
-    decision edges at every position as (slot, the class's opponent
-    sequence, the class's chance reach as bits). Two layouts of one game,
-    whether or not its tree shares nodes, give equal lists."""
+    decision edges at every position, split from the one table by the
+    slot's seat, as (slot, the class's opponent sequence, the class's chance
+    reach as bits). Two layouts of one game, whether or not its tree shares
+    nodes, give equal lists."""
 
     def flat(item):
         if isinstance(item, np.ndarray):
@@ -76,9 +77,12 @@ def position_parts(layout):
             bool(layout.chance_node[node]), weights,
         ))
         stack.extend(int(layout.child[e]) for e in reversed(edges))
-    for slot, kind, _, _, opponent, by_chance in layout.decisions:
+    slot, kind, _, _, opponent, by_chance = layout.decisions
+    mover = layout.seat[layout.owner[slot]]
+    for seat in (0, 1):
+        own = kind[mover == seat]
         parts.append(list(zip(
-            slot.tolist(), opponent[kind].tolist(),
-            [reach.hex() for reach in by_chance[kind].tolist()],
+            slot[mover == seat].tolist(), opponent[own].tolist(),
+            [reach.hex() for reach in by_chance[own].tolist()],
         )))
     return parts

@@ -425,6 +425,11 @@ class TestSolve:
             dict(iterations=math.inf),
             dict(iterations=math.nan),
             dict(iterations=5, log_every=-math.inf),
+            dict(iterations=None),
+            dict(iterations=5, log_every=None),
+            dict(iterations=[5]),
+            dict(iterations=5j),
+            dict(iterations="5"),
         ],
     )
     def test_fractional_counts_fail_at_the_config(self, options):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -378,6 +379,39 @@ def test_checked_policy_words_the_first_fault_in_table_order(leduc_game):
         "each must be finite and >= 0, summing to 1",
     )
     assert first_fault(leduc_game, uniform_profile(leduc_game)) is None
+
+
+@pytest.mark.parametrize("entry", [None, "a", [0.5], 0.5 + 0j, 10**400])
+def test_unreadable_entries_name_the_first_row_read(leduc_game, entry):
+    """An entry ``float`` cannot read is a ValueError naming the first
+    infoset, in table order, whose row the seating reads: both seats from
+    one profile, one seat from it and the other from None or a clean
+    profile. A row that is not a distribution before it is named first."""
+    infosets = leduc_game.layout.infosets
+    victims = [
+        key for seat in (0, 1)
+        for key in [key for player, key, _ in infosets if player == seat][7:300:150]
+    ]
+    spoiled, clean = uniform_profile(leduc_game), uniform_profile(leduc_game)
+    for key in victims:
+        spoiled[key] = (entry, *spoiled[key][1:])
+    seatings = [
+        (spoiled, spoiled), (spoiled, None), (None, spoiled),
+        (spoiled, clean), (clean, spoiled),
+    ]
+    for seating in seatings:
+        first = next(
+            key for player, key, _ in infosets
+            if seating[player] is spoiled and key in victims
+        )
+        message = f"infoset '{first}' are not all numbers"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            checked_policy(leduc_game, seating)
+    earlier = next(key for _, key, _ in infosets if key not in victims)
+    short = {**spoiled, earlier: (0.25,) * len(spoiled[earlier])}
+    with pytest.raises(ValueError, match=re.escape(f"infoset '{earlier}' sum to")):
+        checked_policy(leduc_game, (short, short))
+    assert checked_policy(leduc_game, (clean, None)).any()
 
 
 def repeated_deal_game(shared):

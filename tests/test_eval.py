@@ -139,6 +139,20 @@ class TestBestResponse:
         with pytest.raises(ValueError):
             best_response(kuhn_game, uniform_profile(kuhn_game), 2)
 
+    @pytest.mark.parametrize("responder", [0.5, -1, 2.0, None, "1", [1], 1j])
+    def test_responder_that_is_not_a_seat_is_worded(self, kuhn_game, responder):
+        with pytest.raises(ValueError, match="responder must be 0 or 1, got"):
+            best_response(kuhn_game, uniform_profile(kuhn_game), responder)
+
+    @pytest.mark.parametrize(
+        "responder, seat", [(0.0, 0), (1.0, 1), (False, 0), (True, 1)]
+    )
+    def test_integral_responder_is_its_int(self, kuhn_game, responder, seat):
+        profile = random_profile(kuhn_game, 5)
+        result = best_response(kuhn_game, profile, responder)
+        assert type(result.responder) is int
+        assert result == best_response(kuhn_game, profile, seat)
+
 
 class TestExploitability:
     def test_matches_pure_enumeration(self, kuhn_game):
@@ -266,6 +280,22 @@ class TestSampledMatch:
         with pytest.raises(ValueError, match="hands must be a positive integer"):
             sampled_match(kuhn_game, profile, profile, hands, duplicate=duplicate)
 
+    @pytest.mark.parametrize("seed", [2.5, math.inf, math.nan, None, "2", [2], 2j])
+    def test_rejects_seeds_that_are_not_integers(self, kuhn_game, seed):
+        profile = uniform_profile(kuhn_game)
+        with pytest.raises(ValueError, match="seed must be an integer, got"):
+            sampled_match(kuhn_game, profile, profile, 10, seed=seed)
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_integral_seeds_count_as_ints(self, leduc_game, duplicate):
+        a, b = uniform_profile(leduc_game), random_profile(leduc_game, 4)
+        for seed, plays in ((2.0, 2), (-3.0, -3), (True, 1), (2.0**70, 2**70)):
+            result, expected = (
+                sampled_match(leduc_game, a, b, 301, seed=s, duplicate=duplicate)
+                for s in (seed, plays)
+            )
+            assert type(result.seed) is int and result == expected
+
     @pytest.mark.parametrize("duplicate", [False, True])
     def test_integral_hands_count_as_ints(self, kuhn_game, duplicate):
         profile = uniform_profile(kuhn_game)
@@ -352,6 +382,16 @@ class TestProfileCheck:
     def test_rejects_and_names_the_infoset(self, kuhn_game, evaluator, damage):
         profile, victim = self.damaged(kuhn_game, damage)
         with pytest.raises(ValueError, match=re.escape(f"infoset '{victim}'")):
+            self.EVALUATORS[evaluator](kuhn_game, profile)
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    @pytest.mark.parametrize("entry", [None, "a", [0.5], 0.5 + 0j])
+    def test_unreadable_entries_are_worded(self, kuhn_game, evaluator, entry):
+        profile = uniform_profile(kuhn_game)
+        victim = "p0:K:-:cr"
+        profile[victim] = (0.5, entry)
+        message = f"infoset '{victim}' are not all numbers"
+        with pytest.raises(ValueError, match=re.escape(message)):
             self.EVALUATORS[evaluator](kuhn_game, profile)
 
     def test_rows_within_tolerance_are_accepted(self, kuhn_game):

@@ -451,15 +451,15 @@ def node_numbers(game):
     return numbers, nodes
 
 
-def decision_edges(rows, seat):
-    """Seat ``seat``'s decision edges at every position, from
+def decision_edges(rows, seats=(0, 1)):
+    """The decision edges of the seats in ``seats`` at every position, from
     ``position_rows``, as (parent position, action, child node): parent
     positions in preorder, each one's in action order. The walk meets each
     edge at its child position, and a stable sort by parent position keeps
     each position's action order."""
     edges = [
         (p, a, node) for node, p, a, _, _ in rows
-        if p is not None and rows[p][0].kind == DECISION and rows[p][0].player == seat
+        if p is not None and rows[p][0].kind == DECISION and rows[p][0].player in seats
     ]
     return sorted(edges, key=lambda edge: edge[0])
 
@@ -512,11 +512,12 @@ def test_edge_list_serves_play_and_the_pass(games, shared_games, kuhn_game, ledu
     """The nodes' rows tile the edge list, so it holds each node's edges
     once. ``levels`` tiles it by parent height, lowest first, one height a
     level, so the bottom-up sweep values every child before its parent.
-    ``decisions`` lists each seat's decision edges at every position, with
+    ``decisions`` lists both seats' decision edges at every position, with
     their parent positions in preorder, each position's in action order,
-    by slot, as the strategy sums and regrets add them; and a position's
-    class is its (slot, parent node, child node, opponent sequence, chance
-    reach as bits), one class for each such tuple."""
+    by slot, as the strategy sums and regrets add them; a position's class
+    is its (slot, parent node, child node, opponent sequence, chance reach
+    as bits), one class for each such tuple; and a seat 0 class gains its
+    child node's value and loses its parent's, a seat 1 class the reverse."""
     for game in [*games.values(), *shared_games.values(), kuhn_game, leduc_game]:
         numbers, nodes = node_numbers(game)
         layout, rows = game.layout, position_rows(game)
@@ -547,24 +548,33 @@ def test_edge_list_serves_play_and_the_pass(games, shared_games, kuhn_game, ledu
         assert [min(h) for h in seen] == sorted({min(h) for h in seen})
         assert all(height[c] < height[p] for p, c in zip(parent, child))
         ids = {key: k for k, (_, key, _) in enumerate(layout.infosets)}
-        for seat, (slot, kind, above, below, opponent, by_chance) in enumerate(
-            layout.decisions
-        ):
-            edges = decision_edges(rows, seat)
+        slot, kind, gain, loss, opponent, by_chance = layout.decisions
+        assert slot.tolist() == [
+            layout.offset[ids[rows[p][0].infoset]] + a
+            for p, a, _ in decision_edges(rows)
+        ]
+        assert sorted(set(kind.tolist())) == list(range(len(gain)))
+        mover = layout.seat[layout.owner[slot]]
+        for seat in (0, 1):
             keys = []
-            for p, a, down in edges:
+            for p, a, down in decision_edges(rows, (seat,)):
                 up, _, _, at, reach = rows[p]
                 start = layout.offset[ids[up.infoset]]
                 keys.append((
                     start + a, numbers[id(up)], numbers[id(down)], at[1 - seat],
                     reach.hex(),
                 ))
+            above, below = (loss, gain) if seat == 0 else (gain, loss)
+            own = kind[mover == seat]
             found = list(zip(
-                slot.tolist(), above[kind].tolist(), below[kind].tolist(),
-                opponent[kind].tolist(), [r.hex() for r in by_chance[kind].tolist()],
+                slot[mover == seat].tolist(), above[own].tolist(),
+                below[own].tolist(), opponent[own].tolist(),
+                [r.hex() for r in by_chance[own].tolist()],
             ))
             assert found == keys
-            assert len(above) == len(set(keys))
+            assert len(set(own.tolist())) == len(set(keys))
+
+
 def terminal_pairs(game):
     """Each terminal visit, in preorder, as ((seat 0's sequence, seat 1's),
     chance reach as a float product from the root, seat 0's payoff), from
@@ -679,8 +689,10 @@ def test_sequence_reach_is_node_reach(games, shared_games, leduc_game):
         ends = [p for p, (node, *_) in enumerate(rows) if node.kind == TERMINAL]
         at = [pair for pair, _, _ in terminal_pairs(game)]
         parents = [
-            [p for p, _, _ in decision_edges(rows, seat)] for seat in (0, 1)
+            [p for p, _, _ in decision_edges(rows, (seat,))] for seat in (0, 1)
         ]
+        slot, kind, _, _, opponent, by_chance = layout.decisions
+        mover = layout.seat[layout.owner[slot]]
         for profile in (uniform_profile(game), random_profile(game, rng, False)):
             policy = checked_policy(game, (profile, profile))
             reach = sequence_reach(layout, policy)
@@ -688,15 +700,14 @@ def test_sequence_reach_is_node_reach(games, shared_games, leduc_game):
             for seat in (0, 1):
                 ours = reach[[pair[seat] for pair in at]]
                 assert ours.tobytes() == nodes[seat][ends].tobytes()
-            for seat, (slot, kind, _, _, opponent, by_chance) in enumerate(
-                layout.decisions
-            ):
+            for seat in (0, 1):
                 own, other = nodes[seat], nodes[1 - seat]
                 parent = parents[seat]
-                expected = own[parent] * policy[slot]
-                assert reach[slot].tobytes() == expected.tobytes()
-                assert reach[opponent[kind]].tobytes() == other[parent].tobytes()
-                assert by_chance[kind].tobytes() == nodes[2][parent].tobytes()
+                slots, classes = slot[mover == seat], kind[mover == seat]
+                expected = own[parent] * policy[slots]
+                assert reach[slots].tobytes() == expected.tobytes()
+                assert reach[opponent[classes]].tobytes() == other[parent].tobytes()
+                assert by_chance[classes].tobytes() == nodes[2][parent].tobytes()
 
 
 def assert_pass_matches_reference(game, iterations):
@@ -730,23 +741,56 @@ def test_shared_games_share_what_the_classes_tell_apart(shared_games):
     sequences = reaches = doubled = 0
     for game in shared_games.values():
         layout = game.layout
-        for slot, kind, above, _, opponent, by_chance in layout.decisions:
-            edges = {}
-            for s, k in zip(slot.tolist(), kind.tolist()):
-                edges.setdefault((s, int(above[k])), set()).add(k)
-            for classes in edges.values():
-                classes = list(classes)
-                sequences += len(set(opponent[classes].tolist())) > 1
-                reaches += len(set(by_chance[classes].tolist())) > 1
+        slot, kind, gain, loss, opponent, by_chance = layout.decisions
+        # Seat 0 loses its parent node's value, and seat 1 gains it.
+        seat0 = layout.seat[layout.owner[slot]] == 0
+        above = np.where(seat0, loss[kind], gain[kind])
+        edges = {}
+        for s, node, k in zip(slot.tolist(), above.tolist(), kind.tolist()):
+            edges.setdefault((s, node), set()).add(k)
+        for classes in edges.values():
+            classes = list(classes)
+            sequences += len(set(opponent[classes].tolist())) > 1
+            reaches += len(set(by_chance[classes].tolist())) > 1
         pairs = list(zip(layout.parent.tolist(), layout.child.tolist()))
         doubled += len(pairs) - len(set(pairs))
     assert sequences >= 200 and reaches >= 150 and doubled >= 200
 
 
+def one_seat_game(seat):
+    """Three deals, each a decision of ``seat`` over a terminal and a
+    chance node that leads to a second decision; with ``seat`` None, each
+    deal is a terminal, so no seat acts."""
+
+    def deal(k):
+        if seat is None:
+            return terminal(k - 1.0)
+        return decision(seat, f"p{seat}:{k}", ("a", "b"), [
+            terminal(float(k)),
+            chance((0.25, 0.75), [
+                decision(seat, f"p{seat}:{k}b", ("c", "d", "e"), [
+                    terminal(-2.0), terminal(0.5), terminal(k + 1.0),
+                ]),
+                terminal(-1.0),
+            ]),
+        ])
+
+    return make_game(f"seat-{seat}", chance((0.5, 0.25, 0.25), map(deal, range(3))))
+
+
 def test_cfr_pass_matches_reference(games, leduc_game):
+    """On random games, Leduc, and games where only seat 0, only seat 1 or
+    no seat acts, so the pass's decision table holds one seat or none."""
     for game in games.values():
         assert_pass_matches_reference(game, 4)
     assert_pass_matches_reference(leduc_game, 3)
+    for seat in (0, 1, None):
+        game = one_seat_game(seat)
+        slot = game.layout.decisions[0]
+        assert set(game.layout.seat[game.layout.owner[slot]].tolist()) == (
+            set() if seat is None else {seat}
+        )
+        assert_pass_matches_reference(game, 4)
 
 
 def test_cfr_pass_matches_reference_on_shared_games(shared_games):

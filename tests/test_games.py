@@ -146,13 +146,17 @@ class TestSharedSubtrees:
 
     def test_leduc_pass_reads_one_edge_per_node_and_class(self, leduc_game):
         """The edge list holds Leduc's 2,016 node edges, not its 9,450
-        position edges, and each seat's 4,410 decision edges at positions
-        fall into 903 classes of equal regret terms."""
+        position edges, and the 8,820 decision edges at positions, 4,410
+        a seat, fall into 1,806 classes of equal regret terms, 903 a seat."""
         layout = leduc_game.layout
         assert len(layout.child) == 2016
-        for slot, kind, above, below, opponent, by_chance in layout.decisions:
-            assert len(slot) == len(kind) == 4410
-            assert len(above) == len(below) == len(opponent) == len(by_chance) == 903
+        slot, kind, gain, loss, opponent, by_chance = layout.decisions
+        assert len(slot) == len(kind) == 8820
+        assert len(gain) == len(loss) == len(opponent) == len(by_chance) == 1806
+        mover = layout.seat[layout.owner[slot]]
+        for seat in (0, 1):
+            assert (mover == seat).sum() == 4410
+            assert len(set(kind[mover == seat].tolist())) == 903
 
 
 class TestKuhn:

@@ -745,11 +745,11 @@ class TestSolve:
         )
 
     def test_training_mse_is_the_ordered_loop(self):
-        # The squares go through Python's float ``**`` and the sum runs in
-        # slot order from 0.0, as a loop gives them: random errors of one
-        # magnitude and of many, exact zeros, and a seat with no slots.
-        # Seats of one and two slots log single squares, which a sum of
-        # many would round away.
+        # The squares are ``d * d`` and the sum runs in slot order from 0.0,
+        # as a loop gives them: random errors of one magnitude and of many,
+        # exact zeros, and a seat with no slots. Seats of one and two slots
+        # log single squares, which a sum of many would round away, so a
+        # square by ``pow`` fails there.
         rng = np.random.default_rng(11)
         n = 20000
         wide = 10.0 ** rng.integers(-150, 100, size=n)
@@ -768,7 +768,7 @@ class TestSolve:
             state = RCFRState(seats, targets, predictions, np.zeros(n))
             for player, slots in enumerate(seats):
                 pairs = zip(predictions[slots].tolist(), targets[slots].tolist())
-                total = ordered_sum((p - t) ** 2 for p, t in pairs)
+                total = ordered_sum((p - t) * (p - t) for p, t in pairs)
                 expected = total / len(slots) if len(slots) else 0.0
                 mse = training_mse(state, player)
                 assert type(mse) is float
@@ -987,6 +987,8 @@ class TestConfig:
             (dict(log_every=math.inf), "log_every"),
             (dict(log_every=math.nan), "log_every"),
             (dict(min_leaf_weight=math.inf), "min_leaf_weight"),
+            (dict(iterations=None), "iterations"),
+            (dict(log_every=None), "log_every"),
         ],
     )
     def test_bad_shape_fails_at_the_config(self, estimator_kind, options, name):
