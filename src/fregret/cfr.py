@@ -2,8 +2,10 @@
 
 One full-width tree pass per iteration computes, for every infoset, the
 opponent-and-chance weighted regret of each action against the current
-policy, accumulates those into cumulative regret and strategy-sum tables,
-and the normalized strategy sums converge to an approximate equilibrium.
+policy and accumulates those into a cumulative regret table. It adds each
+slot's policy into a strategy-sum table once per sequence, weighted by the
+acting seat's own reach, and the normalized strategy sums converge to an
+approximate equilibrium.
 
 Tables are float64 vectors over the game's slots, one per infoset-action
 (see ``GameLayout``). The pass itself (``cfr_pass``) is policy-agnostic: it
@@ -73,9 +75,7 @@ def _normalize(game: GameSpec, weights: np.ndarray) -> np.ndarray:
     """Each infoset's slots of ``weights`` divided by their total, summed from
     0.0 in slot order; uniform where the total is not positive."""
     layout = game.layout
-    totals = np.zeros(len(layout.infosets))
-    np.add.at(totals, layout.owner, weights)
-    totals = totals[layout.owner]
+    totals = np.bincount(layout.owner, weights, len(layout.infosets))[layout.owner]
     policy = layout.uniform.copy()
     np.divide(weights, totals, out=policy, where=totals > 0.0)
     return policy
@@ -91,8 +91,7 @@ def regret_policy(game: GameSpec, regrets) -> np.ndarray:
     regrets = np.asarray(regrets, dtype=np.float64)
     layout = game.layout
     with np.errstate(over="ignore", invalid="ignore"):
-        totals = np.zeros(len(layout.infosets))
-        np.add.at(totals, layout.owner, regrets)
+        totals = np.bincount(layout.owner, regrets, len(layout.infosets))
         bad = np.flatnonzero(~np.isfinite(totals))
         if len(bad):
             k = int(bad[0])
@@ -107,21 +106,24 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
     """One full-width traversal, slot ``s`` played with ``policy[s]``.
 
     Every action branch is evaluated regardless of its probability. For both
-    seats, reach-weighted policies are added into the slot vector
-    ``strategy_sums`` in place, and the immediate regrets (opponent-and-chance
-    weighted advantage of each action over the policy value) are accumulated
-    into a new slot vector. Returns ``(seat 0 root value, immediate
-    regrets)``; seat 1's value is the exact negation.
+    seats, the policy is added into the slot vector ``strategy_sums`` in
+    place, once per sequence, weighted by own reach, and the immediate
+    regrets (opponent-and-chance weighted advantage of each action over the
+    policy value) are accumulated into a new slot vector. Returns ``(seat 0
+    root value, immediate regrets)``; seat 1's value is the exact negation.
 
     A bottom-up sweep over the layout's edge ``levels`` values each node
     once, however many positions share it, each adding its weighted child
     values, in action order, to 0.0. A vector of every sequence's reach
-    (``efg_core.sequence_reach``) gives the strategy sums and, with the
-    chance reach, each decision edge's counterfactual weight. Each class of
-    both seats' decision edges (see ``GameLayout.decisions``) computes its
-    term once; then one ``bincount`` adds each position's class term, each
-    slot's in preorder. An infoset's positions are never ancestor and
-    descendant, so preorder adds them in the order their subtrees finish.
+    (``efg_core.sequence_reach``) gives, with the chance reach, each
+    decision edge's counterfactual weight. A slot's entry of that vector is
+    its seat's own reach at the infoset times the slot's policy, the same
+    at every position of the infoset under perfect recall, so the strategy
+    sums add the vector's slots once each. Each class of both seats'
+    decision edges (see ``GameLayout.decisions``) computes its term once;
+    then one ``bincount`` adds each position's class term, each slot's in
+    preorder. An infoset's positions are never ancestor and descendant, so
+    preorder adds them in the order their subtrees finish.
     """
     layout = game.layout
     policy = np.asarray(policy, dtype=np.float64)
@@ -132,7 +134,7 @@ def cfr_pass(game: GameSpec, policy, strategy_sums):
         np.add.at(values, parent[level], weight[level] * values[child[level]])
     reach = sequence_reach(layout, policy)
     slot, kind, gain, loss, opponent, by_chance = layout.decisions
-    np.add.at(strategy_sums, slot, reach[slot])
+    strategy_sums += reach[: layout.offset[-1]]
     terms = reach[opponent] * by_chance * (values[gain] - values[loss])
     deltas = np.bincount(slot, terms[kind], minlength=layout.offset[-1])
     return float(values[0]), deltas

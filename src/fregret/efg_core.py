@@ -23,11 +23,12 @@ by the other seat's reach. Best response backs those values up the
 seat's sequences, deepest first, each infoset adding its largest slot
 value (``eval.best_response``), and a policy's value is one sum over the
 pairs (``policy_value``). The CFR pass (``cfr.cfr_pass``) takes its reach
-from the sequence form too, but values the nodes by one bottom-up sweep
-over the edge list's ``levels``, each node once, and adds each position's
-regret term, computed once per class of equal terms of both seats, so its
-regrets keep the position order's bits, on which the tree learner's
-splits depend. Sampled play moves blocks of hands down the same edge
+from the sequence form too: its strategy sums add each slot's policy once
+per sequence, weighted by own reach, which is the slot's entry of the
+reach vector. It values the nodes by one bottom-up sweep over the edge
+list's ``levels``, each node once, and adds each position's regret term,
+computed once per class of equal terms of both seats, so its regrets keep
+the position order's bits, on which the tree learner's splits depend. Sampled play moves blocks of hands down the same edge
 list, one edge per round.
 
 Every sum runs in a fixed order that depends only on the game: ``bincount``
@@ -537,14 +538,15 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
     ``seat_profiles``, zeros for a seat whose profile is None.
 
     Raises on the first fault, in this order: ValueError on a key the game
-    lacks; KeyError on a missing row or ValueError on one of the wrong
-    length, the first in table order; ``check_row``'s ValueError on the first
-    row in table order with an entry ``float`` cannot read or that is not a
-    distribution, found by ``bad_rows`` in one pass over the vector. Where
-    both seats read one profile that has every key, its rows are taken by
-    one ``map`` over the table's keys and their lengths compared in one
-    step with the layout's ``row_sizes``; other seatings, and a profile
-    that fails there, are read row by row, which words the first fault.
+    lacks; KeyError on a missing row or ValueError on one without a length
+    or of the wrong length, the first in table order; ``check_row``'s
+    ValueError on the first row in table order with an entry ``float``
+    cannot read or that is not a distribution, found by ``bad_rows`` in one
+    pass over the vector. Where both seats read one profile that has every
+    key, its rows are taken by one ``map`` over the table's keys and their
+    lengths compared in one step with the layout's ``row_sizes``; other
+    seatings, and a profile that fails there, are read row by row, which
+    words the first fault.
     """
     layout, labels = game.layout, game.action_labels
     for profile in seat_profiles:
@@ -586,16 +588,23 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
 def _rows_in_table_order(layout: GameLayout, seat_profiles) -> list:
     """Each infoset's row from its seat's profile, zeros for a seat whose
     profile is None, in table order, raising as ``checked_policy`` does on
-    the first one missing or of the wrong length."""
+    the first one missing, without a length or of the wrong length."""
     rows = []
     for player, key, n in layout.infosets:
         profile = seat_profiles[player]
         if profile is not None and key not in profile:
             raise KeyError(f"profile missing infoset '{key}'")
         probs = (0.0,) * n if profile is None else profile[key]
-        if len(probs) != n:
+        try:
+            size = len(probs)
+        except TypeError:
             raise ValueError(
-                f"profile entry for '{key}' has {len(probs)} "
+                f"profile entry for '{key}' is {probs!r}, not a row of {n} "
+                "probabilities"
+            ) from None
+        if size != n:
+            raise ValueError(
+                f"profile entry for '{key}' has {size} "
                 f"probabilities for {n} actions"
             )
         rows.append(probs)

@@ -102,7 +102,9 @@ class ModelSizeRow:
 @dataclass
 class RCFRState:
     """Regret targets, their predictions and exact strategy sums, all
-    float64 vectors indexed by the game's slots (see ``GameLayout``).
+    float64 vectors indexed by the game's slots (see ``GameLayout``). The
+    pass adds each slot's policy into the strategy sums once per sequence,
+    weighted by own reach.
 
     ``seat_slots`` holds each seat's slots in table order. A slot's
     prediction is its seat's regressor as of the last refit (zeros before

@@ -99,14 +99,19 @@ def node_values(game, policy):
 
 def regrets(game, policy):
     """What ``cfr_pass`` computes, exactly: seat 0's root value and its
-    Σ|terms|, and by slot the immediate counterfactual regret and its
-    Σ|terms|. At each visit of an infoset's node, slot ``a`` gains the
-    opponent-and-chance reach times the acting seat's gain from playing
-    ``a`` there rather than the policy."""
+    Σ|terms|, by slot the immediate counterfactual regret and its
+    Σ|terms|, and by slot the strategy-sum increment. At each visit of an
+    infoset's node, slot ``a`` gains the opponent-and-chance reach times
+    the acting seat's gain from playing ``a`` there rather than the policy.
+    The increment is the acting seat's own reach times ``a``'s policy, once
+    per sequence: under perfect recall that reach is the same at every
+    visit, so the first visit gives it. It is one product of non-negative
+    terms, so it is its own Σ|terms|."""
     starts = _starts(game)
     values, sizes = node_values(game, policy)
     slots = game.layout.offset[-1]
     delta, scale = [Fraction(0)] * slots, [Fraction(0)] * slots
+    sums, seen = [Fraction(0)] * slots, set()
     stack = [(game.root, (Fraction(1), Fraction(1)), Fraction(1))]
     while stack:
         node, reach, by_chance = stack.pop()
@@ -120,13 +125,17 @@ def regrets(game, policy):
         seat, k = node.player, starts[node.infoset]
         weight = reach[1 - seat] * by_chance
         sign = 1 if seat == 0 else -1
+        if k not in seen:
+            seen.add(k)
+            for a, p in enumerate(probs):
+                sums[k + a] = reach[seat] * p
         for a, (p, child) in enumerate(zip(probs, node.children)):
             gain = values[id(child)] - values[id(node)]
             delta[k + a] += sign * weight * gain
             scale[k + a] += weight * (sizes[id(child)] + sizes[id(node)])
             step = (reach[0] * p, reach[1]) if seat == 0 else (reach[0], reach[1] * p)
             stack.append((child, step, by_chance))
-    return values[id(game.root)], sizes[id(game.root)], delta, scale
+    return values[id(game.root)], sizes[id(game.root)], delta, scale, sums
 
 
 def best_response(game, policy, responder):

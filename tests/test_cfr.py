@@ -393,22 +393,27 @@ class TestSolve:
         assert log[-1].exploitability < log[0].exploitability
 
     def test_leduc_solve_is_pinned(self, leduc_game, tmp_path):
-        # Recorded before the pass took its reach from the sequence form.
-        # The exploitability column was re-recorded when best response
-        # began to read the pair table, which adds in another order.
+        # The regret bound was recorded before the pass took its reach from
+        # the sequence form; regrets never read the strategy sums, so it
+        # holds. The strategy file and the exploitability column, which
+        # read the average, were re-recorded when the strategy sums began
+        # to add once per sequence rather than once per visit.
         profile, log = solve(leduc_game, CFRConfig(iterations=50, log_every=10))
         path = tmp_path / "strategy.csv"
         write_strategy_file(str(path), leduc_game, profile)
         assert (
             hashlib.sha256(path.read_bytes()).hexdigest()
-            == "9f81650ba8367c33a7776b3de4a50f1e9eac69e62faf7aed719a2950b493d525"
+            == "c06f2af91e85a55db346fb4e177ac3274c2a81350660390b19b4e029ee8d6197"
         )
-        assert repr([(r.t, r.exploitability, r.max_pos_regret_sum) for r in log]) == (
-            "[(10, 1.8540371439353385, 40.35458158013761), "
-            "(20, 1.1823247725284571, 48.55640091167942), "
-            "(30, 0.7671142736660244, 52.5783499497267), "
-            "(40, 0.6067904670573695, 56.70139323061777), "
-            "(50, 0.5618290274323174, 59.77817921146938)]"
+        assert repr([(r.t, r.max_pos_regret_sum) for r in log]) == (
+            "[(10, 40.35458158013761), (20, 48.55640091167942), "
+            "(30, 52.5783499497267), (40, 56.70139323061777), "
+            "(50, 59.77817921146938)]"
+        )
+        assert repr([(r.t, r.exploitability) for r in log]) == (
+            "[(10, 1.8540371439353385), (20, 1.1823247725284567), "
+            "(30, 0.7671142736660242), (40, 0.6067904670573698), "
+            "(50, 0.5618290274323172)]"
         )
 
     def test_config_validation(self):

@@ -423,6 +423,22 @@ class TestExploitCommand:
         assert code == 4
         assert "p0:J:-:" in err
 
+    @pytest.mark.parametrize("row", [0.5, None])
+    def test_row_without_a_length_is_a_validation_error(
+        self, monkeypatch, capsys, kuhn_game, row
+    ):
+        # The file reader only gives tuples; a profile handed in by other
+        # code may hold a row without a length, which must still exit 4.
+        profile = {**uniform_profile(kuhn_game), "p0:J:-:": row}
+        monkeypatch.setattr(
+            "fregret.cli.read_strategy_file", lambda path: ("kuhn", profile)
+        )
+        code, _, err = run(
+            ["exploit", "--game", "kuhn", "--strategy", "unread.csv"], capsys
+        )
+        assert code == 4
+        assert f"profile entry for 'p0:J:-:' is {row!r}, not a row of 2" in err
+
     def test_file_that_is_not_utf8_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(
@@ -573,8 +589,11 @@ class TestCompeteCommand:
 
     def test_leduc_exact_ev_is_pinned(self, tmp_path, capsys):
         # The CI workflow checks the same line through the console script.
+        # Re-recorded when the strategy sums began to add once per sequence:
+        # every 3-action row of the one-pass average now reads the double
+        # nearest 1/3, where 126 of the 288 entries read one ulp above.
         out = self.leduc_match(tmp_path, capsys, "--exact")
-        assert out == "exact_ev,0.74677303712406373\n"
+        assert out == "exact_ev,0.74677303712406351\n"
 
     def test_game_mismatch_between_files_fails(self, tmp_path, capsys):
         kuhn_strat, _ = solve_into(

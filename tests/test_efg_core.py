@@ -352,12 +352,14 @@ def test_checked_policy_words_the_first_fault_in_table_order(leduc_game):
     early, late = keys[5], keys[200]
     short = f"profile entry for '{early}' has 1 probabilities for 2 actions"
 
-    def spoiled(early_row=None, late_row=None):
+    keep = object()
+
+    def spoiled(early_row=keep, late_row=keep):
         profile = uniform_profile(leduc_game)
         for key, row in ((early, early_row), (late, late_row)):
             if row == "missing":
                 del profile[key]
-            elif row is not None:
+            elif row is not keep:
                 profile[key] = row
         return profile
 
@@ -370,9 +372,12 @@ def test_checked_policy_words_the_first_fault_in_table_order(leduc_game):
     assert first_fault(leduc_game, spoiled((1.0,), 0.5)) == (
         "ValueError", short,
     )
-    assert first_fault(leduc_game, spoiled(0.5, (1.0,))) == (
-        "TypeError", "object of type 'float' has no len()",
-    )
+    for row in (0.5, None):
+        assert first_fault(leduc_game, spoiled(row, (1.0,))) == (
+            "ValueError",
+            f"profile entry for '{early}' is {row!r}, not a row of 2 probabilities",
+        )
+    assert first_fault(leduc_game, spoiled((1.0,), None)) == ("ValueError", short)
     assert first_fault(leduc_game, spoiled(late_row=(0.5, 0.6))) == (
         "ValueError",
         f"probabilities (0.5, 0.6) for infoset '{late}' sum to 1.1000000000000001; "

@@ -3,12 +3,15 @@
 On Kuhn, Leduc and the 200 random games of ``test_game_oracle``, under a
 uniform policy, a policy with many zero rows, and (on the poker games)
 regret-matched CFR policies, each of these must lie within γₙ·Σ|terms| of
-its exact value, with n from ``roundings``: ``cfr_pass``'s root value and
-its regret for every slot, ``expected_value``, both seats' ``best_response``
-values, ``policy_exploitability`` and ``exact_ev``. The bound depends on no
-summation order, so it holds for any order a fast path adds in. A game
-whose one payoff is off by a relative 1e-9, or whose one terminal pays
-nothing, must fail the same check.
+its exact value, with n from ``roundings``: ``cfr_pass``'s root value, its
+regret for every slot and its strategy sum for every slot (own reach times
+policy, added once per sequence), ``expected_value``, both seats'
+``best_response`` values, ``policy_exploitability`` and ``exact_ev``. The
+bound depends on no summation order, so it holds for any order a fast path
+adds in. A game whose one payoff is off by a relative 1e-9, or whose one
+terminal pays nothing, must fail the same check, and so must strategy sums
+added at every visit of an infoset, k times too large at an infoset of k
+positions.
 """
 
 import dataclasses
@@ -35,6 +38,7 @@ from fregret.efg_core import (
     checked_policy,
     expected_value,
     make_game,
+    sequence_reach,
     terminal,
     uniform_profile,
 )
@@ -56,11 +60,16 @@ def misses(game, policy, exact_game=None):
         if not within(computed, value, scale, n):
             found.append(f"{game.game_id} {what}: {computed!r} vs {float(value)!r}")
 
-    root, size, delta, scale = regrets(exact_game, exact)
-    value, deltas = cfr_pass(game, policy, np.zeros(len(policy)))
+    root, size, delta, scale, increments = regrets(exact_game, exact)
+    strategy_sums = np.zeros(len(policy))
+    value, deltas = cfr_pass(game, policy, strategy_sums)
     check("cfr_pass value", value, root, size)
     for slot, (computed, d, s) in enumerate(zip(deltas.tolist(), delta, scale)):
         check(f"regret of slot {slot}", computed, d, s)
+    for slot, (computed, exact_sum) in enumerate(
+        zip(strategy_sums.tolist(), increments)
+    ):
+        check(f"strategy sum of slot {slot}", computed, exact_sum, exact_sum)
     profile = by_key(game, policy)
     u0, u1 = expected_value(game, profile)
     check("expected_value", u0, root, size)
@@ -179,3 +188,20 @@ def test_chance_nodes_and_terminals_are_covered(games):
                 kinds.add("zero payoff")
             stack.extend(node.children)
     assert {CHANCE, TERMINAL, "zero payoff"} <= kinds
+
+
+@pytest.mark.parametrize("name", ["kuhn_game", "leduc_game"])
+def test_per_visit_strategy_sums_fail_the_check(request, name):
+    """Every poker infoset has several positions, so strategy sums added at
+    every visit miss the exact increment at every slot."""
+    game = request.getfixturevalue(name)
+    layout = game.layout
+    slot = layout.decisions[0]
+    assert np.bincount(slot).min() >= 2
+    policy = checked_policy(game, (uniform_profile(game),) * 2)
+    *_, increments = regrets(game, exact_policy(policy))
+    per_visit = np.zeros(len(policy))
+    np.add.at(per_visit, slot, sequence_reach(layout, policy)[slot])
+    n = roundings(game)
+    for computed, exact_sum in zip(per_visit.tolist(), increments):
+        assert not within(computed, exact_sum, exact_sum, n)

@@ -2,7 +2,10 @@
 
 ``reference_cfr_pass`` and ``reference_enumerate_infosets`` are the
 recursive walks that the loops over ``GameSpec.layout`` replaced, kept here
-unchanged as the oracle; the CFR pass still adds in their node order.
+as the oracle; the CFR pass still adds its regrets in their node order.
+The walk adds each infoset's strategy sums at its first visit in preorder,
+once per sequence, as CFR's average strategy weights each infoset's
+policy by its own reach.
 ``reference_best_response`` and ``reference_expected_value`` are
 pure-Python walks in the order of the evaluators that read the pair table:
 ``reference_sequence_form`` walks the tree in preorder, numbering slots as
@@ -15,9 +18,10 @@ some of whose positions share nodes, the layout code must reproduce the
 walks bit for bit: root values, regret and strategy-sum vectors,
 best-response values and response rows, dict order included.
 ``reference_cfr_solve`` runs CFR on tables keyed by infoset over those
-walks, and ``solve`` must match its profiles and logs repr for repr. Best-response values are also checked against a
-brute-force maximum over the responder's pure strategies, and a 3000-deep
-chain game checks that no traversal needs Python's recursion limit.
+walks, and ``solve`` must match its profiles and logs repr for repr.
+Best-response values are also checked against a brute-force maximum over
+the responder's pure strategies, and a 3000-deep chain game checks that no
+traversal needs Python's recursion limit.
 """
 
 import ast
@@ -175,8 +179,11 @@ def reference_backup(values, parent, ranges):
 
 
 def reference_cfr_pass(game, policy_fn, strategy_sums, update_players):
-    """One full-width traversal under the policies given by ``policy_fn``."""
-    deltas = {}
+    """One full-width traversal under the policies given by ``policy_fn``.
+    Each infoset of a seat in ``update_players`` adds its own reach times
+    its policy into ``strategy_sums`` at its first visit in preorder, and
+    every visit adds its counterfactual regrets into the returned deltas."""
+    deltas, seen = {}, set()
 
     def walk(node, reach0, reach1, chance_reach):
         if node.kind == TERMINAL:
@@ -188,6 +195,12 @@ def reference_cfr_pass(game, policy_fn, strategy_sums, update_players):
             return total
         policy = policy_fn(node.infoset)
         player = node.player
+        if player in update_players and node.infoset not in seen:
+            seen.add(node.infoset)
+            my_reach = reach0 if player == 0 else reach1
+            sums = strategy_sums.setdefault(node.infoset, [0.0] * len(policy))
+            for a, prob in enumerate(policy):
+                sums[a] += my_reach * prob
         child_values = []
         node_value = 0.0
         for prob, child in zip(policy, node.children):
@@ -198,20 +211,14 @@ def reference_cfr_pass(game, policy_fn, strategy_sums, update_players):
             child_values.append(value)
             node_value += prob * value
         if player in update_players:
-            my_reach = reach0 if player == 0 else reach1
             counterfactual = (reach1 if player == 0 else reach0) * chance_reach
-            sums = strategy_sums.setdefault(
-                node.infoset, [0.0] * len(policy)
-            )
             vec = deltas.setdefault(node.infoset, [0.0] * len(policy))
             if player == 0:
-                for a, prob in enumerate(policy):
-                    sums[a] += my_reach * prob
+                for a in range(len(policy)):
                     vec[a] += counterfactual * (child_values[a] - node_value)
             else:
                 # Seat 1's value is the negation, so the advantage flips sign.
-                for a, prob in enumerate(policy):
-                    sums[a] += my_reach * prob
+                for a in range(len(policy)):
                     vec[a] += counterfactual * (node_value - child_values[a])
         return node_value
 

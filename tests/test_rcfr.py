@@ -437,7 +437,9 @@ def oracle_fit(config, rows, values):
 def reference_solve(game, config):
     """RCFR as a loop over stores keyed by infoset, driving
     ``reference_cfr_pass``, with its own features and regressors from
-    ``oracle_fit``. Every use predicts row by row, with no prediction cache:
+    ``oracle_fit``; like the solver's pass, that walk adds each infoset's
+    strategy sums once per pass, at its first visit in preorder. Every use
+    predicts row by row, with no prediction cache:
     the loop the solver must match. Returns the average profile and the
     (t, exploitability, mse_p1, mse_p2) log."""
     infosets = reference_enumerate_infosets(game)
@@ -581,17 +583,17 @@ class TestSolve:
         [
             (
                 64.0,
-                "ff1df2a1a6368a1c0c5eec9a61a6eabe9d4604f52befdf3df01de0e1affb64e9",
+                "c4e1dfe5399178f7d0e5f918aff2312c50c568ae5f005a5b48a7d786cb11a81d",
                 [(10, 3, 3), (20, 3, 3)],
             ),
             (
                 16.0,
-                "1029a26db1aee9c7dda3c6d7f2fc71c4656be618a1a78c2266b20c3f05efef6d",
+                "651be7754d005cda01d34d8f2ad08ed50be0d813c5b299b58f5b6900de2a5c4e",
                 [(10, 14, 16), (20, 16, 14)],
             ),
             (
                 4.0,
-                "80fb435a85cf25c90581d5487dd61279d7b1f50644f11742d17821d5d54d8bc2",
+                "1106e709da38c44347c563d519f2efbb7ab79eda14becc4ed66e6b51ca6ea5e9",
                 [(10, 69, 65), (20, 67, 63)],
             ),
         ],
@@ -600,7 +602,9 @@ class TestSolve:
         self, leduc_game, tmp_path, min_leaf_weight, digest, sizes
     ):
         # Recorded with the per-node tree learner; the level-wise one must
-        # give the same strategy file and leaf counts.
+        # give the same strategy file and leaf counts. The digests were
+        # re-recorded when the strategy sums began to add once per sequence;
+        # the leaf counts held.
         config = RCFRConfig(
             iterations=20, min_leaf_weight=min_leaf_weight, log_every=10
         )
@@ -615,17 +619,17 @@ class TestSolve:
         [
             (
                 dict(min_leaf_weight=16.0, target_mode="bootstrap"),
-                "c8c57b17bda89da245ce3f4cbe78c6065d693c60d68a1afbd49bf70f8903d0d9",
+                "beccec8cb58f32f1e20408febbb1c5fde3fb87c1e8567ab9c1aecf4c379153b2",
                 [(10, 18, 18), (20, 20, 17)],
             ),
             (
                 dict(min_leaf_weight=4.0, max_depth=3),
-                "f1b2ae6fc814edbf80011d418230103a96da57dea36f591cf600103b090915ee",
+                "16ec8eadbbf93453d045e6bf5f3558d35c27a498d99548f4af3764ad62ecd007",
                 [(10, 8, 8), (20, 8, 8)],
             ),
             (
                 dict(min_leaf_weight=1.0, max_depth=5, target_mode="bootstrap"),
-                "c5a59f1dfba7c634d44fa68f76eaeef98105359648b8770307e1f56dbc85f3c5",
+                "13aeced9323c3b9fd57123cf9352b8cecf28d71ccbe29df60ce99bf62578e4cf",
                 [(10, 29, 31), (20, 29, 31)],
             ),
         ],
@@ -633,7 +637,9 @@ class TestSolve:
     def test_leduc_tree_rcfr_shapes_are_pinned(
         self, leduc_game, tmp_path, options, digest, sizes
     ):
-        # Recorded with the estimator classes RCFR used to fit through.
+        # Recorded with the estimator classes RCFR used to fit through; the
+        # digests re-recorded when the strategy sums began to add once per
+        # sequence, the leaf counts held.
         config = RCFRConfig(iterations=20, log_every=10, **options)
         profile, _, model_sizes = rcfr_solve(leduc_game, config)
         path = tmp_path / "strategy.csv"
@@ -730,7 +736,9 @@ class TestSolve:
     def test_leduc_min_leaf_4_log_is_pinned(self, leduc_game):
         # The convergence.csv of `fregret solve --game leduc --algo rcfr
         # --estimator tree --min-leaf 4 --iters 20` without its wall_ms
-        # column; CI pins the same digest.
+        # column; CI pins the same digests. Its t, MSE and leaf columns
+        # were recorded before the strategy sums began to add once per
+        # sequence, which moved only the exploitability column.
         _, convergence, sizes = rcfr_solve(
             leduc_game, RCFRConfig(iterations=20, min_leaf_weight=4.0)
         )
@@ -741,7 +749,12 @@ class TestSolve:
         ]
         text = format_csv(header, rows).encode()
         assert hashlib.sha256(text).hexdigest() == (
-            "caa9c77e5122c95645e476571617c2a9a9fed83b650c0db27138ac428047f00c"
+            "d8bf378673c79b63981c832ff223209cf016d7eaa2c0797f7ac4b22cff9126b1"
+        )
+        trajectory = [(row[0], *row[2:]) for row in rows]
+        text = format_csv([header[0], *header[2:]], trajectory).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "f0046c4483bcff2a430a128ffb6a5923107954605c6a6708dedb2a0d47fd117b"
         )
 
     def test_training_mse_is_the_ordered_loop(self):
