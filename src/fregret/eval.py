@@ -9,9 +9,9 @@ Best response, exploitability and exact EV read the sequence form (see
 sequence, each infoset taking its best action, and exact EV is one sum
 over the pairs. Sampled play moves a block of hands at a time down the
 layout's edge list, every live hand one edge per round of numpy
-operations. Each draw is a binary search over its row's running totals,
-and the marks come from a seeded PCG64's raw stream (see
-``sampled_match``).
+operations. Each draw is a guide-table lookup, then at most ``steps``
+exact comparisons, ``bisect_right`` bit for bit, and the marks come from
+a seeded PCG64's raw stream (see ``sampled_match``).
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ import numpy as np
 from ._validation import check_positive_int, is_integer
 from .efg_core import GameSpec, checked_policy, policy_value, sequence_reach
 
-# Hand pairs per block of sampled play.
+# Hand pairs per block of sampled play, and guide buckets per node: a
+# power of two, so ``x * GUIDE`` is exact.
 BLOCK = 2048
+GUIDE = 16
 
 @dataclass(frozen=True)
 class BestResponseResult:
@@ -161,7 +163,7 @@ def _cuts(layout, policy: np.ndarray) -> np.ndarray:
     table up to it, added a column at a time from 0.0, so it is what adding
     the row's entries one at a time from 0.0 gives; the chance rows' totals
     are the layout's ``tail_totals``. Each node's last edge gets +inf
-    instead, so a search that passes every earlier cut stops there.
+    instead, so a draw that passes every earlier cut stops there.
     """
     totals = 0.0 + policy
     for at in layout.columns:
@@ -171,16 +173,26 @@ def _cuts(layout, policy: np.ndarray) -> np.ndarray:
     return cuts
 
 
-def _search(cuts: np.ndarray, lo: np.ndarray, hi: np.ndarray, mark: np.ndarray):
-    """For each draw, the first position from ``lo`` to ``hi`` whose cut
-    exceeds ``mark``: ``bisect_right`` on a row's cuts, by binary search.
-    The cuts of a row never fall, and ``cuts[hi]`` must exceed the mark."""
-    for _ in range(int((hi - lo).max()).bit_length()):
-        mid = (lo + hi) >> 1
-        right = cuts.take(mid) <= mark
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
-    return lo
+def _guide(cuts: np.ndarray, parent, first, last) -> tuple[np.ndarray, int]:
+    """Each node's guide row, flat, and ``steps``: bucket ``b`` of node ``n``
+    holds its first edge position whose cut exceeds ``b / GUIDE``, and
+    ``steps``, the most positions a bucket spans, is the most cuts of a node
+    in one ``(b / GUIDE, (b + 1) / GUIDE]``, the last open above."""
+    key = np.minimum(np.ceil(cuts * GUIDE), GUIDE).astype(np.intp)
+    guide = np.repeat(first, GUIDE).reshape(-1, GUIDE)
+    end = np.flatnonzero(key[:-1] < key[1:])  # the last cut of a run of keys
+    guide.flat[parent[end] * GUIDE + key[end]] = end + 1
+    np.maximum.accumulate(guide, axis=1, out=guide)
+    steps = max(np.diff(guide).max(), (last - guide[:, -1]).max())
+    return guide.ravel(), int(steps)
+
+
+def _draw(guide, steps: int, cuts, node, mark) -> np.ndarray:
+    """``bisect_right`` on each ``node``'s cuts at ``mark``, from its bucket."""
+    at = guide.take(node * GUIDE + (mark * GUIDE).astype(np.intp))
+    for _ in range(steps):
+        at += cuts.take(at) <= mark
+    return at
 
 
 def _marks(bits, count: int) -> np.ndarray:
@@ -209,8 +221,9 @@ def sampled_match(
     plain mode), in order. Each round of a block moves every live hand one
     edge down the layout's edge list, until all reach a terminal. A draw
     takes a mark and picks the first index whose running total of the row
-    exceeds it, or the last index if none does: a binary search over the
-    row's cuts (see ``_cuts``).
+    exceeds it, or the last index if none does: a guide-table lookup, then
+    at most ``steps`` exact comparisons, ``bisect_right`` bit for bit, on
+    the row's cuts (see ``_cuts`` and ``_guide``); ``steps`` is 2 on Leduc.
 
     Marks come from ``numpy.random.PCG64(abs(seed))``'s raw stream (see
     ``_marks``). Each round, every live hand of the block takes the next
@@ -242,8 +255,10 @@ def sampled_match(
         for first, second in ((policy_a, policy_b), (policy_b, policy_a))
     ])
     nodes, edges = len(layout.utility), len(layout.child)
+    parent = np.concatenate((layout.parent, layout.parent + nodes))
     first = np.concatenate((layout.first, layout.first + edges))
     last = np.concatenate((layout.last, layout.last + edges))
+    guide, steps = _guide(cuts, parent, first, last)
     child = np.concatenate((layout.child, layout.child + nodes))
     over = np.concatenate((layout.terminal, layout.terminal))
     at_chance = np.concatenate((layout.chance_node, layout.chance_node))
@@ -276,7 +291,7 @@ def sampled_match(
                 which = np.flatnonzero(at_chance.take(node))
                 mark[which] = common[event[which], hand[which] >> 1]
                 event[which] += 1
-            node = child.take(_search(cuts, first.take(node), last.take(node), mark))
+            node = child.take(_draw(guide, steps, cuts, node, mark))
         np.negative(out[1::2], out=out[1::2])
         if duplicate:
             values[begin // 2 : (begin + count) // 2] = 0.5 * (out[0::2] + out[1::2])

@@ -595,6 +595,33 @@ class TestCompeteCommand:
         out = self.leduc_match(tmp_path, capsys, "--exact")
         assert out == "exact_ev,0.74677303712406351\n"
 
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (("--duplicate", "--hands", "2001"), "2000,0.01,0.012472191289246473,0,true"),
+            (("--seed", "-3"), "10000,0.00040000000000000002,0.013552060722819372,-3,false"),
+        ],
+        ids=["duplicate", "negative-seed"],
+    )
+    def test_kuhn_match_is_pinned(self, tmp_path, capsys, flags, line):
+        # The CI workflow checks the same lines through the console script:
+        # 40 iterations of CFR against tabular RCFR, which plays the same.
+        cfr, _ = solve_into(
+            tmp_path, capsys, "cfr",
+            ["--game", "kuhn", "--algo", "cfr", "--iters", "40"],
+        )
+        rcfr, _ = solve_into(
+            tmp_path, capsys, "rcfr",
+            ["--game", "kuhn", "--algo", "rcfr", "--estimator", "tabular",
+             "--iters", "40"],
+        )
+        code, out, _ = run(
+            ["compete", "--game", "kuhn", "--a", str(cfr), "--b", str(rcfr), *flags],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines() == ["hands,mean,stderr,seed,duplicate", line]
+
     def test_game_mismatch_between_files_fails(self, tmp_path, capsys):
         kuhn_strat, _ = solve_into(
             tmp_path, capsys, "k",

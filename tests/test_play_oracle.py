@@ -4,7 +4,10 @@
 by: it adds a row's entries one at a time from 0.0 and takes the first
 index whose running total exceeds the mark, or the last index if none
 does. ``bisect_right`` on the row's ``cut_table`` picks the same index, and
-so must the cuts of ``eval._cuts`` searched by ``eval._search``.
+so must ``eval._draw``: a lookup in the guide table that ``eval._guide``
+builds over the cuts of ``eval._cuts``, then ``steps`` exact comparisons.
+``steps`` must be the most cuts of a row in one guide bucket, and at most
+2 on Kuhn and Leduc under solved, uniform and random profiles.
 
 ``reference_sampled_match`` plays a match one hand and one draw at a time
 down the tree, by the mark rule that ``sampled_match`` documents: blocks of
@@ -25,14 +28,34 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_game_oracle import SEEDS, SHARED_SEEDS, is_dyadic, random_game, random_profile
+from test_game_oracle import (
+    SEEDS,
+    SHARED_SEEDS,
+    is_dyadic,
+    random_distribution,
+    random_game,
+    random_profile,
+)
+from test_strategy_oracle import STORED
 
-from fregret.efg_core import CHANCE, decision, make_game, terminal, uniform_profile
+from fregret.cfr import CFRConfig, solve
+from fregret.cli import read_strategy_file
+from fregret.efg_core import (
+    CHANCE,
+    checked_policy,
+    decision,
+    enumerate_infosets,
+    make_game,
+    terminal,
+    uniform_profile,
+)
 from fregret.eval import (
     BLOCK,
+    GUIDE,
     MatchResult,
     _cuts,
-    _search,
+    _draw,
+    _guide,
     merge_profiles,
     sampled_match,
 )
@@ -124,6 +147,10 @@ ENTRIES = st.one_of(
 # 1, a mark past the row's total falls back to the last action.
 TOTALS = st.sampled_from([1.0, 1.0 - 1e-7, 1.0 + 1e-7])
 LAST_MARK = 1.0 - 2.0**-53
+# Every guide bucket's edge, 0 to 1.
+BUCKET_EDGES = tuple(b / GUIDE for b in range(GUIDE + 1))
+# 29 cuts in the first bucket: a draw there takes 29 steps.
+CROWDED = (1e-3,) * 29 + (1.0 - 29e-3,)
 
 
 @st.composite
@@ -137,18 +164,26 @@ def rows(draw):
 
 
 def marks_for(row, extra):
-    """``extra``, 0, the last mark, and each running total and its two
-    neighbours, within [0, 1)."""
+    """``extra``, 0, the last mark, and each running total and each guide
+    bucket's edge and its two neighbours, within [0, 1)."""
     marks = set(extra) | {0.0, LAST_MARK}
-    for total in accumulate(row, initial=0.0):
+    for total in (*accumulate(row, initial=0.0), *BUCKET_EDGES):
         marks |= {total, math.nextafter(total, -1.0), math.nextafter(total, 2.0)}
     return sorted(m for m in marks if 0.0 <= m < 1.0)
 
 
-def searched(rows, marks):
+def most_in_a_bucket(tables):
+    """The most cuts of one of ``tables`` in one guide bucket, ``(b / GUIDE,
+    (b + 1) / GUIDE]``, the last bucket open above."""
+    bounds = [*zip(BUCKET_EDGES, BUCKET_EDGES[1:-1])] + [(BUCKET_EDGES[-2], math.inf)]
+    return max(sum(lo < c <= hi for c in table) for table in tables for lo, hi in bounds)
+
+
+def drawn(rows, marks):
     """Index drawn from ``rows[k]`` at each mark of ``marks[k]``, by one
-    ``_search`` over a game whose seat-1 nodes each play one row, so rows of
-    every width share the search; and each row's cuts."""
+    ``_draw`` over the guide table of a game whose seat-1 nodes each play
+    one row, so rows of every width share the table; each row's cuts; and
+    the table's steps. The root plays 1.0 at each action."""
     game = make_game(
         "rows",
         decision(
@@ -165,17 +200,17 @@ def searched(rows, marks):
     layout = game.layout
     policy = np.array([1.0] * len(rows) + [p for row in rows for p in row])
     cuts = _cuts(layout, policy)
+    guide, steps = _guide(cuts, layout.parent, layout.first, layout.last)
     heads = layout.child[layout.first[0] : layout.last[0] + 1]
     first, last = layout.first[heads], layout.last[heads]
     counts = [len(m) for m in marks]
-    lo = np.repeat(first, counts)
-    picks = _search(
-        cuts, lo, np.repeat(last, counts), np.array([m for ms in marks for m in ms])
-    ) - lo
+    node, mark = np.repeat(heads, counts), np.array([m for ms in marks for m in ms])
+    picks = _draw(guide, steps, cuts, node, mark) - np.repeat(first, counts)
     ends = np.cumsum(counts)
     return (
         [picks[end - count : end].tolist() for end, count in zip(ends, counts)],
         [cuts[a:b].tolist() for a, b in zip(first, last)],
+        steps,
     )
 
 
@@ -189,9 +224,10 @@ def searched(rows, marks):
 @example(rows=[(-0.0, 5e-324, 0.5, 0.5), (1.0,)], extra=[5e-324])
 @example(rows=[(0.25, 0.25, 0.5 - 1e-7)], extra=[])
 @example(rows=[(0.0, 0.0), (1.0 / 30,) * 30], extra=[0.5])
+@example(rows=[CROWDED, (0.25,) * 4], extra=[])
 def test_cut_table_draw_matches_the_scan(rows, extra):
     marks = [marks_for(row, extra) for row in rows]
-    picks, cuts = searched(rows, marks)
+    picks, cuts, _ = drawn(rows, marks)
     for row, row_marks, row_picks, row_cuts in zip(rows, marks, picks, cuts):
         table = cut_table(row)
         assert [c.hex() for c in row_cuts] == [c.hex() for c in table]
@@ -204,8 +240,47 @@ def test_short_row_falls_back_to_the_last_action():
     assert reference_draw(LAST_MARK, row) == 1
     assert bisect_right(cut_table(row), LAST_MARK) == 1
     assert bisect_right(cut_table((1.0,)), LAST_MARK) == 0
-    picks, _ = searched([row, (1.0,)], [[LAST_MARK], [LAST_MARK]])
+    picks, _, _ = drawn([row, (1.0,)], [[LAST_MARK], [LAST_MARK]])
     assert picks == [[1], [0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(rows(), min_size=1, max_size=4))
+@example(rows=[CROWDED])
+@example(rows=[(1.0 / 30,) * 30, (0.25,) * 4])
+@example(rows=[(0.5, 0.5 - 1e-7), (1.0,)])
+@example(rows=[(1.0 / 16,) * 15 + (1.0 / 16 + 1e-7,)])
+def test_steps_is_the_most_cuts_in_a_bucket(rows):
+    # The root's cuts, 1.0, 2.0 and so on, all fall in the last bucket.
+    _, _, steps = drawn(rows, [[0.0]] * len(rows))
+    tables = [cut_table((1.0,) * len(rows)), *map(cut_table, rows)]
+    assert steps == most_in_a_bucket(tables)
+
+
+def guard_profiles(game, solved):
+    """``solved``, uniform play, and 20 seeded random profiles, every other
+    one with exact zeros."""
+    infosets = enumerate_infosets(game)
+    randoms = []
+    for seed in range(20):
+        rng, zero_share = random.Random(seed), 0.3 * (seed % 2)
+        randoms.append(
+            {key: random_distribution(rng, n, zero_share) for _, key, n in infosets}
+        )
+    return [solved, uniform_profile(game), *randoms]
+
+
+def test_draw_takes_at_most_two_steps(kuhn_game, leduc_game):
+    # The cost of a draw, without timing it: a decision row has at most two
+    # finite cuts, and no bucket holds more than two of a deal's cuts.
+    solved_kuhn = solve(kuhn_game, CFRConfig(iterations=200, log_every=200))[0]
+    solved_leduc = read_strategy_file(str(STORED))[1]
+    for game, solved in ((kuhn_game, solved_kuhn), (leduc_game, solved_leduc)):
+        layout = game.layout
+        for profile in guard_profiles(game, solved):
+            cuts = _cuts(layout, checked_policy(game, (profile, profile)))
+            _, steps = _guide(cuts, layout.parent, layout.first, layout.last)
+            assert steps <= 2, game.game_id
 
 
 # ---------------------------------------------------------------------------

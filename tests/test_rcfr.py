@@ -597,6 +597,7 @@ class TestSolve:
                 [(10, 69, 65), (20, 67, 63)],
             ),
         ],
+        ids=["ml64", "ml16", "ml4"],
     )
     def test_leduc_tree_rcfr_is_pinned(
         self, leduc_game, tmp_path, min_leaf_weight, digest, sizes
@@ -633,6 +634,7 @@ class TestSolve:
                 [(10, 29, 31), (20, 29, 31)],
             ),
         ],
+        ids=["boot-ml16", "ml4-depth3", "boot-ml1-depth5"],
     )
     def test_leduc_tree_rcfr_shapes_are_pinned(
         self, leduc_game, tmp_path, options, digest, sizes
