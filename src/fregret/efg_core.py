@@ -542,45 +542,43 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
     or of the wrong length, the first in table order; ``check_row``'s
     ValueError on the first row in table order with an entry ``float``
     cannot read or that is not a distribution, found by ``bad_rows`` in one
-    pass over the vector. Where both seats read one profile that has every
-    key, its rows are taken by one ``map`` over the table's keys and their
-    lengths compared in one step with the layout's ``row_sizes``; other
-    seatings, and a profile that fails there, are read row by row, which
-    words the first fault.
+    pass over the vector. Where both seats read one profile with as many
+    keys as the game, one ``map`` over the table's keys takes its rows; if
+    none is missing and their lengths match ``row_sizes``, it has exactly
+    the game's keys. Other seatings, and a profile that fails there, are
+    checked key by key, then row by row, which words the first fault.
     """
     layout, labels = game.layout, game.action_labels
-    for profile in seat_profiles:
-        if profile is not None and not profile.keys() <= labels.keys():
-            key = next(key for key in profile if key not in labels)
-            raise ValueError(
-                f"infoset '{key}' does not exist in game '{game.game_id}'"
-            )
-    rows = None
-    shared = seat_profiles[0]
+    rows, read, shared = None, True, seat_profiles[0]
     if (
         shared is not None
         and all(profile is shared for profile in seat_profiles)
         and len(shared) == len(labels)
     ):
-        # It has no key the game lacks (checked above), so it has them all.
-        rows = list(map(shared.__getitem__, labels))
         try:
-            sized = list(map(len, rows)) == layout.row_sizes
-        except TypeError:  # a row without a length, worded below
-            sized = False
-        if not sized:
+            rows = list(map(shared.__getitem__, labels))
+            # A mapping that adds missing keys as it reads them grows.
+            if list(map(len, rows)) != layout.row_sizes or len(shared) != len(labels):
+                rows = None
+        except (KeyError, TypeError):  # worded below
             rows = None
     if rows is None:
+        for profile in seat_profiles:
+            if profile is not None and not profile.keys() <= labels.keys():
+                key = next(key for key in profile if key not in labels)
+                raise ValueError(
+                    f"infoset '{key}' does not exist in game '{game.game_id}'"
+                )
         rows = _rows_in_table_order(layout, seat_profiles)
-    read = np.array([profile is not None for profile in seat_profiles])[layout.seat]
+        read = np.array([profile is not None for profile in seat_profiles])[layout.seat]
     try:
         policy = np.fromiter(
             chain.from_iterable(rows), dtype=np.float64, count=layout.offset[-1]
         )
-        bad = bad_rows(layout.owner, policy, len(rows)) & read
+        bad = bad_rows(layout.owner, policy, len(rows))
     except (OverflowError, TypeError, ValueError):  # check_row words the entry
-        bad = read
-    for k in bad.nonzero()[0]:
+        bad = np.ones(len(rows), dtype=bool)
+    for k in np.flatnonzero(bad & read):
         check_row(layout.infosets[k][1], rows[k])
     return policy
 

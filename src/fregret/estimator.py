@@ -276,7 +276,7 @@ _PAIRWISE_BLOCK = 8
 
 def _node_totals(node_y, starts, counts):
     """Each node's target total as ``np.add.reduce`` of its rows gives it,
-    pairwise; ``reduceat`` adds in order and would round differently.
+    pairwise; ``reduceat`` adds a node's first row to the rest's pairwise sum.
 
     Nodes of fewer than ``_PAIRWISE_BLOCK`` rows, where the two orders
     agree, are added by one ``bincount``, the rest one reduce each."""

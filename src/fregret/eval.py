@@ -7,8 +7,8 @@ conventions. Matches report chips per hand from the first profile's view.
 Best response, exploitability and exact EV read the sequence form (see
 ``efg_core``): best response backs the pair table's values up by
 sequence, each infoset taking its best action, and exact EV is one sum
-over the pairs. Sampled play moves a block of hands at a time down the
-layout's edge list, every live hand one edge per round of numpy
+over the pairs per seating. Sampled play moves a block of hands at a time
+down the layout's edge list, every live hand one edge per round of numpy
 operations. Each draw is a guide-table lookup, then at most ``steps``
 exact comparisons, ``bisect_right`` bit for bit, and the marks come from
 a seeded PCG64's raw stream (see ``sampled_match``).
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import check_positive_int, is_integer
-from .efg_core import GameSpec, checked_policy, policy_value, sequence_reach
+from .efg_core import GameSpec, checked_policy, sequence_reach
 
 # Hand pairs per block of sampled play, and guide buckets per node: a
 # power of two, so ``x * GUIDE`` is exact.
@@ -144,14 +144,14 @@ def exact_ev(game: GameSpec, profile_a, profile_b) -> float:
 
     Exactly antisymmetric (exact_ev(a, b) == -exact_ev(b, a)) and exactly
     zero when both arguments are the same profile. Each profile is checked
-    once, and a slot mask seats their rows both ways round.
+    once into one sequence reach; each seating is one sum over the pairs.
     """
     layout = game.layout
-    policy_a = checked_policy(game, (profile_a, profile_a))
-    policy_b = checked_policy(game, (profile_b, profile_b))
-    seat0 = layout.seat[layout.owner] == 0
-    a_seated_first = policy_value(layout, np.where(seat0, policy_a, policy_b))
-    b_seated_first = policy_value(layout, np.where(seat0, policy_b, policy_a))
+    reach_a = sequence_reach(layout, checked_policy(game, (profile_a, profile_a)))
+    reach_b = sequence_reach(layout, checked_policy(game, (profile_b, profile_b)))
+    payoff, (seat0, seat1) = layout.payoff[0], layout.pairs
+    a_seated_first = float(np.sum(payoff * reach_a[seat0] * reach_b[seat1]))
+    b_seated_first = float(np.sum(payoff * reach_b[seat0] * reach_a[seat1]))
     return 0.5 * (a_seated_first - b_seated_first)
 
 
@@ -174,22 +174,24 @@ def _cuts(layout, policy: np.ndarray) -> np.ndarray:
 
 
 def _guide(cuts: np.ndarray, parent, first, last) -> tuple[np.ndarray, int]:
-    """Each node's guide row, flat, and ``steps``: bucket ``b`` of node ``n``
-    holds its first edge position whose cut exceeds ``b / GUIDE``, and
-    ``steps``, the most positions a bucket spans, is the most cuts of a node
-    in one ``(b / GUIDE, (b + 1) / GUIDE]``, the last open above."""
+    """Every node's guide entries, bucket-major and flat, and ``steps``:
+    entry ``b * nodes + n`` is node ``n``'s first edge position whose cut
+    exceeds ``b / GUIDE``, and ``steps``, the most positions a bucket spans,
+    is the most cuts of a node in one ``(b / GUIDE, (b + 1) / GUIDE]``, the
+    last open above."""
     key = np.minimum(np.ceil(cuts * GUIDE), GUIDE).astype(np.intp)
-    guide = np.repeat(first, GUIDE).reshape(-1, GUIDE)
+    guide = np.tile(first, (GUIDE, 1))
     end = np.flatnonzero(key[:-1] < key[1:])  # the last cut of a run of keys
-    guide.flat[parent[end] * GUIDE + key[end]] = end + 1
-    np.maximum.accumulate(guide, axis=1, out=guide)
-    steps = max(np.diff(guide).max(), (last - guide[:, -1]).max())
+    guide.flat[key[end] * len(first) + parent[end]] = end + 1
+    for b in range(1, GUIDE):
+        np.maximum(guide[b - 1], guide[b], out=guide[b])
+    steps = max((guide[1:] - guide[:-1]).max(), (last - guide[-1]).max())
     return guide.ravel(), int(steps)
 
 
 def _draw(guide, steps: int, cuts, node, mark) -> np.ndarray:
     """``bisect_right`` on each ``node``'s cuts at ``mark``, from its bucket."""
-    at = guide.take(node * GUIDE + (mark * GUIDE).astype(np.intp))
+    at = guide.take((mark * GUIDE).astype(np.intp) * (len(guide) // GUIDE) + node)
     for _ in range(steps):
         at += cuts.take(at) <= mark
     return at

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -383,6 +384,20 @@ def test_checked_policy_words_the_first_fault_in_table_order(leduc_game):
         f"probabilities (0.5, 0.6) for infoset '{late}' sum to 1.1000000000000001; "
         "each must be finite and >= 0, summing to 1",
     )
+    # A key the game lacks in place of one it has keeps the profile's size,
+    # and is named before any row is read.
+    row = uniform_profile(leduc_game)[late]
+    for early_row in (keep, (1.0,)):
+        swapped = spoiled(early_row, "missing")
+        swapped["p0:nosuch"] = (0.5, 0.5)
+        assert first_fault(leduc_game, swapped) == (
+            "ValueError", "infoset 'p0:nosuch' does not exist in game 'leduc'",
+        )
+        # A mapping that adds the keys it lacks as they are read, with rows
+        # of the right size, must not hide the key the game lacks.
+        assert first_fault(leduc_game, defaultdict(lambda: row, swapped)) == (
+            "ValueError", "infoset 'p0:nosuch' does not exist in game 'leduc'",
+        )
     assert first_fault(leduc_game, uniform_profile(leduc_game)) is None
 
 

@@ -370,7 +370,9 @@ class TestProfileCheck:
             # Every row sums to 3/4: the first infoset in table order is named.
             scaled = {key: tuple(0.75 * p for p in row) for key, row in profile.items()}
             return scaled, enumerate_infosets(game)[0][1]
-        if damage == "unknown":
+        if damage in ("unknown", "swapped"):
+            if damage == "swapped":  # one key replaced: the size is kept
+                del profile[enumerate_infosets(game)[0][1]]
             profile["p0:A:-:"] = (0.5, 0.5)
             return profile, "p0:A:-:"
         victim = "p0:K:-:cr"
@@ -378,7 +380,9 @@ class TestProfileCheck:
         return profile, victim
 
     @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
-    @pytest.mark.parametrize("damage", ["scaled", "nan", "negative", "unknown"])
+    @pytest.mark.parametrize(
+        "damage", ["scaled", "nan", "negative", "unknown", "swapped"]
+    )
     def test_rejects_and_names_the_infoset(self, kuhn_game, evaluator, damage):
         profile, victim = self.damaged(kuhn_game, damage)
         with pytest.raises(ValueError, match=re.escape(f"infoset '{victim}'")):

@@ -50,6 +50,7 @@ from fregret.efg_core import (
     enumerate_infosets,
     expected_value,
     make_game,
+    policy_value,
     sequence_reach,
     terminal,
     uniform_profile,
@@ -884,6 +885,35 @@ def test_expected_value_matches_reference(games):
             assert repr(expected_value(game, profile)) == repr(
                 reference_expected_value(game, profile)
             )
+
+
+def seat_mixed_exact_ev(game, profile_a, profile_b):
+    """Exact EV by its definition over slot vectors: ``policy_value`` of
+    the two profiles' rows mixed by seat, a in seat 0 and then in seat 1."""
+    layout = game.layout
+    policy_a, policy_b = (checked_policy(game, (p, p)) for p in (profile_a, profile_b))
+    seat0 = layout.seat[layout.owner] == 0
+    return 0.5 * (
+        policy_value(layout, np.where(seat0, policy_a, policy_b))
+        - policy_value(layout, np.where(seat0, policy_b, policy_a))
+    )
+
+
+def test_exact_ev_is_the_seat_mixed_value(games, kuhn_game, leduc_game):
+    """``exact_ev`` takes one sequence reach per profile; each seat's reach
+    reads only its own slots, so it must give the seat-mixed value bit for
+    bit, on dyadic and arbitrary profiles alike."""
+    cases = [*games.items(), *((seed, kuhn_game) for seed in range(4))]
+    cases += [(seed, leduc_game) for seed in range(4)]
+    for seed, game in cases:
+        rng = random.Random(seed)
+        profiles = [uniform_profile(game)] + [
+            random_profile(game, rng, is_dyadic(seed)) for _ in range(2)
+        ]
+        for a in profiles:
+            for b in profiles:
+                fast, mixed = exact_ev(game, a, b), seat_mixed_exact_ev(game, a, b)
+                assert fast.hex() == mixed.hex(), (game.game_id, seed)
 
 
 def test_best_response_matches_reference(games):
