@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import dataclasses
 import math
 import os
 import re
@@ -292,20 +293,8 @@ def cmd_compete(args) -> int:
         seed=args.seed,
         duplicate=args.duplicate,
     )
-    sys.stdout.write(
-        format_csv(
-            ["hands", "mean", "stderr", "seed", "duplicate"],
-            [
-                (
-                    result.hands,
-                    result.mean,
-                    result.stderr,
-                    result.seed,
-                    result.duplicate,
-                )
-            ],
-        )
-    )
+    header = [field.name for field in dataclasses.fields(result)]
+    sys.stdout.write(format_csv(header, [dataclasses.astuple(result)]))
     return 0
 
 

@@ -28,8 +28,8 @@ per sequence, weighted by own reach, which is the slot's entry of the
 reach vector. It values the nodes by one bottom-up sweep over the edge
 list's ``levels``, each node once, and adds each position's regret term,
 computed once per class of equal terms of both seats, so its regrets keep
-the position order's bits, on which the tree learner's splits depend. Sampled play moves blocks of hands down the same edge
-list, one edge per round.
+the position order's bits, on which the tree learner's splits depend.
+Sampled play moves hand blocks down the same edge list, one edge per round.
 
 Every sum runs in a fixed order that depends only on the game: ``bincount``
 and the unbuffered ``np.add.at`` add in index order from 0.0, and

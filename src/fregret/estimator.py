@@ -54,7 +54,6 @@ TREE_HEADER_PATTERN = re.compile(
 # Feature extraction
 
 
-@functools.lru_cache(maxsize=4096)
 def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
     """Feature vector for playing ``action`` at ``infoset``.
 
@@ -72,11 +71,6 @@ def featurize(game_id: str, infoset: str, action: str) -> tuple[float, ...]:
     Suits never appear: infosets that differ only in suit history coincide.
     The columns lay out the decision point ``poker.parse_key`` replays the
     key to, so a key no node has, or an action its node lacks, raises.
-
-    A pure function of its three strings, so results are cached per
-    process (4,096 entries; Leduc has 288 infosets), and each key is
-    parsed once however many ``rcfr.new_state`` calls ask for it. A bad
-    key is not cached and raises on every call.
     """
     rules = rules_for(game_id)
     seat, rank, board, current, paid, raises, last, offered = parse_key(rules, infoset)

@@ -30,6 +30,7 @@ from .efg_core import GameSpec, checked_policy, sequence_reach
 BLOCK = 2048
 GUIDE = 16
 
+
 @dataclass(frozen=True)
 class BestResponseResult:
     """Best achievable value for one seat against a fixed opponent."""

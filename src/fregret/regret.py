@@ -5,7 +5,7 @@ normalized, uniform fallback), and ``rm_update`` advances a matcher one step
 from exact regrets. ``regret_bound`` is the ceiling on average regret when
 play comes from estimates within epsilon of the true cumulative regrets, and
 ``rrm_selfplay`` is the matrix-game harness that checks the bound
-empirically, playing from a noise-perturbed view of the regrets.
+empirically, playing from regrets perturbed by noise of one max-norm scale.
 """
 
 from __future__ import annotations
@@ -21,27 +21,24 @@ from ._validation import check_positive_int, ordered_sum
 class NoiseModel:
     """Perturbation applied to cumulative regrets before forming a policy.
 
-    Kind "none" plays from the values as given; "bounded_linf" adds an
-    independent uniform draw from [-scale, scale] to each action (worst-case
-    error scale in the max norm). The scale must be finite and >= 0.
+    Adds an independent uniform draw from [-scale, scale] to each action
+    (worst-case error scale in the max norm). Scale 0 plays from the values
+    as given and draws nothing. The scale must be finite and >= 0.
     """
 
-    kind: str = "none"
     scale: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "bounded_linf"):
-            raise ValueError(f"unknown noise kind '{self.kind}'")
         if not 0.0 <= self.scale < math.inf:
             raise ValueError("noise scale must be finite and >= 0")
 
     @classmethod
     def bounded_linf(cls, epsilon: float) -> "NoiseModel":
-        return cls("bounded_linf", epsilon)
+        return cls(epsilon)
 
     def perturb(self, values, rng: random.Random):
-        """Return values plus one fresh noise draw per entry."""
-        if self.kind == "none":
+        """Return values plus one fresh draw per entry; none at scale 0."""
+        if self.scale == 0.0:
             return tuple(values)
         return tuple(v + rng.uniform(-self.scale, self.scale) for v in values)
 
@@ -164,16 +161,15 @@ def rrm_selfplay(
 
     Each round both seats form policies from their perturbed cumulative
     regrets and receive exact expected payoffs against the opponent's mixed
-    policy. Logged rows report the worse seat's average regret
-    (max_a R(a) / t) next to ``regret_bound`` at the noise scale, a
-    guaranteed ceiling for both noise kinds.
+    policy. Each logged row holds the worse seat's average regret
+    (max_a R(a) / t) beside its ceiling, ``regret_bound`` at the noise scale.
     """
     check_positive_int(steps, "steps")
     check_positive_int(log_every, "log_every")
     rng = random.Random(seed)
     row_state = RegretMatcher.fresh(game.n_rows)
     col_state = RegretMatcher.fresh(game.n_cols)
-    epsilon = 0.0 if noise_model.kind == "none" else noise_model.scale
+    epsilon = noise_model.scale
     n_bound = max(game.n_rows, game.n_cols)
     rows: list[BoundLogRow] = []
     for t in range(1, steps + 1):

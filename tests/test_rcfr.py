@@ -25,6 +25,7 @@ from test_game_oracle import (
     reference_exploitability,
 )
 
+import fregret.estimator as estimator_module
 import fregret.rcfr as rcfr_module
 from fregret.cfr import (
     CFRConfig,
@@ -137,24 +138,31 @@ def test_tree_state_features_equal_per_slot_featurize(request, name):
     assert state.plan.XT.T.tobytes() == features[state.plan.rows].tobytes()
 
 
-def test_second_new_state_reads_the_featurize_cache(leduc_game, monkeypatch):
+def test_plan_featurizes_each_infoset_once_per_game(leduc_game, monkeypatch):
     # One fit plan per game: a second state on the game shares it and
-    # featurizes nothing; a game built anew plans again from featurize's
-    # cache; a dropped game drops its plan; rejected features are not kept.
+    # featurizes nothing; a game built anew featurizes each of its infosets
+    # once into a plan of its own; a dropped game drops its plan; rejected
+    # features are not kept.
+    calls = []
+
+    def counted(game_id, infoset, action):
+        calls.append(infoset)
+        return featurize(game_id, infoset, action)
+
+    monkeypatch.setattr(estimator_module, "featurize", counted)
     config = RCFRConfig(iterations=1, estimator_kind="tree")
     first = new_state(leduc_game, config)
-    before = featurize.cache_info()
+    calls.clear()
     second = new_state(leduc_game, config)
     assert second.plan is first.plan
-    assert featurize.cache_info() == before
+    assert calls == []
 
     game = build_leduc()
     fresh = new_state(game, config)
-    after = featurize.cache_info()
     assert fresh.plan is not first.plan
     assert fresh.plan.XT.tobytes() == first.plan.XT.tobytes()
-    assert after.hits - before.hits == len(game.action_labels)
-    assert after.misses == before.misses
+    assert sorted(calls) == sorted(game.action_labels)
+    assert len(calls) == 288
     plan, layout = weakref.ref(fresh.plan), weakref.ref(game.layout)
     assert rcfr_module._PLANS[game.layout] is fresh.plan
     del game, fresh

@@ -132,12 +132,6 @@ class TestRmUpdate:
 
 
 class TestNoiseModel:
-    def test_unknown_kind_rejected(self):
-        # No "gaussian" kind: regret_bound covers no unbounded noise.
-        for kind in ("l2_ball", "gaussian"):
-            with pytest.raises(ValueError, match="unknown noise kind"):
-                NoiseModel(kind, 1.0)
-
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel.bounded_linf(-0.1)
@@ -156,8 +150,18 @@ class TestNoiseModel:
             assert all(abs(o - v) <= 0.3 for o, v in zip(out, values))
 
     def test_none_is_identity(self):
-        rng = random.Random(0)
-        assert NO_NOISE.perturb((1.5, -2.5), rng) == (1.5, -2.5)
+        # Scale 0 returns the values as given and draws nothing.
+        rng = random.Random(4)
+        before = rng.getstate()
+        for zero in (NO_NOISE, NoiseModel(0.0), NoiseModel.bounded_linf(0.0)):
+            assert zero.perturb((1.5, -2.5, 0.0), rng) == (1.5, -2.5, 0.0)
+            assert rng.getstate() == before
+
+    def test_positive_scale_draws_once_per_entry(self):
+        rng, twin = random.Random(4), random.Random(4)
+        out = NoiseModel(0.3).perturb((1.5, -2.5, 0.0), rng)
+        assert out == tuple(v + twin.uniform(-0.3, 0.3) for v in (1.5, -2.5, 0.0))
+        assert rng.getstate() == twin.getstate()
 
 
 class TestRegretBound:
