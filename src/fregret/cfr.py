@@ -150,13 +150,21 @@ def cfr_iteration(game: GameSpec, tables: CFRTables):
 
 
 def average_strategy(game: GameSpec, strategy_sums) -> dict[str, tuple[float, ...]]:
-    """Normalized strategy sums by infoset key, in table order; infosets
-    with zero mass fall back to uniform."""
-    offset = game.layout.offset
-    probs = _normalize(game, np.asarray(strategy_sums, dtype=np.float64)).tolist()
+    """Normalized strategy sums by infoset key, in table order, uniform at
+    zero mass. Raises ValueError at the first infoset with a NaN, inf or
+    negative sum."""
+    layout, sums = game.layout, np.asarray(strategy_sums, dtype=np.float64)
+    bad = layout.owner[~((sums >= 0.0) & (sums < np.inf))]
+    if len(bad):
+        row = tuple(sums[layout.owner == bad[0]].tolist())
+        raise ValueError(
+            f"infoset '{layout.infosets[bad[0]][1]}': "
+            f"non-finite or negative strategy sums {row!r}"
+        )
+    probs = _normalize(game, sums).tolist()
     return {
-        key: tuple(probs[offset[k] : offset[k + 1]])
-        for k, (_, key, _) in enumerate(game.layout.infosets)
+        key: tuple(probs[layout.offset[k] : layout.offset[k + 1]])
+        for k, (_, key, _) in enumerate(layout.infosets)
     }
 
 

@@ -48,8 +48,6 @@ CONVERGENCE_FILENAME = "convergence.csv"
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format_float(value)
     return str(value)

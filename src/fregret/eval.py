@@ -5,13 +5,13 @@ exactly at an equilibrium); halve it to compare against per-player-average
 conventions. Matches report chips per hand from the first profile's view.
 
 Best response, exploitability and exact EV read the sequence form (see
-``efg_core``): best response backs the pair table's values up by
-sequence, each infoset taking its best action, and exact EV is one sum
-over the pairs per seating. Sampled play moves a block of hands at a time
-down the layout's edge list, every live hand one edge per round of numpy
-operations. Each draw is a guide-table lookup, then at most ``steps``
-exact comparisons, ``bisect_right`` bit for bit, and the marks come from
-a seeded PCG64's raw stream (see ``sampled_match``).
+``efg_core``): best response backs the pair table's values up by sequence,
+each infoset taking its best action, and exact EV is one sum over the pairs
+per seating. Sampled play moves a block of hands at a time down the edge
+list, every live hand one edge per round of numpy operations. Each draw is
+a guide-table lookup, then at most ``steps`` exact comparisons,
+``bisect_right`` bit for bit. The marks are ``Generator(PCG64(|seed|)).random``:
+the top 53 bits of each raw draw times 2**-53 (see ``sampled_match``).
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def _guide(cuts: np.ndarray, parent, first, last) -> tuple[np.ndarray, int]:
     entry ``b * nodes + n`` is node ``n``'s first edge position whose cut
     exceeds ``b / GUIDE``, and ``steps``, the most positions a bucket spans,
     is the most cuts of a node in one ``(b / GUIDE, (b + 1) / GUIDE]``, the
-    last open above."""
+    last open above. Buckets fill in order, each by a running maximum."""
     key = np.minimum(np.ceil(cuts * GUIDE), GUIDE).astype(np.intp)
     guide = np.tile(first, (GUIDE, 1))
     end = np.flatnonzero(key[:-1] < key[1:])  # the last cut of a run of keys
@@ -196,12 +196,6 @@ def _draw(guide, steps: int, cuts, node, mark) -> np.ndarray:
     for _ in range(steps):
         at += cuts.take(at) <= mark
     return at
-
-
-def _marks(bits, count: int) -> np.ndarray:
-    """The next ``count`` marks from ``bits``: the top 53 bits of each raw
-    64-bit draw times 2**-53, the form ``random.random()`` returns."""
-    return (bits.random_raw(count) >> 11) * 2.0**-53
 
 
 def sampled_match(
@@ -228,9 +222,9 @@ def sampled_match(
     at most ``steps`` exact comparisons, ``bisect_right`` bit for bit, on
     the row's cuts (see ``_cuts`` and ``_guide``); ``steps`` is 2 on Leduc.
 
-    Marks come from ``numpy.random.PCG64(abs(seed))``'s raw stream (see
-    ``_marks``). Each round, every live hand of the block takes the next
-    mark, in hand order. In duplicate mode a block first takes
+    Marks are ``Generator(PCG64(|seed|)).random``: the top 53 bits of each
+    raw draw times 2**-53. Each round, every live hand of the block takes
+    the next mark, in hand order. In duplicate mode a block first takes
     ``layout.chance_depth`` rows of one mark per pair: at its k-th chance
     event each hand of a pair uses row k's mark instead of its own. So
     where the pair's chance nodes have the same probabilities, both hands
@@ -265,7 +259,7 @@ def sampled_match(
     child = np.concatenate((layout.child, layout.child + nodes))
     over = np.concatenate((layout.terminal, layout.terminal))
     at_chance = np.concatenate((layout.chance_node, layout.chance_node))
-    bits = np.random.PCG64(abs(seed))
+    marks = np.random.Generator(np.random.PCG64(abs(seed)))
     played = 2 * max(1, hands // 2) if duplicate else hands
     values = np.empty(played // 2 if duplicate else played)
     for begin in range(0, played, 2 * BLOCK):
@@ -274,7 +268,7 @@ def sampled_match(
         hand = np.arange(count)
         node = hand % 2 * nodes
         if duplicate:
-            common = _marks(bits, layout.chance_depth * (count // 2))
+            common = marks.random(layout.chance_depth * (count // 2))
             common = common.reshape(layout.chance_depth, count // 2)
             event = np.zeros(count, dtype=np.intp)
         while True:
@@ -289,7 +283,7 @@ def sampled_match(
                     event = event.compress(live)
                 if not len(hand):
                     break
-            mark = _marks(bits, len(hand))
+            mark = marks.random(len(hand))
             if duplicate:
                 which = np.flatnonzero(at_chance.take(node))
                 mark[which] = common[event[which], hand[which] >> 1]

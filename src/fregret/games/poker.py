@@ -173,7 +173,7 @@ def _node(rules: PokerRules, ranks, rest, board, rounds, paid, terminals) -> Gam
 def build_poker(rules: PokerRules) -> GameSpec:
     """Build the full tree: a chance node over ordered private deals, with
     one shared subtree per deal signature (both private ranks and the ranks
-    still to deal, which fix the subtree)."""
+    still to deal), so Leduc's 30 deals share 9 subtrees."""
     deals = [(c0, c1) for c0 in rules.deck for c1 in rules.deck if c0 != c1]
     signatures = [
         ((c0[0], c1[0]), tuple(c[0] for c in rules.deck if c not in (c0, c1)))

@@ -1,11 +1,14 @@
 """Shared fixtures (game trees are immutable, so each is built once per
-session) and views of slot vectors."""
+session), views of slot vectors, and profile helpers."""
 
-import dataclasses
+import itertools
+import random
 
 import numpy as np
 import pytest
 
+from fregret._validation import ordered_sum
+from fregret.efg_core import enumerate_infosets, expected_value
 from fregret.games import build_kuhn, build_leduc
 
 
@@ -33,6 +36,38 @@ def by_key(game, flat):
         key: flat[offset[k] : offset[k + 1]]
         for k, (_, key, _) in enumerate(game.layout.infosets)
     }
+
+
+def seat_keys(game, player):
+    """``(key, action count)`` of each of ``player``'s infosets, in table
+    order."""
+    return [(key, n) for p, key, n in enumerate_infosets(game) if p == player]
+
+
+def one_hot(index, n):
+    return tuple(1.0 if a == index else 0.0 for a in range(n))
+
+
+def random_profile(game, seed):
+    """A fully mixed profile from ``random.Random(seed)``; each row's weights
+    are totalled in order, so its bits are the same on every Python."""
+    rng = random.Random(seed)
+    profile = {}
+    for _, key, n in enumerate_infosets(game):
+        weights = [rng.random() + 1e-9 for _ in range(n)]
+        total = ordered_sum(weights)
+        profile[key] = tuple(w / total for w in weights)
+    return profile
+
+
+def brute_force_best_value(game, profile, responder):
+    """Max value over every pure responder strategy, by full enumeration."""
+    keys = seat_keys(game, responder)
+    values = []
+    for pure in itertools.product(*[range(n) for _, n in keys]):
+        rows = {key: one_hot(a, n) for (key, n), a in zip(keys, pure)}
+        values.append(expected_value(game, {**profile, **rows})[responder])
+    return max(values)
 
 
 def position_parts(layout):

@@ -4,11 +4,11 @@ Each test states its claim and tolerance directly; shared solver runs are
 module-scoped fixtures so the expensive Leduc work happens once.
 """
 
-import itertools
 import random
 
 import numpy as np
 import pytest
+from conftest import brute_force_best_value, random_profile
 
 from fregret.cfr import (
     CFRConfig,
@@ -18,7 +18,7 @@ from fregret.cfr import (
     regret_policy,
     solve,
 )
-from fregret.efg_core import enumerate_infosets, expected_value, uniform_profile
+from fregret.efg_core import expected_value, uniform_profile
 from fregret.estimator import (
     fit_tree,
     parse_tree,
@@ -78,33 +78,6 @@ def leduc_tree_runs(leduc_game):
             ),
         )
     return runs
-
-
-def one_hot(index, n):
-    return tuple(1.0 if a == index else 0.0 for a in range(n))
-
-
-def random_profile(game, seed):
-    rng = random.Random(seed)
-    profile = {}
-    for _, key, n in enumerate_infosets(game):
-        weights = [rng.random() + 1e-9 for _ in range(n)]
-        total = sum(weights)
-        profile[key] = tuple(w / total for w in weights)
-    return profile
-
-
-def brute_force_best_value(game, profile, responder):
-    keys = [(k, n) for p, k, n in enumerate_infosets(game) if p == responder]
-    best = None
-    for assignment in itertools.product(*[range(n) for _, n in keys]):
-        merged = dict(profile)
-        for (key, n), action in zip(keys, assignment):
-            merged[key] = one_hot(action, n)
-        value = expected_value(game, merged)[responder]
-        if best is None or value > best:
-            best = value
-    return best
 
 
 @pytest.mark.parametrize("game_fixture", ["kuhn_game", "leduc_game"])

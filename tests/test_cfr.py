@@ -350,6 +350,20 @@ class TestAveraging:
             assert all(p >= 0.0 for p in row)
             assert abs(sum(row) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_sums_name_the_first_infoset(self, kuhn_game, bad):
+        # No such row normalizes to a distribution. Infoset 7 fails too, so
+        # the error must name the first bad infoset in table order.
+        offset = kuhn_game.layout.offset
+        _, key, _ = kuhn_game.layout.infosets[3]
+        sums = new_tables(kuhn_game).strategy_sums
+        sums[offset[3] : offset[4]] = [2.0, bad]
+        sums[offset[7]] = math.nan
+        message = f"infoset '{key}': non-finite or negative strategy sums"
+        message += f" {(2.0, bad)!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            average_strategy(kuhn_game, sums)
+
 
 class TestSolve:
     def test_single_iteration_returns_uniform(self, kuhn_game):

@@ -1,5 +1,6 @@
 """Command-line interface: formats, round-trips, exit codes, and outputs."""
 
+import hashlib
 import math
 import os
 import pathlib
@@ -321,6 +322,18 @@ class TestSolveCommand:
         )
         assert rcfr_strat.read_bytes() == cfr_strat.read_bytes()
 
+    def test_kuhn_tree_rcfr_is_pinned(self, tmp_path, capsys):
+        # Kuhn's keys through featurize and the tree, end to end. The CI
+        # workflow checks the same digest through the console script.
+        strategy, _ = solve_into(
+            tmp_path, capsys, "tree",
+            ["--game", "kuhn", "--algo", "rcfr", "--estimator", "tree",
+             "--min-leaf", "1", "--iters", "40"],
+        )
+        assert hashlib.sha256(strategy.read_bytes()).hexdigest() == (
+            "a75c624220ec0413de97d45a477d4118e0e7f6996db3b873faf33679da14abb1"
+        )
+
     def test_rcfr_convergence_csv_has_model_columns(self, tmp_path, capsys):
         _, conv = solve_into(
             tmp_path, capsys, "t",
@@ -410,6 +423,28 @@ class TestExploitCommand:
         printed = float(out.split(",")[1])
         logged = float(conv.read_text().splitlines()[-1].split(",")[1])
         assert printed == logged
+
+    def test_kuhn_cfr_exploitability_is_pinned(self, tmp_path, capsys):
+        # The CI workflow checks the same line through the console script.
+        strategy, _ = solve_into(
+            tmp_path, capsys, "cfr",
+            ["--game", "kuhn", "--algo", "cfr", "--iters", "40"],
+        )
+        code, out, _ = run(
+            ["exploit", "--game", "kuhn", "--strategy", str(strategy)], capsys
+        )
+        assert code == 0
+        assert out == "exploitability,0.087229265856648031\n"
+
+    def test_leduc_stored_exploitability_is_pinned(self, capsys):
+        # The Leduc build, the strategy reader and best response, end to end.
+        # The CI workflow checks the same line through the console script.
+        solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
+        code, out, _ = run(
+            ["exploit", "--game", "leduc", "--strategy", str(solved)], capsys
+        )
+        assert code == 0
+        assert out == "exploitability,0.079626596628128293\n"
 
     def test_bad_sum_file_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

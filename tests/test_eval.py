@@ -1,11 +1,10 @@
 """Best response, exploitability, exact EV, and sampled matches."""
 
-import itertools
 import math
-import random
 import re
 
 import pytest
+from conftest import brute_force_best_value, one_hot, random_profile, seat_keys
 from test_game_oracle import random_game
 
 from fregret.efg_core import enumerate_infosets, expected_value, uniform_profile
@@ -17,38 +16,6 @@ from fregret.eval import (
     merge_profiles,
     sampled_match,
 )
-
-
-def seat_keys(game, player):
-    return [(key, n) for p, key, n in enumerate_infosets(game) if p == player]
-
-
-def one_hot(index, n):
-    return tuple(1.0 if a == index else 0.0 for a in range(n))
-
-
-def random_profile(game, seed):
-    rng = random.Random(seed)
-    profile = {}
-    for _, key, n in enumerate_infosets(game):
-        weights = [rng.random() + 1e-9 for _ in range(n)]
-        total = sum(weights)
-        profile[key] = tuple(w / total for w in weights)
-    return profile
-
-
-def brute_force_best_value(game, profile, responder):
-    """Max value over every pure responder strategy, by full enumeration."""
-    keys = seat_keys(game, responder)
-    best = None
-    for assignment in itertools.product(*[range(n) for _, n in keys]):
-        merged = dict(profile)
-        for (key, n), action in zip(keys, assignment):
-            merged[key] = one_hot(action, n)
-        value = expected_value(game, merged)[responder]
-        if best is None or value > best:
-            best = value
-    return best
 
 
 def constant_profile(game, index):

@@ -179,11 +179,11 @@ def reference_backup(values, parent, ranges):
             values[s] += max(values[t] for t in slots)
 
 
-def reference_cfr_pass(game, policy_fn, strategy_sums, update_players):
+def reference_cfr_pass(game, policy_fn, strategy_sums):
     """One full-width traversal under the policies given by ``policy_fn``.
-    Each infoset of a seat in ``update_players`` adds its own reach times
-    its policy into ``strategy_sums`` at its first visit in preorder, and
-    every visit adds its counterfactual regrets into the returned deltas."""
+    Each infoset adds its own reach times its policy into ``strategy_sums``
+    at its first visit in preorder, and every visit adds its counterfactual
+    regrets into the returned deltas."""
     deltas, seen = {}, set()
 
     def walk(node, reach0, reach1, chance_reach):
@@ -196,7 +196,7 @@ def reference_cfr_pass(game, policy_fn, strategy_sums, update_players):
             return total
         policy = policy_fn(node.infoset)
         player = node.player
-        if player in update_players and node.infoset not in seen:
+        if node.infoset not in seen:
             seen.add(node.infoset)
             my_reach = reach0 if player == 0 else reach1
             sums = strategy_sums.setdefault(node.infoset, [0.0] * len(policy))
@@ -211,16 +211,15 @@ def reference_cfr_pass(game, policy_fn, strategy_sums, update_players):
                 value = walk(child, reach0, reach1 * prob, chance_reach)
             child_values.append(value)
             node_value += prob * value
-        if player in update_players:
-            counterfactual = (reach1 if player == 0 else reach0) * chance_reach
-            vec = deltas.setdefault(node.infoset, [0.0] * len(policy))
-            if player == 0:
-                for a in range(len(policy)):
-                    vec[a] += counterfactual * (child_values[a] - node_value)
-            else:
-                # Seat 1's value is the negation, so the advantage flips sign.
-                for a in range(len(policy)):
-                    vec[a] += counterfactual * (node_value - child_values[a])
+        counterfactual = (reach1 if player == 0 else reach0) * chance_reach
+        vec = deltas.setdefault(node.infoset, [0.0] * len(policy))
+        if player == 0:
+            for a in range(len(policy)):
+                vec[a] += counterfactual * (child_values[a] - node_value)
+        else:
+            # Seat 1's value is the negation, so the advantage flips sign.
+            for a in range(len(policy)):
+                vec[a] += counterfactual * (node_value - child_values[a])
         return node_value
 
     root_value = walk(game.root, 1.0, 1.0, 1.0)
@@ -730,7 +729,7 @@ def assert_pass_matches_reference(game, iterations):
         value, deltas = cfr_pass(game, policy, sums)
         regrets = regrets + deltas
         old_value, old_deltas = reference_cfr_pass(
-            game, lambda key: regret_match(old_regrets[key]), old_sums, (0, 1)
+            game, lambda key: regret_match(old_regrets[key]), old_sums
         )
         for key, vec in old_deltas.items():
             for a, delta in enumerate(vec):
@@ -837,7 +836,7 @@ def reference_cfr_solve(game, config):
     log = []
     for t in range(1, config.iterations + 1):
         _, deltas = reference_cfr_pass(
-            game, lambda key: regret_match(regrets[key]), strategy_sums, (0, 1)
+            game, lambda key: regret_match(regrets[key]), strategy_sums
         )
         for key, vec in deltas.items():
             for a, delta in enumerate(vec):

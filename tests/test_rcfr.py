@@ -7,9 +7,7 @@ import itertools
 import math
 import re
 import weakref
-from dataclasses import asdict
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -444,8 +442,8 @@ def oracle_fit(config, rows, values):
 
 def reference_solve(game, config):
     """RCFR as a loop over stores keyed by infoset, driving
-    ``reference_cfr_pass``, with its own features and regressors from
-    ``oracle_fit``; like the solver's pass, that walk adds each infoset's
+    ``reference_cfr_pass``, refitting after every pass with its own
+    features and regressors from ``oracle_fit``; like the solver's pass, that walk adds each infoset's
     strategy sums once per pass, at its first visit in preorder. Every use
     predicts row by row, with no prediction cache:
     the loop the solver must match. Returns the average profile and the
@@ -496,7 +494,7 @@ def reference_solve(game, config):
                 seen[infoset] = predicted(infoset)
             return regret_match(seen[infoset])
 
-        _, deltas = reference_cfr_pass(game, policy_fn, strategy_sums, (0, 1))
+        _, deltas = reference_cfr_pass(game, policy_fn, strategy_sums)
         for infoset, vec in deltas.items():
             row = targets[owner[infoset]][infoset]
             for a, value in enumerate(vec):
@@ -504,11 +502,10 @@ def reference_solve(game, config):
                     row[a] += value
                 else:
                     row[a] = seen[infoset][a] + value
-        if t % config.refit_every == 0:
-            for player in (0, 1):
-                rows = [r for key in targets[player] for r in features[key]]
-                values = [v for row in targets[player].values() for v in row]
-                regressors[player] = oracle_fit(config, rows, values)
+        for player in (0, 1):
+            rows = [r for key in targets[player] for r in features[key]]
+            values = [v for row in targets[player].values() for v in row]
+            regressors[player] = oracle_fit(config, rows, values)
         if t % config.log_every == 0 or t == config.iterations:
             average = reference_average(strategy_sums)
             log.append(
@@ -519,9 +516,7 @@ def reference_solve(game, config):
 
 def assert_solve_matches_reference(game, config):
     profile, convergence, _ = rcfr_solve(game, config)
-    # The oracle still takes a refit period; the solver refits every pass.
-    oracle_config = SimpleNamespace(**asdict(config), refit_every=1)
-    expected_profile, expected_log = reference_solve(game, oracle_config)
+    expected_profile, expected_log = reference_solve(game, config)
     assert repr(profile) == repr(expected_profile)
     assert repr(
         [(row.t, row.exploitability, row.mse_p1, row.mse_p2) for row in convergence]
