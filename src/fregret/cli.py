@@ -28,17 +28,17 @@ import sys
 
 import numpy as np
 
-from ._validation import INDEX, INDEX_PATTERN, NUMBER, format_float
-from .cfr import CFRConfig, solve
+from ._validation import INDEX, INDEX_PATTERN, NUMBER, NUMBER_PATTERN, format_float
+from .cfr import CFRConfig, ConvergenceRow, solve
 from .efg_core import bad_rows, check_row, checked_policy
 from .eval import exact_ev, exploitability, sampled_match
 from .games.poker import RULES, build_poker
 from .rcfr import ESTIMATOR_KINDS, TARGET_MODES, RCFRConfig, rcfr_solve
+from .rcfr import ModelSizeRow, RcfrConvergenceRow
 
 ALGORITHMS = ("cfr", "rcfr")
-STRATEGY_HEADER_PATTERN = re.compile(
-    r"# fregret-strategy v1 game=(\S+) exploit_convention=sum"
-)
+STRATEGY_HEADER = "# fregret-strategy v1 game={} exploit_convention=sum"
+STRATEGY_HEADER_PATTERN = re.compile(STRATEGY_HEADER.format(r"(\S+)"))
 # Strategy-file body lines, each ended by "\n", in the forms the writer writes.
 _STRATEGY_LINES = re.compile(rf"(?:[^,]*,{INDEX},(?:{NUMBER})\n)*")
 STRATEGY_FILENAME = "strategy.csv"
@@ -72,7 +72,7 @@ def write_strategy_file(path: str, game, profile) -> None:
         checked_policy(game, (profile, profile))
     except KeyError as error:
         raise ValueError(error.args[0]) from None
-    header = f"# fregret-strategy v1 game={game.game_id} exploit_convention=sum"
+    header = STRATEGY_HEADER.format(game.game_id)
     if STRATEGY_HEADER_PATTERN.fullmatch(header) is None:
         raise ValueError(f"game id {game.game_id!r} is empty or has whitespace")
     lines = [header]
@@ -95,19 +95,11 @@ def read_strategy_file(path: str):
     """Parse a UTF-8 strategy file; returns (game id, profile), the profile's
     keys in order of first appearance.
 
-    A file that starts with a UTF-8 byte-order mark, or is not UTF-8,
-    raises ValueError. A malformed line raises ValueError with its line
-    number, the first such line in the file; an action index must be an
-    ``_validation.INDEX`` and a probability an ``_validation.NUMBER``, the
-    forms the writer writes. Then each infoset's indices must run 0..n-1
-    and its row pass ``efg_core.check_row``; the first infoset to fail, in
-    order of first appearance, is reported, a missing index before a bad
-    sum.
-
-    All rows are checked at once: one regex match finds the first malformed
-    line, numpy converts each column before it in one call, and a stable
-    sort by (infoset, action index) groups the rows, so an infoset is valid
-    exactly when its sorted indices are 0..n-1.
+    A file that starts with a UTF-8 byte-order mark, is not UTF-8, is empty
+    or has a bad header raises ValueError. Then the body is read in at most
+    two passes: ``_read_bulk`` decides in bulk whether it is valid, and one
+    it rejects goes to ``_read_lines``, which reads a line at a time and
+    raises ValueError on the first fault.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -126,81 +118,81 @@ def read_strategy_file(path: str):
         raise ValueError(f"{path}, line 1: empty strategy file")
     match = STRATEGY_HEADER_PATTERN.fullmatch(lines[0])
     if match is None:
-        raise ValueError(
-            f"{path}, line 1: expected header "
-            f"'# fregret-strategy v1 game=<id> exploit_convention=sum'"
-        )
-    game_id = match.group(1)
-    body = lines[1:]
-    count = len(body)
-    # One match finds the first line the writer could not have written. Its
-    # key is ``[^,]*``, not the slower ``[^,\n]*``, so a key may take in
-    # lines with no comma: then the fields fall short, and the first is it.
+        expected = STRATEGY_HEADER.format("<id>")
+        raise ValueError(f"{path}, line 1: expected header '{expected}'")
+    profile = _read_bulk(lines[1:])
+    if profile is None:
+        profile = _read_lines(path, lines[1:])
+    return match.group(1), profile
+
+
+def _read_bulk(body):
+    """The profile of a valid body, or None for any other. One regex match
+    checks the form of every line, numpy converts each column in one call,
+    and after a stable sort by (infoset, action index) each infoset's
+    indices must be 0..n-1, which catches duplicates and gaps at once, and
+    ``efg_core.bad_rows`` must pass every row."""
+    # _STRATEGY_LINES reads a key as ``[^,]*``, not the slower ``[^,\n]*``,
+    # so a key may take in lines with no comma; then fields fall short.
     text = "\n".join([*body, ""])
-    end = _STRATEGY_LINES.match(text).end()
-    parsed = count if end == len(text) else text.count("\n", 0, end)
-    fields = ",".join(body[:parsed]).split(",") if parsed else []
-    if len(fields) != 3 * parsed:
-        parsed = next(i for i, line in enumerate(body) if "," not in line)
-        del fields[3 * parsed :]
-    # Faults as (body line, rank, message): the earliest line wins, and on
-    # one line the rank orders the checks as a line-by-line reader makes
-    # them. The lines before the first malformed one are checked further.
-    faults = []
-    if parsed < count:
-        _, *rest = body[parsed].split(",")
-        if len(rest) != 2:
-            message = "expected 'infoset_key,action_index,probability'"
-        elif INDEX_PATTERN.fullmatch(rest[0]) is None:
-            message = f"bad action index '{rest[0]}'"
-        else:
-            message = f"bad probability '{rest[1]}'"
-        faults.append((parsed, 0, message))
-    keys, index_texts, prob_texts = fields[0::3], fields[1::3], fields[2::3]
-    # numpy reads each token as ``int`` and ``float`` do.
-    prob = np.array(prob_texts, dtype=np.float64)
-    outside = ~((prob >= 0.0) & (prob < math.inf))
-    if outside.any():
-        at = int(outside.argmax())
-        faults.append(
-            (at, 1, f"probability {prob_texts[at]} must be finite and >= 0")
-        )
-    first = dict.fromkeys(keys)
-    ids = dict(zip(first, range(len(first))))
-    owner = np.fromiter(map(ids.__getitem__, keys), np.intp, parsed)
+    if _STRATEGY_LINES.fullmatch(text) is None:
+        return None
+    fields = text.replace("\n", ",").split(",")[:-1]
+    if len(fields) != 3 * len(body):
+        return None
+    keys, prob = fields[0::3], np.array(fields[2::3], dtype=np.float64)
     try:
-        index = np.array(index_texts, dtype=np.int64)
-    except OverflowError:  # past int64: compare the Python ints themselves
-        index = np.array(list(map(int, index_texts)), dtype=object)
-    # The stable sort puts each repeat of an (infoset, index) pair right
-    # after its first line; the earliest repeating line is the duplicate.
+        index = np.array(fields[1::3], dtype=np.int64)
+    except OverflowError:  # no row has that many actions
+        return None
+    ids = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+    owner = np.fromiter(map(ids.__getitem__, keys), np.intp, len(keys))
     order = np.lexsort((index, owner))
-    owner, index = owner[order], index[order]
-    again = (owner[1:] == owner[:-1]) & (index[1:] == index[:-1])
-    if again.any():
-        at = int(order[1:][again].min())
-        message = f"duplicate entry for '{keys[at]}' action {int(index_texts[at])}"
-        faults.append((at, 2, message))
-    if faults:
-        at, _, message = min(faults)
-        raise ValueError(f"{path}, line {at + 2}: {message}")
-    prob = prob[order]
-    sizes = np.bincount(owner, minlength=len(first))
+    owner, index, prob = owner[order], index[order], prob[order]
+    sizes = np.bincount(owner, minlength=len(ids))
     ends = np.cumsum(sizes)
-    gap = np.zeros(len(first), dtype=bool)
-    gap[owner[index != np.arange(count) - np.repeat(ends - sizes, sizes)]] = True
-    bad = gap | bad_rows(owner, prob, len(first))
+    gap = index != np.arange(len(keys)) - np.repeat(ends - sizes, sizes)
+    if gap.any() or bad_rows(owner, prob, len(ids)).any():
+        return None
     flat, ends = prob.tolist(), ends.tolist()
-    rows = [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
-    if bad.any():
-        k = int(bad.argmax())
-        key = list(first)[k]
-        if gap[k]:
+    return dict(zip(ids, (tuple(flat[a:b]) for a, b in zip([0, *ends], ends))))
+
+
+def _read_lines(path: str, body):
+    """The profile of ``body`` read one line at a time. Raises ValueError
+    with the line number on the first line, in file order, with a field
+    count other than three, an index or probability outside the grammar
+    the writer writes (``_validation.INDEX`` and ``NUMBER``), a probability
+    not finite and >= 0, or a duplicate; then on the first infoset, in
+    order of first appearance, with a missing index or, failing that, a row
+    that ``efg_core.check_row`` rejects."""
+    rows = {}
+    for number, line in enumerate(body, start=2):
+        fields = line.split(",")
+        key, index, prob = fields if len(fields) == 3 else ("", "", "")
+        if len(fields) != 3:
+            fault = "expected 'infoset_key,action_index,probability'"
+        elif INDEX_PATTERN.fullmatch(index) is None:
+            fault = f"bad action index '{index}'"
+        elif NUMBER_PATTERN.fullmatch(prob) is None:
+            fault = f"bad probability '{prob}'"
+        elif not 0.0 <= float(prob) < math.inf:
+            fault = f"probability {prob} must be finite and >= 0"
+        elif int(index) in rows.get(key, ()):
+            fault = f"duplicate entry for '{key}' action {int(index)}"
+        else:
+            rows.setdefault(key, {})[int(index)] = float(prob)
+            continue
+        raise ValueError(f"{path}, line {number}: {fault}")
+    profile = {}
+    for key, row in rows.items():
+        if sorted(row) != list(range(len(row))):
             raise ValueError(
                 f"{path}: infoset '{key}' is missing some action indices"
             )
-        check_row(key, rows[k], f"{path}: ")
-    return game_id, dict(zip(first, rows))
+        profile[key] = tuple(map(row.__getitem__, range(len(row))))
+        check_row(key, profile[key], f"{path}: ")
+    return profile
 
 
 def _load_for_game(path: str, game):
@@ -214,17 +206,22 @@ def _load_for_game(path: str, game):
     return profile
 
 
+def _names(row_class) -> list:
+    return [field.name for field in dataclasses.fields(row_class)]
+
+
+def _before_last(values, extra) -> list:
+    return [*values[:-1], *extra, values[-1]]
+
+
 def cmd_solve(args) -> int:
     game = build_poker(RULES[args.game])
     if args.algo == "cfr":
         profile, log = solve(
             game, CFRConfig(iterations=args.iters, log_every=args.log_every)
         )
-        header = ["t", "exploitability", "max_pos_regret_sum", "wall_ms"]
-        rows = [
-            (row.t, row.exploitability, row.max_pos_regret_sum, row.wall_ms)
-            for row in log
-        ]
+        header = _names(ConvergenceRow)
+        rows = list(map(dataclasses.astuple, log))
     else:
         profile, convergence, sizes = rcfr_solve(
             game,
@@ -238,25 +235,10 @@ def cmd_solve(args) -> int:
                 log_every=args.log_every,
             ),
         )
-        header = [
-            "t",
-            "exploitability",
-            "mse_p1",
-            "mse_p2",
-            "leaves_p1",
-            "leaves_p2",
-            "wall_ms",
-        ]
+        # The leaf counts, without their t, go before wall_ms.
+        header = _before_last(_names(RcfrConvergenceRow), _names(ModelSizeRow)[1:])
         rows = [
-            (
-                conv.t,
-                conv.exploitability,
-                conv.mse_p1,
-                conv.mse_p2,
-                size.leaves_p1,
-                size.leaves_p2,
-                conv.wall_ms,
-            )
+            _before_last(dataclasses.astuple(conv), dataclasses.astuple(size)[1:])
             for conv, size in zip(convergence, sizes)
         ]
     os.makedirs(args.out, exist_ok=True)
@@ -291,7 +273,7 @@ def cmd_compete(args) -> int:
         seed=args.seed,
         duplicate=args.duplicate,
     )
-    header = [field.name for field in dataclasses.fields(result)]
+    header = _names(result)
     sys.stdout.write(format_csv(header, [dataclasses.astuple(result)]))
     return 0
 

@@ -504,29 +504,27 @@ def enumerate_infosets(game: GameSpec) -> list[tuple[int, str, int]]:
 
 
 def check_row(key: str, probs, where: str = "") -> None:
-    """Reject a strategy row unless every entry is one ``float`` reads,
-    finite and >= 0, and the entries sum to 1 within 1e-6; ``where`` starts
-    the message. The sum runs from 0.0 in order, as in ``checked_policy``:
-    the builtin ``sum`` is compensated on Python 3.12+."""
+    """Reject a strategy row unless every entry is one ``float`` reads and
+    ``bad_rows`` passes the row; ``where`` starts the message. The sum in
+    the message runs from 0.0 in order, as ``bad_rows`` adds: the builtin
+    ``sum`` is compensated on Python 3.12+."""
     row = f"{where}probabilities {tuple(probs)!r} for infoset '{key}'"
     try:
-        values = list(map(float, probs))
+        values = np.fromiter(map(float, probs), dtype=np.float64)
     except (OverflowError, TypeError, ValueError):
         raise ValueError(f"{row} are not all numbers") from None
-    total = ordered_sum(values)
-    # A NaN or infinite entry makes the sum NaN or infinite, never near 1.
-    if not (abs(total - 1.0) <= 1e-6 and min(values) >= 0.0):
+    if bad_rows(np.zeros(len(values), dtype=np.intp), values, 1)[0]:
         raise ValueError(
-            f"{row} sum to {format_float(total)}; each must be finite and >= 0, "
-            "summing to 1"
+            f"{row} sum to {format_float(ordered_sum(values))}; each must be "
+            "finite and >= 0, summing to 1"
         )
 
 
 def bad_rows(owner: np.ndarray, probs: np.ndarray, count: int) -> np.ndarray:
-    """Mask of the ``count`` rows that ``check_row`` rejects, where entry
-    ``i`` of ``probs`` belongs to row ``owner[i]`` and each row's entries
-    come in order. ``bincount`` adds each row's entries in that order from
-    0.0, as ``check_row`` does, so the two agree on every row."""
+    """Mask of the ``count`` rows with a negative entry or a sum not within
+    1e-6 of 1, as a NaN or infinite entry makes it, where entry ``i`` of
+    ``probs`` belongs to row ``owner[i]``. ``bincount`` adds each row's
+    entries in order from 0.0. ``check_row`` decides by this one rule."""
     sums = np.bincount(owner, weights=probs, minlength=count)
     bad = ~(np.abs(sums - 1.0) <= 1e-6)
     bad[owner[probs < 0.0]] = True

@@ -296,6 +296,34 @@ class TestStrategyParsing:
         _, profile = read_strategy_file(path)
         assert profile["p0:J:-:"] == (0.50000001, 0.5)
 
+    def test_valid_files_never_reach_the_line_pass(
+        self, tmp_path, capsys, monkeypatch, leduc_game
+    ):
+        """The bulk pass reads every valid file by itself; the line pass,
+        which is slower, only words the fault in a bad one."""
+        solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
+        kuhn, _ = solve_into(
+            tmp_path, capsys, "kuhn",
+            ["--game", "kuhn", "--algo", "cfr", "--iters", "40"],
+        )
+        profiles = [edge_case_profile(leduc_game)] + [
+            random_profile(leduc_game, random.Random(seed), seed % 2 == 1)
+            for seed in range(4)
+        ]
+        written = []
+        for k, profile in enumerate(profiles):
+            written.append(tmp_path / f"leduc{k}.csv")
+            write_strategy_file(str(written[-1]), leduc_game, profile)
+
+        def line_pass(path, body):
+            raise AssertionError(f"{path} went to the line pass")
+
+        monkeypatch.setattr(fregret.cli, "_read_lines", line_pass)
+        assert read_strategy_file(str(solved))[0] == "leduc"
+        assert read_strategy_file(str(kuhn))[0] == "kuhn"
+        for path, profile in zip(written, profiles):
+            assert read_strategy_file(str(path)) == ("leduc", profile)
+
 
 class TestSolveCommand:
     def test_repeat_runs_differ_only_in_wall_ms(self, tmp_path, capsys):

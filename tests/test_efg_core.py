@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from fregret.cfr import cfr_pass, regret_policy
 from fregret.efg_core import (
-    CHANCE,
-    DECISION,
     TERMINAL,
     GameNode,
     chance,

@@ -10,7 +10,7 @@ from conftest import position_parts
 
 import fregret
 import fregret.games
-from fregret.efg_core import CHANCE, DECISION, TERMINAL, enumerate_infosets, make_game
+from fregret.efg_core import CHANCE, TERMINAL, enumerate_infosets, make_game
 from fregret.estimator import featurize
 from fregret.games import build_kuhn, build_leduc, build_matrix
 

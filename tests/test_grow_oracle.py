@@ -25,7 +25,6 @@ from fregret.estimator import (
     serialize_tree,
     slot_features,
 )
-from fregret.games import build_leduc
 from fregret.rcfr import RCFRConfig, new_state, rcfr_iteration
 
 
