@@ -16,16 +16,17 @@ value numbering and the cut expansion of the rows of one or more roots,
 stacked, and the root level's bins and row counts. ``fit_forest`` then
 grows one tree per root for given targets, all roots a level at a time: the
 bins of a feature are its distinct values, as in histogram split search,
-and two ``bincount`` calls per level give every open node's row-count and
-target prefix sums at every cut it can still take, each added in presorted
-order, so each tree is that of a per-node ``cumsum`` scan over its root's
-rows alone, bit for bit (see ``_grow``). Its forest builds tree objects
-only when ``trees`` is read: ``fit_tree`` is the one-root case and reads
-its one tree, while RCFR keeps one plan per game, with one root per seat,
-grows both seats' trees as one forest at every refit, and reads its
-predictions off the fitted values and its leaf counts from the levels. A
-fitted tree is nothing but flat preorder arrays (``RegressionTree``), which
-fitting, parsing, serialization and ``predict`` all walk without recursion.
+and two ``bincount`` calls per level over every planned entry give every
+open node's row-count and target prefix sums at every cut of its root, each
+added in presorted order, so each tree is that of a per-node ``cumsum``
+scan over its root's rows alone, bit for bit (see ``_grow``). Its forest
+builds tree objects only when ``trees`` is read: ``fit_tree`` is the
+one-root case and reads its one tree, while RCFR keeps one plan per game,
+with one root per seat, grows both seats' trees as one forest at every
+refit, and reads its predictions off the fitted values and its leaf counts
+from the levels. A fitted tree is nothing but flat preorder arrays
+(``RegressionTree``), which fitting, parsing, serialization and ``predict``
+all walk without recursion.
 """
 
 from __future__ import annotations
@@ -263,29 +264,6 @@ def plan_fit(features, roots=None) -> FitPlan:
     return plan
 
 
-# Below this many terms numpy's pairwise sum is the in-order sum from 0.0,
-# which is also what ``bincount`` adds.
-_PAIRWISE_BLOCK = 8
-
-
-def _node_totals(node_y, starts, counts):
-    """Each node's target total as ``np.add.reduce`` of its rows gives it,
-    pairwise; ``reduceat`` adds a node's first row to the rest's pairwise sum.
-
-    Nodes of fewer than ``_PAIRWISE_BLOCK`` rows, where the two orders
-    agree, are added by one ``bincount``, the rest one reduce each."""
-    small = counts < _PAIRWISE_BLOCK
-    if small.any():
-        node_of_row = np.repeat(np.arange(len(counts)), counts)
-        total_s = np.bincount(node_of_row, node_y, len(counts))
-    else:
-        total_s = np.empty(len(counts))
-    big = (~small).nonzero()[0]
-    spans = zip(starts[big].tolist(), (starts + counts)[big].tolist())
-    total_s[big] = [np.add.reduce(node_y[a:b]) for a, b in spans]
-    return total_s
-
-
 def _grow(plan, y, min_leaf_weight, max_depth):
     """Each root's greedy tree, all grown together a level at a time, as a
     list of levels, and each planned row's leaf value; ``y`` is per planned
@@ -295,19 +273,27 @@ def _grow(plan, y, min_leaf_weight, max_depth):
     with their splits. Split ``j`` of a level has children ``2 * j`` and
     ``2 * j + 1`` of the next.
 
+    A level costs a fixed number of numpy calls, however many nodes it
+    holds. Each node's target total is what its own ``np.add.reduce``
+    gives: one ``reduceat`` over the level's targets with a +0.0 ahead of
+    each node's, as numpy's reduce adds a node's pairwise sum to its
+    identity 0.0 and ``reduceat`` adds a segment's first element, here the
+    pad, to the pairwise sum of the rest. A -0.0 pad would total a node of
+    -0.0 targets -0.0 where its reduce gives 0.0.
+
     Once per level, ``bincount`` keyed by (searched node, slot) adds every
-    node's target and row-count prefix at every cut it can still take. It
-    adds in input order from 0.0, so each target prefix is the sequential
-    sum that a ``cumsum`` over the node's presorted rows gives. A cut is
+    node's target and row-count prefix at every planned cut. Every planned
+    entry is keyed on every level: those of rows whose node is not
+    searched, or that left the tree at an earlier leaf, key into a sink
+    row past the searched nodes' bins, whose sums are never read. It adds
+    in input order from 0.0, so each target prefix is the sequential sum
+    that a ``cumsum`` over the node's presorted rows gives. A cut is
     admissible where both sides hold at least ``max(min_leaf_weight, 1)``
     rows. At a value the node lacks it has the partition, sums and score of
     the node's next lower value's cut, and the row-wise argmax of the
     (node, slot) scores takes the lower one: slots run feature by feature,
     so ties break to the lowest feature, then the lowest threshold, and
-    other roots' rows change no tree. A child's side counts at a cut are at
-    most its parent's, so a cut inadmissible at a node is at every
-    descendant, and its entries are dropped after the level, as are those
-    of a node that does not split. A node with fewer than ``2 *
+    other roots' rows change no tree. A node with fewer than ``2 *
     max(min_leaf_weight, 1)`` rows cannot split, so it is a leaf
     unsearched, and a level of such nodes skips its bincounts and scores.
     Where every root is searched, the root level's keys and counts come
@@ -334,7 +320,14 @@ def _grow(plan, y, min_leaf_weight, max_depth):
     while True:
         starts = counts.cumsum() - counts
         node_y = y[rows]
-        total_s = _node_totals(node_y, starts, counts)
+        # Each node's targets behind a +0.0, so that one ``reduceat`` adds
+        # every node as its own ``np.add.reduce`` would.
+        pad_at = starts + np.arange(len(counts))
+        is_row = np.ones(len(rows) + len(counts), dtype=bool)
+        is_row[pad_at] = False
+        padded = np.zeros(len(is_row))
+        padded[is_row] = node_y
+        total_s = np.add.reduceat(padded, pad_at)
         if max_depth is not None and len(levels) >= max_depth:
             nodes = np.array([], dtype=np.intp)
         else:  # the nodes to search: big enough, with targets that differ
@@ -354,8 +347,8 @@ def _grow(plan, y, min_leaf_weight, max_depth):
             else:
                 node_base = np.full(len(counts), size)
                 node_base[nodes] = np.arange(0, size, n_slots)
-                # Entries leave with their node, so every entry's row is here.
-                row_base = np.empty(n_rows, dtype=np.intp)
+                # Rows at earlier leaves key into the sink row too.
+                row_base = np.full(n_rows, size)
                 row_base[rows] = np.repeat(node_base, counts)
                 key = row_base[entry_row] + entry_slot
                 c_left = np.bincount(key, minlength=size + n_slots)[:size]
@@ -371,14 +364,6 @@ def _grow(plan, y, min_leaf_weight, max_depth):
             scores[valid] = ls * ls / lc + rs * rs / rc
             best_slot = scores.argmax(axis=1)
             splits = scores.max(axis=1) > baseline
-            # A split node keeps the entries of the cuts its children can
-            # still take.
-            kept = np.zeros(size + n_slots, dtype=bool)
-            kept[:size] = (valid & splits[:, None]).ravel()
-            live = kept[key].nonzero()[0]
-            entry_row, entry_slot, entry_y = (
-                entry_row[live], entry_slot[live], entry_y[live]
-            )
         split_nodes = nodes[splits]
         means = total_s / counts
         fitted[rows] = np.repeat(means, counts)
@@ -486,9 +471,9 @@ def fit_forest(
 
     All roots grow together, one split search over every open node of a
     level (see ``_grow``), so the per-level cost is paid once for the
-    forest; each level searches only the cuts a node can still take, the
-    root level's bins come from the plan, and a threshold is read off the
-    rows being split. Raises ValueError as ``fit_tree`` does, where the
+    forest; each level keys every planned entry in one pass, the root
+    level's bins come from the plan, and a threshold is read off the rows
+    being split. Raises ValueError as ``fit_tree`` does, where the
     bound on targets is ``2**511`` over the largest root's row count.
     """
     y = np.asarray(targets, dtype=np.float64)
@@ -531,10 +516,11 @@ def fit_tree(
     midpoint of two consecutive distinct values, or the lower value where
     the midpoint of two adjacent doubles rounds up to the higher one.
 
-    A level's work is one entry per row and per cut between distinct values
-    that the row falls left of: at most rows times distinct values per
-    feature. That is small for few-valued columns such as ``featurize``
-    gives, and quadratic in the row count for a continuous column. A caller
+    Each level visits every planned entry, one per row and per cut between
+    distinct values that the row falls left of, whether or not the row's
+    node is still open: at most rows times distinct values per feature.
+    That is small for few-valued columns such as ``featurize`` gives, and
+    quadratic in the row count for a continuous column. A caller
     that refits on fixed features keeps one ``plan_fit`` and calls
     ``fit_forest``, which skips the presort and cut expansion.
 

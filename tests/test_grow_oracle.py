@@ -162,31 +162,71 @@ def test_targets_at_the_bound_are_rejected():
                         fit_forest(plan_fit(X, roots), y, **config)
 
 
-def in_order_sum(terms):
-    total = 0.0
-    for term in terms:
-        total += term
-    return total
+def padded_totals(terms, counts, pad=0.0):
+    """Each node's total as ``_grow`` takes it: one ``reduceat`` over the
+    nodes' terms, laid end to end, with ``pad`` ahead of each node's."""
+    pad_at = counts.cumsum() - counts + np.arange(len(counts))
+    is_row = np.ones(len(terms) + len(counts), dtype=bool)
+    is_row[pad_at] = False
+    padded = np.full(len(is_row), pad)
+    padded[is_row] = terms
+    return np.add.reduceat(padded, pad_at)
 
 
-def test_small_sums_are_in_order_from_zero():
-    """The grower sums nodes of fewer than 8 rows by ``bincount``, which
-    adds in order from 0.0, in place of ``np.add.reduce``, whose pairwise
-    sum agrees below 8 terms. A numpy whose reduce changes that fails here
-    rather than in a pinned digest."""
-    rng = np.random.default_rng(5)
-    cases = []
+def premise_nodes(rng):
+    """Target vectors of nodes: the sums that once went to ``bincount``
+    (1 to 7 terms at magnitudes 1e-30 to 1e30, signed zeros, overflowing
+    mixes), and nodes of up to 1,200 terms, across numpy's 8-term and
+    128-term pairwise blocks, some of them all -0.0."""
+    nodes = []
     for n in range(1, 8):
         for _ in range(400):
             magnitude = 10.0 ** rng.integers(-30, 30, size=n)
-            cases.append(rng.normal(size=n) * magnitude)
-        cases.append(np.full(n, -0.0))
-        cases.append(np.where(rng.random(n) < 0.5, 0.0, -0.0))
-        cases.append(np.array([1e308, -1e308, 1e308, 1e308, -1e308, 1.0, -0.0][:n]))
-        cases.append(rng.choice([1.7e308, -1.7e308, 0.0, -0.0], size=n))
+            nodes.append(rng.normal(size=n) * magnitude)
+        nodes.append(np.full(n, -0.0))
+        nodes.append(np.where(rng.random(n) < 0.5, 0.0, -0.0))
+        nodes.append(np.array([1e308, -1e308, 1e308, 1e308, -1e308, 1.0, -0.0][:n]))
+        nodes.append(rng.choice([1.7e308, -1.7e308, 0.0, -0.0], size=n))
+    edges = [8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025]
+    sizes = edges + rng.integers(1, 1201, size=300).tolist()
+    for n in sizes:
+        magnitude = 10.0 ** rng.integers(-30, 30, size=n)
+        nodes.append(rng.normal(size=n) * magnitude)
+        nodes.append(rng.normal(size=n))
+        nodes.append(rng.choice([1.0, -1.0, 0.5, 0.0, -0.0], size=n))
+        nodes.append(np.full(n, -0.0))
+        nodes.append(rng.choice([1.7e308, -1.7e308, 0.0, -0.0], size=n))
+    return nodes
+
+
+def test_padded_reduceat_adds_each_node_as_its_own_reduce():
+    """The grower totals a level's nodes in one ``reduceat`` with a +0.0
+    ahead of each node's targets, for each node's own ``np.add.reduce``:
+    reduce adds the pairwise sum of its terms to its identity 0.0, and
+    ``reduceat`` adds a segment's first term to the pairwise sum of the
+    rest. A numpy whose reduce or ``reduceat`` adds otherwise fails here
+    rather than in a pinned digest."""
+    rng = np.random.default_rng(5)
+    nodes = premise_nodes(rng)
+    order = rng.permutation(len(nodes))
+    # Random segmentations: levels of 1 to 40 nodes in a random order.
+    cuts = np.cumsum(rng.integers(1, 41, size=len(nodes)))
     with np.errstate(all="ignore"):
-        for terms in cases:
-            expected = np.float64(in_order_sum(terms.tolist())).tobytes()
-            assert np.add.reduce(terms).tobytes() == expected, terms
-            one_bin = np.bincount(np.zeros(len(terms), dtype=np.intp), terms)
-            assert one_bin.tobytes() == expected, terms
+        for level in np.split(order, cuts[cuts < len(nodes)]):
+            terms = [nodes[i] for i in level]
+            counts = np.array([len(t) for t in terms])
+            own = np.array([np.add.reduce(t) for t in terms])
+            totals = padded_totals(np.concatenate(terms), counts)
+            assert totals.tobytes() == own.tobytes(), terms
+
+
+def test_a_negative_zero_pad_would_total_negative_zero_nodes_wrong():
+    """The pad is +0.0 because a node of -0.0 targets reduces to 0.0, while
+    -0.0 ahead of it would total -0.0 and so flip the sign of its mean."""
+    for n in (1, 7, 8, 9, 128, 129, 1200):
+        counts = np.array([n, 1, n])
+        terms = np.concatenate([np.full(n, -0.0), [1.0], np.full(n, -0.0)])
+        assert not np.signbit(np.add.reduce(np.full(n, -0.0)))
+        assert not np.signbit(padded_totals(terms, counts)).any()
+        wrong = padded_totals(terms, counts, pad=-0.0)
+        assert np.signbit(wrong).tolist() == [True, False, True]
