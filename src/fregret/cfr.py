@@ -92,9 +92,9 @@ def regret_policy(game: GameSpec, regrets) -> np.ndarray:
     layout = game.layout
     with np.errstate(over="ignore", invalid="ignore"):
         totals = np.bincount(layout.owner, regrets, len(layout.infosets))
-        bad = np.flatnonzero(~np.isfinite(totals))
-        if len(bad):
-            k = int(bad[0])
+        finite = np.isfinite(totals)
+        if not finite.all():
+            k = int(finite.argmin())  # the first infoset that is not
             row = tuple(regrets[layout.offset[k] : layout.offset[k + 1]].tolist())
             raise ValueError(
                 f"infoset '{layout.infosets[k][1]}': non-finite regrets {row!r}"

@@ -11,7 +11,10 @@ index. The convention tag records that exploitability values are the sum
 over both seats' best responses; halve them for a per-seat average. Floats
 are written with 17 significant digits, so write -> read -> write is
 byte-identical; the reader takes only the number forms the writer writes
-(``_validation.NUMBER`` and ``INDEX``).
+(``_validation.NUMBER`` and ``INDEX``). The writer fills one cached
+template per game, a ``%.17g`` per probability, from the checked slot
+vector in one ``%`` call, which is why a ``%`` in a key or the game id is
+escaped there as ``%%``.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 validation error.
 """
@@ -25,6 +28,7 @@ import math
 import os
 import re
 import sys
+import weakref
 
 import numpy as np
 
@@ -43,6 +47,8 @@ STRATEGY_HEADER_PATTERN = re.compile(STRATEGY_HEADER.format(r"(\S+)"))
 _STRATEGY_LINES = re.compile(rf"(?:[^,]*,{INDEX},(?:{NUMBER})\n)*")
 STRATEGY_FILENAME = "strategy.csv"
 CONVERGENCE_FILENAME = "convergence.csv"
+# Each game's id, strategy-file template and slot order, keyed as rcfr._PLANS.
+_TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _format_cell(value) -> str:
@@ -66,29 +72,35 @@ def write_strategy_file(path: str, game, profile) -> None:
     Raises ValueError, before the file is opened, on anything the reader or
     ``efg_core.checked_policy`` would reject: a game id that is empty or has
     whitespace, a key with a comma or a line break, text that UTF-8 cannot
-    encode, or a profile that fails the check.
+    encode, or a profile that fails the check. A game that fails a check
+    caches no template, so it raises again on the next call.
     """
     try:
-        checked_policy(game, (profile, profile))
+        policy = checked_policy(game, (profile, profile))
     except KeyError as error:
         raise ValueError(error.args[0]) from None
-    header = STRATEGY_HEADER.format(game.game_id)
-    if STRATEGY_HEADER_PATTERN.fullmatch(header) is None:
-        raise ValueError(f"game id {game.game_id!r} is empty or has whitespace")
-    lines = [header]
-    for key in sorted(profile):
-        # The reader splits the file with str.splitlines, at more than "\n".
-        if "," in key or "".join(key.splitlines()) != key:
-            raise ValueError(f"infoset key {key!r} has a comma or a line break")
-        for index, prob in enumerate(profile[key]):
-            lines.append(f"{key},{index},{format_float(prob)}")
-    try:
-        data = ("\n".join(lines) + "\n").encode("utf-8")
-    except UnicodeEncodeError as error:
-        text = error.object[error.start : error.end]
-        raise ValueError(f"{text!r} cannot be written as UTF-8") from None
+    layout, cached = game.layout, _TEMPLATES.get(game.layout)
+    if cached is None or cached[0] != game.game_id:
+        header = STRATEGY_HEADER.format(game.game_id)
+        if STRATEGY_HEADER_PATTERN.fullmatch(header) is None:
+            raise ValueError(f"game id {game.game_id!r} is empty or has whitespace")
+        lines, order = [header.replace("%", "%%")], []
+        rows = sorted((key, k, n) for k, (_, key, n) in enumerate(layout.infosets))
+        for key, k, n in rows:
+            # The reader splits the file with str.splitlines, at more than "\n".
+            if "," in key or "".join(key.splitlines()) != key:
+                raise ValueError(f"infoset key {key!r} has a comma or a line break")
+            lines += [f"{key.replace('%', '%%')},{a},%.17g" for a in range(n)]
+            order += range(layout.offset[k], layout.offset[k] + n)
+        try:
+            template = ("\n".join(lines) + "\n").encode("utf-8")
+        except UnicodeEncodeError as error:
+            text = error.object[error.start : error.end]
+            raise ValueError(f"{text!r} cannot be written as UTF-8") from None
+        cached = _TEMPLATES[layout] = (game.game_id, template, np.array(order, np.intp))
+    _, template, order = cached
     with open(path, "wb") as handle:
-        handle.write(data)
+        handle.write(template % tuple(policy[order].tolist()))
 
 
 def read_strategy_file(path: str):

@@ -323,7 +323,8 @@ def _grow(plan, y, min_leaf_weight, max_depth):
         # Each node's targets behind a +0.0, so that one ``reduceat`` adds
         # every node as its own ``np.add.reduce`` would.
         pad_at = starts + np.arange(len(counts))
-        is_row = np.ones(len(rows) + len(counts), dtype=bool)
+        is_row = np.empty(len(rows) + len(counts), dtype=bool)
+        is_row.fill(True)
         is_row[pad_at] = False
         padded = np.zeros(len(is_row))
         padded[is_row] = node_y
@@ -345,11 +346,13 @@ def _grow(plan, y, min_leaf_weight, max_depth):
             if not levels and len(nodes) == len(counts):
                 key, c_left = plan.root_key, plan.root_count
             else:
-                node_base = np.full(len(counts), size)
+                node_base = np.empty(len(counts), dtype=np.intp)
+                node_base.fill(size)
                 node_base[nodes] = np.arange(0, size, n_slots)
                 # Rows at earlier leaves key into the sink row too.
-                row_base = np.full(n_rows, size)
-                row_base[rows] = np.repeat(node_base, counts)
+                row_base = np.empty(n_rows, dtype=np.intp)
+                row_base.fill(size)
+                row_base[rows] = node_base.repeat(counts)
                 key = row_base[entry_row] + entry_slot
                 c_left = np.bincount(key, minlength=size + n_slots)[:size]
             c_left = c_left.reshape(shape)
@@ -360,22 +363,24 @@ def _grow(plan, y, min_leaf_weight, max_depth):
             # Scored only where admissible: elsewhere a side may be empty.
             lc, rc = c_left[valid], c_right[valid]
             ls, rs = s_left[valid], s_right[valid]
-            scores = np.full(shape, -np.inf)
+            scores = np.empty(shape)
+            scores.fill(-np.inf)
             scores[valid] = ls * ls / lc + rs * rs / rc
             best_slot = scores.argmax(axis=1)
             splits = scores.max(axis=1) > baseline
         split_nodes = nodes[splits]
         means = total_s / counts
-        fitted[rows] = np.repeat(means, counts)
+        fitted[rows] = means.repeat(counts)
         if not len(split_nodes):  # empty splits, features and thresholds
             levels.append((means, split_nodes, split_nodes, split_nodes))
             return levels, fitted
         # The split nodes' rows, grouped by split, and which go right: a
         # row goes right when its value exceeds the cut's, and the least
         # such value bounds the threshold from above.
-        split_of_node = np.full(len(counts), -1)
+        split_of_node = np.empty(len(counts), dtype=np.intp)
+        split_of_node.fill(-1)
         split_of_node[split_nodes] = np.arange(len(split_nodes))
-        row_split = np.repeat(split_of_node, counts)
+        row_split = split_of_node.repeat(counts)
         moving = row_split >= 0
         rows, row_split = rows[moving], row_split[moving]
         slot = best_slot[splits]

@@ -285,9 +285,10 @@ def sampled_match(
                     break
             mark = marks.random(len(hand))
             if duplicate:
-                which = np.flatnonzero(at_chance.take(node))
-                mark[which] = common[event[which], hand[which] >> 1]
-                event[which] += 1
+                which = at_chance.take(node).nonzero()[0]
+                if len(which):
+                    mark[which] = common[event[which], hand[which] >> 1]
+                    event[which] += 1
             node = child.take(_draw(guide, steps, cuts, node, mark))
         np.negative(out[1::2], out=out[1::2])
         if duplicate:

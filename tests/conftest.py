@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from fregret._validation import ordered_sum
-from fregret.efg_core import enumerate_infosets, expected_value
+from fregret.efg_core import (
+    decision,
+    enumerate_infosets,
+    expected_value,
+    make_game,
+    terminal,
+)
 from fregret.games import build_kuhn, build_leduc
 
 
@@ -20,6 +26,22 @@ def kuhn_game():
 @pytest.fixture(scope="session")
 def leduc_game():
     return build_leduc()
+
+
+@pytest.fixture(scope="session")
+def no_chance_game():
+    """Three moves and no chance node: seat 1 does not see seat 0's first
+    move, and seat 0 moves again after some of seat 1's."""
+    def after(key, first, second):
+        return decision(0, key, ("e", "f"), (terminal(first), terminal(second)))
+
+    return make_game(
+        "no-chance",
+        decision(0, "p0:", ("a", "b"), (
+            decision(1, "p1:", ("c", "d"), (after("p0:ac", 1.0, -2.0), terminal(0.5))),
+            decision(1, "p1:", ("c", "d"), (terminal(-1.0), after("p0:bd", 2.0, -0.5))),
+        )),
+    )
 
 
 def infoset_slots(game, key):

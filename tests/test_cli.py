@@ -1,5 +1,7 @@
 """Command-line interface: formats, round-trips, exit codes, and outputs."""
 
+import dataclasses
+import gc
 import hashlib
 import math
 import os
@@ -8,11 +10,13 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 from test_game_oracle import random_game, random_profile
 
 import fregret
+from fregret import cli
 from fregret.cli import (
     format_float,
     main,
@@ -189,6 +193,39 @@ class TestStrategyWriterMatchesReader:
         assert (game_id, profile) == ("toy-1", {"p0: x;y": (0.25, 0.75)})
         write_strategy_file(str(second), game, profile)
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestStrategyTemplate:
+    """The writer's cached per-game template."""
+
+    def test_template_is_built_once_and_dropped_with_its_game(self, tmp_path):
+        from fregret.games import build_kuhn
+
+        game, path = build_kuhn(), tmp_path / "s.csv"
+        write_strategy_file(str(path), game, uniform_profile(game))
+        cached = cli._TEMPLATES[game.layout]
+        write_strategy_file(str(path), game, uniform_profile(game))
+        assert cli._TEMPLATES[game.layout] is cached
+        layout, count = weakref.ref(game.layout), len(cli._TEMPLATES)
+        del game
+        gc.collect()
+        assert layout() is None and len(cli._TEMPLATES) == count - 1
+
+    def test_a_renamed_game_writes_its_own_id(self, tmp_path, kuhn_game):
+        # A copy with another game id shares the layout, not the header.
+        renamed = dataclasses.replace(kuhn_game, game_id="kuhn%copy")
+        path, profile = tmp_path / "s.csv", uniform_profile(kuhn_game)
+        for game in (kuhn_game, renamed, kuhn_game):
+            write_strategy_file(str(path), game, profile)
+            assert read_strategy_file(str(path)) == (game.game_id, profile)
+
+    @pytest.mark.parametrize("game_id, key", [("toy", "a,b"), ("toy", "p0:\ud800")])
+    def test_a_game_that_fails_caches_nothing(self, tmp_path, game_id, key):
+        game = one_infoset_game(game_id, key)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                write_strategy_file(str(tmp_path / "bad.csv"), game, {key: (0.5, 0.5)})
+        assert game.layout not in cli._TEMPLATES
 
 
 class TestStrategyParsing:

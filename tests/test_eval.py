@@ -387,7 +387,9 @@ class TestProfileCheck:
 
 # (game, duplicate, hands asked, seed, hands played, mean, stderr) of
 # uniform play against ``random_profile(game, 7)``. The random games have
-# integer payoffs, so every mean is an exact sum.
+# integer payoffs, so every mean is an exact sum. In duplicate mode Leduc
+# swaps pair marks in at every round with a hand at a chance node, and the
+# game with no chance node at none.
 GOLDEN_MATCHES = [
     ('kuhn', False, 1, 0, 1, -1.0, 0.0),
     ('kuhn', False, 1, 3, 1, -1.0, 0.0),
@@ -461,19 +463,31 @@ GOLDEN_MATCHES = [
     ('random29', True, 5, 3, 4, -0.5, 0.5),
     ('random29', True, 2001, 0, 2000, 0.2005, 0.029324216266759108),
     ('random29', True, 2001, 3, 2000, 0.1555, 0.029213407421476417),
+    ('nochance', False, 1, 0, 1, -1.0, 0.0),
+    ('nochance', False, 1, 3, 1, -2.0, 0.0),
+    ('nochance', False, 5, 0, 5, -0.2, 0.3),
+    ('nochance', False, 5, 3, 5, -0.1, 0.458257569495584),
+    ('nochance', False, 2001, 0, 2001, -0.31284357821089454, 0.025781924408331054),
+    ('nochance', False, 2001, 3, 2001, -0.26811594202898553, 0.02562270843766368),
+    ('nochance', True, 1, 0, 2, 0.5, 0.0),
+    ('nochance', True, 1, 3, 2, 0.25, 0.0),
+    ('nochance', True, 5, 0, 4, -1.0, 0.25),
+    ('nochance', True, 5, 3, 4, -1.25, 0.25),
+    ('nochance', True, 2001, 0, 2000, -0.23425, 0.024569658231355308),
+    ('nochance', True, 2001, 3, 2000, -0.29425, 0.023828496275147847),
 ]
 
 
 @pytest.fixture(scope="module")
-def golden_games(kuhn_game, leduc_game):
-    games = {"kuhn": kuhn_game, "leduc": leduc_game}
+def golden_games(kuhn_game, leduc_game, no_chance_game):
+    games = {"kuhn": kuhn_game, "leduc": leduc_game, "nochance": no_chance_game}
     for seed in (1, 3, 21, 29):
         games[f"random{seed}"] = random_game(seed)
     return games
 
 
 @pytest.mark.parametrize(
-    "name", ["kuhn", "leduc", "random1", "random3", "random21", "random29"]
+    "name", ["kuhn", "leduc", "nochance", "random1", "random3", "random21", "random29"]
 )
 def test_sampled_match_is_pinned(golden_games, name):
     """Every draw and every hand's payoff as recorded: a change to how play

@@ -1,12 +1,21 @@
 """The tree grower against its recorded implementation, bit for bit.
 
-``recorded_grow`` is the level-wise grower as it was before its levels
-dropped dead cuts, took the root level from the plan, read thresholds off
-the rows being split and summed small nodes in one call. None of that may
-move a split, a threshold, a leaf value or a fitted value; these tests
-compare serialized trees and fitted bytes. The recorded grower checks its
-sums for overflow as it goes, where ``fit_forest`` rejects targets at a
-bound before it grows, so a fit under that bound that matches it also
+``recorded_grow`` is a level-wise grower recorded from an earlier version
+of ``estimator._grow``. It reaches the same trees by other means: it drops
+the entries of closed nodes, where ``_grow`` keys every entry on every
+level, those of closed nodes into a sink row; it sums each node with its
+own ``np.add.reduce``, where ``_grow`` sums every node in one padded
+``reduceat``; it keys and counts the root level at every fit, where
+``_grow`` reads them from the plan; it rules out a cut at a value the node
+lacks by a count that does not rise there, where ``_grow`` gives that cut
+the score of the node's next lower value's and lets the argmax take the
+lower; and it finds each threshold's upper value by a search over the
+count rows, for which its plan keeps entries at a root's highest value,
+where ``_grow`` reads it off the rows being split. None of
+that may move a split, a threshold, a leaf value or a fitted value; these
+tests compare serialized trees and fitted bytes. The recorded grower checks
+its sums for overflow as it goes, where ``fit_forest`` rejects targets at
+a bound before it grows, so a fit under that bound that matches it also
 overflowed nowhere.
 """
 

@@ -331,3 +331,9 @@ def test_match_matches_reference_on_kuhn(kuhn_game):
 
 def test_match_matches_reference_on_leduc(leduc_game):
     assert_matches_reference(leduc_game, 2, BLOCK_EDGES)
+
+
+def test_match_matches_reference_without_chance(no_chance_game):
+    # Duplicate play takes no pair marks: no hand ever stands at a chance node.
+    assert no_chance_game.layout.chance_depth == 0
+    assert_matches_reference(no_chance_game, 3, BLOCK_EDGES)
