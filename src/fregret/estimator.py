@@ -20,8 +20,9 @@ and two ``bincount`` calls per level over every planned entry give every
 open node's row-count and target prefix sums at every cut of its root, each
 added in presorted order, so each tree is that of a per-node ``cumsum``
 scan over its root's rows alone, bit for bit (see ``_grow``). Its forest
-builds tree objects only when ``trees`` is read: ``fit_tree`` is the
-one-root case and reads its one tree, while RCFR keeps one plan per game,
+computes thresholds and builds tree objects only when ``trees`` is read,
+so a midpoint that overflows raises there: ``fit_tree`` is the one-root
+case and reads its one tree, while RCFR keeps one plan per game,
 with one root per seat, grows both seats' trees as one forest at every
 refit, and reads its predictions off the fitted values and its leaf counts
 from the levels. A fitted tree is nothing but flat preorder arrays
@@ -269,9 +270,11 @@ def _grow(plan, y, min_leaf_weight, max_depth):
     list of levels, and each planned row's leaf value; ``y`` is per planned
     row. A level's nodes have consecutive ids, in the order of its
     ``counts``, the roots first, and it is ``(means, split_nodes, feature,
-    threshold)``: every node's mean, and the nodes that split, in order,
-    with their splits. Split ``j`` of a level has children ``2 * j`` and
-    ``2 * j + 1`` of the next.
+    cuts)``: every node's mean, and the nodes that split, in order, with
+    their features and ``(low, x, right, counts)``: the cut values, the
+    split rows' values and sides, and the split row counts, of which
+    ``Forest.trees`` makes thresholds. Split ``j`` of a level has children
+    ``2 * j`` and ``2 * j + 1`` of the next.
 
     A level costs a fixed number of numpy calls, however many nodes it
     holds. Each node's target total is what its own ``np.add.reduce``
@@ -297,14 +300,14 @@ def _grow(plan, y, min_leaf_weight, max_depth):
     max(min_leaf_weight, 1)`` rows cannot split, so it is a leaf
     unsearched, and a level of such nodes skips its bincounts and scores.
     Where every root is searched, the root level's keys and counts come
-    from the plan. A split's threshold lies between its cut value and the
-    least value of the rows it sends right. Each level writes its rows'
-    node means, so a row's last write is its leaf's value; rows go right
-    on ``x > threshold``, so that is the leaf ``predict`` reaches.
+    from the plan. Each level writes its rows' node means, so a row's last
+    write is its leaf's value; rows go right on ``x > low``, as on ``x >
+    threshold``, so that is the leaf ``predict`` reaches.
 
     ``fit_forest`` admits only targets under ``2**511`` over the largest
     root's row count, so no sum here reaches ``2**512`` and no square or
-    score overflows; only a threshold midpoint still can.
+    score overflows. Nothing else here can overflow or be invalid, so the
+    loop runs without ``np.errstate``.
     """
     XT, values, slot_feature = plan.XT, plan.values, plan.slot_feature
     entry_row, entry_slot = plan.entry_row, plan.entry_slot
@@ -371,12 +374,11 @@ def _grow(plan, y, min_leaf_weight, max_depth):
         split_nodes = nodes[splits]
         means = total_s / counts
         fitted[rows] = means.repeat(counts)
-        if not len(split_nodes):  # empty splits, features and thresholds
-            levels.append((means, split_nodes, split_nodes, split_nodes))
+        if not len(split_nodes):  # empty splits, features and cuts
+            levels.append((means, split_nodes, split_nodes, (split_nodes,) * 4))
             return levels, fitted
         # The split nodes' rows, grouped by split, and which go right: a
-        # row goes right when its value exceeds the cut's, and the least
-        # such value bounds the threshold from above.
+        # row goes right when its value exceeds the cut's.
         split_of_node = np.empty(len(counts), dtype=np.intp)
         split_of_node.fill(-1)
         split_of_node[split_nodes] = np.arange(len(split_nodes))
@@ -387,15 +389,8 @@ def _grow(plan, y, min_leaf_weight, max_depth):
         feature, low = slot_feature[slot], values[slot]
         x = XT[feature[row_split], rows]
         right = x > low[row_split]
-        split_counts = counts[split_nodes]
-        high = np.minimum.reduceat(
-            np.where(right, x, np.inf), split_counts.cumsum() - split_counts
-        )
-        middle = (low + high) / 2.0
-        # Between adjacent doubles the midpoint may round up to ``high``,
-        # which would send every row left; the lower value cuts the same.
-        threshold = np.where(middle < high, middle, low)
-        levels.append((means, split_nodes, feature, threshold))
+        cuts = (low, x, right, counts[split_nodes])
+        levels.append((means, split_nodes, feature, cuts))
         child = 2 * row_split + right
         rows = rows[child.argsort(kind="stable")]
         counts = np.bincount(child, minlength=2 * len(split_nodes))
@@ -416,8 +411,8 @@ def _check_max_depth(value) -> int | None:
 @dataclass(frozen=True, eq=False)
 class Forest:
     """One fit's trees, one per root of its plan, as the levels ``_grow``
-    leaves them. ``trees`` walks them into ``RegressionTree``s on its first
-    read; fitted values and ``leaf_counts`` need none."""
+    leaves them. ``trees`` makes their thresholds and ``RegressionTree``s on
+    its first read; fitted values and ``leaf_counts`` need neither."""
 
     levels: list
     n_features: int
@@ -437,9 +432,22 @@ class Forest:
 
     @functools.cached_property
     def trees(self) -> list[RegressionTree]:
+        """Each root's tree. A split's threshold lies between its cut value
+        and the least value of the rows it sent right; where their midpoint
+        overflows float64, this raises ValueError on every read."""
         records = []  # (feature, threshold, value) by node id
         children = {}  # split node id -> (left id, right id)
-        for means, split_nodes, feature, threshold in self.levels:
+        for means, split_nodes, feature, (low, x, right, counts) in self.levels:
+            starts = counts.cumsum() - counts
+            high = np.minimum.reduceat(np.where(right, x, np.inf), starts)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    middle = (low + high) / 2.0
+            except FloatingPointError as error:
+                raise ValueError(f"tree fit overflows float64: {error}") from None
+            # Between adjacent doubles the midpoint may round up to ``high``,
+            # which would send every row left; the lower value cuts the same.
+            threshold = np.where(middle < high, middle, low)
             first_id = len(records)
             first_child = first_id + len(means)
             level = [(-1, 0.0, mean) for mean in means.tolist()]
@@ -476,10 +484,11 @@ def fit_forest(
 
     All roots grow together, one split search over every open node of a
     level (see ``_grow``), so the per-level cost is paid once for the
-    forest; each level keys every planned entry in one pass, the root
-    level's bins come from the plan, and a threshold is read off the rows
-    being split. Raises ValueError as ``fit_tree`` does, where the
-    bound on targets is ``2**511`` over the largest root's row count.
+    forest; each level keys every planned entry in one pass, and the root
+    level's bins come from the plan. Raises ValueError on targets as
+    ``fit_tree`` does, where the bound is ``2**511`` over the largest root's
+    row count. A threshold midpoint that overflows raises no error here:
+    the fitted values are finite, and ``forest.trees`` raises on every read.
     """
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != (plan.n_rows,):
@@ -496,11 +505,7 @@ def fit_forest(
         )
     min_leaf_weight = _check_min_leaf_weight(min_leaf_weight)
     max_depth = _check_max_depth(max_depth)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            levels, fitted = _grow(plan, y[plan.rows], min_leaf_weight, max_depth)
-    except FloatingPointError as error:  # a threshold midpoint
-        raise ValueError(f"tree fit overflows float64: {error}") from None
+    levels, fitted = _grow(plan, y[plan.rows], min_leaf_weight, max_depth)
     config = (plan.XT.shape[0], min_leaf_weight, max_depth)
     return Forest(levels, *config), fitted
 
@@ -534,7 +539,8 @@ def fit_tree(
     least ``2**511`` over the row count is rejected before any growth,
     whether or not a sum of the fit would in fact overflow; below that no
     sum, square or score can. A threshold midpoint of two finite features
-    that overflows raises too.
+    that overflows raises too, when ``Forest.trees`` computes it for the
+    tree this returns.
     """
     config = dict(min_leaf_weight=min_leaf_weight, max_depth=max_depth)
     forest, _ = fit_forest(plan_fit(features), targets, **config)

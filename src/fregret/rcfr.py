@@ -125,8 +125,9 @@ class RCFRState:
 
     @property
     def trees(self) -> tuple:
-        """Per seat, the last refit's tree, built from ``forest`` on first
-        read; None for a seat with no slots or before the first refit."""
+        """Per seat, the last refit's tree, thresholds and all, built from
+        ``forest`` on first read (see ``Forest.trees``); None for a seat with
+        no slots or before the first refit."""
         if self.forest is None:
             return (None, None)
         trees = iter(self.forest.trees)

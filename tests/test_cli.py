@@ -399,6 +399,28 @@ class TestSolveCommand:
             "a75c624220ec0413de97d45a477d4118e0e7f6996db3b873faf33679da14abb1"
         )
 
+    def test_leduc_cfr_log_columns_are_pinned(self, tmp_path, capsys):
+        # The CI workflow checks the same digests through the console
+        # script, of the log as ``cut -d, -f1-3`` and ``cut -d, -f1,3``
+        # print it: without wall_ms, and its t and regret-bound columns.
+        _, conv = solve_into(
+            tmp_path, capsys, "leduc-cfr",
+            ["--game", "leduc", "--algo", "cfr", "--iters", "50",
+             "--log-every", "10"],
+        )
+        rows = [line.split(",") for line in conv.read_text().splitlines()]
+
+        def cut_digest(fields):
+            text = "".join(",".join(row[f] for f in fields) + "\n" for row in rows)
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert cut_digest([0, 1, 2]) == (
+            "eeb331081e64e9a41e36ae389c42890e2d23b4080e933a1f96b02e2f58a4891a"
+        )
+        assert cut_digest([0, 2]) == (
+            "038e5f9648b680ddaa049ca7cfd2b2b5d49c09dfc6a9448dcaba0bbdd93629c3"
+        )
+
     def test_rcfr_convergence_csv_has_model_columns(self, tmp_path, capsys):
         _, conv = solve_into(
             tmp_path, capsys, "t",

@@ -360,6 +360,21 @@ class TestFitTree:
         assert tree.threshold.tolist()[0] == low
         assert [predict(tree, [low]), predict(tree, [high])] == [0.0, 1.0]
 
+    def test_overflowing_midpoint_raises_where_the_tree_is_read(self):
+        # Both features are finite, but their sum, and so the midpoint of
+        # the one split, overflows. fit_tree reads its tree and raises;
+        # fit_forest computes no threshold, so its fitted values come back
+        # and the forest raises at each read of its trees.
+        X, y = [[1e308], [1.7976931348623157e308]], [0.0, 1.0]
+        pattern = "^tree fit overflows float64"
+        with pytest.raises(ValueError, match=pattern):
+            fit_tree(X, y, min_leaf_weight=0.0)
+        forest, fitted = fit_forest(plan_fit(X), y, min_leaf_weight=0.0)
+        assert fitted.tolist() == [0.0, 1.0]
+        for _ in range(2):
+            with pytest.raises(ValueError, match=pattern):
+                forest.trees
+
     def test_training_mse_at_most_target_variance(self):
         rng = random.Random(5)
         for _ in range(10):

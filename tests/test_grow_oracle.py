@@ -11,7 +11,7 @@ lacks by a count that does not rise there, where ``_grow`` gives that cut
 the score of the node's next lower value's and lets the argmax take the
 lower; and it finds each threshold's upper value by a search over the
 count rows, for which its plan keeps entries at a root's highest value,
-where ``_grow`` reads it off the rows being split. None of
+where ``Forest.trees`` reads it off the rows each split kept. None of
 that may move a split, a threshold, a leaf value or a fitted value; these
 tests compare serialized trees and fitted bytes. The recorded grower checks
 its sums for overflow as it goes, where ``fit_forest`` rejects targets at

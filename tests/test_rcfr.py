@@ -394,12 +394,16 @@ class TestIteration:
             assert state.plan is plan
 
     def test_a_refit_builds_no_tree_objects(self, leduc_game):
-        # The solver reads only the fitted values; trees are built when read.
-        config = RCFRConfig(iterations=2, min_leaf_weight=4.0)
+        # The solver reads the fitted values, and at log points the leaf
+        # counts and MSEs; trees, thresholds and all, are built when read.
+        config = RCFRConfig(iterations=20, min_leaf_weight=4.0)
         state = new_state(leduc_game, config)
-        rcfr_iteration(leduc_game, state, config)
-        sizes = rcfr_module.model_sizes(state)  # read off the levels
-        assert "trees" not in vars(state.forest)
+        for _ in range(config.iterations):
+            rcfr_iteration(leduc_game, state, config)
+            sizes = rcfr_module.model_sizes(state)  # read off the levels
+            for seat in (0, 1):
+                training_mse(state, seat)
+            assert "trees" not in vars(state.forest)
         trees = state.trees
         assert sizes == [model_complexity(tree) for tree in trees]
         assert "trees" in vars(state.forest)
