@@ -14,7 +14,9 @@ byte-identical; the reader takes only the number forms the writer writes
 (``_validation.NUMBER`` and ``INDEX``). The writer fills one cached
 template per game, a ``%.17g`` per probability, from the checked slot
 vector in one ``%`` call, which is why a ``%`` in a key or the game id is
-escaped there as ``%%``.
+escaped there as ``%%``. The reader cuts text that ends in "\\n" and has
+no other line break at "\\n" alone; any other text goes through
+``str.splitlines``, so every line end it honours reads the same.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 validation error.
 """
@@ -45,6 +47,8 @@ STRATEGY_HEADER = "# fregret-strategy v1 game={} exploit_convention=sum"
 STRATEGY_HEADER_PATTERN = re.compile(STRATEGY_HEADER.format(r"(\S+)"))
 # Strategy-file body lines, each ended by "\n", in the forms the writer writes.
 _STRATEGY_LINES = re.compile(rf"(?:[^,]*,{INDEX},(?:{NUMBER})\n)*")
+# The line breaks str.splitlines honours besides "\n".
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 STRATEGY_FILENAME = "strategy.csv"
 CONVERGENCE_FILENAME = "convergence.csv"
 # Each game's id, strategy-file template and slot order, keyed as rcfr._PLANS.
@@ -108,8 +112,10 @@ def read_strategy_file(path: str):
     keys in order of first appearance.
 
     A file that starts with a UTF-8 byte-order mark, is not UTF-8, is empty
-    or has a bad header raises ValueError. Then the body is read in at most
-    two passes: ``_read_bulk`` decides in bulk whether it is valid, and one
+    or has a bad header raises ValueError. Text that ends in "\\n" with no
+    other break ``str.splitlines`` honours (``_OTHER_BREAKS``) is cut at its
+    first "\\n"; other text is split by ``splitlines`` and rejoined by "\\n".
+    Then ``_read_bulk`` decides in bulk whether the body is valid, and one
     it rejects goes to ``_read_lines``, which reads a line at a time and
     raises ValueError on the first fault.
     """
@@ -121,36 +127,41 @@ def read_strategy_file(path: str):
             f"strategy files have none"
         )
     try:
-        lines = data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as error:
         raise ValueError(
             f"{path}: not UTF-8 text ({error.reason} at byte {error.start})"
         ) from None
-    if not lines:
+    if text.endswith("\n") and not any(map(text.__contains__, _OTHER_BREAKS)):
+        header, _, body = text.partition("\n")
+    elif text:
+        header, *lines = text.splitlines()
+        body = "\n".join([*lines, ""])
+    else:
         raise ValueError(f"{path}, line 1: empty strategy file")
-    match = STRATEGY_HEADER_PATTERN.fullmatch(lines[0])
+    match = STRATEGY_HEADER_PATTERN.fullmatch(header)
     if match is None:
         expected = STRATEGY_HEADER.format("<id>")
         raise ValueError(f"{path}, line 1: expected header '{expected}'")
-    profile = _read_bulk(lines[1:])
+    profile = _read_bulk(body)
     if profile is None:
-        profile = _read_lines(path, lines[1:])
+        profile = _read_lines(path, body.split("\n")[:-1])
     return match.group(1), profile
 
 
 def _read_bulk(body):
-    """The profile of a valid body, or None for any other. One regex match
-    checks the form of every line, numpy converts each column in one call,
-    and after a stable sort by (infoset, action index) each infoset's
-    indices must be 0..n-1, which catches duplicates and gaps at once, and
-    ``efg_core.bad_rows`` must pass every row."""
+    """The profile of a valid body, its lines each ended by "\\n", or None
+    for any other. One regex match checks the form of every line, numpy
+    converts each column in one call, and after a stable sort by (infoset,
+    action index) each infoset's indices must be 0..n-1, which catches
+    duplicates and gaps at once, and ``efg_core.bad_rows`` must pass every
+    row."""
     # _STRATEGY_LINES reads a key as ``[^,]*``, not the slower ``[^,\n]*``,
     # so a key may take in lines with no comma; then fields fall short.
-    text = "\n".join([*body, ""])
-    if _STRATEGY_LINES.fullmatch(text) is None:
+    if _STRATEGY_LINES.fullmatch(body) is None:
         return None
-    fields = text.replace("\n", ",").split(",")[:-1]
-    if len(fields) != 3 * len(body):
+    fields = body.replace("\n", ",").split(",")[:-1]
+    if len(fields) != 3 * body.count("\n"):
         return None
     keys, prob = fields[0::3], np.array(fields[2::3], dtype=np.float64)
     try:

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -39,6 +40,13 @@ def solve_into(tmp_path, capsys, name, extra):
     code, _, err = run(argv, capsys)
     assert code == 0, err
     return out / "strategy.csv", out / "convergence.csv"
+
+
+STORED = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
+
+
+def sha256(path):
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
 EDGE_FLOATS = (-0.0, 0.0, 5e-324)
@@ -795,3 +803,220 @@ class TestConsoleEntry:
             env=child_env(),
         )
         assert result.returncode == 2
+
+
+class TestConsoleScriptTwins:
+    """In-process twins, through ``cli.main``, of the CI workflow's checks
+    of the installed console script that no other test repeats. Each
+    docstring quotes the check."""
+
+    def test_tabular_rcfr_matches_cfr_in_both_target_modes(
+        self, tmp_path, capsys
+    ):
+        """``cmp`` of Kuhn CFR against bootstrap tabular RCFR at 40
+        iterations, and of Leduc CFR against tabular RCFR in both target
+        modes at 20."""
+        for game, iters in (("kuhn", "40"), ("leduc", "20")):
+            base = ["--game", game, "--iters", iters]
+            cfr, _ = solve_into(
+                tmp_path, capsys, f"{game}-cfr", base + ["--algo", "cfr"]
+            )
+            for mode in ("exact", "bootstrap"):
+                rcfr, _ = solve_into(
+                    tmp_path, capsys, f"{game}-rcfr-{mode}",
+                    base + ["--algo", "rcfr", "--estimator", "tabular",
+                            "--target-mode", mode],
+                )
+                assert rcfr.read_bytes() == cfr.read_bytes(), (game, mode)
+
+    def test_stored_leduc_file_rewrites_byte_for_byte(self, tmp_path, leduc_game):
+        """``write(out, build_leduc(), read(stored)[1])``, then ``cmp`` of
+        ``out`` with the stored file."""
+        rewritten = tmp_path / "rewritten.csv"
+        _, profile = read_strategy_file(str(STORED))
+        write_strategy_file(str(rewritten), leduc_game, profile)
+        assert rewritten.read_bytes() == STORED.read_bytes()
+
+    def test_kuhn_exact_ev_of_cfr_against_tabular_rcfr_is_zero(
+        self, tmp_path, capsys
+    ):
+        """``fregret compete --game kuhn --a cfr --b rcfr --exact`` prints
+        ``exact_ev,0``."""
+        cfr, _ = solve_into(
+            tmp_path, capsys, "cfr",
+            ["--game", "kuhn", "--algo", "cfr", "--iters", "40"],
+        )
+        rcfr, _ = solve_into(
+            tmp_path, capsys, "rcfr",
+            ["--game", "kuhn", "--algo", "rcfr", "--estimator", "tabular",
+             "--iters", "40"],
+        )
+        argv = ["compete", "--game", "kuhn", "--a", str(cfr), "--b", str(rcfr),
+                "--exact"]
+        assert run(argv, capsys)[:2] == (0, "exact_ev,0\n")
+
+    def test_leduc_min_leaf_4_tree_rcfr_is_pinned_and_ignores_its_seed(
+        self, tmp_path, capsys
+    ):
+        """Two runs of ``--min-leaf 4 --iters 20`` and one with ``--seed 7``
+        write the same file, whose digest is pinned; the log's header, and
+        its digests as ``cut -d, -f1-6`` and ``cut -d, -f1,3-6`` print it."""
+        argv = ["--game", "leduc", "--algo", "rcfr", "--estimator", "tree",
+                "--min-leaf", "4", "--iters", "20"]
+        first, log = solve_into(tmp_path, capsys, "tree1", argv)
+        second, _ = solve_into(tmp_path, capsys, "tree2", argv)
+        seeded, _ = solve_into(tmp_path, capsys, "seed7", argv + ["--seed", "7"])
+        assert first.read_bytes() == second.read_bytes() == seeded.read_bytes()
+        assert sha256(first) == (
+            "1106e709da38c44347c563d519f2efbb7ab79eda14becc4ed66e6b51ca6ea5e9"
+        )
+        rows = [line.split(",") for line in log.read_text().splitlines()]
+        assert rows[0] == [
+            "t", "exploitability", "mse_p1", "mse_p2", "leaves_p1", "leaves_p2",
+            "wall_ms",
+        ]
+
+        def cut_digest(fields):
+            text = "".join(",".join(row[f] for f in fields) + "\n" for row in rows)
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert cut_digest(range(6)) == (
+            "d8bf378673c79b63981c832ff223209cf016d7eaa2c0797f7ac4b22cff9126b1"
+        )
+        assert cut_digest([0, 2, 3, 4, 5]) == (
+            "f0046c4483bcff2a430a128ffb6a5923107954605c6a6708dedb2a0d47fd117b"
+        )
+
+    def test_leduc_bootstrap_min_leaf_16_is_pinned(self, tmp_path, capsys):
+        """``--min-leaf 16 --target-mode bootstrap --iters 20``'s digest."""
+        strategy, _ = solve_into(
+            tmp_path, capsys, "boot16",
+            ["--game", "leduc", "--algo", "rcfr", "--estimator", "tree",
+             "--min-leaf", "16", "--target-mode", "bootstrap", "--iters", "20"],
+        )
+        assert sha256(strategy) == (
+            "beccec8cb58f32f1e20408febbb1c5fde3fb87c1e8567ab9c1aecf4c379153b2"
+        )
+
+    def test_leduc_cfr_is_pinned(self, tmp_path, capsys):
+        """``--iters 50 --log-every 10``'s digest and the log's header."""
+        strategy, log = solve_into(
+            tmp_path, capsys, "leduc-cfr",
+            ["--game", "leduc", "--algo", "cfr", "--iters", "50",
+             "--log-every", "10"],
+        )
+        assert sha256(strategy) == (
+            "c06f2af91e85a55db346fb4e177ac3274c2a81350660390b19b4e029ee8d6197"
+        )
+        assert log.read_text().splitlines()[0] == (
+            "t,exploitability,max_pos_regret_sum,wall_ms"
+        )
+
+    def test_kuhn_row_summing_to_0_8_and_an_unknown_game(self, tmp_path, capsys):
+        """``sed '2s/,0\\.5$/,0.3/'`` on the one-iteration Kuhn file exits 4,
+        and ``--game nosuch`` exits 2."""
+        uniform, _ = solve_into(
+            tmp_path, capsys, "uniform",
+            ["--game", "kuhn", "--algo", "cfr", "--iters", "1"],
+        )
+        lines = uniform.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1].endswith(",0.5\n")
+        lines[1] = lines[1][: -len("0.5\n")] + "0.3\n"
+        short = tmp_path / "short.csv"
+        short.write_text("".join(lines), encoding="utf-8")
+        argv = ["exploit", "--game", "kuhn", "--strategy", str(short)]
+        code, _, err = run(argv, capsys)
+        assert code == 4, err
+        assert "for infoset 'p0:J:-:' sum to 0.80000000000000004" in err
+        argv = ["exploit", "--game", "nosuch", "--strategy", str(short)]
+        assert run(argv, capsys)[0] == 2
+
+    def exploit_stored(self, tmp_path, capsys, data):
+        """``fregret exploit --game leduc`` of a file holding ``data``."""
+        path = tmp_path / "edited.csv"
+        path.write_bytes(data)
+        code, out, err = run(
+            ["exploit", "--game", "leduc", "--strategy", str(path)], capsys
+        )
+        return code, out, err, str(path)
+
+    def test_line_written_twice_fails_at_its_second_copy(self, tmp_path, capsys):
+        """``sed '3p'`` on the stored file exits 4 with ``line 4: duplicate
+        entry for 'p0:J:-:/' action 1``."""
+        lines = STORED.read_bytes().splitlines(keepends=True)
+        data = b"".join([*lines[:3], lines[2], *lines[3:]])
+        code, _, err, _ = self.exploit_stored(tmp_path, capsys, data)
+        assert code == 4
+        assert "line 4: duplicate entry for 'p0:J:-:/' action 1" in err
+
+    def test_two_bytes_that_are_not_utf8_name_the_file(self, tmp_path, capsys):
+        """``printf '\\377\\376'`` exits 4 and names the file."""
+        code, _, err, path = self.exploit_stored(tmp_path, capsys, b"\xff\xfe")
+        assert code == 4 and path in err
+
+    def test_byte_order_mark_before_the_stored_file_fails_at_line_1(
+        self, tmp_path, capsys
+    ):
+        """``printf '\\357\\273\\277' | cat - leduc_cfr1000.csv`` exits 4 with
+        ``line 1: starts with a UTF-8 byte-order mark``."""
+        data = b"\xef\xbb\xbf" + STORED.read_bytes()
+        code, _, err, _ = self.exploit_stored(tmp_path, capsys, data)
+        assert code == 4
+        assert "line 1: starts with a UTF-8 byte-order mark" in err
+
+    def test_crlf_copy_of_the_stored_file_reads_as_the_original(
+        self, tmp_path, capsys
+    ):
+        """``sed 's/$/\\r/'`` on the stored file: ``exploit`` prints the
+        stored file's line, and ``compete --exact`` against the original
+        prints ``exact_ev,0``."""
+        data = STORED.read_bytes().replace(b"\n", b"\r\n")
+        code, out, _, path = self.exploit_stored(tmp_path, capsys, data)
+        assert (code, out) == (0, "exploitability,0.079626596628128293\n")
+        argv = ["compete", "--game", "leduc", "--a", str(STORED), "--b", path,
+                "--exact"]
+        assert run(argv, capsys)[:2] == (0, "exact_ev,0\n")
+
+
+def hexed(result):
+    """A read's (game id, profile) with every probability as ``float.hex``,
+    in key order."""
+    game_id, profile = result
+    return game_id, [(key, list(map(float.hex, row))) for key, row in profile.items()]
+
+
+class TestRepeatedReads:
+    """Reads of one file share nothing the caller can change, and leave
+    nothing behind."""
+
+    def test_mutating_a_returned_profile_changes_no_later_read(self):
+        expected = hexed(read_strategy_file(str(STORED)))
+        _, profile = read_strategy_file(str(STORED))
+        first, second = list(profile)[:2]
+        profile[first] = (1.0,)
+        del profile[second]
+        profile["p9:new"] = (0.5, 0.5)
+        again = read_strategy_file(str(STORED))
+        assert again[1] is not profile and hexed(again) == expected
+
+    def test_memory_the_reader_holds_stays_flat_over_200_reads(self):
+        """Counts what ``cli``'s own lines allocated and still hold; numpy's
+        internal caches, which fill over the first few thousand calls, are
+        allocated in numpy's frames and left out."""
+        own = [tracemalloc.Filter(True, cli.__file__)]
+
+        def held():
+            gc.collect()
+            traces = tracemalloc.take_snapshot().filter_traces(own)
+            return sum(stat.size for stat in traces.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            read_strategy_file(str(STORED))
+            before = held()
+            for _ in range(200):
+                read_strategy_file(str(STORED))
+            after = held()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 1024, (before, after)

@@ -192,6 +192,7 @@ FIXED = {
     "one-action rows": ["a,0,1", "b,0,1.0000001", "c,0,0.9999999"],
     "sum just outside the slack": ["a,0,0.5", "a,1,0.500002"],
     "non-ASCII key": ["p0:é,0,0.5", "p0:é,1,0.5"],
+    "lines without commas that join into a row": ["a", "0", "1", "k,0,1"],
 }
 
 
@@ -353,3 +354,73 @@ def test_mutated_files_match_reference(tmp_path, kuhn_game):
     ):
         assert any(kind.startswith(fragment) for kind in seen), fragment
 
+
+def scale_row(body, key, factor):
+    """``body`` with every probability of infoset ``key`` times ``factor``."""
+    out = []
+    for line in body:
+        row_key, index, prob = line.split(",")
+        if row_key == key:
+            prob = repr(float(prob) * factor)
+        out.append(",".join((row_key, index, prob)))
+    return out
+
+
+@pytest.mark.parametrize("token", ["half", "1_0", "-0.5", "nan", "inf", "0.8 sum"])
+def test_probability_faults_match_reference(tmp_path, kuhn_game, token):
+    """A fault in the probabilities alone, in a file whose key and index
+    columns are valid, fails at the reference's line with its message."""
+    rng = random.Random(token)
+    path = tmp_path / "file.csv"
+    for game_id, lines, _ in base_files(kuhn_game):
+        at = rng.randrange(len(lines))
+        if token == "0.8 sum":
+            body = scale_row(lines, lines[at].split(",")[0], 0.8)
+        else:
+            body = list(lines)
+            body[at] = body[at].rsplit(",", 1)[0] + "," + token
+        error = assert_same(path, file_text(game_id, body))
+        assert error[0] is ValueError
+        if token == "0.8 sum":
+            assert "probabilities" in error[1] and ", line " not in error[1]
+        else:
+            assert f", line {at + 2}: " in error[1]
+
+
+# Every line end str.splitlines honours but "\n".
+LINE_BREAKS = (
+    "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+    "\u2029",
+)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+@pytest.mark.parametrize("end", LINE_BREAKS)
+def test_every_line_break_reads_as_reference_and_its_newline_twin(
+    tmp_path, name, end
+):
+    """Only text that ends in "\\n" with no other break ``splitlines``
+    honours is cut at "\\n" alone; the rest must read as the reference
+    does, and each valid file as its "\\n" twin."""
+    path, body = tmp_path / "file.csv", FIXED[name]
+    twin = assert_same(path, file_text("kuhn", body))
+    # All ends this break, one line ended by it among "\n" ends, and no
+    # final line end.
+    mixed = [line + (end if k == 1 else "\n") for k, line in enumerate(body)]
+    texts = (
+        file_text("kuhn", body, end),
+        HEADER.format("kuhn") + "\n" + "".join(mixed),
+        file_text("kuhn", body, end)[: -len(end)],
+        file_text("kuhn", body)[:-1],
+    )
+    for text in texts:
+        result = assert_same(path, text)
+        if result[0] == "ok":
+            assert result == twin, repr(text)
+
+
+def test_a_line_break_inside_a_key_reads_as_reference(tmp_path):
+    path = tmp_path / "file.csv"
+    for end in LINE_BREAKS:
+        body = [f"p0:J{end}x,0,0.5", f"p0:J{end}x,1,0.5"]
+        assert assert_same(path, file_text("kuhn", body))[0] is ValueError
