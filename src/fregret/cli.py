@@ -37,7 +37,7 @@ import numpy as np
 from ._validation import INDEX, INDEX_PATTERN, NUMBER, NUMBER_PATTERN, format_float
 from .cfr import CFRConfig, ConvergenceRow, solve
 from .efg_core import bad_rows, check_row, checked_policy
-from .eval import exact_ev, exploitability, sampled_match
+from .eval import exact_ev, policy_exploitability, sampled_match
 from .games.poker import RULES, build_poker
 from .rcfr import ESTIMATOR_KINDS, TARGET_MODES, RCFRConfig, rcfr_solve
 from .rcfr import ModelSizeRow, RcfrConvergenceRow
@@ -219,14 +219,15 @@ def _read_lines(path: str, body):
 
 
 def _load_for_game(path: str, game):
+    """The profile stored at ``path`` for ``game`` and its checked slot
+    vector, ``efg_core.checked_policy`` of it for both seats."""
     file_game, profile = read_strategy_file(path)
     if file_game != game.game_id:
         raise ValueError(
             f"{path}: strategy is for game '{file_game}', expected "
             f"'{game.game_id}'"
         )
-    checked_policy(game, (profile, profile))
-    return profile
+    return profile, checked_policy(game, (profile, profile))
 
 
 def _names(row_class) -> list:
@@ -276,15 +277,15 @@ def cmd_solve(args) -> int:
 
 def cmd_exploit(args) -> int:
     game = build_poker(RULES[args.game])
-    profile = _load_for_game(args.strategy, game)
-    print(f"exploitability,{format_float(exploitability(game, profile))}")
+    _, policy = _load_for_game(args.strategy, game)
+    print(f"exploitability,{format_float(policy_exploitability(game, policy))}")
     return 0
 
 
 def cmd_compete(args) -> int:
     game = build_poker(RULES[args.game])
-    profile_a = _load_for_game(args.a, game)
-    profile_b = _load_for_game(args.b, game)
+    profile_a, _ = _load_for_game(args.a, game)
+    profile_b, _ = _load_for_game(args.b, game)
     if args.exact:
         print(f"exact_ev,{format_float(exact_ev(game, profile_a, profile_b))}")
         return 0

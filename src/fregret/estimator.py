@@ -13,21 +13,21 @@ ties break to the lowest feature index then lowest threshold, and no leaf
 holds fewer than ``min_leaf_weight`` rows. Fitting has two steps.
 ``plan_fit`` does what depends only on the features, once: the presort, the
 value numbering and the cut expansion of the rows of one or more roots,
-stacked, and the root level's bins and row counts. ``fit_forest`` then
-grows one tree per root for given targets, all roots a level at a time: the
-bins of a feature are its distinct values, as in histogram split search,
-and two ``bincount`` calls per level over every planned entry give every
-open node's row-count and target prefix sums at every cut of its root, each
-added in presorted order, so each tree is that of a per-node ``cumsum``
-scan over its root's rows alone, bit for bit (see ``_grow``). Its forest
-computes thresholds and builds tree objects only when ``trees`` is read,
-so a midpoint that overflows raises there: ``fit_tree`` is the one-root
-case and reads its one tree, while RCFR keeps one plan per game,
-with one root per seat, grows both seats' trees as one forest at every
-refit, and reads its predictions off the fitted values and its leaf counts
-from the levels. A fitted tree is nothing but flat preorder arrays
-(``RegressionTree``), which fitting, parsing, serialization and ``predict``
-all walk without recursion.
+stacked, and the root level's keys. ``fit_forest`` then grows one tree
+per root for given targets, all roots a level at a time: the bins of a
+feature are its distinct values, as in histogram split search, and one
+complex scatter-add per level over every planned entry gives every open
+node's target prefix sum (the real part) and row count (the imaginary
+part) at every cut of its root, each added in presorted order, so each
+tree is that of a per-node ``cumsum`` scan over its root's rows alone,
+bit for bit (see ``_grow``). Its forest computes thresholds and builds
+tree objects only when ``trees`` is read, so a midpoint that overflows
+raises there: ``fit_tree`` is the one-root case and reads its one tree,
+while RCFR keeps one plan per game, with one root per seat, grows both
+seats' trees as one forest at every refit, and reads its predictions off
+the fitted values and its leaf counts from the levels. A fitted tree is
+nothing but flat preorder arrays (``RegressionTree``), which fitting,
+parsing, serialization and ``predict`` all walk without recursion.
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ class FitPlan:
     row and cut the row falls left of that a node of its root can take: a
     row whose value ranks ``b`` feeds the cuts at ranks ``b .. t - 1``,
     where ``t`` ranks its root's highest value, so none where its root
-    holds one value. The root level, where every root is a node, is stored
-    too: ``root_key`` is each entry's (root, slot) bin, ``root * n_slots +
-    slot``, and ``root_count`` each bin's row count, which depend only on
-    the features. Its arrays are read-only: one plan serves many fits.
+    holds one value. The root level, where every root is a node, is keyed
+    too, as it depends only on the features: ``root_key`` is each entry's
+    (root, slot) bin, ``root * n_slots + slot``. Its arrays are read-only:
+    one plan serves many fits.
     """
 
     rows: np.ndarray
@@ -197,7 +197,6 @@ class FitPlan:
     entry_row: np.ndarray
     entry_slot: np.ndarray
     root_key: np.ndarray
-    root_count: np.ndarray
 
 
 def plan_fit(features, roots=None) -> FitPlan:
@@ -205,10 +204,10 @@ def plan_fit(features, roots=None) -> FitPlan:
     row numbers, by default one root of every row in order. A row may sit
     in several roots, and several times in one. The plan holds no entry at
     a root's highest value, whose cut sends every row of the root left, and
-    it keys and counts the root level, which ``_grow`` reads whenever every
-    root is searched. Raises ValueError unless the features are a finite
-    2-D array with at least one column and every root has rows, all of them
-    rows of the features."""
+    it keys the root level, which ``_grow`` reads whenever every root is
+    searched. Raises ValueError unless the features are a finite 2-D array
+    with at least one column and every root has rows, all of them rows of
+    the features."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("features must be a 2-dimensional array")
@@ -258,7 +257,6 @@ def plan_fit(features, roots=None) -> FitPlan:
         entry_row=entry_row,
         entry_slot=entry_slot,
         root_key=root_key,
-        root_count=np.bincount(root_key, minlength=len(counts) * len(values)),
     )
     for array in (v for v in vars(plan).values() if isinstance(v, np.ndarray)):
         array.flags.writeable = False
@@ -284,35 +282,44 @@ def _grow(plan, y, min_leaf_weight, max_depth):
     pad, to the pairwise sum of the rest. A -0.0 pad would total a node of
     -0.0 targets -0.0 where its reduce gives 0.0.
 
-    Once per level, ``bincount`` keyed by (searched node, slot) adds every
-    node's target and row-count prefix at every planned cut. Every planned
-    entry is keyed on every level: those of rows whose node is not
+    Once per level, one ``np.add.at`` keyed by (searched node, slot) adds
+    each planned entry's ``target + 1j`` into zeroed complex bins, giving
+    every node's target and row-count prefix at every planned cut. Every
+    planned entry is keyed on every level: those of rows whose node is not
     searched, or that left the tree at an earlier leaf, key into a sink
     row past the searched nodes' bins, whose sums are never read. It adds
-    in input order from 0.0, so each target prefix is the sequential sum
-    that a ``cumsum`` over the node's presorted rows gives. A cut is
-    admissible where both sides hold at least ``max(min_leaf_weight, 1)``
-    rows. At a value the node lacks it has the partition, sums and score of
-    the node's next lower value's cut, and the row-wise argmax of the
-    (node, slot) scores takes the lower one: slots run feature by feature,
-    so ties break to the lowest feature, then the lowest threshold, and
-    other roots' rows change no tree. A node with fewer than ``2 *
+    in input order from 0.0, so a bin's real part is the sequential sum
+    that a ``cumsum`` over the node's presorted rows gives, and its
+    imaginary part counts the bin's rows exactly, as every count is under
+    ``2**53``. Only sums and differences touch the complex bins, which add
+    and subtract their parts apart: each right side is the node's ``ts +
+    1j * tc`` less the left. That turns a -0.0 total ``ts`` into 0.0, so a
+    right sum of zero may differ in sign from the real subtraction's; it
+    enters the score only squared. An entry's real part ``y + 0.0`` is
+    likewise 0.0 for a -0.0 target, which no sum from 0.0 tells apart. A
+    cut is admissible where both sides hold at least ``max(min_leaf_weight,
+    1)`` rows. At a value the node lacks it has the partition, sums and
+    score of the node's next lower value's cut, and the row-wise argmax of
+    the (node, slot) scores takes the lower one: slots run feature by
+    feature, so ties break to the lowest feature, then the lowest
+    threshold, and other roots' rows change no tree. A node with fewer than ``2 *
     max(min_leaf_weight, 1)`` rows cannot split, so it is a leaf
-    unsearched, and a level of such nodes skips its bincounts and scores.
-    Where every root is searched, the root level's keys and counts come
-    from the plan. Each level writes its rows' node means, so a row's last
-    write is its leaf's value; rows go right on ``x > low``, as on ``x >
+    unsearched, and a level of such nodes skips its scatter-add and scores.
+    Where every root is searched, the root level's keys come from the
+    plan. Each level writes its rows' node means, so a row's last write
+    is its leaf's value; rows go right on ``x > low``, as on ``x >
     threshold``, so that is the leaf ``predict`` reaches.
 
     ``fit_forest`` admits only targets under ``2**511`` over the largest
-    root's row count, so no sum here reaches ``2**512`` and no square or
-    score overflows. Nothing else here can overflow or be invalid, so the
+    root's row count, so no node's sum here reaches ``2**512`` and no
+    square or score overflows; the sink row's sums, over every root, stay
+    finite too. Nothing else here can overflow or be invalid, so the
     loop runs without ``np.errstate``.
     """
     XT, values, slot_feature = plan.XT, plan.values, plan.slot_feature
     entry_row, entry_slot = plan.entry_row, plan.entry_slot
     n_rows, n_slots = len(plan.rows), len(values)
-    entry_y = y[entry_row]
+    entry_y = y[entry_row] + 1j  # each entry's target and one row
     # A split leaves at least one row and ``min_leaf_weight`` rows a side.
     least = max(min_leaf_weight, 1.0)
 
@@ -347,7 +354,7 @@ def _grow(plan, y, min_leaf_weight, max_depth):
             size = len(nodes) * n_slots
             shape = (len(nodes), n_slots)
             if not levels and len(nodes) == len(counts):
-                key, c_left = plan.root_key, plan.root_count
+                key = plan.root_key
             else:
                 node_base = np.empty(len(counts), dtype=np.intp)
                 node_base.fill(size)
@@ -357,18 +364,17 @@ def _grow(plan, y, min_leaf_weight, max_depth):
                 row_base.fill(size)
                 row_base[rows] = node_base.repeat(counts)
                 key = row_base[entry_row] + entry_slot
-                c_left = np.bincount(key, minlength=size + n_slots)[:size]
-            c_left = c_left.reshape(shape)
-            s_left = np.bincount(key, entry_y, size + n_slots)[:size].reshape(shape)
-            c_right = tc[:, None] - c_left
-            s_right = ts[:, None] - s_left
-            valid = (c_left >= least) & (c_right >= least)
+            bins = np.zeros(size + n_slots, dtype=complex)
+            np.add.at(bins, key, entry_y)
+            left = bins[:size].reshape(shape)
+            right = (ts + 1j * tc)[:, None] - left
+            valid = (left.imag >= least) & (right.imag >= least)
             # Scored only where admissible: elsewhere a side may be empty.
-            lc, rc = c_left[valid], c_right[valid]
-            ls, rs = s_left[valid], s_right[valid]
+            lv, rv = left[valid], right[valid]
+            ls, rs = lv.real, rv.real
             scores = np.empty(shape)
             scores.fill(-np.inf)
-            scores[valid] = ls * ls / lc + rs * rs / rc
+            scores[valid] = ls * ls / lv.imag + rs * rs / rv.imag
             best_slot = scores.argmax(axis=1)
             splits = scores.max(axis=1) > baseline
         split_nodes = nodes[splits]
@@ -485,7 +491,7 @@ def fit_forest(
     All roots grow together, one split search over every open node of a
     level (see ``_grow``), so the per-level cost is paid once for the
     forest; each level keys every planned entry in one pass, and the root
-    level's bins come from the plan. Raises ValueError on targets as
+    level's keys come from the plan. Raises ValueError on targets as
     ``fit_tree`` does, where the bound is ``2**511`` over the largest root's
     row count. A threshold midpoint that overflows raises no error here:
     the fitted values are finite, and ``forest.trees`` raises on every read.

@@ -541,6 +541,25 @@ class TestExploitCommand:
         assert code == 0
         assert out == "exploitability,0.079626596628128293\n"
 
+    def test_profile_is_checked_once(self, monkeypatch, capsys):
+        # The slot vector of the reader's check goes on to best response.
+        calls = []
+        real = cli.checked_policy
+
+        def counting(game, seats):
+            calls.append(game.game_id)
+            return real(game, seats)
+
+        monkeypatch.setattr(cli, "checked_policy", counting)
+        monkeypatch.setattr(fregret.eval, "checked_policy", counting)
+        solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
+        code, out, _ = run(
+            ["exploit", "--game", "leduc", "--strategy", str(solved)], capsys
+        )
+        assert code == 0
+        assert out == "exploitability,0.079626596628128293\n"
+        assert calls == ["leduc"]
+
     def test_bad_sum_file_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(

@@ -5,11 +5,13 @@ of ``estimator._grow``. It reaches the same trees by other means: it drops
 the entries of closed nodes, where ``_grow`` keys every entry on every
 level, those of closed nodes into a sink row; it sums each node with its
 own ``np.add.reduce``, where ``_grow`` sums every node in one padded
-``reduceat``; it keys and counts the root level at every fit, where
-``_grow`` reads them from the plan; it rules out a cut at a value the node
-lacks by a count that does not rise there, where ``_grow`` gives that cut
-the score of the node's next lower value's and lets the argmax take the
-lower; and it finds each threshold's upper value by a search over the
+``reduceat``; it takes each level's cut sums and row counts from two
+``bincount`` calls, where ``_grow`` takes both from one ``np.add.at`` of
+``target + 1j`` into complex bins; it keys the root level at every fit,
+where ``_grow`` reads its keys from the plan; it rules out a cut at a
+value the node lacks by a count that does not rise there, where ``_grow``
+gives that cut the score of the node's next lower value's and lets the
+argmax take the lower; and it finds each threshold's upper value by a search over the
 count rows, for which its plan keeps entries at a root's highest value,
 where ``Forest.trees`` reads it off the rows each split kept. None of
 that may move a split, a threshold, a leaf value or a fitted value; these
@@ -239,3 +241,46 @@ def test_a_negative_zero_pad_would_total_negative_zero_nodes_wrong():
         assert not np.signbit(padded_totals(terms, counts)).any()
         wrong = padded_totals(terms, counts, pad=-0.0)
         assert np.signbit(wrong).tolist() == [True, False, True]
+
+
+def premise_bins(rng):
+    """Levels of keyed entries as ``_grow`` lays them out: a row of bins per
+    searched node, some never keyed, and a sink row past them that takes
+    about half the entries; targets of ordinary magnitudes, signed zeros,
+    and magnitudes just under ``2**511`` over the entry count."""
+    for _ in range(300):
+        n_nodes, n_slots = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+        m = int(rng.integers(1, 2000))
+        size = n_nodes * n_slots
+        used = rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)
+        key = np.where(
+            rng.random(m) < 0.5,
+            rng.choice(used, size=m),
+            size + rng.integers(0, n_slots, size=m),
+        )
+        top = math.nextafter(2.0**511 / m, 0.0)
+        ordinary = rng.normal(size=m) * 10.0 ** rng.integers(-30, 30, size=m)
+        for y in (
+            ordinary,
+            rng.normal(size=m),
+            rng.choice([1.0, -1.0, 0.5, 0.1, 0.0, -0.0], size=m),
+            np.full(m, -0.0),
+            top * rng.uniform(0.5, 1.0, size=m) * rng.choice([-1.0, 1.0], size=m),
+            np.where(rng.random(m) < 0.5, ordinary, top),
+        ):
+            yield key, y, size + n_slots
+
+
+def test_complex_scatter_add_sums_in_order_and_counts_exactly():
+    """The grower takes every (node, slot) bin's target prefix and row count
+    from one ``np.add.at`` of ``target + 1j`` into zeroed complex bins: the
+    real part must be the sum ``bincount`` gives, adding a bin's terms in
+    input order from 0.0, and the imaginary part its row count. A numpy
+    whose ``add.at`` adds complex values in another order, or not part by
+    part, fails here rather than in a pinned digest."""
+    rng = np.random.default_rng(7)
+    for key, y, n in premise_bins(rng):
+        bins = np.zeros(n, dtype=complex)
+        np.add.at(bins, key, y + 1j)
+        assert bins.real.tobytes() == np.bincount(key, y, n).tobytes()
+        assert (bins.imag == np.bincount(key, minlength=n)).all()

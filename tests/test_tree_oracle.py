@@ -330,7 +330,7 @@ def unpruned(plan):
     """``plan`` with the cut expansion of one root over all its planned
     rows: each row feeds every cut from its value's to its feature's last
     but one, whatever its own root holds. Its stored root level is keyed
-    and counted over those entries."""
+    over those entries."""
     order = np.argsort(plan.XT, axis=1, kind="stable")
     xs = np.sort(plan.XT, axis=1)
     run_starts = np.ones(xs.shape, dtype=bool)
@@ -349,7 +349,6 @@ def unpruned(plan):
         entry_row=entry_row,
         entry_slot=entry_slot,
         root_key=root_key,
-        root_count=np.bincount(root_key, minlength=n_roots * n_slots),
     )
 
 
