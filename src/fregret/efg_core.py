@@ -44,6 +44,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -104,7 +105,8 @@ class GameLayout:
     which a built tree may share between positions. Nodes are numbered in
     the order of their first positions, so node 0 is the root. ``infosets``
     holds (player, key, action count) by infoset id, in first-visit order,
-    and ``row_sizes`` the action counts alone.
+    ``row_sizes`` the action counts alone, and ``read_rows`` reads a
+    mapping's values at the keys in that order.
 
     Every infoset-action has a *slot*: slots run over the infoset table in
     order, then over each infoset's actions. Infoset ``k`` owns slots
@@ -149,7 +151,10 @@ class GameLayout:
     that way from 0.0. ``utility`` is seat 0's payoff by node, +0.0 at the
     non-terminal nodes, which ``terminal`` marks False. ``chance_node``
     marks the chance nodes, and ``chance_depth`` is the most chance nodes
-    on a path from the root.
+    on a path from the root. ``seatings`` holds the edge-list tables of a
+    match's two seatings side by side, as sampled play reads them.
+    ``row_sizes``, ``read_rows`` and ``seatings`` are built on first use,
+    once per layout, and ``seatings``' arrays are read-only.
 
     ``decisions`` holds both seats' decision edges at every position, in
     preorder of their parent positions, each position's in action order,
@@ -189,6 +194,41 @@ class GameLayout:
     def row_sizes(self) -> list[int]:
         """Each infoset's action count, by infoset id."""
         return [n for _, _, n in self.infosets]
+
+    @cached_property
+    def read_rows(self):
+        """A function from a mapping to the tuple of its values at the
+        infoset keys, in table order: one ``operator.itemgetter``, or a
+        ``map`` where there are fewer than two keys, for which
+        ``itemgetter`` returns a bare value or cannot be made."""
+        keys = [key for _, key, _ in self.infosets]
+        if len(keys) > 1:
+            return itemgetter(*keys)
+        return lambda profile: tuple(map(profile.__getitem__, keys))
+
+    @cached_property
+    def seatings(self) -> tuple:
+        """The edge-list tables of both seatings of a match, read-only:
+        ``parent``, ``first``, ``last``, ``child``, ``terminal``,
+        ``chance_node`` and ``utility`` with seating 1's nodes and edges
+        numbered after seating 0's, then the mask of seat 0's slots.
+        Seating 0 seats a match's first profile in seat 0 and seating 1 in
+        seat 1, and ``utility`` holds that profile's payoff: seat 0's in
+        seating 0's nodes, negated in seating 1's."""
+        nodes, edges = len(self.utility), len(self.child)
+        tables = (
+            np.concatenate((self.parent, self.parent + nodes)),
+            np.concatenate((self.first, self.first + edges)),
+            np.concatenate((self.last, self.last + edges)),
+            np.concatenate((self.child, self.child + nodes)),
+            np.concatenate((self.terminal, self.terminal)),
+            np.concatenate((self.chance_node, self.chance_node)),
+            np.concatenate((self.utility, -self.utility)),
+            self.seat[self.owner] == 0,
+        )
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
 
 def _spans(key) -> list[tuple[int, int]]:
@@ -541,7 +581,7 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
     ValueError on the first row in table order with an entry ``float``
     cannot read or that is not a distribution, found by ``bad_rows`` in one
     pass over the vector. Where both seats read one profile with as many
-    keys as the game, one ``map`` over the table's keys takes its rows; if
+    keys as the game, the layout's ``read_rows`` takes its rows; if
     none is missing and their lengths match ``row_sizes``, it has exactly
     the game's keys. Other seatings, and a profile that fails there, are
     checked key by key, then row by row, which words the first fault.
@@ -554,7 +594,7 @@ def checked_policy(game: GameSpec, seat_profiles) -> np.ndarray:
         and len(shared) == len(labels)
     ):
         try:
-            rows = list(map(shared.__getitem__, labels))
+            rows = layout.read_rows(shared)
             # A mapping that adds missing keys as it reads them grows.
             if list(map(len, rows)) != layout.row_sizes or len(shared) != len(labels):
                 rows = None

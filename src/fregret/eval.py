@@ -8,10 +8,18 @@ Best response, exploitability and exact EV read the sequence form (see
 ``efg_core``): best response backs the pair table's values up by sequence,
 each infoset taking its best action, and exact EV is one sum over the pairs
 per seating. Sampled play moves a block of hands at a time down the edge
-list, every live hand one edge per round of numpy operations. Each draw is
-a guide-table lookup, then at most ``steps`` exact comparisons,
-``bisect_right`` bit for bit. The marks are ``Generator(PCG64(|seed|)).random``:
-the top 53 bits of each raw draw times 2**-53 (see ``sampled_match``).
+list, every live hand one edge per round of numpy operations, over tables
+of both seatings that the layout builds once per game. Live hands are kept
+by index, and each hand's payoff is read once, after its block, from the
+node it stopped at. Each draw is a guide-table lookup, then at most
+``steps`` exact comparisons, ``bisect_right`` bit for bit. The marks are
+``Generator(PCG64(|seed|)).random``: the top 53 bits of each raw draw times
+2**-53 (see ``sampled_match``).
+
+Each evaluator that takes profiles checks them with
+``efg_core.checked_policy``; its ``policy_`` twin (``policy_exploitability``,
+``policy_exact_ev``, ``policy_sampled_match``) takes slot vectors already
+checked, as the command line has them after reading a file.
 """
 
 from __future__ import annotations
@@ -140,6 +148,16 @@ def merge_profiles(game: GameSpec, seat0_profile, seat1_profile):
     return {key: seats[player][key] for player, key, _ in game.layout.infosets}
 
 
+def policy_exact_ev(game: GameSpec, policy_a, policy_b) -> float:
+    """``exact_ev`` of two slot vectors whose rows are distributions."""
+    layout = game.layout
+    reach_a, reach_b = (sequence_reach(layout, p) for p in (policy_a, policy_b))
+    payoff, (seat0, seat1) = layout.payoff[0], layout.pairs
+    a_seated_first = float(np.sum(payoff * reach_a[seat0] * reach_b[seat1]))
+    b_seated_first = float(np.sum(payoff * reach_b[seat0] * reach_a[seat1]))
+    return 0.5 * (a_seated_first - b_seated_first)
+
+
 def exact_ev(game: GameSpec, profile_a, profile_b) -> float:
     """Chips per hand for profile_a, averaged over seat assignments.
 
@@ -147,13 +165,8 @@ def exact_ev(game: GameSpec, profile_a, profile_b) -> float:
     zero when both arguments are the same profile. Each profile is checked
     once into one sequence reach; each seating is one sum over the pairs.
     """
-    layout = game.layout
-    reach_a = sequence_reach(layout, checked_policy(game, (profile_a, profile_a)))
-    reach_b = sequence_reach(layout, checked_policy(game, (profile_b, profile_b)))
-    payoff, (seat0, seat1) = layout.payoff[0], layout.pairs
-    a_seated_first = float(np.sum(payoff * reach_a[seat0] * reach_b[seat1]))
-    b_seated_first = float(np.sum(payoff * reach_b[seat0] * reach_a[seat1]))
-    return 0.5 * (a_seated_first - b_seated_first)
+    policies = (checked_policy(game, (p, p)) for p in (profile_a, profile_b))
+    return policy_exact_ev(game, *policies)
 
 
 def _cuts(layout, policy: np.ndarray) -> np.ndarray:
@@ -198,6 +211,79 @@ def _draw(guide, steps: int, cuts, node, mark) -> np.ndarray:
     return at
 
 
+def _match_args(hands, seed) -> tuple[int, int]:
+    """``hands`` and ``seed`` as ints, or ValueError naming the bad one."""
+    hands = check_positive_int(hands, "hands")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return hands, int(seed)
+
+
+def policy_sampled_match(
+    game: GameSpec,
+    policy_a,
+    policy_b,
+    hands: int,
+    seed: int = 0,
+    duplicate: bool = False,
+) -> MatchResult:
+    """``sampled_match`` of two slot vectors whose rows are distributions."""
+    hands, seed = _match_args(hands, seed)
+    layout = game.layout
+    parent, first, last, child, terminal, at_chance, utility, seat0 = layout.seatings
+    # The cuts follow the tables: seating 1's edges after seating 0's.
+    cuts = np.concatenate([
+        _cuts(layout, np.where(seat0, one, other))
+        for one, other in ((policy_a, policy_b), (policy_b, policy_a))
+    ])
+    guide, steps = _guide(cuts, parent, first, last)
+    nodes = len(layout.utility)
+    marks = np.random.Generator(np.random.PCG64(abs(seed)))
+    played = 2 * max(1, hands // 2) if duplicate else hands
+    values = np.empty(played // 2 if duplicate else played)
+    for begin in range(0, played, 2 * BLOCK):
+        count = min(2 * BLOCK, played - begin)
+        end = np.empty(count, dtype=np.intp)  # each hand's terminal node
+        hand = np.arange(count)
+        node = hand % 2 * nodes
+        if duplicate:
+            common = marks.random(layout.chance_depth * (count // 2))
+            common = common.reshape(layout.chance_depth, count // 2)
+            event = np.zeros(count, dtype=np.intp)
+        while True:
+            stop = terminal.take(node)
+            if stop.any():
+                end[hand] = node  # a hand that goes on writes again later
+                keep = np.flatnonzero(~stop)
+                if not len(keep):
+                    break
+                hand, node = hand.take(keep), node.take(keep)
+                if duplicate:
+                    event = event.take(keep)
+            mark = marks.random(len(hand))
+            if duplicate:
+                which = at_chance.take(node).nonzero()[0]
+                if len(which):
+                    mark[which] = common[event[which], hand[which] >> 1]
+                    event[which] += 1
+            node = child.take(_draw(guide, steps, cuts, node, mark))
+        out = utility.take(end)  # each hand's payoff to profile_a
+        if duplicate:
+            values[begin // 2 : (begin + count) // 2] = 0.5 * (out[0::2] + out[1::2])
+        else:
+            values[begin : begin + count] = out
+    n = len(values)
+    mean = float(np.sum(values)) / n
+    stderr = 0.0
+    if n >= 2:
+        deviation = values - mean
+        spread = float(np.sum(deviation * deviation)) / (n - 1)
+        stderr = math.sqrt(spread) / math.sqrt(n)
+    return MatchResult(
+        hands=played, mean=mean, stderr=stderr, seed=seed, duplicate=duplicate
+    )
+
+
 def sampled_match(
     game: GameSpec,
     profile_a,
@@ -221,6 +307,12 @@ def sampled_match(
     exceeds it, or the last index if none does: a guide-table lookup, then
     at most ``steps`` exact comparisons, ``bisect_right`` bit for bit, on
     the row's cuts (see ``_cuts`` and ``_guide``); ``steps`` is 2 on Leduc.
+    Both seatings play over the layout's ``seatings`` tables, built once
+    per game. The live hands are kept by index: in a round where some hand
+    reaches a terminal, every live hand records its node, and ``take`` on
+    the places of those that go on keeps their hand numbers, nodes and
+    chance counts. After the block one ``take`` of the tables' ``utility``
+    at the recorded nodes reads each hand's payoff to profile_a.
 
     Marks are ``Generator(PCG64(|seed|)).random``: the top 53 bits of each
     raw draw times 2**-53. Each round, every live hand of the block takes
@@ -237,71 +329,6 @@ def sampled_match(
     less than the count, over the square root of the count; 0.0 for one
     score.
     """
-    hands = check_positive_int(hands, "hands")
-    if not is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    layout = game.layout
-    policy_a = checked_policy(game, (profile_a, profile_a))
-    policy_b = checked_policy(game, (profile_b, profile_b))
-    seat0 = layout.seat[layout.owner] == 0
-    # Seating 0 puts profile_a in seat 0, seating 1 in seat 1. The tables
-    # hold both seatings, seating 1's nodes and edges after seating 0's.
-    cuts = np.concatenate([
-        _cuts(layout, np.where(seat0, first, second))
-        for first, second in ((policy_a, policy_b), (policy_b, policy_a))
-    ])
-    nodes, edges = len(layout.utility), len(layout.child)
-    parent = np.concatenate((layout.parent, layout.parent + nodes))
-    first = np.concatenate((layout.first, layout.first + edges))
-    last = np.concatenate((layout.last, layout.last + edges))
-    guide, steps = _guide(cuts, parent, first, last)
-    child = np.concatenate((layout.child, layout.child + nodes))
-    over = np.concatenate((layout.terminal, layout.terminal))
-    at_chance = np.concatenate((layout.chance_node, layout.chance_node))
-    marks = np.random.Generator(np.random.PCG64(abs(seed)))
-    played = 2 * max(1, hands // 2) if duplicate else hands
-    values = np.empty(played // 2 if duplicate else played)
-    for begin in range(0, played, 2 * BLOCK):
-        count = min(2 * BLOCK, played - begin)
-        out = np.empty(count)  # each hand's seat-0 payoff, then profile_a's
-        hand = np.arange(count)
-        node = hand % 2 * nodes
-        if duplicate:
-            common = marks.random(layout.chance_depth * (count // 2))
-            common = common.reshape(layout.chance_depth, count // 2)
-            event = np.zeros(count, dtype=np.intp)
-        while True:
-            done = over.take(node)
-            if done.any():
-                out[hand.compress(done)] = layout.utility.take(
-                    node.compress(done) % nodes
-                )
-                live = ~done
-                hand, node = hand.compress(live), node.compress(live)
-                if duplicate:
-                    event = event.compress(live)
-                if not len(hand):
-                    break
-            mark = marks.random(len(hand))
-            if duplicate:
-                which = at_chance.take(node).nonzero()[0]
-                if len(which):
-                    mark[which] = common[event[which], hand[which] >> 1]
-                    event[which] += 1
-            node = child.take(_draw(guide, steps, cuts, node, mark))
-        np.negative(out[1::2], out=out[1::2])
-        if duplicate:
-            values[begin // 2 : (begin + count) // 2] = 0.5 * (out[0::2] + out[1::2])
-        else:
-            values[begin : begin + count] = out
-    n = len(values)
-    mean = float(np.sum(values)) / n
-    stderr = 0.0
-    if n >= 2:
-        deviation = values - mean
-        spread = float(np.sum(deviation * deviation)) / (n - 1)
-        stderr = math.sqrt(spread) / math.sqrt(n)
-    return MatchResult(
-        hands=played, mean=mean, stderr=stderr, seed=seed, duplicate=duplicate
-    )
+    _match_args(hands, seed)  # worded before any profile fault
+    policies = (checked_policy(game, (p, p)) for p in (profile_a, profile_b))
+    return policy_sampled_match(game, *policies, hands, seed, duplicate)

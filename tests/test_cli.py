@@ -788,6 +788,73 @@ class TestCompeteCommand:
         assert code == 4
         assert "leduc" in err
 
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (("--exact",), "exact_ev,0.74677303712406351"),
+            (
+                ("--duplicate", "--hands", "20000", "--seed", "1"),
+                "20000,0.72004999999999997,0.024338951049784799,1,true",
+            ),
+        ],
+        ids=["exact", "duplicate"],
+    )
+    def test_each_profile_is_checked_once(
+        self, monkeypatch, tmp_path, capsys, flags, line
+    ):
+        # The slot vectors of the reader's checks go on to the evaluator.
+        uniform, _ = solve_into(
+            tmp_path, capsys, "u",
+            ["--game", "leduc", "--algo", "cfr", "--iters", "1"],
+        )
+        calls = []
+        real = cli.checked_policy
+
+        def counting(game, seats):
+            calls.append(game.game_id)
+            return real(game, seats)
+
+        monkeypatch.setattr(cli, "checked_policy", counting)
+        monkeypatch.setattr(fregret.eval, "checked_policy", counting)
+        code, out, _ = run(
+            ["compete", "--game", "leduc", "--a", str(STORED), "--b", str(uniform),
+             *flags],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == line
+        assert calls == ["leduc", "leduc"]
+
+    def test_file_a_is_checked_before_file_b_is_read(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "# fregret-strategy v1 game=kuhn exploit_convention=sum\n"
+            "p0:J:-:,0,0.5\np0:J:-:,1,0.3\n"
+        )
+        code, _, err = run(
+            ["compete", "--game", "kuhn", "--a", str(bad),
+             "--b", str(tmp_path / "missing.csv"), "--exact"],
+            capsys,
+        )
+        assert code == 4
+        assert "p0:J:-:" in err
+
+    @pytest.mark.parametrize("hands", ["0", "-2"])
+    def test_hands_that_are_not_positive_are_a_validation_error(
+        self, tmp_path, capsys, hands
+    ):
+        strategy, _ = solve_into(
+            tmp_path, capsys, "s",
+            ["--game", "kuhn", "--algo", "cfr", "--iters", "1"],
+        )
+        code, out, err = run(
+            ["compete", "--game", "kuhn", "--a", str(strategy),
+             "--b", str(strategy), "--hands", hands],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert f"hands must be a positive integer, got {hands}" in err
+
 
 def child_env():
     """Environment in which ``python -m fregret`` imports the package these

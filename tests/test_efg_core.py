@@ -399,6 +399,67 @@ def test_checked_policy_words_the_first_fault_in_table_order(leduc_game):
     assert first_fault(leduc_game, uniform_profile(leduc_game)) is None
 
 
+ONE_INFOSET = make_game(
+    "one", decision(0, "p0:x", ("a", "b"), (terminal(1.0), terminal(-1.0)))
+)
+DEAL_ONLY = make_game("deal", chance((0.25, 0.75), (terminal(2.0), terminal(-1.0))))
+
+
+def test_one_infoset_game_reads_its_row():
+    # One key: the layout's getter wraps the bare row in a tuple.
+    a, b = {"p0:x": (0.25, 0.75)}, {"p0:x": (1.0, 0.0)}
+    assert ONE_INFOSET.layout.read_rows(a) == ((0.25, 0.75),)
+    assert checked_policy(ONE_INFOSET, (a, a)).tolist() == [0.25, 0.75]
+    assert exploitability(ONE_INFOSET, a) == 1.5
+    assert exploitability(ONE_INFOSET, b) == 0.0
+    assert exact_ev(ONE_INFOSET, a, b) == -0.75
+    matches = [sampled_match(ONE_INFOSET, a, b, 101, 5, d) for d in (False, True)]
+    assert list(map(repr, matches)) == [
+        "MatchResult(hands=101, mean=-0.7821782178217822, "
+        "stderr=0.062305476128919894, seed=5, duplicate=False)",
+        "MatchResult(hands=100, mean=-0.78, stderr=0.05917804336345136, seed=5, "
+        "duplicate=True)",
+    ]
+
+
+def test_game_without_a_decision_node_reads_no_row():
+    assert DEAL_ONLY.layout.read_rows({}) == ()
+    assert checked_policy(DEAL_ONLY, ({}, {})).tolist() == []
+    assert exploitability(DEAL_ONLY, {}) == 0.0
+    assert exact_ev(DEAL_ONLY, {}, {}) == 0.0
+    matches = [sampled_match(DEAL_ONLY, {}, {}, 101, 5, d) for d in (False, True)]
+    assert list(map(repr, matches)) == [
+        "MatchResult(hands=101, mean=-0.06930693069306931, "
+        "stderr=0.1306930693069307, seed=5, duplicate=False)",
+        "MatchResult(hands=100, mean=0.0, stderr=0.0, seed=5, duplicate=True)",
+    ]
+
+
+@pytest.mark.parametrize("game_name", ["one", "leduc"])
+def test_a_defaultdict_missing_a_row_is_a_key_error(leduc_game, game_name):
+    # Its size differs from the game's, so no row is read through it and
+    # it does not grow.
+    game = {"one": ONE_INFOSET, "leduc": leduc_game}[game_name]
+    profile = uniform_profile(game)
+    key = game.layout.infosets[-1][1]
+    row = profile.pop(key)
+    lazy = defaultdict(lambda: row, profile)
+    assert first_fault(game, lazy) == (
+        "KeyError", repr(f"profile missing infoset '{key}'"),
+    )
+    assert len(lazy) == len(profile)
+
+
+@pytest.mark.parametrize("game_name", ["one", "deal", "leduc"])
+def test_an_extra_key_is_named(leduc_game, game_name):
+    game = {"one": ONE_INFOSET, "deal": DEAL_ONLY, "leduc": leduc_game}[game_name]
+    profile = {**uniform_profile(game), "p1:extra": (1.0,)}
+    message = f"infoset 'p1:extra' does not exist in game '{game.game_id}'"
+    assert first_fault(game, profile) == ("ValueError", message)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exploitability(game, profile)
+
+
 @pytest.mark.parametrize("entry", [None, "a", [0.5], 0.5 + 0j, 10**400])
 def test_unreadable_entries_name_the_first_row_read(leduc_game, entry):
     """An entry ``float`` cannot read is a ValueError naming the first

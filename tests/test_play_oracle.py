@@ -16,7 +16,8 @@ duplicate mode one row of pair marks per chance event, taken when the block
 starts. ``sampled_match`` must reproduce it bit for bit on Kuhn, Leduc and
 a subset of the random oracle games, with and without shared subtrees, in
 plain and duplicate mode, at hand counts that end inside, at and past a
-block's end.
+block's end, past three full blocks, in games where every hand stops in
+the same round and where some round stops no hand.
 """
 
 import math
@@ -42,6 +43,7 @@ from fregret.cfr import CFRConfig, solve
 from fregret.cli import read_strategy_file
 from fregret.efg_core import (
     CHANCE,
+    chance,
     checked_policy,
     decision,
     enumerate_infosets,
@@ -59,6 +61,7 @@ from fregret.eval import (
     merge_profiles,
     sampled_match,
 )
+from fregret.games import build_leduc
 
 
 def reference_draw(mark, probs):
@@ -337,3 +340,74 @@ def test_match_matches_reference_without_chance(no_chance_game):
     # Duplicate play takes no pair marks: no hand ever stands at a chance node.
     assert no_chance_game.layout.chance_depth == 0
     assert_matches_reference(no_chance_game, 3, BLOCK_EDGES)
+
+
+def test_match_matches_reference_past_three_blocks(leduc_game):
+    # Three full blocks, then a fourth of three hands in plain play and of
+    # one pair in duplicate play.
+    uniform = uniform_profile(leduc_game)
+    mixed = random_profile(leduc_game, random.Random(4), False)
+    for duplicate in (False, True):
+        args = (leduc_game, mixed, uniform, 6 * BLOCK + 3, 11, duplicate)
+        assert repr(sampled_match(*args)) == repr(reference_sampled_match(*args))
+
+
+def terminal_depths(game):
+    """The number of edges from the root down to each terminal position."""
+    depths, stack = set(), [(game.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if not node.children:
+            depths.add(depth)
+        stack.extend((child, depth + 1) for child in node.children)
+    return depths
+
+
+def test_match_matches_reference_when_every_hand_stops_at_once():
+    # A deal, then one move: every hand of a block stops in its third round.
+    game = make_game("level", chance((0.25, 0.75), [
+        decision(0, f"p0:{card}", ("a", "b"), (terminal(card), terminal(-1.0)))
+        for card in (1.0, 2.0)
+    ]))
+    assert terminal_depths(game) == {2}
+    assert_matches_reference(game, 4, BLOCK_EDGES)
+
+
+def test_match_matches_reference_when_a_round_stops_no_hand():
+    # Seat 0 stops at once or goes on to a deal and seat 1's move: the
+    # second round stops the hands that stopped, the third stops none, and
+    # the fourth stops the rest.
+    game = make_game("gap", decision(0, "p0:", ("stop", "go"), (
+        terminal(1.0),
+        chance((0.5, 0.5), [
+            decision(1, f"p1:{card}", ("a", "b"), (terminal(2.0), terminal(-3.0)))
+            for card in "xy"
+        ]),
+    )))
+    assert terminal_depths(game) == {1, 3}
+    assert_matches_reference(game, 6, BLOCK_EDGES)
+
+
+def test_seating_tables_are_built_once_per_layout(leduc_game):
+    layout = leduc_game.layout
+    tables = layout.seatings
+    profile = uniform_profile(leduc_game)
+    sampled_match(leduc_game, profile, profile, 9, duplicate=True)
+    assert layout.seatings is tables
+    assert build_leduc().layout.seatings[0] is not tables[0]
+    nodes, edges = len(layout.utility), len(layout.child)
+    for table, own, shift in (
+        (tables[0], layout.parent, nodes),
+        (tables[1], layout.first, edges),
+        (tables[2], layout.last, edges),
+        (tables[3], layout.child, nodes),
+        (tables[4], layout.terminal, 0),
+        (tables[5], layout.chance_node, 0),
+    ):
+        assert table.tolist() == own.tolist() + (own + shift).tolist()
+    assert tables[6].tolist() == layout.utility.tolist() + (-layout.utility).tolist()
+    assert tables[7].tolist() == (layout.seat[layout.owner] == 0).tolist()
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
