@@ -346,8 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     compete_cmd.add_argument("--b", required=True)
     compete_cmd.add_argument("--hands", type=int, default=10000)
     compete_cmd.add_argument("--seed", type=int, default=0)
-    compete_cmd.add_argument("--duplicate", action="store_true")
-    compete_cmd.add_argument("--exact", action="store_true")
+    # --exact plays no hands, so it cannot play them in pairs.
+    mode = compete_cmd.add_mutually_exclusive_group()
+    mode.add_argument("--duplicate", action="store_true")
+    mode.add_argument("--exact", action="store_true")
     compete_cmd.set_defaults(func=cmd_compete)
     return parser
 

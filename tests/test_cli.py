@@ -1,6 +1,7 @@
 """Command-line interface: formats, round-trips, exit codes, and outputs."""
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import math
@@ -8,6 +9,7 @@ import os
 import pathlib
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +20,9 @@ from test_game_oracle import random_game, random_profile
 
 import fregret
 from fregret import cli
+from fregret.cfr import CFRConfig, solve
 from fregret.cli import (
+    format_csv,
     format_float,
     main,
     read_strategy_file,
@@ -26,6 +30,7 @@ from fregret.cli import (
 )
 from fregret.efg_core import decision, make_game, terminal, uniform_profile
 from fregret.eval import exploitability
+from fregret.rcfr import RCFRConfig, rcfr_solve
 
 
 def run(argv, capsys):
@@ -45,8 +50,26 @@ def solve_into(tmp_path, capsys, name, extra):
 STORED = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
 
 
-def sha256(path):
-    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+def count_checks(monkeypatch):
+    """From now on, the game id of each ``checked_policy`` call that ``cli``
+    or ``eval`` makes, in order."""
+    calls = []
+    real = cli.checked_policy
+
+    def counting(game, seats):
+        calls.append(game.game_id)
+        return real(game, seats)
+
+    monkeypatch.setattr(cli, "checked_policy", counting)
+    monkeypatch.setattr(fregret.eval, "checked_policy", counting)
+    return calls
+
+
+def library_file(tmp_path, game, profile):
+    """The bytes of ``profile``'s strategy file, as the library writes it."""
+    path = tmp_path / "library.csv"
+    write_strategy_file(str(path), game, profile)
+    return path.read_bytes()
 
 
 EDGE_FLOATS = (-0.0, 0.0, 5e-324)
@@ -383,21 +406,8 @@ class TestSolveCommand:
         for row_a, row_b in zip(rows_a, rows_b):
             assert row_a[:3] == row_b[:3]
 
-    def test_rcfr_tabular_matches_cfr_strategy_file(self, tmp_path, capsys):
-        cfr_strat, _ = solve_into(
-            tmp_path, capsys, "cfr",
-            ["--game", "kuhn", "--algo", "cfr", "--iters", "40"],
-        )
-        rcfr_strat, _ = solve_into(
-            tmp_path, capsys, "rcfr",
-            ["--game", "kuhn", "--algo", "rcfr", "--iters", "40",
-             "--estimator", "tabular"],
-        )
-        assert rcfr_strat.read_bytes() == cfr_strat.read_bytes()
-
     def test_kuhn_tree_rcfr_is_pinned(self, tmp_path, capsys):
-        # Kuhn's keys through featurize and the tree, end to end. The CI
-        # workflow checks the same digest through the console script.
+        # Kuhn's keys through featurize and the tree, end to end.
         strategy, _ = solve_into(
             tmp_path, capsys, "tree",
             ["--game", "kuhn", "--algo", "rcfr", "--estimator", "tree",
@@ -407,15 +417,20 @@ class TestSolveCommand:
             "a75c624220ec0413de97d45a477d4118e0e7f6996db3b873faf33679da14abb1"
         )
 
-    def test_leduc_cfr_log_columns_are_pinned(self, tmp_path, capsys):
-        # The CI workflow checks the same digests through the console
-        # script, of the log as ``cut -d, -f1-3`` and ``cut -d, -f1,3``
-        # print it: without wall_ms, and its t and regret-bound columns.
-        _, conv = solve_into(
+    def test_leduc_cfr_is_the_library_run_and_its_log_is_pinned(
+        self, tmp_path, capsys, leduc_game
+    ):
+        # The file is solve's, which test_cfr.py pins. The log's digests:
+        # without wall_ms, and its t and regret-bound columns alone. Regrets
+        # never read the strategy sums, so the second, recorded before they
+        # began to add once per sequence, must not move.
+        strategy, conv = solve_into(
             tmp_path, capsys, "leduc-cfr",
             ["--game", "leduc", "--algo", "cfr", "--iters", "50",
              "--log-every", "10"],
         )
+        profile, _ = solve(leduc_game, CFRConfig(iterations=50, log_every=10))
+        assert strategy.read_bytes() == library_file(tmp_path, leduc_game, profile)
         rows = [line.split(",") for line in conv.read_text().splitlines()]
 
         def cut_digest(fields):
@@ -520,7 +535,6 @@ class TestExploitCommand:
         assert printed == logged
 
     def test_kuhn_cfr_exploitability_is_pinned(self, tmp_path, capsys):
-        # The CI workflow checks the same line through the console script.
         strategy, _ = solve_into(
             tmp_path, capsys, "cfr",
             ["--game", "kuhn", "--algo", "cfr", "--iters", "40"],
@@ -533,31 +547,18 @@ class TestExploitCommand:
 
     def test_leduc_stored_exploitability_is_pinned(self, capsys):
         # The Leduc build, the strategy reader and best response, end to end.
-        # The CI workflow checks the same line through the console script.
-        solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
         code, out, _ = run(
-            ["exploit", "--game", "leduc", "--strategy", str(solved)], capsys
+            ["exploit", "--game", "leduc", "--strategy", str(STORED)], capsys
         )
         assert code == 0
         assert out == "exploitability,0.079626596628128293\n"
 
     def test_profile_is_checked_once(self, monkeypatch, capsys):
         # The slot vector of the reader's check goes on to best response.
-        calls = []
-        real = cli.checked_policy
-
-        def counting(game, seats):
-            calls.append(game.game_id)
-            return real(game, seats)
-
-        monkeypatch.setattr(cli, "checked_policy", counting)
-        monkeypatch.setattr(fregret.eval, "checked_policy", counting)
-        solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
-        code, out, _ = run(
-            ["exploit", "--game", "leduc", "--strategy", str(solved)], capsys
-        )
-        assert code == 0
-        assert out == "exploitability,0.079626596628128293\n"
+        argv = ["exploit", "--game", "leduc", "--strategy", str(STORED)]
+        expected = run(argv, capsys)
+        calls = count_checks(monkeypatch)
+        assert run(argv, capsys) == expected and expected[0] == 0
         assert calls == ["leduc"]
 
     def test_bad_sum_file_is_a_validation_error(self, tmp_path, capsys):
@@ -622,7 +623,7 @@ class TestExploitCommand:
     def test_bad_probability_in_stored_file_fails_at_its_line(
         self, tmp_path, capsys, token
     ):
-        # As CI's sed '3s/,[^,]*$/,<token>/' on the stored Leduc file.
+        # The stored Leduc file with the last field of line 3 made ``token``.
         solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
         lines = solved.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[2] = lines[2].rsplit(",", 1)[0] + f",{token}\n"
@@ -653,6 +654,9 @@ class TestExploitCommand:
         assert "kuhn" in err and "leduc" in err
 
 
+MATCH_HEADER = "hands,mean,stderr,seed,duplicate"
+
+
 class TestCompeteCommand:
     def test_exact_self_play_is_zero(self, tmp_path, capsys):
         strategy, _ = solve_into(
@@ -680,7 +684,7 @@ class TestCompeteCommand:
         assert code_a == code_b == 0
         assert out_a == out_b
         lines = out_a.splitlines()
-        assert lines[0] == "hands,mean,stderr,seed,duplicate"
+        assert lines[0] == MATCH_HEADER
         cells = lines[1].split(",")
         assert cells[0] == "500" and cells[3] == "3" and cells[4] == "true"
 
@@ -703,57 +707,42 @@ class TestCompeteCommand:
         _, mean_text, stderr_text, _, _ = out.splitlines()[1].split(",")
         assert abs(float(mean_text) - exact) <= 3.0 * float(stderr_text)
 
-    def leduc_match(self, tmp_path, capsys, *flags):
-        """The output of one Leduc ``compete`` of the stored CFR profile
-        against uniform play, with ``flags``."""
+    def test_leduc_plain_match_is_pinned(self, tmp_path, capsys):
+        # Plain mode draws every chance event from its own mark. README
+        # holds the same pair's duplicate and exact lines.
         uniform, _ = solve_into(
             tmp_path, capsys, "u",
             ["--game", "leduc", "--algo", "cfr", "--iters", "1"],
         )
-        solved = pathlib.Path(__file__).parents[1] / "benchmarks/data/leduc_cfr1000.csv"
         code, out, _ = run(
-            ["compete", "--game", "leduc", "--a", str(solved), "--b", str(uniform),
-             *flags],
+            ["compete", "--game", "leduc", "--a", str(STORED), "--b", str(uniform),
+             "--hands", "20000", "--seed", "1"],
             capsys,
         )
         assert code == 0
-        return out
-
-    def test_leduc_duplicate_match_is_pinned(self, tmp_path, capsys):
-        # The CI workflow checks the same line through the console script.
-        flags = ("--duplicate", "--hands", "20000", "--seed", "1")
-        assert self.leduc_match(tmp_path, capsys, *flags).splitlines() == [
-            "hands,mean,stderr,seed,duplicate",
-            "20000,0.72004999999999997,0.024338951049784799,1,true",
+        assert out.splitlines() == [
+            MATCH_HEADER, "20000,0.77195000000000003,0.030915852719478217,1,false"
         ]
-
-    def test_leduc_plain_match_is_pinned(self, tmp_path, capsys):
-        # Plain mode draws every chance event from its own mark. The CI
-        # workflow checks the same line through the console script.
-        flags = ("--hands", "20000", "--seed", "1")
-        assert self.leduc_match(tmp_path, capsys, *flags).splitlines() == [
-            "hands,mean,stderr,seed,duplicate",
-            "20000,0.77195000000000003,0.030915852719478217,1,false",
-        ]
-
-    def test_leduc_exact_ev_is_pinned(self, tmp_path, capsys):
-        # The CI workflow checks the same line through the console script.
-        # Re-recorded when the strategy sums began to add once per sequence:
-        # every 3-action row of the one-pass average now reads the double
-        # nearest 1/3, where 126 of the 288 entries read one ulp above.
-        out = self.leduc_match(tmp_path, capsys, "--exact")
-        assert out == "exact_ev,0.74677303712406351\n"
 
     @pytest.mark.parametrize(
-        "flags, line",
+        "flags, lines",
         [
-            (("--duplicate", "--hands", "2001"), "2000,0.01,0.012472191289246473,0,true"),
-            (("--seed", "-3"), "10000,0.00040000000000000002,0.013552060722819372,-3,false"),
+            (
+                ("--duplicate", "--hands", "2001"),
+                [MATCH_HEADER, "2000,0.01,0.012472191289246473,0,true"],
+            ),
+            (
+                ("--seed", "-3"),
+                [
+                    MATCH_HEADER,
+                    "10000,0.00040000000000000002,0.013552060722819372,-3,false",
+                ],
+            ),
+            (("--exact",), ["exact_ev,0"]),
         ],
-        ids=["duplicate", "negative-seed"],
+        ids=["duplicate", "negative-seed", "exact"],
     )
-    def test_kuhn_match_is_pinned(self, tmp_path, capsys, flags, line):
-        # The CI workflow checks the same lines through the console script:
+    def test_kuhn_match_is_pinned(self, tmp_path, capsys, flags, lines):
         # 40 iterations of CFR against tabular RCFR, which plays the same.
         cfr, _ = solve_into(
             tmp_path, capsys, "cfr",
@@ -769,7 +758,7 @@ class TestCompeteCommand:
             capsys,
         )
         assert code == 0
-        assert out.splitlines() == ["hands,mean,stderr,seed,duplicate", line]
+        assert out.splitlines() == lines
 
     def test_game_mismatch_between_files_fails(self, tmp_path, capsys):
         kuhn_strat, _ = solve_into(
@@ -789,40 +778,21 @@ class TestCompeteCommand:
         assert "leduc" in err
 
     @pytest.mark.parametrize(
-        "flags, line",
-        [
-            (("--exact",), "exact_ev,0.74677303712406351"),
-            (
-                ("--duplicate", "--hands", "20000", "--seed", "1"),
-                "20000,0.72004999999999997,0.024338951049784799,1,true",
-            ),
-        ],
+        "flags",
+        [("--exact",), ("--duplicate", "--hands", "20000", "--seed", "1")],
         ids=["exact", "duplicate"],
     )
-    def test_each_profile_is_checked_once(
-        self, monkeypatch, tmp_path, capsys, flags, line
-    ):
+    def test_each_profile_is_checked_once(self, monkeypatch, tmp_path, capsys, flags):
         # The slot vectors of the reader's checks go on to the evaluator.
         uniform, _ = solve_into(
             tmp_path, capsys, "u",
             ["--game", "leduc", "--algo", "cfr", "--iters", "1"],
         )
-        calls = []
-        real = cli.checked_policy
-
-        def counting(game, seats):
-            calls.append(game.game_id)
-            return real(game, seats)
-
-        monkeypatch.setattr(cli, "checked_policy", counting)
-        monkeypatch.setattr(fregret.eval, "checked_policy", counting)
-        code, out, _ = run(
-            ["compete", "--game", "leduc", "--a", str(STORED), "--b", str(uniform),
-             *flags],
-            capsys,
-        )
-        assert code == 0
-        assert out.splitlines()[-1] == line
+        argv = ["compete", "--game", "leduc", "--a", str(STORED), "--b", str(uniform),
+                *flags]
+        expected = run(argv, capsys)
+        calls = count_checks(monkeypatch)
+        assert run(argv, capsys) == expected and expected[0] == 0
         assert calls == ["leduc", "leduc"]
 
     def test_file_a_is_checked_before_file_b_is_read(self, tmp_path, capsys):
@@ -838,6 +808,21 @@ class TestCompeteCommand:
         )
         assert code == 4
         assert "p0:J:-:" in err
+
+    @pytest.mark.parametrize(
+        "flags", [("--exact", "--duplicate"), ("--duplicate", "--exact")]
+    )
+    def test_exact_with_duplicate_is_a_usage_error(self, capsys, flags):
+        # --exact plays no hands; the pair fails, in either order, before
+        # any file is read, naming the flag given second.
+        code, out, err = run(
+            ["compete", "--game", "kuhn", "--a", "absent.csv", "--b", "absent.csv",
+             *flags],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: fregret compete")
+        assert f"argument {flags[1]}: not allowed with argument {flags[0]}" in err
 
     @pytest.mark.parametrize("hands", ["0", "-2"])
     def test_hands_that_are_not_positive_are_a_validation_error(
@@ -891,17 +876,17 @@ class TestConsoleEntry:
         assert result.returncode == 2
 
 
-class TestConsoleScriptTwins:
-    """In-process twins, through ``cli.main``, of the CI workflow's checks
-    of the installed console script that no other test repeats. Each
-    docstring quotes the check."""
+class TestCliEndToEnd:
+    """Whole commands through ``cli.main``: solver files equal to what the
+    library writes, the reader's faults worded at their line, and exit
+    codes. Digests live with the library tests in ``test_rcfr.py`` and
+    ``test_cfr.py``; here the command's file must equal the library's."""
 
     def test_tabular_rcfr_matches_cfr_in_both_target_modes(
         self, tmp_path, capsys
     ):
-        """``cmp`` of Kuhn CFR against bootstrap tabular RCFR at 40
-        iterations, and of Leduc CFR against tabular RCFR in both target
-        modes at 20."""
+        """Kuhn at 40 iterations and Leduc at 20: tabular RCFR writes CFR's
+        file in the exact and the bootstrap target mode."""
         for game, iters in (("kuhn", "40"), ("leduc", "20")):
             base = ["--game", game, "--iters", iters]
             cfr, _ = solve_into(
@@ -916,91 +901,54 @@ class TestConsoleScriptTwins:
                 assert rcfr.read_bytes() == cfr.read_bytes(), (game, mode)
 
     def test_stored_leduc_file_rewrites_byte_for_byte(self, tmp_path, leduc_game):
-        """``write(out, build_leduc(), read(stored)[1])``, then ``cmp`` of
-        ``out`` with the stored file."""
+        """The stored file, read and written back, keeps every byte."""
         rewritten = tmp_path / "rewritten.csv"
         _, profile = read_strategy_file(str(STORED))
         write_strategy_file(str(rewritten), leduc_game, profile)
         assert rewritten.read_bytes() == STORED.read_bytes()
 
-    def test_kuhn_exact_ev_of_cfr_against_tabular_rcfr_is_zero(
-        self, tmp_path, capsys
+    def test_leduc_min_leaf_4_tree_rcfr_is_the_library_run_and_ignores_its_seed(
+        self, tmp_path, capsys, leduc_game
     ):
-        """``fregret compete --game kuhn --a cfr --b rcfr --exact`` prints
-        ``exact_ev,0``."""
-        cfr, _ = solve_into(
-            tmp_path, capsys, "cfr",
-            ["--game", "kuhn", "--algo", "cfr", "--iters", "40"],
-        )
-        rcfr, _ = solve_into(
-            tmp_path, capsys, "rcfr",
-            ["--game", "kuhn", "--algo", "rcfr", "--estimator", "tabular",
-             "--iters", "40"],
-        )
-        argv = ["compete", "--game", "kuhn", "--a", str(cfr), "--b", str(rcfr),
-                "--exact"]
-        assert run(argv, capsys)[:2] == (0, "exact_ev,0\n")
-
-    def test_leduc_min_leaf_4_tree_rcfr_is_pinned_and_ignores_its_seed(
-        self, tmp_path, capsys
-    ):
-        """Two runs of ``--min-leaf 4 --iters 20`` and one with ``--seed 7``
-        write the same file, whose digest is pinned; the log's header, and
-        its digests as ``cut -d, -f1-6`` and ``cut -d, -f1,3-6`` print it."""
+        """``--min-leaf 4 --iters 20``, with and without ``--seed 7``, writes
+        ``rcfr_solve``'s file, and its log without wall_ms is the library's
+        log as ``test_rcfr.py`` pins it."""
         argv = ["--game", "leduc", "--algo", "rcfr", "--estimator", "tree",
                 "--min-leaf", "4", "--iters", "20"]
-        first, log = solve_into(tmp_path, capsys, "tree1", argv)
-        second, _ = solve_into(tmp_path, capsys, "tree2", argv)
+        first, log = solve_into(tmp_path, capsys, "tree", argv)
         seeded, _ = solve_into(tmp_path, capsys, "seed7", argv + ["--seed", "7"])
-        assert first.read_bytes() == second.read_bytes() == seeded.read_bytes()
-        assert sha256(first) == (
-            "1106e709da38c44347c563d519f2efbb7ab79eda14becc4ed66e6b51ca6ea5e9"
+        profile, convergence, sizes = rcfr_solve(
+            leduc_game, RCFRConfig(iterations=20, min_leaf_weight=4.0)
         )
-        rows = [line.split(",") for line in log.read_text().splitlines()]
-        assert rows[0] == [
-            "t", "exploitability", "mse_p1", "mse_p2", "leaves_p1", "leaves_p2",
-            "wall_ms",
+        library = library_file(tmp_path, leduc_game, profile)
+        assert first.read_bytes() == seeded.read_bytes() == library
+        header = ["t", "exploitability", "mse_p1", "mse_p2", "leaves_p1", "leaves_p2"]
+        rows = [
+            (c.t, c.exploitability, c.mse_p1, c.mse_p2, s.leaves_p1, s.leaves_p2)
+            for c, s in zip(convergence, sizes)
         ]
+        assert log.read_text().splitlines()[0] == ",".join(header + ["wall_ms"])
+        assert without_wall_ms(log) == format_csv(header, rows).splitlines()
 
-        def cut_digest(fields):
-            text = "".join(",".join(row[f] for f in fields) + "\n" for row in rows)
-            return hashlib.sha256(text.encode()).hexdigest()
-
-        assert cut_digest(range(6)) == (
-            "d8bf378673c79b63981c832ff223209cf016d7eaa2c0797f7ac4b22cff9126b1"
-        )
-        assert cut_digest([0, 2, 3, 4, 5]) == (
-            "f0046c4483bcff2a430a128ffb6a5923107954605c6a6708dedb2a0d47fd117b"
-        )
-
-    def test_leduc_bootstrap_min_leaf_16_is_pinned(self, tmp_path, capsys):
-        """``--min-leaf 16 --target-mode bootstrap --iters 20``'s digest."""
+    def test_leduc_bootstrap_min_leaf_16_is_the_library_run(
+        self, tmp_path, capsys, leduc_game
+    ):
+        """``--min-leaf 16 --target-mode bootstrap --iters 20`` writes
+        ``rcfr_solve``'s file."""
         strategy, _ = solve_into(
             tmp_path, capsys, "boot16",
             ["--game", "leduc", "--algo", "rcfr", "--estimator", "tree",
              "--min-leaf", "16", "--target-mode", "bootstrap", "--iters", "20"],
         )
-        assert sha256(strategy) == (
-            "beccec8cb58f32f1e20408febbb1c5fde3fb87c1e8567ab9c1aecf4c379153b2"
+        config = RCFRConfig(
+            iterations=20, min_leaf_weight=16.0, target_mode="bootstrap"
         )
-
-    def test_leduc_cfr_is_pinned(self, tmp_path, capsys):
-        """``--iters 50 --log-every 10``'s digest and the log's header."""
-        strategy, log = solve_into(
-            tmp_path, capsys, "leduc-cfr",
-            ["--game", "leduc", "--algo", "cfr", "--iters", "50",
-             "--log-every", "10"],
-        )
-        assert sha256(strategy) == (
-            "c06f2af91e85a55db346fb4e177ac3274c2a81350660390b19b4e029ee8d6197"
-        )
-        assert log.read_text().splitlines()[0] == (
-            "t,exploitability,max_pos_regret_sum,wall_ms"
-        )
+        profile = rcfr_solve(leduc_game, config)[0]
+        assert strategy.read_bytes() == library_file(tmp_path, leduc_game, profile)
 
     def test_kuhn_row_summing_to_0_8_and_an_unknown_game(self, tmp_path, capsys):
-        """``sed '2s/,0\\.5$/,0.3/'`` on the one-iteration Kuhn file exits 4,
-        and ``--game nosuch`` exits 2."""
+        """The one-iteration Kuhn file with its first row's second entry
+        made 0.3 exits 4, and ``--game nosuch`` exits 2."""
         uniform, _ = solve_into(
             tmp_path, capsys, "uniform",
             ["--game", "kuhn", "--algo", "cfr", "--iters", "1"],
@@ -1027,8 +975,8 @@ class TestConsoleScriptTwins:
         return code, out, err, str(path)
 
     def test_line_written_twice_fails_at_its_second_copy(self, tmp_path, capsys):
-        """``sed '3p'`` on the stored file exits 4 with ``line 4: duplicate
-        entry for 'p0:J:-:/' action 1``."""
+        """The stored file with its line 3 written again after it exits 4
+        with ``line 4: duplicate entry for 'p0:J:-:/' action 1``."""
         lines = STORED.read_bytes().splitlines(keepends=True)
         data = b"".join([*lines[:3], lines[2], *lines[3:]])
         code, _, err, _ = self.exploit_stored(tmp_path, capsys, data)
@@ -1036,14 +984,14 @@ class TestConsoleScriptTwins:
         assert "line 4: duplicate entry for 'p0:J:-:/' action 1" in err
 
     def test_two_bytes_that_are_not_utf8_name_the_file(self, tmp_path, capsys):
-        """``printf '\\377\\376'`` exits 4 and names the file."""
+        """A file of the two bytes ``ff fe`` exits 4 and names the file."""
         code, _, err, path = self.exploit_stored(tmp_path, capsys, b"\xff\xfe")
         assert code == 4 and path in err
 
     def test_byte_order_mark_before_the_stored_file_fails_at_line_1(
         self, tmp_path, capsys
     ):
-        """``printf '\\357\\273\\277' | cat - leduc_cfr1000.csv`` exits 4 with
+        """The stored file after a UTF-8 byte-order mark exits 4 with
         ``line 1: starts with a UTF-8 byte-order mark``."""
         data = b"\xef\xbb\xbf" + STORED.read_bytes()
         code, _, err, _ = self.exploit_stored(tmp_path, capsys, data)
@@ -1053,15 +1001,135 @@ class TestConsoleScriptTwins:
     def test_crlf_copy_of_the_stored_file_reads_as_the_original(
         self, tmp_path, capsys
     ):
-        """``sed 's/$/\\r/'`` on the stored file: ``exploit`` prints the
+        """The stored file with ``\\r\\n`` line ends: ``exploit`` prints the
         stored file's line, and ``compete --exact`` against the original
         prints ``exact_ev,0``."""
         data = STORED.read_bytes().replace(b"\n", b"\r\n")
         code, out, _, path = self.exploit_stored(tmp_path, capsys, data)
-        assert (code, out) == (0, "exploitability,0.079626596628128293\n")
+        argv = ["exploit", "--game", "leduc", "--strategy", str(STORED)]
+        assert (code, out) == run(argv, capsys)[:2]
         argv = ["compete", "--game", "leduc", "--a", str(STORED), "--b", path,
                 "--exact"]
         assert run(argv, capsys)[:2] == (0, "exact_ev,0\n")
+
+
+def without_wall_ms(path):
+    """The lines of a convergence log with its last column, wall_ms, cut."""
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def installed_script():
+    """The ``fregret`` script on ``PATH`` and None if it runs this checkout's
+    ``cli``, else None and why not."""
+    script = shutil.which("fregret")
+    if script is None:
+        return None, "no fregret script on PATH"
+    with open(script, "rb") as handle:
+        first = handle.readline()
+    if not first.startswith(b"#!"):
+        return None, f"{script} has no #! line naming its Python"
+    # A script has its own directory first on sys.path, where -c has "".
+    code = (
+        "import sys; sys.path[0] = sys.argv[1]; "
+        "import fregret.cli; print(fregret.cli.__file__)"
+    )
+    probe = subprocess.run(
+        [*first[2:].decode().split(), "-c", code, os.path.dirname(script)],
+        capture_output=True, text=True,
+    )
+    found = probe.stdout.strip()
+    if probe.returncode != 0 or not os.path.samefile(found, cli.__file__):
+        return None, (
+            f"{script} imports {found or probe.stderr.strip()!r}, "
+            f"not this checkout's {cli.__file__}"
+        )
+    return script, None
+
+
+# Each row's argv and exit code; {out} is each runner's own output
+# directory, {data} the inputs both read.
+SCRIPT_ROWS = [
+    pytest.param("solve --game kuhn --algo cfr --iters 40 --out {out}", 0,
+                 id="solve-kuhn-cfr"),
+    pytest.param("solve --game kuhn --algo rcfr --estimator tabular --iters 40"
+                 " --out {out}", 0, id="solve-kuhn-tabular-rcfr"),
+    pytest.param("solve --game leduc --algo rcfr --estimator tree --min-leaf 4"
+                 " --iters 20 --out {out}", 0, id="solve-leduc-tree-ml4"),
+    pytest.param("exploit --game leduc --strategy {data}/stored.csv", 0,
+                 id="exploit-stored"),
+    pytest.param("exploit --game leduc --strategy {data}/crlf.csv", 0,
+                 id="exploit-crlf"),
+    pytest.param("exploit --game leduc --strategy {data}/bom.csv", 4,
+                 id="exploit-bom"),
+    pytest.param("compete --game leduc --a {data}/stored.csv --b {data}/uniform.csv"
+                 " --hands 20000 --seed 1", 0, id="compete"),
+    pytest.param("compete --game leduc --a {data}/stored.csv --b {data}/uniform.csv"
+                 " --hands 20000 --seed 1 --duplicate", 0, id="compete-duplicate"),
+    pytest.param("compete --game leduc --a {data}/stored.csv --b {data}/uniform.csv"
+                 " --exact", 0, id="compete-exact"),
+    pytest.param("exploit --game nosuch --strategy {data}/stored.csv", 2,
+                 id="unknown-game"),
+    pytest.param("exploit --game kuhn --strategy {data}/absent.csv", 3,
+                 id="missing-file"),
+    pytest.param("exploit --game leduc --strategy {data}/half.csv", 4,
+                 id="bad-probability"),
+]
+
+
+class TestInstalledScript:
+    """The installed ``fregret`` console script is ``cli.main``: on each row
+    of ``SCRIPT_ROWS`` it gives the same exit code, stdout, stderr and
+    written files (``convergence.csv`` without wall_ms). The values live
+    in the in-process tests; CI fails if this class is skipped."""
+
+    @pytest.fixture(scope="class")
+    def script(self):
+        script, reason = installed_script()
+        if script is None:
+            pytest.skip(reason)
+        return script
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory, leduc_game):
+        """The stored Leduc file, its CRLF copy, a copy after a byte-order
+        mark, a copy whose line 3 ends in ``half``, and uniform play."""
+        data = tmp_path_factory.mktemp("data")
+        stored = STORED.read_bytes()
+        lines = stored.splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(b",", 1)[0] + b",half\n"
+        (data / "stored.csv").write_bytes(stored)
+        (data / "crlf.csv").write_bytes(stored.replace(b"\n", b"\r\n"))
+        (data / "bom.csv").write_bytes(b"\xef\xbb\xbf" + stored)
+        (data / "half.csv").write_bytes(b"".join(lines))
+        write_strategy_file(
+            str(data / "uniform.csv"), leduc_game, uniform_profile(leduc_game)
+        )
+        return data
+
+    def outcome(self, call, out, data, argv):
+        """Exit code, stdout, stderr and the files written under ``out``."""
+        code, stdout, stderr = call(argv.format(out=out, data=data).split())
+        files = {
+            path.name: (
+                without_wall_ms(path) if path.name == cli.CONVERGENCE_FILENAME
+                else path.read_bytes()
+            )
+            for path in sorted(out.glob("*"))
+        }
+        return code, stdout, stderr, files
+
+    @pytest.mark.parametrize("argv, code", SCRIPT_ROWS)
+    def test_script_matches_cli_main(self, script, data, tmp_path, capsys, argv, code):
+        def installed(args):
+            done = subprocess.run(
+                [script, *args], capture_output=True, encoding="utf-8"
+            )
+            return done.returncode, done.stdout, done.stderr
+
+        in_process = functools.partial(run, capsys=capsys)
+        expected = self.outcome(in_process, tmp_path / "main", data, argv)
+        assert expected[0] == code, expected[2]
+        assert self.outcome(installed, tmp_path / "script", data, argv) == expected
 
 
 def hexed(result):

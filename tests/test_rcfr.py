@@ -745,9 +745,9 @@ class TestSolve:
     def test_leduc_min_leaf_4_log_is_pinned(self, leduc_game):
         # The convergence.csv of `fregret solve --game leduc --algo rcfr
         # --estimator tree --min-leaf 4 --iters 20` without its wall_ms
-        # column; CI pins the same digests. Its t, MSE and leaf columns
-        # were recorded before the strategy sums began to add once per
-        # sequence, which moved only the exploitability column.
+        # column, which test_cli.py holds equal to this. Its t, MSE and
+        # leaf columns were recorded before the strategy sums began to add
+        # once per sequence, which moved only the exploitability column.
         _, convergence, sizes = rcfr_solve(
             leduc_game, RCFRConfig(iterations=20, min_leaf_weight=4.0)
         )
